@@ -16,7 +16,7 @@ synthesis report proving it fits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.accel.registry import CATALOG, make_job, profile_of
 from repro.errors import ConfigurationError, SynthesisError
@@ -75,6 +75,17 @@ class FpgaConfiguration:
     slots: List[str]  # accelerator type per physical slot, in order
     report: SynthesisReport = field(repr=False, default=None)  # type: ignore[assignment]
 
+    def __post_init__(self) -> None:
+        #: Static per-type slot index (ascending physical indices), built
+        #: once: a bitstream's slot mix never changes after synthesis.
+        self.slot_index: Dict[str, Tuple[int, ...]] = self._index_slots()
+
+    def _index_slots(self) -> Dict[str, Tuple[int, ...]]:
+        index: Dict[str, List[int]] = {}
+        for i, slot in enumerate(self.slots):
+            index.setdefault(slot, []).append(i)
+        return {name: tuple(indices) for name, indices in index.items()}
+
     @classmethod
     def synthesize(
         cls, slots: Sequence[str], *, library: Optional[AcceleratorLibrary] = None
@@ -96,7 +107,9 @@ class FpgaConfiguration:
         return len(self.slots)
 
     def slots_of_type(self, name: str) -> List[int]:
-        return [i for i, slot in enumerate(self.slots) if slot == name]
+        """Physical indices carrying ``name`` — a fresh list copied from
+        the cached :attr:`slot_index` (hot paths read the index itself)."""
+        return list(self.slot_index.get(name, ()))
 
     def utilization_summary(self) -> Dict[str, float]:
         total = self.report.total

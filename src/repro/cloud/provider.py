@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.cloud.library import AcceleratorLibrary, FpgaConfiguration
+from repro.cloud.slots import SlotLedger
 from repro.errors import ConfigurationError, SchedulerError
 from repro.guest.api import GuestAccelerator
 from repro.hv.checkpoint import GuestCheckpoint, restore_guest
@@ -25,15 +26,19 @@ from repro.platform.builder import Platform, build_platform
 from repro.platform.params import PlatformParams
 
 
-@dataclass
+@dataclass(eq=False)  # identity equality: membership tests compare pointers
 class Tenant:
     """One placed customer: their VM, handle, and placement facts."""
 
     name: str
     accel_type: str
-    physical_index: int
     vaccel: VirtualAccelerator
     handle: GuestAccelerator
+
+    @property
+    def physical_index(self) -> int:
+        """The slot the tenant lives on *now* (migration moves the vaccel)."""
+        return self.vaccel.physical_index
 
     @property
     def oversubscribed(self) -> bool:
@@ -59,11 +64,33 @@ class CloudProvider:
         )
         self.hypervisor = OptimusHypervisor(self.platform)
         self.tenants: List[Tenant] = []
+        #: Placement bookkeeping; the hypervisor's per-slot vaccel lists
+        #: stay the ground truth it is checked against (:meth:`recount`).
+        self.slots = SlotLedger(configuration)
 
     # -- placement -----------------------------------------------------------------
 
-    def _occupancy(self, physical_index: int) -> int:
-        return len(self.hypervisor.physical[physical_index].vaccels)
+    def _pick(self, accel_type: str) -> int:
+        """The slot for a new ``accel_type`` tenant (the ledger's rule)."""
+        physical_index = self.slots.pick(accel_type)
+        if physical_index is None:
+            raise SchedulerError(
+                f"configuration has no {accel_type!r} slot; "
+                f"available: {sorted(self.configuration.slot_index)}"
+            )
+        return physical_index
+
+    def _remember(self, tenant: Tenant, position: Optional[int] = None) -> None:
+        """Record a resident tenant (at ``position`` of the tenant list when
+        a speculative eviction is being rolled back, else at the end)."""
+        if position is None:
+            position = len(self.tenants)
+        self.tenants.insert(position, tenant)
+        self.slots.add(tenant.physical_index)
+
+    def recount(self) -> List[int]:
+        """Tenants per physical slot, counted from the hypervisor."""
+        return [len(manager.vaccels) for manager in self.hypervisor.physical]
 
     def place(
         self,
@@ -80,14 +107,7 @@ class CloudProvider:
         the least-oversubscribed slot of that type.  Rejected only if the
         configuration carries no slot of the type at all.
         """
-        candidates = self.configuration.slots_of_type(accel_type)
-        if not candidates:
-            raise SchedulerError(
-                f"configuration has no {accel_type!r} slot; "
-                f"available: {sorted(set(self.configuration.slots))}"
-            )
-        physical_index = min(candidates, key=self._occupancy)
-
+        physical_index = self._pick(accel_type)
         job = self.library.make_job(accel_type, **(job_kwargs or {}))
         vm = self.hypervisor.create_vm(tenant_name, mem_bytes=vm_bytes)
         vaccel = self.hypervisor.create_virtual_accelerator(
@@ -95,16 +115,12 @@ class CloudProvider:
         )
         handle = GuestAccelerator(self.hypervisor, vm, vaccel, window_bytes=window_bytes)
         tenant = Tenant(
-            name=tenant_name,
-            accel_type=accel_type,
-            physical_index=physical_index,
-            vaccel=vaccel,
-            handle=handle,
+            name=tenant_name, accel_type=accel_type, vaccel=vaccel, handle=handle
         )
         # A tenant who disconnects the handle themselves (e.g. by leaving
         # a ``with provider.connect(...)`` block) is forgotten here too.
         handle._on_disconnect = lambda: self._forget(tenant)
-        self.tenants.append(tenant)
+        self._remember(tenant)
         return tenant
 
     def connect(
@@ -143,15 +159,10 @@ class CloudProvider:
         its pages land at the original GVAs and the shadow-paging
         hypercalls are replayed against the new IOVA slice.
         """
-        candidates = self.configuration.slots_of_type(checkpoint.accel_type)
-        if not candidates:
-            raise SchedulerError(
-                f"configuration has no {checkpoint.accel_type!r} slot; "
-                f"available: {sorted(set(self.configuration.slots))}"
-            )
+        same_type = self.configuration.slot_index.get(checkpoint.accel_type, ())
         if physical_index is None:
-            physical_index = min(candidates, key=self._occupancy)
-        elif physical_index not in candidates:
+            physical_index = self._pick(checkpoint.accel_type)
+        elif physical_index not in same_type:
             raise ConfigurationError(
                 f"slot {physical_index} is not a {checkpoint.accel_type!r} slot"
             )
@@ -163,17 +174,17 @@ class CloudProvider:
         tenant = Tenant(
             name=checkpoint.vm_name,
             accel_type=checkpoint.accel_type,
-            physical_index=physical_index,
             vaccel=vaccel,
             handle=handle,
         )
         handle._on_disconnect = lambda: self._forget(tenant)
-        self.tenants.append(tenant)
+        self._remember(tenant)
         return tenant
 
     def _forget(self, tenant: Tenant) -> None:
         if tenant in self.tenants:
             self.tenants.remove(tenant)
+            self.slots.remove(tenant.physical_index)
 
     def evict(self, tenant: Tenant) -> None:
         """Remove a tenant, releasing its slot share and IOVA slice."""
@@ -188,14 +199,9 @@ class CloudProvider:
         Uses live migration; returns how many tenants moved.
         """
         moved = 0
-        for accel_type in set(self.configuration.slots):
-            slots = self.configuration.slots_of_type(accel_type)
-            while True:
-                loads = {slot: self._occupancy(slot) for slot in slots}
-                busiest = max(slots, key=lambda s: loads[s])
-                idlest = min(slots, key=lambda s: loads[s])
-                if loads[busiest] - loads[idlest] < 2:
-                    break
+        for accel_type in self.configuration.slot_index:
+            while (move := self.slots.imbalance(accel_type)) is not None:
+                busiest, idlest = move
                 manager = self.hypervisor.physical[busiest]
                 candidates = [va for va in manager.vaccels if va is not manager.current]
                 mover = candidates[0] if candidates else manager.vaccels[0]
@@ -203,6 +209,7 @@ class CloudProvider:
                 self.platform.engine.run_until(
                     done, limit_ps=self.platform.engine.now + self.params.time_slice_ps * 4
                 )
+                self.slots.move(busiest, idlest)
                 moved += 1
         return moved
 

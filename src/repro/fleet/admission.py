@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -660,22 +659,6 @@ class FleetService:
         if session is None:
             return None
         return session.node_name, session.physical_index
-
-    def apply_node_crash(self, name: str, now: int) -> List[Tuple[str, str]]:
-        """Deprecated shim — route through :meth:`FleetOps.crash` instead.
-
-        The typed verb (``service.ops.crash(name, now=now)``) returns a
-        :class:`~repro.fleet.ops.CrashReport`; this wrapper flattens it
-        back into the legacy ``(tenant, resolution)`` pairs.
-        """
-        warnings.warn(
-            "FleetService.apply_node_crash is deprecated; use "
-            "service.ops.crash(name, now=now) which returns a typed "
-            "CrashReport",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return list(self.ops.crash(name, now=now).resolutions)
 
     def apply_node_recover(self, name: str, now: int) -> None:
         self.ops.recover(name, now=now)

@@ -10,10 +10,8 @@ Tenant names are unique fleet-wide so eviction needs no node handle.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cloud.provider import Tenant
 from repro.errors import ConfigurationError, UnknownTenantError
 from repro.hv.checkpoint import GuestCheckpoint
 from repro.fleet.node import (
@@ -22,6 +20,7 @@ from repro.fleet.node import (
     FleetNode,
     NodeHealth,
     NodeSpec,
+    NodeState,
 )
 from repro.fleet.placement import PlacementPolicy
 from repro.platform.params import PlatformParams
@@ -39,41 +38,33 @@ DEFAULT_TEMPLATES: Tuple[Tuple[str, ...], ...] = (
 )
 
 
-class FleetCluster:
-    """An ordered fleet of nodes with fleet-wide tenant bookkeeping."""
+class ClusterState:
+    """Fleet-wide bookkeeping over an ordered list of node states.
 
-    def __init__(self, nodes: Sequence[FleetNode]) -> None:
+    The serving-loop surface — placement, eviction, node health, capacity
+    queries — written once over :class:`~repro.fleet.node.NodeState`, so
+    :class:`FleetCluster` (real nodes) and the sharded coordinator's
+    :class:`~repro.parallel.shadow.ShadowCluster` (shadow nodes) share it
+    instead of mirroring it.
+    """
+
+    def __init__(self, nodes: Sequence[NodeState]) -> None:
         if not nodes:
             raise ConfigurationError("a fleet needs at least one node")
-        names = [node.name for node in nodes]
-        if len(set(names)) != len(names):
-            raise ConfigurationError(f"duplicate node names: {names}")
-        self.nodes: List[FleetNode] = list(nodes)
-        self.tenant_nodes: Dict[str, FleetNode] = {}
-        self._registry: Optional[MetricRegistry] = None
-
-    @classmethod
-    def build(
-        cls,
-        n_nodes: int,
-        *,
-        templates: Optional[Sequence[Sequence[str]]] = None,
-        params: Optional[PlatformParams] = None,
-        max_oversub: int = DEFAULT_MAX_OVERSUB,
-    ) -> "FleetCluster":
-        """A cluster of ``n_nodes`` cycling through heterogeneous templates."""
-        if n_nodes < 1:
-            raise ConfigurationError("need at least one node")
-        templates = [tuple(t) for t in (templates or DEFAULT_TEMPLATES)]
-        nodes = [
-            FleetNode(
-                NodeSpec.of(f"node{i}", templates[i % len(templates)]),
-                params=params,
-                max_oversub=max_oversub,
+        self.nodes: List[NodeState] = list(nodes)
+        self._by_name: Dict[str, NodeState] = {node.name: node for node in nodes}
+        if len(self._by_name) != len(self.nodes):
+            raise ConfigurationError(
+                f"duplicate node names: {[node.name for node in nodes]}"
             )
-            for i in range(n_nodes)
-        ]
-        return cls(nodes)
+        self.tenant_nodes: Dict[str, NodeState] = {}
+        # Slot mixes are fixed at synthesis, so fleet capacity is static.
+        self._capacity: Dict[str, int] = {}
+        for node in self.nodes:
+            for accel_type, slots in node.configuration.slot_index.items():
+                self._capacity[accel_type] = (
+                    self._capacity.get(accel_type, 0) + len(slots)
+                )
 
     # -- fleet-wide capacity ----------------------------------------------------------
 
@@ -82,16 +73,13 @@ class FleetCluster:
         return sum(node.total_slots for node in self.nodes)
 
     def offered_types(self) -> List[str]:
-        types = set()
-        for node in self.nodes:
-            types.update(node.spec.slots)
-        return sorted(types)
+        return sorted(self._capacity)
 
     def capacity(self, accel_type: str) -> int:
-        return sum(node.capacity(accel_type) for node in self.nodes)
+        return self._capacity.get(accel_type, 0)
 
     def occupancy(self, accel_type: str) -> int:
-        return sum(node.occupancy(accel_type) for node in self.nodes)
+        return sum(node.slots.occupancy(accel_type) for node in self.nodes)
 
     @property
     def resident(self) -> int:
@@ -104,7 +92,7 @@ class FleetCluster:
 
     def place(
         self, tenant_name: str, accel_type: str, policy: PlacementPolicy
-    ) -> Optional[Tuple[FleetNode, Tenant]]:
+    ) -> Optional[Tuple[NodeState, object]]:
         """Place a tenant via ``policy``; ``None`` when the fleet is full.
 
         DEAD nodes are invisible to the policy — admission never routes
@@ -139,16 +127,7 @@ class FleetCluster:
             raise UnknownTenantError(tenant_name, "in the fleet")
         return node.evict(tenant_name)
 
-    # -- checkpoint/restore (live migration) -------------------------------------------
-
-    def checkpoint_tenant(self, tenant_name: str) -> GuestCheckpoint:
-        """Quiesce and serialize one tenant wherever it lives in the fleet."""
-        node = self.tenant_nodes.get(tenant_name)
-        if node is None:
-            raise UnknownTenantError(tenant_name, "in the fleet")
-        return node.checkpoint_tenant(tenant_name)
-
-    def restore_tenant(self, node_name: str, checkpoint: GuestCheckpoint) -> Tenant:
+    def restore_tenant(self, node_name: str, checkpoint: GuestCheckpoint):
         """Restore a checkpointed tenant onto the named node."""
         if checkpoint.vm_name in self.tenant_nodes:
             raise ConfigurationError(
@@ -156,24 +135,24 @@ class FleetCluster:
             )
         node = self.node(node_name)
         tenant = node.restore_tenant(checkpoint)
-        self.tenant_nodes[tenant.name] = node
+        self.tenant_nodes[checkpoint.vm_name] = node
         return tenant
 
     # -- node health ------------------------------------------------------------------
 
-    def node(self, name: str) -> FleetNode:
-        for node in self.nodes:
-            if node.name == name:
-                return node
-        raise ConfigurationError(f"no node {name!r} in the fleet")
+    def node(self, name: str) -> NodeState:
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise ConfigurationError(f"no node {name!r} in the fleet") from None
 
-    def cordon(self, name: str) -> FleetNode:
+    def cordon(self, name: str) -> NodeState:
         """Exclude a node from new placements; residents keep serving."""
         node = self.node(name)
         node.cordon()
         return node
 
-    def uncordon(self, name: str) -> FleetNode:
+    def uncordon(self, name: str) -> NodeState:
         node = self.node(name)
         node.uncordon()
         return node
@@ -181,7 +160,8 @@ class FleetCluster:
     def _crash_node(self, name: str) -> List[EvictedPlacement]:
         """Kill a node; every resident is displaced through the typed
         evict contract (deterministic name order) and returned so the
-        serving layer can re-place or cleanly fail each one."""
+        serving layer can re-place or cleanly fail each one.  Callers go
+        through :meth:`repro.fleet.ops.FleetOps.crash`."""
         node = self.node(name)
         displaced = []
         # The node's resident set is authoritative (tenants placed directly
@@ -193,29 +173,9 @@ class FleetCluster:
         node.crash()
         return displaced
 
-    def crash_node(self, name: str) -> List[EvictedPlacement]:
-        """Deprecated direct mutation path — route through
-        :meth:`repro.fleet.ops.FleetOps.crash` instead, which returns a
-        typed :class:`~repro.fleet.ops.CrashReport` and keeps the serving
-        layer's session state consistent."""
-        warnings.warn(
-            "FleetCluster.crash_node is deprecated; use FleetOps.crash "
-            "(service.ops.crash) for typed, session-aware node failure",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._crash_node(name)
-
-    def recover_node(self, name: str) -> FleetNode:
+    def recover_node(self, name: str) -> NodeState:
         node = self.node(name)
         node.recover()
-        # Re-register the node's metrics with any held cluster registry:
-        # recovery may hand the node a fresh provider/platform stack, and
-        # a registry built before the crash would keep reading the dead
-        # platform's instruments.
-        if self._registry is not None:
-            self._registry.unmount(f"{node.name}.")
-            self._registry.mount(f"{node.name}.", node.provider.platform.metrics)
         return node
 
     def health_report(self) -> Dict[str, str]:
@@ -226,11 +186,66 @@ class FleetCluster:
 
         Returns the previous label so nested contexts (an autoscaler tick
         inside a departure dispatch, a migration inside a drain) can
-        restore it.  The serial cluster needs nothing here; the sharded
-        executor uses the label to attribute speculation rollbacks to a
-        conflict class (DESIGN.md §9).
+        restore it.  Only the sharded executor needs the label, to
+        attribute speculation rollbacks to a conflict class (DESIGN.md §9).
         """
         return ""
+
+    def utilization_by_type(self) -> Dict[str, float]:
+        """Instantaneous fleet occupancy over capacity, per type."""
+        return {
+            accel_type: self.occupancy(accel_type) / capacity
+            for accel_type, capacity in sorted(self._capacity.items())
+        }
+
+
+class FleetCluster(ClusterState):
+    """An ordered fleet of real nodes with fleet-wide tenant bookkeeping."""
+
+    def __init__(self, nodes: Sequence[FleetNode]) -> None:
+        super().__init__(nodes)
+        self._registry: Optional[MetricRegistry] = None
+
+    @classmethod
+    def build(
+        cls,
+        n_nodes: int,
+        *,
+        templates: Optional[Sequence[Sequence[str]]] = None,
+        params: Optional[PlatformParams] = None,
+        max_oversub: int = DEFAULT_MAX_OVERSUB,
+    ) -> "FleetCluster":
+        """A cluster of ``n_nodes`` cycling through heterogeneous templates."""
+        if n_nodes < 1:
+            raise ConfigurationError("need at least one node")
+        templates = [tuple(t) for t in (templates or DEFAULT_TEMPLATES)]
+        nodes = [
+            FleetNode(
+                NodeSpec.of(f"node{i}", templates[i % len(templates)]),
+                params=params,
+                max_oversub=max_oversub,
+            )
+            for i in range(n_nodes)
+        ]
+        return cls(nodes)
+
+    def checkpoint_tenant(self, tenant_name: str) -> GuestCheckpoint:
+        """Quiesce and serialize one tenant wherever it lives in the fleet."""
+        node = self.tenant_nodes.get(tenant_name)
+        if node is None:
+            raise UnknownTenantError(tenant_name, "in the fleet")
+        return node.checkpoint_tenant(tenant_name)
+
+    def recover_node(self, name: str) -> FleetNode:
+        node = super().recover_node(name)
+        # Re-register the node's metrics with any held cluster registry:
+        # recovery may hand the node a fresh provider/platform stack, and
+        # a registry built before the crash would keep reading the dead
+        # platform's instruments.
+        if self._registry is not None:
+            self._registry.unmount(f"{node.name}.")
+            self._registry.mount(f"{node.name}.", node.provider.platform.metrics)
+        return node
 
     # -- fault-side plumbing ----------------------------------------------------------
 
@@ -281,12 +296,3 @@ class FleetCluster:
     def metrics_snapshot(self) -> Dict[str, object]:
         """One flat fleet-wide metric snapshot (``node<i>.<metric>``)."""
         return self.metrics_registry().snapshot()
-
-    def utilization_by_type(self) -> Dict[str, float]:
-        """Instantaneous fleet occupancy over capacity, per type."""
-        report: Dict[str, float] = {}
-        for accel_type in self.offered_types():
-            capacity = self.capacity(accel_type)
-            if capacity:
-                report[accel_type] = self.occupancy(accel_type) / capacity
-        return report

@@ -11,9 +11,9 @@ bounded blackout window, ``AdmissionConfig.migration_cost_ps``), and every
 move is traced and counted through :class:`~repro.fleet.metrics
 .FleetMetrics`.
 
-This replaces the ad-hoc mutation paths of earlier releases:
-``FleetCluster.crash_node`` and ``FleetService.apply_node_crash`` are now
-deprecated thin wrappers over :meth:`FleetOps.crash`.
+This replaced the ad-hoc mutation paths of earlier releases
+(``FleetCluster.crash_node``, ``FleetService.apply_node_crash``), which
+are gone: :meth:`FleetOps.crash` is the only way to fail a node.
 
 Verbs can be invoked directly (``service.ops.drain("node1")``) or
 scheduled inside the serving loop's simulated time
@@ -332,8 +332,7 @@ class FleetOps:
     def crash(self, node_name: str, *, now: Optional[int] = None) -> CrashReport:
         """Crash a node; re-place or cleanly fail every displaced session.
 
-        The relocated body of the old ``FleetService.apply_node_crash``:
-        displacement rides the typed evict/place contract, and every
+        Displacement rides the typed evict/place contract, and every
         resolution is a :class:`~repro.fleet.outcomes.Resolution` value.
         """
         service = self.service

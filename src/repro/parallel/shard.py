@@ -17,9 +17,12 @@ binary frames (:mod:`repro.parallel.opstream`); each op is stamped with
 the epoch (simulated fleet time) it belongs to and applied strictly in
 emission order per node — the same order the serial serving loop would
 have applied them.  ``place`` ops carry the shadow's *predicted* slot and
-oversubscription flag; the worker verifies the real provider agrees and
-reports any divergence at the next barrier, so a bookkeeping bug fails
-the run loudly instead of silently skewing results.
+oversubscription flag.  Shadow and real share one
+:class:`~repro.cloud.slots.SlotLedger` implementation, so they agree by
+construction; the worker still verifies, as the oracle, that the real
+provider agrees and that its ledger equals a recount of the hypervisor,
+and reports any divergence at the next barrier, so a bookkeeping bug
+fails the run loudly instead of silently skewing results.
 
 A regular op at epoch t retires undo entries granted at epochs <= t
 (their departures have committed coordinator-side by suppression); an
@@ -252,36 +255,36 @@ def _rollback(node, log: List[object], tenant_names, checkpointer) -> None:
         checkpointer.forget(undo.vaccel.vaccel_id)
 
 
+def _verify_placement(node, tenant, predicted_index, predicted_oversub) -> None:
+    """The oracle for shadow==real: the slot and oversubscription flag the
+    real stack produced (``oversubscribed`` reads the hypervisor) against
+    the coordinator's prediction, and the node's ledger against a recount
+    of the hypervisor's per-slot vaccel lists."""
+    if (
+        tenant.physical_index != predicted_index
+        or tenant.oversubscribed != predicted_oversub
+    ):
+        raise RuntimeError(
+            "shadow bookkeeping diverged from the provider: "
+            f"tenant {tenant.name!r} predicted slot {predicted_index} "
+            f"(oversub={predicted_oversub}), got {tenant.physical_index} "
+            f"(oversub={tenant.oversubscribed})"
+        )
+    node.check_ledger()
+
+
 def _apply(node, op: str, payload: tuple) -> None:
     """Apply one shadow-emitted op to a real :class:`FleetNode`."""
     if op == "place":
         tenant_name, accel_type, predicted_index, predicted_oversub = payload
         tenant = node.place(tenant_name, accel_type)
-        if (
-            tenant.physical_index != predicted_index
-            or tenant.oversubscribed != predicted_oversub
-        ):
-            raise RuntimeError(
-                "shadow bookkeeping diverged from the provider: "
-                f"tenant {tenant_name!r} predicted slot {predicted_index} "
-                f"(oversub={predicted_oversub}), got {tenant.physical_index} "
-                f"(oversub={tenant.oversubscribed})"
-            )
+        _verify_placement(node, tenant, predicted_index, predicted_oversub)
     elif op == "evict":
         node.evict(payload[0])
     elif op == "restore_tenant":
         checkpoint, predicted_index, predicted_oversub = payload
         tenant = node.restore_tenant(checkpoint)
-        if (
-            tenant.physical_index != predicted_index
-            or tenant.oversubscribed != predicted_oversub
-        ):
-            raise RuntimeError(
-                "shadow bookkeeping diverged from the provider: "
-                f"restored tenant {checkpoint.vm_name!r} predicted slot "
-                f"{predicted_index} (oversub={predicted_oversub}), got "
-                f"{tenant.physical_index} (oversub={tenant.oversubscribed})"
-            )
+        _verify_placement(node, tenant, predicted_index, predicted_oversub)
     elif op == "cordon":
         node.cordon()
     elif op == "uncordon":

@@ -106,7 +106,7 @@ class SpeculationController:
             if node is None:  # pragma: no cover - window guarantees liveness
                 break
             shadow_tenant = node.tenants[tenant]
-            if node.slot_occupancy[shadow_tenant.physical_index] != 1:
+            if node.slots.per_slot[shadow_tenant.physical_index] != 1:
                 break
             if tenant in self._outstanding.get(node.index, {}):
                 continue
@@ -158,8 +158,9 @@ class EvictionUndo:
     been scheduled mid-eviction (the grant conditions), whose eviction
     therefore touches exactly: the IOPT entries of its IOVA slice, four
     container positions (node tenant dict, provider tenant list,
-    hypervisor vaccel list, manager vaccel list), the slice free-list,
-    the started flag, the vaccel state, and the handle's connected flag.
+    hypervisor vaccel list, manager vaccel list), the provider's slot
+    ledger, the slice free-list, the started flag, the vaccel state, and
+    the handle's connected flag.
     The original :class:`~repro.mem.page_table.PageTableEntry` *objects*
     are kept and reinstated so accessed/dirty/pinned bits survive.
     """
@@ -254,7 +255,8 @@ def reinstate_eviction(node, undo: EvictionUndo) -> None:
     heapq.heapify(hypervisor._free_slices)
     hypervisor._started[vaccel.vaccel_id] = undo.started
     tenant.handle.connected = True
-    node.provider.tenants.insert(undo.provider_pos, tenant)
+    # Through the provider, so the slot ledger regains the tenant too.
+    node.provider._remember(tenant, undo.provider_pos)
     items = list(node.tenants.items())
     items.insert(undo.node_tenants_pos, (undo.tenant_name, tenant))
     node.tenants.clear()
@@ -268,3 +270,4 @@ def reinstate_eviction(node, undo: EvictionUndo) -> None:
             f"reproduce the pre-eviction guest: checkpoint digest "
             f"{fresh} != {undo.digest}"
         )
+    node.check_ledger()

@@ -269,7 +269,9 @@ def _run_burst(scenario: Scenario) -> OracleResult:
 # -- fleet: serial vs sharded serving loop ---------------------------------------
 
 
-def _fleet_arm(scenario: Scenario, sharded: bool) -> Dict[str, object]:
+def _fleet_arm(
+    scenario: Scenario, sharded: bool, failures: List[str]
+) -> Dict[str, object]:
     from repro.fleet import (
         FleetCluster,
         FleetService,
@@ -319,6 +321,7 @@ def _fleet_arm(scenario: Scenario, sharded: bool) -> Dict[str, object]:
             seed=int(f["traffic_seed"]),
         )
         result = service.serve(generator.generate(int(f["requests"])))
+        failures.extend(properties.check_ledgers(cluster))
         observables: Dict[str, object] = {
             "summary": to_jsonable(result.summary()),
             "outcomes": result.outcome_counts(),
@@ -336,8 +339,8 @@ def _fleet_arm(scenario: Scenario, sharded: bool) -> Dict[str, object]:
 
 def _run_fleet(scenario: Scenario) -> OracleResult:
     result = OracleResult(scenario)
-    serial = _fleet_arm(scenario, sharded=False)
-    sharded = _fleet_arm(scenario, sharded=True)
+    serial = _fleet_arm(scenario, False, result.failures)
+    sharded = _fleet_arm(scenario, True, result.failures)
     _diff(result.failures, "serial vs sharded fleet result", serial, sharded)
     result.failures.extend(
         properties.check_fleet(serial, int(scenario.fields["requests"]))
@@ -352,7 +355,9 @@ def _run_fleet(scenario: Scenario) -> OracleResult:
 # -- serve: serial vs sharded gateway --------------------------------------------
 
 
-def _serve_arm(scenario: Scenario, sharded: bool) -> Dict[str, object]:
+def _serve_arm(
+    scenario: Scenario, sharded: bool, failures: List[str]
+) -> Dict[str, object]:
     from repro.fleet import AdmissionConfig, FleetCluster, make_policy
     from repro.serve import (
         Gateway,
@@ -395,7 +400,9 @@ def _serve_arm(scenario: Scenario, sharded: bool) -> Dict[str, object]:
             admission=AdmissionConfig(),
             admission_policy=admission_policy,
         )
-        return Gateway(service, trace).run().to_dict()
+        outcome = Gateway(service, trace).run().to_dict()
+        failures.extend(properties.check_ledgers(cluster))
+        return outcome
     finally:
         if sharded and cluster is not None:
             cluster.close()
@@ -403,8 +410,8 @@ def _serve_arm(scenario: Scenario, sharded: bool) -> Dict[str, object]:
 
 def _run_serve(scenario: Scenario) -> OracleResult:
     result = OracleResult(scenario)
-    serial = _serve_arm(scenario, sharded=False)
-    sharded = _serve_arm(scenario, sharded=True)
+    serial = _serve_arm(scenario, False, result.failures)
+    sharded = _serve_arm(scenario, True, result.failures)
     _diff(result.failures, "serial vs sharded gateway result", serial, sharded)
     result.failures.extend(properties.check_serve(serial))
     result.observables = serial

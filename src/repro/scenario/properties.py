@@ -125,6 +125,27 @@ def check_fleet(observables: Mapping[str, object], requests: int) -> List[str]:
     return failures
 
 
+def check_ledgers(cluster) -> List[str]:
+    """Ledger == recount on every node, at the end of a run.
+
+    The recount is ``occupancy_report()`` — read from the hypervisors'
+    per-slot vaccel lists, in the shard workers for a sharded cluster —
+    so on the serial arm this checks each provider's ledger and on the
+    sharded arm the coordinator's shadow ledgers against the real stacks.
+    """
+    failures: List[str] = []
+    report = cluster.occupancy_report()
+    for node in cluster.nodes:
+        slots = report[node.name]
+        recount = [slots[i]["oversubscription"] for i in range(node.total_slots)]
+        if not node.slots.matches(recount):
+            failures.append(
+                f"slot ledger drift on {node.name}: ledger {node.slots} vs "
+                f"hypervisor recount {recount}"
+            )
+    return failures
+
+
 def check_serve(result: Mapping[str, object]) -> List[str]:
     """No silent loss at the gateway: every session ends somewhere typed."""
     failures: List[str] = []

@@ -38,6 +38,13 @@ class TestConfiguration:
         summary = config.utilization_summary()
         assert 0 < summary["alm_pct"] <= 100
 
+    def test_slots_of_type_copies_the_cached_index(self):
+        config = FpgaConfiguration.synthesize(["AES", "AES", "SHA", "MB"])
+        assert config.slot_index == {"AES": (0, 1), "SHA": (2,), "MB": (3,)}
+        config.slots_of_type("AES").append(9)  # a copy: the index is immutable
+        assert config.slots_of_type("AES") == [0, 1]
+        assert config.slots_of_type("LL") == []
+
     def test_nine_slots_rejected_by_synthesis(self):
         with pytest.raises(SynthesisError):
             FpgaConfiguration.synthesize(["LL"] * 9)
@@ -118,6 +125,35 @@ class TestPlacement:
             assert moved == 1
         assert self_occupancies(provider) == [1, 1]
 
+    def test_migrated_tenant_reports_its_new_slot(self):
+        # Regression: Tenant kept its own copy of physical_index, so after
+        # a rebalance the moved tenant still reported its *source* slot —
+        # `oversubscribed` read the wrong slot and FleetNode.evict returned
+        # an EvictedPlacement naming a slot the tenant no longer lived on.
+        from repro.fleet.node import FleetNode, NodeSpec
+
+        node = FleetNode(NodeSpec.of("n", ("AES", "AES")))
+        tenants = {name: node.place(name, "AES") for name in "abcd"}
+        node.evict("b")
+        node.evict("d")  # a and c now share slot 0; slot 1 is empty
+        assert self_occupancies(node.provider) == [2, 0]
+        assert node.rebalance() == 1
+        moved = next(t for t in tenants.values() if t.vaccel.physical_index == 1)
+        assert moved.physical_index == 1
+        assert not moved.oversubscribed
+        node.check_ledger()
+        placement = node.evict(moved.name)
+        assert placement.physical_index == 1 and not placement.oversubscribed
+        assert node.provider.recount() == node.slots.per_slot == [1, 0]
+
+    def test_tenants_compare_by_identity(self):
+        provider = self.make_provider()
+        first = provider.place("t0", "MB", window_bytes=16 * MB)
+        second = provider.place("t1", "MB", window_bytes=16 * MB)
+        assert first != second and first == first
+        provider.evict(first)
+        assert provider.tenants == [second]
+
     def test_oversubscription_spill_least_loaded(self):
         # Free slots exhausted -> the temporal spill picks the
         # least-loaded slot of the type, and the tenant sees it.
@@ -131,7 +167,7 @@ class TestPlacement:
         # t2 doubled up one slot; t3 must land on the other (occupancy
         # 1) rather than stacking a third tenant onto t2's slot.
         assert t3.physical_index != t2.physical_index
-        assert [provider._occupancy(i) for i in (0, 1)] == [2, 2]
+        assert provider.recount() == provider.slots.per_slot == [2, 2]
 
         # Disconnecting both tenants of one slot frees it for spatial
         # placement again.

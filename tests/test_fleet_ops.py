@@ -171,12 +171,16 @@ class TestFleetOpsVerbs:
         finally:
             uninstall_tracer()
 
-    def test_deprecated_shims_warn_and_delegate(self):
+    def test_deprecated_crash_shims_are_gone(self):
+        # FleetOps.crash is the only way to fail a node: the shims that
+        # warned for two releases (ROADMAP redundancy item 2) are removed.
+        from repro.parallel.shadow import ShadowCluster
+
         cluster, service, _generator = make_fleet(2)
-        with pytest.warns(DeprecationWarning):
-            service.apply_node_crash("node0", 0)
-        with pytest.warns(DeprecationWarning):
-            cluster.crash_node("node1")
+        assert not hasattr(service, "apply_node_crash")
+        assert not hasattr(cluster, "crash_node")
+        assert not hasattr(ShadowCluster, "crash_node")
+        assert service.ops.crash("node0", now=0).node == "node0"
 
     def test_op_observer_receives_typed_reports(self):
         # The serving loop discards scheduled-verb reports; op_observer is

@@ -355,7 +355,7 @@ class TestShardedClusterSurface:
             # Corrupt the shadow bookkeeping so it predicts a different
             # slot than the real provider will pick: mark the lowest-index
             # candidate occupied, skewing the least-occupied selection.
-            node.slot_occupancy[min(candidates)] += 1
+            node.slots.add(min(candidates))
             cluster.place("tenant0", accel, _FirstSlotPolicy())
             with pytest.raises(RuntimeError, match="diverged"):
                 cluster.barrier()

@@ -191,6 +191,10 @@ class TestLookaheadDeterminism:
         assert stats["commits"] == stats["grants"]
 
     def test_conflict_heavy_scenario_rolls_back_and_still_matches(self):
+        # Every worker-side rollback asserts ledger == hypervisor recount
+        # (reinstate_eviction raises otherwise, and serve()'s end barrier
+        # re-raises it here); the run itself ends with the shadow ledgers
+        # checked against the workers' recount.
         serial = _chaos_autoscale_run(shards=1)
         sharded, stats = _chaos_autoscale_run(shards=2, lookahead=4)
         assert stats["rollbacks"] >= 1, (
@@ -211,6 +215,7 @@ def _chaos_autoscale_run(*, shards, lookahead=0, codec="binary"):
     """Autoscaler evacuations during a chaos plan: migrations land in
     epochs the workers have already speculated past."""
     from repro.faults import resolve_plan
+    from repro.scenario.properties import check_ledgers
     from repro.fleet import (
         AutoscaleConfig,
         FleetCluster,
@@ -240,6 +245,7 @@ def _chaos_autoscale_run(*, shards, lookahead=0, codec="binary"):
         service.install_faults(resolve_plan("degrade-crash"))
         service.install_autoscaler(AutoscaleConfig(standby_nodes=("node2",)))
         result = service.serve(generator.generate(60))
+        assert check_ledgers(cluster) == []
         surfaces = _summary_bytes(
             {
                 "summary": result.summary(),
@@ -255,6 +261,38 @@ def _chaos_autoscale_run(*, shards, lookahead=0, codec="binary"):
     finally:
         if shards > 1:
             cluster.close()
+
+
+# -- worker-side rollback --------------------------------------------------------
+
+
+class TestEvictionRollback:
+    def test_rollback_puts_the_tenant_back_in_the_slot_ledger(self):
+        # Regression: reinstate_eviction re-inserted the vaccel and tenant
+        # by hand after FleetNode.evict had already run, bypassing the
+        # node's bookkeeping — one tenant short after the rollback, and
+        # negative once the real eviction arrived.
+        from repro.fleet.node import FleetNode, NodeSpec
+        from repro.hv.checkpoint import IncrementalCheckpointer
+        from repro.parallel.speculate import (
+            capture_eviction_undo,
+            reinstate_eviction,
+        )
+
+        node = FleetNode(NodeSpec.of("node0", ("AES", "AES")))
+        node.place("a", "AES")
+        node.place("b", "AES")
+        before = (list(node.tenants), list(node.provider.tenants))
+        undo = capture_eviction_undo(node, "a", 5, IncrementalCheckpointer())
+        node.evict("a")
+        assert node.slots.per_slot == node.provider.recount() == [0, 1]
+        reinstate_eviction(node, undo)
+        assert (list(node.tenants), list(node.provider.tenants)) == before
+        assert node.slots.per_slot == node.provider.recount() == [1, 1]
+        assert node.occupancy("AES") == 2 and node.free_slots("AES") == 0
+        node.evict("a")  # the real eviction, when its epoch arrives
+        assert node.slots.per_slot == node.provider.recount() == [0, 1]
+        node.check_ledger()
 
 
 # -- incremental checkpointer --------------------------------------------------
