@@ -7,9 +7,8 @@ Measures, on this machine:
   asserting the summaries are identical while timing (the determinism
   suite proves byte-identity in depth);
 * the op-stream protocol itself: messages and encoded bytes shipped,
-  bytes per placement for the legacy pickle codec vs the binary
-  framing, barrier-stall time and its share of the sharded wall clock,
-  and the speculation ledger (grants / commits / rollbacks);
+  bytes per placement, barrier-stall time and its share of the sharded
+  wall clock, and the speculation ledger (grants / commits / rollbacks);
 * a fleet-scaling sweep with the content-addressed result cache, cold
   (every cell computed and stored) then warm (every cell a hit) — the
   warm run must return the identical table.
@@ -22,8 +21,13 @@ real CPUs: on a 1-CPU container the workers time-slice one core and the
 IPC overhead makes sharded runs *slower* — ``cpu_count`` is recorded
 alongside so the numbers read honestly (the same methodology as
 ``BENCH_simulator.json``'s ``--jobs`` rows).  The op-stream byte and
-stall-share reductions are protocol properties and hold on any host;
-the cache speedup is CPU-independent (a warm sweep simulates nothing).
+message counts are protocol properties and hold on any host; the cache
+speedup is CPU-independent (a warm sweep simulates nothing).
+
+The committed ``BENCH_fleet.json`` also carries PR 10's columns for the
+since-deleted whole-protocol pickle path (``pickle_s``,
+``opstream_pickle``, ``bytes_reduction``, ``stall_share_reduction``, the
+observation probe's ``legacy`` mode); this script does not regenerate them.
 
 A single node degenerates to the serial path by construction (there is
 nothing to partition), so the 1-node row reports speedup 1.0 by
@@ -63,7 +67,6 @@ def _time_serve(
     requests: int,
     shards: int,
     lookahead: int = 0,
-    codec: str = "binary",
 ):
     """Median-of-``REPEATS`` wall clock for one cell.
 
@@ -84,7 +87,6 @@ def _time_serve(
             reference_nodes=n_nodes,
             shards=shards,
             lookahead=lookahead,
-            codec=codec,
             opstream_stats=stats,
         )
         timings.append(time.perf_counter() - start)
@@ -97,7 +99,6 @@ def _opstream_row(stats: dict, placements: int, wall_s: float) -> dict:
         return {}
     stall_s = stats["barrier_stall_s"]
     return {
-        "codec": stats["codec"],
         "lookahead": stats["lookahead"],
         "messages": stats["messages"],
         "frames": stats["frames"],
@@ -123,9 +124,6 @@ def bench_sharding(shards: int, lookahead: int, quick: bool) -> dict:
         serial_s, serial_summary, _ = _time_serve(
             n_nodes, requests=requests, shards=1
         )
-        legacy_s, legacy_summary, legacy_stats = _time_serve(
-            n_nodes, requests=requests, shards=shards, codec="pickle"
-        )
         sharded_s, sharded_summary, sharded_stats = _time_serve(
             n_nodes, requests=requests, shards=shards
         )
@@ -133,7 +131,6 @@ def bench_sharding(shards: int, lookahead: int, quick: bool) -> dict:
             n_nodes, requests=requests, shards=shards, lookahead=lookahead
         )
         for label, summary in (
-            ("legacy-codec", legacy_summary),
             ("sharded", sharded_summary),
             ("lookahead", spec_summary),
         ):
@@ -145,115 +142,86 @@ def bench_sharding(shards: int, lookahead: int, quick: bool) -> dict:
             "nodes": n_nodes,
             "shards": min(shards, n_nodes),
             "serial_s": round(serial_s, 3),
-            "pickle_s": round(legacy_s, 3),
             "sharded_s": round(sharded_s, 3),
             "lookahead_s": round(spec_s, 3),
             "speedup": round(serial_s / sharded_s, 2),
             "speedup_lookahead": round(serial_s / spec_s, 2),
             "placements": placements,
-            "opstream_pickle": _opstream_row(legacy_stats, placements, legacy_s),
             "opstream_binary": _opstream_row(sharded_stats, placements, sharded_s),
             "opstream_lookahead": _opstream_row(spec_stats, placements, spec_s),
         }
-        if n_nodes > 1:
-            pickle_bpp = row["opstream_pickle"]["bytes_per_placement"]
-            binary_bpp = row["opstream_lookahead"]["bytes_per_placement"]
-            row["bytes_reduction"] = round(pickle_bpp / binary_bpp, 2)
-            pickle_share = row["opstream_pickle"]["stall_share"]
-            spec_share = row["opstream_lookahead"]["stall_share"]
-            if spec_share:
-                row["stall_share_reduction"] = round(pickle_share / spec_share, 2)
         rows.append(row)
     return {"requests": requests, "lookahead": lookahead, "rows": rows}
 
 
 def bench_observation(shards: int, quick: bool) -> dict:
-    """Barrier-stall cost of the observation surfaces, old vs new.
+    """Barrier-stall cost of the observation surfaces.
 
-    The ISSUE-9 protocol paid one synchronous gather round trip per
-    summary surface (``simulated_report`` / ``metrics_snapshot`` /
-    ``occupancy_report``), each shipping *full* metric snapshots.  The
-    current protocol memoizes the gather on the op stream (three
-    surfaces, one round trip) and ships deltas.  The ``pickle`` codec
-    reproduces the old protocol end to end (no memoization, full
-    snapshots), so this probe serves one trace per codec, then times
-    observation rounds and reports stall seconds, stall share, and the
-    deterministic round-trip counts.
+    The gather is memoized on the op stream (``simulated_report`` /
+    ``metrics_snapshot`` / ``occupancy_report`` back to back cost one
+    round trip) and ships metric deltas.  This probe serves one trace,
+    then times observation rounds and reports stall seconds, stall
+    share, and the deterministic round-trip counts.
     """
     from repro.fleet import (
         AdmissionConfig,
+        FleetService,
         TrafficGenerator,
         TrafficProfile,
         make_policy,
+        open_fleet,
     )
-    from repro.parallel import ShardedFleetCluster, ShardedFleetService
 
     n_nodes = 4
     requests = 60 if quick else 160
     rounds = 6 if quick else 12
-    modes = {}
-    for mode, codec in (("legacy", "pickle"), ("memoized", "binary")):
-        cluster = ShardedFleetCluster.build(n_nodes, shards=shards, codec=codec)
-        try:
-            generator = TrafficGenerator(
-                TrafficProfile(load=0.9),
-                fleet_slots=cluster.total_slots,
-                seed=7,
-            )
-            service = ShardedFleetService(
-                cluster,
-                make_policy("best-fit"),
-                admission=AdmissionConfig(queue_limit=16),
-            )
-            start = time.perf_counter()
-            service.serve(generator.generate(requests))
-            serve_s = time.perf_counter() - start
-            before = cluster.opstream_stats()
-            start = time.perf_counter()
-            for _ in range(rounds):
-                cluster.simulated_report()
-                cluster.metrics_snapshot()
-                cluster.occupancy_report()
-                # A monitoring loop sees new ops between rounds; emulate
-                # by dropping the memo so each round re-observes.
-                cluster._gather_cache = None
-            probe_s = time.perf_counter() - start
-            after = cluster.opstream_stats()
-        finally:
-            cluster.close()
-        # Share of the whole observed run (serve + monitoring rounds)
-        # spent blocked on worker acks: the denominator includes the
-        # serving work a real run does, so the share is meaningful.
-        wall_s = serve_s + probe_s
-        stall_s = after["barrier_stall_s"]
-        modes[mode] = {
-            "serve_s": round(serve_s, 4),
-            "probe_s": round(probe_s, 4),
-            "stall_s": round(stall_s, 4),
-            "stall_share": round(stall_s / wall_s, 4) if wall_s else 0.0,
-            "probe_stall_s": round(
-                stall_s - before["barrier_stall_s"], 4
-            ),
-            "stall_waits": after["stall_waits"] - before["stall_waits"],
-            "gathers": after["gathers"] - before["gathers"],
-            "gather_cache_hits": (
-                after["gather_cache_hits"] - before["gather_cache_hits"]
-            ),
-        }
-    legacy, memo = modes["legacy"], modes["memoized"]
+    with open_fleet(n_nodes, shards=shards) as cluster:
+        generator = TrafficGenerator(
+            TrafficProfile(load=0.9),
+            fleet_slots=cluster.total_slots,
+            seed=7,
+        )
+        service = FleetService(
+            cluster,
+            make_policy("best-fit"),
+            admission=AdmissionConfig(queue_limit=16),
+        )
+        start = time.perf_counter()
+        service.serve(generator.generate(requests))
+        serve_s = time.perf_counter() - start
+        before = cluster.opstream_stats()
+        start = time.perf_counter()
+        for _ in range(rounds):
+            cluster.simulated_report()
+            cluster.metrics_snapshot()
+            cluster.occupancy_report()
+            # A monitoring loop sees new ops between rounds; emulate
+            # by dropping the memo so each round re-observes.
+            cluster._gather_cache = None
+        probe_s = time.perf_counter() - start
+        after = cluster.opstream_stats()
+    # Share of the whole observed run (serve + monitoring rounds)
+    # spent blocked on worker acks: the denominator includes the
+    # serving work a real run does, so the share is meaningful.
+    wall_s = serve_s + probe_s
+    stall_s = after["barrier_stall_s"]
     return {
         "nodes": n_nodes,
         "shards": shards,
         "rounds": rounds,
         "surfaces_per_round": 3,
-        "legacy": legacy,
-        "memoized": memo,
-        "stall_share_reduction": round(
-            legacy["stall_share"] / memo["stall_share"], 2
-        ) if memo["stall_share"] else None,
-        "stall_waits_reduction": round(
-            legacy["stall_waits"] / max(memo["stall_waits"], 1), 2
-        ),
+        "memoized": {
+            "serve_s": round(serve_s, 4),
+            "probe_s": round(probe_s, 4),
+            "stall_s": round(stall_s, 4),
+            "stall_share": round(stall_s / wall_s, 4) if wall_s else 0.0,
+            "probe_stall_s": round(stall_s - before["barrier_stall_s"], 4),
+            "stall_waits": after["stall_waits"] - before["stall_waits"],
+            "gathers": after["gathers"] - before["gathers"],
+            "gather_cache_hits": (
+                after["gather_cache_hits"] - before["gather_cache_hits"]
+            ),
+        },
     }
 
 
@@ -308,7 +276,7 @@ def main() -> None:
             "and recorded honestly. Op-stream bytes, message counts, and "
             "the speculation ledger are deterministic protocol properties; "
             "barrier_stall_s is wall clock. Summaries are asserted "
-            "identical serial vs pickle-codec vs binary vs lookahead, and "
+            "identical serial vs sharded vs lookahead, and "
             "cold vs warm, while timing."
         ),
         "sharding": bench_sharding(args.shards, args.lookahead, args.quick),

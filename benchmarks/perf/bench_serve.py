@@ -3,7 +3,7 @@
 Measures, on this machine:
 
 * gateway **throughput**: one closed-loop trace replayed end-to-end
-  through ``GatewayFleetService`` + ``SloBudgetPolicy`` (one asyncio
+  through ``Gateway`` + ``SloBudgetPolicy`` (one asyncio
   coroutine per session chain, SLO admission on every arrival),
   reporting sessions/sec and the wall clock normalized to 10^5 sessions
   — the scale the serving CLI is specified to sustain;
@@ -43,11 +43,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
 
 from repro.experiments import serve_slo  # noqa: E402
 from repro.experiments.cache import install_cache, uninstall_cache  # noqa: E402
-from repro.fleet import FleetCluster, make_policy  # noqa: E402
+from repro.experiments.fleet_scaling import SLOTS_PER_NODE  # noqa: E402
+from repro.fleet import FleetService, make_policy, open_fleet  # noqa: E402
 from repro.serve import (  # noqa: E402
     Gateway,
-    GatewayFleetService,
-    GatewayShardedFleetService,
     ServeProfile,
     SloBudgetPolicy,
     synthesize,
@@ -55,26 +54,34 @@ from repro.serve import (  # noqa: E402
 
 
 def _build_trace(sessions: int, nodes: int, seed: int = 7):
-    cluster = FleetCluster.build(nodes)
-    trace = synthesize(
+    return synthesize(
         ServeProfile(load=1.5, followup_prob=0.3),
         sessions=sessions,
-        fleet_slots=cluster.total_slots,
+        fleet_slots=nodes * SLOTS_PER_NODE,
         seed=seed,
     )
-    return cluster, trace
+
+
+def _replay(trace, nodes: int, shards: int = 1):
+    """Build the fleet, replay ``trace`` through the gateway, tear down."""
+    with open_fleet(nodes, shards=shards) as cluster:
+        service = FleetService(
+            cluster, make_policy("best-fit"), admission_policy=SloBudgetPolicy()
+        )
+        return Gateway(service, trace).run()
 
 
 def bench_throughput(quick: bool) -> dict:
     sessions = 20_000 if quick else 100_000
     nodes = 4
-    cluster, trace = _build_trace(sessions, nodes)
-    service = GatewayFleetService(
-        cluster, make_policy("best-fit"), admission_policy=SloBudgetPolicy()
-    )
-    start = time.perf_counter()
-    result = Gateway(service, trace).run()
-    wall_s = time.perf_counter() - start
+    trace = _build_trace(sessions, nodes)
+    with open_fleet(nodes) as cluster:
+        service = FleetService(
+            cluster, make_policy("best-fit"), admission_policy=SloBudgetPolicy()
+        )
+        start = time.perf_counter()
+        result = Gateway(service, trace).run()
+        wall_s = time.perf_counter() - start
     outcomes = result.session_outcomes()
     return {
         "sessions": sessions,
@@ -90,31 +97,16 @@ def bench_throughput(quick: bool) -> dict:
 
 
 def bench_sharded(shards: int, quick: bool) -> dict:
-    from repro.parallel import ShardedFleetCluster
-
     sessions = 1_000 if quick else 4_000
     nodes = 4
-    _, trace = _build_trace(sessions, nodes)
+    trace = _build_trace(sessions, nodes)
 
     start = time.perf_counter()
-    cluster = FleetCluster.build(nodes)
-    service = GatewayFleetService(
-        cluster, make_policy("best-fit"), admission_policy=SloBudgetPolicy()
-    )
-    serial_result = Gateway(service, trace).run().to_dict()
+    serial_result = _replay(trace, nodes).to_dict()
     serial_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    sharded_cluster = ShardedFleetCluster.build(nodes, shards=shards)
-    try:
-        sharded_service = GatewayShardedFleetService(
-            sharded_cluster,
-            make_policy("best-fit"),
-            admission_policy=SloBudgetPolicy(),
-        )
-        sharded_result = Gateway(sharded_service, trace).run().to_dict()
-    finally:
-        sharded_cluster.close()
+    sharded_result = _replay(trace, nodes, shards).to_dict()
     sharded_s = time.perf_counter() - start
 
     assert sharded_result == serial_result, "sharded serving run diverged"

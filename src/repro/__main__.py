@@ -40,6 +40,7 @@ import time
 import traceback
 
 from repro.envelope import emit_envelope, to_jsonable
+from repro.errors import ReproError
 
 #: Exit codes shared by every subcommand (also shown in ``--help``).
 EXIT_CODES = """\
@@ -82,11 +83,6 @@ EXPERIMENTS = {
         "capacity sweep: analytic fast-forward vs fleet DES, side by side",
     ),
 }
-
-
-# Back-compat alias: the conversion lives in repro.envelope now, shared
-# by every subcommand's --json path.
-_to_jsonable = to_jsonable
 
 
 def _run_one(key: str, jobs: int = 1, *, entry: str = "main"):
@@ -134,78 +130,53 @@ def _run_one(key: str, jobs: int = 1, *, entry: str = "main"):
     return True, result
 
 
-def _maybe_dump_opstream(
-    args: argparse.Namespace, cluster, sharded: bool
-) -> None:
+def _maybe_dump_opstream(args: argparse.Namespace, cluster) -> None:
     """Write the op-stream ledger to ``--opstream-stats`` (side channel).
 
     The stats file is diagnostic output, never part of a result envelope:
-    it records codec/lookahead/rollback accounting for the bench harness
+    it records frame/lookahead/rollback accounting for the bench harness
     and the CI proxy gate.  A serial run writes an empty object so
     callers can treat the file's existence uniformly.
     """
-    path = getattr(args, "opstream_stats", None)
-    if not path:
+    if not args.opstream_stats:
         return
-    import json
-
-    stats = cluster.opstream_stats() if sharded else {}
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(stats, handle, indent=2, sort_keys=True)
+    with open(args.opstream_stats, "w", encoding="utf-8") as handle:
+        json.dump(cluster.opstream_stats(), handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
 def _fleet_command(args: argparse.Namespace) -> int:
-    from repro.errors import ReproError
     from repro.fleet import (
         AdmissionConfig,
-        FleetCluster,
         FleetService,
         TrafficGenerator,
         TrafficProfile,
         make_policy,
+        open_fleet,
     )
 
-    # One node (or one shard) degenerates to the serial path: forking a
-    # pool to stream ops to a single worker only adds IPC overhead.
-    sharded = args.shards > 1 and args.nodes > 1
-    cluster = None
-    try:
-        if sharded:
-            from repro.parallel import ShardedFleetCluster, ShardedFleetService
-
-            cluster = ShardedFleetCluster.build(
-                args.nodes,
-                shards=args.shards,
-                max_oversub=args.max_oversub,
-                lookahead=args.lookahead,
-            )
-            service_cls = ShardedFleetService
-        else:
-            cluster = FleetCluster.build(args.nodes, max_oversub=args.max_oversub)
-            service_cls = FleetService
+    with open_fleet(
+        args.nodes,
+        shards=args.shards,
+        lookahead=args.lookahead,
+        max_oversub=args.max_oversub,
+    ) as cluster:
         generator = TrafficGenerator(
             TrafficProfile(load=args.load),
             fleet_slots=cluster.total_slots,
             seed=args.seed,
         )
-        service = service_cls(
+        service = FleetService(
             cluster,
             make_policy(args.policy),
             admission=AdmissionConfig(queue_limit=args.queue, max_retries=args.retries),
         )
         result = service.serve(generator.generate(args.requests))
         node_report = cluster.simulated_report()
-        _maybe_dump_opstream(args, cluster, sharded)
-    except ReproError as error:
-        print(f"fleet: error: {error}", file=sys.stderr)
-        return 2
-    finally:
-        if sharded and cluster is not None:
-            cluster.close()
+        _maybe_dump_opstream(args, cluster)
     if args.json:
-        results = _to_jsonable(result.summary())
-        results["nodes"] = _to_jsonable(node_report)
+        results = to_jsonable(result.summary())
+        results["nodes"] = to_jsonable(node_report)
         # ``--shards``/``--lookahead`` are execution details, not parameters:
         # results are byte-identical at any shard count or speculation depth,
         # so they stay out of the envelope.
@@ -239,13 +210,10 @@ def _fleet_command(args: argparse.Namespace) -> int:
 
 def _serve_command(args: argparse.Namespace) -> int:
     """Replay (or synthesize) a session trace through the serving gateway."""
-    from repro.errors import ReproError
-    from repro.fleet import AdmissionConfig, FleetCluster, make_policy
+    from repro.fleet import AdmissionConfig, FleetService, make_policy, open_fleet
     from repro.serve import (
         ArrivalTrace,
         Gateway,
-        GatewayFleetService,
-        GatewayShardedFleetService,
         ServeProfile,
         SloBudgetPolicy,
         synthesize,
@@ -255,19 +223,7 @@ def _serve_command(args: argparse.Namespace) -> int:
         800 if args.quick else 2000
     )
     nodes = args.nodes if args.nodes is not None else (2 if args.quick else 3)
-    sharded = args.shards > 1 and nodes > 1
-    cluster = None
-    try:
-        if sharded:
-            from repro.parallel import ShardedFleetCluster
-
-            cluster = ShardedFleetCluster.build(
-                nodes, shards=args.shards, lookahead=args.lookahead
-            )
-            service_cls = GatewayShardedFleetService
-        else:
-            cluster = FleetCluster.build(nodes)
-            service_cls = GatewayFleetService
+    with open_fleet(nodes, shards=args.shards, lookahead=args.lookahead) as cluster:
         if args.trace_file:
             trace = ArrivalTrace.load(args.trace_file)
         else:
@@ -288,7 +244,7 @@ def _serve_command(args: argparse.Namespace) -> int:
         admission_policy = (
             SloBudgetPolicy() if args.admission == "slo-budget" else None
         )
-        service = service_cls(
+        service = FleetService(
             cluster,
             make_policy(args.policy),
             admission=AdmissionConfig(
@@ -296,16 +252,9 @@ def _serve_command(args: argparse.Namespace) -> int:
             ),
             admission_policy=admission_policy,
         )
-        gateway = Gateway(service, trace)
-        result = gateway.run()
-        _maybe_dump_opstream(args, cluster, sharded)
-    except ReproError as error:
-        print(f"serve: error: {error}", file=sys.stderr)
-        return 2
-    finally:
-        if sharded and cluster is not None:
-            cluster.close()
-    results = _to_jsonable(result.to_dict())
+        result = Gateway(service, trace).run()
+        _maybe_dump_opstream(args, cluster)
+    results = to_jsonable(result.to_dict())
     if args.json:
         # ``--shards``/``--lookahead`` are execution details: envelopes are
         # byte-identical at any shard count or speculation depth, so they
@@ -365,25 +314,18 @@ def _serve_command(args: argparse.Namespace) -> int:
 def _capacity_command(args: argparse.Namespace) -> int:
     """One capacity-planning question, answered by the chosen backend."""
     from repro.analytic import CapacityConfig, default_store, run_capacity
-    from repro.errors import ReproError
     from repro.sim.clock import ms
 
-    try:
-        config = CapacityConfig(
-            tenants=args.tenants,
-            nodes=args.nodes,
-            load=args.load,
-            seed=args.seed,
-            mean_session_ps=ms(args.mean_session_ms),
-            horizon_ps=int(args.horizon_s * 10**12),
-            bootstrap=args.bootstrap,
-        )
-        results = run_capacity(
-            args.mode, config, goodput=not args.no_goodput
-        )
-    except ReproError as error:
-        print(f"capacity: error: {error}", file=sys.stderr)
-        return 2
+    config = CapacityConfig(
+        tenants=args.tenants,
+        nodes=args.nodes,
+        load=args.load,
+        seed=args.seed,
+        mean_session_ps=ms(args.mean_session_ms),
+        horizon_ps=int(args.horizon_s * 10**12),
+        bootstrap=args.bootstrap,
+    )
+    results = run_capacity(args.mode, config, goodput=not args.no_goodput)
     if args.json:
         emit_envelope(
             "capacity",
@@ -450,43 +392,30 @@ def _chaos_command(args: argparse.Namespace) -> int:
     """Replay a fault plan and report injected events vs recovery outcomes."""
     import dataclasses
 
-    from repro.errors import ReproError
     from repro.faults import resolve_plan, run_single_chaos
     from repro.sim.clock import ms
 
-    cluster = None
-    sharded = (
-        args.experiment == "fleet" and args.shards > 1 and args.nodes > 1
-    )
-    try:
-        plan = resolve_plan(args.plan)
-        if args.seed is not None:
-            plan = dataclasses.replace(plan, seed=args.seed)
-        if args.experiment == "fleet":
-            from repro.fleet import (
-                FleetCluster,
-                FleetService,
-                TrafficGenerator,
-                TrafficProfile,
-                make_policy,
-            )
+    plan = resolve_plan(args.plan)
+    if args.seed is not None:
+        plan = dataclasses.replace(plan, seed=args.seed)
+    if args.experiment == "fleet":
+        from repro.fleet import (
+            FleetService,
+            TrafficGenerator,
+            TrafficProfile,
+            make_policy,
+            open_fleet,
+        )
 
-            if sharded:
-                from repro.parallel import ShardedFleetCluster, ShardedFleetService
-
-                cluster = ShardedFleetCluster.build(
-                    args.nodes, shards=args.shards, lookahead=args.lookahead
-                )
-                service_cls = ShardedFleetService
-            else:
-                cluster = FleetCluster.build(args.nodes)
-                service_cls = FleetService
+        with open_fleet(
+            args.nodes, shards=args.shards, lookahead=args.lookahead
+        ) as cluster:
             generator = TrafficGenerator(
                 TrafficProfile(load=args.load),
                 fleet_slots=cluster.total_slots,
                 seed=args.traffic_seed,
             )
-            service = service_cls(cluster, make_policy(args.policy))
+            service = FleetService(cluster, make_policy(args.policy))
             service.install_faults(plan)
             if args.autoscale:
                 from repro.fleet import AutoscaleConfig
@@ -509,31 +438,25 @@ def _chaos_command(args: argparse.Namespace) -> int:
                 )
             result = service.serve(generator.generate(args.requests))
             results = {
-                "plan": _to_jsonable(plan.to_dict()),
-                "injected": _to_jsonable(result.fault_log.summary()),
+                "plan": to_jsonable(plan.to_dict()),
+                "injected": to_jsonable(result.fault_log.summary()),
                 "outcomes": result.outcome_counts(),
                 "availability": result.availability(),
-                "summary": _to_jsonable(result.summary()),
-                "nodes": _to_jsonable(cluster.simulated_report()),
+                "summary": to_jsonable(result.summary()),
+                "nodes": to_jsonable(cluster.simulated_report()),
             }
             if service.autoscaler is not None:
-                results["autoscaler"] = _to_jsonable(
+                results["autoscaler"] = to_jsonable(
                     service.autoscaler.summary()
                 )
-            _maybe_dump_opstream(args, cluster, sharded)
-        else:  # single
-            report = run_single_chaos(plan, window_ps=ms(args.window_ms))
-            results = {
-                "plan": _to_jsonable(plan.to_dict()),
-                "injected": _to_jsonable(report["fault_log"]),
-                "report": _to_jsonable(report),
-            }
-    except ReproError as error:
-        print(f"chaos: error: {error}", file=sys.stderr)
-        return 2
-    finally:
-        if sharded and cluster is not None:
-            cluster.close()
+            _maybe_dump_opstream(args, cluster)
+    else:  # single
+        report = run_single_chaos(plan, window_ps=ms(args.window_ms))
+        results = {
+            "plan": to_jsonable(plan.to_dict()),
+            "injected": to_jsonable(report["fault_log"]),
+            "report": to_jsonable(report),
+        }
     if args.json:
         params = {
             "mode": args.experiment,
@@ -579,7 +502,6 @@ def _chaos_command(args: argparse.Namespace) -> int:
 
 def _fuzz_command(args: argparse.Namespace) -> int:
     """Constrained-random differential fuzzing over the whole stack."""
-    from repro.errors import ReproError
     from repro.scenario import FuzzConfig, replay, run_fuzz
 
     def narrate(line: str) -> None:
@@ -676,447 +598,22 @@ def _trace_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="Regenerate the OPTIMUS paper's tables and figures.",
-        epilog=EXIT_CODES,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    sub = parser.add_subparsers(dest="command")
-    lister = sub.add_parser("list", help="list available experiments")
-    lister.add_argument(
-        "--json", action="store_true", help="emit the registry as JSON"
-    )
-    runner = sub.add_parser("run", help="run one experiment (or 'all')")
-    runner.add_argument("experiment", choices=[*EXPERIMENTS, "all"])
-    runner.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan independent sweep cells across N worker processes",
-    )
-    runner.add_argument(
-        "--profile",
-        action="store_true",
-        help="run under cProfile and print the top 25 cumulative entries",
-    )
-    runner.add_argument(
-        "--reference",
-        action="store_true",
-        help="disable the simulator fast path (timing-equivalent reference mode)",
-    )
-    runner.add_argument(
-        "--json",
-        action="store_true",
-        help="print a machine-readable result envelope on stdout",
-    )
-    runner.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=os.environ.get("REPRO_CACHE_DIR", ".repro-cache"),
-        help="content-addressed result cache directory "
-        "(default: $REPRO_CACHE_DIR or .repro-cache)",
-    )
-    runner.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the result cache (always recompute)",
-    )
-
-    tracer_cmd = sub.add_parser(
-        "trace", help="run one experiment under the telemetry tracer"
-    )
-    tracer_cmd.add_argument("experiment", choices=list(EXPERIMENTS))
-    tracer_cmd.add_argument(
-        "--quick",
-        action="store_true",
-        help="use the experiment's quick() grid when it has one",
-    )
-    tracer_cmd.add_argument(
-        "--output",
-        metavar="FILE",
-        default=None,
-        help="trace file path (default: trace-<experiment>.json)",
-    )
-    tracer_cmd.add_argument(
-        "--reference",
-        action="store_true",
-        help="disable the simulator fast path (timing-equivalent reference mode)",
-    )
-    tracer_cmd.add_argument(
-        "--json",
-        action="store_true",
-        help="print a machine-readable result envelope on stdout",
-    )
-
-    fleet = sub.add_parser(
-        "fleet", help="serve deterministic tenant traffic on a multi-FPGA fleet"
-    )
-    fleet.add_argument("--nodes", type=int, default=4, help="fleet size")
-    fleet.add_argument("--load", type=float, default=0.9, help="offered load")
-    fleet.add_argument("--seed", type=int, default=1, help="traffic seed")
-    fleet.add_argument("--requests", type=int, default=200, help="request count")
-    fleet.add_argument(
-        "--policy",
-        default="best-fit",
-        choices=["first-fit", "best-fit", "affinity"],
-        help="placement policy",
-    )
-    fleet.add_argument("--queue", type=int, default=32, help="admission queue limit")
-    fleet.add_argument("--retries", type=int, default=3, help="max placement retries")
-    fleet.add_argument(
-        "--max-oversub", type=int, default=4, help="tenants per physical slot"
-    )
-    fleet.add_argument("--json", action="store_true", help="emit summary as JSON")
-    fleet.add_argument(
-        "--trace", action="store_true", help="print the full placement trace"
-    )
-    fleet.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shard fleet nodes across N worker processes (byte-identical results)",
-    )
-    fleet.add_argument(
-        "--lookahead",
-        type=int,
-        default=0,
-        metavar="K",
-        help="let shard workers speculate K epochs ahead of the coordinator "
-        "(0 = no speculation; byte-identical results at any depth)",
-    )
-    fleet.add_argument(
-        "--opstream-stats",
-        metavar="FILE",
-        default=None,
-        help="write the sharded op-stream/speculation ledger as JSON",
-    )
-
-    serve = sub.add_parser(
-        "serve", help="replay a session trace through the SLO-aware gateway"
-    )
-    serve.add_argument(
-        "--trace",
-        dest="trace_file",
-        metavar="FILE",
-        default=None,
-        help="replay a .json/.csv arrival trace instead of synthesizing one",
-    )
-    serve.add_argument(
-        "--sessions",
-        type=int,
-        default=None,
-        metavar="N",
-        help="synthetic trace size (default: 2000, or 800 with --quick)",
-    )
-    serve.add_argument("--seed", type=int, default=1, help="synthetic trace seed")
-    serve.add_argument("--load", type=float, default=1.5, help="offered load")
-    serve.add_argument(
-        "--followup",
-        type=float,
-        default=0.3,
-        metavar="P",
-        help="closed-loop probability a tenant returns after a session",
-    )
-    serve.add_argument(
-        "--diurnal",
-        type=float,
-        default=0.0,
-        metavar="A",
-        help="diurnal rate-modulation amplitude in [0, 1)",
-    )
-    serve.add_argument(
-        "--burst",
-        type=float,
-        default=0.0,
-        metavar="P",
-        help="per-arrival probability of starting a burst episode",
-    )
-    serve.add_argument(
-        "--nodes",
-        type=int,
-        default=None,
-        help="fleet size (default: 3, or 2 with --quick)",
-    )
-    serve.add_argument(
-        "--policy",
-        default="best-fit",
-        choices=["first-fit", "best-fit", "affinity"],
-        help="placement policy",
-    )
-    serve.add_argument(
-        "--admission",
-        default="slo-budget",
-        choices=["queue-depth", "slo-budget"],
-        help="admission policy (queue-depth = legacy bounded queue only)",
-    )
-    serve.add_argument("--queue", type=int, default=32, help="admission queue limit")
-    serve.add_argument("--retries", type=int, default=3, help="max placement retries")
-    serve.add_argument(
-        "--quick", action="store_true", help="small fleet + short trace preset"
-    )
-    serve.add_argument(
-        "--save-trace",
-        metavar="FILE",
-        default=None,
-        help="write the (synthesized) trace as JSON for later replay",
-    )
-    serve.add_argument("--json", action="store_true", help="emit envelope as JSON")
-    serve.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shard fleet nodes across N worker processes (byte-identical results)",
-    )
-    serve.add_argument(
-        "--lookahead",
-        type=int,
-        default=0,
-        metavar="K",
-        help="let shard workers speculate K epochs ahead of the coordinator "
-        "(0 = no speculation; byte-identical results at any depth)",
-    )
-    serve.add_argument(
-        "--opstream-stats",
-        metavar="FILE",
-        default=None,
-        help="write the sharded op-stream/speculation ledger as JSON",
-    )
-
-    from repro.experiments.harness import STACK_MODES
-
-    capacity = sub.add_parser(
-        "capacity",
-        help="fleet capacity planning (analytic fast-forward or DES)",
-    )
-    capacity.add_argument(
-        "--mode",
-        default="analytic",
-        # Single-sourced from the stack registry: a new stack mode shows
-        # up here (and in error messages) without touching the CLI.
-        choices=list(STACK_MODES),
-        help="backend: analytic = calibrated planner, optimus = fleet DES",
-    )
-    capacity.add_argument(
-        "--tenants", type=int, default=100_000, help="tenant request count"
-    )
-    capacity.add_argument("--nodes", type=int, default=8, help="fleet size")
-    capacity.add_argument("--load", type=float, default=1.2, help="offered load")
-    capacity.add_argument("--seed", type=int, default=7, help="traffic seed")
-    capacity.add_argument(
-        "--mean-session-ms",
-        type=int,
-        default=20,
-        metavar="MS",
-        help="mean tenant session length in milliseconds",
-    )
-    capacity.add_argument(
-        "--horizon-s",
-        type=float,
-        default=0.0,
-        metavar="S",
-        help="simulated-time horizon in seconds (0 = whole trace)",
-    )
-    capacity.add_argument(
-        "--bootstrap",
-        type=int,
-        default=200,
-        metavar="B",
-        help="bootstrap resamples for the 95%% confidence intervals",
-    )
-    capacity.add_argument(
-        "--no-goodput",
-        action="store_true",
-        help="skip calibrated per-type goodput (avoids calibration runs)",
-    )
-    capacity.add_argument("--json", action="store_true", help="emit envelope as JSON")
-
-    chaos = sub.add_parser(
-        "chaos", help="inject a deterministic fault plan and watch recovery"
-    )
-    chaos.add_argument(
-        "experiment",
-        choices=["fleet", "single"],
-        help="fleet = serving loop under faults; single = one hypervisor",
-    )
-    from repro.faults.plan import preset_names
-
-    chaos.add_argument(
-        "--plan",
-        default="single-node-crash",
-        metavar="PRESET|FILE",
-        # Single-sourced from the fault-plan registry, like --mode above:
-        # registering a preset adds it here and to the fuzzer's draws.
-        help="fault-plan preset name or JSON plan file "
-        f"(presets: {', '.join(preset_names())})",
-    )
-    chaos.add_argument(
-        "--seed", type=int, default=None, help="override the plan's seed"
-    )
-    chaos.add_argument("--nodes", type=int, default=3, help="fleet size")
-    chaos.add_argument(
-        "--requests", type=int, default=80, help="fleet request count"
-    )
-    chaos.add_argument("--load", type=float, default=0.85, help="offered load")
-    chaos.add_argument(
-        "--traffic-seed", type=int, default=1, help="tenant traffic seed"
-    )
-    chaos.add_argument(
-        "--policy",
-        default="best-fit",
-        choices=["first-fit", "best-fit", "affinity"],
-        help="placement policy",
-    )
-    chaos.add_argument(
-        "--window-ms",
-        type=int,
-        default=20,
-        metavar="MS",
-        help="single-platform run window in milliseconds",
-    )
-    chaos.add_argument(
-        "--reference",
-        action="store_true",
-        help="disable the simulator fast path (timing-equivalent reference mode)",
-    )
-    chaos.add_argument(
-        "--json",
-        action="store_true",
-        help="print a machine-readable envelope of events vs outcomes",
-    )
-    chaos.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shard fleet nodes across N worker processes (byte-identical results)",
-    )
-    chaos.add_argument(
-        "--lookahead",
-        type=int,
-        default=0,
-        metavar="K",
-        help="let shard workers speculate K epochs ahead of the coordinator "
-        "(0 = no speculation; byte-identical results at any depth)",
-    )
-    chaos.add_argument(
-        "--opstream-stats",
-        metavar="FILE",
-        default=None,
-        help="write the sharded op-stream/speculation ledger as JSON",
-    )
-    chaos.add_argument(
-        "--autoscale",
-        type=int,
-        default=0,
-        metavar="N",
-        help="install the elastic autoscaler with the last N fleet nodes "
-        "parked as standby capacity (proactive evacuation of DEGRADED nodes)",
-    )
-    chaos.add_argument(
-        "--drain-node",
-        default=None,
-        metavar="NAME",
-        help="schedule a typed drain (cordon + live-migrate residents) of NAME",
-    )
-    chaos.add_argument(
-        "--drain-at-ms",
-        type=int,
-        default=5,
-        metavar="MS",
-        help="simulated time of the scheduled --drain-node, in milliseconds",
-    )
-    from repro.scenario import kind_names
-
-    fuzz = sub.add_parser(
-        "fuzz",
-        help="constrained-random differential fuzzing of the whole stack",
-    )
-    fuzz.add_argument(
-        "--seed", type=int, default=0, help="campaign seed (scenario i is a "
-        "pure function of (seed, i))"
-    )
-    fuzz.add_argument(
-        "--count", type=int, default=5, metavar="N",
-        help="number of scenarios to draw and run"
-    )
-    fuzz.add_argument(
-        "--kinds",
-        default=None,
-        metavar="K1,K2",
-        help="comma-separated scenario kinds to draw from "
-        f"(default: all; kinds: {', '.join(kind_names())})",
-    )
-    fuzz.add_argument(
-        "--no-shrink",
-        action="store_true",
-        help="report failures as drawn, without delta-debugging them down "
-        "to minimal reproducers",
-    )
-    fuzz.add_argument(
-        "--save-failures",
-        metavar="DIR",
-        default=None,
-        help="write each (shrunk) failing scenario as a canonical-JSON "
-        "reproducer file under DIR",
-    )
-    fuzz.add_argument(
-        "--replay",
-        metavar="FILE",
-        default=None,
-        help="re-run one saved reproducer through the oracle instead of "
-        "fuzzing",
-    )
-    fuzz.add_argument(
-        "--json", action="store_true", help="emit the campaign envelope as JSON"
-    )
-
-    args = parser.parse_args(argv)
-
-    if args.command == "fuzz":
-        return _fuzz_command(args)
-
-    if args.command == "fleet":
-        return _fleet_command(args)
-
-    if args.command == "serve":
-        return _serve_command(args)
-
-    if args.command == "capacity":
-        return _capacity_command(args)
-
-    if args.command == "list" or args.command is None:
-        as_json = bool(getattr(args, "json", False))
-        if as_json:
-            registry = {
-                key: {"module": module, "description": description}
-                for key, (module, description) in EXPERIMENTS.items()
-            }
-            print(json.dumps(registry, indent=2))
-            return 0
-        width = max(len(k) for k in EXPERIMENTS)
-        for key, (_module, description) in EXPERIMENTS.items():
-            print(f"  {key.ljust(width)}  {description}")
-        print("\nrun with: python -m repro run <experiment|all>")
+def _list_command(args: argparse.Namespace) -> int:
+    if getattr(args, "json", False):
+        registry = {
+            key: {"module": module, "description": description}
+            for key, (module, description) in EXPERIMENTS.items()
+        }
+        print(json.dumps(registry, indent=2))
         return 0
+    width = max(len(k) for k in EXPERIMENTS)
+    for key, (_module, description) in EXPERIMENTS.items():
+        print(f"  {key.ljust(width)}  {description}")
+    print("\nrun with: python -m repro run <experiment|all>")
+    return 0
 
-    if args.reference:
-        from repro.platform.params import set_default_fast_path
 
-        # The env var also covers worker processes started via "spawn".
-        os.environ["REPRO_FAST_PATH"] = "0"
-        set_default_fast_path(False)
-
-    if args.command == "chaos":
-        return _chaos_command(args)
-
-    if args.command == "trace":
-        return _trace_command(args)
-
+def _run_command(args: argparse.Namespace) -> int:
     from repro.experiments.cache import install_cache, uninstall_cache
 
     cache = None
@@ -1173,6 +670,404 @@ def main(argv=None) -> int:
             profiler.disable()
             stats = pstats.Stats(profiler)
             stats.sort_stats("cumulative").print_stats(25)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The command table: one subparser per command, each bound to its
+    handler with ``set_defaults`` (no command at all means ``list``).
+
+    Every flag that several subcommands share is defined once, on a
+    parent parser, and inherited via ``parents=[...]``.
+    """
+    sharding, placement, queue, reference = (
+        argparse.ArgumentParser(add_help=False) for _ in range(4)
+    )
+    sharding.add_argument(
+        "--shards",
+        type=int,
+        default=1,
+        metavar="N",
+        help="shard fleet nodes across N worker processes (byte-identical results)",
+    )
+    sharding.add_argument(
+        "--lookahead",
+        type=int,
+        default=0,
+        metavar="K",
+        help="let shard workers speculate K epochs ahead of the coordinator "
+        "(0 = no speculation; byte-identical results at any depth)",
+    )
+    sharding.add_argument(
+        "--opstream-stats",
+        metavar="FILE",
+        default=None,
+        help="write the sharded op-stream/speculation ledger as JSON",
+    )
+    placement.add_argument(
+        "--policy",
+        default="best-fit",
+        choices=["first-fit", "best-fit", "affinity"],
+        help="placement policy",
+    )
+    queue.add_argument("--queue", type=int, default=32, help="admission queue limit")
+    queue.add_argument("--retries", type=int, default=3, help="max placement retries")
+    reference.add_argument(
+        "--reference",
+        action="store_true",
+        help="disable the simulator fast path (timing-equivalent reference mode)",
+    )
+
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        description="Regenerate the OPTIMUS paper's tables and figures.",
+        epilog=EXIT_CODES,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.set_defaults(handler=_list_command)
+    sub = parser.add_subparsers(dest="command")
+    lister = sub.add_parser("list", help="list available experiments")
+    lister.set_defaults(handler=_list_command)
+    lister.add_argument(
+        "--json", action="store_true", help="emit the registry as JSON"
+    )
+    runner = sub.add_parser(
+        "run", help="run one experiment (or 'all')", parents=[reference]
+    )
+    runner.set_defaults(handler=_run_command)
+    runner.add_argument("experiment", choices=[*EXPERIMENTS, "all"])
+    runner.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        metavar="N",
+        help="fan independent sweep cells across N worker processes",
+    )
+    runner.add_argument(
+        "--profile",
+        action="store_true",
+        help="run under cProfile and print the top 25 cumulative entries",
+    )
+    runner.add_argument(
+        "--json",
+        action="store_true",
+        help="print a machine-readable result envelope on stdout",
+    )
+    runner.add_argument(
+        "--cache-dir",
+        metavar="DIR",
+        default=os.environ.get("REPRO_CACHE_DIR", ".repro-cache"),
+        help="content-addressed result cache directory "
+        "(default: $REPRO_CACHE_DIR or .repro-cache)",
+    )
+    runner.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="disable the result cache (always recompute)",
+    )
+
+    tracer_cmd = sub.add_parser(
+        "trace",
+        help="run one experiment under the telemetry tracer",
+        parents=[reference],
+    )
+    tracer_cmd.set_defaults(handler=_trace_command)
+    tracer_cmd.add_argument("experiment", choices=list(EXPERIMENTS))
+    tracer_cmd.add_argument(
+        "--quick",
+        action="store_true",
+        help="use the experiment's quick() grid when it has one",
+    )
+    tracer_cmd.add_argument(
+        "--output",
+        metavar="FILE",
+        default=None,
+        help="trace file path (default: trace-<experiment>.json)",
+    )
+    tracer_cmd.add_argument(
+        "--json",
+        action="store_true",
+        help="print a machine-readable result envelope on stdout",
+    )
+
+    fleet = sub.add_parser(
+        "fleet",
+        help="serve deterministic tenant traffic on a multi-FPGA fleet",
+        parents=[placement, queue, sharding],
+    )
+    fleet.set_defaults(handler=_fleet_command)
+    fleet.add_argument("--nodes", type=int, default=4, help="fleet size")
+    fleet.add_argument("--load", type=float, default=0.9, help="offered load")
+    fleet.add_argument("--seed", type=int, default=1, help="traffic seed")
+    fleet.add_argument("--requests", type=int, default=200, help="request count")
+    fleet.add_argument(
+        "--max-oversub", type=int, default=4, help="tenants per physical slot"
+    )
+    fleet.add_argument("--json", action="store_true", help="emit summary as JSON")
+    fleet.add_argument(
+        "--trace", action="store_true", help="print the full placement trace"
+    )
+
+    serve = sub.add_parser(
+        "serve",
+        help="replay a session trace through the SLO-aware gateway",
+        parents=[placement, queue, sharding],
+    )
+    serve.set_defaults(handler=_serve_command)
+    serve.add_argument(
+        "--trace",
+        dest="trace_file",
+        metavar="FILE",
+        default=None,
+        help="replay a .json/.csv arrival trace instead of synthesizing one",
+    )
+    serve.add_argument(
+        "--sessions",
+        type=int,
+        default=None,
+        metavar="N",
+        help="synthetic trace size (default: 2000, or 800 with --quick)",
+    )
+    serve.add_argument("--seed", type=int, default=1, help="synthetic trace seed")
+    serve.add_argument("--load", type=float, default=1.5, help="offered load")
+    serve.add_argument(
+        "--followup",
+        type=float,
+        default=0.3,
+        metavar="P",
+        help="closed-loop probability a tenant returns after a session",
+    )
+    serve.add_argument(
+        "--diurnal",
+        type=float,
+        default=0.0,
+        metavar="A",
+        help="diurnal rate-modulation amplitude in [0, 1)",
+    )
+    serve.add_argument(
+        "--burst",
+        type=float,
+        default=0.0,
+        metavar="P",
+        help="per-arrival probability of starting a burst episode",
+    )
+    serve.add_argument(
+        "--nodes",
+        type=int,
+        default=None,
+        help="fleet size (default: 3, or 2 with --quick)",
+    )
+    serve.add_argument(
+        "--admission",
+        default="slo-budget",
+        choices=["queue-depth", "slo-budget"],
+        help="admission policy (queue-depth = legacy bounded queue only)",
+    )
+    serve.add_argument(
+        "--quick", action="store_true", help="small fleet + short trace preset"
+    )
+    serve.add_argument(
+        "--save-trace",
+        metavar="FILE",
+        default=None,
+        help="write the (synthesized) trace as JSON for later replay",
+    )
+    serve.add_argument("--json", action="store_true", help="emit envelope as JSON")
+
+    from repro.experiments.harness import STACK_MODES
+
+    capacity = sub.add_parser(
+        "capacity",
+        help="fleet capacity planning (analytic fast-forward or DES)",
+    )
+    capacity.set_defaults(handler=_capacity_command)
+    capacity.add_argument(
+        "--mode",
+        default="analytic",
+        # Single-sourced from the stack registry: a new stack mode shows
+        # up here (and in error messages) without touching the CLI.
+        choices=list(STACK_MODES),
+        help="backend: analytic = calibrated planner, optimus = fleet DES",
+    )
+    capacity.add_argument(
+        "--tenants", type=int, default=100_000, help="tenant request count"
+    )
+    capacity.add_argument("--nodes", type=int, default=8, help="fleet size")
+    capacity.add_argument("--load", type=float, default=1.2, help="offered load")
+    capacity.add_argument("--seed", type=int, default=7, help="traffic seed")
+    capacity.add_argument(
+        "--mean-session-ms",
+        type=int,
+        default=20,
+        metavar="MS",
+        help="mean tenant session length in milliseconds",
+    )
+    capacity.add_argument(
+        "--horizon-s",
+        type=float,
+        default=0.0,
+        metavar="S",
+        help="simulated-time horizon in seconds (0 = whole trace)",
+    )
+    capacity.add_argument(
+        "--bootstrap",
+        type=int,
+        default=200,
+        metavar="B",
+        help="bootstrap resamples for the 95%% confidence intervals",
+    )
+    capacity.add_argument(
+        "--no-goodput",
+        action="store_true",
+        help="skip calibrated per-type goodput (avoids calibration runs)",
+    )
+    capacity.add_argument("--json", action="store_true", help="emit envelope as JSON")
+
+    chaos = sub.add_parser(
+        "chaos",
+        help="inject a deterministic fault plan and watch recovery",
+        parents=[placement, reference, sharding],
+    )
+    chaos.set_defaults(handler=_chaos_command)
+    chaos.add_argument(
+        "experiment",
+        choices=["fleet", "single"],
+        help="fleet = serving loop under faults; single = one hypervisor",
+    )
+    from repro.faults.plan import preset_names
+
+    chaos.add_argument(
+        "--plan",
+        default="single-node-crash",
+        metavar="PRESET|FILE",
+        # Single-sourced from the fault-plan registry, like --mode above:
+        # registering a preset adds it here and to the fuzzer's draws.
+        help="fault-plan preset name or JSON plan file "
+        f"(presets: {', '.join(preset_names())})",
+    )
+    chaos.add_argument(
+        "--seed", type=int, default=None, help="override the plan's seed"
+    )
+    chaos.add_argument("--nodes", type=int, default=3, help="fleet size")
+    chaos.add_argument(
+        "--requests", type=int, default=80, help="fleet request count"
+    )
+    chaos.add_argument("--load", type=float, default=0.85, help="offered load")
+    chaos.add_argument(
+        "--traffic-seed", type=int, default=1, help="tenant traffic seed"
+    )
+    chaos.add_argument(
+        "--window-ms",
+        type=int,
+        default=20,
+        metavar="MS",
+        help="single-platform run window in milliseconds",
+    )
+    chaos.add_argument(
+        "--json",
+        action="store_true",
+        help="print a machine-readable envelope of events vs outcomes",
+    )
+    chaos.add_argument(
+        "--autoscale",
+        type=int,
+        default=0,
+        metavar="N",
+        help="install the elastic autoscaler with the last N fleet nodes "
+        "parked as standby capacity (proactive evacuation of DEGRADED nodes)",
+    )
+    chaos.add_argument(
+        "--drain-node",
+        default=None,
+        metavar="NAME",
+        help="schedule a typed drain (cordon + live-migrate residents) of NAME",
+    )
+    chaos.add_argument(
+        "--drain-at-ms",
+        type=int,
+        default=5,
+        metavar="MS",
+        help="simulated time of the scheduled --drain-node, in milliseconds",
+    )
+    from repro.scenario import kind_names
+
+    fuzz = sub.add_parser(
+        "fuzz",
+        help="constrained-random differential fuzzing of the whole stack",
+    )
+    fuzz.set_defaults(handler=_fuzz_command)
+    fuzz.add_argument(
+        "--seed", type=int, default=0, help="campaign seed (scenario i is a "
+        "pure function of (seed, i))"
+    )
+    fuzz.add_argument(
+        "--count", type=int, default=5, metavar="N",
+        help="number of scenarios to draw and run"
+    )
+    fuzz.add_argument(
+        "--kinds",
+        default=None,
+        metavar="K1,K2",
+        help="comma-separated scenario kinds to draw from "
+        f"(default: all; kinds: {', '.join(kind_names())})",
+    )
+    fuzz.add_argument(
+        "--no-shrink",
+        action="store_true",
+        help="report failures as drawn, without delta-debugging them down "
+        "to minimal reproducers",
+    )
+    fuzz.add_argument(
+        "--save-failures",
+        metavar="DIR",
+        default=None,
+        help="write each (shrunk) failing scenario as a canonical-JSON "
+        "reproducer file under DIR",
+    )
+    fuzz.add_argument(
+        "--replay",
+        metavar="FILE",
+        default=None,
+        help="re-run one saved reproducer through the oracle instead of "
+        "fuzzing",
+    )
+    fuzz.add_argument(
+        "--json", action="store_true", help="emit the campaign envelope as JSON"
+    )
+    return parser
+
+
+@contextlib.contextmanager
+def _reference_mode(enabled: bool):
+    """Scope ``--reference`` to one command: in-process callers (the test
+    suite) get their fast-path default and environment back afterwards."""
+    if not enabled:
+        yield
+        return
+    from repro.platform.params import default_fast_path, set_default_fast_path
+
+    saved_default = default_fast_path()
+    saved_env = os.environ.get("REPRO_FAST_PATH")
+    # The env var also covers worker processes started via "spawn".
+    os.environ["REPRO_FAST_PATH"] = "0"
+    set_default_fast_path(False)
+    try:
+        yield
+    finally:
+        set_default_fast_path(saved_default)
+        if saved_env is None:
+            del os.environ["REPRO_FAST_PATH"]
+        else:
+            os.environ["REPRO_FAST_PATH"] = saved_env
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    with _reference_mode(getattr(args, "reference", False)):
+        try:
+            return args.handler(args)
+        except ReproError as error:  # exit code 2 for every command, see EXIT_CODES
+            print(f"{args.command}: error: {error}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

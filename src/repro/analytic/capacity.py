@@ -53,12 +53,13 @@ from repro.errors import ConfigurationError
 from repro.fleet.admission import (
     AdmissionConfig,
     DEFAULT_PLACEMENT_COST_PS,
+    FleetObserver,
     FleetService,
 )
 from repro.fleet.cluster import DEFAULT_TEMPLATES, FleetCluster
 from repro.fleet.node import DEFAULT_MAX_OVERSUB
 from repro.fleet.placement import make_policy
-from repro.fleet.traffic import DEFAULT_MIX, TenantRequest, TrafficGenerator, TrafficProfile
+from repro.fleet.traffic import DEFAULT_MIX, TrafficGenerator, TrafficProfile
 from repro.mem import MB
 from repro.serve.slo import capacity_classes
 from repro.serve.trace import DEFAULT_CLASS_MIX
@@ -582,21 +583,17 @@ def _calibrated_goodput(
 # -- the DES comparator --------------------------------------------------------------
 
 
-class _CapacityProbe(FleetService):
-    """A :class:`FleetService` that records per-class placement latency."""
+class _PlacementLatencies(FleetObserver):
+    """Observer recording every fresh placement's latency, and per class."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.latencies: List[int] = []
-        self.class_latencies: Dict[str, List[int]] = {}
+    def __init__(self) -> None:
+        self.all: List[int] = []
+        self.by_class: Dict[str, List[int]] = {}
 
-    def _on_placed(
-        self, request: TenantRequest, now: int, latency_ps: int, replaced: bool
-    ) -> None:
-        if replaced:
-            return
-        self.latencies.append(latency_ps)
-        self.class_latencies.setdefault(request.tenant_class, []).append(latency_ps)
+    def on_placed(self, request, now, latency_ps, replaced) -> None:
+        if not replaced:
+            self.all.append(latency_ps)
+            self.by_class.setdefault(request.tenant_class, []).append(latency_ps)
 
 
 def capacity_des(
@@ -615,8 +612,10 @@ def capacity_des(
         requests = [r for r in requests if r.arrival_ps <= config.horizon_ps]
     if not requests:
         raise ConfigurationError("horizon excludes every arrival")
-    service = _CapacityProbe(
-        cluster, make_policy(config.policy), admission=config.admission()
+    placed = _PlacementLatencies()
+    service = FleetService(
+        cluster, make_policy(config.policy), admission=config.admission(),
+        observer=placed,
     )
     result = service.serve(requests)
     summary = result.summary()
@@ -626,7 +625,7 @@ def capacity_des(
         if name in config.class_mix
     }
     shares = _normalized_shares(config.class_mix)
-    values = np.array(service.latencies, dtype=np.float64)
+    values = np.array(placed.all, dtype=np.float64)
     weights = np.ones_like(values)
     latency, cis, _ = _latency_block(
         values, weights, bootstrap=config.bootstrap, seed=config.seed,
@@ -634,7 +633,7 @@ def capacity_des(
     )
     classes = {}
     for name in sorted(shares):
-        samples = service.class_latencies.get(name, [])
+        samples = placed.by_class.get(name, [])
         attained = (
             sum(1 for s in samples if s <= budgets[name]) / len(samples)
             if samples

@@ -21,11 +21,11 @@ from typing import Dict, List, Optional, Sequence
 from repro.experiments.harness import ResultTable, parallel_map
 from repro.fleet import (
     AdmissionConfig,
-    FleetCluster,
     FleetService,
     TrafficGenerator,
     TrafficProfile,
     make_policy,
+    open_fleet,
 )
 from repro.sim.clock import to_seconds
 
@@ -46,7 +46,6 @@ def serve_fleet(
     queue_limit: int = 16,
     shards: int = 1,
     lookahead: int = 0,
-    codec: str = "binary",
     opstream_stats: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
     """One cell of the sweep: serve the trace, return the fleet summary.
@@ -54,46 +53,29 @@ def serve_fleet(
     The arrival process is generated against ``reference_nodes`` (default:
     the largest fleet in ``NODE_COUNTS``), so every node count faces the
     same absolute offered rate and the same request stream.  With
-    ``shards > 1`` the nodes are partitioned across worker processes
-    (:mod:`repro.parallel`); ``lookahead``/``codec`` tune the op-stream
-    protocol; the summary is byte-identical either way.  A single node
-    degenerates to the serial path (nothing to partition).  Pass a dict
+    ``shards > 1`` the nodes are partitioned across worker processes and
+    ``lookahead`` sets their speculation depth (:func:`repro.fleet
+    .open_fleet`); the summary is byte-identical either way.  Pass a dict
     as ``opstream_stats`` to receive the run's op-stream ledger (bench
-    side channel, never part of the summary).
+    side channel, never part of the summary; empty for a serial run).
     """
     reference_nodes = reference_nodes or max(NODE_COUNTS)
-    sharded = shards > 1 and n_nodes > 1
-    if sharded:
-        from repro.parallel import ShardedFleetCluster, ShardedFleetService
-
-        cluster = ShardedFleetCluster.build(
-            n_nodes,
-            shards=shards,
-            max_oversub=max_oversub,
-            lookahead=lookahead,
-            codec=codec,
-        )
-        service_cls = ShardedFleetService
-    else:
-        cluster = FleetCluster.build(n_nodes, max_oversub=max_oversub)
-        service_cls = FleetService
-    try:
-        generator = TrafficGenerator(
-            TrafficProfile(load=load),
-            fleet_slots=reference_nodes * SLOTS_PER_NODE,
-            seed=seed,
-        )
-        service = service_cls(
+    generator = TrafficGenerator(
+        TrafficProfile(load=load),
+        fleet_slots=reference_nodes * SLOTS_PER_NODE,
+        seed=seed,
+    )
+    with open_fleet(
+        n_nodes, shards=shards, lookahead=lookahead, max_oversub=max_oversub
+    ) as cluster:
+        service = FleetService(
             cluster,
             make_policy(policy),
             admission=AdmissionConfig(queue_limit=queue_limit),
         )
         result = service.serve(generator.generate(requests))
-        if opstream_stats is not None and sharded:
+        if opstream_stats is not None:
             opstream_stats.update(cluster.opstream_stats())
-    finally:
-        if sharded:
-            cluster.close()
     summary = result.summary()
     span_s = to_seconds(result.span_ps) or 1.0
     summary["throughput_per_s"] = summary["placements"] / span_s

@@ -25,10 +25,9 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from repro.experiments.harness import ResultTable, parallel_map
-from repro.fleet import FleetCluster, make_policy
+from repro.fleet import FleetCluster, FleetService, make_policy
 from repro.serve import (
     Gateway,
-    GatewayFleetService,
     ServeProfile,
     SloBudgetPolicy,
     SloClass,
@@ -66,7 +65,7 @@ def serve_arm(
         admission_policy = SloBudgetPolicy(study_classes())
     else:
         admission_policy = AttainmentMonitor(study_classes())
-    service = GatewayFleetService(
+    service = FleetService(
         cluster, make_policy(policy), admission_policy=admission_policy
     )
     return Gateway(service, trace).run().to_dict()

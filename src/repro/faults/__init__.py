@@ -26,7 +26,6 @@ from repro.faults.guests import (
 from repro.faults.injector import FaultLog, FaultRecord, FleetFaultInjector
 from repro.faults.plan import (
     FAULT_PLAN_PRESETS,
-    PRESETS,
     FaultEvent,
     FaultKind,
     FaultPlan,
@@ -49,7 +48,6 @@ __all__ = [
     "FleetFaultInjector",
     "HANG_PROFILE",
     "HangJob",
-    "PRESETS",
     "PlanPreset",
     "RUNAWAY_PROFILE",
     "RunawayDmaJob",

@@ -435,9 +435,3 @@ register_preset(PlanPreset(
         "seed": 0,
     },
 ))
-
-#: Back-compat alias (pre-registry shape): name -> zero-argument maker.
-#: New code should read :data:`FAULT_PLAN_PRESETS` instead.
-PRESETS: Dict[str, Callable[[], FaultPlan]] = {
-    name: preset.build for name, preset in FAULT_PLAN_PRESETS.items()
-}

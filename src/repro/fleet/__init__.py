@@ -9,7 +9,8 @@ touching the single-node model:
 
 * :mod:`repro.fleet.node` — one ``CloudProvider`` + ``Platform`` wrapped as
   a schedulable node with capacity and utilization accounting;
-* :mod:`repro.fleet.cluster` — N heterogeneous nodes behind one API;
+* :mod:`repro.fleet.cluster` — N heterogeneous nodes behind one API, opened
+  (real or sharded) by :func:`open_fleet`;
 * :mod:`repro.fleet.placement` — pluggable policies (first-fit, best-fit,
   config-affinity) reusing the paper's spatial-then-temporal logic;
 * :mod:`repro.fleet.admission` — bounded admission queue, rejection, and
@@ -36,12 +37,13 @@ from repro.fleet.admission import (
     AdmissionConfig,
     AdmissionDecision,
     AdmissionPolicy,
+    FleetObserver,
     FleetService,
     ServeResult,
     request_jitter_rng,
 )
 from repro.fleet.autoscale import AutoscaleConfig, Autoscaler
-from repro.fleet.cluster import DEFAULT_TEMPLATES, FleetCluster
+from repro.fleet.cluster import DEFAULT_TEMPLATES, FleetCluster, open_fleet
 from repro.fleet.metrics import FleetMetrics
 from repro.fleet.node import EvictedPlacement, FleetNode, NodeHealth, NodeSpec
 from repro.fleet.ops import (
@@ -86,6 +88,7 @@ __all__ = [
     "FleetCluster",
     "FleetMetrics",
     "FleetNode",
+    "FleetObserver",
     "FleetOps",
     "FleetService",
     "MigrationOutcome",
@@ -102,6 +105,7 @@ __all__ = [
     "TrafficGenerator",
     "TrafficProfile",
     "make_policy",
+    "open_fleet",
     "rejected",
     "request_jitter_rng",
 ]

@@ -41,12 +41,12 @@ from __future__ import annotations
 import dataclasses
 import heapq
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.fleet.cluster import FleetCluster
+from repro.fleet.cluster import ClusterState
 from repro.fleet.metrics import FleetMetrics
 from repro.fleet.node import NodeHealth
 from repro.fleet.outcomes import ACCEPTED_OUTCOMES, Outcome, SERVED_OUTCOMES, rejected
@@ -194,6 +194,44 @@ class AdmissionPolicy:
         """
 
 
+class FleetObserver:
+    """The serving loop's one extension point: a passive watcher.
+
+    :class:`FleetService` holds at most one observer and calls it from
+    inside the deterministic loop, so whatever an observer does happens
+    at the same simulated instants on any cluster (real or sharded).
+    Every method is a no-op here; subclasses override what they need —
+    the serving gateway (:class:`repro.serve.Gateway`) overrides most,
+    ``capacity_des`` only :meth:`on_placed`.
+    """
+
+    def on_epoch(self, now: int) -> None:
+        """The serving clock reached an event time (before its dispatch)."""
+
+    def on_decision(
+        self, request: TenantRequest, decision: AdmissionDecision, now: int
+    ) -> None:
+        """The admission policy ruled on an arrival."""
+
+    def on_placed(
+        self, request: TenantRequest, now: int, latency_ps: int, replaced: bool
+    ) -> None:
+        """A session went live on a node (fresh or failover)."""
+
+    def on_outcome(self, request: TenantRequest, outcome: str, now: int) -> None:
+        """A request reached its typed terminal outcome."""
+
+    def on_op(self, verb: str, report: object, now: int) -> None:
+        """A *scheduled* :class:`FleetOps` verb returned its typed report
+        (e.g. a mid-serve drain's ``DrainReport``, which the loop itself
+        discards — the fuzz oracle records checkpoint digests here)."""
+
+    def on_drained(self, now: int) -> None:
+        """The event heap emptied.  Events the observer pushes from here
+        (the gateway's closed-loop follow-up arrivals) keep the loop
+        serving; :meth:`on_drained` is called again after each drain."""
+
+
 @dataclass
 class ServeResult:
     """Outcome of one serving run."""
@@ -259,12 +297,13 @@ class FleetService:
 
     def __init__(
         self,
-        cluster: FleetCluster,
+        cluster: ClusterState,
         policy: PlacementPolicy,
         *,
         admission: Optional[AdmissionConfig] = None,
         metrics: Optional[FleetMetrics] = None,
         admission_policy: Optional[AdmissionPolicy] = None,
+        observer: Optional[FleetObserver] = None,
     ) -> None:
         self.cluster = cluster
         self.policy = policy
@@ -289,13 +328,8 @@ class FleetService:
         self._dispatching: Optional[Tuple[int, str, object]] = None
         self._ops: Optional["FleetOps"] = None
         self.autoscaler: Optional["Autoscaler"] = None
-        #: Optional ``(verb, report, now_ps)`` callback invoked after every
-        #: *scheduled* :class:`FleetOps` verb with the typed report the verb
-        #: returned.  The serving loop otherwise discards these reports
-        #: (nothing in the loop consumes them), so this is the supported way
-        #: to observe e.g. a mid-serve drain's ``DrainReport`` — the fuzz
-        #: oracle records migration checkpoint digests through it.
-        self.op_observer: Optional[Callable[[str, object, int], None]] = None
+        #: The one extension point (``None`` costs the loop nothing).
+        self.observer = observer
 
     # -- fault installation -----------------------------------------------------------
 
@@ -342,8 +376,8 @@ class FleetService:
     def _on_ops(self, payload, now: int) -> None:
         verb, kwargs = payload
         report = getattr(self.ops, verb)(now=now, **kwargs)
-        if self.op_observer is not None:
-            self.op_observer(verb, report, now)
+        if self.observer is not None:
+            self.observer.on_op(verb, report, now)
 
     # -- event plumbing ---------------------------------------------------------------
 
@@ -352,16 +386,6 @@ class FleetService:
         self._seq += 1
         if kind == "arrival":
             self._arrivals += 1
-
-    def _advance_epoch(self, now: int) -> None:
-        """Hook called as the serving clock reaches each event time.
-
-        The serial loop needs nothing here; the sharded executor
-        (:class:`repro.parallel.ShardedFleetService`) overrides it to
-        flush completed epochs' operation batches to the shard workers,
-        and the serving gateway (:mod:`repro.serve.gateway`) uses it as
-        the pacing point that pumps session coroutines.
-        """
 
     # -- speculation contract (read by the sharded executor) --------------------------
 
@@ -376,9 +400,9 @@ class FleetService:
         most ``max_epochs`` distinct event times of *consecutive*
         currently-valid departures, starting with the event being
         dispatched right now (it was already popped off the heap, but
-        its ops have not been emitted yet — the epoch hook that triggers
-        the grant scan runs before the event handler) and continuing
-        into the heap.  The events listed are exactly those guaranteed
+        its ops have not been emitted yet — the cluster's epoch advance,
+        which triggers the grant scan, runs before the event handler) and
+        continuing into the heap.  The events listed are exactly those guaranteed
         to evict exactly those tenants at exactly those times.  Anything
         else is a speculation barrier and stops the scan:
 
@@ -445,11 +469,16 @@ class FleetService:
         for request in requests:
             self._push(request.arrival_ps, "arrival", request)
         self._run_loop()
-        # Closed-loop consumers (the serve gateway) may inject follow-up
+        # A closed-loop observer (the serve gateway) may inject follow-up
         # arrivals while draining terminal notifications; keep looping
         # until nothing new enters the heap.
-        while self._post_drain():
-            self._run_loop()
+        if self.observer is not None:
+            self.observer.on_drained(self._now)
+            while self._heap:
+                self._run_loop()
+                self.observer.on_drained(self._now)
+        # Sharded: barrier on the workers, raising if any diverged.
+        self.cluster.end_serve()
         return ServeResult(
             metrics=self.metrics,
             requests=self._arrivals,
@@ -465,7 +494,11 @@ class FleetService:
             self._now = now
             self._dispatching = (now, kind, payload)
             self.cluster.note_event(kind, now)
-            self._advance_epoch(now)
+            # Cluster first: a sharded one flushes completed epochs' ops
+            # here, so the observer sees the same state on either cluster.
+            self.cluster.advance_epoch(now, self)
+            if self.observer is not None:
+                self.observer.on_epoch(now)
             # Utilization integrates occupancy *before* this event's state
             # changes; the autoscaler reads the same pre-event snapshot.
             self.metrics.sample_utilization(now, self.cluster)
@@ -484,15 +517,6 @@ class FleetService:
             else:  # "ops": a scheduled FleetOps verb
                 self._on_ops(payload, now)
 
-    def _post_drain(self) -> bool:
-        """Hook after the heap empties; return ``True`` to keep serving.
-
-        The base loop has nothing left to do.  The gateway overrides this
-        to deliver final session notifications (which may schedule
-        closed-loop follow-up arrivals) and reports whether they did.
-        """
-        return False
-
     # -- event handlers ---------------------------------------------------------------
 
     def _on_arrival(self, request: TenantRequest, now: int) -> None:
@@ -501,7 +525,8 @@ class FleetService:
             return
         if self.admission_policy is not None:
             decision = self.admission_policy.decide(request, now, self)
-            self._on_decision(request, decision, now)
+            if self.observer is not None:
+                self.observer.on_decision(request, decision, now)
             if decision.action == "shed":
                 self._reject(request, now, decision.reason or "shed")
                 return
@@ -524,16 +549,7 @@ class FleetService:
         self.metrics.record_queued(
             now_ps=now, request=request, depth=len(self._pending)
         )
-        delay = self._retry_delay(request, 1)
-        if self.admission_policy is not None:
-            self.admission_policy.observe_queued(
-                request,
-                (now - request.arrival_ps)
-                + delay
-                + self.admission.placement_cost_ps,
-                now,
-            )
-        self._push(now + delay, "retry", request.request_id)
+        self._schedule_retry(request, 1, now)
 
     def _on_retry(self, request_id: int, now: int) -> None:
         entry = self._pending.get(request_id)
@@ -550,16 +566,21 @@ class FleetService:
             del self._pending[request_id]
             self._reject(entry.request, now, "retries_exhausted")
             return
-        delay = self._retry_delay(entry.request, entry.attempts + 1)
+        self._schedule_retry(entry.request, entry.attempts + 1, now)
+
+    def _schedule_retry(self, request: TenantRequest, attempt: int, now: int) -> None:
+        """Queue retry ``attempt`` and tell the admission policy the
+        latency the request is now certain to pay at least."""
+        delay = self._retry_delay(request, attempt)
         if self.admission_policy is not None:
             self.admission_policy.observe_queued(
-                entry.request,
-                (now - entry.request.arrival_ps)
+                request,
+                (now - request.arrival_ps)
                 + delay
                 + self.admission.placement_cost_ps,
                 now,
             )
-        self._push(now + delay, "retry", request_id)
+        self._push(now + delay, "retry", request.request_id)
 
     def _retry_delay(self, request: TenantRequest, attempt: int) -> int:
         """Backoff before retry ``attempt``, jittered from the request's
@@ -622,26 +643,14 @@ class FleetService:
         self.metrics.record_rejection(now_ps=now, request=request, reason=reason)
         self._finish(request, rejected(reason), now)
 
-    # -- terminal funnel and gateway hooks ---------------------------------------------
+    # -- terminal funnel --------------------------------------------------------------
 
     def _finish(self, request: TenantRequest, outcome: str, now: int) -> None:
         """Every request terminates exactly once, through here."""
         self.outcomes[request.request_id] = outcome
         self._retry_rngs.pop(request.request_id, None)
-        self._on_outcome(request, outcome, now)
-
-    def _on_outcome(self, request: TenantRequest, outcome: str, now: int) -> None:
-        """Hook: a request reached its typed terminal outcome."""
-
-    def _on_placed(
-        self, request: TenantRequest, now: int, latency_ps: int, replaced: bool
-    ) -> None:
-        """Hook: a session went live on a node (fresh or failover)."""
-
-    def _on_decision(
-        self, request: TenantRequest, decision: AdmissionDecision, now: int
-    ) -> None:
-        """Hook: the admission policy ruled on an arrival."""
+        if self.observer is not None:
+            self.observer.on_outcome(request, outcome, now)
 
     # -- fault-side entry points (called by the injector) ------------------------------
 
@@ -649,19 +658,12 @@ class FleetService:
         """Live sessions in deterministic order (injector target pool)."""
         return sorted(self._sessions)
 
-    def session_node(self, tenant_name: str) -> Optional[str]:
-        session = self._sessions.get(tenant_name)
-        return session.node_name if session is not None else None
-
     def session_placement(self, tenant_name: str) -> Optional[Tuple[str, int]]:
         """(node name, physical slot) of a live session, or ``None``."""
         session = self._sessions.get(tenant_name)
         if session is None:
             return None
         return session.node_name, session.physical_index
-
-    def apply_node_recover(self, name: str, now: int) -> None:
-        self.ops.recover(name, now=now)
 
     def arm_watchdog(self, tenant_name: str, now: int) -> bool:
         """A guest-hang fault landed on ``tenant_name``: its session will
@@ -721,7 +723,7 @@ class FleetService:
                 physical_index=tenant.physical_index,
                 latency_ps=cost,
             )
-            self._on_placed(request, now, cost, True)
+            latency_ps = cost
         else:
             latency_ps = done - request.arrival_ps
             self.metrics.record_placement(
@@ -734,6 +736,7 @@ class FleetService:
             )
             if self.admission_policy is not None:
                 self.admission_policy.observe(request, latency_ps, now)
-            self._on_placed(request, now, latency_ps, False)
+        if self.observer is not None:
+            self.observer.on_placed(request, now, latency_ps, replaced)
         self._push(done + session_ps, "departure", (request.tenant, self._epoch))
         return True

@@ -191,6 +191,29 @@ class ClusterState:
         """
         return ""
 
+    # -- execution contract: no-ops on real nodes, the op stream when sharded ---------
+
+    def advance_epoch(self, now: int, service) -> None:
+        """The serving clock reached ``now``, about to dispatch an event
+        of ``service`` (whose heap a sharded speculation scan reads)."""
+
+    def end_serve(self) -> None:
+        """``serve()`` drained its heap: the sharded coordinator barriers
+        on its workers here, raising if any diverged, and merges traces."""
+
+    def opstream_stats(self) -> Dict[str, object]:
+        """The op-stream/speculation ledger — empty without an op stream."""
+        return {}
+
+    def close(self) -> None:
+        """Release execution resources (shard workers); idempotent."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
     def utilization_by_type(self) -> Dict[str, float]:
         """Instantaneous fleet occupancy over capacity, per type."""
         return {
@@ -296,3 +319,42 @@ class FleetCluster(ClusterState):
     def metrics_snapshot(self) -> Dict[str, object]:
         """One flat fleet-wide metric snapshot (``node<i>.<metric>``)."""
         return self.metrics_registry().snapshot()
+
+
+def open_fleet(
+    n_nodes: int,
+    *,
+    shards: int = 1,
+    lookahead: int = 0,
+    max_oversub: int = DEFAULT_MAX_OVERSUB,
+    params: Optional[PlatformParams] = None,
+    templates: Optional[Sequence[Sequence[str]]] = None,
+) -> ClusterState:
+    """The one way to build a fleet: ``with open_fleet(4, shards=2) as cluster``.
+
+    Returns a :class:`FleetCluster` of real nodes, or — when there is
+    something to partition (``shards > 1`` *and* more than one node; one
+    worker would only add IPC) — the sharded coordinator over forked shard
+    workers (:mod:`repro.parallel`, imported only then).  Either serves
+    through the same :class:`~repro.fleet.admission.FleetService` with
+    byte-identical results; leaving the ``with`` block stops any workers.
+    ``shards``/``lookahead`` are validated whichever cluster is built.
+    """
+    if shards < 1:
+        raise ConfigurationError("need at least one shard")
+    if lookahead < 0:
+        raise ConfigurationError("lookahead must be >= 0")
+    if shards > 1 and n_nodes > 1:
+        from repro.parallel import ShardedFleetCluster
+
+        return ShardedFleetCluster.build(
+            n_nodes,
+            shards=shards,
+            lookahead=lookahead,
+            templates=templates,
+            params=params,
+            max_oversub=max_oversub,
+        )
+    return FleetCluster.build(
+        n_nodes, templates=templates, params=params, max_oversub=max_oversub
+    )

@@ -29,21 +29,21 @@ health machine exactly, and is verified op-by-op by the workers — serve
 results, metric summaries, traces, and chaos envelopes are byte-identical
 to a serial run by construction, at any ``(shards, lookahead)``.
 
-:class:`ShardedFleetService` is the drop-in serving loop: a
-:class:`~repro.fleet.admission.FleetService` whose epoch hook forwards
-the clock (and itself, for speculation-window scans) to the cluster and
-whose serve() ends with a verification barrier + trace merge.
+The serving loop is the one :class:`~repro.fleet.admission.FleetService`:
+it calls :meth:`ShardedFleetCluster.advance_epoch` (with itself, for
+speculation-window scans) as its clock moves and :meth:`end_serve` — a
+verification barrier + trace merge — when its heap drains; both are
+no-ops on a cluster of real nodes.  Build through
+:func:`repro.fleet.open_fleet`.
 """
 
 from __future__ import annotations
 
-import pickle
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cloud.library import FpgaConfiguration
 from repro.errors import ConfigurationError, UnknownTenantError
-from repro.fleet.admission import FleetService
 from repro.fleet.cluster import DEFAULT_TEMPLATES
 from repro.fleet.node import DEFAULT_MAX_OVERSUB
 from repro.parallel.opstream import FrameEncoder, OpStreamStats
@@ -93,18 +93,14 @@ class ShardedFleetCluster(ShadowCluster):
         params=None,
         max_oversub: int = DEFAULT_MAX_OVERSUB,
         lookahead: int = 0,
-        codec: str = "binary",
     ) -> None:
         if shards < 1:
             raise ConfigurationError("need at least one shard")
         if lookahead < 0:
             raise ConfigurationError("lookahead must be >= 0")
-        if codec not in ("binary", "pickle"):
-            raise ConfigurationError(f"unknown op-stream codec {codec!r}")
         n_nodes = len(specs)
         self.shards = min(shards, n_nodes)
         self.lookahead = lookahead
-        self._codec = codec
         self._closed = False
         self._epoch_ps = 0
         self._epochs_since_flush = 0
@@ -112,7 +108,6 @@ class ShardedFleetCluster(ShadowCluster):
         self._event_context = ""
         self._speculation = SpeculationController(lookahead)
         self._stats = OpStreamStats()
-        self._stats.codec = codec
         self._stats.lookahead = lookahead
         #: Memoized :meth:`gather` result; invalidated by any op emission.
         self._gather_cache: Optional[Dict[int, Dict[str, object]]] = None
@@ -148,7 +143,6 @@ class ShardedFleetCluster(ShadowCluster):
                     self._first_pid,
                     op_queue,
                     ack_queue,
-                    codec,
                 ),
                 daemon=True,
                 name=f"repro-shard-{shard_index}",
@@ -192,7 +186,6 @@ class ShardedFleetCluster(ShadowCluster):
         params=None,
         max_oversub: int = DEFAULT_MAX_OVERSUB,
         lookahead: int = 0,
-        codec: str = "binary",
     ) -> "ShardedFleetCluster":
         """Same fleet :meth:`FleetCluster.build` produces, sharded S ways."""
         if n_nodes < 1:
@@ -207,7 +200,6 @@ class ShardedFleetCluster(ShadowCluster):
             params=params,
             max_oversub=max_oversub,
             lookahead=lookahead,
-            codec=codec,
         )
 
     # -- speculation-aware epoch contract ------------------------------------
@@ -303,15 +295,13 @@ class ShardedFleetCluster(ShadowCluster):
                 )
                 self._gather_cache = None
 
-    def advance_epoch(self, epoch_ps: int, *, service=None) -> None:
+    def advance_epoch(self, epoch_ps: int, service) -> None:
         """The fleet clock moved: flush completed epochs' ops.
 
-        ``service`` (passed by :class:`ShardedFleetService`) is what the
-        speculation grant scan reads the event heap through; without it
-        lookahead degrades gracefully to coalesced-flush-only.
+        ``service`` (the serving loop itself) is what the speculation
+        grant scan reads the event heap through.
         """
-        if service is not None:
-            self._service = service
+        self._service = service
         if epoch_ps == self._epoch_ps:
             return
         self._epoch_ps = epoch_ps
@@ -356,14 +346,8 @@ class ShardedFleetCluster(ShadowCluster):
     def _ship(self, shard: _Shard) -> None:
         batch = shard.buffer
         shard.buffer = []
-        if self._codec == "binary":
-            payload: object = shard.encoder.encode(batch)
-            self._stats.frame_bytes += len(payload)  # type: ignore[arg-type]
-        else:  # legacy pickle codec, kept selectable for honest benches
-            payload = batch
-            self._stats.frame_bytes += len(
-                pickle.dumps(batch, protocol=pickle.HIGHEST_PROTOCOL)
-            )
+        payload = shard.encoder.encode(batch)
+        self._stats.frame_bytes += len(payload)
         shard.op_queue.put(("ops", payload))
         self._stats.messages += 1
         self._stats.frames += 1
@@ -413,25 +397,32 @@ class ShardedFleetCluster(ShadowCluster):
             )
         return checkpoint
 
-    def barrier(self, token: str = "sync") -> None:
-        """Flush, then wait until every shard has applied everything.
+    def _observe(self, kind: str, token: str) -> List[tuple]:
+        """One observation round trip: cancel outstanding speculation,
+        flush, post ``(kind, token)`` to every shard, and collect the acks
+        (``(kind, worker_index, token, ..., errors)``) in shard order.
 
-        Raises with the worker's traceback if any op failed or any
+        Raises with the workers' tracebacks if any op failed or any
         placement diverged from the shadow's prediction.
         """
         self._rollback_outstanding("observation")
         self.flush(grant=False)
+        for shard in self._shards:
+            self._post(shard, (kind, token))
+        acks = [self._await_ack(shard) for shard in self._shards]
         errors: List[str] = []
-        for shard in self._shards:
-            self._post(shard, ("sync", token))
-        for shard in self._shards:
-            kind, worker_index, got, worker_errors = self._await_ack(shard)
-            assert kind == "sync" and got == token
-            errors.extend(worker_errors)
+        for ack in acks:
+            assert ack[0] == kind and ack[2] == token
+            errors.extend(ack[-1])
         if errors:
             raise RuntimeError(
                 "sharded fleet execution diverged:\n" + "\n".join(errors)
             )
+        return acks
+
+    def barrier(self, token: str = "sync") -> None:
+        """Flush, then wait until every shard has applied everything."""
+        self._observe("sync", token)
 
     # -- observation points (barriers) --------------------------------------
 
@@ -443,34 +434,18 @@ class ShardedFleetCluster(ShadowCluster):
         surfaces back-to-back) cost one round trip total.  Metric
         snapshots arrive as deltas against the previous gather and are
         folded into the coordinator's accumulator.
-
-        The legacy pickle codec deliberately reproduces the old
-        protocol end to end — no memoization, full snapshots — so
-        benches comparing the codecs compare whole protocols.
         """
-        if self._codec == "binary" and self._gather_cache is not None:
+        if self._gather_cache is not None:
             self._stats.gather_cache_hits += 1
             return self._gather_cache
-        self._rollback_outstanding("observation")
-        self.flush(grant=False)
         self._stats.gathers += 1
         reports: Dict[int, Dict[str, object]] = {}
-        errors: List[str] = []
-        for shard in self._shards:
-            self._post(shard, ("gather", "gather"))
-        for shard in self._shards:
-            kind, _worker, _token, shard_reports, worker_errors = (
-                self._await_ack(shard)
-            )
-            assert kind == "gather"
+        for _kind, _worker, _token, shard_reports, _errors in self._observe(
+            "gather", "gather"
+        ):
             for index, report in shard_reports.items():
                 report["metrics"] = self._fold_metrics(index, report["metrics"])
                 reports[index] = report
-            errors.extend(worker_errors)
-        if errors:
-            raise RuntimeError(
-                "sharded fleet execution diverged:\n" + "\n".join(errors)
-            )
         result = {index: reports[index] for index in sorted(reports)}
         self._gather_cache = result
         return result
@@ -515,25 +490,21 @@ class ShardedFleetCluster(ShadowCluster):
             for index, report in reports.items()
         }
 
+    def end_serve(self) -> None:
+        """The serving loop drained: wait for the shards to finish applying
+        the op stream, verify no divergence, and fold their trace events
+        back into the coordinator's tracer."""
+        self.barrier("serve-end")
+        self.merge_traces()
+
     def merge_traces(self) -> None:
         """Pull every shard's trace events into the coordinator tracer,
         renumbered into the reserved pid block (serial pid order)."""
         if self._tracer is None:
             return
-        self._rollback_outstanding("observation")
-        self.flush(grant=False)
-        for shard in self._shards:
-            self._post(shard, ("trace", "trace"))
-        for shard in self._shards:
-            kind, worker_index, _token, events, worker_errors = (
-                self._await_ack(shard)
-            )
-            assert kind == "trace"
-            if worker_errors:
-                raise RuntimeError(
-                    "sharded fleet execution diverged:\n"
-                    + "\n".join(worker_errors)
-                )
+        for _kind, worker_index, _token, events, _errors in self._observe(
+            "trace", "trace"
+        ):
             pid_map = {
                 local_pid: self._first_pid + node_index
                 for node_index, local_pid in self._pid_maps[worker_index].items()
@@ -557,40 +528,3 @@ class ShardedFleetCluster(ShadowCluster):
             shard.process.join(timeout=10)
             if shard.process.is_alive():  # pragma: no cover - defensive
                 shard.process.terminate()
-
-    def __enter__(self) -> "ShardedFleetCluster":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-
-class ShardedFleetService(FleetService):
-    """The serving loop over a :class:`ShardedFleetCluster`.
-
-    Identical control flow to :class:`FleetService` (it *is* one); the
-    epoch hook forwards the fleet clock — and the service itself, whose
-    event heap is what the speculation grant scan reads — to the
-    cluster so completed epochs' ops stream to the shards while the
-    loop keeps running, and serve() ends with one verification barrier
-    + trace merge.
-    """
-
-    def __init__(self, cluster: ShardedFleetCluster, policy, **kwargs) -> None:
-        if not isinstance(cluster, ShardedFleetCluster):
-            raise ConfigurationError(
-                "ShardedFleetService needs a ShardedFleetCluster"
-            )
-        super().__init__(cluster, policy, **kwargs)
-
-    def _advance_epoch(self, now: int) -> None:
-        self.cluster.advance_epoch(now, service=self)
-
-    def serve(self, requests) -> "ServeResult":  # noqa: F821 - parent type
-        result = super().serve(requests)
-        # Everything after this is observation: wait for the shards to
-        # finish applying the op stream, verify no divergence, and fold
-        # their trace events back into the coordinator's tracer.
-        self.cluster.barrier("serve-end")
-        self.cluster.merge_traces()
-        return result

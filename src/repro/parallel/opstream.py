@@ -292,14 +292,12 @@ class OpStreamStats:
     """
 
     def __init__(self) -> None:
-        self.codec = "binary"
         self.lookahead = 0
         #: Every queue put (op frames + control messages).
         self.messages = 0
         #: "ops" messages only.
         self.frames = 0
-        #: Encoded op-frame payload bytes (for the legacy pickle codec,
-        #: the pickled batch size — the honest like-for-like number).
+        #: Encoded op-frame payload bytes.
         self.frame_bytes = 0
         self.ops = 0
         self.flushes = 0
@@ -327,7 +325,6 @@ class OpStreamStats:
 
     def to_dict(self) -> Dict[str, object]:
         return {
-            "codec": self.codec,
             "lookahead": self.lookahead,
             "messages": self.messages,
             "frames": self.frames,

@@ -12,11 +12,10 @@ degrade / restore / bump_auditor`` — plus the speculation pair
 undo state) and ``spec_rollback`` (reinstate named speculative evictions,
 newest first, verifying the rebuilt guests digest identically).
 
-Op batches arrive either as plain lists (legacy pickle codec) or as
-binary frames (:mod:`repro.parallel.opstream`); each op is stamped with
-the epoch (simulated fleet time) it belongs to and applied strictly in
-emission order per node — the same order the serial serving loop would
-have applied them.  ``place`` ops carry the shadow's *predicted* slot and
+Op batches arrive as binary frames (:mod:`repro.parallel.opstream`);
+each op is stamped with the epoch (simulated fleet time) it belongs to
+and applied strictly in emission order per node — the same order the
+serial serving loop would have applied them.  ``place`` ops carry the shadow's *predicted* slot and
 oversubscription flag.  Shadow and real share one
 :class:`~repro.cloud.slots.SlotLedger` implementation, so they agree by
 construction; the worker still verifies, as the oracle, that the real
@@ -56,16 +55,15 @@ def shard_worker_main(
     first_pid: int,
     op_queue,
     ack_queue,
-    codec: str = "binary",
 ) -> None:  # pragma: no cover - runs in a forked subprocess
     """Entry point of one shard worker process.
 
     ``node_descs`` is ``[(global_index, name, slots), ...]`` in global
     node order.  Messages on ``op_queue``:
 
-    * ``("ops", frame_bytes_or_list)`` — apply a batch of
-      ``(global_index, epoch_ps, op, payload)`` ops; binary frames are
-      decoded via :func:`repro.parallel.opstream.decode_frame`
+    * ``("ops", frame_bytes)`` — apply a batch of
+      ``(global_index, epoch_ps, op, payload)`` ops, decoded by this
+      stream's :class:`~repro.parallel.opstream.FrameDecoder`
     * ``("checkpoint", token, global_index, tenant_name)`` — quiesce and
       serialize one resident guest; ack ``("checkpoint", worker_index,
       token, checkpoint_or_None, errors)``
@@ -159,10 +157,7 @@ def shard_worker_main(
         if kind == "exit":
             return
         if kind == "ops":
-            batch = message[1]
-            if isinstance(batch, (bytes, bytearray)):
-                batch = decoder.decode(batch)
-            for global_index, epoch_ps, op, payload in batch:
+            for global_index, epoch_ps, op, payload in decoder.decode(message[1]):
                 try:
                     if op == "spec_evict":
                         tenant_name = payload[0]
@@ -212,9 +207,7 @@ def shard_worker_main(
                 for global_index, node in nodes.items():
                     snapshot = node.provider.platform.metrics.snapshot()
                     previous = last_metrics.get(global_index)
-                    if previous is None or codec == "pickle":
-                        # The legacy codec reproduces the old protocol:
-                        # every gather ships the full snapshot.
+                    if previous is None:
                         shipped: tuple = ("full", snapshot)
                     else:
                         changed = {

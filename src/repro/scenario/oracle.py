@@ -270,31 +270,35 @@ def _run_burst(scenario: Scenario) -> OracleResult:
 
 
 def _fleet_arm(
-    scenario: Scenario, sharded: bool, failures: List[str]
+    scenario: Scenario, shards: int, failures: List[str]
 ) -> Dict[str, object]:
     from repro.fleet import (
-        FleetCluster,
+        FleetObserver,
         FleetService,
         TrafficGenerator,
         TrafficProfile,
         make_policy,
+        open_fleet,
     )
 
     f = scenario.fields
     nodes = int(f["nodes"])
-    cluster = None
-    try:
-        if sharded:
-            from repro.parallel import ShardedFleetCluster, ShardedFleetService
+    migrations: List[Tuple[str, Optional[str]]] = []
 
-            cluster = ShardedFleetCluster.build(
-                nodes, shards=2, lookahead=int(f.get("lookahead", 0))
+    class DrainRecorder(FleetObserver):
+        # The only op a fleet scenario schedules is the drain below.
+        def on_op(self, verb: str, report, now: int) -> None:
+            migrations.extend(
+                (outcome.tenant, outcome.checkpoint_digest)
+                for outcome in report.migrated
             )
-            service_cls = ShardedFleetService
-        else:
-            cluster = FleetCluster.build(nodes)
-            service_cls = FleetService
-        service = service_cls(cluster, make_policy(str(f["policy"])))
+
+    with open_fleet(
+        nodes, shards=shards, lookahead=int(f.get("lookahead", 0))
+    ) as cluster:
+        service = FleetService(
+            cluster, make_policy(str(f["policy"])), observer=DrainRecorder()
+        )
         if f["fault_plan"] != "none":
             service.install_faults(_plan_for(str(f["fault_plan"])))
         standby = int(f["autoscale_standby"])
@@ -303,15 +307,7 @@ def _fleet_arm(
 
             names = tuple(f"node{i}" for i in range(nodes - standby, nodes))
             service.install_autoscaler(AutoscaleConfig(standby_nodes=names))
-        migrations: List[Tuple[str, Optional[str]]] = []
         if f["drain_node"] != "none":
-            def record_op(verb: str, report, now_ps: int) -> None:
-                migrations.extend(
-                    (outcome.tenant, outcome.checkpoint_digest)
-                    for outcome in report.migrated
-                )
-
-            service.op_observer = record_op
             service.schedule_op(
                 ms(int(f["drain_at_ms"])), "drain", node_name=str(f["drain_node"])
             )
@@ -332,15 +328,12 @@ def _fleet_arm(
         if service.autoscaler is not None:
             observables["autoscaler"] = to_jsonable(service.autoscaler.summary())
         return observables
-    finally:
-        if sharded and cluster is not None:
-            cluster.close()
 
 
 def _run_fleet(scenario: Scenario) -> OracleResult:
     result = OracleResult(scenario)
-    serial = _fleet_arm(scenario, False, result.failures)
-    sharded = _fleet_arm(scenario, True, result.failures)
+    serial = _fleet_arm(scenario, 1, result.failures)
+    sharded = _fleet_arm(scenario, 2, result.failures)
     _diff(result.failures, "serial vs sharded fleet result", serial, sharded)
     result.failures.extend(
         properties.check_fleet(serial, int(scenario.fields["requests"]))
@@ -356,30 +349,13 @@ def _run_fleet(scenario: Scenario) -> OracleResult:
 
 
 def _serve_arm(
-    scenario: Scenario, sharded: bool, failures: List[str]
+    scenario: Scenario, shards: int, failures: List[str]
 ) -> Dict[str, object]:
-    from repro.fleet import AdmissionConfig, FleetCluster, make_policy
-    from repro.serve import (
-        Gateway,
-        GatewayFleetService,
-        GatewayShardedFleetService,
-        ServeProfile,
-        SloBudgetPolicy,
-        synthesize,
-    )
+    from repro.fleet import AdmissionConfig, FleetService, make_policy, open_fleet
+    from repro.serve import Gateway, ServeProfile, SloBudgetPolicy, synthesize
 
     f = scenario.fields
-    nodes = int(f["nodes"])
-    cluster = None
-    try:
-        if sharded:
-            from repro.parallel import ShardedFleetCluster
-
-            cluster = ShardedFleetCluster.build(nodes, shards=2)
-            service_cls = GatewayShardedFleetService
-        else:
-            cluster = FleetCluster.build(nodes)
-            service_cls = GatewayFleetService
+    with open_fleet(int(f["nodes"]), shards=shards) as cluster:
         trace = synthesize(
             ServeProfile(
                 load=float(f["load"]),
@@ -394,7 +370,7 @@ def _serve_arm(
         admission_policy = (
             SloBudgetPolicy() if f["admission"] == "slo-budget" else None
         )
-        service = service_cls(
+        service = FleetService(
             cluster,
             make_policy("best-fit"),
             admission=AdmissionConfig(),
@@ -403,15 +379,12 @@ def _serve_arm(
         outcome = Gateway(service, trace).run().to_dict()
         failures.extend(properties.check_ledgers(cluster))
         return outcome
-    finally:
-        if sharded and cluster is not None:
-            cluster.close()
 
 
 def _run_serve(scenario: Scenario) -> OracleResult:
     result = OracleResult(scenario)
-    serial = _serve_arm(scenario, False, result.failures)
-    sharded = _serve_arm(scenario, True, result.failures)
+    serial = _serve_arm(scenario, 1, result.failures)
+    sharded = _serve_arm(scenario, 2, result.failures)
     _diff(result.failures, "serial vs sharded gateway result", serial, sharded)
     result.failures.extend(properties.check_serve(serial))
     result.observables = serial

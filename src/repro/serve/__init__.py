@@ -24,7 +24,6 @@ from repro.serve.gateway import (
     Gateway,
     GatewayFleetService,
     GatewayResult,
-    GatewayShardedFleetService,
     SessionHandle,
 )
 from repro.serve.slo import (
@@ -44,9 +43,7 @@ __all__ = [
     "ArrivalTrace",
     "AttainmentMonitor",
     "Gateway",
-    "GatewayFleetService",
     "GatewayResult",
-    "GatewayShardedFleetService",
     "ServeProfile",
     "SessionHandle",
     "SessionRecord",

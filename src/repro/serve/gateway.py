@@ -14,11 +14,12 @@ of determinism:
   (enter → live → disconnect, with an ``_on_disconnect`` hook that
   forgets the session) — the fleet-level analog of holding a
   ``GuestAccelerator``;
-* the event loop is **pumped from the epoch protocol**: the serving
-  loop already calls :meth:`FleetService._advance_epoch` at every event
-  boundary (the same hook the sharded executor uses to flush operation
-  batches, mirroring ``Engine.run_epoch``), and the gateway drains all
-  ready coroutine steps there.  No wall-clock timers, no I/O: a
+* the event loop is **pumped from the epoch protocol**: the gateway is
+  the serving loop's observer (:class:`~repro.fleet.admission
+  .FleetObserver`), and the loop calls :meth:`Gateway.on_epoch` at every
+  event boundary — right after the cluster's own epoch advance, which on
+  a sharded fleet flushes operation batches — where the gateway drains
+  all ready coroutine steps.  No wall-clock timers, no I/O: a
   coroutine only ever wakes because a simulated event resolved its
   future, and wakeups run in FIFO resolution order — so the interleaving
   is a pure function of the trace;
@@ -27,11 +28,11 @@ of determinism:
   backwards, and a chain's next session enters the heap exactly where a
   real returning client would.
 
-The gateway works unchanged over the serial and sharded fleets:
-:class:`GatewayFleetService` and :class:`GatewayShardedFleetService`
-mix the hooks into either base, and because every hook fires inside the
-deterministic serving loop the resulting envelopes are byte-identical
-at any ``--shards N``.
+The gateway works unchanged over the serial and sharded fleets: it
+observes the one :class:`FleetService` loop, whichever cluster that loop
+drives, and because every observer call fires inside the deterministic
+serving loop the resulting envelopes are byte-identical at any
+``--shards N``.
 """
 
 from __future__ import annotations
@@ -41,9 +42,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.fleet.admission import AdmissionDecision, FleetService, ServeResult
+from repro.fleet.admission import (
+    AdmissionDecision,
+    FleetObserver,
+    FleetService,
+    ServeResult,
+)
 from repro.fleet.traffic import TenantRequest
-from repro.parallel import ShardedFleetService
 from repro.serve.trace import ArrivalTrace, SessionRecord
 from repro.sim.stats import Counters, LatencyRecorder
 from repro.telemetry import MetricRegistry, current_tracer
@@ -92,7 +97,7 @@ class SessionHandle:
     async def __aexit__(self, *exc) -> None:
         self.disconnect()
 
-    # -- driven by the gateway hooks ---------------------------------------
+    # -- driven by the gateway's observer calls ----------------------------
 
     def _mark_live(self, latency_ps: int) -> None:
         self.state = "live"
@@ -146,23 +151,19 @@ class GatewayResult:
         }
 
 
-class Gateway:
-    """Replays an :class:`ArrivalTrace` through a gateway-aware service."""
+class Gateway(FleetObserver):
+    """Replays an :class:`ArrivalTrace` through a :class:`FleetService`,
+    as that service's observer."""
 
     def __init__(
         self,
-        service: "FleetService",
+        service: FleetService,
         trace: ArrivalTrace,
         *,
         registry: Optional[MetricRegistry] = None,
     ) -> None:
-        attach = getattr(service, "attach_gateway", None)
-        if attach is None:
-            raise ConfigurationError(
-                "Gateway needs a GatewayFleetService or "
-                "GatewayShardedFleetService (plain FleetService has no "
-                "gateway hooks)"
-            )
+        if service.observer is not None:
+            raise ConfigurationError("service already has an observer attached")
         self.service = service
         self.trace = trace
         self.registry = registry if registry is not None else MetricRegistry("serve")
@@ -182,7 +183,7 @@ class Gateway:
         if self._trace_scope is not None:
             self._tid_sessions = self._trace_scope.thread("sessions")
             self._tid_admission = self._trace_scope.thread("admission")
-        attach(self)
+        service.observer = self
 
     # -- the connect() surface ---------------------------------------------
 
@@ -227,9 +228,17 @@ class Gateway:
                 return
             previous_done = done_ps
 
-    # -- service hooks (called inside the serving loop) --------------------
+    # -- FleetObserver (called inside the serving loop) --------------------
 
-    def _on_decision(
+    def on_epoch(self, now: int) -> None:
+        if self._need_pump:
+            self._pump(now)
+
+    def on_drained(self, now: int) -> None:
+        # Final notifications; woken coroutines may push follow-up arrivals.
+        self._pump(now)
+
+    def on_decision(
         self, request: TenantRequest, decision: AdmissionDecision, now: int
     ) -> None:
         handle = self._live.get(request.request_id)
@@ -245,7 +254,7 @@ class Gateway:
                           "class": request.tenant_class,
                           "reason": decision.reason})
 
-    def _on_placed(
+    def on_placed(
         self, request: TenantRequest, now: int, latency_ps: int, replaced: bool
     ) -> None:
         if replaced:
@@ -257,7 +266,7 @@ class Gateway:
             self._class_recorder(request.tenant_class).record(latency_ps)
             self.counters.bump("bytes_admitted", handle.record.working_set)
 
-    def _on_outcome(self, request: TenantRequest, outcome: str, now: int) -> None:
+    def on_outcome(self, request: TenantRequest, outcome: str, now: int) -> None:
         handle = self._live.get(request.request_id)
         if handle is None:
             return
@@ -362,53 +371,6 @@ class Gateway:
         return report
 
 
-class _GatewayHooks:
-    """Mixin wiring :class:`FleetService` hooks into an attached gateway."""
-
-    _gateway: Optional[Gateway] = None
-
-    def attach_gateway(self, gateway: Gateway) -> None:
-        if self._gateway is not None:
-            raise ConfigurationError("service already has a gateway attached")
-        self._gateway = gateway
-
-    def _advance_epoch(self, now: int) -> None:
-        super()._advance_epoch(now)
-        gateway = self._gateway
-        if gateway is not None and gateway._need_pump:
-            gateway._pump(now)
-
-    def _post_drain(self) -> bool:
-        gateway = self._gateway
-        if gateway is None:
-            return False
-        gateway._pump(self._now)
-        # Woken coroutines may have pushed follow-up arrivals.
-        return bool(self._heap)
-
-    def _on_outcome(self, request, outcome, now) -> None:
-        if self._gateway is not None:
-            self._gateway._on_outcome(request, outcome, now)
-
-    def _on_placed(self, request, now, latency_ps, replaced) -> None:
-        if self._gateway is not None:
-            self._gateway._on_placed(request, now, latency_ps, replaced)
-
-    def _on_decision(self, request, decision, now) -> None:
-        if self._gateway is not None:
-            self._gateway._on_decision(request, decision, now)
-
-
-class GatewayFleetService(_GatewayHooks, FleetService):
-    """Serial fleet service with gateway hooks."""
-
-
-class GatewayShardedFleetService(_GatewayHooks, ShardedFleetService):
-    """Sharded fleet service with gateway hooks.
-
-    The hooks compose cleanly with sharding because they all fire on the
-    coordinator: ``_advance_epoch`` first flushes the completed epoch's
-    operation batch to the shard workers (``super()``), then pumps the
-    event loop — so coroutines observe exactly the same serving state at
-    exactly the same simulated times as in the serial case.
-    """
+# The frozen benchmark (benchmarks/stackbench/workloads.py) imports this
+# name; any FleetService takes a gateway, so it is only a binding.
+GatewayFleetService = FleetService

@@ -10,6 +10,7 @@ enabling SLO classes must not perturb the legacy RNG streams, and the
 CLI mode surface must be single-sourced from the stack registry.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -230,6 +231,36 @@ class TestCapacityCli:
         # Uncontended: the two backends agree on the numbers too.
         assert des["placements"] == analytic["placements"]
         assert des["latency_ps"] == analytic["latency_ps"]
+
+    def test_des_probe_sees_every_placement_and_the_envelope_is_pinned(
+        self, capsys
+    ):
+        # capacity_des records latency through the serving loop's observer
+        # slot (it used to subclass FleetService).  Overloaded on purpose:
+        # placements < requests, so "every placement, nothing else" bites.
+        code, captured = self.run_cli(
+            capsys,
+            "capacity",
+            "--mode", "optimus",
+            "--tenants", "600",
+            "--nodes", "2",
+            "--load", "3.0",
+            "--seed", "5",
+            "--no-goodput",
+            "--json",
+        )
+        assert code == 0
+        envelope = json.loads(captured.out)
+        results = envelope["results"]
+        observed = sum(c["expected_placed"] for c in results["classes"].values())
+        assert observed == results["placements"] == 519.0 < results["requests"]
+        # The envelope the subclass-based probe emitted (PR 12), minus the
+        # one field that depends on what else this process calibrated.
+        del results["calibration_digest"]
+        canonical = json.dumps(envelope, sort_keys=True).encode()
+        assert hashlib.sha256(canonical).hexdigest() == (
+            "93b945427580ccef079903f684a35ac457ac810e71abefc6edff7d9b48bcc86c"
+        )
 
     def test_passthrough_mode_is_a_usage_error(self, capsys):
         code, captured = self.run_cli(

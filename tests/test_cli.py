@@ -1,6 +1,7 @@
 """Tests for the ``python -m repro`` command-line entry point."""
 
 import json
+import os
 import sys
 import types
 
@@ -131,6 +132,52 @@ class TestRunJson:
         # Narration must not pollute the machine-readable stream.
         assert "human narration" not in captured.out
         assert "human narration" in captured.err
+
+
+class TestReferenceModeIsScoped:
+    def test_reference_flag_does_not_leak_into_the_caller(
+        self, capsys, stub_experiment, monkeypatch
+    ):
+        # Regression: --reference set REPRO_FAST_PATH=0 and the process-wide
+        # fast-path default and restored neither, so every later in-process
+        # cli.main() call silently ran on the reference path.
+        from repro.platform.params import default_fast_path
+
+        monkeypatch.delenv("REPRO_FAST_PATH", raising=False)
+        assert default_fast_path() is True
+        code = cli.main(["run", "stub", "--reference", "--no-cache", "--json"])
+        envelope = json.loads(capsys.readouterr().out)
+        assert code == 0 and envelope["params"]["reference"] is True
+        assert default_fast_path() is True
+        assert "REPRO_FAST_PATH" not in os.environ
+
+    def test_a_preset_environment_value_is_put_back(
+        self, capsys, stub_experiment, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_FAST_PATH", "1")
+        assert cli.main(["run", "stub", "--reference", "--no-cache"]) == 0
+        capsys.readouterr()
+        assert os.environ["REPRO_FAST_PATH"] == "1"
+
+
+class TestShardingFlagsAreAlwaysValidated:
+    """Regression: ``--shards``/``--lookahead`` were checked only when the
+    run happened to shard (more than one node *and* more than one shard)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fleet", "--nodes", "2", "--shards", "0"),
+            ("fleet", "--nodes", "1", "--shards", "2", "--lookahead", "-1"),
+            ("serve", "--quick", "--shards", "0"),
+            ("serve", "--quick", "--nodes", "1", "--lookahead", "-1"),
+            ("chaos", "fleet", "--shards", "0"),
+            ("chaos", "fleet", "--nodes", "1", "--shards", "3", "--lookahead", "-2"),
+        ],
+    )
+    def test_bad_value_is_a_usage_error(self, capsys, argv):
+        assert cli.main(list(argv)) == 2
+        assert f"{argv[0]}: error:" in capsys.readouterr().err
 
 
 class TestTraceCommand:

@@ -22,6 +22,7 @@ from repro.accel import AesJob
 from repro.accel.streaming import REG_DST, REG_LEN, REG_SRC
 from repro.fleet import (
     FleetCluster,
+    FleetObserver,
     FleetService,
     TrafficGenerator,
     TrafficProfile,
@@ -183,14 +184,17 @@ class TestFleetOpsVerbs:
         assert service.ops.crash("node0", now=0).node == "node0"
 
     def test_op_observer_receives_typed_reports(self):
-        # The serving loop discards scheduled-verb reports; op_observer is
-        # the supported way to see them (the fuzz oracle records migration
-        # checkpoint digests through it).
+        # The serving loop discards scheduled-verb reports; the observer's
+        # on_op is the supported way to see them (the fuzz oracle records
+        # migration checkpoint digests through it).
         _cluster, service, generator = make_fleet()
         seen = []
-        service.op_observer = lambda verb, report, now_ps: seen.append(
-            (verb, report, now_ps)
-        )
+
+        class OpRecorder(FleetObserver):
+            def on_op(self, verb, report, now_ps):
+                seen.append((verb, report, now_ps))
+
+        service.observer = OpRecorder()
         service.schedule_op(ms(3), "drain", node_name="node0")
         service.serve(generator.generate(60))
         assert [verb for verb, _r, _n in seen] == ["drain"]

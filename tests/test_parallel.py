@@ -268,64 +268,162 @@ class TestShardedByteIdentity:
         assert all("simulated_ps" in report for report in nodes.values())
 
 
-def _serve_traced(shards, *, seed, with_faults, lookahead=0):
+def serve_surfaces(
+    shards,
+    lookahead=0,
+    *,
+    seed=1,
+    plan=None,
+    standby=(),
+    gateway=False,
+    traced=False,
+    requests=36,
+):
+    """One serve on ``open_fleet(3, shards, lookahead)`` through the one
+    loop, bare or observed by a :class:`Gateway`; returns every
+    observation surface as one canonical string, plus the op-stream
+    ledger (``{}`` on real nodes).  Shared with ``test_speculation``."""
     from repro.faults import resolve_plan
     from repro.fleet import (
-        FleetCluster,
+        AutoscaleConfig,
         FleetService,
         TrafficGenerator,
         TrafficProfile,
         make_policy,
+        open_fleet,
     )
+    from repro.scenario.properties import check_ledgers
+    from repro.serve import Gateway, ServeProfile, synthesize
     from repro.telemetry.tracer import install_tracer, uninstall_tracer
 
-    tracer = install_tracer()
+    tracer = install_tracer() if traced else None
     try:
-        if shards > 1:
-            from repro.parallel import ShardedFleetCluster, ShardedFleetService
-
-            cluster = ShardedFleetCluster.build(
-                3, shards=shards, lookahead=lookahead
+        with open_fleet(3, shards=shards, lookahead=lookahead) as cluster:
+            service = FleetService(cluster, make_policy("best-fit"))
+            if plan is not None:
+                service.install_faults(resolve_plan(plan))
+            if standby:
+                service.install_autoscaler(AutoscaleConfig(standby_nodes=standby))
+            surfaces = {}
+            if gateway:
+                trace = synthesize(
+                    ServeProfile(load=0.85, followup_prob=0.3),
+                    sessions=requests,
+                    fleet_slots=cluster.total_slots,
+                    seed=seed,
+                )
+                observed = Gateway(service, trace).run()
+                result = observed.serve
+                surfaces["gateway"] = observed.to_dict()
+            else:
+                generator = TrafficGenerator(
+                    TrafficProfile(load=0.85),
+                    fleet_slots=cluster.total_slots,
+                    seed=seed,
+                )
+                result = service.serve(generator.generate(requests))
+            assert check_ledgers(cluster) == []
+            surfaces.update(
+                summary=result.summary(),
+                outcomes=dict(result.outcomes),
+                nodes=cluster.simulated_report(),
+                metrics=cluster.metrics_snapshot(),
+                occupancy=cluster.occupancy_report(),
             )
-            service_cls = ShardedFleetService
-        else:
-            cluster = FleetCluster.build(3)
-            service_cls = FleetService
-        try:
-            generator = TrafficGenerator(
-                TrafficProfile(load=0.85),
-                fleet_slots=cluster.total_slots,
-                seed=seed,
-            )
-            service = service_cls(cluster, make_policy("best-fit"))
-            if with_faults:
-                service.install_faults(resolve_plan("single-node-crash"))
-            result = service.serve(generator.generate(36))
-            summary = result.summary()
-            snapshot = cluster.metrics_snapshot()
-        finally:
-            if shards > 1:
-                cluster.close()
-        tracer.finalize()
-        return tracer.to_json(), summary, snapshot
+            stats = cluster.opstream_stats()
+        if tracer is not None:
+            tracer.finalize()
+            surfaces["trace"] = tracer.to_json()
+        return json.dumps(surfaces, sort_keys=True, default=str), stats
     finally:
-        uninstall_tracer()
+        if tracer is not None:
+            uninstall_tracer()
+
+
+#: Serial, conservative streaming, and two speculation depths.
+FLEET_MATRIX = [(1, 0), (2, 0), (2, 4), (3, 8)]
+
+
+class TestOneLoopEveryFleet:
+    """The one ``FleetService`` over whatever ``open_fleet`` returns."""
+
+    @pytest.mark.parametrize("gateway", [False, True], ids=["bare", "gateway"])
+    @pytest.mark.parametrize("shards,lookahead", FLEET_MATRIX)
+    def test_surfaces_match_serial(self, shards, lookahead, gateway):
+        serial, no_stats = serve_surfaces(1, gateway=gateway)
+        surfaces, stats = serve_surfaces(shards, lookahead, gateway=gateway)
+        assert surfaces == serial
+        assert no_stats == {} and bool(stats) == (shards > 1)
+
+    @pytest.mark.parametrize("n_nodes,shards", [(1, 4), (4, 1)])
+    def test_nothing_to_partition_builds_real_nodes_and_forks_nothing(
+        self, n_nodes, shards
+    ):
+        import multiprocessing
+
+        from repro.fleet import FleetCluster, open_fleet
+
+        before = multiprocessing.active_children()
+        with open_fleet(n_nodes, shards=shards, lookahead=8) as cluster:
+            assert type(cluster) is FleetCluster
+            assert multiprocessing.active_children() == before
+
+    def test_workers_are_stopped_when_the_block_raises(self):
+        import multiprocessing
+
+        from repro.fleet import open_fleet
+
+        def shard_workers():
+            return [
+                child
+                for child in multiprocessing.active_children()
+                if child.name.startswith("repro-shard-")
+            ]
+
+        with pytest.raises(ZeroDivisionError):
+            with open_fleet(3, shards=2, lookahead=4):
+                assert len(shard_workers()) == 2
+                1 / 0
+        assert shard_workers() == []
+
+    def test_the_serving_loop_has_no_subclasses(self):
+        # The structural pin: execution strategy lives in the cluster and
+        # extensions in the observer slot, never in a FleetService subclass.
+        import repro.analytic  # noqa: F401
+        import repro.parallel  # noqa: F401
+        import repro.scenario  # noqa: F401
+        import repro.serve  # noqa: F401
+        from repro.fleet import FleetService
+
+        assert FleetService.__subclasses__() == []
+        assert repro.parallel.ShardedFleetService is FleetService
+        assert repro.serve.GatewayFleetService is FleetService
+
+    def test_gateway_refuses_a_service_that_already_has_an_observer(self):
+        from repro.errors import ConfigurationError
+        from repro.fleet import FleetObserver, FleetService, make_policy, open_fleet
+        from repro.serve import Gateway, ServeProfile, synthesize
+
+        with open_fleet(1) as cluster:
+            service = FleetService(
+                cluster, make_policy("best-fit"), observer=FleetObserver()
+            )
+            trace = synthesize(ServeProfile(), sessions=4, fleet_slots=6, seed=1)
+            with pytest.raises(ConfigurationError, match="already has an observer"):
+                Gateway(service, trace)
 
 
 class TestShardedTraces:
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("with_faults", [False, True])
     def test_trace_files_identical_across_shard_counts(self, seed, with_faults):
-        serial_trace, serial_summary, serial_snapshot = _serve_traced(
-            1, seed=seed, with_faults=with_faults
-        )
+        plan = "single-node-crash" if with_faults else None
+        serial, _ = serve_surfaces(1, seed=seed, plan=plan, traced=True)
         for shards, lookahead in SHARD_MATRIX:
-            trace, summary, snapshot = _serve_traced(
-                shards, seed=seed, with_faults=with_faults, lookahead=lookahead
+            sharded, _ = serve_surfaces(
+                shards, lookahead, seed=seed, plan=plan, traced=True
             )
-            assert trace == serial_trace
-            assert summary == serial_summary
-            assert snapshot == serial_snapshot
+            assert sharded == serial
 
 
 class TestShardedClusterSurface:

@@ -18,12 +18,11 @@ import pytest
 
 from repro import __main__ as cli
 from repro.errors import ConfigurationError
-from repro.fleet import FleetCluster, make_policy
+from repro.fleet import FleetCluster, FleetService, make_policy
 from repro.serve import (
     ArrivalTrace,
     AttainmentMonitor,
     Gateway,
-    GatewayFleetService,
     ServeProfile,
     SessionRecord,
     SloBudgetPolicy,
@@ -49,7 +48,7 @@ def make_trace(sessions=300, seed=7, slots=18, **profile_kwargs):
 
 def run_gateway(trace, *, nodes=3, admission_policy=None, plan=None):
     cluster = FleetCluster.build(nodes)
-    service = GatewayFleetService(
+    service = FleetService(
         cluster, make_policy("best-fit"), admission_policy=admission_policy
     )
     if plan is not None:

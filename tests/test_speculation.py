@@ -195,7 +195,7 @@ class TestLookaheadDeterminism:
         # (reinstate_eviction raises otherwise, and serve()'s end barrier
         # re-raises it here); the run itself ends with the shadow ledgers
         # checked against the workers' recount.
-        serial = _chaos_autoscale_run(shards=1)
+        serial, _ = _chaos_autoscale_run(shards=1)
         sharded, stats = _chaos_autoscale_run(shards=2, lookahead=4)
         assert stats["rollbacks"] >= 1, (
             "scenario was supposed to conflict; tune the plan if the "
@@ -203,64 +203,15 @@ class TestLookaheadDeterminism:
         )
         assert sharded == serial
 
-    def test_legacy_pickle_codec_matches_too(self):
-        serial = _chaos_autoscale_run(shards=1)
-        sharded, _stats = _chaos_autoscale_run(
-            shards=2, lookahead=4, codec="pickle"
-        )
-        assert sharded == serial
 
-
-def _chaos_autoscale_run(*, shards, lookahead=0, codec="binary"):
+def _chaos_autoscale_run(*, shards, lookahead=0):
     """Autoscaler evacuations during a chaos plan: migrations land in
     epochs the workers have already speculated past."""
-    from repro.faults import resolve_plan
-    from repro.scenario.properties import check_ledgers
-    from repro.fleet import (
-        AutoscaleConfig,
-        FleetCluster,
-        FleetService,
-        TrafficGenerator,
-        TrafficProfile,
-        make_policy,
+    from tests.test_parallel import serve_surfaces
+
+    return serve_surfaces(
+        shards, lookahead, plan="degrade-crash", standby=("node2",), requests=60
     )
-
-    if shards > 1:
-        from repro.parallel import ShardedFleetCluster, ShardedFleetService
-
-        cluster = ShardedFleetCluster.build(
-            3, shards=shards, lookahead=lookahead, codec=codec
-        )
-        service_cls = ShardedFleetService
-    else:
-        cluster = FleetCluster.build(3)
-        service_cls = FleetService
-    try:
-        generator = TrafficGenerator(
-            TrafficProfile(load=0.85),
-            fleet_slots=cluster.total_slots,
-            seed=1,
-        )
-        service = service_cls(cluster, make_policy("best-fit"))
-        service.install_faults(resolve_plan("degrade-crash"))
-        service.install_autoscaler(AutoscaleConfig(standby_nodes=("node2",)))
-        result = service.serve(generator.generate(60))
-        assert check_ledgers(cluster) == []
-        surfaces = _summary_bytes(
-            {
-                "summary": result.summary(),
-                "outcomes": dict(result.outcomes),
-                "nodes": cluster.simulated_report(),
-                "metrics": cluster.metrics_snapshot(),
-                "occupancy": cluster.occupancy_report(),
-            }
-        )
-        if shards > 1:
-            return surfaces, cluster.opstream_stats()
-        return surfaces
-    finally:
-        if shards > 1:
-            cluster.close()
 
 
 # -- worker-side rollback --------------------------------------------------------
