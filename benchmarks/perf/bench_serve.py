@@ -3,8 +3,8 @@
 Measures, on this machine:
 
 * gateway **throughput**: one closed-loop trace replayed end-to-end
-  through ``Gateway`` + ``SloBudgetPolicy`` (one asyncio
-  coroutine per session chain, SLO admission on every arrival),
+  through ``Gateway`` + ``SloBudgetPolicy`` (one continuation per
+  session chain on the fleet loop, SLO admission on every arrival),
   reporting sessions/sec and the wall clock normalized to 10^5 sessions
   — the scale the serving CLI is specified to sustain;
 * serial vs sharded gateway wall clock at CI size, asserting the
@@ -159,7 +159,7 @@ def main() -> None:
         "quick": args.quick,
         "cpu_count": os.cpu_count(),
         "methodology": (
-            "throughput replays one closed-loop trace through the asyncio "
+            "throughput replays one closed-loop trace through the "
             "gateway with SLO admission on a serial fleet (the serving loop "
             "is serial by design, so sessions/sec is CPU-count-independent); "
             "the sharded row needs real CPUs to win and is recorded honestly "

@@ -679,8 +679,8 @@ def _build_parser() -> argparse.ArgumentParser:
     Every flag that several subcommands share is defined once, on a
     parent parser, and inherited via ``parents=[...]``.
     """
-    sharding, placement, queue, reference = (
-        argparse.ArgumentParser(add_help=False) for _ in range(4)
+    sharding, placement, queue, reference, as_json = (
+        argparse.ArgumentParser(add_help=False) for _ in range(5)
     )
     sharding.add_argument(
         "--shards",
@@ -716,6 +716,11 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable the simulator fast path (timing-equivalent reference mode)",
     )
+    as_json.add_argument(
+        "--json",
+        action="store_true",
+        help="print the result as a machine-readable JSON envelope on stdout",
+    )
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -725,13 +730,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.set_defaults(handler=_list_command)
     sub = parser.add_subparsers(dest="command")
-    lister = sub.add_parser("list", help="list available experiments")
-    lister.set_defaults(handler=_list_command)
-    lister.add_argument(
-        "--json", action="store_true", help="emit the registry as JSON"
+    lister = sub.add_parser(
+        "list", help="list available experiments", parents=[as_json]
     )
+    lister.set_defaults(handler=_list_command)
     runner = sub.add_parser(
-        "run", help="run one experiment (or 'all')", parents=[reference]
+        "run", help="run one experiment (or 'all')", parents=[reference, as_json]
     )
     runner.set_defaults(handler=_run_command)
     runner.add_argument("experiment", choices=[*EXPERIMENTS, "all"])
@@ -746,11 +750,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help="run under cProfile and print the top 25 cumulative entries",
-    )
-    runner.add_argument(
-        "--json",
-        action="store_true",
-        help="print a machine-readable result envelope on stdout",
     )
     runner.add_argument(
         "--cache-dir",
@@ -768,7 +767,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tracer_cmd = sub.add_parser(
         "trace",
         help="run one experiment under the telemetry tracer",
-        parents=[reference],
+        parents=[reference, as_json],
     )
     tracer_cmd.set_defaults(handler=_trace_command)
     tracer_cmd.add_argument("experiment", choices=list(EXPERIMENTS))
@@ -783,16 +782,11 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="trace file path (default: trace-<experiment>.json)",
     )
-    tracer_cmd.add_argument(
-        "--json",
-        action="store_true",
-        help="print a machine-readable result envelope on stdout",
-    )
 
     fleet = sub.add_parser(
         "fleet",
         help="serve deterministic tenant traffic on a multi-FPGA fleet",
-        parents=[placement, queue, sharding],
+        parents=[placement, queue, sharding, as_json],
     )
     fleet.set_defaults(handler=_fleet_command)
     fleet.add_argument("--nodes", type=int, default=4, help="fleet size")
@@ -802,7 +796,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--max-oversub", type=int, default=4, help="tenants per physical slot"
     )
-    fleet.add_argument("--json", action="store_true", help="emit summary as JSON")
     fleet.add_argument(
         "--trace", action="store_true", help="print the full placement trace"
     )
@@ -810,7 +803,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="replay a session trace through the SLO-aware gateway",
-        parents=[placement, queue, sharding],
+        parents=[placement, queue, sharding, as_json],
     )
     serve.set_defaults(handler=_serve_command)
     serve.add_argument(
@@ -871,13 +864,13 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the (synthesized) trace as JSON for later replay",
     )
-    serve.add_argument("--json", action="store_true", help="emit envelope as JSON")
 
     from repro.experiments.harness import STACK_MODES
 
     capacity = sub.add_parser(
         "capacity",
         help="fleet capacity planning (analytic fast-forward or DES)",
+        parents=[as_json],
     )
     capacity.set_defaults(handler=_capacity_command)
     capacity.add_argument(
@@ -920,12 +913,11 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip calibrated per-type goodput (avoids calibration runs)",
     )
-    capacity.add_argument("--json", action="store_true", help="emit envelope as JSON")
 
     chaos = sub.add_parser(
         "chaos",
         help="inject a deterministic fault plan and watch recovery",
-        parents=[placement, reference, sharding],
+        parents=[placement, reference, sharding, as_json],
     )
     chaos.set_defaults(handler=_chaos_command)
     chaos.add_argument(
@@ -963,11 +955,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="single-platform run window in milliseconds",
     )
     chaos.add_argument(
-        "--json",
-        action="store_true",
-        help="print a machine-readable envelope of events vs outcomes",
-    )
-    chaos.add_argument(
         "--autoscale",
         type=int,
         default=0,
@@ -993,6 +980,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz = sub.add_parser(
         "fuzz",
         help="constrained-random differential fuzzing of the whole stack",
+        parents=[as_json],
     )
     fuzz.set_defaults(handler=_fuzz_command)
     fuzz.add_argument(
@@ -1029,9 +1017,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="re-run one saved reproducer through the oracle instead of "
         "fuzzing",
-    )
-    fuzz.add_argument(
-        "--json", action="store_true", help="emit the campaign envelope as JSON"
     )
     return parser
 

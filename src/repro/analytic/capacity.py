@@ -240,10 +240,6 @@ def _phi(z: float) -> float:
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
 
-def _pdf(z: float) -> float:
-    return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-
-
 def _exact_peaks(
     arrival: np.ndarray,
     depart: np.ndarray,

@@ -56,18 +56,6 @@ class MmioFault(FaultError):
     """An MMIO access targeted an unmapped or out-of-range register."""
 
 
-class IsolationViolation(FaultError):
-    """A packet crossed an isolation boundary it should not have.
-
-    Raised only by *assertion-style* checks in tests; the hardware monitor
-    itself silently discards such packets, exactly as the paper's auditors do.
-    """
-
-
-class PreemptionTimeout(FaultError):
-    """An accelerator failed to cede control within the preemption timeout."""
-
-
 class GuestError(ReproError):
     """The guest driver or userspace library was misused."""
 

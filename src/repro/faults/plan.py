@@ -146,11 +146,6 @@ class FaultPlan:
             raise FaultPlanError(f"cannot load fault plan {path!r}: {exc}")
         return cls.from_dict(payload)
 
-    def to_file(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
     def digest(self) -> str:
         """Stable fingerprint of the full plan (seed included)."""
         canonical = json.dumps(self.to_dict(), sort_keys=True).encode()

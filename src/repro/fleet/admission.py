@@ -387,6 +387,11 @@ class FleetService:
         if kind == "arrival":
             self._arrivals += 1
 
+    def submit(self, request: TenantRequest) -> None:
+        """Enter ``request`` into the loop at its ``arrival_ps`` — before
+        :meth:`serve`, or from an observer while it runs."""
+        self._push(request.arrival_ps, "arrival", request)
+
     # -- speculation contract (read by the sharded executor) --------------------------
 
     def queue_depth(self) -> int:
@@ -467,7 +472,7 @@ class FleetService:
             # injected event lands before the request arriving that instant.
             self._injector.schedule()
         for request in requests:
-            self._push(request.arrival_ps, "arrival", request)
+            self.submit(request)
         self._run_loop()
         # A closed-loop observer (the serve gateway) may inject follow-up
         # arrivals while draining terminal notifications; keep looping

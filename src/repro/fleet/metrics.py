@@ -56,10 +56,29 @@ class FleetMetrics:
         tracer = current_tracer()
         self._trace_scope = tracer.scope("fleet") if tracer is not None else None
         if self._trace_scope is not None:
-            self._trace_tid_admission = self._trace_scope.thread("admission")
-            self._trace_tid_queue = self._trace_scope.thread("queue")
+            # Allocated up front so tids never depend on which event is first.
+            self._trace_scope.thread("admission")
+            self._trace_scope.thread("queue")
 
     # -- event recording --------------------------------------------------------------
+
+    def _emit(
+        self,
+        now_ps: int,
+        line: Optional[str],
+        name: str,
+        cat: str,
+        args: Dict[str, object],
+        tid: str = "admission",
+    ) -> None:
+        """The one way a fleet event is recorded: its placement-trace
+        line (``None`` for events the digest never covered) and, when a
+        tracer is installed, the matching instant on thread ``tid``."""
+        if line is not None:
+            self.trace.append(line)
+        scope = self._trace_scope
+        if scope is not None:
+            scope.instant(name, now_ps, tid=scope.thread(tid), cat=cat, args=args)
 
     def record_placement(
         self,
@@ -78,73 +97,63 @@ class FleetMetrics:
         )
         self.placement_latency.record(latency_ps)
         mode = "temporal" if temporal else "spatial"
-        self.trace.append(
+        self._emit(
+            now_ps,
             f"{now_ps} {request.tenant} {request.accel_type} -> "
-            f"{node_name}/slot{physical_index} {mode} wait={latency_ps}"
-        )
-        if self._trace_scope is not None:
-            self._trace_scope.instant(
-                "fleet.place", now_ps, tid=self._trace_tid_admission, cat="fleet",
-                args={"tenant": request.tenant, "type": request.accel_type,
-                      "node": node_name, "slot": physical_index,
-                      "mode": mode, "wait_ps": latency_ps})
+            f"{node_name}/slot{physical_index} {mode} wait={latency_ps}",
+            "fleet.place", "fleet",
+            {"tenant": request.tenant, "type": request.accel_type,
+             "node": node_name, "slot": physical_index,
+             "mode": mode, "wait_ps": latency_ps})
 
     def record_queued(self, *, now_ps: int, request, depth: int) -> None:
         self.counters.bump("queued")
-        self.trace.append(
-            f"{now_ps} {request.tenant} {request.accel_type} -> queued depth={depth}"
-        )
+        self._emit(
+            now_ps,
+            f"{now_ps} {request.tenant} {request.accel_type} -> queued depth={depth}",
+            "fleet.queue", "fleet",
+            {"tenant": request.tenant, "depth": depth}, tid="queue")
         if self._trace_scope is not None:
-            self._trace_scope.instant(
-                "fleet.queue", now_ps, tid=self._trace_tid_queue, cat="fleet",
-                args={"tenant": request.tenant, "depth": depth})
             self._trace_scope.counter(
                 "queue_depth", now_ps, {"depth": float(depth)},
-                tid=self._trace_tid_queue, cat="fleet")
+                tid=self._trace_scope.thread("queue"), cat="fleet")
 
     def record_degrade(self, *, now_ps: int, request, scale: float) -> None:
         """The admission policy admitted a request with trimmed service."""
         self.counters.bump("degraded")
-        self.trace.append(
+        self._emit(
+            now_ps,
             f"{now_ps} {request.tenant} {request.accel_type} -> "
-            f"degraded x{scale:.2f}"
-        )
-        if self._trace_scope is not None:
-            self._trace_scope.instant(
-                "fleet.degrade", now_ps, tid=self._trace_tid_admission, cat="fleet",
-                args={"tenant": request.tenant, "scale": scale})
+            f"degraded x{scale:.2f}",
+            "fleet.degrade", "fleet",
+            {"tenant": request.tenant, "scale": scale})
 
     def record_retry(self, *, now_ps: int, request, attempt: int) -> None:
         self.counters.bump("retries")
-        self.trace.append(
-            f"{now_ps} {request.tenant} {request.accel_type} -> retry#{attempt}"
-        )
-        if self._trace_scope is not None:
-            self._trace_scope.instant(
-                "fleet.retry", now_ps, tid=self._trace_tid_queue, cat="fleet",
-                args={"tenant": request.tenant, "attempt": attempt})
+        self._emit(
+            now_ps,
+            f"{now_ps} {request.tenant} {request.accel_type} -> retry#{attempt}",
+            "fleet.retry", "fleet",
+            {"tenant": request.tenant, "attempt": attempt}, tid="queue")
 
     def record_rejection(self, *, now_ps: int, request, reason: str) -> None:
         self.counters.bump("rejections")
         self.counters.bump(f"rejections_{reason}")
-        self.trace.append(
-            f"{now_ps} {request.tenant} {request.accel_type} -> rejected ({reason})"
-        )
-        if self._trace_scope is not None:
-            self._trace_scope.instant(
-                "fleet.reject", now_ps, tid=self._trace_tid_admission, cat="fleet",
-                args={"tenant": request.tenant, "reason": reason})
+        self._emit(
+            now_ps,
+            f"{now_ps} {request.tenant} {request.accel_type} -> rejected ({reason})",
+            "fleet.reject", "fleet",
+            {"tenant": request.tenant, "reason": reason})
 
     def record_fault(self, *, now_ps: int, kind: str, target: str, outcome: str) -> None:
         """One injected fault event and how the fleet resolved it."""
         self.fault_counters.bump("injected")
         self.fault_counters.bump(f"injected_{kind}")
         self.fault_counters.bump(f"outcome_{outcome}")
-        self.trace.append(f"{now_ps} fault {kind} {target} -> {outcome}")
-        if self._trace_scope is not None:
-            self._trace_scope.instant(
-                "fleet.fault", now_ps, tid=self._trace_tid_admission, cat="fault",
-                args={"kind": kind, "target": target, "outcome": outcome})
+        self._emit(
+            now_ps, f"{now_ps} fault {kind} {target} -> {outcome}",
+            "fleet.fault", "fault",
+            {"kind": kind, "target": target, "outcome": outcome})
 
     def record_replacement(
         self,
@@ -158,15 +167,12 @@ class FleetMetrics:
         """A displaced session re-placed on a healthy node (failover)."""
         self.fault_counters.bump("replacements")
         self.replacement_latency.record(latency_ps)
-        self.trace.append(
+        self._emit(
+            now_ps,
             f"{now_ps} {request.tenant} {request.accel_type} ~> "
-            f"{node_name}/slot{physical_index} replaced"
-        )
-        if self._trace_scope is not None:
-            self._trace_scope.instant(
-                "fleet.replace", now_ps, tid=self._trace_tid_admission, cat="fault",
-                args={"tenant": request.tenant, "node": node_name,
-                      "slot": physical_index})
+            f"{node_name}/slot{physical_index} replaced",
+            "fleet.replace", "fault",
+            {"tenant": request.tenant, "node": node_name, "slot": physical_index})
 
     def record_migration(
         self,
@@ -189,7 +195,7 @@ class FleetMetrics:
             # blackout window; the category is the CI smoke contract.
             self._trace_scope.complete(
                 "hv.migrate", now_ps, now_ps + blackout_ps,
-                tid=self._trace_tid_admission, cat="hv.migration",
+                tid=self._trace_scope.thread("admission"), cat="hv.migration",
                 args={"tenant": tenant, "source": source,
                       "destination": destination, "ckpt": digest})
 
@@ -198,73 +204,57 @@ class FleetMetrics:
     ) -> None:
         """A migration attempt found no destination; the session stayed put."""
         self.fault_counters.bump("migration_failures")
-        self.trace.append(f"{now_ps} {tenant} ~> migration failed ({reason})")
-        if self._trace_scope is not None:
-            self._trace_scope.instant(
-                "fleet.migrate_fail", now_ps, tid=self._trace_tid_admission,
-                cat="fault", args={"tenant": tenant, "reason": reason})
+        self._emit(
+            now_ps, f"{now_ps} {tenant} ~> migration failed ({reason})",
+            "fleet.migrate_fail", "fault", {"tenant": tenant, "reason": reason})
 
     def record_cordon(self, *, now_ps: int, node: str, cordoned: bool) -> None:
         """A node entered (or left) the cordoned admission gate."""
         self.fault_counters.bump("cordons" if cordoned else "uncordons")
         verb = "cordoned" if cordoned else "uncordoned"
-        self.trace.append(f"{now_ps} node {node} -> {verb}")
-        if self._trace_scope is not None:
-            self._trace_scope.instant(
-                "fleet.cordon", now_ps, tid=self._trace_tid_admission,
-                cat="fleet", args={"node": node, "cordoned": cordoned})
+        self._emit(
+            now_ps, f"{now_ps} node {node} -> {verb}",
+            "fleet.cordon", "fleet", {"node": node, "cordoned": cordoned})
 
     def record_drain(
         self, *, now_ps: int, node: str, migrated: int, remaining: int
     ) -> None:
         """One drain verb finished over a node."""
         self.fault_counters.bump("drains")
-        self.trace.append(
+        self._emit(
+            now_ps,
             f"{now_ps} node {node} -> drained migrated={migrated} "
-            f"remaining={remaining}"
-        )
-        if self._trace_scope is not None:
-            self._trace_scope.instant(
-                "fleet.drain", now_ps, tid=self._trace_tid_admission,
-                cat="fleet", args={"node": node, "migrated": migrated,
-                                   "remaining": remaining})
+            f"remaining={remaining}",
+            "fleet.drain", "fleet",
+            {"node": node, "migrated": migrated, "remaining": remaining})
 
     def record_autoscale(
         self, *, now_ps: int, action: str, node: str, reason: str
     ) -> None:
         """The autoscaler took one action (scale_up/scale_down/evacuate)."""
         self.fault_counters.bump(f"autoscale_{action}")
-        self.trace.append(f"{now_ps} autoscale {action} {node} ({reason})")
-        if self._trace_scope is not None:
-            self._trace_scope.instant(
-                "fleet.autoscale", now_ps, tid=self._trace_tid_admission,
-                cat="fleet", args={"action": action, "node": node,
-                                   "reason": reason})
+        self._emit(
+            now_ps, f"{now_ps} autoscale {action} {node} ({reason})",
+            "fleet.autoscale", "fleet",
+            {"action": action, "node": node, "reason": reason})
 
     def record_quarantine(self, *, now_ps: int, tenant: str) -> None:
         """The fleet watchdog benched a guest making no forward progress."""
         self.fault_counters.bump("quarantines")
-        self.trace.append(f"{now_ps} {tenant} -> quarantined")
-        if self._trace_scope is not None:
-            self._trace_scope.instant(
-                "fleet.quarantine", now_ps, tid=self._trace_tid_admission,
-                cat="fault", args={"tenant": tenant})
+        self._emit(
+            now_ps, f"{now_ps} {tenant} -> quarantined",
+            "fleet.quarantine", "fault", {"tenant": tenant})
 
     def record_fault_failure(self, *, now_ps: int, tenant: str, reason: str) -> None:
         """An accepted request terminated because of an injected fault."""
         self.fault_counters.bump("failed_by_fault")
-        self.trace.append(f"{now_ps} {tenant} -> failed_by_fault ({reason})")
-        if self._trace_scope is not None:
-            self._trace_scope.instant(
-                "fleet.fault_failure", now_ps, tid=self._trace_tid_admission,
-                cat="fault", args={"tenant": tenant, "reason": reason})
+        self._emit(
+            now_ps, f"{now_ps} {tenant} -> failed_by_fault ({reason})",
+            "fleet.fault_failure", "fault", {"tenant": tenant, "reason": reason})
 
     def record_departure(self, *, now_ps: int, tenant: str) -> None:
         self.counters.bump("departures")
-        if self._trace_scope is not None:
-            self._trace_scope.instant(
-                "fleet.depart", now_ps, tid=self._trace_tid_admission, cat="fleet",
-                args={"tenant": tenant})
+        self._emit(now_ps, None, "fleet.depart", "fleet", {"tenant": tenant})
 
     # -- utilization integration --------------------------------------------------------
 

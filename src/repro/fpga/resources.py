@@ -32,12 +32,6 @@ class ResourceFootprint:
 
     __rmul__ = __mul__
 
-    def fits_with(self, *others: "ResourceFootprint") -> bool:
-        total = self
-        for other in others:
-            total = total + other
-        return total.alm_pct <= 100.0 and total.bram_pct <= 100.0
-
 
 class SynthesisCharacter(enum.Enum):
     """How a design behaves when replicated, per Table 2's three regimes.

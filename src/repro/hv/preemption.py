@@ -88,9 +88,6 @@ class PhysicalAccelerator:
                 self._schedule_loop(), name=f"sched.pa{self.socket_index}"
             )
 
-    def all_done(self) -> bool:
-        return all(va.job.done for va in self.vaccels)
-
     # -- cost model ------------------------------------------------------------------
 
     def _state_transfer_ps(self, nbytes: int) -> int:

@@ -121,19 +121,3 @@ class ShadowPager:
                                 tid=self._trace_tid, cat="hv",
                                 args={"vaccel": vaccel.name, "iova": iova})
         return iova
-
-    def map_region(self, vaccel: VirtualAccelerator, gva: int, size: int) -> int:
-        """Register every page of ``[gva, gva+size)``; returns pages mapped.
-
-        Convenience used by the guest library after allocating a buffer.
-        """
-        count = 0
-        first_page = gva - (gva % self.page_size)
-        end = gva + size
-        page = first_page
-        while page < end:
-            gpa = vaccel.vm.mmu.gva_to_gpa(page)
-            self.map_page(vaccel, page, gpa)
-            count += 1
-            page += self.page_size
-        return count

@@ -67,10 +67,6 @@ def page_offset(address: int, page_size: int) -> int:
     return address & (page_size - 1)
 
 
-def cache_line_number(address: int) -> int:
-    return address >> CACHE_LINE_SHIFT
-
-
 def split_by_pages(address: int, size: int, page_size: int) -> Iterator[Tuple[int, int]]:
     """Split ``[address, address+size)`` into per-page ``(addr, length)`` runs."""
     if size < 0:

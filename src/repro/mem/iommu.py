@@ -121,9 +121,6 @@ class Iotlb:
         self._tags[index] = vpn
         self._frames[index] = frame
 
-    def invalidate_all(self) -> None:
-        self._tags = [None] * self.entries
-
     def resident_sets(self) -> int:
         return sum(1 for tag in self._tags if tag is not None)
 

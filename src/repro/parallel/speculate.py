@@ -79,9 +79,6 @@ class SpeculationController:
     def active(self) -> bool:
         return bool(self._outstanding)
 
-    def outstanding_on(self, node_index: int) -> Dict[str, int]:
-        return self._outstanding.get(node_index, {})
-
     def nodes_with_grants(self) -> List[int]:
         return list(self._outstanding)
 

@@ -71,10 +71,6 @@ class FuzzReport:
         }
 
 
-def _probe(scenario: Scenario) -> List[str]:
-    return run_scenario(scenario).failures
-
-
 def run_fuzz(
     config: FuzzConfig,
     *,

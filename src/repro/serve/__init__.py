@@ -9,10 +9,10 @@ simulated-time discipline as everything below it:
 * :mod:`repro.serve.trace` — replayable JSON/CSV arrival traces plus
   seeded synthetic generators with diurnal/burst modulation and
   closed-loop session chains;
-* :mod:`repro.serve.gateway` — an asyncio gateway running one coroutine
-  per session chain, pumped from the serving loop's epoch protocol so
-  coroutine wakeups ride the simulated clock (byte-identical results at
-  any ``--shards N``);
+* :mod:`repro.serve.gateway` — a gateway that runs each session chain
+  as a continuation on the serving loop's own event heap, stepped from
+  the loop's epoch protocol so follow-up arrivals ride the simulated
+  clock (byte-identical results at any ``--shards N``);
 * :mod:`repro.serve.slo` — per-class p99 latency budgets enforced as an
   admission policy (shed/degrade/admit) with streaming P² quantile
   estimators and per-class SLO-attainment metrics.
@@ -20,12 +20,7 @@ simulated-time discipline as everything below it:
 Entry point: ``python -m repro serve`` (see ``EXPERIMENTS.md``).
 """
 
-from repro.serve.gateway import (
-    Gateway,
-    GatewayFleetService,
-    GatewayResult,
-    SessionHandle,
-)
+from repro.serve.gateway import Gateway, GatewayFleetService, GatewayResult
 from repro.serve.slo import (
     AttainmentMonitor,
     SloBudgetPolicy,
@@ -45,7 +40,6 @@ __all__ = [
     "Gateway",
     "GatewayResult",
     "ServeProfile",
-    "SessionHandle",
     "SessionRecord",
     "SloBudgetPolicy",
     "SloClass",

@@ -1,32 +1,33 @@
-"""The asyncio serving gateway: sessions as coroutines on simulated time.
+"""The serving gateway: session chains as continuations on the fleet loop.
 
 The fleet's serving loop (:class:`repro.fleet.admission.FleetService`)
 is a batch machine: hand it a request list, get a result.  A *service*
 is the inverse shape — long-lived clients that connect, wait, react, and
-come back.  :class:`Gateway` bridges the two without giving up an inch
-of determinism:
+come back.  :class:`Gateway` bridges the two on the **one** event loop
+the stack has, the ``FleetService`` heap, without giving up an inch of
+determinism:
 
-* every closed-loop session **chain** in an
-  :class:`~repro.serve.trace.ArrivalTrace` runs as one asyncio
-  coroutine (:meth:`Gateway._run_chain`), holding a
-  :class:`SessionHandle` whose lifecycle mirrors the unified
-  ``connect()`` contract of :meth:`repro.cloud.CloudProvider.connect`
-  (enter → live → disconnect, with an ``_on_disconnect`` hook that
-  forgets the session) — the fleet-level analog of holding a
-  ``GuestAccelerator``;
-* the event loop is **pumped from the epoch protocol**: the gateway is
-  the serving loop's observer (:class:`~repro.fleet.admission
-  .FleetObserver`), and the loop calls :meth:`Gateway.on_epoch` at every
-  event boundary — right after the cluster's own epoch advance, which on
-  a sharded fleet flushes operation batches — where the gateway drains
-  all ready coroutine steps.  No wall-clock timers, no I/O: a
-  coroutine only ever wakes because a simulated event resolved its
-  future, and wakeups run in FIFO resolution order — so the interleaving
-  is a pure function of the trace;
-* follow-up arrivals computed by a woken coroutine land at
-  ``max(pump_now, completion + think)``: the simulated clock never runs
-  backwards, and a chain's next session enters the heap exactly where a
-  real returning client would.
+* :meth:`Gateway.run` submits the root session of every closed-loop
+  **chain** in an :class:`~repro.serve.trace.ArrivalTrace`, in
+  ``trace.chains()`` order, and then lets the service loop run;
+* the gateway is that loop's observer (:class:`~repro.fleet.admission
+  .FleetObserver`): :meth:`Gateway.on_outcome` appends each finished
+  session to a FIFO list, and :meth:`Gateway.on_epoch` — called at every
+  event boundary, right after the cluster's own epoch advance, which on
+  a sharded fleet flushes operation batches — walks that list in order.
+  For each finished session the walk forgets the live record, then
+  either counts the rest of the chain as abandoned (the client was shed,
+  rejected or lost to a fault) or submits the chain's next session.  No
+  wall-clock timers, no I/O, no second scheduler: a follow-up exists
+  only because a simulated event finished its predecessor, so the
+  interleaving is a pure function of the trace;
+* a follow-up arrives at ``max(now, finished + think)``, where ``now``
+  is the **next event boundary after the completion** — the client
+  "notices" its session ended when the loop next turns, never at the
+  completion instant itself.  The simulated clock never runs backwards,
+  and every pinned serving digest was recorded under this rule;
+  submitting from inside :meth:`Gateway.on_outcome` would move arrivals
+  earlier and change all of them.
 
 The gateway works unchanged over the serial and sharded fleets: it
 observes the one :class:`FleetService` loop, whichever cluster that loop
@@ -37,9 +38,8 @@ serving loop the resulting envelopes are byte-identical at any
 
 from __future__ import annotations
 
-import asyncio
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.fleet.admission import (
@@ -57,57 +57,13 @@ from repro.telemetry import MetricRegistry, current_tracer
 _CONTINUE_OUTCOMES = ("completed", "replaced_completed", "migrated_completed")
 
 
-class SessionHandle:
-    """One live serving session, shaped like the ``connect()`` handles.
+class _LiveSession(NamedTuple):
+    """One submitted, not-yet-forgotten session and its place in its chain."""
 
-    The cloud layer hands tenants a ``GuestAccelerator`` that is a
-    context manager with an ``_on_disconnect`` hook; the gateway hands
-    its coroutines this.  ``state`` walks ``connecting -> live ->
-    done -> disconnected`` (shed/rejected sessions jump straight from
-    ``connecting`` to ``done``).
-    """
-
-    def __init__(self, record: SessionRecord, arrival_ps: int, loop) -> None:
-        self.record = record
-        self.arrival_ps = arrival_ps
-        self.state = "connecting"
-        self.outcome: Optional[str] = None
-        self.finished_ps: Optional[int] = None
-        self.admit_latency_ps: Optional[int] = None
-        self.decision: Optional[AdmissionDecision] = None
-        self._done = loop.create_future()
-        self._on_disconnect = None
-
-    # -- lifecycle (mirrors GuestAccelerator) ------------------------------
-
-    async def wait(self):
-        """Block until the session reaches its typed terminal outcome."""
-        return await self._done
-
-    def disconnect(self) -> None:
-        if self.state == "disconnected":
-            return
-        self.state = "disconnected"
-        if self._on_disconnect is not None:
-            self._on_disconnect()
-
-    async def __aenter__(self) -> "SessionHandle":
-        return self
-
-    async def __aexit__(self, *exc) -> None:
-        self.disconnect()
-
-    # -- driven by the gateway's observer calls ----------------------------
-
-    def _mark_live(self, latency_ps: int) -> None:
-        self.state = "live"
-        self.admit_latency_ps = latency_ps
-
-    def _resolve(self, outcome: str, now: int) -> None:
-        self.state = "done"
-        self.outcome = outcome
-        self.finished_ps = now
-        self._done.set_result((outcome, now))
+    record: SessionRecord
+    arrival_ps: int
+    chain: List[SessionRecord]
+    position: int
 
 
 @dataclass
@@ -171,157 +127,135 @@ class Gateway(FleetObserver):
         self.counters = Counters(name="serve.sessions", registry=self.registry)
         self._class_latency: Dict[str, LatencyRecorder] = {}
         self._class_counts: Dict[str, Dict[str, int]] = {}
-        self._live: Dict[int, SessionHandle] = {}
-        self._loop = None
-        self._tasks: List[asyncio.Task] = []
-        self._need_pump = False
-        self._pump_now = 0
+        self._live: Dict[int, _LiveSession] = {}
+        #: Sessions whose outcome fired, awaiting the next event boundary.
+        self._finished: List[Tuple[_LiveSession, str, int]] = []
+        self._open_chains = 0
         self._abandoned = 0
         self._submitted = 0
         tracer = current_tracer()
         self._trace_scope = tracer.scope("serve") if tracer is not None else None
         if self._trace_scope is not None:
-            self._tid_sessions = self._trace_scope.thread("sessions")
-            self._tid_admission = self._trace_scope.thread("admission")
+            # Allocated up front so tids never depend on which event is first.
+            self._trace_scope.thread("sessions")
+            self._trace_scope.thread("admission")
         service.observer = self
+
+    def _emit(self, event: str, tid: str, *what, args: Dict[str, object]) -> None:
+        """One ``instant``/``complete`` event on the serve trace scope, if tracing."""
+        scope = self._trace_scope
+        if scope is not None:
+            getattr(scope, event)(*what, tid=scope.thread(tid), cat="serve", args=args)
 
     # -- the connect() surface ---------------------------------------------
 
-    def connect(self, record: SessionRecord, arrival_ps: int) -> SessionHandle:
-        """Submit one session and return its live handle.
+    def connect(
+        self, chain: List[SessionRecord], position: int, arrival_ps: int
+    ) -> None:
+        """Submit session ``position`` of ``chain``, arriving at ``arrival_ps``.
 
-        The fleet-level analog of ``CloudProvider.connect``: the handle
-        is (async-)context-managed, and leaving the block disconnects it
-        and drops the gateway's live-session record.
+        The fleet-level analog of ``CloudProvider.connect``: the session
+        stays in the gateway's live table until the continuation that
+        handles its outcome forgets it.
         """
+        record = chain[position]
         if record.session_id in self._live:
             raise SimulationError(
                 f"session {record.session_id} submitted twice"
             )
-        handle = SessionHandle(record, arrival_ps, self._loop)
-        handle._on_disconnect = lambda: self._live.pop(record.session_id, None)
-        self._live[record.session_id] = handle
+        self._live[record.session_id] = _LiveSession(
+            record, arrival_ps, chain, position
+        )
         self._submitted += 1
         self.counters.bump("submitted")
-        self.service._push(arrival_ps, "arrival", record.to_request(arrival_ps))
-        return handle
+        self.service.submit(record.to_request(arrival_ps))
 
-    # -- one coroutine per closed-loop chain -------------------------------
+    # -- the continuation: one step per finished session ---------------------
 
-    async def _run_chain(self, chain: List[SessionRecord]) -> None:
-        previous_done: Optional[int] = None
-        for position, record in enumerate(chain):
-            if previous_done is None:
-                arrival = record.arrival_ps
-            else:
-                # A returning client: think time after the previous
-                # session completed, never before the current pump point
-                # (the simulated clock is monotonic).
-                arrival = max(self._pump_now, previous_done + record.arrival_ps)
-            async with self.connect(record, arrival) as session:
-                outcome, done_ps = await session.wait()
-            if outcome not in _CONTINUE_OUTCOMES:
-                remaining = len(chain) - position - 1
-                if remaining:
-                    self._abandoned += remaining
-                    self.counters.bump("abandoned", remaining)
-                return
-            previous_done = done_ps
+    def _continue_chains(self, now: int) -> None:
+        """Advance every chain whose session finished since the last boundary.
+
+        FIFO in outcome order.  ``now`` is the event boundary being
+        crossed — later than the completion itself — and a returning
+        client arrives no earlier (the simulated clock is monotonic).
+        """
+        finished, self._finished = self._finished, []
+        for session, outcome, finished_ps in finished:
+            del self._live[session.record.session_id]
+            chain, following = session.chain, session.position + 1
+            remaining = len(chain) - following
+            if remaining and outcome in _CONTINUE_OUTCOMES:
+                think_ps = chain[following].arrival_ps
+                self.connect(chain, following, max(now, finished_ps + think_ps))
+                continue
+            self._open_chains -= 1
+            if remaining:
+                self._abandoned += remaining
+                self.counters.bump("abandoned", remaining)
 
     # -- FleetObserver (called inside the serving loop) --------------------
 
     def on_epoch(self, now: int) -> None:
-        if self._need_pump:
-            self._pump(now)
+        if self._finished:
+            self._continue_chains(now)
 
     def on_drained(self, now: int) -> None:
-        # Final notifications; woken coroutines may push follow-up arrivals.
-        self._pump(now)
+        # Final outcomes; their follow-up arrivals keep the loop serving.
+        self._continue_chains(now)
 
     def on_decision(
         self, request: TenantRequest, decision: AdmissionDecision, now: int
     ) -> None:
-        handle = self._live.get(request.request_id)
-        if handle is not None:
-            handle.decision = decision
         if decision.action != "admit":
             self.counters.bump(f"decision_{decision.action}")
-            if self._trace_scope is not None:
-                self._trace_scope.instant(
-                    f"serve.{decision.action}", now,
-                    tid=self._tid_admission, cat="serve",
-                    args={"tenant": request.tenant,
-                          "class": request.tenant_class,
-                          "reason": decision.reason})
+            self._emit(
+                "instant", "admission", f"serve.{decision.action}", now,
+                args={"tenant": request.tenant,
+                      "class": request.tenant_class,
+                      "reason": decision.reason})
 
     def on_placed(
         self, request: TenantRequest, now: int, latency_ps: int, replaced: bool
     ) -> None:
         if replaced:
             return  # failover re-placement: the session was already live
-        handle = self._live.get(request.request_id)
-        if handle is not None:
-            handle._mark_live(latency_ps)
+        session = self._live.get(request.request_id)
+        if session is not None:
             self._class_stat(request.tenant_class, "admitted")
             self._class_recorder(request.tenant_class).record(latency_ps)
-            self.counters.bump("bytes_admitted", handle.record.working_set)
+            self.counters.bump("bytes_admitted", session.record.working_set)
 
     def on_outcome(self, request: TenantRequest, outcome: str, now: int) -> None:
-        handle = self._live.get(request.request_id)
-        if handle is None:
+        session = self._live.get(request.request_id)
+        if session is None:
             return
         stats = "completed" if outcome in _CONTINUE_OUTCOMES else (
             "shed" if outcome == "rejected_slo_shed" else "failed"
         )
         self._class_stat(request.tenant_class, stats)
-        if self._trace_scope is not None:
-            self._trace_scope.complete(
-                f"{request.tenant_class}:{request.accel_type}",
-                handle.arrival_ps, now,
-                tid=self._tid_sessions, cat="serve",
-                args={"tenant": request.tenant, "outcome": outcome})
-        handle._resolve(outcome, now)
-        self._need_pump = True
-
-    # -- pumping ------------------------------------------------------------
-
-    def _pump(self, now: int) -> None:
-        """Drain every ready coroutine step at simulated time ``now``."""
-        self._pump_now = now
-        while True:
-            self._need_pump = False
-            self._loop.run_until_complete(asyncio.sleep(0))
-            if not self._need_pump:
-                return
+        self._emit(
+            "complete", "sessions",
+            f"{request.tenant_class}:{request.accel_type}",
+            session.arrival_ps, now,
+            args={"tenant": request.tenant, "outcome": outcome})
+        self._finished.append((session, outcome, now))
 
     # -- the run -------------------------------------------------------------
 
     def run(self) -> GatewayResult:
         """Replay the whole trace to quiescence; every session resolves."""
-        if self._loop is not None:
+        if self._submitted:
             raise SimulationError("gateway already ran; build a fresh one")
         chains = self.trace.chains()
-        loop = asyncio.new_event_loop()
-        self._loop = loop
-        try:
-            self._tasks = [
-                loop.create_task(self._run_chain(chain)) for chain in chains
-            ]
-            # First pump (simulated time 0): every chain's coroutine runs
-            # to its first await, pushing the root arrivals into the heap.
-            self._pump(0)
-            serve_result = self.service.serve([])
-            stuck = [t for t in self._tasks if not t.done()]
-            if stuck:
-                raise SimulationError(
-                    f"{len(stuck)} session chains never resolved — a "
-                    "submitted session was silently lost"
-                )
-            for task in self._tasks:
-                task.result()  # re-raise any coroutine failure
-        finally:
-            self._loop = None
-            loop.close()
+        self._open_chains = len(chains)
+        for chain in chains:
+            self.connect(chain, 0, chain[0].arrival_ps)
+        serve_result = self.service.serve([])
+        if self._open_chains:
+            raise SimulationError(
+                f"{self._open_chains} session chains never resolved — a "
+                "submitted session was silently lost"
+            )
         if self._live:
             raise SimulationError(
                 f"{len(self._live)} sessions still live after quiescence"

@@ -40,7 +40,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -51,18 +51,6 @@ from repro.fleet.traffic import DEFAULT_MIX, TenantRequest
 from repro.sim.clock import ms
 
 FORMAT = "repro-serve-trace/v1"
-
-#: CSV column order (also the canonical JSON key order per record).
-_FIELDS = (
-    "session_id",
-    "tenant",
-    "tenant_class",
-    "accel_type",
-    "arrival_ps",
-    "session_ps",
-    "working_set",
-    "after",
-)
 
 #: Default tenant-class mix: a thin latency-critical head over a long
 #: throughput-oriented tail, the shape SYNERGY assumes for FPGA services.
@@ -107,6 +95,38 @@ class SessionRecord:
             session_ps=self.session_ps,
             tenant_class=self.tenant_class,
         )
+
+
+#: CSV column order (also the canonical JSON key order per record).
+_FIELDS = tuple(spec.name for spec in fields(SessionRecord))
+_TEXT_FIELDS = ("tenant", "tenant_class", "accel_type")
+
+
+def _int(cell: object, where: str, name: str) -> int:
+    try:
+        return int(cell)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError(
+            f"{where}: field {name!r} must be an integer, got {cell!r}"
+        ) from None
+
+
+def _record_from(raw: object, where: str) -> SessionRecord:
+    """One record from a JSON object or CSV row; errors name ``where``."""
+    if not isinstance(raw, dict):
+        raise ConfigurationError(
+            f"{where}: expected an object, got {type(raw).__name__}"
+        )
+    values: Dict[str, object] = {}
+    for spec in fields(SessionRecord):
+        name, cell = spec.name, raw.get(spec.name)
+        if cell is None or cell == "":  # JSON null/missing key, empty CSV cell
+            if spec.default is MISSING:
+                raise ConfigurationError(f"{where}: missing field {name!r}")
+            values[name] = spec.default
+        else:
+            values[name] = str(cell) if name in _TEXT_FIELDS else _int(cell, where, name)
+    return SessionRecord(**values)
 
 
 class ArrivalTrace:
@@ -179,12 +199,6 @@ class ArrivalTrace:
             )
         return chains
 
-    def class_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for record in self.records:
-            counts[record.tenant_class] = counts.get(record.tenant_class, 0) + 1
-        return dict(sorted(counts.items()))
-
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
@@ -214,37 +228,26 @@ class ArrivalTrace:
         with path.open("w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(_FIELDS)
-            for record in self.records:
-                row = [getattr(record, f) for f in _FIELDS]
-                row[-1] = "" if row[-1] is None else row[-1]
-                writer.writerow(row)
+            for record in self.records:  # csv writes ``after=None`` as ""
+                writer.writerow([getattr(record, f) for f in _FIELDS])
         return path
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "ArrivalTrace":
-        if payload.get("format") != FORMAT:
+        fmt = payload.get("format") if isinstance(payload, dict) else None
+        if fmt != FORMAT:
             raise ConfigurationError(
-                f"not a serve trace (format={payload.get('format')!r}, "
-                f"expected {FORMAT!r})"
+                f"not a serve trace (format={fmt!r}, expected {FORMAT!r})"
             )
-        records = [
-            SessionRecord(
-                session_id=int(raw["session_id"]),
-                tenant=str(raw["tenant"]),
-                tenant_class=str(raw["tenant_class"]),
-                accel_type=str(raw["accel_type"]),
-                arrival_ps=int(raw["arrival_ps"]),
-                session_ps=int(raw["session_ps"]),
-                working_set=int(raw.get("working_set", 0)),
-                after=None if raw.get("after") is None else int(raw["after"]),
-            )
-            for raw in payload["records"]
-        ]
+        raws = payload.get("records")
+        if not isinstance(raws, list):
+            raise ConfigurationError("serve trace has no 'records' list")
+        records = [_record_from(raw, f"record {i}") for i, raw in enumerate(raws)]
         seed = payload.get("seed")
         return cls(
             records,
             name=str(payload.get("name", "trace")),
-            seed=None if seed is None else int(seed),
+            seed=None if seed is None else _int(seed, "trace", "seed"),
         )
 
     @classmethod
@@ -253,7 +256,7 @@ class ArrivalTrace:
         path = Path(path)
         try:
             text = path.read_text()
-        except OSError as error:
+        except (OSError, UnicodeDecodeError) as error:
             raise ConfigurationError(f"cannot read trace {path}: {error}") from None
         if path.suffix.lower() == ".csv":
             return cls._from_csv_text(text, name=path.stem)
@@ -266,24 +269,16 @@ class ArrivalTrace:
     @classmethod
     def _from_csv_text(cls, text: str, *, name: str) -> "ArrivalTrace":
         reader = csv.DictReader(io.StringIO(text))
+        try:
+            rows = list(reader)
+        except csv.Error as error:
+            raise ConfigurationError(f"unreadable CSV trace: {error}") from None
         missing = set(_FIELDS) - set(reader.fieldnames or ())
         if missing:
             raise ConfigurationError(
                 f"CSV trace is missing columns: {sorted(missing)}"
             )
-        records = [
-            SessionRecord(
-                session_id=int(row["session_id"]),
-                tenant=row["tenant"],
-                tenant_class=row["tenant_class"],
-                accel_type=row["accel_type"],
-                arrival_ps=int(row["arrival_ps"]),
-                session_ps=int(row["session_ps"]),
-                working_set=int(row["working_set"] or 0),
-                after=int(row["after"]) if row["after"] not in ("", None) else None,
-            )
-            for row in reader
-        ]
+        records = [_record_from(row, f"record {i}") for i, row in enumerate(rows)]
         return cls(records, name=name)
 
 

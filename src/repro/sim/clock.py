@@ -97,10 +97,6 @@ class Clock:
         """Duration of ``n`` cycles in picoseconds."""
         return round(n * self._period_ps)
 
-    def cycles_between(self, start_ps: int, end_ps: int) -> float:
-        """Number of (fractional) cycles elapsed between two timestamps."""
-        return (end_ps - start_ps) / self._period_ps
-
     def next_edge(self, now_ps: int) -> int:
         """The first clock edge at or after ``now_ps``.
 

@@ -120,12 +120,6 @@ class ThroughputServer:
         return backlog if backlog > 0 else 0
 
     @property
-    def queued_until_ps(self) -> int:
-        """Time at which the server drains, given current commitments."""
-        now = self.engine.now
-        return self._next_free_ps if self._next_free_ps > now else now
-
-    @property
     def backlog_ps(self) -> int:
         """How far ahead of 'now' this server is already committed."""
         backlog = self._next_free_ps - self.engine.now

@@ -1,4 +1,4 @@
-"""Tests for ``repro.serve``: traces, the asyncio gateway, SLO admission.
+"""Tests for ``repro.serve``: traces, the gateway, SLO admission.
 
 The serving layer's load-bearing guarantees:
 
@@ -12,13 +12,29 @@ The serving layer's load-bearing guarantees:
   typed outcome even when a ``FaultPlan`` crashes a node mid-serve.
 """
 
+import csv
+import hashlib
+import io
 import json
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import __main__ as cli
-from repro.errors import ConfigurationError
-from repro.fleet import FleetCluster, FleetService, make_policy
+from repro.envelope import canonical_json
+from repro.errors import ConfigurationError, SimulationError
+from repro.fleet import (
+    ADMIT,
+    AdmissionDecision,
+    AdmissionPolicy,
+    FleetCluster,
+    FleetService,
+    make_policy,
+    open_fleet,
+)
 from repro.serve import (
     ArrivalTrace,
     AttainmentMonitor,
@@ -29,7 +45,7 @@ from repro.serve import (
     SloClass,
     synthesize,
 )
-from repro.sim.clock import ms
+from repro.sim.clock import ms, us
 
 
 def run_cli(capsys, *argv):
@@ -108,6 +124,118 @@ class TestArrivalTrace:
             ArrivalTrace.from_dict({"format": "something-else", "records": []})
 
 
+_GOOD_RECORD = {
+    "session_id": 0, "tenant": "t0", "tenant_class": "gold", "accel_type": "AES",
+    "arrival_ps": 10, "session_ps": 100, "working_set": 0, "after": None,
+}
+
+
+def _json_trace(records):
+    return json.dumps({"format": "repro-serve-trace/v1", "records": records})
+
+
+#: file name -> (text, what the typed error must name).  Each of these
+#: used to escape ``serve --trace`` as a raw traceback.
+MALFORMED_TRACES = {
+    "top_level_list.json": ("[]", "not a serve trace"),
+    "no_records.json": ('{"format": "repro-serve-trace/v1"}', "records"),
+    "records_not_list.json": (_json_trace(5), "records"),
+    "record_not_object.json": (_json_trace([7]), "record 0"),
+    "missing_accel_type.json": (
+        _json_trace(
+            [_GOOD_RECORD, {k: v for k, v in _GOOD_RECORD.items() if k != "accel_type"}]
+        ),
+        "record 1: missing field 'accel_type'",
+    ),
+    "arrival_soon.json": (
+        _json_trace([{**_GOOD_RECORD, "arrival_ps": "soon"}]),
+        "record 0: field 'arrival_ps'",
+    ),
+    "seed_text.json": (
+        json.dumps({"format": "repro-serve-trace/v1", "seed": "x",
+                    "records": [_GOOD_RECORD]}),
+        "field 'seed'",
+    ),
+    "arrival_soon.csv": (
+        ",".join(_GOOD_RECORD) + "\n0,t0,gold,AES,soon,100,0,\n",
+        "record 0: field 'arrival_ps'",
+    ),
+    "after_text.csv": (
+        ",".join(_GOOD_RECORD) + "\n0,t0,gold,AES,10,100,0,\n1,t0,gold,AES,5,100,0,x\n",
+        "record 1: field 'after'",
+    ),
+    "huge_field.csv": (
+        ",".join(_GOOD_RECORD) + "\n0,t0,gold," + "A" * 140_000 + ",10,100,0,\n",
+        "unreadable CSV trace",
+    ),
+    "short_row.csv": (
+        ",".join(_GOOD_RECORD) + "\n0,t0,gold\n",
+        "record 0: missing field 'accel_type'",
+    ),
+}
+
+
+class TestMalformedTraces:
+    @pytest.mark.parametrize("name", sorted(MALFORMED_TRACES))
+    def test_load_raises_a_typed_error_naming_record_and_field(self, name, tmp_path):
+        text, names = MALFORMED_TRACES[name]
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ConfigurationError) as caught:
+            ArrivalTrace.load(path)
+        assert names in str(caught.value)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_TRACES))
+    def test_cli_exits_2_without_a_traceback(self, name, tmp_path, capsys):
+        path = tmp_path / name
+        path.write_text(MALFORMED_TRACES[name][0])
+        code = cli.main(["serve", "--trace", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("serve: error: ")
+        assert "Traceback" not in captured.err
+
+    def test_binary_file_is_a_typed_error(self, tmp_path):
+        path = tmp_path / "trace.json"
+        path.write_bytes(b"\xff\xfe\x00binary")
+        with pytest.raises(ConfigurationError, match="cannot read trace"):
+            ArrivalTrace.load(path)
+
+    #: Anything JSON can put in a field, plus CSV-ish strings.
+    _junk = st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
+        st.lists(st.integers(), max_size=2),
+        st.dictionaries(st.text(max_size=2), st.none(), max_size=1),
+    )
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        index=st.integers(0, 5),
+        field=st.sampled_from(sorted(_GOOD_RECORD) + ["__record__"]),
+        value=_junk,
+        as_csv=st.booleans(),
+    )
+    def test_one_mutated_field_loads_or_raises_configuration_error(
+        self, index, field, value, as_csv
+    ):
+        payload = make_trace(sessions=6).to_dict()
+        if field == "__record__":
+            payload["records"][index] = value
+        else:
+            payload["records"][index][field] = value
+        try:
+            if as_csv:
+                text = io.StringIO()
+                writer = csv.DictWriter(text, list(_GOOD_RECORD), extrasaction="ignore")
+                writer.writeheader()
+                writer.writerows(r for r in payload["records"] if isinstance(r, dict))
+                ArrivalTrace._from_csv_text(text.getvalue(), name="mutated")
+            else:
+                ArrivalTrace.from_dict(json.loads(json.dumps(payload)))
+        except ConfigurationError:
+            pass
+
+
 # -- gateway determinism -------------------------------------------------------
 
 
@@ -140,6 +268,125 @@ class TestGatewayDeterminism:
         outcomes = result.session_outcomes()
         assert outcomes.get("rejected_slo_shed", 0) > 0
         assert result.abandoned > 0
+
+
+#: sha256 of canonical-JSON ``GatewayResult.to_dict()``, recorded at the
+#: parent of the change that made chains continuations on the service heap
+#: (then: one coroutine per chain on a nested event loop).
+PINNED_RESULTS = {
+    # (load, followup_prob, sessions, seed) -> digest
+    (1.5, 0.3, 600, 7): "490e044aa1184cfb501e98f7bce0aee6e9d4f87f8890461fa8d06fa54c976c1f",
+    # Overloaded: 160 of 800 sessions abandoned behind shed predecessors.
+    (3.0, 0.5, 800, 11): "e8c80c7f7a5b4c6f4b171b21e7fc07f7d85e0935d14b3f67984a26d2342a22eb",
+}
+
+
+class _ShedTenantB(AdmissionPolicy):
+    def decide(self, request, now, service):
+        return AdmissionDecision("shed", "slo_shed") if request.tenant == "b" else ADMIT
+
+
+def two_chain_gateway(gateway_class=Gateway):
+    """Chain a = [a0, a1], chain b = [b0, b1, b2] on one node; b0 is shed.
+
+    a0 departs at 1 ms + 50 us placement + 2 ms = 3.05 ms and a1's think
+    time is 1 us — far shorter than the gap to the next event, b0's
+    arrival at 10 ms.
+    """
+    trace = ArrivalTrace(
+        [
+            SessionRecord(0, "a", "gold", "AES", ms(1), ms(2)),
+            SessionRecord(1, "a", "gold", "AES", us(1), ms(2), after=0),
+            SessionRecord(2, "b", "gold", "AES", ms(10), ms(2)),
+            SessionRecord(3, "b", "gold", "AES", us(1), ms(2), after=2),
+            SessionRecord(4, "b", "gold", "AES", us(1), ms(2), after=3),
+        ]
+    )
+    service = FleetService(
+        FleetCluster.build(1), make_policy("best-fit"), admission_policy=_ShedTenantB()
+    )
+    return service, gateway_class(service, trace)
+
+
+class TestChainContinuation:
+    @pytest.mark.parametrize("shards,lookahead", [(1, 0), (2, 0), (2, 8)])
+    @pytest.mark.parametrize("workload", sorted(PINNED_RESULTS))
+    def test_result_digest_is_pinned_on_every_executor(
+        self, workload, shards, lookahead
+    ):
+        load, followup_prob, sessions, seed = workload
+        with open_fleet(3, shards=shards, lookahead=lookahead) as cluster:
+            trace = synthesize(
+                ServeProfile(load=load, followup_prob=followup_prob),
+                sessions=sessions,
+                fleet_slots=cluster.total_slots,
+                seed=seed,
+            )
+            service = FleetService(
+                cluster, make_policy("best-fit"), admission_policy=SloBudgetPolicy()
+            )
+            result = Gateway(service, trace).run()
+        digest = hashlib.sha256(canonical_json(result.to_dict()).encode()).hexdigest()
+        assert digest == PINNED_RESULTS[workload]
+
+    def test_follow_up_arrives_at_the_next_event_boundary(self):
+        service, gateway = two_chain_gateway()
+        result = gateway.run()
+        # a1 arrives when the loop next turns (b0's arrival at 10 ms), not
+        # at completion + think = 3.051 ms: every pinned digest was
+        # recorded under this rule.
+        assert service.metrics.trace == [
+            f"{ms(1)} a AES -> node0/slot0 spatial wait={us(50)}",
+            f"{ms(10)} b AES -> rejected (slo_shed)",
+            f"{ms(10)} a AES -> node0/slot0 spatial wait={us(50)}",
+        ]
+        # The shed root takes its whole tail with it.
+        assert result.serve.outcomes == {
+            0: "completed", 1: "completed", 2: "rejected_slo_shed",
+        }
+        assert (result.submitted, result.abandoned) == (3, 2)
+        assert result.counters["abandoned"] == 2
+
+    def test_a_dropped_outcome_is_not_silent(self):
+        class DropsOneOutcome(Gateway):
+            def on_outcome(self, request, outcome, now):
+                if request.request_id != 1:
+                    super().on_outcome(request, outcome, now)
+
+        _, gateway = two_chain_gateway(DropsOneOutcome)
+        with pytest.raises(SimulationError, match="1 session chains never resolved"):
+            gateway.run()
+
+    def test_a_failing_continuation_surfaces_at_its_event(self):
+        class FollowUpFails(Gateway):
+            def connect(self, chain, position, arrival_ps):
+                if position:
+                    raise RuntimeError("follow-up refused")
+                super().connect(chain, position, arrival_ps)
+
+        service, gateway = two_chain_gateway(FollowUpFails)
+        with pytest.raises(RuntimeError, match="follow-up refused"):
+            gateway.run()
+        # Raised from the loop at the boundary that ran the continuation
+        # (b0's arrival), before that event dispatched — not after the run.
+        assert service.outcomes == {0: "completed"}
+
+    def test_a_gateway_runs_once(self):
+        _, gateway = two_chain_gateway()
+        gateway.run()
+        with pytest.raises(SimulationError, match="already ran"):
+            gateway.run()
+
+    def test_the_serving_stack_has_one_event_loop(self):
+        # Structural pin (beside ``FleetService.__subclasses__() == []`` in
+        # test_parallel.py): nothing the serving stack imports brings in a
+        # second scheduler.  A fresh interpreter, because pytest's own
+        # plugins may import asyncio.
+        probe = (
+            "import sys, repro.serve, repro.fleet, repro.parallel, repro.analytic, "
+            "repro.scenario, repro.__main__; sys.exit('asyncio' in sys.modules)"
+        )
+        assert subprocess.run([sys.executable, "-c", probe], timeout=120).returncode == 0
 
 
 SERVE_ARGS = ("serve", "--quick", "--sessions", "400", "--json")
