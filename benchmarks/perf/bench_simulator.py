@@ -237,7 +237,9 @@ def main() -> None:
 
     results = {
         "quick": args.quick,
-        "cpu_count": os.cpu_count(),
+        # CPUs this process may run on (os.cpu_count() ignores the affinity
+        # mask a container sets).
+        "cpu_count": len(os.sched_getaffinity(0)),
         "methodology": (
             "--jobs sweeps dispatch through a persistent fork pool, and only "
             "when a probed first cell clears the dispatch-cost heuristic "

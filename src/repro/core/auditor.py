@@ -29,8 +29,10 @@ from repro.sim.engine import Engine
 from repro.sim.packet import AddressSpace, Packet
 from repro.sim.stats import Counters
 
-#: Signature for forwarding a request up the multiplexer tree.
-TreeIngress = Callable[[Packet, VirtualChannel, Callable[[Optional[Packet]], None]], None]
+#: Signature for forwarding a request up the multiplexer tree:
+#: ``ingress(packet, channel, on_response, *rest)``; the response comes back
+#: as ``on_response(response, *rest)``.
+TreeIngress = Callable[..., None]
 
 
 class Auditor:
@@ -82,28 +84,30 @@ class Auditor:
             self.counters.bump("dma_dropped_disabled")
             self.engine.call_after(self.latency_ps, on_response, None)
             return
-        if not self._in_window(packet.address, packet.size):
+        gva = packet.address
+        if not (
+            self.window_base <= gva
+            and gva + packet.size <= self.window_base + self.window_size
+        ):
             self.counters.bump("dma_dropped_window")
             self.engine.call_after(self.latency_ps, on_response, None)
             return
         # Single-cycle GVA -> IOVA relocation + accelerator-ID tagging.
-        packet.address += self.offset
+        packet.address = gva + self.offset
         packet.space = AddressSpace.IOVA
         packet.accel_id = self.accel_id
         self.counters.bump("dma_forwarded")
         assert self.tree_ingress is not None, "auditor not wired to mux tree"
+        # The response comes back as deliver_response(response, on_response):
+        # the continuation and its argument ride the request through the
+        # tree and the memory system instead of a closure.
         self.engine.call_after(
             self.latency_ps,
             self.tree_ingress,
             packet,
             channel,
-            lambda response: self.deliver_response(response, on_response),
-        )
-
-    def _in_window(self, gva: int, size: int) -> bool:
-        return (
-            self.window_base <= gva
-            and gva + size <= self.window_base + self.window_size
+            self.deliver_response,
+            on_response,
         )
 
     # -- inbound: memory -> accelerator ---------------------------------------------

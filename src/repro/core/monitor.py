@@ -11,7 +11,7 @@ baseline configures the shell with a bare accelerator socket instead.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List
 
 from repro.core.auditor import Auditor
 from repro.core.mux_tree import AsymmetricMuxTree, MuxTree
@@ -20,10 +20,8 @@ from repro.errors import ConfigurationError
 from repro.fpga.afu import AfuSocket
 from repro.fpga.resources import ResourceFootprint, monitor_footprint
 from repro.fpga.shell import Shell
-from repro.interconnect.channel_selector import VirtualChannel
 from repro.sim.clock import Clock
 from repro.sim.engine import Engine
-from repro.sim.packet import Packet
 
 
 class HardwareMonitor:
@@ -66,7 +64,7 @@ class HardwareMonitor:
                 mux_topology,
                 clock=interconnect_clock,
                 level_latency_ps=mux_level_latency_ps,
-                root_egress=self._root_egress,
+                root_egress=shell.dma_to_memory,
                 root_cost_per_line_cycles=root_cost_per_line_cycles,
             )
         else:
@@ -76,7 +74,7 @@ class HardwareMonitor:
                 radix=mux_radix,
                 clock=interconnect_clock,
                 level_latency_ps=mux_level_latency_ps,
-                root_egress=self._root_egress,
+                root_egress=shell.dma_to_memory,
                 root_cost_per_line_cycles=root_cost_per_line_cycles,
             )
 
@@ -85,16 +83,6 @@ class HardwareMonitor:
             socket.connect(auditor.dma_sink)
 
         self.vcu = VirtualizationControlUnit(self.auditors, sockets)
-
-    # -- data plane ---------------------------------------------------------------
-
-    def _root_egress(
-        self,
-        packet: Packet,
-        channel: VirtualChannel,
-        on_response: Callable[[Optional[Packet]], None],
-    ) -> None:
-        self.shell.dma_to_memory(packet, channel, on_response)
 
     # -- control plane (MmioTarget protocol for the shell) ---------------------------
 

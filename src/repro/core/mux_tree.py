@@ -22,6 +22,7 @@ path" (§4.1) — build with an explicit topology list to do that.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -31,23 +32,31 @@ from repro.sim.engine import Engine
 from repro.sim.packet import CACHE_LINE_BYTES, Packet, PacketKind
 from repro.sim.port import RoundRobinArbiter
 
-#: What flows through the tree: the packet, its virtual channel, and the
-#: response continuation that eventually reaches the issuing auditor.
-TreeItem = Tuple[Packet, VirtualChannel, Callable[[Optional[Packet]], None]]
+#: What flows through the tree: the packet, its virtual channel, the
+#: response continuation that eventually reaches the issuing auditor, and
+#: whatever further arguments that continuation wants back after the
+#: response (``on_response(response, *rest)``).
+TreeItem = Tuple[Packet, VirtualChannel, Callable[..., None]]
 
-#: The tree's root output: delivers the item to the VCU/shell.
-RootEgress = Callable[[Packet, VirtualChannel, Callable[[Optional[Packet]], None]], None]
-
-
-def _item_cycles(item: TreeItem) -> int:
-    packet = item[0]
-    return max(1, (packet.size + CACHE_LINE_BYTES - 1) // CACHE_LINE_BYTES)
+#: The tree's root output: delivers the item (``root_egress(*item)``) to
+#: the VCU/shell.  The leaf ingress functions have the same signature.
+RootEgress = Callable[..., None]
 
 
 #: Root-pacing weight for write requests.  CCI-P carries writes on their
 #: own Tx channel (C1) with separate credits; the root's *read* pacing
 #: models downstream-link acceptance, so writes only pay a token slot.
 WRITE_ROOT_WEIGHT = 0.2
+
+
+def hold_cycles(lines: int, is_write: bool, cost_per_line_cycles: float) -> float:
+    """Cycles a packet of ``lines`` cache lines holds a node paced at
+    ``cost_per_line_cycles`` (the arbiter rounds anything <= 1 up to one)."""
+    if is_write and cost_per_line_cycles > 1.0:
+        # Rate-paced root: writes ride the separate C1 channel.
+        paced = lines * cost_per_line_cycles * WRITE_ROOT_WEIGHT
+        return paced if paced > 1.0 else 1.0
+    return lines * cost_per_line_cycles
 
 
 class MuxNode:
@@ -57,6 +66,12 @@ class MuxNode:
     can only hand the shell requests as fast as the interconnect accepts
     them, which makes the root's round-robin the platform's bandwidth
     allocator — the property behind §6.7's fairness guarantees.
+
+    The node is wiring only: its arbiter (:mod:`repro.sim.port`) grants,
+    forwards the item ``level_latency_ps`` later — each tree level adds
+    its pipeline latency on the request path — and re-arms, in one event
+    handler.  ``forward(*item)`` is the parent node's :meth:`input` or the
+    tree's root egress.
     """
 
     def __init__(
@@ -67,56 +82,40 @@ class MuxNode:
         *,
         clock: Clock,
         level_latency_ps: int,
-        forward: Callable[[TreeItem], None],
+        forward: Callable[..., None],
         cost_per_line_cycles: float = 1.0,
     ) -> None:
         self.engine = engine
         self.name = name
         self.level_latency_ps = level_latency_ps
-        self._forward = forward
         scale = cost_per_line_cycles
 
-        # The cost function runs once per grant, across every node and
-        # packet in the tree; specialize the unscaled (non-root) case.
-        if scale == 1.0:
-            def cost(item: TreeItem) -> float:
-                size = item[0].size
-                if size <= CACHE_LINE_BYTES:
-                    return 1
-                return (size + CACHE_LINE_BYTES - 1) // CACHE_LINE_BYTES
-        elif scale > 1.0:
-            def cost(item: TreeItem) -> float:
-                packet = item[0]
-                size = packet.size
-                lines = (
-                    1
-                    if size <= CACHE_LINE_BYTES
-                    else (size + CACHE_LINE_BYTES - 1) // CACHE_LINE_BYTES
-                )
-                if packet.kind is PacketKind.DMA_WRITE_REQ:
-                    # Rate-paced root: writes ride the separate C1 channel.
-                    paced = lines * scale * WRITE_ROOT_WEIGHT
-                    return paced if paced > 1.0 else 1.0
-                return lines * scale
-        else:
-            def cost(item: TreeItem) -> float:
-                return _item_cycles(item) * scale
+        def cost(packet: Packet, *_rest: object) -> float:
+            lines = max(1, (packet.size + CACHE_LINE_BYTES - 1) // CACHE_LINE_BYTES)
+            return hold_cycles(lines, packet.kind is PacketKind.DMA_WRITE_REQ, scale)
 
         self.arbiter = RoundRobinArbiter(
             engine,
             name,
             n_inputs=radix,
             period_ps=clock.period_ps,
-            grant=self._on_grant,
             cost_cycles=cost,
+            forward=forward,
+            forward_latency_ps=level_latency_ps,
+            # Nearly every packet is one line: its hold time is a constant
+            # of the node, computed here rather than asked per grant.
+            line_hold_cycles=(hold_cycles(1, False, scale), hold_cycles(1, True, scale)),
         )
 
     def push(self, input_index: int, item: TreeItem) -> None:
-        self.arbiter.push(input_index, item)
+        self.arbiter.push(input_index, *item)
 
-    def _on_grant(self, _input_index: int, item: TreeItem) -> None:
-        # Each tree level adds its pipeline latency on the request path.
-        self.engine.call_after(self.level_latency_ps, self._forward, item)
+    def input(self, input_index: int) -> Callable[..., None]:
+        """``input(i)(*item)`` pushes on input ``i``: what a child node's
+        forward, or an auditor's tree ingress, is bound to."""
+        if not 0 <= input_index < len(self.arbiter.grants_per_input):
+            raise ConfigurationError(f"{self.name}: no input {input_index}")
+        return partial(self.arbiter.push, input_index)
 
 
 class MuxTree:
@@ -142,44 +141,29 @@ class MuxTree:
         self.radix = radix
         self.levels = max(1, math.ceil(math.log(max(n_leaves, 2), radix)))
         self.root_egress = root_egress
-        self._root_cost = root_cost_per_line_cycles
 
-        # Build bottom-up.  Level 0 nodes take leaves; each higher level
-        # multiplexes the nodes below; the single top node feeds the root.
+        # Build top-down, so every node is born bound to its parent's
+        # input: the single root feeds the egress, each lower level
+        # multiplexes into the one above, level 0 takes the leaves
+        # (radix**levels slots, including unused ones).
         self._levels: List[List[MuxNode]] = []
-        width = radix**self.levels  # leaf slots including unused ones
-        below = width
-        for level in range(self.levels):
-            count = below // radix
-            nodes: List[MuxNode] = []
-            for node_index in range(count):
-                nodes.append(self._make_node(level, node_index, clock, level_latency_ps))
-            self._levels.append(nodes)
-            below = count
-        assert len(self._levels[-1]) == 1, "tree must converge to a single root"
-
-    def _make_node(
-        self, level: int, node_index: int, clock: Clock, level_latency_ps: int
-    ) -> MuxNode:
-        if level + 1 < self.levels:
-            def forward(item: TreeItem, lvl: int = level, idx: int = node_index) -> None:
-                parent = self._levels[lvl + 1][idx // self.radix]
-                parent.push(idx % self.radix, item)
-        else:
-            def forward(item: TreeItem) -> None:
-                packet, channel, on_response = item
-                self.root_egress(packet, channel, on_response)
-
-        is_root = level + 1 == self.levels
-        return MuxNode(
-            self.engine,
-            f"mux.L{level}.{node_index}",
-            self.radix,
-            clock=clock,
-            level_latency_ps=level_latency_ps,
-            forward=forward,
-            cost_per_line_cycles=self._root_cost if is_root else 1.0,
-        )
+        above: List[MuxNode] = []
+        for level in range(self.levels - 1, -1, -1):
+            above = [
+                MuxNode(
+                    engine,
+                    f"mux.L{level}.{index}",
+                    radix,
+                    clock=clock,
+                    level_latency_ps=level_latency_ps,
+                    forward=(
+                        above[index // radix].input(index % radix) if above else root_egress
+                    ),
+                    cost_per_line_cycles=1.0 if above else root_cost_per_line_cycles,
+                )
+                for index in range(radix ** (self.levels - 1 - level))
+            ]
+            self._levels.insert(0, above)
 
     # -- leaf-side API -----------------------------------------------------------
 
@@ -187,17 +171,7 @@ class MuxTree:
         """The ingress function for one leaf (wired to an auditor)."""
         if not 0 <= leaf_index < self.n_leaves:
             raise ConfigurationError(f"leaf {leaf_index} out of range")
-        node = self._levels[0][leaf_index // self.radix]
-        input_index = leaf_index % self.radix
-
-        def ingress(
-            packet: Packet,
-            channel: VirtualChannel,
-            on_response: Callable[[Optional[Packet]], None],
-        ) -> None:
-            node.push(input_index, (packet, channel, on_response))
-
-        return ingress
+        return self._levels[0][leaf_index // self.radix].input(leaf_index % self.radix)
 
     @property
     def node_count(self) -> int:
@@ -247,11 +221,7 @@ class AsymmetricMuxTree:
         self._node_count = 0
         self.nodes: List[MuxNode] = []
 
-        def root_forward(item: TreeItem) -> None:
-            packet, channel, on_response = item
-            self.root_egress(packet, channel, on_response)
-
-        self._build_node(topology, root_forward, depth=1)
+        self._build_node(topology, root_egress, depth=1)
         self.n_leaves = len(self._ingress)
         if self.n_leaves == 0:
             raise ConfigurationError("topology has no leaves")
@@ -270,25 +240,12 @@ class AsymmetricMuxTree:
         self._node_count += 1
         for input_index, child in enumerate(spec):
             if isinstance(child, list):
-                def child_forward(item: TreeItem, n=node, i=input_index) -> None:
-                    n.push(i, item)
-
-                self._build_node(child, child_forward, depth + 1)
+                self._build_node(child, node.input(input_index), depth + 1)
             else:
                 if child in self._ingress:
                     raise ConfigurationError(f"leaf {child} appears twice")
-                self._leaf(node, input_index, int(child))
+                self._ingress[int(child)] = node.input(input_index)
         return node
-
-    def _leaf(self, node: MuxNode, input_index: int, leaf_id: int) -> None:
-        def ingress(
-            packet: Packet,
-            channel: VirtualChannel,
-            on_response: Callable[[Optional[Packet]], None],
-        ) -> None:
-            node.push(input_index, (packet, channel, on_response))
-
-        self._ingress[leaf_id] = ingress
 
     def leaf_ingress(self, leaf_index: int) -> Callable[..., None]:
         try:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, MmioFault
@@ -214,9 +215,17 @@ class DmaEngine:
                 return self._split_burst(packet, channel)
             # A single-line burst that could not commit is just an ordinary
             # request; fall through to the reference path.
-        future = self.engine.future()
+        future = Future(self.engine)
         self._waiting.append((packet, channel, future))
-        self._try_issue()
+        # _try_issue provably does nothing while the throttle is armed with
+        # its wake-up already scheduled and no virtual line waits to be
+        # reaped — the state a saturating master enqueues and completes in.
+        if (
+            not self._wakeup_pending
+            or self._virtual_completions
+            or self.engine.now >= self._next_issue_ps
+        ):
+            self._try_issue()
         return future
 
     def _split_burst(self, packet: Packet, channel: VirtualChannel) -> Future:
@@ -281,19 +290,6 @@ class DmaEngine:
         lines = (packet.size + CACHE_LINE_BYTES - 1) // CACHE_LINE_BYTES
         return self.clock.cycles(interval * lines)
 
-    def _schedule_wakeup(self, at_ps: int) -> None:
-        # At most one pending wakeup: enqueues while the throttle is armed
-        # must not pile O(queue-depth) timers onto the event queue.
-        if self._wakeup_pending:
-            return
-        self._wakeup_pending = True
-        now = self.engine.now
-        self.engine.call_at(at_ps if at_ps > now else now, self._wakeup)
-
-    def _wakeup(self) -> None:
-        self._wakeup_pending = False
-        self._try_issue()
-
     def _reap_virtual(self) -> None:
         """Release window slots of committed burst lines whose completion
         time has passed.  Idempotent; callers may invoke it freely."""
@@ -303,32 +299,42 @@ class DmaEngine:
             heapq.heappop(vq)
             self._outstanding -= 1
 
-    def _try_issue(self) -> None:
+    def _try_issue(self, woken: bool = False) -> None:
+        """Issue what the window and the throttle allow; ``woken`` marks the
+        call that is the scheduled wake-up event itself."""
+        if woken:
+            self._wakeup_pending = False
         if self._virtual_completions:
             self._reap_virtual()
         waiting = self._waiting
         max_outstanding = self.max_outstanding
         sink = self.sink
         engine = self.engine
+        wake_at = None
         while waiting and self._outstanding < max_outstanding:
             now = engine.now
             if now < self._next_issue_ps:
-                self._schedule_wakeup(self._next_issue_ps)
-                return
+                wake_at = self._next_issue_ps
+                break
             packet, channel, future = waiting.popleft()
             self._outstanding += 1
             self._next_issue_ps = now + self._issue_interval_ps(packet)
             packet.issued_at_ps = now
-            sink(packet, channel, lambda resp, p=packet, f=future: self._complete(p, f, resp))
-        if (
-            waiting
-            and self._outstanding >= max_outstanding
-            and self._virtual_completions
-        ):
-            # Window full with virtual lines in flight: no completion event
-            # will re-kick us for those, so arm a wakeup at the first slot
-            # release (a real completion arriving earlier re-kicks anyway).
-            self._schedule_wakeup(self._virtual_completions[0])
+            # Sink first, wake-up (below) second: the order their events
+            # are scheduled in is part of the timing contract.
+            sink(packet, channel, partial(self._complete, packet, future))
+        else:
+            if waiting and self._virtual_completions:
+                # Window full with virtual lines in flight: no completion
+                # event will re-kick us for those, so wake at the first slot
+                # release (a real completion arriving earlier re-kicks anyway).
+                wake_at = self._virtual_completions[0]
+        # At most one pending wakeup: enqueues while the throttle is armed
+        # must not pile O(queue-depth) timers onto the event queue.
+        if wake_at is not None and not self._wakeup_pending:
+            self._wakeup_pending = True
+            now = engine.now
+            engine.call_at(wake_at if wake_at > now else now, self._try_issue, True)
 
     def _complete(self, request: Packet, future: Future, response: Optional[Packet]) -> None:
         self._outstanding -= 1
@@ -342,7 +348,13 @@ class DmaEngine:
         else:
             self.write_meter.record(request.size)
             future.set_result(True)
-        self._try_issue()
+        # Same skip as in _enqueue.
+        if (
+            not self._wakeup_pending
+            or self._virtual_completions
+            or self.engine.now >= self._next_issue_ps
+        ):
+            self._try_issue()
 
     def drain(self) -> Future:
         """A future that completes when no requests are in flight or queued.

@@ -16,7 +16,7 @@ virtual space (§6.1 Baseline).
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Protocol
+from typing import Any, Callable, Optional, Protocol
 
 from repro.errors import MmioFault
 from repro.interconnect.channel_selector import VirtualChannel
@@ -108,11 +108,15 @@ class Shell:
         self,
         packet: Packet,
         channel: VirtualChannel,
-        on_response: Callable[[Optional[Packet]], None],
+        on_response: Callable[..., None],
+        *rest: Any,
     ) -> None:
-        """Forward an IOVA-space DMA request into the memory system."""
+        """Forward an IOVA-space DMA request into the memory system.
+
+        The response arrives as ``on_response(response, *rest)``.
+        """
         self.engine.call_after(
-            self.latency_ps, self.memory.dma, packet, channel, on_response
+            self.latency_ps, self.memory.dma, packet, channel, on_response, *rest
         )
 
     def passthrough_dma_sink(

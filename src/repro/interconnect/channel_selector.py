@@ -47,43 +47,41 @@ class ChannelSelector:
         self.pcie_links = list(pcie_links)
         self.all_links: List[Link] = [upi, *pcie_links]
         self._rr_cursor = 0
+        # For select(): each link's two directional servers, and a scratch
+        # list for the backlogs of one decision.
+        self._servers = [(link.to_memory, link.from_memory) for link in self.all_links]
+        self._backlogs = [0] * len(self.all_links)
 
     def select(self, channel: VirtualChannel) -> Link:
         """Resolve a virtual channel to a physical link for one request."""
-        fixed = self.fixed_link(channel)
-        if fixed is not None:
-            return fixed
-        return self._select_auto()
-
-    def _select_auto(self) -> Link:
+        if channel is not VirtualChannel.VA:
+            return self.fixed_link(channel)
         # Throughput-optimized: least-backlog wins; ties rotate round-robin
         # so an unloaded platform spreads requests across every link.
         # Open-coded equivalent of auto_pick() (which remains the reference
-        # policy): this runs per request, so avoid building the tie list
-        # unless there actually is a tie.
-        links = self.all_links
+        # policy) over each link's committed-but-unserved time in both
+        # directions: this runs per request.
+        now = self.upi.engine.now
+        backlogs = self._backlogs
         best_backlog = -1
-        best_first = 0
-        ties = 1
-        for index, link in enumerate(links):
-            backlog = link.backlog_ps
+        ties = 0
+        for index, (to_memory, from_memory) in enumerate(self._servers):
+            outbound = to_memory._next_free_ps - now
+            inbound = from_memory._next_free_ps - now
+            backlog = (outbound if outbound > 0 else 0) + (inbound if inbound > 0 else 0)
+            backlogs[index] = backlog
             if best_backlog < 0 or backlog < best_backlog:
                 best_backlog = backlog
-                best_first = index
                 ties = 1
             elif backlog == best_backlog:
                 ties += 1
-        cursor = self._rr_cursor
-        self._rr_cursor = cursor + 1
-        if ties == 1:
-            return links[best_first]
-        pick = cursor % ties
-        seen = 0
-        for link in links[best_first:]:
-            if link.backlog_ps == best_backlog:
-                if seen == pick:
-                    return link
-                seen += 1
+        pick = self._rr_cursor % ties
+        self._rr_cursor += 1
+        for index, backlog in enumerate(backlogs):
+            if backlog == best_backlog:
+                if not pick:
+                    return self.all_links[index]
+                pick -= 1
         raise AssertionError("unreachable: tie scan exhausted")
 
     def auto_pick(self, backlogs: Sequence[int], cursor: int) -> int:

@@ -96,11 +96,15 @@ class Link:
                                 args={"link": self.name})
 
     def send_to_memory(self, wire_bytes: int, deliver: Callable[..., None], *args: Any) -> int:
-        self.meter_to_memory.record(wire_bytes)
+        meter = self.meter_to_memory
+        meter.bytes_total += wire_bytes
+        meter.packets_total += 1
         return self.to_memory.submit(wire_bytes, deliver, *args)
 
     def send_from_memory(self, wire_bytes: int, deliver: Callable[..., None], *args: Any) -> int:
-        self.meter_from_memory.record(wire_bytes)
+        meter = self.meter_from_memory
+        meter.bytes_total += wire_bytes
+        meter.packets_total += 1
         return self.from_memory.submit(wire_bytes, deliver, *args)
 
     def reserve_to_memory(self, wire_bytes: int, at_ps: int) -> int:
@@ -113,24 +117,9 @@ class Link:
         self.meter_from_memory.record(wire_bytes)
         return self.from_memory.reserve(wire_bytes, at_ps)
 
-    def backlog_at(self, at_ps: int) -> int:
-        """Both directions' committed backlog as it will stand at ``at_ps``."""
-        return self.to_memory.backlog_at(at_ps) + self.from_memory.backlog_at(at_ps)
-
     def round_trip(self, request_bytes: int, response_bytes: int, on_done: Callable[[], None]) -> None:
         """Request out, response back — used for IOMMU page-walk fetches."""
-        self.send_to_memory(
-            request_bytes,
-            lambda: self.send_from_memory(response_bytes, on_done),
-        )
-
-    @property
-    def backlog_ps(self) -> int:
-        """Total committed-but-unserved time across both directions.
-
-        The channel selector uses this as its congestion signal.
-        """
-        return self.to_memory.backlog_ps + self.from_memory.backlog_ps
+        self.send_to_memory(request_bytes, self.send_from_memory, response_bytes, on_done)
 
     def trace_flush(self) -> None:
         """Emit one occupancy-window span per direction (if traced)."""

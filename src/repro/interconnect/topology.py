@@ -14,7 +14,7 @@ behaviour isolation tests assert on.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from repro.interconnect.channel_selector import ChannelSelector, VirtualChannel
 from repro.interconnect.link import Link
@@ -30,7 +30,8 @@ from repro.sim.packet import (
 )
 from repro.sim.stats import BandwidthMeter
 
-ResponseCallback = Callable[[Optional[Packet]], None]
+#: ``on_response(response_or_None, *rest)``.
+ResponseCallback = Callable[..., None]
 
 
 class MemorySystem:
@@ -60,63 +61,75 @@ class MemorySystem:
         packet: Packet,
         channel: VirtualChannel,
         on_response: ResponseCallback,
+        *rest: Any,
     ) -> None:
-        """Carry one DMA request to memory and its response back."""
+        """Carry one DMA request to memory and its response back.
+
+        The response (``None`` for a dropped DMA) arrives as
+        ``on_response(response, *rest)``.  Every hop below is one event
+        whose handler is a bound method; what the next hop needs travels
+        as the event's arguments.
+        """
         assert packet.space is AddressSpace.IOVA, "memory system expects IOVAs"
-        is_write = packet.kind is PacketKind.DMA_WRITE_REQ
-
-        def after_translate(hpa: Optional[int]) -> None:
-            if hpa is None:
-                self.dropped_dmas += 1
-                on_response(None)
-                return
-            link = self.selector.select(channel)
-            self._transfer(packet, hpa, is_write, link, on_response)
-
         self.iommu.translate_async(
             packet.address,
-            write=is_write,
+            write=packet.kind is PacketKind.DMA_WRITE_REQ,
             master=packet.accel_id,
-            on_done=after_translate,
+            on_done=self._after_translate,
+            args=(packet, channel, on_response, *rest),
         )
 
-    def _transfer(
+    def _after_translate(
         self,
+        hpa: Optional[int],
         packet: Packet,
-        hpa: int,
-        is_write: bool,
-        link: Link,
+        channel: VirtualChannel,
         on_response: ResponseCallback,
+        *rest: Any,
     ) -> None:
+        if hpa is None:
+            self.dropped_dmas += 1
+            on_response(None, *rest)
+            return
+        link = self.selector.select(channel)
         # Wire sizes are inlined (see Packet.wire_bytes_*): requests and
         # write acks are small packets, payload carriers add a header.
-        if is_write:
-            def at_memory() -> None:
-                self.write_meter.record(packet.size)
-                self.dram.write_async(
-                    hpa,
-                    packet.data,
-                    packet.size,
-                    lambda: link.send_from_memory(
-                        SMALL_PACKET_BYTES,
-                        on_response,
-                        packet.make_response(),
-                    ),
-                )
-
-            link.send_to_memory(REQUEST_HEADER_BYTES + packet.size, at_memory)
+        if packet.kind is PacketKind.DMA_WRITE_REQ:
+            link.send_to_memory(
+                REQUEST_HEADER_BYTES + packet.size,
+                self._write_at_memory, packet, hpa, link, on_response, *rest,
+            )
         else:
-            def at_memory() -> None:
-                def with_data(data: bytes) -> None:
-                    self.read_meter.record(packet.size)
-                    response = packet.make_response(data=data)
-                    link.send_from_memory(
-                        REQUEST_HEADER_BYTES + response.size, on_response, response
-                    )
+            link.send_to_memory(
+                SMALL_PACKET_BYTES,
+                self.dram.read_async,
+                hpa, packet.size, self._read_with_data, packet, link, on_response, *rest,
+            )
 
-                self.dram.read_async(hpa, packet.size, with_data)
+    def _read_with_data(
+        self, data: bytes, packet: Packet, link: Link, on_response: ResponseCallback, *rest: Any
+    ) -> None:
+        self.read_meter.record(packet.size)
+        response = packet.make_response(data=data)
+        link.send_from_memory(
+            REQUEST_HEADER_BYTES + response.size, on_response, response, *rest
+        )
 
-            link.send_to_memory(SMALL_PACKET_BYTES, at_memory)
+    def _write_at_memory(
+        self, packet: Packet, hpa: int, link: Link, on_response: ResponseCallback, *rest: Any
+    ) -> None:
+        self.write_meter.record(packet.size)
+        self.dram.write_async(
+            hpa, packet.data, packet.size,
+            self._write_done, packet, link, on_response, *rest,
+        )
+
+    def _write_done(
+        self, packet: Packet, link: Link, on_response: ResponseCallback, *rest: Any
+    ) -> None:
+        link.send_from_memory(
+            SMALL_PACKET_BYTES, on_response, packet.make_response(), *rest
+        )
 
     # -- IOMMU page-walk transport ----------------------------------------------
 

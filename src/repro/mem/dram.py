@@ -8,7 +8,7 @@ future experiment drives it harder.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from repro.errors import ConfigurationError
 from repro.mem.address import GB
@@ -50,24 +50,31 @@ class Dram:
     # -- timed interface -------------------------------------------------------
 
     def read_async(
-        self, hpa: int, size: int, on_done: Callable[[bytes], None]
+        self, hpa: int, size: int, on_done: Callable[..., None], *args: Any
     ) -> None:
-        """Timed read: data is delivered after the DRAM access completes."""
+        """Timed read: ``on_done(data, *args)`` after the DRAM access completes."""
         self.reads += 1
-        self._server.submit(size, self._deliver_read, hpa, size, on_done)
+        self._server.submit(size, self._deliver_read, hpa, size, on_done, *args)
 
-    def _deliver_read(self, hpa: int, size: int, on_done: Callable[[bytes], None]) -> None:
-        on_done(self.store.read(hpa, size))
+    def _deliver_read(
+        self, hpa: int, size: int, on_done: Callable[..., None], *args: Any
+    ) -> None:
+        on_done(self.store.read(hpa, size), *args)
 
     def write_async(
-        self, hpa: int, data: Optional[bytes], size: int, on_done: Callable[[], None]
+        self,
+        hpa: int,
+        data: Optional[bytes],
+        size: int,
+        on_done: Callable[..., None],
+        *args: Any,
     ) -> None:
-        """Timed write; ``data=None`` models a payload we only shape, not store."""
+        """Timed write, then ``on_done(*args)``; ``data=None`` models a
+        payload we only shape, not store."""
         self.writes += 1
         if data is not None:
             self.store.write(hpa, data)
-
-        self._server.submit(size, on_done)
+        self._server.submit(size, on_done, *args)
 
     # -- functional shortcuts (zero-time; used by the CPU model) ---------------
 

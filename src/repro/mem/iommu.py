@@ -34,6 +34,7 @@ the paper's evaluation:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ProtectionFault, TranslationFault
@@ -183,22 +184,6 @@ class Iommu:
             and self._last_master == master
         )
 
-    def _note_access(self, master: Optional[int], iova: int) -> bool:
-        """Update streak tracking; return True if this access is speculative."""
-        region = iova >> SPECULATIVE_REGION_SHIFT
-        speculative = (
-            self.speculative_region_opt
-            and self._last_master == master
-            and self._last_region == region
-        )
-        if speculative:
-            self._spec_streak += 1
-        else:
-            self._spec_streak = 0
-        self._last_master = master
-        self._last_region = region
-        return speculative
-
     # -- synchronous (functional) translation --------------------------------
 
     def translate_sync(self, iova: int, *, write: bool = False) -> int:
@@ -213,9 +198,10 @@ class Iommu:
         *,
         write: bool,
         master: Optional[int],
-        on_done: Callable[[Optional[int]], None],
+        on_done: Callable[..., None],
+        args: tuple = (),
     ) -> None:
-        """Translate with modeled timing; ``on_done(hpa_or_None)``.
+        """Translate with modeled timing; ``on_done(hpa_or_None, *args)``.
 
         A ``None`` result means the translation faulted; the caller (the
         memory system) drops the DMA, as the real IOMMU would after logging
@@ -223,44 +209,48 @@ class Iommu:
         """
         # Streak tracking is only observable while the §6.5 optimization is
         # enabled (the flag is fixed at construction), so skip it otherwise.
-        speculative = (
-            self._note_access(master, iova) if self.speculative_region_opt else False
-        )
+        speculative = False
+        if self.speculative_region_opt:
+            region = iova >> SPECULATIVE_REGION_SHIFT
+            if self._last_master == master and self._last_region == region:
+                speculative = True
+                self._spec_streak += 1
+            else:
+                self._spec_streak = 0
+            self._last_master = master
+            self._last_region = region
 
         # Functional outcome first: faults short-circuit timing.
         try:
             hpa = self.page_table.translate_cached(iova, write=write)
-        except TranslationFault:
-            self.faults["translation"] += 1
+        except (TranslationFault, ProtectionFault) as fault:
+            kind = "translation" if isinstance(fault, TranslationFault) else "protection"
+            self.faults[kind] += 1
             if self._trace is not None:
                 self._trace.instant("iommu.fault", self.engine.now,
                                     tid=self._trace_tid_events, cat="iotlb",
-                                    args={"kind": "translation", "iova": iova})
-            self.engine.call_after(self.hit_latency_ps, on_done, None)
-            return
-        except ProtectionFault:
-            self.faults["protection"] += 1
-            if self._trace is not None:
-                self._trace.instant("iommu.fault", self.engine.now,
-                                    tid=self._trace_tid_events, cat="iotlb",
-                                    args={"kind": "protection", "iova": iova})
-            self.engine.call_after(self.hit_latency_ps, on_done, None)
+                                    args={"kind": kind, "iova": iova})
+            self.engine.call_after(self.hit_latency_ps, on_done, None, *args)
             return
 
         if speculative:
             self.iotlb.stats.speculative_hits += 1
-            self.engine.call_after(self.speculative_latency_ps, on_done, hpa)
+            self.engine.call_after(self.speculative_latency_ps, on_done, hpa, *args)
             return
 
-        frame = self.iotlb.lookup(iova)
-        if frame is not None:
-            self.engine.call_after(self.hit_latency_ps, on_done, hpa)
+        # Iotlb.lookup, open-coded: the frame itself is not needed (the
+        # functional translation above already produced the address).
+        tlb = self.iotlb
+        vpn = iova >> tlb.page_shift
+        if tlb._tags[vpn & tlb.index_mask] == vpn:
+            tlb.stats.hits += 1
+            self.engine.call_after(self.hit_latency_ps, on_done, hpa, *args)
             return
+        tlb.stats.misses += 1
 
         # Miss: serialize on the walker, then fetch PTEs over the wire.
         start = max(self.engine.now, self._walker_free_at_ps)
         self._walker_free_at_ps = start + self.walker_occupancy_ps
-        walk_bytes = self.page_table.walk_levels * CACHE_LINE_BYTES
         if self._trace is not None:
             # The walker-occupancy window is known analytically at miss
             # time, so the span can be emitted eagerly (and the walker lane
@@ -272,17 +262,25 @@ class Iommu:
             self._trace.complete("iotlb.walk", start, start + self.walker_occupancy_ps,
                                  tid=self._trace_tid_walker, cat="iotlb",
                                  args={"set": set_index})
+        self.engine.call_at(
+            start + self.walker_occupancy_ps, self._after_occupancy, iova, hpa, on_done, args
+        )
 
-        def after_occupancy() -> None:
-            if self.walk_transfer is None:
-                self._finish_walk(iova, hpa, on_done)
-            else:
-                self.walk_transfer(walk_bytes, lambda: self._finish_walk(iova, hpa, on_done))
-
-        self.engine.call_at(start + self.walker_occupancy_ps, after_occupancy)
+    def _after_occupancy(
+        self, iova: int, hpa: int, on_done: Callable[..., None], args: tuple
+    ) -> None:
+        # walk_transfer is looked up now, not at miss time: tests and the
+        # memory system install it after construction.
+        if self.walk_transfer is None:
+            self._finish_walk(iova, hpa, on_done, args)
+        else:
+            self.walk_transfer(
+                self.page_table.walk_levels * CACHE_LINE_BYTES,
+                partial(self._finish_walk, iova, hpa, on_done, args),
+            )
 
     def _finish_walk(
-        self, iova: int, hpa: int, on_done: Callable[[Optional[int]], None]
+        self, iova: int, hpa: int, on_done: Callable[..., None], args: tuple
     ) -> None:
         if self._trace is not None:
             # Detect the conflict eviction the install is about to make.
@@ -296,7 +294,7 @@ class Iommu:
                                     args={"set": index, "vpn": vpn,
                                           "victim_vpn": victim})
         self.iotlb.install(iova, hpa >> self.iotlb.page_shift)
-        on_done(hpa)
+        on_done(hpa, *args)
 
     # -- management (hypervisor-facing) ---------------------------------------
 

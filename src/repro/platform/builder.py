@@ -14,6 +14,7 @@ on it, and is the object hypervisors, guests, and experiments talk to.
 from __future__ import annotations
 
 import enum
+from functools import partial
 from typing import List, Optional
 
 from repro.core.monitor import HardwareMonitor
@@ -177,7 +178,7 @@ def build_platform(
             clock=interconnect_clock,
             issue_interval_cycles=issue_interval,
             max_outstanding=max_outstanding,
-            spec_probe=(lambda aid=accel_id: iommu.in_speculative_streak(aid)),
+            spec_probe=partial(iommu.in_speculative_streak, accel_id),
         )
         sockets.append(socket)
 

@@ -23,7 +23,7 @@ from repro.sim.packet import (
     dma_read,
     dma_write,
 )
-from repro.sim.port import LatencyPipe, RoundRobinArbiter, ThroughputServer
+from repro.sim.port import RoundRobinArbiter, ThroughputServer
 from repro.sim.stats import (
     BandwidthMeter,
     Counters,
@@ -44,7 +44,6 @@ __all__ = [
     "Engine",
     "Future",
     "INTERCONNECT_CLOCK",
-    "LatencyPipe",
     "LatencyRecorder",
     "OnlineQuantile",
     "Packet",

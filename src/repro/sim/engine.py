@@ -61,16 +61,18 @@ class Future:
         return self._exception
 
     def set_result(self, value: Any = None) -> None:
-        self._complete(value, None)
-
-    def set_exception(self, exc: BaseException) -> None:
-        self._complete(None, exc)
-
-    def _complete(self, value: Any, exc: Optional[BaseException]) -> None:
         if self._done:
             raise SimulationError("Future completed twice")
         self._done = True
         self._value = value
+        callbacks, self._callbacks = self._callbacks, []
+        for callback in callbacks:
+            callback(self)
+
+    def set_exception(self, exc: BaseException) -> None:
+        if self._done:
+            raise SimulationError("Future completed twice")
+        self._done = True
         self._exception = exc
         callbacks, self._callbacks = self._callbacks, []
         for callback in callbacks:
@@ -127,7 +129,15 @@ class Process:
         except BaseException as exc:  # propagate to whoever awaits the process
             self.completion.set_exception(exc)
             return
-        self._wait_on(yielded)
+        # Nearly every yield is a plain future (a DMA in flight or already
+        # back): _subscribe's two lines, here; the rest dispatches below.
+        if yielded.__class__ is Future:
+            if yielded._done:
+                self.engine.call_after(0, self._resume_from_future, yielded)
+            else:
+                yielded._callbacks.append(self._resume_from_future)
+        else:
+            self._wait_on(yielded)
 
     def _wait_on(self, yielded: Any) -> None:
         if isinstance(yielded, int):
@@ -327,8 +337,10 @@ class Engine:
 
         Runs until the queue empties, simulated time would pass ``until_ps``,
         or ``max_events`` callbacks have fired.  Returns the number of events
-        processed.  When stopped by ``until_ps``, ``now`` is advanced to it so
-        measurement windows are exact.
+        processed.  When nothing at or before ``until_ps`` remains, ``now``
+        is advanced to it so measurement windows are exact; a ``max_events``
+        stop with such events still pending leaves ``now`` at the last event
+        dispatched.
         """
         if self.trace is None:
             return self._drain(until_ps, max_events)
@@ -340,43 +352,64 @@ class Engine:
                                 tid=self._trace_run_tid, cat="engine")
 
     def _drain(self, until_ps: Optional[int], max_events: Optional[int]) -> int:
-        processed = 0
         queue = self._queue
         immediate = self._immediate
         pop = heapq.heappop
-        # Two copies of the drain loop: the common no-event-budget call
-        # skips the per-event ``max_events`` test entirely.
+        processed = 0
+        # Three loops, so the common calls test nothing per event that they
+        # were not asked to: no bound at all, a time horizon only (shared
+        # with run_epoch), and the rare event budget.
         if max_events is None:
-            while queue or immediate:
-                # Merge the immediate lane against the heap by (time, seq):
-                # entries in the immediate lane always carry time <= now, so
-                # they can never be blocked by ``until_ps``.
-                if immediate and (not queue or immediate[0] < queue[0]):
-                    event = immediate.popleft()
-                else:
-                    if until_ps is not None and queue[0][0] > until_ps:
-                        self.now = until_ps
-                        return processed
-                    event = pop(queue)
-                self.now = event[0]
-                event[2](*event[3])
-                processed += 1
+            if until_ps is None:
+                while queue or immediate:
+                    # Merge the immediate lane against the heap by (time, seq).
+                    if immediate and (not queue or immediate[0] < queue[0]):
+                        event = immediate.popleft()
+                    else:
+                        event = pop(queue)
+                    self.now = event[0]
+                    event[2](*event[3])
+                    processed += 1
+                return processed
+            processed = self._drain_through(until_ps)
         else:
             while queue or immediate:
-                if processed >= max_events:
+                from_immediate = immediate and (not queue or immediate[0] < queue[0])
+                if not from_immediate and until_ps is not None and queue[0][0] > until_ps:
                     break
-                if immediate and (not queue or immediate[0] < queue[0]):
-                    event = immediate.popleft()
-                else:
-                    if until_ps is not None and queue[0][0] > until_ps:
-                        self.now = until_ps
-                        return processed
-                    event = pop(queue)
+                if processed >= max_events:
+                    # Budget stop with work still inside the horizon: the
+                    # clock stays at the last dispatched event, so the next
+                    # run() resumes monotonically.
+                    return processed
+                event = immediate.popleft() if from_immediate else pop(queue)
                 self.now = event[0]
                 event[2](*event[3])
                 processed += 1
+        # Nothing at or before until_ps remains: the window ends exactly there.
         if until_ps is not None and self.now < until_ps:
             self.now = until_ps
+        return processed
+
+    def _drain_through(self, limit_ps: int) -> int:
+        """Dispatch every event with ``time <= limit_ps``; the clock is left
+        at the last one dispatched."""
+        queue = self._queue
+        immediate = self._immediate
+        pop = heapq.heappop
+        processed = 0
+        while queue or immediate:
+            # Immediate-lane entries always carry time <= now, so only the
+            # heap's head can lie beyond the limit.
+            if immediate and (not queue or immediate[0] < queue[0]):
+                event = immediate.popleft()
+            elif queue[0][0] > limit_ps:
+                break
+            else:
+                event = pop(queue)
+            self.now = event[0]
+            event[2](*event[3])
+            processed += 1
         return processed
 
     def run_epoch(self, epoch_ps: int) -> Tuple[int, Optional[int]]:
@@ -399,24 +432,9 @@ class Engine:
                 f"cannot run epoch ending at {epoch_ps} ps; "
                 f"current time is {self.now} ps"
             )
+        processed = self._drain_through(epoch_ps)
         queue = self._queue
-        immediate = self._immediate
-        pop = heapq.heappop
-        processed = 0
-        while queue or immediate:
-            # Immediate-lane entries always carry time <= now <= epoch_ps,
-            # so only the heap's head can cross the epoch boundary.
-            if immediate and (not queue or immediate[0] < queue[0]):
-                event = immediate.popleft()
-            else:
-                if queue[0][0] > epoch_ps:
-                    break
-                event = pop(queue)
-            self.now = event[0]
-            event[2](*event[3])
-            processed += 1
-        next_ps = queue[0][0] if queue else None
-        return processed, next_ps
+        return processed, (queue[0][0] if queue else None)
 
     def run_until(self, future: Future, limit_ps: Optional[int] = None) -> Any:
         """Run until ``future`` completes; return its result.

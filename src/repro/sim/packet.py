@@ -19,14 +19,11 @@ Two fields matter for the OPTIMUS hardware monitor:
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 #: Size of one CCI-P cache line in bytes.  All DMAs are multiples of this.
 CACHE_LINE_BYTES = 64
-
-_packet_ids = itertools.count(1)
 
 
 class PacketKind(enum.Enum):
@@ -66,7 +63,6 @@ class Packet:
     accel_id: Optional[int] = None
     data: Optional[bytes] = None
     mdata: int = 0  # request tag, preserved in the response (CCI-P mdata)
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
     issued_at_ps: int = 0
     #: A coalesced burst: N contiguous cache lines travelling as one packet
     #: that the DMA engine either commits on the simulator fast path (with
@@ -133,7 +129,6 @@ class Packet:
         response.accel_id = self.accel_id
         response.data = data
         response.mdata = self.mdata
-        response.packet_id = next(_packet_ids)
         response.issued_at_ps = self.issued_at_ps
         response.coalesced = False
         return response
@@ -160,7 +155,6 @@ def make_dma_request(
     packet.accel_id = accel_id
     packet.data = data
     packet.mdata = 0
-    packet.packet_id = next(_packet_ids)
     packet.issued_at_ps = 0
     packet.coalesced = coalesced
     return packet

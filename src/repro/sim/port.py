@@ -12,16 +12,25 @@ it comes from the fact that accelerators are closed-loop sources (bounded
 outstanding requests), exactly like real CCI-P masters, plus the
 round-robin arbitration of the multiplexer tree
 (:class:`~repro.core.mux_tree.MuxNode` uses :class:`RoundRobinArbiter`).
+
+These handlers run several times per simulated cache line, so where the
+event lies strictly in the future they push ``(time, seq, fn, args)`` onto
+the engine's heap themselves (one sequence number, one ``heappush`` — what
+:meth:`Engine.call_at` does) and hand everything else to ``call_at``, which
+owns the immediate lane and the range check.  Only :mod:`repro.sim` may do
+that; every other layer schedules through ``call_at``/``call_after``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional
+from heapq import heappush
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sim.engine import Engine
+from repro.sim.packet import CACHE_LINE_BYTES, PacketKind
 
 
 class ThroughputServer:
@@ -83,19 +92,25 @@ class ThroughputServer:
 
         Returns the delivery time in picoseconds.
         """
-        start = self.engine.now
-        if self._next_free_ps > start:
-            start = self._next_free_ps
+        engine = self.engine
+        now = engine.now
+        start = self._next_free_ps
+        if start < now:
+            start = now
         service = self._service_ps.get(size_bytes)
         if service is None:
-            service = math.ceil(size_bytes / self.bytes_per_ps)
-            self._service_ps[size_bytes] = service
+            service = self.service_time_ps(size_bytes)
         service_end = start + service
         self._next_free_ps = service_end
         self.total_bytes += size_bytes
         self.total_packets += 1
         deliver_at = service_end + self.latency_ps
-        self.engine.call_at(deliver_at, deliver, *args)
+        if deliver_at > now:
+            seq = engine._sequence + 1
+            engine._sequence = seq
+            heappush(engine._queue, (deliver_at, seq, deliver, args))
+        else:
+            engine.call_at(deliver_at, deliver, *args)
         return deliver_at
 
     def reserve(self, size_bytes: int, at_ps: int) -> int:
@@ -114,32 +129,11 @@ class ThroughputServer:
         self.total_packets += 1
         return service_end + self.latency_ps
 
-    def backlog_at(self, at_ps: int) -> int:
-        """Committed-but-unserved time as it will stand at ``at_ps``."""
-        backlog = self._next_free_ps - at_ps
-        return backlog if backlog > 0 else 0
-
     @property
     def backlog_ps(self) -> int:
         """How far ahead of 'now' this server is already committed."""
         backlog = self._next_free_ps - self.engine.now
         return backlog if backlog > 0 else 0
-
-
-class LatencyPipe:
-    """An unbounded-bandwidth, fixed-latency hop (e.g. an auditor stage)."""
-
-    def __init__(self, engine: Engine, name: str, latency_ps: int) -> None:
-        if latency_ps < 0:
-            raise ConfigurationError(f"{name}: latency must be non-negative")
-        self.engine = engine
-        self.name = name
-        self.latency_ps = latency_ps
-
-    def submit(self, deliver: Callable[..., None], *args: Any) -> int:
-        deliver_at = self.engine.now + self.latency_ps
-        self.engine.call_at(deliver_at, deliver, *args)
-        return deliver_at
 
 
 class RoundRobinArbiter:
@@ -149,6 +143,17 @@ class RoundRobinArbiter:
     domain).  The arbiter scans from the position after the last winner, so
     persistent requesters share grants equally — this is the mechanism
     behind the paper's fair real-time bandwidth sharing (§3, §6.7).
+
+    An item is the tuple of arguments it was pushed with.  A grant, in this
+    order: calls ``grant(input_index, *item)`` if given; schedules
+    ``forward(*item)`` ``forward_latency_ps`` later if given (the pipeline
+    stage behind a multiplexer node); holds the mux for the item's cost;
+    and re-arms while anything is queued.  The cost is ``cost_cycles(*item)``
+    cycles (default 1; fractional for rate-paced nodes).  A multiplexer node
+    also passes ``line_hold_cycles`` — the ``(read, write)`` cost of a
+    single-line packet, a constant of the node — and then ``item[0]`` must
+    be a :class:`~repro.sim.packet.Packet`; ``cost_cycles`` is only asked
+    about multi-line packets.
     """
 
     def __init__(
@@ -157,67 +162,111 @@ class RoundRobinArbiter:
         name: str,
         n_inputs: int,
         period_ps: int,
-        grant: Callable[[int, Any], None],
-        cost_cycles: Optional[Callable[[Any], int]] = None,
+        grant: Optional[Callable[..., None]] = None,
+        cost_cycles: Optional[Callable[..., float]] = None,
+        *,
+        forward: Optional[Callable[..., None]] = None,
+        forward_latency_ps: int = 0,
+        line_hold_cycles: Optional[Tuple[float, float]] = None,
     ) -> None:
         if n_inputs <= 0:
             raise ConfigurationError(f"{name}: need at least one input")
         if period_ps <= 0:
             raise ConfigurationError(f"{name}: period must be positive")
+        if forward_latency_ps < 0:
+            raise ConfigurationError(f"{name}: latency must be non-negative")
         self.engine = engine
         self.name = name
         self.period_ps = period_ps
-        self._queues: List[Deque[Any]] = [deque() for _ in range(n_inputs)]
+        self._n_inputs = n_inputs
+        self._queues: List[Deque[tuple]] = [deque() for _ in range(n_inputs)]
+        self._pending = 0
         self._grant = grant
         self._cost_cycles = cost_cycles
+        self._forward = forward
+        self._forward_latency_ps = forward_latency_ps
+        self._line_hold_ps = (
+            None
+            if line_hold_cycles is None
+            else tuple(self._hold_ps(cycles) for cycles in line_hold_cycles)
+        )
         self._last_winner = n_inputs - 1
         self._next_grant_ps: Optional[int] = None
         self._busy_until_ps = 0
         self.grants_per_input = [0] * n_inputs
 
-    def push(self, input_index: int, item: Any) -> None:
+    def _hold_ps(self, cycles: float) -> int:
+        # Multi-line packets hold the mux for one cycle per line; a
+        # rate-paced node may ask for fractional cycles.
+        return self.period_ps if cycles <= 1.0 else round(self.period_ps * cycles)
+
+    def push(self, input_index: int, *item: Any) -> None:
         """Enqueue ``item`` on one input; arbitration starts if idle."""
         self._queues[input_index].append(item)
-        self._schedule()
-
-    def _schedule(self) -> None:
-        if self._next_grant_ps is not None:
-            return
-        # Grants happen on clock edges of the arbiter's domain, and never
-        # before a multi-cycle grant in progress has released the mux.
-        now = self.engine.now
-        if self._busy_until_ps > now:
-            now = self._busy_until_ps
-        edge = now + (-now) % self.period_ps
-        self._next_grant_ps = edge
-        self.engine.call_at(edge, self._do_grant)
+        self._pending += 1
+        if self._next_grant_ps is None:
+            # Grants happen on clock edges of the arbiter's domain, and
+            # never before a multi-cycle grant in progress has released
+            # the mux.
+            engine = self.engine
+            now = engine.now
+            edge = self._busy_until_ps if self._busy_until_ps > now else now
+            edge += (-edge) % self.period_ps
+            self._next_grant_ps = edge
+            if edge > now:
+                seq = engine._sequence + 1
+                engine._sequence = seq
+                heappush(engine._queue, (edge, seq, self._do_grant, ()))
+            else:
+                engine.call_at(edge, self._do_grant)
 
     def _do_grant(self) -> None:
-        self._next_grant_ps = None
-        queues = self._queues
-        n = len(queues)
-        last = self._last_winner
-        granted = None
-        for offset in range(1, n + 1):
-            index = (last + offset) % n
-            queue = queues[index]
-            if queue:
-                item = queue.popleft()
-                self._last_winner = index
-                self.grants_per_input[index] += 1
-                granted = item
-                self._grant(index, item)
-                break
-        if granted is None:
+        if not self._pending:
+            self._next_grant_ps = None
             return  # all queues empty; go idle
-        # Multi-line packets hold the mux for one cycle per line (the
-        # cost function may return fractional cycles for rate-paced nodes).
-        cycles = self._cost_cycles(granted) if self._cost_cycles else 1
-        if cycles <= 1.0:
-            busy = self.engine.now + self.period_ps
+        queues = self._queues
+        n_inputs = self._n_inputs
+        index = self._last_winner + 1
+        if index == n_inputs:
+            index = 0
+        while not queues[index]:
+            index += 1
+            if index == n_inputs:
+                index = 0
+        item = queues[index].popleft()
+        self._pending -= 1
+        self._last_winner = index
+        self.grants_per_input[index] += 1
+        engine = self.engine
+        now = engine.now
+        # The order of the scheduling below (forward, then re-arm) fixes
+        # the insertion order of same-instant events: keep it.
+        if self._grant is not None:
+            self._grant(index, *item)
+        forward = self._forward
+        if forward is not None:
+            if self._forward_latency_ps:
+                seq = engine._sequence + 1
+                engine._sequence = seq
+                heappush(
+                    engine._queue, (now + self._forward_latency_ps, seq, forward, item)
+                )
+            else:
+                engine.call_at(now, forward, *item)
+        hold = self._line_hold_ps
+        if hold is not None and item[0].size <= CACHE_LINE_BYTES:
+            busy = now + (
+                hold[1] if item[0].kind is PacketKind.DMA_WRITE_REQ else hold[0]
+            )
         else:
-            busy = self.engine.now + round(self.period_ps * cycles)
+            cost = self._cost_cycles
+            busy = now + self._hold_ps(cost(*item) if cost is not None else 1)
         self._busy_until_ps = busy
-        if any(queues):
+        # Read the count again: a grant callback may have pushed.
+        if self._pending:
             self._next_grant_ps = busy
-            self.engine.call_at(busy, self._do_grant)
+            seq = engine._sequence + 1
+            engine._sequence = seq
+            heappush(engine._queue, (busy, seq, self._do_grant, ()))
+        else:
+            self._next_grant_ps = None

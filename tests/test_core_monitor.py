@@ -18,12 +18,15 @@ from repro.core import (
     accel_mmio_base,
     default_layout,
 )
-from repro.core.mux_tree import MuxTree
+from collections import deque
+
+from repro.core.mux_tree import WRITE_ROOT_WEIGHT, MuxNode, MuxTree
 from repro.mem import GB, MB, PAGE_SIZE_2M
 from repro.mem.iommu import IOTLB_ENTRIES
 from repro.platform import PlatformMode, PlatformParams, build_platform
 from repro.sim import Clock, Engine
-from repro.sim.packet import AddressSpace, dma_read
+from repro.sim.clock import gbps_to_bytes_per_ps
+from repro.sim.packet import AddressSpace, PacketKind, dma_read, dma_write
 
 
 class TestSliceLayout:
@@ -139,6 +142,91 @@ class TestMuxTree:
 def make_optimus(n=2, **param_overrides):
     params = PlatformParams().copy(**param_overrides) if param_overrides else PlatformParams()
     return build_platform(params, n_accelerators=n, mode=PlatformMode.OPTIMUS)
+
+
+def reference_mux_schedule(pushes, radix, period_ps, scale, latency_ps):
+    """A straightforward round-robin multiplexer node, written for clarity:
+    the oracle for the arbiter's single grant/forward/re-arm handler.
+
+    ``pushes`` is ``[(time_ps, input, packet)]`` in arrival order; returns
+    the ``(forward time, packet)`` sequence and the grants per input.  A push
+    at the instant of a grant arrives first (it was scheduled earlier).
+    """
+    queues = [deque() for _ in range(radix)]
+    grants, forwards = [0] * radix, []
+    last, busy_until, grant_at = radix - 1, 0, None
+    arrivals = deque(sorted(pushes, key=lambda push: push[0]))
+    while arrivals or grant_at is not None:
+        if grant_at is None or (arrivals and arrivals[0][0] <= grant_at):
+            now, index, packet = arrivals.popleft()
+            queues[index].append(packet)
+            if grant_at is None:  # idle: next clock edge once the mux is free
+                start = max(now, busy_until)
+                grant_at = start + (-start) % period_ps
+            continue
+        now, grant_at = grant_at, None
+        index = next(i % radix for i in range(last + 1, last + 1 + radix) if queues[i % radix])
+        packet = queues[index].popleft()
+        last = index
+        grants[index] += 1
+        forwards.append((now + latency_ps, packet))
+        cycles = max(1, -(-packet.size // 64)) * scale
+        if scale > 1.0 and packet.kind is PacketKind.DMA_WRITE_REQ:
+            cycles = max(1.0, cycles * WRITE_ROOT_WEIGHT)
+        busy_until = now + (period_ps if cycles <= 1.0 else round(period_ps * cycles))
+        if any(queues):
+            grant_at = busy_until
+    return forwards, grants
+
+
+#: The root pacing the platform builder derives from ``shell_accept_gbps``.
+PLATFORM_ROOT_SCALE = (
+    64.0 / gbps_to_bytes_per_ps(PlatformParams().shell_accept_gbps)
+) / Clock(PlatformParams().interconnect_mhz).period_ps
+
+
+class TestMuxNodeAgainstOracle:
+    def test_platform_root_is_rate_paced(self):
+        assert PLATFORM_ROOT_SCALE == pytest.approx(1.896, abs=1e-3)
+
+    @given(
+        radix=st.integers(min_value=2, max_value=4),
+        scale=st.sampled_from([1.0, 0.5, PLATFORM_ROOT_SCALE]),
+        latency_ps=st.sampled_from([0, 33_000]),
+        schedule=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=60_000),  # push time (ps)
+                st.integers(min_value=0, max_value=3),  # input (mod radix)
+                st.booleans(),  # write?
+                st.integers(min_value=1, max_value=4),  # cache lines
+            ),
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_grant_forward_rearm_matches_straightforward_arbiter(
+        self, radix, scale, latency_ps, schedule
+    ):
+        clock = Clock(400.0)
+        engine = Engine()
+        forwards = []
+        node = MuxNode(
+            engine, "node", radix, clock=clock, level_latency_ps=latency_ps,
+            forward=lambda packet, *rest: forwards.append((engine.now, packet)),
+            cost_per_line_cycles=scale,
+        )
+        pushes = []
+        for time_ps, index, is_write, lines in sorted(schedule, key=lambda s: s[0]):
+            make = dma_write if is_write else dma_read
+            pushes.append((time_ps, index % radix, make(0, size=lines * 64)))
+        for time_ps, index, packet in pushes:
+            engine.call_at(time_ps, node.push, index, (packet, None, None))
+        engine.run()
+        expected_forwards, expected_grants = reference_mux_schedule(
+            pushes, radix, clock.period_ps, scale, latency_ps
+        )
+        assert [(t, id(p)) for t, p in forwards] == [(t, id(p)) for t, p in expected_forwards]
+        assert node.arbiter.grants_per_input == expected_grants
 
 
 class TestVcuAndMonitor:

@@ -255,6 +255,33 @@ def test_max_events_counts_immediate_lane_events():
     assert order == ["a", "b", "c"]
 
 
+def test_event_budget_stop_inside_the_horizon_keeps_the_clock_monotone():
+    # run(until_ps=..., max_events=...) used to break on the budget and then
+    # advance to until_ps with events at 20 and 30 still pending: the next
+    # run() dispatched them with ``now`` going 100 -> 20 -> 30.
+    engine = Engine()
+    seen = []
+    for when in (10, 20, 30):
+        engine.call_at(when, lambda: seen.append(engine.now))
+    assert engine.run(until_ps=100, max_events=1) == 1
+    assert engine.now == 10  # the last dispatched event, not the horizon
+    assert engine.pending_events == 2
+    before = engine.now
+    assert engine.run(until_ps=100) == 2
+    assert seen == [10, 20, 30]
+    assert all(earlier <= later for earlier, later in zip([before] + seen, seen))
+    assert engine.now == 100  # nothing at or before the horizon remains
+
+
+def test_event_budget_stop_with_only_later_events_still_ends_the_window():
+    engine = Engine()
+    engine.call_at(10, lambda: None)
+    engine.call_at(500, lambda: None)
+    assert engine.run(until_ps=100, max_events=1) == 1
+    assert engine.now == 100  # the event at 500 lies beyond the horizon
+    assert engine.pending_events == 1
+
+
 def test_until_ps_does_not_block_immediate_events_at_the_horizon():
     # A callback firing exactly at until_ps spawns zero-delay work; that
     # work still runs even though the next *timed* event is past the limit.
