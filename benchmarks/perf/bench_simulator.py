@@ -155,7 +155,8 @@ def _make_reader():
     return ComputeBoundReader(functional=False)
 
 
-def _run_stream(fast: bool, total_bytes: int):
+def build_stream(fast: bool, total_bytes: int):
+    """The coalescing cell, started but not run: ``(platform, done)``."""
     from repro.accel.streaming import REG_LEN, REG_SRC
 
     params = PlatformParams(speculative_region_opt=False, fast_path=fast)
@@ -165,25 +166,30 @@ def _run_stream(fast: bool, total_bytes: int):
     src = handle.alloc_buffer(total_bytes)
     job = _make_reader()
     job.regs.update({REG_SRC: src, REG_LEN: total_bytes})
-    done = hypervisor.start_job(job)
+    return platform, hypervisor.start_job(job)
+
+
+def _run_stream(fast: bool, total_bytes: int):
+    platform, done = build_stream(fast, total_bytes)
     start = time.perf_counter()
     platform.engine.run_until(done, limit_ps=ms(500))
     elapsed = time.perf_counter() - start
-    fastpath = platform.sockets[0].dma.fastpath
-    return elapsed, platform.engine.now, (fastpath.committed_bursts if fastpath else 0)
+    return elapsed, platform.engine.now, platform.sockets[0].dma.fastpath
 
 
 def bench_coalescing(quick: bool) -> dict:
     total = (2 if quick else 8) * MB
     ref_s, ref_now, _ = _run_stream(fast=False, total_bytes=total)
-    fast_s, fast_now, committed = _run_stream(fast=True, total_bytes=total)
+    fast_s, fast_now, fastpath = _run_stream(fast=True, total_bytes=total)
     assert fast_now == ref_now, "coalescing changed the simulated finish time"
     result = {
         "stream_bytes": total,
         "reference_s": round(ref_s, 3),
         "fast_s": round(fast_s, 3),
         "speedup": round(ref_s / fast_s, 2),
-        "committed_bursts": committed,
+        "committed_bursts": fastpath.committed_bursts,
+        # Memo misses: the bursts that ran FastPath._plan at all.
+        "planned_bursts": fastpath.planned_bursts,
         "simulated_ps": ref_now,
     }
     if not quick:

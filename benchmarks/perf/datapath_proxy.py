@@ -1,9 +1,7 @@
-"""Deterministic host-cost proxies for the per-line DMA datapath.
+"""Deterministic host-cost proxies for the DMA datapath.
 
-Wall clock is noise on a 1-2 core CI host; these two counts are exact run
-to run.  One MemBench job issues random single-line reads over 64 MB on an
-8-socket OPTIMUS platform (the ``membench_hit`` cell at smoke size), and
-over the measurement window the script reports, per completed line,
+Wall clock is noise on a 1-2 core CI host; these counts are exact run to
+run.  Two cells, each reporting over its measured stretch
 
 * **events scheduled** — the ``Engine._sequence`` delta: the event schedule
   is part of the timing contract (tests/test_event_schedule_pin.py), so
@@ -12,6 +10,13 @@ over the measurement window the script reports, per completed line,
   whose code lives in the package: the frames between events are what the
   datapath is allowed to shed, so this must *not exceed* the recorded value
   (recorded on CPython 3.11; 3.12 inlines comprehensions, so <= holds).
+
+``membench_hit``: one MemBench job issues random single-line reads over
+64 MB on an 8-socket OPTIMUS platform (the stackbench cell at smoke size) —
+the per-line event chain.  ``stream_burst``: the compute-bound sequential
+reader of ``bench_simulator.py`` streams 1 MB on the pass-through platform
+— the burst fast path, where ``committed_bursts`` and ``planned_bursts``
+(memo misses: how often ``FastPath._plan`` actually ran) are pinned too.
 
 Usage::
 
@@ -31,18 +36,52 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[2] / "src"
 sys.path.insert(0, str(SRC))
 
+from bench_simulator import build_stream  # noqa: E402  (same directory)
 from repro.accel.membench import MODE_READ  # noqa: E402
 from repro.experiments.harness import make_stack  # noqa: E402
 from repro.mem import MB, PAGE_SIZE_2M  # noqa: E402
 from repro.platform import PlatformParams  # noqa: E402
-from repro.sim.clock import us  # noqa: E402
+from repro.sim.clock import ms, us  # noqa: E402
 
-CELL = "membench_hit_1job_64mb_warmup20us_window12us_seed7"
 WARMUP_US = 20
 WINDOW_US = 12
+STREAM_MB = 1
+
+#: Compared with ``<=``, and the ratios derived from them; every other
+#: field of a cell must equal the recording.
+NOT_EXACT = ("python_calls", "events_per_line", "calls_per_line")
 
 
-def measure() -> dict:
+def _counted(engine, run):
+    """``run()`` under a profiler counting calls into the package:
+    ``(run's result, {events_scheduled, python_calls})``."""
+    package = str(SRC / "repro") + os.sep
+    calls = 0
+
+    def on_call(frame, event, _arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls += 1
+
+    scheduled_before = engine._sequence
+    sys.setprofile(on_call)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, {
+        "events_scheduled": engine._sequence - scheduled_before,
+        "python_calls": calls,
+    }
+
+
+def _per_line(counts: dict) -> dict:
+    counts["events_per_line"] = round(counts["events_scheduled"] / counts["lines"], 4)
+    counts["calls_per_line"] = round(counts["python_calls"] / counts["lines"], 4)
+    return counts
+
+
+def measure_membench() -> dict:
     stack = make_stack("optimus", PlatformParams(page_size=PAGE_SIZE_2M), n_accelerators=8)
     job = stack.launch(
         "MB",
@@ -53,31 +92,34 @@ def measure() -> dict:
     engine = stack.platform.engine
     engine.run(until_ps=engine.now + us(WARMUP_US))
     lines_before = job.progress()
-    scheduled_before = engine._sequence
-
-    package = str(SRC / "repro") + os.sep
-    calls = 0
-
-    def on_call(frame, event, _arg):
-        nonlocal calls
-        if event == "call" and frame.f_code.co_filename.startswith(package):
-            calls += 1
-
-    sys.setprofile(on_call)
-    try:
-        dispatched = engine.run(until_ps=engine.now + us(WINDOW_US))
-    finally:
-        sys.setprofile(None)
-    lines = job.progress() - lines_before
-    scheduled = engine._sequence - scheduled_before
-    return {
-        "lines": lines,
-        "events_scheduled": scheduled,
+    dispatched, counts = _counted(
+        engine, lambda: engine.run(until_ps=engine.now + us(WINDOW_US))
+    )
+    return _per_line({
+        "lines": job.progress() - lines_before,
+        "events_scheduled": counts["events_scheduled"],
         "events_dispatched": dispatched,
-        "python_calls": calls,
-        "events_per_line": round(scheduled / lines, 4),
-        "calls_per_line": round(calls / lines, 4),
-    }
+        "python_calls": counts["python_calls"],
+    })
+
+
+def measure_stream_burst() -> dict:
+    platform, done = build_stream(fast=True, total_bytes=STREAM_MB * MB)
+    engine = platform.engine
+    _, counts = _counted(engine, lambda: engine.run_until(done, limit_ps=ms(500)))
+    fastpath = platform.sockets[0].dma.fastpath
+    return _per_line({
+        "lines": fastpath.committed_lines,
+        "committed_bursts": fastpath.committed_bursts,
+        "planned_bursts": fastpath.planned_bursts,
+        **counts,
+    })
+
+
+CELLS = {
+    f"membench_hit_1job_64mb_warmup{WARMUP_US}us_window{WINDOW_US}us_seed7": measure_membench,
+    f"stream_burst_passthrough_{STREAM_MB}mb_compute_bound_reader": measure_stream_burst,
+}
 
 
 def main() -> int:
@@ -85,41 +127,49 @@ def main() -> int:
     parser.add_argument("--check", metavar="BASELINE", help="fail on drift from this file")
     parser.add_argument("--record", metavar="BASELINE", help="write this file")
     options = parser.parse_args()
-    measured = measure()
-    print(json.dumps({CELL: measured}, indent=2))
+    measured = {cell: measure() for cell, measure in CELLS.items()}
+    print(json.dumps(measured, indent=2))
     if options.record:
         document = {
             "_comment": (
                 "Recorded datapath proxy counts for the CI perf-smoke gate "
-                "(benchmarks/perf/datapath_proxy.py --check): lines and "
-                "events_scheduled must match exactly (the event schedule is "
-                "the timing contract), python_calls must not exceed the "
-                "recording (CPython 3.11). Re-record with --record only after "
-                "a deliberate change to the per-line chain, and say so in the PR."
+                "(benchmarks/perf/datapath_proxy.py --check): per cell, "
+                "python_calls must not exceed the recording (CPython 3.11) "
+                "and every other count must match it exactly (the event "
+                "schedule is the timing contract; committed_bursts and "
+                "planned_bursts are the burst governor's and the plan "
+                "memo's). Re-record with --record only after a deliberate "
+                "change to the per-line chain or the burst path, and say so "
+                "in the PR."
             ),
-            CELL: measured,
+            **measured,
         }
         Path(options.record).write_text(json.dumps(document, indent=2) + "\n")
     if options.check:
-        baseline = json.loads(Path(options.check).read_text())[CELL]
-        problems = [
-            f"{field}: measured {measured[field]} != recorded {baseline[field]}"
-            for field in ("lines", "events_scheduled", "events_dispatched")
-            if measured[field] != baseline[field]
-        ]
-        if measured["python_calls"] > baseline["python_calls"]:
-            problems.append(
-                f"python_calls: measured {measured['python_calls']} > recorded "
-                f"{baseline['python_calls']} ({measured['calls_per_line']} vs "
-                f"{baseline['calls_per_line']} per line)"
-            )
+        baselines = json.loads(Path(options.check).read_text())
+        problems = []
+        for cell, counts in measured.items():
+            baseline = baselines[cell]
+            problems += [
+                f"{cell}: {field}: measured {counts[field]} != recorded {baseline[field]}"
+                for field in counts
+                if field not in NOT_EXACT and counts[field] != baseline[field]
+            ]
+            if counts["python_calls"] > baseline["python_calls"]:
+                problems.append(
+                    f"{cell}: python_calls: measured {counts['python_calls']} > recorded "
+                    f"{baseline['python_calls']} ({counts['calls_per_line']} vs "
+                    f"{baseline['calls_per_line']} per line)"
+                )
         if problems:
             print("datapath proxy gate FAILED:\n  " + "\n  ".join(problems), file=sys.stderr)
             return 1
-        print(
-            f"datapath proxy gate ok: {measured['events_per_line']} events/line (exact), "
-            f"{measured['calls_per_line']} <= {baseline['calls_per_line']} calls/line"
-        )
+        for cell, counts in measured.items():
+            print(
+                f"datapath proxy gate ok: {cell}: {counts['events_per_line']} events/line "
+                f"(exact), {counts['calls_per_line']} <= "
+                f"{baselines[cell]['calls_per_line']} calls/line"
+            )
     return 0
 
 

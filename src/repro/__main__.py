@@ -97,14 +97,16 @@ def _run_one(key: str, jobs: int = 1, *, entry: str = "main"):
     import inspect
 
     from repro.experiments.cache import current_cache
+    from repro.platform.params import default_fast_path
 
     module_name, _description = EXPERIMENTS[key]
     cache = current_cache()
     cache_key = None
     if cache is not None:
+        # The resolved mode, not the raw REPRO_FAST_PATH string: the default
+        # can be set without the variable, and 0/false/off are one mode.
         cache_key = cache.key(
-            f"cli.{key}",
-            {"entry": entry, "fast_path": os.environ.get("REPRO_FAST_PATH", "1")},
+            f"cli.{key}", {"entry": entry, "fast_path": default_fast_path()}
         )
         hit, result = cache.load(cache_key)
         if hit:

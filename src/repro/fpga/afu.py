@@ -21,7 +21,7 @@ number in the paper:
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_right
 from collections import deque
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
@@ -139,7 +139,7 @@ class DmaEngine:
         #: pass-through datapath when ``params.fast_path`` is on.  ``None``
         #: means every request takes the reference per-line path.
         self.fastpath: Optional["FastPath"] = None
-        #: Completion times (a min-heap) of committed burst lines that hold
+        #: Completion times (ascending) of committed burst lines that hold
         #: window slots but have no per-line completion events; slots free
         #: as simulated time passes them (:meth:`_reap_virtual`).
         self._virtual_completions: List[int] = []
@@ -295,9 +295,10 @@ class DmaEngine:
         time has passed.  Idempotent; callers may invoke it freely."""
         vq = self._virtual_completions
         now = self.engine.now
-        while vq and vq[0] <= now:
-            heapq.heappop(vq)
-            self._outstanding -= 1
+        if vq and vq[0] <= now:
+            passed = bisect_right(vq, now)
+            del vq[:passed]
+            self._outstanding -= passed
 
     def _try_issue(self, woken: bool = False) -> None:
         """Issue what the window and the throttle allow; ``woken`` marks the

@@ -107,15 +107,22 @@ class Link:
         meter.packets_total += 1
         return self.from_memory.submit(wire_bytes, deliver, *args)
 
-    def reserve_to_memory(self, wire_bytes: int, at_ps: int) -> int:
-        """Eventless counterpart of :meth:`send_to_memory` (fast path)."""
-        self.meter_to_memory.record(wire_bytes)
-        return self.to_memory.reserve(wire_bytes, at_ps)
-
-    def reserve_from_memory(self, wire_bytes: int, at_ps: int) -> int:
-        """Eventless counterpart of :meth:`send_from_memory` (fast path)."""
-        self.meter_from_memory.record(wire_bytes)
-        return self.from_memory.reserve(wire_bytes, at_ps)
+    def reserve_round_trips(
+        self,
+        count: int,
+        request_bytes: int,
+        to_memory_busy_through_ps: int,
+        response_bytes: int,
+        from_memory_busy_through_ps: int,
+    ) -> None:
+        """Eventless counterpart of ``count`` request/response pairs through
+        :meth:`send_to_memory` and :meth:`send_from_memory` (fast path): the
+        caller planned the shaping, see
+        :meth:`~repro.sim.port.ThroughputServer.reserve_batch`."""
+        self.meter_to_memory.record_burst(request_bytes * count, count)
+        self.to_memory.reserve_batch(request_bytes, count, to_memory_busy_through_ps)
+        self.meter_from_memory.record_burst(response_bytes * count, count)
+        self.from_memory.reserve_batch(response_bytes, count, from_memory_busy_through_ps)
 
     def round_trip(self, request_bytes: int, response_bytes: int, on_done: Callable[[], None]) -> None:
         """Request out, response back — used for IOMMU page-walk fetches."""

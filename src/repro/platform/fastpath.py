@@ -8,14 +8,30 @@ closures, futures, and per-component dispatch.  For large sweeps those
 events dominate wall-clock time while carrying no information: every
 per-line time is a pure function of state known when the burst arrives.
 
-:class:`FastPath` exploits that.  A burst (one :class:`~repro.sim.packet.
-Packet` with ``coalesced=True`` covering N lines) is *planned* by running
-the identical event semantics on a **private local heap** — plain tuples,
-no closures, no futures, no layered callbacks, and nothing touching the
-global engine — and then *committed*: all shared-resource state (server
-occupancy, channel-selector cursor, meters, counters) is advanced exactly
-as the per-line events would have advanced it, and a single real event at
-the last line's completion resolves the burst and reaps its window slots.
+:class:`FastPath` exploits that, in three steps per burst (one
+:class:`~repro.sim.packet.Packet` with ``coalesced=True`` covering N lines):
+
+1. **Key.**  Everything the plan depends on — each server's free time, the
+   issue throttle, the window's pending completions, the round-robin
+   cursor, and the service/latency/interval constants — is read as offsets
+   from ``now``, with anything already in the past clamped to 0
+   (:meth:`FastPath._relative_state`).
+2. **Plan, on a miss.**  :meth:`FastPath._plan` runs the identical event
+   semantics on a **private local heap** — plain tuples, no closures, no
+   futures, nothing touching the global engine — and the result is kept
+   as a :class:`BurstPlan` of offsets in a small per-``FastPath`` memo
+   (:data:`PLAN_MEMO_BOUND`).  The plan only ever adds to and compares
+   instants that are all ``>= now``, so it shifts rigidly with ``now`` and
+   cannot tell a stale free time from one equal to ``now``: an equal key
+   *is* an equal plan.  A steady stream revisits a handful of keys, so
+   ``_plan`` runs a few times per run and is otherwise the memo's oracle.
+3. **Commit, in O(links).**  All shared-resource state (server occupancy,
+   channel-selector cursor, meters, counters) is advanced to exactly where
+   the per-line events would have left it — one
+   :meth:`~repro.interconnect.link.Link.reserve_round_trips` per link that
+   carried lines, one ``reserve_batch`` on DRAM — and a single real event
+   at the last line's completion resolves the burst, records its latencies
+   and reaps its window slots.
 
 Equivalence is guaranteed by construction only under the governor's
 preconditions; any burst that fails one is **split** back into the exact
@@ -53,12 +69,22 @@ Known (documented) approximations, none observable in full-run totals:
   than at each line's DRAM instant — identical unless the sole master
   writes a location and re-reads it within one DRAM round trip, which no
   streaming accelerator does (reads and writes target disjoint buffers).
+
+One known gap that *is* observable (it predates the memo, which reproduces
+``_plan`` exactly): on ``VA``, a burst planned while an earlier burst's
+lines are still in flight sees all of those lines' link reservations as
+backlog, where the per-line path's selector sees only the ones made so
+far.  The picks agree until the links saturate; a memory-bound reader
+(64 B/cycle) on ``VA`` drifts from the reference, pinned channels and
+compute-bound readers do not (``tests/test_fastpath_equivalence.py``).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, List, Optional, Tuple
+import math
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.interconnect.channel_selector import VirtualChannel
 from repro.sim.clock import Clock
@@ -86,6 +112,40 @@ _DELIVERED = 5  # DRAM done; response link starts
 _COMPLETE = 6  # response reached the accelerator
 
 
+#: Most relative plans one :class:`FastPath` keeps (oldest evicted first).
+#: A steady stream revisits a handful of states; a memory-bound one a few
+#: hundred.  A plan is ~3 tuples of one int per line, so this is ~2 MB.
+PLAN_MEMO_BOUND = 256
+
+
+@dataclass(frozen=True, slots=True)
+class BurstPlan:
+    """One planned burst as offsets from the instant it was planned at.
+
+    Everything :meth:`FastPath._commit` applies, and nothing per line that
+    it does not need: a burst planned at ``now`` commits at any later
+    ``now'`` whose relative state is equal by adding ``now'`` throughout.
+    """
+
+    next_issue: int  # the issue throttle re-arms
+    completions: Tuple[int, ...]  # every line's completion, ascending
+    latencies: Tuple[int, ...]  # complete - issue per line, in line order
+    cursor_delta: int  # round-robin picks consumed (VA only)
+    dram_free: int  # DRAM busy through
+    #: ``(link index, lines carried, to_memory busy through, from_memory
+    #: busy through)`` for each link that carried at least one line.
+    link_use: Tuple[Tuple[int, int, int, int], ...]
+
+
+def _busy_through(server, size_bytes: int, arrivals: List[int]) -> int:
+    """``submit()``'s shaping math over one server's planned arrivals."""
+    free = server._next_free_ps
+    service = server.service_time_ps(size_bytes)
+    for at in arrivals:
+        free = (at if at > free else free) + service
+    return free
+
+
 class FastPath:
     """Plans and commits coalesced read bursts on the pass-through path."""
 
@@ -107,6 +167,11 @@ class FastPath:
         self.committed_bursts = 0
         self.committed_lines = 0
         self.declined_bursts = 0
+        self.planned_bursts = 0  # memo misses: bursts that ran _plan
+        self._memo: Dict[tuple, BurstPlan] = {}
+        # A VA pick is ``cursor % ties`` with 1 <= ties <= n_links, so the
+        # cursor matters only modulo lcm(1..n_links).
+        self._cursor_period = math.lcm(*range(1, len(self.selector.all_links) + 1))
 
     # -- governor -------------------------------------------------------------
 
@@ -142,8 +207,107 @@ class FastPath:
             self.declined_bursts += 1
             return None  # IOTLB miss: the walk serializes on real state
         hpa_base = (entry.frame << iommu.page_table.page_shift) | (address & page_mask)
-        plan = self._plan(dma, packet.size // CACHE_LINE_BYTES, channel)
+        lines = packet.size // CACHE_LINE_BYTES
+        # A slot whose completion instant has passed is free — the per-line
+        # path reaps before it issues too — and with no completion left in
+        # the past every instant the plan computes is >= now.
+        dma._reap_virtual()
+        key = self._relative_state(dma, lines, channel)
+        plan = self._memo.get(key)
+        if plan is None:
+            plan = self._plan_relative(dma, lines, channel)
+            if len(self._memo) >= PLAN_MEMO_BOUND:
+                del self._memo[next(iter(self._memo))]
+            self._memo[key] = plan
+            self.planned_bursts += 1
         return self._commit(dma, packet, hpa_base, plan)
+
+    # -- memo: a plan is a function of the state relative to now --------------
+
+    def _relative_state(
+        self, dma: "DmaEngine", lines: int, channel: VirtualChannel
+    ) -> tuple:
+        """Everything :meth:`_plan` reads, as offsets from ``now``.
+
+        ``_plan`` only ever takes ``max``/``+``/``<`` of instants, and the
+        earliest one it handles is ``now`` itself, so (a) shifting every
+        instant by the same amount shifts its result by that amount, and
+        (b) a server free time or throttle instant already in the past acts
+        exactly like one equal to ``now``: both clamp to offset 0.  The
+        constants it reads (service times, latencies, intervals) are part
+        of the key, so a plan made before ``Link.degrade()`` cannot be
+        served after it.
+        """
+        now = self.engine.now
+        dram_server = self.dram._server
+        dram_free = dram_server._next_free_ps - now
+        next_issue = dma._next_issue_ps - now
+        state = [
+            lines,
+            channel,
+            # Pinned channels never read the round-robin cursor.
+            self.selector._rr_cursor % self._cursor_period
+            if channel is VirtualChannel.VA
+            else 0,
+            dma.max_outstanding,
+            self.clock.cycles(dma.issue_interval_cycles),
+            self.shell_latency_ps,
+            self.iommu.hit_latency_ps,
+            dram_server.service_time_ps(CACHE_LINE_BYTES),
+            dram_server.latency_ps,
+            dram_free if dram_free > 0 else 0,
+            next_issue if next_issue > 0 else 0,
+        ]
+        for link in self.selector.all_links:
+            for server, size in (
+                (link.to_memory, SMALL_PACKET_BYTES),
+                (link.from_memory, REQUEST_HEADER_BYTES + CACHE_LINE_BYTES),
+            ):
+                free = server._next_free_ps - now
+                state += (
+                    server.service_time_ps(size),
+                    server.latency_ps,
+                    free if free > 0 else 0,
+                )
+        # The window: every outstanding line is virtual (governor) and
+        # completes strictly after now (just reaped).
+        state += [when - now for when in dma._virtual_completions]
+        return tuple(state)
+
+    def _plan_relative(
+        self, dma: "DmaEngine", lines: int, channel: VirtualChannel
+    ) -> BurstPlan:
+        """Run :meth:`_plan` and keep what a commit needs, relative to now."""
+        now = self.engine.now
+        plan = self._plan(dma, lines, channel)
+        issue_ps: List[int] = plan["issue_ps"]
+        complete_ps: List[int] = plan["complete_ps"]
+        link_use = []
+        for index, link in enumerate(self.selector.all_links):
+            requests = [at for chosen, at in plan["req_arrival"] if chosen == index]
+            if not requests:
+                continue
+            responses = [at for chosen, at in plan["resp_arrival"] if chosen == index]
+            link_use.append((
+                index,
+                len(requests),
+                _busy_through(link.to_memory, SMALL_PACKET_BYTES, requests) - now,
+                _busy_through(
+                    link.from_memory, REQUEST_HEADER_BYTES + CACHE_LINE_BYTES, responses
+                ) - now,
+            ))
+        return BurstPlan(
+            next_issue=plan["next_issue"] - now,
+            completions=tuple(sorted(when - now for when in complete_ps)),
+            latencies=tuple(
+                complete - issue for issue, complete in zip(issue_ps, complete_ps)
+            ),
+            cursor_delta=plan["cursor"] - self.selector._rr_cursor,
+            dram_free=_busy_through(
+                self.dram._server, CACHE_LINE_BYTES, plan["dram_arrival"]
+            ) - now,
+            link_use=tuple(link_use),
+        )
 
     # -- plan: the reference event semantics on a private heap ---------------
 
@@ -280,27 +444,26 @@ class FastPath:
     # -- commit ---------------------------------------------------------------
 
     def _commit(
-        self, dma: "DmaEngine", packet: Packet, hpa_base: int, plan: dict
+        self, dma: "DmaEngine", packet: Packet, hpa_base: int, plan: BurstPlan
     ) -> Future:
-        issue_ps: List[int] = plan["issue_ps"]
-        complete_ps: List[int] = plan["complete_ps"]
-        lines = len(issue_ps)
+        now = self.engine.now
+        lines = len(plan.latencies)
         links = self.selector.all_links
 
-        # Replay the reservations through the real servers in the exact
-        # per-server arrival order the plan produced — reserve() applies
-        # submit()'s shaping math, so the chains land identically — and
-        # advance everything else the per-line events would have touched.
-        self.selector._rr_cursor = plan["cursor"]
-        for index, at in plan["req_arrival"]:
-            links[index].reserve_to_memory(SMALL_PACKET_BYTES, at)
-        dram_server = self.dram._server
-        for at in plan["dram_arrival"]:
-            dram_server.reserve(CACHE_LINE_BYTES, at)
-        for index, at in plan["resp_arrival"]:
-            links[index].reserve_from_memory(
-                REQUEST_HEADER_BYTES + CACHE_LINE_BYTES, at
+        # Advance everything the per-line events would have touched, one
+        # step per server: each ends busy through the instant its planned
+        # reservation chain ends, and a server the burst never used keeps
+        # its (possibly stale) free time.
+        self.selector._rr_cursor += plan.cursor_delta
+        for index, carried, to_free, from_free in plan.link_use:
+            links[index].reserve_round_trips(
+                carried,
+                SMALL_PACKET_BYTES,
+                now + to_free,
+                REQUEST_HEADER_BYTES + CACHE_LINE_BYTES,
+                now + from_free,
             )
+        self.dram._server.reserve_batch(CACHE_LINE_BYTES, lines, now + plan.dram_free)
         self.iommu.iotlb.stats.hits += lines
         self.dram.reads += lines
 
@@ -309,23 +472,23 @@ class FastPath:
         data = self.dram.store.read(hpa_base, lines * CACHE_LINE_BYTES)
 
         dma._outstanding += lines
-        dma._next_issue_ps = plan["next_issue"]
-        for when in complete_ps:
-            heapq.heappush(dma._virtual_completions, when)
-        packet.issued_at_ps = issue_ps[0]
+        dma._next_issue_ps = now + plan.next_issue
+        window = dma._virtual_completions
+        overlap = bool(window)
+        window.extend([now + offset for offset in plan.completions])
+        if overlap:  # two ascending runs: one merge pass
+            window.sort()
         future = self.engine.future()
         self.committed_bursts += 1
         self.committed_lines += lines
 
         def finish() -> None:
             dma._reap_virtual()
-            record = dma.latency.record
-            for line in range(lines):
-                record(complete_ps[line] - issue_ps[line])
+            dma.latency.record_many(plan.latencies)
             dma.read_meter.record_burst(lines * CACHE_LINE_BYTES, lines)
             self.memory.read_meter.record_burst(lines * CACHE_LINE_BYTES, lines)
             future.set_result(data)
             dma._try_issue()
 
-        self.engine.call_at(max(complete_ps), finish)
+        self.engine.call_at(now + plan.completions[-1], finish)
         return future

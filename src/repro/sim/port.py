@@ -73,7 +73,8 @@ class ThroughputServer:
         change are shaped at the new rate — the same cut-over semantics a
         retrained physical link exhibits.  The per-size service-time memo
         is invalidated so both the reference path and the fast path (which
-        reads :meth:`service_time_ps` live per burst) see the new rate.
+        reads :meth:`service_time_ps` live per burst, and keys its memoized
+        plans on it) see the new rate.
         """
         if bytes_per_ps <= 0:
             raise ConfigurationError(f"{self.name}: bandwidth must be positive")
@@ -113,21 +114,19 @@ class ThroughputServer:
             engine.call_at(deliver_at, deliver, *args)
         return deliver_at
 
-    def reserve(self, size_bytes: int, at_ps: int) -> int:
-        """Occupy the server for a packet arriving at ``at_ps``, eventlessly.
+    def reserve_batch(self, size_bytes: int, packets: int, busy_through_ps: int) -> None:
+        """Occupy the server for ``packets`` packets of ``size_bytes``, eventlessly.
 
-        Identical shaping math to :meth:`submit` — the packet starts service
-        at ``max(at_ps, next_free)`` and the server stays busy through its
-        service time — but no delivery event is scheduled: the caller (the
-        simulator fast path) has already computed where the delivery feeds
-        next.  Returns the delivery time (``service_end + latency``).
+        The caller (the simulator fast path) has already run
+        :meth:`submit`'s shaping math over the packets' arrival instants —
+        each starts service at ``max(arrival, next_free)`` — and knows both
+        where every delivery feeds next and when the last service ends, so
+        no event is scheduled: the server is simply busy through
+        ``busy_through_ps``.
         """
-        start = at_ps if at_ps > self._next_free_ps else self._next_free_ps
-        service_end = start + self.service_time_ps(size_bytes)
-        self._next_free_ps = service_end
-        self.total_bytes += size_bytes
-        self.total_packets += 1
-        return service_end + self.latency_ps
+        self._next_free_ps = busy_through_ps
+        self.total_bytes += size_bytes * packets
+        self.total_packets += packets
 
     @property
     def backlog_ps(self) -> int:

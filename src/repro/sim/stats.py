@@ -21,7 +21,7 @@ construction site is also the registration site.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from repro.sim.clock import PS_PER_S, to_ns
 from repro.sim.engine import Engine
@@ -120,6 +120,11 @@ class LatencyRecorder:
 
     def record(self, latency_ps: int) -> None:
         self.samples_ps.append(latency_ps)
+        self._sorted = None
+
+    def record_many(self, latencies_ps: Iterable[int]) -> None:
+        """Record a batch of samples, in order (a committed burst's lines)."""
+        self.samples_ps.extend(latencies_ps)
         self._sorted = None
 
     def reset(self) -> None:

@@ -160,6 +160,40 @@ class TestReferenceModeIsScoped:
         assert os.environ["REPRO_FAST_PATH"] == "1"
 
 
+class TestRunCacheKeysOnTheResolvedMode:
+    """Regression: the experiment cache keyed on the raw ``REPRO_FAST_PATH``
+    string, not on the mode the run actually resolves to."""
+
+    @pytest.fixture
+    def fast_path_default(self):
+        from repro.platform.params import default_fast_path, set_default_fast_path
+
+        previous = default_fast_path()
+        yield set_default_fast_path
+        set_default_fast_path(previous)
+
+    def test_reference_default_without_the_variable_has_its_own_key(
+        self, capsys, stub_experiment, monkeypatch, fast_path_default
+    ):
+        monkeypatch.delenv("REPRO_FAST_PATH", raising=False)
+        fast_path_default(False)
+        assert "[cached]" not in run_cli(capsys, "run", "stub")[1]
+        # Was a hit: the reference result had been stored under the fast key.
+        fast_path_default(True)
+        assert "[cached]" not in run_cli(capsys, "run", "stub")[1]
+        assert "[cached]" in run_cli(capsys, "run", "stub")[1]
+
+    def test_every_spelling_of_reference_mode_shares_one_key(
+        self, capsys, stub_experiment, monkeypatch, fast_path_default
+    ):
+        fast_path_default(False)
+        outputs = []
+        for spelling in ("0", "false", "off"):
+            monkeypatch.setenv("REPRO_FAST_PATH", spelling)
+            outputs.append(run_cli(capsys, "run", "stub")[1])
+        assert ["[cached]" in out for out in outputs] == [False, True, True]
+
+
 class TestShardingFlagsAreAlwaysValidated:
     """Regression: ``--shards``/``--lookahead`` were checked only when the
     run happened to shard (more than one node *and* more than one shard)."""
