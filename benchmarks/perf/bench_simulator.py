@@ -44,7 +44,6 @@ from repro.guest import NativeAccelerator  # noqa: E402
 from repro.hv import PassthroughHypervisor  # noqa: E402
 from repro.mem import MB, PAGE_SIZE_2M  # noqa: E402
 from repro.platform import PlatformMode, PlatformParams, build_platform  # noqa: E402
-from repro.platform.params import set_default_fast_path  # noqa: E402
 from repro.sim.clock import ms  # noqa: E402
 from repro.sim.engine import Engine  # noqa: E402
 
@@ -103,13 +102,13 @@ def _fig5_grid(quick: bool) -> dict:
 
 
 def _run_fig5(fast: bool, jobs: int, quick: bool):
-    set_default_fast_path(fast)
+    os.environ["REPRO_FAST_PATH"] = "1" if fast else "0"
     try:
         start = time.perf_counter()
         tables = fig5_latency.run(page_size=PAGE_SIZE_2M, jobs=jobs, **_fig5_grid(quick))
         elapsed = time.perf_counter() - start
     finally:
-        set_default_fast_path(True)
+        del os.environ["REPRO_FAST_PATH"]
     rows = {label: table.rows for label, table in tables.items()}
     return elapsed, rows
 
@@ -188,7 +187,7 @@ def bench_coalescing(quick: bool) -> dict:
         "fast_s": round(fast_s, 3),
         "speedup": round(ref_s / fast_s, 2),
         "committed_bursts": fastpath.committed_bursts,
-        # Memo misses: the bursts that ran FastPath._plan at all.
+        # Memo misses: the bursts planned on the fast path's sandbox.
         "planned_bursts": fastpath.planned_bursts,
         "simulated_ps": ref_now,
     }
@@ -201,7 +200,7 @@ def bench_coalescing(quick: bool) -> dict:
 
 
 def _run_fig6_cell(fast: bool):
-    set_default_fast_path(fast)
+    os.environ["REPRO_FAST_PATH"] = "1" if fast else "0"
     try:
         start = time.perf_counter()
         table = fig6_throughput.run(
@@ -209,7 +208,7 @@ def _run_fig6_cell(fast: bool):
         )
         elapsed = time.perf_counter() - start
     finally:
-        set_default_fast_path(True)
+        del os.environ["REPRO_FAST_PATH"]
     return elapsed, table.rows
 
 

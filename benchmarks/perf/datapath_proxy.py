@@ -16,7 +16,9 @@ run.  Two cells, each reporting over its measured stretch
 the per-line event chain.  ``stream_burst``: the compute-bound sequential
 reader of ``bench_simulator.py`` streams 1 MB on the pass-through platform
 — the burst fast path, where ``committed_bursts`` and ``planned_bursts``
-(memo misses: how often ``FastPath._plan`` actually ran) are pinned too.
+(memo misses: each one runs the burst's lines through the real per-line
+chain on the fast path's sandbox, a fixed cost that does not grow with the
+stream) are pinned too.
 
 Usage::
 
@@ -138,9 +140,12 @@ def main() -> int:
                 "and every other count must match it exactly (the event "
                 "schedule is the timing contract; committed_bursts and "
                 "planned_bursts are the burst governor's and the plan "
-                "memo's). Re-record with --record only after a deliberate "
-                "change to the per-line chain or the burst path, and say so "
-                "in the PR."
+                "memo's; the stream cell's python_calls include its three "
+                "memo misses, each a burst's lines run through the real "
+                "per-line chain on the fast path's sandbox, a fixed cost "
+                "per run that does not grow with the stream). Re-record with "
+                "--record only after a deliberate change to the per-line "
+                "chain or the burst path, and say so in the PR."
             ),
             **measured,
         }

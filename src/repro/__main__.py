@@ -103,8 +103,8 @@ def _run_one(key: str, jobs: int = 1, *, entry: str = "main"):
     cache = current_cache()
     cache_key = None
     if cache is not None:
-        # The resolved mode, not the raw REPRO_FAST_PATH string: the default
-        # can be set without the variable, and 0/false/off are one mode.
+        # The resolved mode, not the raw REPRO_FAST_PATH string: 0/false/off
+        # are one mode, and so are 1 and unset.
         cache_key = cache.key(
             f"cli.{key}", {"entry": entry, "fast_path": default_fast_path()}
         )
@@ -1026,25 +1026,19 @@ def _build_parser() -> argparse.ArgumentParser:
 @contextlib.contextmanager
 def _reference_mode(enabled: bool):
     """Scope ``--reference`` to one command: in-process callers (the test
-    suite) get their fast-path default and environment back afterwards."""
+    suite) get their environment back afterwards."""
     if not enabled:
         yield
         return
-    from repro.platform.params import default_fast_path, set_default_fast_path
-
-    saved_default = default_fast_path()
-    saved_env = os.environ.get("REPRO_FAST_PATH")
-    # The env var also covers worker processes started via "spawn".
+    saved = os.environ.get("REPRO_FAST_PATH")
     os.environ["REPRO_FAST_PATH"] = "0"
-    set_default_fast_path(False)
     try:
         yield
     finally:
-        set_default_fast_path(saved_default)
-        if saved_env is None:
+        if saved is None:
             del os.environ["REPRO_FAST_PATH"]
         else:
-            os.environ["REPRO_FAST_PATH"] = saved_env
+            os.environ["REPRO_FAST_PATH"] = saved
 
 
 def main(argv=None) -> int:

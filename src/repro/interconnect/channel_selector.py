@@ -58,9 +58,8 @@ class ChannelSelector:
             return self.fixed_link(channel)
         # Throughput-optimized: least-backlog wins; ties rotate round-robin
         # so an unloaded platform spreads requests across every link.
-        # Open-coded equivalent of auto_pick() (which remains the reference
-        # policy) over each link's committed-but-unserved time in both
-        # directions: this runs per request.
+        # A link's backlog is its committed-but-unserved time in both
+        # directions.  Open-coded: this runs per request.
         now = self.upi.engine.now
         backlogs = self._backlogs
         best_backlog = -1
@@ -83,23 +82,6 @@ class ChannelSelector:
                     return self.all_links[index]
                 pick -= 1
         raise AssertionError("unreachable: tie scan exhausted")
-
-    def auto_pick(self, backlogs: Sequence[int], cursor: int) -> int:
-        """The pure VA policy: index of the link chosen for one request.
-
-        Exposed so the simulator fast path can replay the exact policy
-        against *planned* backlogs at a future instant (and advance the
-        round-robin cursor itself only once a burst commits).
-        """
-        best: List[int] = []
-        best_backlog = None
-        for index, backlog in enumerate(backlogs):
-            if best_backlog is None or backlog < best_backlog:
-                best = [index]
-                best_backlog = backlog
-            elif backlog == best_backlog:
-                best.append(index)
-        return best[cursor % len(best)]
 
     def fixed_link(self, channel: VirtualChannel) -> Optional[Link]:
         """The forced link for a pinned channel, or ``None`` for VA."""

@@ -17,9 +17,10 @@ dwarfed the cells themselves.  This module replaces that with:
   actually win.  Results are identical either way; cells are independent
   and merged in submission order.
 
-Fork start is preferred (workers inherit the configured fast-path mode
-and any installed tracer-less state for free); spawn is the non-POSIX
-fallback, covered by the ``REPRO_FAST_PATH`` environment variable.
+Fork start is preferred (cheap, and workers inherit the caller's loaded
+modules); spawn is the non-POSIX fallback.  Either way a worker outlives
+the call it was started for, so nothing ambient it inherited can be
+trusted later: every task carries the caller's simulator mode with it.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import traceback
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
+from repro.platform.params import default_fast_path
 
 #: Measured cost of shipping one task through the persistent pool
 #: (pickle + queue round trip), in seconds.  Cells cheaper than a few of
@@ -44,10 +46,8 @@ MIN_PARALLEL_BUDGET_S = 0.05
 def fork_context():
     """The multiprocessing context every repro parallel surface shares.
 
-    Fork start is preferred (workers inherit the configured fast-path
-    mode for free); spawn is the non-POSIX fallback, covered by the
-    ``REPRO_FAST_PATH`` environment variable.  Used by both the
-    experiment pool and the sharded fleet executor.
+    Fork start is preferred; spawn is the non-POSIX fallback.  Used by
+    both the experiment pool and the sharded fleet executor.
     """
     try:
         return multiprocessing.get_context("fork")
@@ -56,12 +56,14 @@ def fork_context():
 
 
 def _worker_main(task_queue, result_queue) -> None:  # pragma: no cover - subprocess
-    """One pool worker: loop over (seq, fn, item) tasks until poisoned."""
+    """One pool worker: loop over (seq, fast_path, fn, item) tasks until
+    poisoned, each run in the simulator mode its caller resolved."""
     while True:
         task = task_queue.get()
         if task is None:
             return
-        seq, fn, item = task
+        seq, fast_path, fn, item = task
+        os.environ["REPRO_FAST_PATH"] = "1" if fast_path else "0"
         try:
             result_queue.put((seq, True, fn(item)))
         except BaseException as exc:  # surface errors to the coordinator
@@ -108,8 +110,11 @@ class WorkerPool:
         if self._closed:
             raise ConfigurationError("worker pool is closed")
         items = list(items)
+        # The mode travels with the task: these workers may have been
+        # forked under another one (--reference after a fast sweep).
+        fast_path = default_fast_path()
         for seq, item in enumerate(items):
-            self._tasks.put((seq, fn, item))
+            self._tasks.put((seq, fast_path, fn, item))
         slots: List = [None] * len(items)
         failures: List[Tuple[int, Tuple[str, str]]] = []
         for _ in range(len(items)):

@@ -16,15 +16,20 @@ per-line time is a pure function of state known when the burst arrives.
    cursor, and the service/latency/interval constants — is read as offsets
    from ``now``, with anything already in the past clamped to 0
    (:meth:`FastPath._relative_state`).
-2. **Plan, on a miss.**  :meth:`FastPath._plan` runs the identical event
-   semantics on a **private local heap** — plain tuples, no closures, no
-   futures, nothing touching the global engine — and the result is kept
+2. **Plan, on a miss.**  :meth:`FastPath._plan_relative` runs the burst's
+   lines as ordinary single-line packets down the **real per-line path** —
+   a private *sandbox*: one more pass-through datapath (``DmaEngine`` →
+   ``Shell`` → ``MemorySystem`` → ``Iommu`` → ``ChannelSelector`` →
+   ``Link`` → ``Dram``) on an engine of its own, mirroring the live
+   servers, nothing touching the global engine — and the result is kept
    as a :class:`BurstPlan` of offsets in a small per-``FastPath`` memo
-   (:data:`PLAN_MEMO_BOUND`).  The plan only ever adds to and compares
-   instants that are all ``>= now``, so it shifts rigidly with ``now`` and
-   cannot tell a stale free time from one equal to ``now``: an equal key
-   *is* an equal plan.  A steady stream revisits a handful of keys, so
-   ``_plan`` runs a few times per run and is otherwise the memo's oracle.
+   (:data:`PLAN_MEMO_BOUND`).  That path only ever adds to and compares
+   instants that are all ``>= now``, so a plan shifts rigidly with ``now``
+   and cannot tell a stale free time from one equal to ``now``: an equal
+   key *is* an equal plan, and the sandbox's own clock is as good a
+   ``now`` as any.  A steady stream revisits a handful of keys, so the
+   sandbox runs a few times per run; there is no second model of the
+   datapath to keep in step with the first.
 3. **Commit, in O(links).**  All shared-resource state (server occupancy,
    channel-selector cursor, meters, counters) is advanced to exactly where
    the per-line events would have left it — one
@@ -70,23 +75,29 @@ Known (documented) approximations, none observable in full-run totals:
   writes a location and re-reads it within one DRAM round trip, which no
   streaming accelerator does (reads and writes target disjoint buffers).
 
-One known gap that *is* observable (it predates the memo, which reproduces
-``_plan`` exactly): on ``VA``, a burst planned while an earlier burst's
-lines are still in flight sees all of those lines' link reservations as
-backlog, where the per-line path's selector sees only the ones made so
-far.  The picks agree until the links saturate; a memory-bound reader
-(64 B/cycle) on ``VA`` drifts from the reference, pinned channels and
-compute-bound readers do not (``tests/test_fastpath_equivalence.py``).
+One known gap that *is* observable: on ``VA``, a burst planned while an
+earlier burst's lines are still in flight starts from links already
+reserved through the last of those lines, where the per-line path's
+selector sees only the reservations made so far.  The picks agree until
+the links saturate; a memory-bound reader (64 B/cycle) on ``VA`` drifts
+from the reference, pinned channels and compute-bound readers do not
+(``tests/test_fastpath_equivalence.py``).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Dict, Optional, Tuple
 
-from repro.interconnect.channel_selector import VirtualChannel
+from repro.fpga.afu import DmaEngine
+from repro.fpga.shell import Shell
+from repro.interconnect.channel_selector import ChannelSelector, VirtualChannel
+from repro.interconnect.link import Link
+from repro.interconnect.topology import MemorySystem
+from repro.mem.dram import Dram
+from repro.mem.iommu import Iommu
 from repro.sim.clock import Clock
 from repro.sim.engine import Engine, Future
 from repro.sim.packet import (
@@ -95,21 +106,9 @@ from repro.sim.packet import (
     SMALL_PACKET_BYTES,
     Packet,
     PacketKind,
+    make_dma_request,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.fpga.afu import DmaEngine
-    from repro.interconnect.topology import MemorySystem
-
-# Local event kinds, in no particular order (ties resolve by seq, exactly
-# like the global engine's (time, seq) heap entries).
-_EXIST_COMPLETE = 0  # a pre-existing virtual line completes (frees a slot)
-_WAKEUP = 1  # the issue throttle re-arms
-_SCHED_SELECT = 2  # shell hop done; translation latency starts
-_SELECT = 3  # translation done; channel selection + request link
-_AT_MEMORY = 4  # request reached memory; DRAM access starts
-_DELIVERED = 5  # DRAM done; response link starts
-_COMPLETE = 6  # response reached the accelerator
+from repro.telemetry.tracer import current_tracer, install_tracer, uninstall_tracer
 
 
 #: Most relative plans one :class:`FastPath` keeps (oldest evicted first).
@@ -137,13 +136,36 @@ class BurstPlan:
     link_use: Tuple[Tuple[int, int, int, int], ...]
 
 
-def _busy_through(server, size_bytes: int, arrivals: List[int]) -> int:
-    """``submit()``'s shaping math over one server's planned arrivals."""
-    free = server._next_free_ps
-    service = server.service_time_ps(size_bytes)
-    for at in arrivals:
-        free = (at if at > free else free) + service
-    return free
+def _build_sandbox(memory: MemorySystem) -> Shell:
+    """One more pass-through datapath, private to one planner.
+
+    The real components on an engine of their own, shaped like ``memory``
+    (same links, same page size).  Its IOMMU holds the only translation a
+    committed burst can meet (governor): one mapped page, IOTLB-resident,
+    §6.5 off.  Rates, latencies and occupancy are placeholders here —
+    :meth:`FastPath._plan_relative` mirrors them from the live servers
+    before every run.  Components take their trace scope from their engine,
+    so building that with no tracer installed keeps planning out of traces.
+    """
+    tracer = current_tracer()
+    uninstall_tracer()
+    try:
+        engine = Engine()
+    finally:
+        if tracer is not None:
+            install_tracer(tracer)
+    page_size = memory.iommu.page_size
+    iommu = Iommu(engine, page_size=page_size, speculative_region_opt=False)
+    iommu.map(0, 0)
+    iommu.iotlb.install(0, 0)
+    upi, *pcie_links = (
+        Link(engine, link.name, link.kind, bandwidth_gbps=1.0, latency_ps=0)
+        for link in memory.selector.all_links
+    )
+    mirror = MemorySystem(
+        engine, iommu, Dram(engine, size_bytes=page_size), ChannelSelector(upi, pcie_links)
+    )
+    return Shell(engine, mirror, latency_ps=0)
 
 
 class FastPath:
@@ -152,7 +174,7 @@ class FastPath:
     def __init__(
         self,
         engine: Engine,
-        memory: "MemorySystem",
+        memory: MemorySystem,
         clock: Clock,
         shell_latency_ps: int,
     ) -> None:
@@ -167,16 +189,17 @@ class FastPath:
         self.committed_bursts = 0
         self.committed_lines = 0
         self.declined_bursts = 0
-        self.planned_bursts = 0  # memo misses: bursts that ran _plan
+        self.planned_bursts = 0  # memo misses: bursts run through the sandbox
         self._memo: Dict[tuple, BurstPlan] = {}
         # A VA pick is ``cursor % ties`` with 1 <= ties <= n_links, so the
         # cursor matters only modulo lcm(1..n_links).
         self._cursor_period = math.lcm(*range(1, len(self.selector.all_links) + 1))
+        self._sandbox = _build_sandbox(memory)
 
     # -- governor -------------------------------------------------------------
 
     def try_commit(
-        self, dma: "DmaEngine", packet: Packet, channel: VirtualChannel
+        self, dma: DmaEngine, packet: Packet, channel: VirtualChannel
     ) -> Optional[Future]:
         """Commit ``packet`` as an analytic burst, or return ``None``.
 
@@ -225,17 +248,17 @@ class FastPath:
     # -- memo: a plan is a function of the state relative to now --------------
 
     def _relative_state(
-        self, dma: "DmaEngine", lines: int, channel: VirtualChannel
+        self, dma: DmaEngine, lines: int, channel: VirtualChannel
     ) -> tuple:
-        """Everything :meth:`_plan` reads, as offsets from ``now``.
+        """Everything a burst's per-line run reads, as offsets from ``now``.
 
-        ``_plan`` only ever takes ``max``/``+``/``<`` of instants, and the
-        earliest one it handles is ``now`` itself, so (a) shifting every
-        instant by the same amount shifts its result by that amount, and
-        (b) a server free time or throttle instant already in the past acts
-        exactly like one equal to ``now``: both clamp to offset 0.  The
-        constants it reads (service times, latencies, intervals) are part
-        of the key, so a plan made before ``Link.degrade()`` cannot be
+        The per-line path only ever takes ``max``/``+``/``<`` of instants,
+        and the earliest one it handles is ``now`` itself, so (a) shifting
+        every instant by the same amount shifts its result by that amount,
+        and (b) a server free time or throttle instant already in the past
+        acts exactly like one equal to ``now``: both clamp to offset 0.
+        The constants it reads (service times, latencies, intervals) are
+        part of the key, so a plan made before ``Link.degrade()`` cannot be
         served after it.
         """
         now = self.engine.now
@@ -274,177 +297,98 @@ class FastPath:
         state += [when - now for when in dma._virtual_completions]
         return tuple(state)
 
+    # -- plan: the burst's lines down the real per-line path, sandboxed -------
+
     def _plan_relative(
-        self, dma: "DmaEngine", lines: int, channel: VirtualChannel
+        self, dma: DmaEngine, lines: int, channel: VirtualChannel
     ) -> BurstPlan:
-        """Run :meth:`_plan` and keep what a commit needs, relative to now."""
-        now = self.engine.now
-        plan = self._plan(dma, lines, channel)
-        issue_ps: List[int] = plan["issue_ps"]
-        complete_ps: List[int] = plan["complete_ps"]
-        link_use = []
-        for index, link in enumerate(self.selector.all_links):
-            requests = [at for chosen, at in plan["req_arrival"] if chosen == index]
-            if not requests:
-                continue
-            responses = [at for chosen, at in plan["resp_arrival"] if chosen == index]
-            link_use.append((
-                index,
-                len(requests),
-                _busy_through(link.to_memory, SMALL_PACKET_BYTES, requests) - now,
-                _busy_through(
-                    link.from_memory, REQUEST_HEADER_BYTES + CACHE_LINE_BYTES, responses
-                ) - now,
-            ))
-        return BurstPlan(
-            next_issue=plan["next_issue"] - now,
-            completions=tuple(sorted(when - now for when in complete_ps)),
-            latencies=tuple(
-                complete - issue for issue, complete in zip(issue_ps, complete_ps)
-            ),
-            cursor_delta=plan["cursor"] - self.selector._rr_cursor,
-            dram_free=_busy_through(
-                self.dram._server, CACHE_LINE_BYTES, plan["dram_arrival"]
-            ) - now,
-            link_use=tuple(link_use),
-        )
+        """Run the burst line by line on the sandbox; mutate nothing shared.
 
-    # -- plan: the reference event semantics on a private heap ---------------
-
-    def _plan(self, dma: "DmaEngine", lines: int, channel: VirtualChannel) -> dict:
-        """Replay the per-line event chain locally; mutate nothing shared.
-
-        Events are ``(time, seq, kind, line)`` tuples on a local heap; seq
-        is assigned at scheduling time, so same-instant ordering matches
-        the global engine's tie-breaking exactly.
+        The sandbox's clock ``t0`` is just another ``now`` (see
+        :meth:`_relative_state`): the live state goes in shifted by
+        ``t0 - now`` and the plan is read back minus ``t0``.
         """
-        now = self.engine.now
-        interval_ps = self.clock.cycles(dma.issue_interval_cycles)
-        shell_ps = self.shell_latency_ps
-        hit_ps = self.iommu.hit_latency_ps
-        dram_server = self.dram._server
-        dram_svc = dram_server.service_time_ps(CACHE_LINE_BYTES)
-        dram_lat = dram_server.latency_ps
-        links = self.selector.all_links
-        req_svc = [link.to_memory.service_time_ps(SMALL_PACKET_BYTES) for link in links]
-        resp_svc = [
-            link.from_memory.service_time_ps(REQUEST_HEADER_BYTES + CACHE_LINE_BYTES)
-            for link in links
+        shell = self._sandbox
+        engine = shell.engine
+        memory = shell.memory
+        selector = memory.selector
+        t0 = engine.now
+        shift = t0 - self.engine.now
+
+        shell.latency_ps = self.shell_latency_ps
+        memory.iommu.hit_latency_ps = self.iommu.hit_latency_ps
+        selector._rr_cursor = self.selector._rr_cursor
+        mirrored = [(memory.dram._server, self.dram._server)]
+        for link, live in zip(selector.all_links, self.selector.all_links):
+            mirrored += (link.to_memory, live.to_memory), (link.from_memory, live.from_memory)
+        for server, live in mirrored:
+            server.set_rate(live.bytes_per_ps)
+            server.latency_ps = live.latency_ps
+            server._next_free_ps = live._next_free_ps + shift
+        memory.reset_meters()  # each link's packet count: this burst's lines
+
+        probe = DmaEngine(
+            engine,
+            dma.accel_id,
+            clock=self.clock,
+            issue_interval_cycles=dma.issue_interval_cycles,
+            max_outstanding=dma.max_outstanding,
+        )
+        probe.sink = shell.passthrough_dma_sink
+        probe._next_issue_ps = dma._next_issue_ps + shift
+        # The window: every outstanding line is a committed burst line
+        # (governor) that frees its slot at its completion instant.  Those
+        # events go in first, ascending, so they hold the smallest seqs —
+        # as the completions of lines issued long ago would.
+        probe._outstanding = len(dma._virtual_completions)
+
+        def release() -> None:
+            probe._outstanding -= 1
+            probe._try_issue()
+
+        for when in dma._virtual_completions:
+            engine.call_at(when + shift, release)
+
+        done_ps = [0] * lines
+
+        def note_done(line: int, _future: Future) -> None:
+            done_ps[line] = engine.now
+
+        # Enqueued in order at one instant, as DmaEngine._split_burst does.
+        packets = [
+            make_dma_request(
+                PacketKind.DMA_READ_REQ, line * CACHE_LINE_BYTES, CACHE_LINE_BYTES, dma.accel_id
+            )
+            for line in range(lines)
         ]
-        fixed = self.selector.fixed_link(channel)
-        fixed_index = links.index(fixed) if fixed is not None else -1
+        for line, packet in enumerate(packets):
+            probe._enqueue(packet, channel).add_done_callback(partial(note_done, line))
+        engine.run()
 
-        # Shadowed shared state.
-        to_free = [link.to_memory._next_free_ps for link in links]
-        from_free = [link.from_memory._next_free_ps for link in links]
-        dram_free = dram_server._next_free_ps
-        cursor = self.selector._rr_cursor
-        next_issue = dma._next_issue_ps
-        in_flight = dma.outstanding
-        max_outstanding = dma.max_outstanding
-
-        issue_ps = [0] * lines
-        complete_ps = [0] * lines
-        link_choice = [0] * lines
-        req_arrival: List[Tuple[int, int]] = []  # per to_memory reservation
-        dram_arrival: List[int] = []
-        resp_arrival: List[Tuple[int, int]] = []  # per from_memory reservation
-
-        heap: List[Tuple[int, int, int, int]] = []
-        seq = 0
-        # Pre-existing virtual lines complete as if they were real events
-        # scheduled long ago: they get the smallest seq numbers.
-        for when in sorted(dma._virtual_completions):
-            heap.append((when, seq, _EXIST_COMPLETE, -1))
-            seq += 1
-        heapq.heapify(heap)
-
-        unissued = 0  # next line index to issue
-        wakeup_pending = False
-
-        def try_issue(at: int) -> None:
-            # The exact logic of DmaEngine._try_issue for queued lines.
-            nonlocal unissued, in_flight, next_issue, wakeup_pending, seq
-            while unissued < lines and in_flight < max_outstanding:
-                if at < next_issue:
-                    if not wakeup_pending:
-                        wakeup_pending = True
-                        heapq.heappush(
-                            heap, (max(next_issue, at), seq, _WAKEUP, -1)
-                        )
-                        seq += 1
-                    return
-                line = unissued
-                unissued += 1
-                in_flight += 1
-                issue_ps[line] = at
-                next_issue = at + interval_ps
-                heapq.heappush(heap, (at + shell_ps, seq, _SCHED_SELECT, line))
-                seq += 1
-
-        try_issue(now)
-        done = 0
-        while done < lines:
-            at, _order, kind, line = heapq.heappop(heap)
-            if kind == _EXIST_COMPLETE:
-                in_flight -= 1
-                try_issue(at)
-            elif kind == _WAKEUP:
-                wakeup_pending = False
-                try_issue(at)
-            elif kind == _SCHED_SELECT:
-                heapq.heappush(heap, (at + hit_ps, seq, _SELECT, line))
-                seq += 1
-            elif kind == _SELECT:
-                if fixed_index >= 0:
-                    index = fixed_index
-                else:
-                    backlogs = [
-                        max(0, to_free[i] - at) + max(0, from_free[i] - at)
-                        for i in range(len(links))
-                    ]
-                    index = self.selector.auto_pick(backlogs, cursor)
-                    cursor += 1
-                link_choice[line] = index
-                req_arrival.append((index, at))
-                start = max(at, to_free[index])
-                to_free[index] = start + req_svc[index]
-                at_memory = to_free[index] + links[index].to_memory.latency_ps
-                heapq.heappush(heap, (at_memory, seq, _AT_MEMORY, line))
-                seq += 1
-            elif kind == _AT_MEMORY:
-                dram_arrival.append(at)
-                start = max(at, dram_free)
-                dram_free = start + dram_svc
-                heapq.heappush(heap, (dram_free + dram_lat, seq, _DELIVERED, line))
-                seq += 1
-            elif kind == _DELIVERED:
-                index = link_choice[line]
-                resp_arrival.append((index, at))
-                start = max(at, from_free[index])
-                from_free[index] = start + resp_svc[index]
-                complete = from_free[index] + links[index].from_memory.latency_ps
-                heapq.heappush(heap, (complete, seq, _COMPLETE, line))
-                seq += 1
-            else:  # _COMPLETE
-                complete_ps[line] = at
-                in_flight -= 1
-                done += 1
-                try_issue(at)
-        return {
-            "issue_ps": issue_ps,
-            "complete_ps": complete_ps,
-            "cursor": cursor,
-            "next_issue": next_issue,
-            "req_arrival": req_arrival,
-            "dram_arrival": dram_arrival,
-            "resp_arrival": resp_arrival,
-        }
+        return BurstPlan(
+            next_issue=probe._next_issue_ps - t0,
+            completions=tuple(sorted(at - t0 for at in done_ps)),
+            latencies=tuple(
+                at - packet.issued_at_ps for at, packet in zip(done_ps, packets)
+            ),
+            cursor_delta=selector._rr_cursor - self.selector._rr_cursor,
+            dram_free=memory.dram._server._next_free_ps - t0,
+            link_use=tuple(
+                (
+                    index,
+                    carried,
+                    link.to_memory._next_free_ps - t0,
+                    link.from_memory._next_free_ps - t0,
+                )
+                for index, link in enumerate(selector.all_links)
+                if (carried := link.meter_to_memory.packets_total)
+            ),
+        )
 
     # -- commit ---------------------------------------------------------------
 
     def _commit(
-        self, dma: "DmaEngine", packet: Packet, hpa_base: int, plan: BurstPlan
+        self, dma: DmaEngine, packet: Packet, hpa_base: int, plan: BurstPlan
     ) -> Future:
         now = self.engine.now
         lines = len(plan.latencies)

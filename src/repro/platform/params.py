@@ -33,24 +33,15 @@ from repro.mem.address import (
 )
 from repro.sim.clock import ms, ns, us
 
-#: Process-wide default for :attr:`PlatformParams.fast_path`, overridable
-#: via the ``REPRO_FAST_PATH`` environment variable (``0``/``false``/``off``
-#: select the reference path) or :func:`set_default_fast_path`.
-_FAST_PATH_DEFAULT = os.environ.get("REPRO_FAST_PATH", "1").lower() not in (
-    "0",
-    "false",
-    "off",
-)
-
-
-def set_default_fast_path(enabled: bool) -> None:
-    """Set the default ``fast_path`` for subsequently built params."""
-    global _FAST_PATH_DEFAULT
-    _FAST_PATH_DEFAULT = bool(enabled)
-
 
 def default_fast_path() -> bool:
-    return _FAST_PATH_DEFAULT
+    """The process-wide default for :attr:`PlatformParams.fast_path`.
+
+    The one ambient selector is the ``REPRO_FAST_PATH`` environment
+    variable, read whenever params are built: ``0``/``false``/``off``
+    select the reference path, anything else (or unset) the fast path.
+    """
+    return os.environ.get("REPRO_FAST_PATH", "1").lower() not in ("0", "false", "off")
 
 
 @dataclass

@@ -138,9 +138,9 @@ class TestReferenceModeIsScoped:
     def test_reference_flag_does_not_leak_into_the_caller(
         self, capsys, stub_experiment, monkeypatch
     ):
-        # Regression: --reference set REPRO_FAST_PATH=0 and the process-wide
-        # fast-path default and restored neither, so every later in-process
-        # cli.main() call silently ran on the reference path.
+        # Regression: --reference set REPRO_FAST_PATH=0 and never restored
+        # it, so every later in-process cli.main() call silently ran on the
+        # reference path.
         from repro.platform.params import default_fast_path
 
         monkeypatch.delenv("REPRO_FAST_PATH", raising=False)
@@ -164,29 +164,19 @@ class TestRunCacheKeysOnTheResolvedMode:
     """Regression: the experiment cache keyed on the raw ``REPRO_FAST_PATH``
     string, not on the mode the run actually resolves to."""
 
-    @pytest.fixture
-    def fast_path_default(self):
-        from repro.platform.params import default_fast_path, set_default_fast_path
-
-        previous = default_fast_path()
-        yield set_default_fast_path
-        set_default_fast_path(previous)
-
-    def test_reference_default_without_the_variable_has_its_own_key(
-        self, capsys, stub_experiment, monkeypatch, fast_path_default
-    ):
-        monkeypatch.delenv("REPRO_FAST_PATH", raising=False)
-        fast_path_default(False)
+    def test_reference_mode_has_its_own_key(self, capsys, stub_experiment, monkeypatch):
+        monkeypatch.setenv("REPRO_FAST_PATH", "0")
         assert "[cached]" not in run_cli(capsys, "run", "stub")[1]
-        # Was a hit: the reference result had been stored under the fast key.
-        fast_path_default(True)
+        # Unset is fast mode: not a hit on the reference result.
+        monkeypatch.delenv("REPRO_FAST_PATH")
         assert "[cached]" not in run_cli(capsys, "run", "stub")[1]
+        # And "1" is the same mode as unset.
+        monkeypatch.setenv("REPRO_FAST_PATH", "1")
         assert "[cached]" in run_cli(capsys, "run", "stub")[1]
 
     def test_every_spelling_of_reference_mode_shares_one_key(
-        self, capsys, stub_experiment, monkeypatch, fast_path_default
+        self, capsys, stub_experiment, monkeypatch
     ):
-        fast_path_default(False)
         outputs = []
         for spelling in ("0", "false", "off"):
             monkeypatch.setenv("REPRO_FAST_PATH", spelling)

@@ -13,6 +13,8 @@ not just split back into reference packets.
 from __future__ import annotations
 
 import hashlib
+import os
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,6 @@ from repro.mem import MB, PAGE_SIZE_2M
 from repro.platform import PlatformMode, PlatformParams, build_platform
 from repro.platform import fastpath as fastpath_module
 from repro.platform.fastpath import FastPath
-from repro.platform.params import default_fast_path, set_default_fast_path
 from repro.sim.clock import ms
 from repro.sim.packet import CACHE_LINE_BYTES
 
@@ -172,8 +173,8 @@ def _reader(bytes_per_cycle):
 @pytest.fixture
 def memo_checked(monkeypatch):
     """Test-side differential wrapper around ``FastPath._commit``: every plan
-    about to be applied — memo hit or miss — must equal a fresh ``_plan`` of
-    the live state, and the memo must be within its bound.  Call it with the
+    about to be applied — memo hit or miss — must equal a fresh sandbox plan
+    of the live state, and the memo must be within its bound.  Call it with the
     run's channel (``_commit`` is not handed one); it installs the wrapper
     and returns the list of per-commit memo sizes."""
 
@@ -195,7 +196,8 @@ def memo_checked(monkeypatch):
 
 
 class TestPlanMemo:
-    """The memoized relative plan is ``_plan``, shifted: DESIGN.md §14."""
+    """The memoized relative plan is the sandboxed reference run of the live
+    state, shifted: DESIGN.md §14."""
 
     DATA = bytes((5 * i + 1) % 256 for i in range(256 * 1024))
 
@@ -326,7 +328,7 @@ _offset = st.integers(min_value=-2_000_000, max_value=2_000_000)
 
 @st.composite
 def _relative_states(draw):
-    """A burst and the state ``_plan`` reads, as offsets from now: seven
+    """A burst and the state its plan reads, as offsets from now: seven
     server free times and the throttle (negative: stale), the window's
     pending completions (all in the future), cursor, window size."""
     max_outstanding = draw(st.sampled_from([1, 8, 64]))
@@ -344,7 +346,7 @@ def _relative_states(draw):
 
 
 class TestPlanIsTimeTranslationInvariant:
-    """The invariant the memo rests on, checked on ``_plan`` itself."""
+    """The invariant the memo rests on, checked on the planner itself."""
 
     def _install(self, platform, state, now, frees):
         dma = platform.sockets[0].dma
@@ -381,8 +383,7 @@ class TestPlanIsTimeTranslationInvariant:
         dma = self._install(platform, state, now, state["frees"])
         platform.selector._rr_cursor = state["cursor"]
         key = fastpath._relative_state(dma, lines, channel)
-        base = fastpath._plan(dma, lines, channel)
-        relative = fastpath._plan_relative(dma, lines, channel)
+        plan = fastpath._plan_relative(dma, lines, channel)
 
         # The same state later: future instants move with now, every stale
         # one becomes stale by some other amount, the cursor laps around.
@@ -395,16 +396,7 @@ class TestPlanIsTimeTranslationInvariant:
         dma = self._install(platform, later, now + shift, moved_frees)
         platform.selector._rr_cursor = state["cursor"] + laps * fastpath._cursor_period
         assert fastpath._relative_state(dma, lines, channel) == key
-        moved = fastpath._plan(dma, lines, channel)
-        assert fastpath._plan_relative(dma, lines, channel) == relative
-
-        assert moved["issue_ps"] == [at + shift for at in base["issue_ps"]]
-        assert moved["complete_ps"] == [at + shift for at in base["complete_ps"]]
-        assert moved["next_issue"] == base["next_issue"] + shift
-        assert moved["cursor"] - platform.selector._rr_cursor == base["cursor"] - state["cursor"]
-        for arrivals in ("req_arrival", "resp_arrival"):
-            assert moved[arrivals] == [(link, at + shift) for link, at in base[arrivals]]
-        assert moved["dram_arrival"] == [at + shift for at in base["dram_arrival"]]
+        assert fastpath._plan_relative(dma, lines, channel) == plan
 
 
 class TestBurstApi:
@@ -447,12 +439,8 @@ class TestBurstApi:
 
 
 def _with_fast_path(enabled, fn):
-    previous = default_fast_path()
-    set_default_fast_path(enabled)
-    try:
+    with mock.patch.dict(os.environ, REPRO_FAST_PATH="1" if enabled else "0"):
         return fn()
-    finally:
-        set_default_fast_path(previous)
 
 
 class TestExperimentCellEquivalence:

@@ -30,6 +30,12 @@ def _fail_on_three(value):
     return value
 
 
+def _resolved_fast_path(_item):
+    from repro.platform import PlatformParams
+
+    return PlatformParams().fast_path
+
+
 class TestWorkerPool:
     def test_map_returns_results_in_item_order(self):
         from repro.parallel import WorkerPool
@@ -64,6 +70,23 @@ class TestWorkerPool:
             assert grown.processes == 2
             # Asking for fewer workers never shrinks the pool.
             assert shared_pool(1) is grown
+        finally:
+            shutdown_shared_pool()
+
+    def test_workers_forked_in_fast_mode_serve_a_reference_sweep(self, monkeypatch):
+        # Regression: the pool served cells in the mode it was forked in, so
+        # --reference --jobs N after one fast fan-out in the same process ran
+        # the probe cell on the reference path and the rest on the fast path.
+        from repro.experiments.harness import parallel_map
+        from repro.parallel import shutdown_shared_pool
+
+        monkeypatch.setenv("REPRO_FORCE_JOBS", "1")
+        monkeypatch.delenv("REPRO_FAST_PATH", raising=False)
+        try:
+            assert parallel_map(_resolved_fast_path, range(3), jobs=2) == [True] * 3
+            with cli._reference_mode(True):
+                assert parallel_map(_resolved_fast_path, range(3), jobs=2) == [False] * 3
+            assert parallel_map(_resolved_fast_path, range(3), jobs=2) == [True] * 3
         finally:
             shutdown_shared_pool()
 

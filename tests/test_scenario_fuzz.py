@@ -17,6 +17,7 @@ Four layers, mirroring the package:
   the bug makes the reproducer pass again.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -196,12 +197,15 @@ def _skewed_plan():
     differential comparison catches."""
     from repro.platform.fastpath import FastPath
 
-    real_plan = FastPath._plan
+    real_plan = FastPath._plan_relative
 
     def skewed(self, dma, lines, channel):
         plan = real_plan(self, dma, lines, channel)
-        plan["complete_ps"] = [t + 1_000_000 for t in plan["complete_ps"]]
-        return plan
+        return dataclasses.replace(
+            plan,
+            completions=tuple(t + 1_000_000 for t in plan.completions),
+            latencies=tuple(t + 1_000_000 for t in plan.latencies),
+        )
 
     return skewed
 
@@ -231,7 +235,7 @@ class TestSeededGovernorBug:
 
         scenario = Scenario(kind="burst", fields=dict(self.BURST_FIELDS))
         assert run_scenario(scenario).ok  # healthy governor: arms agree
-        with mock.patch.object(FastPath, "_plan", _skewed_plan()):
+        with mock.patch.object(FastPath, "_plan_relative", _skewed_plan()):
             result = run_scenario(scenario)
             assert not result.ok
             assert any("fast-path vs reference burst metrics" in failure
@@ -251,7 +255,7 @@ class TestSeededGovernorBug:
         # and write a replayable reproducer.
         from repro.platform.fastpath import FastPath
 
-        with mock.patch.object(FastPath, "_plan", _skewed_plan()):
+        with mock.patch.object(FastPath, "_plan_relative", _skewed_plan()):
             report = run_fuzz(FuzzConfig(
                 seed=6, count=1, kinds="burst",
                 save_failures=str(tmp_path),

@@ -103,6 +103,22 @@ def _traced_passthrough_run(fast_path: bool) -> Tracer:
     return tracer
 
 
+def _traced_burst_stream(fast_path: bool):
+    """A compute-bound pass-through stream with §6.5 off — bursts commit on
+    the fast path — traced: ``(tracer, the platform's FastPath or None)``."""
+    from tests.test_fastpath_equivalence import ComputeBoundReader, _run_stream
+
+    tracer = install_tracer()
+    try:
+        _, fastpath, _, _ = _run_stream(
+            ComputeBoundReader(), bytes(128 * 1024), fast=fast_path, spec_opt=False
+        )
+        tracer.finalize()
+    finally:
+        uninstall_tracer()
+    return tracer, fastpath
+
+
 class TestTraceCapture:
     def test_spans_cover_every_layer(self):
         tracer = _traced_optimus_run()
@@ -139,6 +155,17 @@ class TestTraceCapture:
         reference = _traced_passthrough_run(fast_path=False)
         assert fast.event_count > 0
         assert fast.to_json() == reference.to_json()
+
+    def test_committing_bursts_trace_identically_to_the_reference(self):
+        # The run above streams single lines; here bursts really commit, and
+        # each memo miss runs the planner's sandbox engine under an installed
+        # tracer — which must not see it (no extra pid, no engine.run spans).
+        fast, fastpath = _traced_burst_stream(fast_path=True)
+        reference, _ = _traced_burst_stream(fast_path=False)
+        assert fastpath.committed_bursts > 0 and fastpath.planned_bursts > 0
+        assert fast.event_count > 0
+        assert fast.to_json() == reference.to_json()
+        assert current_tracer() is None
 
     def test_trace_writes_loadable_file(self, tmp_path):
         tracer = _traced_optimus_run()
