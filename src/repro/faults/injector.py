@@ -1,7 +1,7 @@
 """Deterministic replay of a fault plan into a fleet serving loop.
 
 The injector never runs on a wall clock or its own thread: plan events
-are pushed into the :class:`~repro.fleet.admission.FleetService` heap and
+are scheduled on the :class:`~repro.fleet.admission.FleetService` engine and
 applied inside the serving loop's simulated time, so a (plan, traffic)
 pair replays byte-identically.  Target resolution for ``"auto"`` events
 draws from one ``numpy.random.RandomState(plan.seed)`` in event order —
@@ -97,7 +97,7 @@ class FleetFaultInjector:
     # -- scheduling --------------------------------------------------------------
 
     def schedule(self) -> None:
-        """Push every plan event into the service heap (called by serve)."""
+        """Schedule every plan event on the service (called by serve)."""
         for event in self.plan.events:
             self.service._push(event.at_ps, "fault", event)
 

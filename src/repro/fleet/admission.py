@@ -14,9 +14,12 @@ serving open-loop traffic cannot afford that: overload must degrade
   the queue is scanned FIFO and every request that now fits is placed
   immediately (no head-of-line blocking across accelerator types).
 
-The loop runs in fleet simulated time over a heap of arrival, retry, and
-departure events.  Ties break on insertion order, so a request trace is a
-pure function of (traffic seed, cluster shape, policy, admission config).
+The loop runs in fleet simulated time on a :class:`repro.sim.Engine` of
+its own (``FleetService.engine`` — the same kernel every platform runs
+on) holding arrival, retry, and departure events.  Ties break on insertion
+order, so a request trace is a pure function of (traffic seed, cluster
+shape, policy, admission config).  The clock is monotone: scheduling an
+event before ``FleetService.now`` raises ``SimulationError``.
 
 Fault tolerance (ISSUE 4) extends the loop with two invariants:
 
@@ -39,7 +42,6 @@ deterministic for a given (plan, seed, traffic seed) triple.
 from __future__ import annotations
 
 import dataclasses
-import heapq
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -53,6 +55,7 @@ from repro.fleet.outcomes import ACCEPTED_OUTCOMES, Outcome, SERVED_OUTCOMES, re
 from repro.fleet.placement import PlacementPolicy
 from repro.fleet.traffic import TenantRequest
 from repro.sim.clock import ms, us
+from repro.sim.engine import untraced_engine
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fleet.autoscale import AutoscaleConfig, Autoscaler
@@ -227,7 +230,7 @@ class FleetObserver:
         discards — the fuzz oracle records checkpoint digests here)."""
 
     def on_drained(self, now: int) -> None:
-        """The event heap emptied.  Events the observer pushes from here
+        """The event queue emptied.  Events the observer pushes from here
         (the gateway's closed-loop follow-up arrivals) keep the loop
         serving; :meth:`on_drained` is called again after each drain."""
 
@@ -281,7 +284,7 @@ class _Pending:
 
 @dataclass
 class _Session:
-    """One live placement.  ``epoch`` invalidates stale heap events."""
+    """One live placement.  ``epoch`` invalidates stale queued events."""
 
     request: TenantRequest
     node_name: str
@@ -312,8 +315,16 @@ class FleetService:
         #: ``None`` keeps the historical queue-depth-only behavior with
         #: zero per-arrival overhead; anything else is consulted first.
         self.admission_policy = admission_policy
-        self._heap: List[Tuple[int, int, str, object]] = []
-        self._seq = 0
+        #: The event kernel.  Untraced: the fleet's trace is the ``fleet``
+        #: scope :class:`FleetMetrics` owns, not engine spans.
+        self.engine = untraced_engine()
+        self._handlers = {
+            "arrival": self._on_arrival,
+            "retry": self._on_retry,
+            "departure": self._on_departure,
+            "watchdog": self._on_watchdog,
+            "ops": self._on_ops,
+        }
         self._pending: Dict[int, _Pending] = {}  # insertion order == FIFO
         self._sessions: Dict[str, _Session] = {}
         self._epoch = 0
@@ -322,10 +333,9 @@ class FleetService:
         self._injector = None
         self._retry_rngs: Dict[int, np.random.RandomState] = {}
         self._arrivals = 0
-        self._now = 0
-        #: The popped-but-not-yet-handled event, visible to the
-        #: speculation-window scan (the heap no longer contains it).
-        self._dispatching: Optional[Tuple[int, str, object]] = None
+        #: The popped-but-not-yet-handled ``(kind, payload)``, visible to
+        #: the speculation-window scan (the engine no longer holds it).
+        self._dispatching: Optional[Tuple[str, object]] = None
         self._ops: Optional["FleetOps"] = None
         self.autoscaler: Optional["Autoscaler"] = None
         #: The one extension point (``None`` costs the loop nothing).
@@ -339,6 +349,7 @@ class FleetService:
         from repro.faults.injector import FleetFaultInjector
 
         self._injector = FleetFaultInjector(self, plan)
+        self._handlers["fault"] = self._injector.apply
         return self._injector
 
     # -- fleet operations (ISSUE 8) ---------------------------------------------------
@@ -381,9 +392,13 @@ class FleetService:
 
     # -- event plumbing ---------------------------------------------------------------
 
+    @property
+    def now(self) -> int:
+        """The serving clock: the time of the last event dispatched."""
+        return self.engine.now
+
     def _push(self, time_ps: int, kind: str, payload: object) -> None:
-        heapq.heappush(self._heap, (time_ps, self._seq, kind, payload))
-        self._seq += 1
+        self.engine.call_at(time_ps, self._dispatch, kind, payload)
         if kind == "arrival":
             self._arrivals += 1
 
@@ -404,12 +419,14 @@ class FleetService:
         Returns ``[(tenant, session_epoch, depart_ps), ...]`` covering at
         most ``max_epochs`` distinct event times of *consecutive*
         currently-valid departures, starting with the event being
-        dispatched right now (it was already popped off the heap, but
-        its ops have not been emitted yet — the cluster's epoch advance,
-        which triggers the grant scan, runs before the event handler) and
-        continuing into the heap.  The events listed are exactly those guaranteed
-        to evict exactly those tenants at exactly those times.  Anything
-        else is a speculation barrier and stops the scan:
+        dispatched right now (the engine already popped it, but its ops
+        have not been emitted yet — the cluster's epoch advance, which
+        triggers the grant scan, runs before the event handler) and
+        continuing into the engine's pending events
+        (:meth:`repro.sim.Engine.peek_prefix`).  The events listed are
+        exactly those guaranteed to evict exactly those tenants at exactly
+        those times.  Anything else is a speculation barrier and stops the
+        scan:
 
         * a non-departure event (arrival, retry, fault, watchdog,
           scheduled op) — its dispatch mutates arbitrary nodes; as the
@@ -440,19 +457,19 @@ class FleetService:
 
         current = self._dispatching
         if current is not None:
-            time_ps, kind, payload = current
+            kind, payload = current
             if kind != "departure":
                 return []
             tenant, epoch = payload
             session = self._sessions.get(tenant)
             if session is not None and session.epoch == epoch:
-                if not admit(time_ps, tenant, epoch):
+                if not admit(self.now, tenant, epoch):
                     return window
             # A stale current departure emits nothing: scan on.
-        # A bounded sorted prefix of the heap: stopping early is always
-        # safe (fewer grants), so don't pay a full sort on a deep heap.
-        limit = min(len(self._heap), max_epochs * 4 + 8)
-        for time_ps, _seq, kind, payload in heapq.nsmallest(limit, self._heap):
+        # A bounded sorted prefix of the pending events: stopping early is
+        # always safe (fewer grants), so don't pay a full sort on a deep one.
+        prefix = self.engine.peek_prefix(max_epochs * 4 + 8)
+        for time_ps, _seq, _fn, (kind, payload) in prefix:
             if kind != "departure":
                 break
             tenant, epoch = payload
@@ -468,59 +485,47 @@ class FleetService:
     def serve(self, requests: Sequence[TenantRequest]) -> ServeResult:
         """Run the full trace to quiescence; never raises ``SchedulerError``."""
         if self._injector is not None:
-            # Faults enter the heap first so that, at equal timestamps, an
+            # Faults are scheduled first so that, at equal timestamps, an
             # injected event lands before the request arriving that instant.
             self._injector.schedule()
         for request in requests:
             self.submit(request)
-        self._run_loop()
+        self.engine.run()
         # A closed-loop observer (the serve gateway) may inject follow-up
         # arrivals while draining terminal notifications; keep looping
-        # until nothing new enters the heap.
+        # until nothing new is scheduled.
         if self.observer is not None:
-            self.observer.on_drained(self._now)
-            while self._heap:
-                self._run_loop()
-                self.observer.on_drained(self._now)
+            self.observer.on_drained(self.now)
+            while self.engine.pending_events:
+                self.engine.run()
+                self.observer.on_drained(self.now)
         # Sharded: barrier on the workers, raising if any diverged.
         self.cluster.end_serve()
         return ServeResult(
             metrics=self.metrics,
             requests=self._arrivals,
-            span_ps=self._now,
+            span_ps=self.now,
             outcomes=dict(self.outcomes),
             fault_log=self._injector.log if self._injector is not None else None,
         )
 
-    def _run_loop(self) -> None:
-        """Drain the event heap; the clock is ``self._now`` throughout."""
-        while self._heap:
-            now, _seq, kind, payload = heapq.heappop(self._heap)
-            self._now = now
-            self._dispatching = (now, kind, payload)
-            self.cluster.note_event(kind, now)
-            # Cluster first: a sharded one flushes completed epochs' ops
-            # here, so the observer sees the same state on either cluster.
-            self.cluster.advance_epoch(now, self)
-            if self.observer is not None:
-                self.observer.on_epoch(now)
-            # Utilization integrates occupancy *before* this event's state
-            # changes; the autoscaler reads the same pre-event snapshot.
-            self.metrics.sample_utilization(now, self.cluster)
-            if self.autoscaler is not None:
-                self.autoscaler.maybe_tick(now)
-            if kind == "arrival":
-                self._on_arrival(payload, now)
-            elif kind == "retry":
-                self._on_retry(payload, now)
-            elif kind == "departure":
-                self._on_departure(payload, now)
-            elif kind == "fault":
-                self._injector.apply(payload, now)
-            elif kind == "watchdog":
-                self._on_watchdog(payload, now)
-            else:  # "ops": a scheduled FleetOps verb
-                self._on_ops(payload, now)
+    def _dispatch(self, kind: str, payload: object) -> None:
+        """One event: the per-event prologue (before *every* event, not
+        once per instant — DESIGN.md §10), then the handler for ``kind``."""
+        now = self.engine.now
+        self._dispatching = (kind, payload)
+        self.cluster.note_event(kind, now)
+        # Cluster first: a sharded one flushes completed epochs' ops
+        # here, so the observer sees the same state on either cluster.
+        self.cluster.advance_epoch(now, self)
+        if self.observer is not None:
+            self.observer.on_epoch(now)
+        # Utilization integrates occupancy *before* this event's state
+        # changes; the autoscaler reads the same pre-event snapshot.
+        self.metrics.sample_utilization(now, self.cluster)
+        if self.autoscaler is not None:
+            self.autoscaler.maybe_tick(now)
+        self._handlers[kind](payload, now)
 
     # -- event handlers ---------------------------------------------------------------
 

@@ -1,6 +1,6 @@
 """Elastic autoscaling over the typed fleet-operations API (ISSUE 8).
 
-The control loop rides the serving loop's event clock: every heap event,
+The control loop rides the serving loop's event clock: every fleet event,
 :meth:`Autoscaler.maybe_tick` fires if at least ``interval_ps`` of
 simulated time passed since the last tick, reads utilization/queue
 signals, and acts through :class:`~repro.fleet.ops.FleetOps` verbs only —
@@ -96,7 +96,7 @@ class Autoscaler:
         self.actions: List[Dict[str, object]] = []
         for name in config.standby_nodes:
             service.cluster.node(name)  # fail fast on unknown names
-            self._park(name, now=service._now, reason="standby", record=False)
+            self._park(name, now=service.now, reason="standby", record=False)
 
     # -- bookkeeping ------------------------------------------------------------------
 

@@ -195,10 +195,10 @@ class ClusterState:
 
     def advance_epoch(self, now: int, service) -> None:
         """The serving clock reached ``now``, about to dispatch an event
-        of ``service`` (whose heap a sharded speculation scan reads)."""
+        of ``service`` (whose engine a sharded speculation scan reads)."""
 
     def end_serve(self) -> None:
-        """``serve()`` drained its heap: the sharded coordinator barriers
+        """``serve()`` drained its engine: the sharded coordinator barriers
         on its workers here, raising if any diverged, and merges traces."""
 
     def opstream_stats(self) -> Dict[str, object]:

@@ -127,7 +127,7 @@ class FleetOps:
     # -- helpers ----------------------------------------------------------------------
 
     def _now(self, now: Optional[int]) -> int:
-        return self.service._now if now is None else now
+        return self.service.now if now is None else now
 
     # -- admission gating -------------------------------------------------------------
 

@@ -102,12 +102,3 @@ class ResourceBudget:
     @property
     def bram_pct(self) -> float:
         return sum(fp.bram_pct for _name, fp in self._components)
-
-    def breakdown(self) -> dict[str, ResourceFootprint]:
-        result: dict[str, ResourceFootprint] = {}
-        for name, footprint in self._components:
-            if name in result:
-                result[name] = result[name] + footprint
-            else:
-                result[name] = footprint
-        return result

@@ -83,10 +83,6 @@ class MuxArrangement:
     levels: int
 
     @property
-    def leaf_capacity(self) -> int:
-        return self.radix**self.levels
-
-    @property
     def node_count(self) -> int:
         # A full r-ary tree with r^levels leaves has (r^levels - 1)/(r - 1) nodes.
         return (self.radix**self.levels - 1) // (self.radix - 1)

@@ -102,11 +102,6 @@ class VirtualAccelerator:
 
     # -- guest-side register window ---------------------------------------------------
 
-    def offset_value(self) -> int:
-        """The offset-table entry for this vaccel: slice base minus window base."""
-        base = self.window_base_gva or 0
-        return self.slice.iova_base - base
-
     def cache_register(self, offset: int, value: int) -> None:
         self.reg_cache[offset] = value
 

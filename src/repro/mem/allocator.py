@@ -84,10 +84,6 @@ class RegionAllocator:
     def allocated_bytes(self) -> int:
         return sum(self._live.values())
 
-    @property
-    def free_bytes(self) -> int:
-        return sum(length for _start, length in self._free)
-
     def owns(self, address: int) -> bool:
         return self.base <= address < self.base + self.size
 
@@ -103,10 +99,3 @@ class FrameAllocator:
 
     def alloc_frame(self) -> int:
         return self._inner.alloc(self.page_size, alignment=self.page_size)
-
-    def free_frame(self, address: int) -> None:
-        self._inner.free(address)
-
-    @property
-    def frames_in_use(self) -> int:
-        return self._inner.allocated_bytes // self.page_size

@@ -63,10 +63,6 @@ class PageTable:
         """
         return 4 if self.page_size == PAGE_SIZE_4K else 3
 
-    @property
-    def entry_count(self) -> int:
-        return len(self._entries)
-
     # -- mapping ------------------------------------------------------------
 
     def vpn(self, address: int) -> int:

@@ -88,15 +88,6 @@ class SparseMemory:
     def write_u64(self, address: int, value: int) -> None:
         self.write(address, (value & (2**64 - 1)).to_bytes(8, "little"))
 
-    def read_u32(self, address: int) -> int:
-        return int.from_bytes(self.read(address, 4), "little")
-
-    def write_u32(self, address: int, value: int) -> None:
-        self.write(address, (value & (2**32 - 1)).to_bytes(4, "little"))
-
-    def fill(self, address: int, length: int, byte: int = 0) -> None:
-        self.write(address, bytes([byte]) * length)
-
     @property
     def resident_bytes(self) -> int:
         """How much memory is actually materialized (for tests/diagnostics)."""

@@ -32,7 +32,7 @@ to a serial run by construction, at any ``(shards, lookahead)``.
 The serving loop is the one :class:`~repro.fleet.admission.FleetService`:
 it calls :meth:`ShardedFleetCluster.advance_epoch` (with itself, for
 speculation-window scans) as its clock moves and :meth:`end_serve` — a
-verification barrier + trace merge — when its heap drains; both are
+verification barrier + trace merge — when its engine drains; both are
 no-ops on a cluster of real nodes.  Build through
 :func:`repro.fleet.open_fleet`.
 """
@@ -299,7 +299,7 @@ class ShardedFleetCluster(ShadowCluster):
         """The fleet clock moved: flush completed epochs' ops.
 
         ``service`` (the serving loop itself) is what the speculation
-        grant scan reads the event heap through.
+        grant scan reads the pending events through.
         """
         self._service = service
         if epoch_ps == self._epoch_ps:

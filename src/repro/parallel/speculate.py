@@ -3,8 +3,9 @@
 The optimistic half of the sharded executor (DESIGN.md §9).  Two sides:
 
 **Coordinator** — :class:`SpeculationController` is the conflict
-detector.  At flush time it scans the serving loop's event heap
-(:meth:`~repro.fleet.admission.FleetService.speculation_window`) for the
+detector.  At flush time it scans the serving loop's pending events
+(:meth:`~repro.fleet.admission.FleetService.speculation_window`, which
+reads the service's :class:`~repro.sim.Engine`) for the
 run of departures that are *certain* to dispatch exactly as scheduled,
 and grants the owning workers permission to apply those evictions up to
 ``lookahead`` epochs early.  Every later op emission is interception
@@ -26,7 +27,7 @@ checkpoint digests identically — a rollback that does not reproduce the
 pre-eviction guest bit-for-bit fails the run loudly.
 
 Grant safety argument (why the uncontended case never rolls back): a
-departure is granted only when every earlier heap event is itself a
+departure is granted only when every earlier pending event is itself a
 granted departure, the admission queue is empty (so the departure's
 drain places nothing), and the tenant is the sole occupant of its slot
 (so eviction commutes with nothing and quiesce's remove/re-append is an
@@ -86,7 +87,7 @@ class SpeculationController:
         """New safe grants: ``[(node_index, tenant, depart_ps), ...]``.
 
         Consults the service's speculation window (the certain-departure
-        prefix of the event heap).  A departure that cannot be granted —
+        prefix of the service engine's pending events).  A departure that cannot be granted —
         a time-shared slot, where eviction order interacts with the
         manager's run list — is a scan **barrier**, not a skip: granting
         anything past it would guarantee a conflict the moment its

@@ -99,7 +99,7 @@ from repro.interconnect.topology import MemorySystem
 from repro.mem.dram import Dram
 from repro.mem.iommu import Iommu
 from repro.sim.clock import Clock
-from repro.sim.engine import Engine, Future
+from repro.sim.engine import Engine, Future, untraced_engine
 from repro.sim.packet import (
     CACHE_LINE_BYTES,
     REQUEST_HEADER_BYTES,
@@ -108,7 +108,6 @@ from repro.sim.packet import (
     PacketKind,
     make_dma_request,
 )
-from repro.telemetry.tracer import current_tracer, install_tracer, uninstall_tracer
 
 
 #: Most relative plans one :class:`FastPath` keeps (oldest evicted first).
@@ -145,15 +144,9 @@ def _build_sandbox(memory: MemorySystem) -> Shell:
     §6.5 off.  Rates, latencies and occupancy are placeholders here —
     :meth:`FastPath._plan_relative` mirrors them from the live servers
     before every run.  Components take their trace scope from their engine,
-    so building that with no tracer installed keeps planning out of traces.
+    so an untraced one keeps planning out of traces.
     """
-    tracer = current_tracer()
-    uninstall_tracer()
-    try:
-        engine = Engine()
-    finally:
-        if tracer is not None:
-            install_tracer(tracer)
+    engine = untraced_engine()
     page_size = memory.iommu.page_size
     iommu = Iommu(engine, page_size=page_size, speculative_region_opt=False)
     iommu.map(0, 0)

@@ -139,16 +139,6 @@ class PlatformParams:
 
     # -- convenience ------------------------------------------------------------
 
-    @property
-    def interconnect_period_ps(self) -> int:
-        return round(1e6 / self.interconnect_mhz)
-
-    @property
-    def slice_stride_bytes(self) -> int:
-        """Distance between consecutive slice bases in the IOVA space."""
-        gap = self.slice_gap_bytes if self.conflict_mitigation else 0
-        return self.slice_bytes + gap
-
     def copy(self, **overrides: object) -> "PlatformParams":
         """A modified copy — experiments never mutate shared params."""
         return dataclasses.replace(self, **overrides)  # type: ignore[arg-type]

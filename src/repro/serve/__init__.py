@@ -10,7 +10,7 @@ simulated-time discipline as everything below it:
   seeded synthetic generators with diurnal/burst modulation and
   closed-loop session chains;
 * :mod:`repro.serve.gateway` — a gateway that runs each session chain
-  as a continuation on the serving loop's own event heap, stepped from
+  as a continuation on the serving loop's own engine, stepped from
   the loop's epoch protocol so follow-up arrivals ride the simulated
   clock (byte-identical results at any ``--shards N``);
 * :mod:`repro.serve.slo` — per-class p99 latency budgets enforced as an

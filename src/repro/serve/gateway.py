@@ -4,7 +4,7 @@ The fleet's serving loop (:class:`repro.fleet.admission.FleetService`)
 is a batch machine: hand it a request list, get a result.  A *service*
 is the inverse shape — long-lived clients that connect, wait, react, and
 come back.  :class:`Gateway` bridges the two on the **one** event loop
-the stack has, the ``FleetService`` heap, without giving up an inch of
+the stack has, the ``FleetService`` engine, without giving up an inch of
 determinism:
 
 * :meth:`Gateway.run` submits the root session of every closed-loop

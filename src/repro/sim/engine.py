@@ -13,16 +13,22 @@ SimPy, but is hand-rolled so the repository has no dependencies beyond the
 scientific stack.  Accelerator models (:mod:`repro.accel`) are written as
 processes; the rest of the platform (links, IOMMU, multiplexer tree) is
 event-driven.
+
+There is one engine per platform, plus one *untraced* engine
+(:func:`untraced_engine`) per :class:`~repro.fleet.admission.FleetService`
+— the fleet serving loop runs on this same kernel, so same-instant
+tie-breaking is decided in exactly one place — and per fast-path sandbox.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
+from itertools import chain
 from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.telemetry.tracer import current_tracer
+from repro.telemetry.tracer import current_tracer, install_tracer, uninstall_tracer
 
 #: Type of a simulation process body.
 ProcessGenerator = Generator[Any, Any, Any]
@@ -105,10 +111,6 @@ class Process:
         like a circuit whose reset line was pulled.
         """
         self._interrupted = True
-
-    @property
-    def alive(self) -> bool:
-        return not self.completion.done() and not self._interrupted
 
     # -- internal ----------------------------------------------------------
 
@@ -238,7 +240,6 @@ class Engine:
         self._queue: List[Tuple[int, int, Callable[..., None], tuple]] = []
         self._immediate: Deque[Tuple[int, int, Callable[..., None], tuple]] = deque()
         self._sequence = 0
-        self._processes: List[Process] = []
         # Tracing: captured once at construction.  ``trace`` is None unless
         # a tracer was installed (repro.telemetry) when the engine was
         # built, and every hook below guards on that — the dispatch loops
@@ -300,7 +301,6 @@ class Engine:
     def spawn(self, generator: ProcessGenerator, name: str = "proc") -> Process:
         """Start a generator process immediately (its first step runs now)."""
         process = Process(self, generator, name)
-        self._processes.append(process)
         if self.trace is not None:
             self._trace_spawn(process)
         self.call_after(0, process._step, None)
@@ -357,8 +357,8 @@ class Engine:
         pop = heapq.heappop
         processed = 0
         # Three loops, so the common calls test nothing per event that they
-        # were not asked to: no bound at all, a time horizon only (shared
-        # with run_epoch), and the rare event budget.
+        # were not asked to: no bound at all, a time horizon only, and the
+        # rare event budget.
         if max_events is None:
             if until_ps is None:
                 while queue or immediate:
@@ -412,30 +412,6 @@ class Engine:
             processed += 1
         return processed
 
-    def run_epoch(self, epoch_ps: int) -> Tuple[int, Optional[int]]:
-        """Drain every event at or before ``epoch_ps``; checkpointable.
-
-        The conservative epoch protocol of :mod:`repro.parallel` advances
-        shards in lockstep windows: each shard may safely simulate every
-        event with ``time <= epoch_ps`` because cross-shard interactions
-        are only injected at epoch boundaries.  Unlike :meth:`run`, the
-        clock is **not** forced forward to ``epoch_ps`` when the queue
-        holds nothing in the window — ``now`` stays at the last processed
-        event, so a later ``run_epoch`` (or a plain :meth:`run`) resumes
-        from exactly this state.  Returns ``(processed, next_event_ps)``
-        where ``next_event_ps`` is the timestamp of the earliest pending
-        event beyond the epoch, or ``None`` when the queue is empty —
-        the coordinator uses it to pick the next global epoch.
-        """
-        if epoch_ps < self.now:
-            raise SimulationError(
-                f"cannot run epoch ending at {epoch_ps} ps; "
-                f"current time is {self.now} ps"
-            )
-        processed = self._drain_through(epoch_ps)
-        queue = self._queue
-        return processed, (queue[0][0] if queue else None)
-
     def run_until(self, future: Future, limit_ps: Optional[int] = None) -> Any:
         """Run until ``future`` completes; return its result.
 
@@ -473,3 +449,25 @@ class Engine:
     @property
     def pending_events(self) -> int:
         return len(self._queue) + len(self._immediate)
+
+    def peek_prefix(self, limit: int) -> List[Tuple[int, int, Callable[..., None], tuple]]:
+        """The next ``limit`` pending ``(time, seq, fn, args)`` events in
+        dispatch order, merged over both lanes; pops nothing."""
+        return heapq.nsmallest(limit, chain(self._immediate, self._queue))
+
+
+def untraced_engine() -> Engine:
+    """An engine the installed tracer never sees.
+
+    Components take their trace scope from their engine, so an engine
+    built with no tracer installed allocates no trace pid and emits no
+    ``engine.run`` span — what keeps the fleet loop and the fast-path
+    sandbox out of traces.  The tracer is put back before returning.
+    """
+    tracer = current_tracer()
+    uninstall_tracer()
+    try:
+        return Engine()
+    finally:
+        if tracer is not None:
+            install_tracer(tracer)

@@ -72,15 +72,6 @@ class Packet:
     coalesced: bool = False
 
     @property
-    def is_request(self) -> bool:
-        return self.kind in (
-            PacketKind.MMIO_READ,
-            PacketKind.MMIO_WRITE,
-            PacketKind.DMA_READ_REQ,
-            PacketKind.DMA_WRITE_REQ,
-        )
-
-    @property
     def is_dma(self) -> bool:
         return self.kind in (
             PacketKind.DMA_READ_REQ,
@@ -88,22 +79,6 @@ class Packet:
             PacketKind.DMA_WRITE_REQ,
             PacketKind.DMA_WRITE_RESP,
         )
-
-    @property
-    def is_mmio(self) -> bool:
-        return not self.is_dma
-
-    def wire_bytes_to_memory(self) -> int:
-        """Bytes this packet occupies on the FPGA->memory direction."""
-        if self.kind is PacketKind.DMA_WRITE_REQ:
-            return REQUEST_HEADER_BYTES + self.size
-        return SMALL_PACKET_BYTES
-
-    def wire_bytes_from_memory(self) -> int:
-        """Bytes this packet occupies on the memory->FPGA direction."""
-        if self.kind is PacketKind.DMA_READ_RESP:
-            return REQUEST_HEADER_BYTES + self.size
-        return SMALL_PACKET_BYTES
 
     def make_response(self, data: Optional[bytes] = None) -> "Packet":
         """Build the response packet for this request, preserving tags.

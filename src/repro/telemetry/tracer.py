@@ -3,8 +3,10 @@
 The :class:`Tracer` collects *span* ("X"), *instant* ("i"), and *counter*
 ("C") events whose timestamps are **simulated picoseconds**, serialized in
 the Chrome trace-event format so a capture loads directly in Perfetto
-(https://ui.perfetto.dev) or ``chrome://tracing``.  Each simulation engine
-(one per platform) gets its own trace *process* (pid); related event
+(https://ui.perfetto.dev) or ``chrome://tracing``.  Each traced simulation
+engine (one per platform; the engines a ``FleetService`` and a fast-path
+sandbox run on are built by ``repro.sim.engine.untraced_engine`` and never
+show up here) gets its own trace *process* (pid); related event
 streams within it (the page walker, a link direction, a physical
 accelerator's scheduler) get their own *threads* (tid), so sweeps that
 build many platforms produce cleanly separated tracks.

@@ -1,13 +1,18 @@
 """Tests for the fleet layer: nodes, policies, admission, determinism."""
 
+import dataclasses
+
 import pytest
 
-from repro.errors import ConfigurationError, SchedulerError
+import repro.fleet.admission
+import repro.sim
+from repro.errors import ConfigurationError, SchedulerError, SimulationError
 from repro.fleet import (
     AdmissionConfig,
     FleetCluster,
     FleetMetrics,
     FleetNode,
+    FleetObserver,
     FleetService,
     NodeSpec,
     TenantRequest,
@@ -346,3 +351,151 @@ class TestEvictContract:
         cluster = policy_cluster()
         with pytest.raises(ConfigurationError):
             cluster.node("Z")
+
+
+def later(requests, by_ps):
+    """The same trace as fresh requests arriving ``by_ps`` later."""
+    count = len(requests)
+    return [
+        dataclasses.replace(
+            r,
+            request_id=r.request_id + count,
+            tenant=f"t{r.request_id + count:05d}",
+            arrival_ps=r.arrival_ps + by_ps,
+        )
+        for r in requests
+    ]
+
+
+def two_node_service(observer=None):
+    cluster = FleetCluster.build(2, max_oversub=2)
+    service = FleetService(cluster, make_policy("best-fit"), observer=observer)
+    trace = TrafficGenerator(
+        TrafficProfile(load=0.9), fleet_slots=cluster.total_slots, seed=1
+    ).generate(20)
+    return service, trace
+
+
+def assert_one_clock(service, result):
+    # Utilization integrates over the serving clock, so all three are the
+    # time of the last event — unless the clock ever ran backwards.
+    assert result.span_ps == service.now == service.metrics._span_ps
+
+
+class TestOneEventKernel:
+    """The serving loop runs on ``sim.Engine``: no second heap, clock,
+    sequence counter or dispatch chain, and the engine's rules apply."""
+
+    def test_fleet_clock_is_monotone(self):
+        past_ops = []
+
+        class PastOp(FleetObserver):
+            def on_outcome(self, request, outcome, now):
+                with pytest.raises(SimulationError, match="cannot schedule at"):
+                    service.schedule_op(now - 1, "cordon", node_name="node0")
+                past_ops.append(now)
+
+        service, trace = two_node_service(PastOp())
+        first = service.serve(trace)
+        assert_one_clock(service, first)
+        assert len(past_ops) == first.requests == 20  # raised at every call
+        ended_ps = service.now
+        assert trace[0].arrival_ps < ended_ps
+
+        # Events before the clock are refused at the call, never rewound to.
+        stale = later(trace, 0)
+        with pytest.raises(SimulationError, match="cannot schedule at"):
+            service.serve(stale)
+        with pytest.raises(SimulationError, match="cannot schedule at"):
+            service.submit(stale[0])
+        assert service.now == ended_ps
+        assert service.engine.pending_events == 0
+
+        # Serving on from where the clock stands is legal and cumulative.
+        second = service.serve(later(trace, ended_ps))
+        assert second.requests == 40 and len(second.outcomes) == 40
+        assert service.now > ended_ps
+        assert_one_clock(service, second)
+
+    def test_there_is_no_second_kernel(self):
+        service, trace = two_node_service()
+        service.serve(trace)
+        assert isinstance(service.engine, repro.sim.Engine)
+        assert not hasattr(repro.fleet.admission, "heapq")
+        for name in ("_heap", "_seq", "_now"):
+            assert not hasattr(service, name), name
+        assert not [name for name in dir(service) if name.startswith("_run")]
+        with pytest.raises(AttributeError):
+            service.now = 0  # read-only: the clock is the engine's
+
+    def test_same_picosecond_events_dispatch_in_insertion_order(self):
+        # At instant T three events meet: B's arrival (on the heap since
+        # serve()), A's departure (pushed onto the heap by A's arrival,
+        # for T) and an op B's arrival handler schedules *at now* — which
+        # goes to the engine's immediate lane.  Insertion order wins: the
+        # departure was pushed before the op, so it dispatches first.
+        log = []
+        pending_at_t = []
+
+        class Recorder(FleetObserver):
+            def on_placed(self, request, now, latency_ps, replaced):
+                log.append(("placed", request.tenant, now))
+                if request.tenant == "t00001":
+                    service.schedule_op(now, "cordon", node_name="solo")
+                    pending_at_t.extend(
+                        (time_ps, args[0])
+                        for time_ps, _seq, _fn, args in service.engine.peek_prefix(2)
+                    )
+
+            def on_outcome(self, request, outcome, now):
+                log.append((outcome, request.tenant, now))
+
+            def on_op(self, verb, report, now):
+                log.append(("op", verb, now))
+
+        cluster = FleetCluster(
+            [FleetNode(NodeSpec.of("solo", ("AES",)), max_oversub=2)]
+        )
+        service = FleetService(cluster, make_policy("first-fit"), observer=Recorder())
+        t = us(1) + service.admission.placement_cost_ps + ms(1)
+        service.serve(
+            [
+                request(0, arrival_ps=us(1), session_ps=ms(1)),  # departs at T
+                request(1, arrival_ps=t, session_ps=ms(1)),
+            ]
+        )
+        assert pending_at_t == [(t, "departure"), (t, "ops")]
+        assert log[1:4] == [
+            ("placed", "t00001", t),
+            ("completed", "t00000", t),
+            ("op", "cordon", t),
+        ]
+
+    def test_fleet_engine_stays_out_of_traces(self):
+        # Same trace processes as before the loop moved onto an Engine:
+        # one per node platform, ``fleet`` and ``faults`` — the fleet's own
+        # engine allocates no pid and emits no engine.run span.
+        from repro.faults import resolve_plan
+        from repro.telemetry.tracer import install_tracer, uninstall_tracer
+
+        tracer = install_tracer()
+        try:
+            service, trace = two_node_service()
+            service.install_faults(resolve_plan("crash-quick"))
+            service.serve(trace)
+            events = tracer.export_events()
+        finally:
+            uninstall_tracer()
+        processes = {
+            e["pid"]: e["args"]["name"]
+            for e in events
+            if e["ph"] == "M" and e["name"] == "process_name"
+        }
+        assert sorted(processes.values()) == [
+            "faults", "fleet", "platform1 (optimus)", "platform2 (optimus)"
+        ]
+        node_pids = {pid for pid, name in processes.items() if "platform" in name}
+        assert not [
+            e for e in events
+            if e["name"] == "engine.run" and e["pid"] not in node_pids
+        ]

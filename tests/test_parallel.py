@@ -5,7 +5,7 @@ are **byte-identical** to serial execution — same ``--json`` envelopes,
 same metric summaries, same trace files — at any shard count.  These
 tests byte-compare real CLI output and real merged traces across shard
 counts and seeds, plus unit-test the pieces (worker pool, dispatch
-heuristic, epoch engine entry point, shadow verification plumbing).
+heuristic, shadow verification plumbing).
 """
 
 import json
@@ -13,8 +13,6 @@ import json
 import pytest
 
 from repro import __main__ as cli
-from repro.errors import SimulationError
-from repro.sim import Engine
 
 
 # -- the persistent worker pool ------------------------------------------------
@@ -119,53 +117,6 @@ class TestDispatchPlan:
 
         monkeypatch.setenv("REPRO_FORCE_JOBS", "1")
         assert dispatch_plan(0.0, 1, jobs=2) is True
-
-
-# -- the checkpointable epoch entry point --------------------------------------
-
-
-class TestRunEpoch:
-    def test_drains_only_events_inside_the_epoch(self):
-        engine = Engine()
-        fired = []
-        for t in (100, 200, 300, 400):
-            engine.call_at(t, fired.append, t)
-        processed, next_ps = engine.run_epoch(250)
-        assert fired == [100, 200]
-        assert processed == 2
-        assert next_ps == 300
-        assert engine.now == 200  # not forced forward to the epoch edge
-
-    def test_resumes_exactly_where_it_stopped(self):
-        engine = Engine()
-        fired = []
-        for t in (100, 300):
-            engine.call_at(t, fired.append, t)
-        engine.run_epoch(150)
-        processed, next_ps = engine.run_epoch(1000)
-        assert fired == [100, 300]
-        assert processed == 1
-        assert next_ps is None
-
-    def test_empty_epoch_leaves_clock_alone(self):
-        engine = Engine()
-        engine.call_at(500, lambda: None)
-        processed, next_ps = engine.run_epoch(400)
-        assert processed == 0 and next_ps == 500 and engine.now == 0
-
-    def test_epoch_behind_the_clock_raises(self):
-        engine = Engine()
-        engine.call_at(100, lambda: None)
-        engine.run()
-        with pytest.raises(SimulationError):
-            engine.run_epoch(50)
-
-    def test_events_scheduled_during_epoch_run_inside_it(self):
-        engine = Engine()
-        fired = []
-        engine.call_at(100, lambda: engine.call_at(150, fired.append, "nested"))
-        engine.run_epoch(200)
-        assert fired == ["nested"]
 
 
 # -- trace merge plumbing ------------------------------------------------------

@@ -1,9 +1,13 @@
 """Unit tests for the discrete-event engine, futures, and processes."""
 
+import itertools
+
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Engine
+from repro.sim.engine import untraced_engine
+from repro.telemetry.tracer import current_tracer, install_tracer, uninstall_tracer
 
 
 def test_events_fire_in_time_order():
@@ -307,6 +311,69 @@ def test_pending_events_counts_both_lanes():
     assert engine.pending_events == 3
     engine.run()
     assert engine.pending_events == 0
+
+
+def test_peek_prefix_is_the_dispatch_order_over_both_lanes():
+    # The fleet's speculation window reads the engine through this: it must
+    # list what run() will dispatch next, in that order, including events
+    # scheduled *at now* (they sit in the immediate deque, not the heap).
+    engine = Engine()
+    fired = []
+    seqs = itertools.count(1)  # the k-th scheduling call is given seq k
+
+    def schedule(delay_ps):
+        engine.call_after(
+            delay_ps, lambda seq: fired.append((engine.now, seq)), next(seqs)
+        )
+
+    peeks = []
+
+    def at_t():
+        schedule(0)  # seq 4: immediate lane
+        schedule(25)  # seq 5: heap, T+25
+        schedule(0)  # seq 6: immediate lane
+        pending = engine.pending_events
+        peeks.append(engine.peek_prefix(2))
+        peeks.append(engine.peek_prefix(99))  # more than pending: everything
+        assert engine.pending_events == pending == 5  # popped nothing
+
+    engine.call_after(50, at_t)
+    next(seqs)  # seq 1 was at_t itself
+    schedule(50)  # seq 2: on the heap for T before at_t runs
+    schedule(60)  # seq 3
+    engine.run()
+
+    first_two, everything = peeks
+    assert fired == [(50, 2), (50, 4), (50, 6), (60, 3), (75, 5)]
+    assert [(time_ps, seq) for time_ps, seq, _fn, _args in everything] == fired
+    assert all(args == (seq,) for _time, seq, _fn, args in everything)
+    assert first_two == everything[:2]
+    assert engine.peek_prefix(3) == []
+
+
+def test_untraced_engine_is_invisible_to_an_installed_tracer():
+    tracer = install_tracer()
+    try:
+        events_before = tracer.event_count
+        engine = untraced_engine()
+        assert engine.trace is None
+        assert current_tracer() is tracer  # put back, same object
+
+        def body():
+            yield 10
+
+        engine.spawn(body(), "unseen")
+        engine.run()
+        assert tracer.event_count == events_before  # no pid, no span
+        assert Engine().trace is not None  # ordinary engines still hook in
+    finally:
+        uninstall_tracer()
+
+
+def test_untraced_engine_with_no_tracer_installed_installs_none():
+    assert current_tracer() is None
+    assert untraced_engine().trace is None
+    assert current_tracer() is None
 
 
 def test_run_until_drains_zero_delay_chains_directly():
