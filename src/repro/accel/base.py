@@ -101,10 +101,6 @@ class ExecutionContext:
         """
         return self.socket.dma.read(gva, size, channel=self.channel, coalesced=True)
 
-    def write_burst(self, gva: int, data: Optional[bytes] = None, size: Optional[int] = None) -> Future:
-        """Write a contiguous burst (always expanded to per-line writes)."""
-        return self.socket.dma.write(gva, data, size, channel=self.channel, coalesced=True)
-
     @property
     def coalescing_enabled(self) -> bool:
         """True when the simulator fast path is attached to this datapath."""

@@ -17,7 +17,6 @@ from repro.analytic.calibration import (
     SUPPORTED_BENCHMARKS,
     calibrate_cell,
     default_store,
-    reset_default_store,
 )
 from repro.analytic.capacity import (
     CapacityConfig,
@@ -42,7 +41,6 @@ __all__ = [
     "capacity_modes",
     "default_store",
     "plan_capacity",
-    "reset_default_store",
     "run_capacity",
     "slot_capacity",
 ]

@@ -316,8 +316,3 @@ def default_store() -> CalibrationStore:
     if _DEFAULT is None:
         _DEFAULT = CalibrationStore()
     return _DEFAULT
-
-
-def reset_default_store() -> None:
-    global _DEFAULT
-    _DEFAULT = None

@@ -38,9 +38,6 @@ class Slice:
     def iova_end(self) -> int:
         return self.iova_base + self.size
 
-    def contains(self, iova: int) -> bool:
-        return self.iova_base <= iova < self.iova_end
-
     def offset_for(self, gva_base: int) -> int:
         """The offset-table entry mapping ``[gva_base, gva_base+size)`` here."""
         return self.iova_base - gva_base

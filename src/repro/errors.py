@@ -80,3 +80,7 @@ class UnknownTenantError(ConfigurationError):
 
 class FaultPlanError(ConfigurationError):
     """A fault-injection plan is malformed (unknown kind, unsorted, ...)."""
+
+
+class WorkerDiedError(ReproError):
+    """A ``--jobs`` pool worker process died before its sweep finished."""

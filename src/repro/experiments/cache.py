@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import pickle
+import tempfile
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
@@ -116,11 +118,17 @@ class ExperimentCache:
         return True, value
 
     def store(self, key: str, value: Any) -> None:
-        path = self._path(key)
-        tmp = path.with_suffix(".tmp")
-        with tmp.open("wb") as handle:
-            pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        tmp.replace(path)
+        # A temp file of its own per call: two writers of one key (another
+        # process, or another cache object on this directory) must not
+        # rename each other's file away.  The last rename wins, atomically.
+        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f"{key}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
+            os.replace(tmp, self._path(key))
+        except BaseException:
+            os.unlink(tmp)
+            raise
         self.stores += 1
 
     # -- telemetry -----------------------------------------------------------

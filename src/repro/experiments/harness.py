@@ -381,17 +381,17 @@ def parallel_map(fn: Callable, items: Sequence, *, jobs: int = 1) -> List:
         else:
             import time as _time
 
-            from repro.parallel.pool import dispatch_plan, shared_pool
+            from repro.parallel import pool
 
             probe_index, rest = pending[0], pending[1:]
             started = _time.perf_counter()
             results[probe_index] = fn(items[probe_index])
             probe_s = _time.perf_counter() - started
-            if dispatch_plan(probe_s, len(rest), jobs):
-                pool = shared_pool(min(jobs, len(rest)))
-                for index, value in zip(
-                    rest, pool.map(fn, [items[index] for index in rest])
-                ):
+            if pool.dispatch_plan(probe_s, len(rest), jobs):
+                values = pool.pool_map(
+                    fn, [items[index] for index in rest], min(jobs, len(rest))
+                )
+                for index, value in zip(rest, values):
                     results[index] = value
             else:
                 for index in rest:

@@ -6,7 +6,6 @@ from repro.fpga.resources import (
     MUX_NODE_FOOTPRINT,
     SHELL_FOOTPRINT,
     VCU_FOOTPRINT,
-    ResourceBudget,
     ResourceFootprint,
     SynthesisCharacter,
     monitor_footprint,
@@ -29,7 +28,6 @@ __all__ = [
     "MuxArrangement",
     "OPTIMUS_MAGIC",
     "RegisterFile",
-    "ResourceBudget",
     "ResourceFootprint",
     "SHELL_FOOTPRINT",
     "SHELL_MMIO_BYTES",

@@ -73,32 +73,3 @@ def monitor_footprint(n_accelerators: int, mux_nodes: int) -> ResourceFootprint:
         + mux_nodes * MUX_NODE_FOOTPRINT
     )
 
-
-class ResourceBudget:
-    """Tracks allocated resources on one FPGA and rejects over-subscription."""
-
-    def __init__(self) -> None:
-        self._components: list[tuple[str, ResourceFootprint]] = []
-
-    def allocate(self, name: str, footprint: ResourceFootprint) -> None:
-        if not self.remaining_after(footprint):
-            raise ConfigurationError(
-                f"component {name!r} does not fit: "
-                f"ALM {self.alm_pct + footprint.alm_pct:.2f}%, "
-                f"BRAM {self.bram_pct + footprint.bram_pct:.2f}%"
-            )
-        self._components.append((name, footprint))
-
-    def remaining_after(self, footprint: ResourceFootprint) -> bool:
-        return (
-            self.alm_pct + footprint.alm_pct <= 100.0
-            and self.bram_pct + footprint.bram_pct <= 100.0
-        )
-
-    @property
-    def alm_pct(self) -> float:
-        return sum(fp.alm_pct for _name, fp in self._components)
-
-    @property
-    def bram_pct(self) -> float:
-        return sum(fp.bram_pct for _name, fp in self._components)

@@ -14,10 +14,8 @@ from repro.mem.address import (
     align_up,
     format_size,
     is_aligned,
-    page_number,
     page_offset,
     parse_size,
-    split_by_pages,
 )
 from repro.mem.allocator import FrameAllocator, RegionAllocator
 from repro.mem.dram import Dram
@@ -50,8 +48,6 @@ __all__ = [
     "align_up",
     "format_size",
     "is_aligned",
-    "page_number",
     "page_offset",
     "parse_size",
-    "split_by_pages",
 ]

@@ -7,8 +7,6 @@ pure functions shared by the MMU, IOMMU, page-table, and slicing code.
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
-
 from repro.errors import ConfigurationError
 
 KB = 1024
@@ -59,25 +57,8 @@ def is_aligned(address: int, alignment: int) -> bool:
     return address & (alignment - 1) == 0
 
 
-def page_number(address: int, page_size: int) -> int:
-    return address >> page_shift_for(page_size)
-
-
 def page_offset(address: int, page_size: int) -> int:
     return address & (page_size - 1)
-
-
-def split_by_pages(address: int, size: int, page_size: int) -> Iterator[Tuple[int, int]]:
-    """Split ``[address, address+size)`` into per-page ``(addr, length)`` runs."""
-    if size < 0:
-        raise ConfigurationError("size must be non-negative")
-    end = address + size
-    current = address
-    while current < end:
-        page_end = align_down(current, page_size) + page_size
-        chunk_end = min(end, page_end)
-        yield current, chunk_end - current
-        current = chunk_end
 
 
 def format_size(size: int) -> str:

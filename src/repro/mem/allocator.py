@@ -80,10 +80,6 @@ class RegionAllocator:
                 merged.append((start, length))
         self._free = merged
 
-    @property
-    def allocated_bytes(self) -> int:
-        return sum(self._live.values())
-
     def owns(self, address: int) -> bool:
         return self.base <= address < self.base + self.size
 

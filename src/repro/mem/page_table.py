@@ -103,13 +103,6 @@ class PageTable:
         self.version += 1
         return entry
 
-    def unmap(self, virt: int) -> None:
-        vpn = self.vpn(virt)
-        if vpn not in self._entries:
-            raise ConfigurationError(f"{self.name}: page {virt:#x} not mapped")
-        del self._entries[vpn]
-        self.version += 1
-
     def unmap_range(self, virt: int, size: int) -> int:
         """Remove every mapping whose page falls inside the range.
 

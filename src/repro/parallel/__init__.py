@@ -2,7 +2,7 @@
 
 Three pieces (see DESIGN.md §9):
 
-* :mod:`repro.parallel.pool` — the persistent worker pool behind
+* :mod:`repro.parallel.pool` — the shared process pool behind
   ``--jobs`` sweeps, plus the cost heuristic that keeps small cells
   serial;
 * :mod:`repro.parallel.shadow` — coordinator-side bookkeeping twins of
@@ -17,8 +17,8 @@ from repro.parallel.executor import ShardedFleetCluster
 from repro.parallel.pool import (
     DISPATCH_OVERHEAD_S,
     MIN_PARALLEL_BUDGET_S,
-    WorkerPool,
     dispatch_plan,
+    pool_map,
     shared_pool,
     shutdown_shared_pool,
 )
@@ -36,8 +36,8 @@ __all__ = [
     "ShadowNode",
     "ShadowTenant",
     "ShardedFleetCluster",
-    "WorkerPool",
     "dispatch_plan",
+    "pool_map",
     "shared_pool",
     "shutdown_shared_pool",
 ]

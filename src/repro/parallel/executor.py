@@ -20,8 +20,7 @@ stacks live in shard worker processes:
   op travelling ahead of any conflicting truth in the same FIFO stream;
 * observation points (:meth:`gather`, :meth:`merge_traces`,
   :meth:`close`) are the only barriers; :meth:`gather` is memoized on
-  the op stream (three summary surfaces cost one round trip) and ships
-  metric *deltas*, not full snapshots.
+  the op stream (three summary surfaces cost one round trip).
 
 Because all admission/placement/fault *decisions* are taken against the
 shadow — which replicates the provider's slot selection and the node
@@ -52,10 +51,6 @@ from repro.parallel.shadow import ShadowCluster, ShadowNode
 from repro.parallel.shard import shard_worker_main
 from repro.parallel.speculate import SpeculationController, conflict_class
 from repro.telemetry.tracer import current_tracer
-
-#: With coalescing enabled, ship a frame early once this many ops have
-#: buffered — bounds worker idle time behind one oversized frame.
-COALESCE_OP_LIMIT = 64
 
 
 class _Shard:
@@ -111,8 +106,6 @@ class ShardedFleetCluster(ShadowCluster):
         self._stats.lookahead = lookahead
         #: Memoized :meth:`gather` result; invalidated by any op emission.
         self._gather_cache: Optional[Dict[int, Dict[str, object]]] = None
-        #: Per-node folded metric snapshots (delta-gather accumulator).
-        self._node_metrics: Dict[int, Dict[str, object]] = {}
         self._tracer = current_tracer()
         # Reserve the pid block the serial build would have consumed (one
         # engine scope per node, in node order) *before* any other scope
@@ -308,8 +301,6 @@ class ShardedFleetCluster(ShadowCluster):
         self._epochs_since_flush += 1
         if self.lookahead == 0 or self._epochs_since_flush >= self.lookahead:
             self.flush()
-        elif any(len(s.buffer) >= COALESCE_OP_LIMIT for s in self._shards):
-            self.flush()
 
     def flush(self, *, grant: bool = True) -> None:
         """Grant safe speculation, then ship buffered ops (no barrier).
@@ -431,9 +422,7 @@ class ShardedFleetCluster(ShadowCluster):
 
         Memoized on the op stream: consecutive gathers with no
         intervening emission (the envelope builders call three summary
-        surfaces back-to-back) cost one round trip total.  Metric
-        snapshots arrive as deltas against the previous gather and are
-        folded into the coordinator's accumulator.
+        surfaces back-to-back) cost one round trip total.
         """
         if self._gather_cache is not None:
             self._stats.gather_cache_hits += 1
@@ -443,26 +432,10 @@ class ShardedFleetCluster(ShadowCluster):
         for _kind, _worker, _token, shard_reports, _errors in self._observe(
             "gather", "gather"
         ):
-            for index, report in shard_reports.items():
-                report["metrics"] = self._fold_metrics(index, report["metrics"])
-                reports[index] = report
+            reports.update(shard_reports)
         result = {index: reports[index] for index in sorted(reports)}
         self._gather_cache = result
         return result
-
-    def _fold_metrics(self, index: int, shipped) -> Dict[str, object]:
-        """Fold one node's (full | delta) metric shipment into the
-        accumulated snapshot and return the merged view."""
-        tag = shipped[0]
-        if tag == "full":
-            merged = dict(shipped[1])
-        else:
-            merged = dict(self._node_metrics.get(index, {}))
-            merged.update(shipped[1])
-            for name in shipped[2]:
-                merged.pop(name, None)
-        self._node_metrics[index] = merged
-        return merged
 
     def simulated_report(self) -> Dict[str, Dict[str, object]]:
         """Per-node simulated time, keyed by node name (envelope shape)."""

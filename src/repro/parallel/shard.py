@@ -40,7 +40,7 @@ into the pid block it reserved (see ``Tracer.reserve_pids``/``ingest``).
 from __future__ import annotations
 
 import traceback
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.parallel.opstream import FrameDecoder
 from repro.parallel.speculate import capture_eviction_undo, reinstate_eviction
@@ -69,7 +69,7 @@ def shard_worker_main(
       token, checkpoint_or_None, errors)``
     * ``("sync", token)`` — barrier ack: ``("sync", token, errors)``
     * ``("gather", token)`` — per-node reports (simulated time, metric
-      snapshots shipped as deltas against the previous gather, occupancy)
+      snapshot, occupancy)
     * ``("trace", token)`` — export the local tracer's events, once
     * ``("exit",)`` — leave the loop
 
@@ -88,8 +88,6 @@ def shard_worker_main(
     #: Per-node speculative-eviction undo log, in application order.
     undo_logs: Dict[int, List[object]] = {}
     checkpointer = IncrementalCheckpointer()
-    #: Last metric snapshot shipped per node (delta-gather baseline).
-    last_metrics: Dict[int, Dict[str, object]] = {}
     #: Stateful binary codec for this stream, mirroring the
     #: coordinator-side encoder frame for frame.
     decoder = FrameDecoder()
@@ -205,22 +203,9 @@ def shard_worker_main(
             reports = {}
             try:
                 for global_index, node in nodes.items():
-                    snapshot = node.provider.platform.metrics.snapshot()
-                    previous = last_metrics.get(global_index)
-                    if previous is None:
-                        shipped: tuple = ("full", snapshot)
-                    else:
-                        changed = {
-                            key: value
-                            for key, value in snapshot.items()
-                            if key not in previous or previous[key] != value
-                        }
-                        removed = [k for k in previous if k not in snapshot]
-                        shipped = ("delta", changed, removed)
-                    last_metrics[global_index] = snapshot
                     reports[global_index] = {
                         "simulated_ps": node.provider.platform.engine.now,
-                        "metrics": shipped,
+                        "metrics": node.provider.platform.metrics.snapshot(),
                         "occupancy": node.provider.occupancy_report(),
                         "health": node.health.value,
                     }

@@ -30,7 +30,6 @@ from repro.sim.stats import (
     LatencyRecorder,
     OnlineQuantile,
     UtilizationTracker,
-    geometric_mean,
     normalized_range,
 )
 
@@ -56,7 +55,6 @@ __all__ = [
     "dma_read",
     "dma_write",
     "gbps_to_bytes_per_ps",
-    "geometric_mean",
     "ms",
     "normalized_range",
     "ns",

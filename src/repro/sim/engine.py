@@ -1,8 +1,9 @@
 """Discrete-event simulation engine with lightweight processes.
 
-The engine is a classic calendar queue (``heapq``) of ``(time, seq, fn)``
-entries plus a small cooperative-process layer: a *process* is a Python
-generator that yields things to wait on —
+The engine is one ``heapq`` of ``(time, seq, fn, args)`` entries — ``seq``
+grows with insertion, so same-instant events, zero-delay ones included,
+dispatch in the order they were scheduled — plus a small cooperative-process
+layer: a *process* is a Python generator that yields things to wait on —
 
 * an ``int`` — wait that many picoseconds;
 * a :class:`Future` — resume (with its value) when it completes;
@@ -23,9 +24,7 @@ tie-breaking is decided in exactly one place — and per fast-path sandbox.
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from itertools import chain
-from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.telemetry.tracer import current_tracer, install_tracer, uninstall_tracer
@@ -223,22 +222,11 @@ def any_of(engine: "Engine", futures: Iterable[Future]) -> Future:
 
 
 class Engine:
-    """The discrete-event core: one priority queue of timed callbacks.
-
-    Events scheduled *at the current time* (the ``call_after(0, ...)`` that
-    dominates profiles via :meth:`Process._subscribe` and :meth:`spawn`) go
-    into a FIFO *immediate lane* — a deque — instead of the heap.  Because
-    ``now`` is monotone and sequence numbers increase with insertion, the
-    immediate lane is already sorted by ``(time, seq)``; merging its head
-    against the heap's top therefore reproduces the pure-heap event order
-    **bit for bit** while skipping the ``heappush``/``heappop`` pair for
-    the most common event class.
-    """
+    """The discrete-event core: one priority queue of timed callbacks."""
 
     def __init__(self) -> None:
         self.now: int = 0
         self._queue: List[Tuple[int, int, Callable[..., None], tuple]] = []
-        self._immediate: Deque[Tuple[int, int, Callable[..., None], tuple]] = deque()
         self._sequence = 0
         # Tracing: captured once at construction.  ``trace`` is None unless
         # a tracer was installed (repro.telemetry) when the engine was
@@ -255,32 +243,23 @@ class Engine:
 
     def call_at(self, time_ps: int, fn: Callable[..., None], *args: Any) -> None:
         """Schedule ``fn(*args)`` at absolute simulated time ``time_ps``."""
-        now = self.now
-        if time_ps < now:
+        if time_ps < self.now:
             raise SimulationError(
                 f"cannot schedule at {time_ps} ps; current time is {self.now} ps"
             )
-        self._sequence += 1
-        if time_ps == now:
-            self._immediate.append((time_ps, self._sequence, fn, args))
-        else:
-            heapq.heappush(self._queue, (time_ps, self._sequence, fn, args))
+        seq = self._sequence + 1
+        self._sequence = seq
+        heapq.heappush(self._queue, (time_ps, seq, fn, args))
 
     def call_after(self, delay_ps: int, fn: Callable[..., None], *args: Any) -> None:
         """Schedule ``fn(*args)`` after ``delay_ps`` picoseconds."""
         # Inlined (not delegated to call_at): this is called once or more
         # per simulated packet hop and the extra frame shows in profiles.
+        if delay_ps < 0:
+            self.call_at(self.now + delay_ps, fn, *args)  # in the past: raises
         seq = self._sequence + 1
         self._sequence = seq
-        if delay_ps <= 0:
-            if delay_ps < 0:
-                raise SimulationError(
-                    f"cannot schedule at {self.now + delay_ps} ps; "
-                    f"current time is {self.now} ps"
-                )
-            self._immediate.append((self.now, seq, fn, args))
-        else:
-            heapq.heappush(self._queue, (self.now + delay_ps, seq, fn, args))
+        heapq.heappush(self._queue, (self.now + delay_ps, seq, fn, args))
 
     def future(self) -> Future:
         return Future(self)
@@ -332,92 +311,40 @@ class Engine:
 
     # -- execution -----------------------------------------------------------
 
-    def run(self, until_ps: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Drain the event queue.
+    def run(self, until_ps: Optional[int] = None) -> int:
+        """Drain the event queue; returns the number of events processed.
 
-        Runs until the queue empties, simulated time would pass ``until_ps``,
-        or ``max_events`` callbacks have fired.  Returns the number of events
-        processed.  When nothing at or before ``until_ps`` remains, ``now``
-        is advanced to it so measurement windows are exact; a ``max_events``
-        stop with such events still pending leaves ``now`` at the last event
-        dispatched.
+        With ``until_ps``, stops before the first event past it and leaves
+        ``now`` at it, so measurement windows are exact.
         """
         if self.trace is None:
-            return self._drain(until_ps, max_events)
+            return self._drain(until_ps)
         start_ps = self.now
         try:
-            return self._drain(until_ps, max_events)
+            return self._drain(until_ps)
         finally:
             self.trace.complete("engine.run", start_ps, self.now,
                                 tid=self._trace_run_tid, cat="engine")
 
-    def _drain(self, until_ps: Optional[int], max_events: Optional[int]) -> int:
+    def _drain(self, until_ps: Optional[int]) -> int:
         queue = self._queue
-        immediate = self._immediate
         pop = heapq.heappop
         processed = 0
-        # Three loops, so the common calls test nothing per event that they
-        # were not asked to: no bound at all, a time horizon only, and the
-        # rare event budget.
-        if max_events is None:
-            if until_ps is None:
-                while queue or immediate:
-                    # Merge the immediate lane against the heap by (time, seq).
-                    if immediate and (not queue or immediate[0] < queue[0]):
-                        event = immediate.popleft()
-                    else:
-                        event = pop(queue)
-                    self.now = event[0]
-                    event[2](*event[3])
-                    processed += 1
-                return processed
-            processed = self._drain_through(until_ps)
-        else:
-            while queue or immediate:
-                from_immediate = immediate and (not queue or immediate[0] < queue[0])
-                if not from_immediate and until_ps is not None and queue[0][0] > until_ps:
-                    break
-                if processed >= max_events:
-                    # Budget stop with work still inside the horizon: the
-                    # clock stays at the last dispatched event, so the next
-                    # run() resumes monotonically.
-                    return processed
-                event = immediate.popleft() if from_immediate else pop(queue)
-                self.now = event[0]
-                event[2](*event[3])
-                processed += 1
-        # Nothing at or before until_ps remains: the window ends exactly there.
-        if until_ps is not None and self.now < until_ps:
-            self.now = until_ps
-        return processed
-
-    def _drain_through(self, limit_ps: int) -> int:
-        """Dispatch every event with ``time <= limit_ps``; the clock is left
-        at the last one dispatched."""
-        queue = self._queue
-        immediate = self._immediate
-        pop = heapq.heappop
-        processed = 0
-        while queue or immediate:
-            # Immediate-lane entries always carry time <= now, so only the
-            # heap's head can lie beyond the limit.
-            if immediate and (not queue or immediate[0] < queue[0]):
-                event = immediate.popleft()
-            elif queue[0][0] > limit_ps:
-                break
-            else:
-                event = pop(queue)
+        while queue and (until_ps is None or queue[0][0] <= until_ps):
+            event = pop(queue)
             self.now = event[0]
             event[2](*event[3])
             processed += 1
+        # Nothing at or before until_ps remains: the window ends exactly there.
+        if until_ps is not None and self.now < until_ps:
+            self.now = until_ps
         return processed
 
     def run_until(self, future: Future, limit_ps: Optional[int] = None) -> Any:
         """Run until ``future`` completes; return its result.
 
         Raises :class:`SimulationError` if the queue drains or the time limit
-        is reached first.  Drains events directly (no per-event re-entry
-        into :meth:`run`), checking completion after each callback.
+        is reached first; completion is checked after each callback.
         """
         if self.trace is None:
             return self._drain_until(future, limit_ps)
@@ -430,30 +357,25 @@ class Engine:
 
     def _drain_until(self, future: Future, limit_ps: Optional[int]) -> Any:
         queue = self._queue
-        immediate = self._immediate
         pop = heapq.heappop
         while not future._done:
-            if immediate and (not queue or immediate[0] < queue[0]):
-                event = immediate.popleft()
-            elif queue:
-                time_ps = queue[0][0]
-                if limit_ps is not None and time_ps > limit_ps:
-                    raise SimulationError(f"future not completed by {limit_ps} ps")
-                event = pop(queue)
-            else:
+            if not queue:
                 raise SimulationError("event queue drained before future completed")
+            if limit_ps is not None and queue[0][0] > limit_ps:
+                raise SimulationError(f"future not completed by {limit_ps} ps")
+            event = pop(queue)
             self.now = event[0]
             event[2](*event[3])
         return future.result()
 
     @property
     def pending_events(self) -> int:
-        return len(self._queue) + len(self._immediate)
+        return len(self._queue)
 
     def peek_prefix(self, limit: int) -> List[Tuple[int, int, Callable[..., None], tuple]]:
         """The next ``limit`` pending ``(time, seq, fn, args)`` events in
-        dispatch order, merged over both lanes; pops nothing."""
-        return heapq.nsmallest(limit, chain(self._immediate, self._queue))
+        dispatch order; pops nothing."""
+        return heapq.nsmallest(limit, self._queue)
 
 
 def untraced_engine() -> Engine:

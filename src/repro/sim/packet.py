@@ -71,15 +71,6 @@ class Packet:
     #: of the DMA engine.
     coalesced: bool = False
 
-    @property
-    def is_dma(self) -> bool:
-        return self.kind in (
-            PacketKind.DMA_READ_REQ,
-            PacketKind.DMA_READ_RESP,
-            PacketKind.DMA_WRITE_REQ,
-            PacketKind.DMA_WRITE_RESP,
-        )
-
     def make_response(self, data: Optional[bytes] = None) -> "Packet":
         """Build the response packet for this request, preserving tags.
 

@@ -13,12 +13,11 @@ outstanding requests), exactly like real CCI-P masters, plus the
 round-robin arbitration of the multiplexer tree
 (:class:`~repro.core.mux_tree.MuxNode` uses :class:`RoundRobinArbiter`).
 
-These handlers run several times per simulated cache line, so where the
-event lies strictly in the future they push ``(time, seq, fn, args)`` onto
-the engine's heap themselves (one sequence number, one ``heappush`` — what
-:meth:`Engine.call_at` does) and hand everything else to ``call_at``, which
-owns the immediate lane and the range check.  Only :mod:`repro.sim` may do
-that; every other layer schedules through ``call_at``/``call_after``.
+These handlers run several times per simulated cache line, so they push
+``(time, seq, fn, args)`` onto the engine's heap themselves: what
+:meth:`Engine.call_at` does, less the frame and the range check (every
+instant computed here is ``>= now``; latencies are validated non-negative).
+Only :mod:`repro.sim` may; every other layer uses ``call_at``/``call_after``.
 """
 
 from __future__ import annotations
@@ -106,12 +105,9 @@ class ThroughputServer:
         self.total_bytes += size_bytes
         self.total_packets += 1
         deliver_at = service_end + self.latency_ps
-        if deliver_at > now:
-            seq = engine._sequence + 1
-            engine._sequence = seq
-            heappush(engine._queue, (deliver_at, seq, deliver, args))
-        else:
-            engine.call_at(deliver_at, deliver, *args)
+        seq = engine._sequence + 1
+        engine._sequence = seq
+        heappush(engine._queue, (deliver_at, seq, deliver, args))
         return deliver_at
 
     def reserve_batch(self, size_bytes: int, packets: int, busy_through_ps: int) -> None:
@@ -212,12 +208,9 @@ class RoundRobinArbiter:
             edge = self._busy_until_ps if self._busy_until_ps > now else now
             edge += (-edge) % self.period_ps
             self._next_grant_ps = edge
-            if edge > now:
-                seq = engine._sequence + 1
-                engine._sequence = seq
-                heappush(engine._queue, (edge, seq, self._do_grant, ()))
-            else:
-                engine.call_at(edge, self._do_grant)
+            seq = engine._sequence + 1
+            engine._sequence = seq
+            heappush(engine._queue, (edge, seq, self._do_grant, ()))
 
     def _do_grant(self) -> None:
         if not self._pending:
@@ -244,14 +237,9 @@ class RoundRobinArbiter:
             self._grant(index, *item)
         forward = self._forward
         if forward is not None:
-            if self._forward_latency_ps:
-                seq = engine._sequence + 1
-                engine._sequence = seq
-                heappush(
-                    engine._queue, (now + self._forward_latency_ps, seq, forward, item)
-                )
-            else:
-                engine.call_at(now, forward, *item)
+            seq = engine._sequence + 1
+            engine._sequence = seq
+            heappush(engine._queue, (now + self._forward_latency_ps, seq, forward, item))
         hold = self._line_hold_ps
         if hold is not None and item[0].size <= CACHE_LINE_BYTES:
             busy = now + (

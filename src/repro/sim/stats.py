@@ -369,17 +369,6 @@ def normalized_range(values: List[float]) -> float:
     return (max(values) - min(values)) / mean
 
 
-def geometric_mean(values: List[float]) -> float:
-    """Geometric mean, used when summarizing speedups across benchmarks."""
-    if not values:
-        return 0.0
-    log_sum = sum(math.log(v) for v in values if v > 0)
-    positive = [v for v in values if v > 0]
-    if not positive:
-        return 0.0
-    return math.exp(log_sum / len(positive))
-
-
 class UtilizationTracker:
     """Tracks busy time of a resource (e.g. a physical accelerator).
 

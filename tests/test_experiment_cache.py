@@ -113,6 +113,31 @@ class TestCacheStorage:
         cache.store(cache.key("exp", {"n": 3}), "value")
         assert not list(cache.directory.glob("*.tmp"))
 
+    def test_two_interleaved_writers_of_one_key_both_succeed(self, cache):
+        # Regression: every store of a key went through the same <key>.tmp,
+        # so when a second writer (another process, or another cache object
+        # on the same --cache-dir) finished first, the slower one's rename
+        # raised FileNotFoundError after its experiment had already run.
+        key = cache.key("exp", {"n": 5})
+        other = ExperimentCache(cache.directory)
+
+        class StoresTheSameKeyWhileBeingPickled:
+            def __reduce__(self):
+                other.store(key, "the faster writer")
+                return (str, ("the slower writer",))
+
+        cache.store(key, StoresTheSameKeyWhileBeingPickled())
+        assert cache.stores == other.stores == 1
+        assert cache.load(key) == (True, "the slower writer")
+        assert not list(cache.directory.glob("*.tmp"))
+
+    def test_failed_store_leaves_no_temp_file_and_no_entry(self, cache):
+        key = cache.key("exp", {"n": 6})
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            cache.store(key, lambda: None)  # a local lambda does not pickle
+        assert not list(cache.directory.iterdir())
+        assert cache.stores == 0
+
     def test_values_round_trip_pickle(self, cache):
         from repro.experiments.harness import ResultTable
 

@@ -431,9 +431,9 @@ class TestOneEventKernel:
     def test_same_picosecond_events_dispatch_in_insertion_order(self):
         # At instant T three events meet: B's arrival (on the heap since
         # serve()), A's departure (pushed onto the heap by A's arrival,
-        # for T) and an op B's arrival handler schedules *at now* — which
-        # goes to the engine's immediate lane.  Insertion order wins: the
-        # departure was pushed before the op, so it dispatches first.
+        # for T) and an op B's arrival handler schedules *at now*.
+        # Insertion order wins: the departure was pushed before the op, so
+        # it dispatches first.
         log = []
         pending_at_t = []
 

@@ -34,27 +34,53 @@ def _resolved_fast_path(_item):
     return PlatformParams().fast_path
 
 
+def _kill_own_process_on_two(value):
+    import os
+    import signal
+
+    if value == 2:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return value
+
+
+@pytest.fixture
+def pool_map():
+    from repro.parallel import pool_map, shutdown_shared_pool
+
+    yield pool_map
+    shutdown_shared_pool()
+
+
+@pytest.fixture
+def always_fan_out(monkeypatch):
+    """Send every parallel_map sweep to the pool, however cheap its cells."""
+    from repro.parallel import shutdown_shared_pool
+
+    monkeypatch.setattr(
+        "repro.parallel.pool.dispatch_plan", lambda probe_s, remaining, jobs: True
+    )
+    yield
+    shutdown_shared_pool()
+
+
 class TestWorkerPool:
-    def test_map_returns_results_in_item_order(self):
-        from repro.parallel import WorkerPool
+    def test_map_returns_results_in_item_order(self, pool_map):
+        assert pool_map(_square, [3, 1, 4, 1, 5], 2) == [9, 1, 16, 1, 25]
 
-        with WorkerPool(2) as pool:
-            assert pool.map(_square, [3, 1, 4, 1, 5]) == [9, 1, 16, 1, 25]
+    def test_pool_survives_across_map_calls(self, pool_map):
+        from repro.parallel import shared_pool
 
-    def test_pool_survives_across_map_calls(self):
-        from repro.parallel import WorkerPool
+        first = pool_map(_square, list(range(6)), 2)
+        pool = shared_pool(2)
+        second = pool_map(_square, list(range(6)), 2)
+        assert shared_pool(2) is pool
+        assert first == second == [v * v for v in range(6)]
 
-        with WorkerPool(2) as pool:
-            first = pool.map(_square, list(range(6)))
-            second = pool.map(_square, list(range(6)))
-            assert first == second == [v * v for v in range(6)]
-
-    def test_worker_failure_reraises_with_traceback(self):
-        from repro.parallel import WorkerPool
-
-        with WorkerPool(2) as pool:
-            with pytest.raises(RuntimeError, match="three is right out"):
-                pool.map(_fail_on_three, [1, 2, 3, 4])
+    def test_worker_failure_reraises_with_traceback(self, pool_map):
+        with pytest.raises(ValueError, match="three is right out") as raised:
+            pool_map(_fail_on_three, [1, 2, 3, 4], 2)
+        # The worker-side traceback rides along as the cause.
+        assert "_fail_on_three" in str(raised.value.__cause__)
 
     def test_shared_pool_reuses_and_grows(self):
         from repro.parallel import shared_pool, shutdown_shared_pool
@@ -65,28 +91,55 @@ class TestWorkerPool:
             assert again is small
             grown = shared_pool(2)
             assert grown is not small
-            assert grown.processes == 2
+            assert grown._max_workers == 2
             # Asking for fewer workers never shrinks the pool.
             assert shared_pool(1) is grown
         finally:
             shutdown_shared_pool()
 
-    def test_workers_forked_in_fast_mode_serve_a_reference_sweep(self, monkeypatch):
+    def test_workers_forked_in_fast_mode_serve_a_reference_sweep(
+        self, monkeypatch, always_fan_out
+    ):
         # Regression: the pool served cells in the mode it was forked in, so
         # --reference --jobs N after one fast fan-out in the same process ran
         # the probe cell on the reference path and the rest on the fast path.
         from repro.experiments.harness import parallel_map
-        from repro.parallel import shutdown_shared_pool
 
-        monkeypatch.setenv("REPRO_FORCE_JOBS", "1")
         monkeypatch.delenv("REPRO_FAST_PATH", raising=False)
-        try:
-            assert parallel_map(_resolved_fast_path, range(3), jobs=2) == [True] * 3
-            with cli._reference_mode(True):
-                assert parallel_map(_resolved_fast_path, range(3), jobs=2) == [False] * 3
-            assert parallel_map(_resolved_fast_path, range(3), jobs=2) == [True] * 3
-        finally:
-            shutdown_shared_pool()
+        assert parallel_map(_resolved_fast_path, range(3), jobs=2) == [True] * 3
+        with cli._reference_mode(True):
+            assert parallel_map(_resolved_fast_path, range(3), jobs=2) == [False] * 3
+        assert parallel_map(_resolved_fast_path, range(3), jobs=2) == [True] * 3
+
+    def test_killed_worker_ends_a_jobs_sweep_with_a_typed_error(self, always_fan_out):
+        # Regression: the hand-rolled pool blocked forever in its result
+        # queue when a worker died (OOM kill, segfault) mid-cell.  The sweep
+        # runs on a thread so that a hang fails this test instead of the suite.
+        import multiprocessing
+        import threading
+
+        from repro.errors import ReproError, WorkerDiedError
+        from repro.experiments.harness import parallel_map
+
+        raised = []
+
+        def sweep():
+            try:
+                # Item 1 is the inline probe; the pool gets 2 (the killer), 3, 4.
+                parallel_map(_kill_own_process_on_two, range(1, 5), jobs=2)
+            except BaseException as error:
+                raised.append(error)
+
+        thread = threading.Thread(target=sweep, daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive(), "the sweep hung on its dead worker"
+        (error,) = raised
+        assert isinstance(error, WorkerDiedError) and isinstance(error, ReproError)
+        assert "_kill_own_process_on_two" in str(error)  # names the sweep
+        assert multiprocessing.active_children() == []  # no orphan worker
+        # The broken pool was dropped: the next sweep gets a fresh one.
+        assert parallel_map(_square, range(4), jobs=2) == [0, 1, 4, 9]
 
 
 class TestDispatchPlan:
@@ -111,12 +164,6 @@ class TestDispatchPlan:
 
         # Cells clear the per-cell bar but there is only one of them.
         assert dispatch_plan(DISPATCH_OVERHEAD_S * 1.5, 1, jobs=8) is False
-
-    def test_force_override(self, monkeypatch):
-        from repro.parallel import dispatch_plan
-
-        monkeypatch.setenv("REPRO_FORCE_JOBS", "1")
-        assert dispatch_plan(0.0, 1, jobs=2) is True
 
 
 # -- trace merge plumbing ------------------------------------------------------

@@ -209,7 +209,7 @@ class TestZeroCostDisabled:
                 if use_wrapper:
                     engine.run()
                 else:
-                    engine._drain(None, None)
+                    engine._drain(None)
                 best = min(best, time.perf_counter() - started)
             return best
 
