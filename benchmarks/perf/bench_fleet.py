@@ -24,11 +24,6 @@ alongside so the numbers read honestly (the same methodology as
 message counts are protocol properties and hold on any host; the cache
 speedup is CPU-independent (a warm sweep simulates nothing).
 
-The committed ``BENCH_fleet.json`` also carries PR 10's columns for the
-since-deleted whole-protocol pickle path (``pickle_s``,
-``opstream_pickle``, ``bytes_reduction``, ``stall_share_reduction``, the
-observation probe's ``legacy`` mode); this script does not regenerate them.
-
 A single node degenerates to the serial path by construction (there is
 nothing to partition), so the 1-node row reports speedup 1.0 by
 definition instead of the old fork-pool overhead.

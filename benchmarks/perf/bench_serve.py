@@ -32,6 +32,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -100,6 +101,12 @@ def bench_sharded(shards: int, quick: bool) -> dict:
     sessions = 1_000 if quick else 4_000
     nodes = 4
     trace = _build_trace(sessions, nodes)
+    # The finished throughput run is ~1.6M objects of cyclic garbage.  Left
+    # for the collector to find mid-run, the full pass lands after the fork
+    # and runs in both shard workers too, copying the whole heap page by
+    # page (measured: sharded_s 0.75 -> 6 s); which arm it lands in depends
+    # on allocation counts, so take it out of the timed region.
+    gc.collect()
 
     start = time.perf_counter()
     serial_result = _replay(trace, nodes).to_dict()

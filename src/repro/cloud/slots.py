@@ -9,7 +9,8 @@ slot index (from :attr:`FpgaConfiguration.slot_index`, built once per
 configuration) plus live per-slot occupancy and per-type
 ``occupancy``/``free_slots`` counters maintained by :meth:`add`,
 :meth:`remove` and :meth:`move`, so every read is O(1) and :meth:`pick`
-scans only the slots of one type.
+scans only the slots of one type.  :meth:`report_to` has them mirror
+every change into the owning cluster's fleet-wide per-type totals too.
 
 :class:`~repro.cloud.provider.CloudProvider` (and the
 :class:`~repro.fleet.node.FleetNode` wrapping it) and the sharded
@@ -30,7 +31,7 @@ from repro.cloud.library import FpgaConfiguration
 class SlotLedger:
     """Per-slot and per-type occupancy of one :class:`FpgaConfiguration`."""
 
-    __slots__ = ("_index", "_types", "per_slot", "_occupancy", "_free")
+    __slots__ = ("_index", "_types", "per_slot", "_occupancy", "_free", "_totals")
 
     def __init__(self, configuration: FpgaConfiguration) -> None:
         self._index: Dict[str, Tuple[int, ...]] = configuration.slot_index
@@ -41,6 +42,8 @@ class SlotLedger:
         self._free: Dict[str, int] = {
             accel_type: len(slots) for accel_type, slots in self._index.items()
         }
+        #: The owning cluster's fleet-wide occupancy per type, once attached.
+        self._totals: Optional[Dict[str, int]] = None
 
     # -- O(1) reads -----------------------------------------------------------------
 
@@ -100,6 +103,8 @@ class SlotLedger:
             self._free[accel_type] -= 1
         self.per_slot[slot] += 1
         self._occupancy[accel_type] += 1
+        if self._totals is not None:
+            self._totals[accel_type] += 1
 
     def remove(self, slot: int) -> None:
         """One tenant fewer on ``slot``."""
@@ -108,6 +113,8 @@ class SlotLedger:
         accel_type = self._types[slot]
         self.per_slot[slot] -= 1
         self._occupancy[accel_type] -= 1
+        if self._totals is not None:
+            self._totals[accel_type] -= 1
         if not self.per_slot[slot]:
             self._free[accel_type] += 1
 
@@ -115,6 +122,15 @@ class SlotLedger:
         """A tenant migrated between two slots."""
         self.remove(source)
         self.add(destination)
+
+    def report_to(self, totals: Dict[str, int]) -> None:
+        """Add what is resident now to ``totals`` (a cluster's per-type
+        occupancy over all its nodes), then mirror every change into it."""
+        if self._totals is not None:
+            raise ValueError("this ledger already reports to a cluster")
+        for accel_type, count in self._occupancy.items():
+            totals[accel_type] = totals.get(accel_type, 0) + count
+        self._totals = totals
 
     # -- verification ---------------------------------------------------------------
 

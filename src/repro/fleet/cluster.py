@@ -58,13 +58,21 @@ class ClusterState:
                 f"duplicate node names: {[node.name for node in nodes]}"
             )
         self.tenant_nodes: Dict[str, NodeState] = {}
-        # Slot mixes are fixed at synthesis, so fleet capacity is static.
+        # The node set, slot mixes and oversubscription caps are fixed, so
+        # capacity and the admissible ceiling are static sums; occupancy
+        # over *all* nodes is kept by the nodes' ledgers from here on.
         self._capacity: Dict[str, int] = {}
+        self._ceiling: Dict[str, int] = {}
+        self._occupancy: Dict[str, int] = {}
         for node in self.nodes:
             for accel_type, slots in node.configuration.slot_index.items():
                 self._capacity[accel_type] = (
                     self._capacity.get(accel_type, 0) + len(slots)
                 )
+                self._ceiling[accel_type] = (
+                    self._ceiling.get(accel_type, 0) + node.max_oversub * len(slots)
+                )
+            node.slots.report_to(self._occupancy)
 
     # -- fleet-wide capacity ----------------------------------------------------------
 
@@ -79,14 +87,28 @@ class ClusterState:
         return self._capacity.get(accel_type, 0)
 
     def occupancy(self, accel_type: str) -> int:
-        return sum(node.slots.occupancy(accel_type) for node in self.nodes)
+        """Tenants on ``accel_type`` slots over all nodes (an index read)."""
+        return self._occupancy.get(accel_type, 0)
 
     @property
     def resident(self) -> int:
         return len(self.tenant_nodes)
 
-    def can_place(self, accel_type: str) -> bool:
-        return any(node.can_place(accel_type) for node in self.nodes)
+    def check_index(self) -> None:
+        """The oracle: raise unless the index equals the scan over the node
+        ledgers and every slot is within its node's ``max_oversub``."""
+        scanned = {
+            accel_type: sum(node.slots.occupancy(accel_type) for node in self.nodes)
+            for accel_type in self._capacity
+        }
+        capped = all(
+            max(node.slots.per_slot, default=0) <= node.max_oversub for node in self.nodes
+        )
+        if scanned != self._occupancy or not capped:
+            raise RuntimeError(
+                f"fleet slot index drifted: {self._occupancy} vs {scanned} "
+                f"over the nodes (per-slot cap held: {capped})"
+            )
 
     # -- placement --------------------------------------------------------------------
 
@@ -99,9 +121,18 @@ class ClusterState:
         to a crashed node — and so are cordoned nodes (the ops-level
         admission gate: draining or parked-standby nodes take no new
         work while their residents keep serving).
+
+        A type saturated fleet-wide is refused from the index, before any
+        node is looked at.  The index counts *all* nodes, a superset of
+        the policy's, so it only ever answers "definitely none" — given
+        that no slot holds more than its node's ``max_oversub`` tenants
+        (``SlotLedger.pick`` + ``can_place`` keep that, :meth:`check_index`
+        asserts it), occupancy at the ceiling means every slot is full.
         """
         if tenant_name in self.tenant_nodes:
             raise ConfigurationError(f"tenant {tenant_name!r} already placed")
+        if self._occupancy.get(accel_type, 0) >= self._ceiling.get(accel_type, 0):
+            return None
         alive = [
             n
             for n in self.nodes
@@ -213,13 +244,6 @@ class ClusterState:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-    def utilization_by_type(self) -> Dict[str, float]:
-        """Instantaneous fleet occupancy over capacity, per type."""
-        return {
-            accel_type: self.occupancy(accel_type) / capacity
-            for accel_type, capacity in sorted(self._capacity.items())
-        }
 
 
 class FleetCluster(ClusterState):

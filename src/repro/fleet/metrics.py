@@ -24,7 +24,7 @@ from repro.sim.stats import Counters, LatencyRecorder
 from repro.telemetry import MetricRegistry, current_tracer
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.fleet.cluster import FleetCluster
+    from repro.fleet.cluster import ClusterState
 
 
 class FleetMetrics:
@@ -258,7 +258,7 @@ class FleetMetrics:
 
     # -- utilization integration --------------------------------------------------------
 
-    def sample_utilization(self, now_ps: int, cluster: "FleetCluster") -> None:
+    def sample_utilization(self, now_ps: int, cluster: "ClusterState") -> None:
         """Integrate occupancy up to ``now_ps``; call *before* state changes."""
         if not self._capacity:
             self._capacity = {t: cluster.capacity(t) for t in cluster.offered_types()}

@@ -123,8 +123,11 @@ class GuestAccelerator:
             return
         self.connected = False
         self.hypervisor.destroy_virtual_accelerator(self.vaccel)
-        if self._on_disconnect is not None:
-            self._on_disconnect()
+        # Take the hook and clear it: the provider's closes over its tenant,
+        # which holds this handle — kept, every departed guest is a cycle.
+        hook, self._on_disconnect = self._on_disconnect, None
+        if hook is not None:
+            hook()
 
     def _check(self) -> None:
         if not self.connected:

@@ -13,7 +13,8 @@ exactly the property a hardware LFSR-based generator has.
 from __future__ import annotations
 
 import math
-from typing import List
+from functools import lru_cache
+from typing import List, Tuple
 
 import numpy as np
 
@@ -33,8 +34,8 @@ def fir_filter(samples: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return np.right_shift(acc, 15).clip(-32768, 32767).astype(np.int16)
 
 
-def lowpass_taps(n_taps: int = 16, cutoff: float = 0.25) -> np.ndarray:
-    """A Hamming-windowed sinc low-pass tap set in Q15."""
+@lru_cache(maxsize=32)
+def _lowpass_q15(n_taps: int, cutoff: float) -> Tuple[int, ...]:
     if n_taps < 2:
         raise ConfigurationError("need at least 2 taps")
     taps: List[float] = []
@@ -45,8 +46,13 @@ def lowpass_taps(n_taps: int = 16, cutoff: float = 0.25) -> np.ndarray:
         window = 0.54 - 0.46 * math.cos(2 * math.pi * i / (n_taps - 1))
         taps.append(ideal * window)
     scale = sum(taps)
-    q15 = np.array([round(t / scale * 32767) for t in taps], dtype=np.int16)
-    return q15
+    return tuple(round(t / scale * 32767) for t in taps)
+
+
+def lowpass_taps(n_taps: int = 16, cutoff: float = 0.25) -> np.ndarray:
+    """A Hamming-windowed sinc low-pass tap set in Q15 (a fresh array per
+    call; the taps themselves are computed once per ``(n_taps, cutoff)``)."""
+    return np.array(_lowpass_q15(n_taps, cutoff), dtype=np.int16)
 
 
 class Xorshift64Star:

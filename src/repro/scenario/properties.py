@@ -132,8 +132,13 @@ def check_ledgers(cluster) -> List[str]:
     per-slot vaccel lists, in the shard workers for a sharded cluster —
     so on the serial arm this checks each provider's ledger and on the
     sharded arm the coordinator's shadow ledgers against the real stacks.
+    The cluster's fleet-wide index is held to the node ledgers too.
     """
     failures: List[str] = []
+    try:
+        cluster.check_index()
+    except RuntimeError as drift:
+        failures.append(str(drift))
     report = cluster.occupancy_report()
     for node in cluster.nodes:
         slots = report[node.name]

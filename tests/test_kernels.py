@@ -183,6 +183,15 @@ class TestDsp:
         out = fir_filter(dc, taps)
         assert abs(int(out[-1]) - 1000) <= 2  # Q15 rounding
 
+    def test_lowpass_taps_are_computed_once_and_never_shared(self):
+        taps = lowpass_taps(16)
+        assert taps.dtype == np.int16 and taps.tolist() == [
+            -79, -136, 312, 654, -1244, -2280, 4501, 14654,
+            14654, 4501, -2280, -1244, 654, 312, -136, -79,
+        ]  # as recorded before the taps were memoised
+        taps[:] = 0  # one FIR tenant scribbling on its taps ...
+        assert lowpass_taps(16)[7] == 14654  # ... corrupts nobody else's
+
     def test_gaussian_moments(self):
         gen = GaussianGenerator(seed=12345)
         samples = gen.block(20000)
