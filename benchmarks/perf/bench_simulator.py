@@ -4,20 +4,20 @@ Measures, on this machine:
 
 * raw engine throughput (events/s draining a full heap of timed events,
   and a zero-delay chain that keeps the heap at one entry);
-* a commit-heavy streaming run (burst coalescing on vs off), where the
-  analytic burst path replaces per-line event chains;
+* a commit-heavy pass-through streaming run with burst coalescing on vs
+  off (``PlatformParams(fast_path=...)``), where the analytic burst path
+  replaces per-line event chains — the one cell where the switch runs
+  different code;
 * one Fig. 6 cell (the OPTIMUS per-line hot path end to end);
-* a Fig. 5 sweep, three ways: reference mode serial, fast mode serial,
-  and fast mode with ``--jobs`` process fan-out.
+* a Fig. 5 sweep, two ways: serial and with ``--jobs`` process fan-out.
 
 ``BASELINE_BEFORE_PR`` records the same workloads measured at the
 pre-fast-path revision of this repository on the same host, so the JSON
 carries honest before/after pairs; ``--jobs`` scaling additionally
 depends on ``cpu_count`` (recorded alongside — a 1-CPU container cannot
 show fan-out wins).  Simulated results are asserted identical between
-modes while measuring (the equivalence suite proves it in depth), and
-the simulated finish times below were verified identical to the pre-PR
-revision as well.
+the two arms of each comparison while measuring (the equivalence suite
+proves it in depth).
 
 Results are written to ``BENCH_simulator.json`` so successive PRs can
 diff wall-clock numbers.
@@ -102,32 +102,24 @@ def _fig5_grid(quick: bool) -> dict:
     }
 
 
-def _run_fig5(fast: bool, jobs: int, quick: bool):
-    os.environ["REPRO_FAST_PATH"] = "1" if fast else "0"
-    try:
-        start = time.perf_counter()
-        tables = fig5_latency.run(page_size=PAGE_SIZE_2M, jobs=jobs, **_fig5_grid(quick))
-        elapsed = time.perf_counter() - start
-    finally:
-        del os.environ["REPRO_FAST_PATH"]
+def _run_fig5(jobs: int, quick: bool):
+    start = time.perf_counter()
+    tables = fig5_latency.run(page_size=PAGE_SIZE_2M, jobs=jobs, **_fig5_grid(quick))
+    elapsed = time.perf_counter() - start
     rows = {label: table.rows for label, table in tables.items()}
     return elapsed, rows
 
 
 def bench_fig5_sweep(jobs: int, quick: bool) -> dict:
-    ref_s, ref_rows = _run_fig5(fast=False, jobs=1, quick=quick)
-    fast_s, fast_rows = _run_fig5(fast=True, jobs=1, quick=quick)
-    fast_jobs_s, fast_jobs_rows = _run_fig5(fast=True, jobs=jobs, quick=quick)
-    assert fast_rows == ref_rows, "fast mode changed Fig. 5 results"
-    assert fast_jobs_rows == ref_rows, "--jobs changed Fig. 5 results"
+    serial_s, serial_rows = _run_fig5(jobs=1, quick=quick)
+    jobs_s, jobs_rows = _run_fig5(jobs=jobs, quick=quick)
+    assert jobs_rows == serial_rows, "--jobs changed Fig. 5 results"
     return {
         "grid": _fig5_grid(quick),
         "jobs": jobs,
-        "reference_serial_s": round(ref_s, 3),
-        "fast_serial_s": round(fast_s, 3),
-        "fast_jobs_s": round(fast_jobs_s, 3),
-        "speedup_fast_serial": round(ref_s / fast_s, 2),
-        "speedup_fast_jobs": round(ref_s / fast_jobs_s, 2),
+        "serial_s": round(serial_s, 3),
+        "jobs_s": round(jobs_s, 3),
+        "speedup_jobs": round(serial_s / jobs_s, 2),
     }
 
 
@@ -200,36 +192,23 @@ def bench_coalescing(quick: bool) -> dict:
     return result
 
 
-def _run_fig6_cell(fast: bool):
-    os.environ["REPRO_FAST_PATH"] = "1" if fast else "0"
-    try:
-        start = time.perf_counter()
-        table = fig6_throughput.run(
-            page_size=PAGE_SIZE_2M, working_sets=["64M"], job_counts=[1]
-        )
-        elapsed = time.perf_counter() - start
-    finally:
-        del os.environ["REPRO_FAST_PATH"]
-    return elapsed, table.rows
-
-
 def bench_fig6_cell() -> dict:
     """One Fig. 6 MemBench cell — the OPTIMUS per-line event chain end to end.
 
-    Unlike the coalescing stream, MemBench's random-access pattern keeps the
-    reference per-line path live, so this measures the engine/hot-path work
-    rather than the burst commit path.
+    OPTIMUS never attaches the burst fast path, so this measures the
+    engine/hot-path work of the per-line datapath.
     """
-    ref_s, ref_rows = _run_fig6_cell(fast=False)
-    fast_s, fast_rows = _run_fig6_cell(fast=True)
-    assert fast_rows == ref_rows, "fast mode changed the Fig. 6 cell"
+    start = time.perf_counter()
+    table = fig6_throughput.run(
+        page_size=PAGE_SIZE_2M, working_sets=["64M"], job_counts=[1]
+    )
+    wall_s = time.perf_counter() - start
     return {
         "cell": {"working_set": "64M", "jobs": 1},
-        "reference_s": round(ref_s, 3),
-        "fast_s": round(fast_s, 3),
-        "rows": fast_rows,
+        "wall_s": round(wall_s, 3),
+        "rows": table.rows,
         "speedup_vs_before_pr": round(
-            BASELINE_BEFORE_PR["fig6_cell_64m_1job_s"] / fast_s, 2
+            BASELINE_BEFORE_PR["fig6_cell_64m_1job_s"] / wall_s, 2
         ),
     }
 
@@ -250,8 +229,8 @@ def main() -> None:
             "--jobs sweeps dispatch through a persistent fork pool, and only "
             "when a probed first cell clears the dispatch-cost heuristic "
             "(repro.parallel.pool.dispatch_plan); small or cheap grids stay "
-            "serial instead of paying pool latency, so fast_jobs_s tracks "
-            "fast_serial_s on hosts where fan-out cannot win (see cpu_count)."
+            "serial instead of paying pool latency, so jobs_s tracks "
+            "serial_s on hosts where fan-out cannot win (see cpu_count)."
         ),
         "baseline_before_pr": BASELINE_BEFORE_PR,
         "engine": bench_engine(100_000 if args.quick else 500_000),

@@ -8,7 +8,6 @@ Usage::
     python -m repro run all              # the whole evaluation section
     python -m repro run fig6 --jobs 8    # fan sweep cells across processes
     python -m repro run fig5 --profile   # print a cProfile summary after
-    python -m repro run fig4 --reference # per-line reference timing path
     python -m repro run fig5 --json      # machine-readable result envelope
     python -m repro trace fig5 --quick   # Perfetto-loadable trace capture
     python -m repro fleet --nodes 4 --load 0.9 --seed 1   # fleet serving
@@ -89,25 +88,20 @@ def _run_one(key: str, jobs: int = 1, *, entry: str = "main"):
     """Run one experiment; returns ``(ok, result)`` instead of raising.
 
     When a result cache is installed (``--cache-dir``), the whole
-    experiment is keyed on (registry key, entry point, simulator mode,
-    source-tree digest) — ``--jobs`` is deliberately *not* part of the
-    key, since fan-out never changes results.
+    experiment is keyed on (registry key, entry point, source-tree
+    digest) — ``--jobs`` is deliberately *not* part of the key, since
+    fan-out never changes results.
     """
     import importlib
     import inspect
 
     from repro.experiments.cache import current_cache
-    from repro.platform.params import default_fast_path
 
     module_name, _description = EXPERIMENTS[key]
     cache = current_cache()
     cache_key = None
     if cache is not None:
-        # The resolved mode, not the raw REPRO_FAST_PATH string: 0/false/off
-        # are one mode, and so are 1 and unset.
-        cache_key = cache.key(
-            f"cli.{key}", {"entry": entry, "fast_path": default_fast_path()}
-        )
+        cache_key = cache.key(f"cli.{key}", {"entry": entry})
         hit, result = cache.load(cache_key)
         if hit:
             print(f"### {key}: {module_name} [cached] " + "#" * 11)
@@ -470,7 +464,6 @@ def _chaos_command(args: argparse.Namespace) -> int:
             "traffic_seed": args.traffic_seed,
             "policy": args.policy,
             "window_ms": args.window_ms,
-            "reference": args.reference,
         }
         # Only stamped when requested, so legacy envelopes stay
         # byte-identical.
@@ -634,7 +627,7 @@ def _run_command(args: argparse.Namespace) -> int:
             if as_json
             else contextlib.nullcontext()
         )
-        params = {"jobs": args.jobs, "reference": args.reference}
+        params = {"jobs": args.jobs}
         if args.experiment == "all":
             results, failed = {}, []
             with redirect:
@@ -681,8 +674,8 @@ def _build_parser() -> argparse.ArgumentParser:
     Every flag that several subcommands share is defined once, on a
     parent parser, and inherited via ``parents=[...]``.
     """
-    sharding, placement, queue, reference, as_json = (
-        argparse.ArgumentParser(add_help=False) for _ in range(5)
+    sharding, placement, queue, as_json = (
+        argparse.ArgumentParser(add_help=False) for _ in range(4)
     )
     sharding.add_argument(
         "--shards",
@@ -713,11 +706,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     queue.add_argument("--queue", type=int, default=32, help="admission queue limit")
     queue.add_argument("--retries", type=int, default=3, help="max placement retries")
-    reference.add_argument(
-        "--reference",
-        action="store_true",
-        help="disable the simulator fast path (timing-equivalent reference mode)",
-    )
     as_json.add_argument(
         "--json",
         action="store_true",
@@ -737,7 +725,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     lister.set_defaults(handler=_list_command)
     runner = sub.add_parser(
-        "run", help="run one experiment (or 'all')", parents=[reference, as_json]
+        "run", help="run one experiment (or 'all')", parents=[as_json]
     )
     runner.set_defaults(handler=_run_command)
     runner.add_argument("experiment", choices=[*EXPERIMENTS, "all"])
@@ -769,7 +757,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tracer_cmd = sub.add_parser(
         "trace",
         help="run one experiment under the telemetry tracer",
-        parents=[reference, as_json],
+        parents=[as_json],
     )
     tracer_cmd.set_defaults(handler=_trace_command)
     tracer_cmd.add_argument("experiment", choices=list(EXPERIMENTS))
@@ -919,7 +907,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos = sub.add_parser(
         "chaos",
         help="inject a deterministic fault plan and watch recovery",
-        parents=[placement, reference, sharding, as_json],
+        parents=[placement, sharding, as_json],
     )
     chaos.set_defaults(handler=_chaos_command)
     chaos.add_argument(
@@ -1023,32 +1011,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@contextlib.contextmanager
-def _reference_mode(enabled: bool):
-    """Scope ``--reference`` to one command: in-process callers (the test
-    suite) get their environment back afterwards."""
-    if not enabled:
-        yield
-        return
-    saved = os.environ.get("REPRO_FAST_PATH")
-    os.environ["REPRO_FAST_PATH"] = "0"
-    try:
-        yield
-    finally:
-        if saved is None:
-            del os.environ["REPRO_FAST_PATH"]
-        else:
-            os.environ["REPRO_FAST_PATH"] = saved
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    with _reference_mode(getattr(args, "reference", False)):
-        try:
-            return args.handler(args)
-        except ReproError as error:  # exit code 2 for every command, see EXIT_CODES
-            print(f"{args.command}: error: {error}", file=sys.stderr)
-            return 2
+    try:
+        return args.handler(args)
+    except ReproError as error:  # exit code 2 for every command, see EXIT_CODES
+        print(f"{args.command}: error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """One module per paper table/figure, plus the shared harness.
 
 Each module exposes ``run(...) -> ResultTable`` (or a dict of tables) and
-a ``main()`` that prints paper-style output; ``python -m
-repro.experiments.<module>`` regenerates the result from the terminal.
-The pytest-benchmark targets under ``benchmarks/`` call the same ``run``
+a ``main()`` that prints paper-style output.  The one terminal entry
+point is ``python -m repro run <key>`` (keys from ``python -m repro
+list``): it calls that ``main()`` and adds the result cache, ``--jobs``,
+``--json`` and timing.  The pytest-benchmark targets under ``benchmarks/`` call the same ``run``
 functions with trimmed parameters.
 """
 

@@ -141,7 +141,3 @@ def quick(jobs: int = 1):
     table = run(scenarios=QUICK_SCENARIOS, bootstrap=50, jobs=jobs)
     table.show()
     return table
-
-
-if __name__ == "__main__":
-    main()

@@ -15,8 +15,7 @@ later).  Reported per crash count:
 
 Every cell is deterministic: the traffic seed, plan seed, and placement
 policy fully determine the outcome, so the table is reproducible
-byte-for-byte (and identical in fast-path and reference modes — the
-serving loop is pure control plane).
+byte-for-byte.
 """
 
 from __future__ import annotations
@@ -140,7 +139,3 @@ def main():
     table = run()
     table.show()
     return table
-
-
-if __name__ == "__main__":
-    main()

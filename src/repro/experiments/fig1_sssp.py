@@ -103,7 +103,3 @@ def main():
     print("shared-memory advantage, virtualized:",
           [f"{g:.0%}" for g in gains["virtualized"]])
     return table
-
-
-if __name__ == "__main__":
-    main()

@@ -102,7 +102,3 @@ def main():
     for table in results.values():
         table.show()
     return results
-
-
-if __name__ == "__main__":
-    main()

@@ -155,7 +155,3 @@ def main(jobs: int = 1) -> Dict[str, ResultTable]:
             table.show()
             results[f"{page_label}.{label}"] = table
     return results
-
-
-if __name__ == "__main__":
-    main()

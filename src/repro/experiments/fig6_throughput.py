@@ -157,7 +157,3 @@ def main(jobs: int = 1):
         "read_4k": read_4k,
         "read_anomaly": anomaly,
     }
-
-
-if __name__ == "__main__":
-    main()

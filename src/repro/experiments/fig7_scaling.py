@@ -99,7 +99,3 @@ def main():
     show_chart(table, y_label="normalized throughput")
     print("speedup range at 8 jobs:", speedup_range(table))
     return table
-
-
-if __name__ == "__main__":
-    main()

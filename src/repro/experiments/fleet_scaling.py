@@ -153,7 +153,3 @@ def main(jobs: int = 1):
         print(f"load {load}: placed/s by node count = "
               + ", ".join(f"{v:.0f}" for v in series))
     return table
-
-
-if __name__ == "__main__":
-    main()

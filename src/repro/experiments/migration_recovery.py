@@ -187,7 +187,3 @@ def main():
     table = run()
     table.show()
     return table
-
-
-if __name__ == "__main__":
-    main()

@@ -108,7 +108,3 @@ def main():
     table = run()
     table.show()
     return table
-
-
-if __name__ == "__main__":
-    main()

@@ -153,7 +153,3 @@ def main(jobs: int = 1):
             f"({'+' if budgeted >= baseline else ''}{budgeted - baseline:.4f})"
         )
     return table
-
-
-if __name__ == "__main__":
-    main()

@@ -65,7 +65,3 @@ def main():
     table.show()
     print(f"mean accelerator-utilization gain at 8x: {utilization_gain():.2f}x")
     return table
-
-
-if __name__ == "__main__":
-    main()

@@ -7,8 +7,7 @@ runaway DMA streams, IOTLB thrashers).  Installed on a
 :meth:`~repro.fleet.admission.FleetService.install_faults`) or replayed
 against a single platform (:func:`run_single_chaos`), the plan executes
 entirely in simulated time with one seeded RNG — the same (plan, seed)
-pair always produces a byte-identical recovery trace, in both the
-fast-path and reference simulator modes.
+pair always produces a byte-identical recovery trace.
 
 The interesting part is never the fault; it is the recovery the fault
 forces: admission routing around dead nodes, displaced sessions re-placed

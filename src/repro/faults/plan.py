@@ -2,10 +2,10 @@
 
 A :class:`FaultPlan` is the whole chaos contract: a seed plus a list of
 timed :class:`FaultEvent` entries.  Replaying the same plan against the
-same stack (same traffic seed, same cluster shape, same simulator mode)
-produces a byte-identical recovery trace — the injector draws every
-"auto" target from one ``numpy.random.RandomState(plan.seed)`` in event
-order and touches nothing else stochastic.
+same stack (same traffic seed, same cluster shape) produces a
+byte-identical recovery trace — the injector draws every "auto" target
+from one ``numpy.random.RandomState(plan.seed)`` in event order and
+touches nothing else stochastic.
 
 Plans come from three places, all normalized here:
 
@@ -28,6 +28,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Tuple
@@ -77,22 +78,52 @@ class FaultEvent:
         return payload
 
     @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "FaultEvent":
-        try:
-            kind = _KINDS_BY_VALUE[str(payload["kind"])]
-        except KeyError:
+    def from_dict(cls, payload: object) -> "FaultEvent":
+        """Parse one untrusted event; any malformed shape is a
+        :class:`FaultPlanError`, never a raw ``TypeError``/``ValueError``."""
+        if not isinstance(payload, Mapping):
+            raise FaultPlanError(f"fault event must be an object, got {payload!r}")
+        name = payload.get("kind")
+        kind = _KINDS_BY_VALUE.get(name) if isinstance(name, str) else None
+        if kind is None:
             raise FaultPlanError(
-                f"unknown fault kind {payload.get('kind')!r}; "
+                f"unknown fault kind {name!r}; "
                 f"expected one of {sorted(_KINDS_BY_VALUE)}"
             )
         if "at_ps" not in payload:
             raise FaultPlanError("fault event needs an at_ps")
+        target = payload.get("target", "auto")
+        if not isinstance(target, str):
+            raise FaultPlanError(f"fault event target must be a string, got {target!r}")
+        params = payload.get("params", {})
+        if not isinstance(params, Mapping) or not all(
+            isinstance(key, str) and _is_number(value)
+            for key, value in params.items()
+        ):
+            raise FaultPlanError(
+                f"fault event params must map names to finite numbers, got {params!r}"
+            )
         return cls(
-            at_ps=int(payload["at_ps"]),
+            at_ps=_integer(payload["at_ps"], "fault event at_ps"),
             kind=kind,
-            target=str(payload.get("target", "auto")),
-            params=dict(payload.get("params", {})),
+            target=target,
+            params=dict(params),
         )
+
+
+def _is_number(value: object) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large to ever become a float
+        return False
+
+
+def _integer(value: object, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise FaultPlanError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -104,6 +135,9 @@ class FaultPlan:
     name: str = "custom"
 
     def __post_init__(self) -> None:
+        # The injector seeds a numpy RandomState, which takes 32 bits.
+        if not 0 <= self.seed < 2**32:
+            raise FaultPlanError(f"fault plan seed must be in [0, 2**32), got {self.seed}")
         for event in self.events:
             if event.at_ps < 0:
                 raise FaultPlanError(f"fault event at negative time: {event}")
@@ -127,14 +161,21 @@ class FaultPlan:
         }
 
     @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "FaultPlan":
+    def from_dict(cls, payload: object) -> "FaultPlan":
+        """Parse an untrusted plan (a loaded JSON file); any malformed
+        shape is a :class:`FaultPlanError`."""
+        if not isinstance(payload, Mapping):
+            raise FaultPlanError(f"fault plan must be an object, got {payload!r}")
         events = payload.get("events")
         if not isinstance(events, list):
             raise FaultPlanError("fault plan needs an 'events' list")
+        name = payload.get("name", "custom")
+        if not isinstance(name, str):
+            raise FaultPlanError(f"fault plan name must be a string, got {name!r}")
         return cls.of(
             [FaultEvent.from_dict(entry) for entry in events],
-            seed=int(payload.get("seed", 0)),
-            name=str(payload.get("name", "custom")),
+            seed=_integer(payload.get("seed", 0), "fault plan seed"),
+            name=name,
         )
 
     @classmethod

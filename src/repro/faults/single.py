@@ -15,8 +15,8 @@ isolation:
 * ``node_crash`` / ``node_recover`` -> fleet-scope, recorded as ``noop``.
 
 Everything runs in simulated time with one seeded RNG, so a (plan, seed)
-pair produces a byte-identical report in both the fast-path and reference
-simulator modes — the chaos CLI byte-compares exactly this dict.
+pair produces a byte-identical report on every run — the chaos CLI and
+the fuzzer's ``platform`` kind byte-compare exactly this dict.
 """
 
 from __future__ import annotations

@@ -18,21 +18,17 @@ their cells on one process-wide ``concurrent.futures.ProcessPoolExecutor``:
   and merged in submission order.
 
 Fork start is preferred (cheap, and workers inherit the caller's loaded
-modules); spawn is the non-POSIX fallback.  Either way a worker outlives
-the call it was started for, so nothing ambient it inherited can be
-trusted later: every task carries the caller's simulator mode with it.
+modules); spawn is the non-POSIX fallback.  Workers are stateless: a
+cell's result is a pure function of ``fn`` and its item.
 """
 
 from __future__ import annotations
 
 import atexit
 import multiprocessing
-import os
-from functools import partial
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from repro.errors import WorkerDiedError
-from repro.platform.params import default_fast_path
 
 if TYPE_CHECKING:
     # At run time it is imported where used: the sharded fleet executor
@@ -93,20 +89,12 @@ def shutdown_shared_pool() -> None:
 atexit.register(shutdown_shared_pool)
 
 
-def _run_cell(fast_path: bool, fn: Callable, item):  # pragma: no cover - subprocess
-    # The mode travels with the task: this worker may have been forked
-    # under another one (--reference after a fast sweep).
-    os.environ["REPRO_FAST_PATH"] = "1" if fast_path else "0"
-    return fn(item)
-
-
 def pool_map(fn: Callable, items: Sequence, processes: int) -> List:
     """Apply ``fn`` to every item on the shared pool; results in item order."""
     from concurrent.futures.process import BrokenProcessPool
 
-    run = partial(_run_cell, default_fast_path(), fn)
     try:
-        return list(shared_pool(processes).map(run, items))
+        return list(shared_pool(processes).map(fn, items))
     except BrokenProcessPool as exc:
         shutdown_shared_pool()  # a broken executor never recovers
         raise WorkerDiedError(

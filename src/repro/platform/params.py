@@ -20,8 +20,7 @@ channel policy, conflict mitigation), and hand it to
 from __future__ import annotations
 
 import dataclasses
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.mem.address import (
@@ -32,16 +31,6 @@ from repro.mem.address import (
     PAGE_SIZE_4K,
 )
 from repro.sim.clock import ms, ns, us
-
-
-def default_fast_path() -> bool:
-    """The process-wide default for :attr:`PlatformParams.fast_path`.
-
-    The one ambient selector is the ``REPRO_FAST_PATH`` environment
-    variable, read whenever params are built: ``0``/``false``/``off``
-    select the reference path, anything else (or unset) the fast path.
-    """
-    return os.environ.get("REPRO_FAST_PATH", "1").lower() not in ("0", "false", "off")
 
 
 @dataclass
@@ -120,10 +109,11 @@ class PlatformParams:
     # whole cache lines, so all byte math derives from this one knob.
     cache_line: int = 64
     # Timing-preserving burst coalescing for streaming DMA (see DESIGN.md
-    # "Performance architecture").  Timing-equivalent by construction and
-    # verified by tests/test_fastpath_equivalence.py; turn off for the
-    # per-line reference path.
-    fast_path: bool = field(default_factory=default_fast_path)
+    # "Performance architecture").  Read only by the pass-through builder;
+    # timing-equivalent by construction and verified by
+    # tests/test_fastpath_equivalence.py.  ``False`` selects the per-line
+    # reference path — the oracle it is checked against.
+    fast_path: bool = True
 
     def __post_init__(self) -> None:
         if self.page_size not in (PAGE_SIZE_4K, PAGE_SIZE_2M):

@@ -6,7 +6,8 @@ discrete config space in :mod:`repro.scenario.space` (guest mixes,
 IOTLB-conflicting address layouts, placement policies, fault-plan
 presets, serve traces, capacity regimes), the differential oracle
 (:mod:`repro.scenario.oracle`) runs each one two ways that must agree to
-the byte — fast path vs reference, serial vs sharded, analytic vs DES —
+the byte — burst fast path vs per-line reference, serial vs sharded,
+analytic vs DES —
 plus the property checks in :mod:`repro.scenario.properties`, and
 failing scenarios are delta-debugged down to minimal canonical-JSON
 reproducers (:mod:`repro.scenario.shrink`).  ``python -m repro fuzz``

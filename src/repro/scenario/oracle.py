@@ -7,7 +7,7 @@ promises are *byte-identical*:
 kind     arm A                          arm B
 ======== ============================== ==============================
 burst    fast-path burst governor       reference per-line packets
-platform fast-path chaos stack          timing-equivalent reference
+platform OPTIMUS chaos stack            in-process repeat of arm A
 fleet    serial serving loop            sharded executor (2 workers)
 serve    serial gateway                 sharded gateway (2 workers)
 capacity analytic closed form (exact)   fleet DES (same config)
@@ -80,16 +80,15 @@ def _diff(failures: List[str], label: str, a: object, b: object) -> None:
         failures.append(f"differential divergence in {label}{detail}")
 
 
-# -- platform: fast path vs reference simulator ----------------------------------
+# -- platform: one chaos run vs an in-process repeat of it -----------------------
 
 
-def _platform_report(scenario: Scenario, fast_path: bool) -> Dict[str, object]:
+def _platform_report(scenario: Scenario) -> Dict[str, object]:
     from repro.faults.single import SinglePlatformChaos
     from repro.platform import PlatformParams
 
     f = scenario.fields
     params = PlatformParams(
-        fast_path=fast_path,
         page_size=int(f["page_size"]),
         conflict_mitigation=bool(f["conflict_mitigation"]),
         speculative_region_opt=bool(f["speculative_region_opt"]),
@@ -117,16 +116,18 @@ def _platform_report(scenario: Scenario, fast_path: bool) -> Dict[str, object]:
 
 def _run_platform(scenario: Scenario) -> OracleResult:
     result = OracleResult(scenario)
-    fast = _platform_report(scenario, fast_path=True)
-    reference = _platform_report(scenario, fast_path=False)
-    _diff(result.failures, "fast vs reference chaos report", fast, reference)
+    # Both arms build the same OPTIMUS stack: the second is a repeat that
+    # catches state leaking between runs in one process.
+    report = _platform_report(scenario)
+    repeat = _platform_report(scenario)
+    _diff(result.failures, "chaos report vs in-process repeat", report, repeat)
     window_ps = ms(int(scenario.fields["window_ms"]))
     plan = _plan_for(str(scenario.fields["fault_plan"]))
     result.failures.extend(properties.check_platform(
-        fast, plan, window_ps,
+        report, plan, window_ps,
         time_slice_ps=us(int(scenario.fields["time_slice_us"])),
     ))
-    result.observables = {"report": fast}
+    result.observables = {"report": report}
     return result
 
 

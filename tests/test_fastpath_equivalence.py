@@ -1,10 +1,10 @@
 """Fast-path vs reference equivalence.
 
-The simulator fast path (``params.fast_path``) must be *invisible* in
-results: burst coalescing, the zero-delay event lane, and translation
-memoization may only change wall-clock time, never a simulated timestamp,
-byte count, latency sample, or functional payload.  These tests run the
-same workloads with ``fast_path=True`` and ``fast_path=False`` and demand
+The burst fast path (``PlatformParams.fast_path``, attached only on the
+pass-through datapath) must be *invisible* in results: burst coalescing
+may only change wall-clock time, never a simulated timestamp, byte count,
+latency sample, or functional payload.  These tests run the same
+workloads with ``fast_path=True`` and ``fast_path=False`` and demand
 bit-identical metrics — including configurations where bursts genuinely
 *commit* on the analytic path (asserted via the fast path's counters),
 not just split back into reference packets.
@@ -13,8 +13,6 @@ not just split back into reference packets.
 from __future__ import annotations
 
 import hashlib
-import os
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -23,12 +21,11 @@ from hypothesis import strategies as st
 from repro.accel.base import AcceleratorProfile
 from repro.accel.md5 import Md5Job
 from repro.accel.streaming import REG_DST, REG_LEN, REG_SRC, StreamingJob
-from repro.experiments import fig4_overhead, fig5_latency, fig6_throughput, fleet_scaling
 from repro.fpga.resources import ResourceFootprint
 from repro.guest import NativeAccelerator
 from repro.hv import PassthroughHypervisor
 from repro.interconnect.channel_selector import VirtualChannel
-from repro.mem import MB, PAGE_SIZE_2M
+from repro.mem import MB
 from repro.platform import PlatformMode, PlatformParams, build_platform
 from repro.platform import fastpath as fastpath_module
 from repro.platform.fastpath import FastPath
@@ -436,49 +433,3 @@ class TestBurstApi:
         assert platform.engine.run_until(done, limit_ps=ms(1)) is True
         assert dma.fastpath.committed_bursts == 0
         assert handle.read_buffer(dst, len(payload)) == payload
-
-
-def _with_fast_path(enabled, fn):
-    with mock.patch.dict(os.environ, REPRO_FAST_PATH="1" if enabled else "0"):
-        return fn()
-
-
-class TestExperimentCellEquivalence:
-    """Tiny cells of the shipped experiments, fast vs reference."""
-
-    def test_fig5_cell(self):
-        def cell():
-            tables = fig5_latency.run(
-                page_size=PAGE_SIZE_2M,
-                working_sets=["64M"],
-                job_counts=[1],
-                hops_per_job=200,
-            )
-            return {label: table.rows for label, table in tables.items()}
-
-        assert _with_fast_path(True, cell) == _with_fast_path(False, cell)
-
-    def test_fig6_cell(self):
-        def cell():
-            table = fig6_throughput.run(
-                page_size=PAGE_SIZE_2M, working_sets=["64M"], job_counts=[1]
-            )
-            return table.rows
-
-        assert _with_fast_path(True, cell) == _with_fast_path(False, cell)
-
-    def test_fig4_cells(self):
-        def cell():
-            tables = fig4_overhead.run(
-                hops=150, window_us=30, graph_vertices=1_000, graph_edges=4_000
-            )
-            return {label: table.rows for label, table in tables.items()}
-
-        assert _with_fast_path(True, cell) == _with_fast_path(False, cell)
-
-    def test_fleet_cell(self):
-        def cell():
-            table = fleet_scaling.run(node_counts=[2], loads=[0.8], requests=60)
-            return table.rows
-
-        assert _with_fast_path(True, cell) == _with_fast_path(False, cell)

@@ -373,3 +373,60 @@ class TestChaosSinglePlatform:
         as_bytes = lambda r: json.dumps(r, sort_keys=True).encode()
         assert as_bytes(fast) == as_bytes(fast_again)  # replayable
         assert as_bytes(fast) == as_bytes(reference)   # mode-agnostic
+
+
+# -- fault-plan files are untrusted input ----------------------------------------
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import FaultPlanError
+from repro.faults.plan import preset_names
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+)
+
+
+def _plausible(valid):
+    """A well-typed value for one field, or any JSON value in its place."""
+    return valid | _JSON
+
+
+_EVENT = st.fixed_dictionaries({}, optional={
+    "at_ps": _plausible(st.integers(-5, 10**12)),
+    "kind": _plausible(st.sampled_from([kind.value for kind in FaultKind])),
+    "target": _plausible(st.sampled_from(["auto", "node0", "slot1"])),
+    "params": _plausible(st.dictionaries(
+        st.sampled_from(["factor", "dmas", "span_ps"]),
+        _plausible(st.floats(1.0, 16.0) | st.integers(1, 64)),
+        max_size=3,
+    )),
+})
+_PLAN = st.fixed_dictionaries({}, optional={
+    "seed": _plausible(st.integers(-1, 2**33)),
+    "name": _plausible(st.text(max_size=6)),
+    "events": _plausible(st.lists(_EVENT | _JSON, max_size=4)),
+})
+
+
+class TestFaultPlanLoading:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(payload=_PLAN | _JSON)
+    def test_any_json_loads_as_a_plan_or_raises_fault_plan_error(self, payload):
+        try:
+            plan = FaultPlan.from_dict(payload)
+        except FaultPlanError:
+            return
+        assert isinstance(plan, FaultPlan)
+        reloaded = FaultPlan.from_dict(json.loads(json.dumps(plan.to_dict())))
+        assert reloaded == plan and reloaded.digest() == plan.digest()
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_presets_survive_a_json_round_trip(self, name):
+        plan = resolve_plan(name)
+        reloaded = FaultPlan.from_dict(json.loads(json.dumps(plan.to_dict())))
+        assert reloaded == plan and reloaded.digest() == plan.digest()

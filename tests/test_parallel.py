@@ -28,12 +28,6 @@ def _fail_on_three(value):
     return value
 
 
-def _resolved_fast_path(_item):
-    from repro.platform import PlatformParams
-
-    return PlatformParams().fast_path
-
-
 def _kill_own_process_on_two(value):
     import os
     import signal
@@ -96,20 +90,6 @@ class TestWorkerPool:
             assert shared_pool(1) is grown
         finally:
             shutdown_shared_pool()
-
-    def test_workers_forked_in_fast_mode_serve_a_reference_sweep(
-        self, monkeypatch, always_fan_out
-    ):
-        # Regression: the pool served cells in the mode it was forked in, so
-        # --reference --jobs N after one fast fan-out in the same process ran
-        # the probe cell on the reference path and the rest on the fast path.
-        from repro.experiments.harness import parallel_map
-
-        monkeypatch.delenv("REPRO_FAST_PATH", raising=False)
-        assert parallel_map(_resolved_fast_path, range(3), jobs=2) == [True] * 3
-        with cli._reference_mode(True):
-            assert parallel_map(_resolved_fast_path, range(3), jobs=2) == [False] * 3
-        assert parallel_map(_resolved_fast_path, range(3), jobs=2) == [True] * 3
 
     def test_killed_worker_ends_a_jobs_sweep_with_a_typed_error(self, always_fan_out):
         # Regression: the hand-rolled pool blocked forever in its result
