@@ -6,7 +6,9 @@ Measures, on this machine:
   through ``Gateway`` + ``SloBudgetPolicy`` (one continuation per
   session chain on the fleet loop, SLO admission on every arrival),
   reporting sessions/sec and the wall clock normalized to 10^5 sessions
-  — the scale the serving CLI is specified to sustain;
+  — the scale the serving CLI is specified to sustain — plus
+  ``rss_growth_mb``, the peak-RSS growth over the arm: memory a departed
+  session leaves behind shows up here in proportion to sessions served;
 * serial vs sharded gateway wall clock at CI size, asserting the
   result dictionaries are identical while timing (byte-identity in
   depth is the determinism suite's job);
@@ -32,9 +34,9 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import os
+import resource
 import sys
 import tempfile
 import time
@@ -72,10 +74,16 @@ def _replay(trace, nodes: int, shards: int = 1):
         return Gateway(service, trace).run()
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process so far (``ru_maxrss``, KiB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def bench_throughput(quick: bool) -> dict:
     sessions = 20_000 if quick else 100_000
     nodes = 4
     trace = _build_trace(sessions, nodes)
+    rss_before_mb = _peak_rss_mb()
     with open_fleet(nodes) as cluster:
         service = FleetService(
             cluster, make_policy("best-fit"), admission_policy=SloBudgetPolicy()
@@ -83,6 +91,7 @@ def bench_throughput(quick: bool) -> dict:
         start = time.perf_counter()
         result = Gateway(service, trace).run()
         wall_s = time.perf_counter() - start
+    rss_growth_mb = _peak_rss_mb() - rss_before_mb
     outcomes = result.session_outcomes()
     return {
         "sessions": sessions,
@@ -91,6 +100,7 @@ def bench_throughput(quick: bool) -> dict:
         "wall_s": round(wall_s, 3),
         "sessions_per_s": round(sessions / wall_s),
         "wall_per_100k_sessions_s": round(wall_s * 100_000 / sessions, 3),
+        "rss_growth_mb": round(rss_growth_mb, 1),
         "completed": outcomes.get("completed", 0)
         + outcomes.get("replaced_completed", 0),
         "shed": outcomes.get("rejected_slo_shed", 0),
@@ -101,12 +111,6 @@ def bench_sharded(shards: int, quick: bool) -> dict:
     sessions = 1_000 if quick else 4_000
     nodes = 4
     trace = _build_trace(sessions, nodes)
-    # The finished throughput run is ~1.6M objects of cyclic garbage.  Left
-    # for the collector to find mid-run, the full pass lands after the fork
-    # and runs in both shard workers too, copying the whole heap page by
-    # page (measured: sharded_s 0.75 -> 6 s); which arm it lands in depends
-    # on allocation counts, so take it out of the timed region.
-    gc.collect()
 
     start = time.perf_counter()
     serial_result = _replay(trace, nodes).to_dict()
@@ -169,6 +173,8 @@ def main() -> None:
             "throughput replays one closed-loop trace through the "
             "gateway with SLO admission on a serial fleet (the serving loop "
             "is serial by design, so sessions/sec is CPU-count-independent); "
+            "rss_growth_mb is peak RSS (ru_maxrss) after minus before that "
+            "arm; "
             "the sharded row needs real CPUs to win and is recorded honestly "
             "either way; results are asserted identical serial-vs-sharded "
             "and cold-vs-warm while timing."

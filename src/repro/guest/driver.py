@@ -52,7 +52,7 @@ class GuestFpgaDriver:
     # -- initialization ------------------------------------------------------------
 
     def probe(self, window_size: int) -> int:
-        """Initialize the device: reserve the DMA window and tell the HV.
+        """Reserve the DMA window and tell the HV via posted BAR2 writes.
 
         Returns the window's base GVA.  ``window_size`` defaults to the
         full slice in the userspace library; smaller windows keep the

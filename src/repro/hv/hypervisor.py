@@ -86,19 +86,16 @@ class OptimusHypervisor:
             self.page_size,
         )
         self.shadow = ShadowPager(self, platform.iommu)
-        self.vms: List[VirtualMachine] = []
+        self._vms_created = 0  # for the GVA stagger; no guest is referenced here
         self.vaccels: List[VirtualAccelerator] = []
         self.physical: List[PhysicalAccelerator] = [
             PhysicalAccelerator(self, i) for i in range(platform.n_sockets)
         ]
         self._dummy_frame: Optional[int] = None
         self._started: Dict[int, bool] = {}
-        #: Monotonic vaccel id source, plus the IOVA slice free list —
-        #: slices are recycled on teardown (lowest base first, so the
-        #: allocation order is deterministic), which is what lets a
-        #: long-lived serving fleet churn through far more sessions than
-        #: the 48-bit space has slices.  Ids are never reused: watchdog
-        #: bookkeeping and scheduler tie-breaks key on them.
+        #: Monotonic vaccel ids (never reused: watchdog bookkeeping and
+        #: scheduler tie-breaks key on them) and the IOVA slice free list
+        #: teardown recycles into (DESIGN.md §10, "Tenant teardown").
         self._next_vaccel_id = 0
         self._next_slice = 0
         self._free_slices: List[int] = []
@@ -128,9 +125,9 @@ class OptimusHypervisor:
             self,
             mem_bytes=mem_bytes,
             page_size=self.page_size,
-            gva_stagger=len(self.vms) * 37 * 4096,  # ASLR-style spread
+            gva_stagger=self._vms_created * 37 * 4096,  # ASLR-style spread
         )
-        self.vms.append(vm)
+        self._vms_created += 1
         return vm
 
     def create_virtual_accelerator(
@@ -222,11 +219,8 @@ class OptimusHypervisor:
         if vaccel in manager.vaccels:
             manager.vaccels.remove(vaccel)
         vaccel.state = VAccelState.DETACHED
-        # Reclaim everything keyed on the torn-down device: its IOVA
-        # slice (reused lowest-base-first by the next create), its
-        # started flag, and the hypervisor's own reference.  Without
-        # this, a serving fleet churning through sessions exhausts the
-        # 48-bit IOVA space after ``layout.max_slices`` placements.
+        # Reclaim everything keyed on the torn-down device: its IOVA slice
+        # (reused lowest-base-first), its started flag, our reference.
         if vaccel in self.vaccels:
             self.vaccels.remove(vaccel)
             heapq.heappush(self._free_slices, vaccel.slice.index)
@@ -283,7 +277,8 @@ class OptimusHypervisor:
 
     # -- guest control plane: BAR2 (hypervisor page) ----------------------------------------------
 
-    def guest_bar2_write(self, vaccel: VirtualAccelerator, offset: int, value: int) -> Future:
+    def guest_bar2_write(self, vaccel: VirtualAccelerator, offset: int, value: int) -> None:
+        """A posted guest store to BAR2: takes effect now, schedules nothing."""
         self.mmio_traps += 1
         if offset == BAR2_SLICE_BASE:
             vaccel.window_base_gva = value
@@ -302,7 +297,6 @@ class OptimusHypervisor:
             vaccel.state_buffer_gva = value
         else:
             raise GuestError(f"unknown BAR2 register {offset:#x}")
-        return self.engine.timer(self.platform.params.mmio_trap_ps)
 
     # -- job control -----------------------------------------------------------------------------------
 

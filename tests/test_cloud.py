@@ -1,5 +1,8 @@
 """Tests for the cloud-provider layer: library, configurations, placement."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.accel.streaming import REG_LEN, REG_PARAM0, REG_PARAM1, REG_SRC
@@ -106,6 +109,26 @@ class TestPlacement:
         replacement = provider.place("b", "MB", window_bytes=16 * MB)
         assert replacement.physical_index == 0
         assert not replacement.oversubscribed
+
+    def test_eviction_frees_the_guest_without_the_cycle_collector(self):
+        # The hypervisor keeps no list of booted VMs and the BAR2 hypercalls
+        # (probe + page registration) leave no timers behind, so an evicted
+        # tenant's VM and its guest page tables go with the handle.
+        provider = self.make_provider(slots=("MB",))
+        gc.collect()
+        gc.disable()
+        try:
+            tenant = provider.place("a", "MB", window_bytes=16 * MB)
+            tenant.handle.alloc_buffer(2 * MB)
+            assert provider.platform.engine.pending_events == 0
+            refs = [weakref.ref(obj) for obj in (
+                tenant.handle, tenant.vaccel, tenant.handle.vm, tenant.handle.vm.mmu
+            )]
+            provider.evict(tenant)
+            del tenant
+            assert [ref() for ref in refs] == [None] * 4
+        finally:
+            gc.enable()
 
     def test_rebalance_migrates_to_empty_slot(self):
         provider = self.make_provider(slots=("MB", "MB"))

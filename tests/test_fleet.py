@@ -334,6 +334,93 @@ class TestMetrics:
         } == fresh
 
 
+def guest_refs(tenant):
+    """Weak references to everything one placed tenant owns."""
+    return {
+        "vm": weakref.ref(tenant.handle.vm),
+        "vaccel": weakref.ref(tenant.vaccel),
+        "handle": weakref.ref(tenant.handle),
+    }
+
+
+def alive(refs):
+    return sorted(name for name, ref in refs.items() if ref() is not None)
+
+
+@pytest.fixture
+def no_cycle_collector():
+    """Teardown must free a tenant by refcount alone."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def assert_idle_node_engines(cluster):
+    """The fleet never runs a node's platform engine, so it must hold nothing."""
+    assert {n.name: n.provider.platform.engine.pending_events for n in cluster.nodes} == {
+        n.name: 0 for n in cluster.nodes
+    }
+
+
+@pytest.mark.usefixtures("no_cycle_collector")
+class TestTenantTeardown:
+    """Once a tenant leaves through any lifecycle verb, its VM, vaccel and
+    handle are freed and its node's platform engine holds no events."""
+
+    def one_tenant_service(self):
+        service, _trace = two_node_service()
+        service._try_place(request(0, accel_type="MB"), 0)
+        node = service.cluster.tenant_nodes["t00000"]
+        return service, node, guest_refs(node.tenants["t00000"])
+
+    def test_cluster_evict(self):
+        service, _node, refs = self.one_tenant_service()
+        service.cluster.evict("t00000")
+        assert alive(refs) == []
+        assert_idle_node_engines(service.cluster)
+
+    def test_crash_displacement(self):
+        service, node, refs = self.one_tenant_service()
+        report = service.ops.crash(node.name, now=0)
+        assert report.displaced == 1
+        assert alive(refs) == []
+        assert_idle_node_engines(service.cluster)
+
+    def test_watchdog_quarantine(self):
+        service, _node, refs = self.one_tenant_service()
+        assert service.arm_watchdog("t00000", 0)
+        service.engine.run()
+        assert service.outcomes == {0: "failed_by_fault"}
+        assert alive(refs) == []
+
+    def test_migrate_frees_the_source_then_the_destination(self):
+        service, source, refs = self.one_tenant_service()
+        outcome = service.ops.migrate("t00000", now=0)
+        assert outcome.ok
+        assert alive(refs) == []
+        destination = service.cluster.tenant_nodes["t00000"]
+        assert destination is not source
+        refs = guest_refs(destination.tenants["t00000"])
+        service.cluster.evict("t00000")
+        assert alive(refs) == []
+        assert_idle_node_engines(service.cluster)
+
+    def test_served_fleet_leaves_every_node_engine_empty(self):
+        cluster = FleetCluster.build(8, max_oversub=2)
+        service = FleetService(
+            cluster, make_policy("best-fit"), admission=AdmissionConfig(queue_limit=16)
+        )
+        trace = TrafficGenerator(
+            TrafficProfile(load=1.5), fleet_slots=cluster.total_slots, seed=7
+        ).generate(2500)
+        result = service.serve(trace)
+        assert result.summary()["placements"] > 2000
+        assert_idle_node_engines(cluster)
+
+
 class TestEvictContract:
     """ISSUE 4: eviction is a typed contract the failover path rides."""
 

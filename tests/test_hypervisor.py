@@ -1,5 +1,7 @@
 """Integration tests for the hypervisor: end-to-end guest -> FPGA -> memory."""
 
+import weakref
+
 import pytest
 
 from repro.accel.base import AcceleratorJob, AcceleratorProfile
@@ -300,6 +302,39 @@ class TestSliceRecycling:
         assert len(hv.vaccels) == 0
         survivor = hv.create_virtual_accelerator(vm, CopyJob(True))
         assert survivor.slice.index == 0
+
+
+class TestTenantTeardown:
+    """A departed guest leaves nothing on the hypervisor or its engine."""
+
+    def test_bar2_hypercall_is_posted(self):
+        platform, hv = make_stack()
+        vm = hv.create_vm("t")
+        vaccel = hv.create_virtual_accelerator(vm, CopyJob(), physical_index=0)
+        handle = GuestAccelerator(hv, vm, vaccel, window_bytes=16 * MB)
+        gva = handle.alloc_buffer(64)  # the probe and page registration post too
+        engine = platform.engine
+        assert (engine._sequence, engine.pending_events) == (0, 0)
+        traps = hv.mmio_traps
+        from repro.hv.mdev import BAR2_STATE_BUF
+
+        assert hv.guest_bar2_write(vaccel, BAR2_STATE_BUF, gva) is None
+        assert (engine._sequence, engine.pending_events) == (0, 0)
+        assert hv.mmio_traps == traps + 1  # still counted as a trap
+
+    def test_gva_stagger_counts_every_vm_ever_booted(self):
+        # 4 KB pages so the 37-page stagger is not rounded away.  A
+        # "count live VMs" stagger would hand the second guest the first
+        # one's base and move every migration digest.
+        _platform, hv = make_stack(page_size=4096)
+        first = hv.create_vm("first")
+        with hv.connect(first, CopyJob(), window_bytes=MB) as handle:
+            assert handle.driver.window_base == 1 << 40
+        gone = weakref.ref(first)
+        del first, handle
+        assert gone() is None
+        second = hv.create_vm("second")
+        assert second.reserve_va(MB) == (1 << 40) + 37 * 4096
 
 
 class TestPassthrough:
