@@ -9,7 +9,10 @@ Measures, on this machine:
   replaces per-line event chains — the one cell where the switch runs
   different code;
 * one Fig. 6 cell (the OPTIMUS per-line hot path end to end);
-* a Fig. 5 sweep, two ways: serial and with ``--jobs`` process fan-out.
+* a Fig. 5 sweep, two ways: serial and with ``--jobs`` process fan-out;
+* startup: wall time and peak RSS of fresh interpreters running
+  ``python -m repro --help``, ``python -m repro run table2`` and
+  ``import repro.experiments.harness`` (median of 5 each).
 
 ``BASELINE_BEFORE_PR`` records the same workloads measured at the
 pre-fast-path revision of this repository on the same host, so the JSON
@@ -33,11 +36,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
+SRC = Path(__file__).resolve().parents[2] / "src"
+sys.path.insert(0, str(SRC))
 
 from repro.experiments import fig5_latency, fig6_throughput  # noqa: E402
 from repro.guest import NativeAccelerator  # noqa: E402
@@ -213,6 +219,62 @@ def bench_fig6_cell() -> dict:
     }
 
 
+#: Fresh-interpreter commands timed by :func:`bench_startup`.
+STARTUP_COMMANDS = {
+    "help": ["-m", "repro", "--help"],
+    "run_table2": ["-m", "repro", "run", "table2", "--no-cache", "--json"],
+    "import_harness": ["-c", "import repro.experiments.harness"],
+}
+
+#: The same commands at the revision before the datapath and the CLI
+#: parser stopped importing numpy and the fleet stack, on the host of the
+#: committed BENCH_simulator.json (2 CPUs, CPython 3.11): median of 5 fresh
+#: interpreters each.  Kept as constants, like BASELINE_BEFORE_PR.
+STARTUP_BEFORE = {
+    "help": {"wall_s": 0.281, "maxrss_mb": 36.0},
+    "run_table2": {"wall_s": 0.279, "maxrss_mb": 36.0},
+    "import_harness": {"wall_s": 0.199, "maxrss_mb": 33.5},
+}
+
+
+#: Times ``runs`` children and reports (wall s, exit code, ru_maxrss KB) for
+#: each.  A child's ``ru_maxrss`` counts the RSS of the process it was forked
+#: from, so the children are started by this small launcher and not by the
+#: benchmark process, which by then holds ~100 MB.
+_LAUNCHER = """
+import json, os, subprocess, sys, time
+samples = []
+for _ in range(int(sys.argv[1])):
+    start = time.perf_counter()
+    child = subprocess.Popen(sys.argv[2:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _pid, status, usage = os.wait4(child.pid, 0)
+    samples.append((time.perf_counter() - start, os.waitstatus_to_exitcode(status), usage.ru_maxrss))
+print(json.dumps(samples))
+"""
+
+
+def bench_startup(runs: int = 5) -> dict:
+    """What a user waits for before any simulation starts: the median wall
+    time and peak RSS of ``runs`` fresh interpreters per command."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    commands = {}
+    for name, argv in STARTUP_COMMANDS.items():
+        launched = subprocess.run(
+            [sys.executable, "-c", _LAUNCHER, str(runs), sys.executable, *argv],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        samples = json.loads(launched.stdout)
+        assert all(code == 0 for _, code, _ in samples), f"{argv} failed: {samples}"
+        commands[name] = {
+            "argv": ["python", *argv],
+            "wall_s": round(statistics.median(wall for wall, _, _ in samples), 3),
+            # ru_maxrss is in KB on Linux.
+            "maxrss_mb": round(statistics.median(kb for _, _, kb in samples) / 1024, 1),
+            "before": STARTUP_BEFORE[name],
+        }
+    return {"runs": runs, "commands": commands}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--jobs", type=int, default=max(1, (os.cpu_count() or 2) // 2))
@@ -236,6 +298,7 @@ def main() -> None:
         "engine": bench_engine(100_000 if args.quick else 500_000),
         "coalescing": bench_coalescing(args.quick),
         "fig5_sweep": bench_fig5_sweep(args.jobs, args.quick),
+        "startup": bench_startup(),
     }
     if not args.quick:
         results["fig6_cell"] = bench_fig6_cell()

@@ -13,12 +13,15 @@ buffers of the hardware pipeline.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.accel.base import AcceleratorProfile
 from repro.accel.streaming import REG_PARAM0, StreamingJob
 from repro.fpga.resources import ResourceFootprint, SynthesisCharacter
 from repro.kernels.image import gaussian_blur, grayscale, sobel
+
+if TYPE_CHECKING:
+    import numpy as np
 
 GAU_PROFILE = AcceleratorProfile(
     name="GAU",
@@ -65,18 +68,25 @@ class _StencilJob(StreamingJob):
 
     def __init__(self, *, functional: bool = True) -> None:
         super().__init__(functional=functional)
-        self._tail = np.zeros((0, self.row_pixels), dtype=np.uint8)
+        self._tail = self._empty_tail()
+
+    def _empty_tail(self) -> np.ndarray:
+        import numpy as np
+
+        return np.zeros((0, self.row_pixels), dtype=np.uint8)
 
     def configure(self, registers) -> None:
         super().configure(registers)
         if registers.get(REG_PARAM0):
             self.row_pixels = int(registers[REG_PARAM0])
-            self._tail = np.zeros((0, self.row_pixels), dtype=np.uint8)
+            self._tail = self._empty_tail()
 
     def _stencil(self, image: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def transform(self, data: bytes, offset: int) -> bytes:
+        import numpy as np
+
         width = self.row_pixels
         if len(data) % width:
             return data  # partial rows: pass through (test images align)
@@ -122,6 +132,8 @@ class GrsJob(StreamingJob):
     tile_lines = 64
 
     def transform(self, data: bytes, offset: int) -> bytes:
+        import numpy as np
+
         pixels = np.frombuffer(data, dtype=np.uint8).reshape(-1, 4)
         rgba = pixels.reshape(1, -1, 4)
         return grayscale(rgba).tobytes()

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.accel.base import AcceleratorProfile
 from repro.accel.streaming import StreamingJob
 from repro.fpga.resources import ResourceFootprint, SynthesisCharacter
@@ -35,11 +33,15 @@ class FirJob(StreamingJob):
     tile_lines = 64
 
     def __init__(self, *, functional: bool = True) -> None:
+        import numpy as np
+
         super().__init__(functional=functional)
         self.taps = lowpass_taps(16)
         self._history = np.zeros(len(self.taps) - 1, dtype=np.int16)
 
     def transform(self, data: bytes, offset: int) -> bytes:
+        import numpy as np
+
         samples = np.frombuffer(data, dtype=np.int16)
         padded = np.concatenate([self._history, samples])
         filtered = fir_filter(padded, self.taps)[len(self._history):]

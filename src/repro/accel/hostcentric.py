@@ -110,7 +110,7 @@ class HostCentricSsspRunner:
     def _body(self, source: int) -> Generator:
         graph = self.graph
         start_ps = self.platform.engine.now
-        dist = [int(INFINITY)] * graph.n_vertices
+        dist = [INFINITY] * graph.n_vertices
         dist[source] = 0
         frontier = [source]
         copy_rate = gbps_to_bytes_per_ps(HOST_COPY_GBPS)

@@ -24,9 +24,7 @@ with the distance array at ``REG_DST``.
 from __future__ import annotations
 
 import struct
-from typing import Generator, List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Generator, List, Optional
 
 from repro.accel.base import AcceleratorJob, AcceleratorProfile, ExecutionContext
 from repro.accel.streaming import REG_DST, REG_PARAM0, REG_PARAM1, REG_SRC
@@ -34,6 +32,9 @@ from repro.fpga.resources import ResourceFootprint, SynthesisCharacter
 from repro.kernels.graph import EDGE_BYTES, INFINITY, OFFSET_BYTES, CsrGraph
 from repro.mem.address import align_down
 from repro.sim.packet import CACHE_LINE_BYTES
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SSSP_PROFILE = AcceleratorProfile(
     name="SSSP",
@@ -98,6 +99,8 @@ class SsspJob(AcceleratorJob):
     # -- execution -------------------------------------------------------------------
 
     def body(self, ctx: ExecutionContext) -> Generator:
+        import numpy as np
+
         base = self.reg(REG_SRC)
         dist_base = self.reg(REG_DST)
         n_vertices = self.reg(REG_PARAM0)
@@ -105,7 +108,7 @@ class SsspJob(AcceleratorJob):
         offsets_bytes = (n_vertices + 1) * OFFSET_BYTES
 
         if self.distances is None:
-            self.distances = np.full(n_vertices, int(INFINITY), dtype=np.uint64)
+            self.distances = np.full(n_vertices, INFINITY, dtype=np.uint64)
             self.distances[source] = 0
             self.frontier = [source]
         posted_writes: List = []
@@ -201,7 +204,7 @@ class SsspJob(AcceleratorJob):
 
         # Final distance array write-back (functional mode keeps it exact).
         if self.functional and dist_base:
-            packed = np.minimum(self.distances, int(INFINITY)).astype("<u4").tobytes()
+            packed = np.minimum(self.distances, INFINITY).astype("<u4").tobytes()
             writes = []
             for i in range(0, len(packed), CACHE_LINE_BYTES):
                 chunk = packed[i : i + CACHE_LINE_BYTES]

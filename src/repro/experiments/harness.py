@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     List,
@@ -34,10 +35,12 @@ from repro.errors import ConfigurationError
 from repro.hv import OptimusHypervisor, PassthroughHypervisor
 from repro.hv.mdev import VirtualAccelerator
 from repro.interconnect import VirtualChannel
-from repro.kernels.graph import CsrGraph
 from repro.mem import GB, MB
 from repro.platform import Platform, PlatformMode, PlatformParams, build_platform
 from repro.sim.clock import us
+
+if TYPE_CHECKING:
+    from repro.kernels.graph import CsrGraph
 
 #: A very long stream length: jobs never finish inside a measurement window.
 ENDLESS = 1 << 40

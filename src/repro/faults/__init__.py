@@ -14,7 +14,13 @@ forces: admission routing around dead nodes, displaced sessions re-placed
 through the typed evict contract, hung guests quarantined by the
 watchdog, rogue DMA fenced by the auditors.  ``python -m repro chaos``
 exposes the whole loop from the command line.
+
+The injector and the single-platform replay import the fleet stack and
+numpy, so they load on first use of one of their names (PEP 562): the
+CLI reads the preset names without paying for either.
 """
+
+import importlib
 
 from repro.faults.guests import (
     HANG_PROFILE,
@@ -22,7 +28,6 @@ from repro.faults.guests import (
     HangJob,
     RunawayDmaJob,
 )
-from repro.faults.injector import FaultLog, FaultRecord, FleetFaultInjector
 from repro.faults.plan import (
     FAULT_PLAN_PRESETS,
     FaultEvent,
@@ -35,7 +40,15 @@ from repro.faults.plan import (
     register_preset,
     resolve_plan,
 )
-from repro.faults.single import SinglePlatformChaos, run_single_chaos
+
+#: Public name -> the submodule that defines it, imported on first access.
+_LAZY = {
+    "FaultLog": "repro.faults.injector",
+    "FaultRecord": "repro.faults.injector",
+    "FleetFaultInjector": "repro.faults.injector",
+    "SinglePlatformChaos": "repro.faults.single",
+    "run_single_chaos": "repro.faults.single",
+}
 
 __all__ = [
     "FAULT_PLAN_PRESETS",
@@ -58,3 +71,11 @@ __all__ = [
     "resolve_plan",
     "run_single_chaos",
 ]
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value

@@ -33,8 +33,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Tuple
 
-import numpy as np
-
 from repro.errors import FaultPlanError
 from repro.sim.clock import ms
 
@@ -355,6 +353,8 @@ def build_crash_plan(
     each recovering ``outage_ps`` later — the chaos_recovery sweep axis."""
     if n_crashes < 0 or n_nodes < 1 or window_ps <= 0 or outage_ps <= 0:
         raise FaultPlanError("invalid crash-plan parameters")
+    import numpy as np
+
     rng = np.random.RandomState(seed)
     events: List[FaultEvent] = []
     for _ in range(n_crashes):
@@ -390,6 +390,8 @@ def build_degrade_crash_plan(
         raise FaultPlanError("invalid degrade-crash-plan parameters")
     if warning_ps <= 0 or outage_ps <= 0:
         raise FaultPlanError("warning_ps and outage_ps must be positive")
+    import numpy as np
+
     rng = np.random.RandomState(seed)
     events: List[FaultEvent] = []
     for _ in range(n_faults):

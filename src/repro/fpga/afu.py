@@ -78,7 +78,9 @@ class RegisterFile:
 
     def write(self, offset: int, value: int) -> None:
         self._check(offset)
-        self._values[offset] = value & (2**64 - 1)
+        # The hook sees what the 64-bit register holds, never the raw value.
+        value &= 2**64 - 1
+        self._values[offset] = value
         hook = self._write_hooks.get(offset)
         if hook is not None:
             hook(value)

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import List, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Tuple
 
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def fir_filter(samples: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -27,6 +28,8 @@ def fir_filter(samples: np.ndarray, taps: np.ndarray) -> np.ndarray:
     Input/output are int16; the accumulator is int64 to avoid overflow,
     then shifted back by 15 bits, as fixed-point hardware does.
     """
+    import numpy as np
+
     if samples.dtype != np.int16 or taps.dtype != np.int16:
         raise ConfigurationError("FIR kernel expects int16 samples and taps")
     acc = np.convolve(samples.astype(np.int64), taps.astype(np.int64), mode="full")
@@ -52,6 +55,8 @@ def _lowpass_q15(n_taps: int, cutoff: float) -> Tuple[int, ...]:
 def lowpass_taps(n_taps: int = 16, cutoff: float = 0.25) -> np.ndarray:
     """A Hamming-windowed sinc low-pass tap set in Q15 (a fresh array per
     call; the taps themselves are computed once per ``(n_taps, cutoff)``)."""
+    import numpy as np
+
     return np.array(_lowpass_q15(n_taps, cutoff), dtype=np.int16)
 
 
@@ -98,4 +103,6 @@ class GaussianGenerator:
 
     def block(self, count: int) -> np.ndarray:
         """``count`` float32 samples, the accelerator's output format."""
+        import numpy as np
+
         return np.array([self.next_gaussian() for _ in range(count)], dtype=np.float32)

@@ -16,17 +16,19 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Byte widths in the serialized layout.
 OFFSET_BYTES = 8  # uint64 per vertex+1
 EDGE_BYTES = 8  # uint32 destination + uint32 weight
 
-INFINITY = np.uint32(0xFFFFFFFF)
+#: The unreachable distance: the largest uint32.
+INFINITY = 0xFFFFFFFF
 
 
 @dataclass
@@ -59,6 +61,8 @@ class CsrGraph:
 
     def serialize(self) -> bytes:
         """The byte image the accelerator walks: offsets || (target, weight)*."""
+        import numpy as np
+
         edge_records = np.empty(self.n_edges * 2, dtype=np.uint32)
         edge_records[0::2] = self.targets
         edge_records[1::2] = self.weights
@@ -74,6 +78,8 @@ class CsrGraph:
 
     @classmethod
     def deserialize(cls, data: bytes, n_vertices: int) -> "CsrGraph":
+        import numpy as np
+
         offsets = np.frombuffer(data[: (n_vertices + 1) * OFFSET_BYTES], dtype="<u8")
         n_edges = int(offsets[-1])
         records = np.frombuffer(
@@ -96,6 +102,8 @@ def random_graph(
     """A uniform random digraph with the requested size, deterministic."""
     if n_vertices < 2 or n_edges < 1:
         raise ConfigurationError("need at least 2 vertices and 1 edge")
+    import numpy as np
+
     rng = np.random.RandomState(seed)
     sources = rng.randint(0, n_vertices, size=n_edges, dtype=np.int64)
     targets = rng.randint(0, n_vertices, size=n_edges, dtype=np.int64)
@@ -116,7 +124,9 @@ def random_graph(
 
 def sssp_dijkstra(graph: CsrGraph, source: int) -> np.ndarray:
     """Reference shortest paths (uint32 distances, INFINITY = unreachable)."""
-    dist = np.full(graph.n_vertices, int(INFINITY), dtype=np.uint64)
+    import numpy as np
+
+    dist = np.full(graph.n_vertices, INFINITY, dtype=np.uint64)
     dist[source] = 0
     heap = [(0, source)]
     visited = np.zeros(graph.n_vertices, dtype=bool)
@@ -130,14 +140,16 @@ def sssp_dijkstra(graph: CsrGraph, source: int) -> np.ndarray:
             if candidate < dist[target]:
                 dist[target] = candidate
                 heapq.heappush(heap, (candidate, target))
-    return np.minimum(dist, int(INFINITY)).astype(np.uint32)
+    return np.minimum(dist, INFINITY).astype(np.uint32)
 
 
 def sssp_bellman_ford(
     graph: CsrGraph, source: int, max_rounds: Optional[int] = None
 ) -> np.ndarray:
     """Frontier-based Bellman-Ford — the algorithm the accelerator runs."""
-    dist = np.full(graph.n_vertices, int(INFINITY), dtype=np.uint64)
+    import numpy as np
+
+    dist = np.full(graph.n_vertices, INFINITY, dtype=np.uint64)
     dist[source] = 0
     frontier: List[int] = [source]
     rounds = 0
@@ -157,4 +169,4 @@ def sssp_bellman_ford(
                         seen.add(target)
                         next_frontier.append(target)
         frontier = next_frontier
-    return np.minimum(dist, int(INFINITY)).astype(np.uint32)
+    return np.minimum(dist, INFINITY).astype(np.uint32)

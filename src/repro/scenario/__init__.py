@@ -12,11 +12,14 @@ plus the property checks in :mod:`repro.scenario.properties`, and
 failing scenarios are delta-debugged down to minimal canonical-JSON
 reproducers (:mod:`repro.scenario.shrink`).  ``python -m repro fuzz``
 is the CLI; ``--replay file.json`` re-runs a shrunk reproducer.
+
+The generator, oracle and runner import numpy and the fleet stack, so
+they load on first use of one of their names (PEP 562): the CLI reads
+the kind names without paying for either.
 """
 
-from repro.scenario.generator import ScenarioGenerator, generate
-from repro.scenario.oracle import ORACLES, OracleResult, run_scenario
-from repro.scenario.runner import FuzzConfig, FuzzReport, replay, run_fuzz
+import importlib
+
 from repro.scenario.shrink import (
     ShrinkResult,
     load_reproducer,
@@ -34,6 +37,19 @@ from repro.scenario.space import (
     register_kind,
     resolve_kinds,
 )
+
+#: Public name -> the submodule that defines it, imported on first access.
+_LAZY = {
+    "ScenarioGenerator": "repro.scenario.generator",
+    "generate": "repro.scenario.generator",
+    "ORACLES": "repro.scenario.oracle",
+    "OracleResult": "repro.scenario.oracle",
+    "run_scenario": "repro.scenario.oracle",
+    "FuzzConfig": "repro.scenario.runner",
+    "FuzzReport": "repro.scenario.runner",
+    "replay": "repro.scenario.runner",
+    "run_fuzz": "repro.scenario.runner",
+}
 
 __all__ = [
     "Choice",
@@ -59,3 +75,11 @@ __all__ = [
     "shrink",
     "write_reproducer",
 ]
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value

@@ -27,13 +27,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.faults.plan import preset_names
 from repro.mem.address import PAGE_SIZE_2M, PAGE_SIZE_4K
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ScenarioSpaceError(ConfigurationError):

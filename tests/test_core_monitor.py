@@ -254,6 +254,32 @@ class TestVcuAndMonitor:
         assert auditor.enabled
         assert auditor.offset == (64 * GB + 128 * MB) - 0x10000000
 
+    def test_offset_entry_holds_the_64_bit_register_value(self):
+        """A negative window base wraps to 64 bits in the register, and the
+        auditor must enforce that value, not the unmasked one the guest
+        wrote: otherwise it admits GVAs the offset-table entry never named."""
+        platform = make_optimus(2)
+        from repro.fpga.shell import SHELL_MMIO_BYTES
+
+        def vcu_write(reg, value):
+            platform.shell.mmio_write(SHELL_MMIO_BYTES + reg, value)
+
+        slice_base = 64 * GB
+        vcu_write(REG_ACCEL_SELECT, 0)
+        vcu_write(REG_WINDOW_BASE, -4096)
+        vcu_write(REG_WINDOW_SIZE, 2 * PAGE_SIZE_2M)
+        vcu_write(REG_SLICE_BASE, slice_base)
+        window_base = platform.shell.mmio_read(SHELL_MMIO_BYTES + REG_WINDOW_BASE)
+        assert window_base == 0xFFFF_FFFF_FFFF_F000
+        auditor = platform.monitor.auditors[0]
+        assert auditor.window_base == window_base
+        assert auditor.offset == slice_base - window_base
+
+        platform.iommu.map(slice_base, 0)
+        future = platform.sockets[0].dma.read(0)
+        assert platform.engine.run_until(future) is None
+        assert auditor.counters.get("dma_dropped_window") == 1
+
     def test_reset_table_pulses_socket_reset(self):
         platform = make_optimus(2)
         from repro.fpga.shell import SHELL_MMIO_BYTES

@@ -1,0 +1,96 @@
+"""Structural pin: a process imports only the layers it runs.
+
+The MemBench/LinkedList datapath behind Figs. 4-6 and Tables 3-4 is pure
+Python, and the CLI's parser needs only names.  Neither may load numpy,
+the fleet stack, the sharded executor or the fuzzing oracle (DESIGN.md
+§6, "Import graph").  Each probe runs in a fresh interpreter, because
+pytest and the other test modules have long since imported everything.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro.accel
+import repro.faults
+import repro.kernels
+import repro.scenario
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Modules the datapath and the CLI parser must never load.
+HEAVY = ("numpy", "repro.fleet", "repro.parallel", "repro.scenario.oracle")
+
+
+def loaded_after(script: str) -> list:
+    """Which :data:`HEAVY` modules a fresh interpreter holds after ``script``."""
+    probe = (
+        f"{script}\n"
+        "import json, sys\n"
+        f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_the_datapath_never_loads_numpy():
+    script = (
+        "from repro.experiments.harness import make_stack\n"
+        "from repro.mem import MB\n"
+        "from repro.sim.clock import us\n"
+        "stack = make_stack('optimus', n_accelerators=2)\n"
+        "jobs = [stack.launch('MB', physical_index=0, working_set=64 * MB),\n"
+        "        stack.launch('LL', physical_index=1, working_set=64 * MB)]\n"
+        # Jobs issue their first lines ~10 us in, after the guest boots.
+        "stack.run_for(us(20))\n"
+        "assert all(job.progress() > 0 for job in jobs)\n"
+        "stream = make_stack('passthrough')\n"
+        "job = stream.launch('AES', working_set=4 * MB)\n"
+        "stream.run_for(us(20))\n"
+        "assert job.progress_bytes() > 0\n"
+    )
+    assert "numpy" not in loaded_after(script)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["list"], ["run", "table2", "--no-cache", "--json"]],
+    ids=["help", "list", "run-table2"],
+)
+def test_the_cli_loads_only_what_the_command_runs(argv):
+    script = (
+        "import contextlib, io, runpy, sys\n"
+        f"sys.argv = ['repro', *{argv!r}]\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "    try:\n"
+        "        runpy.run_module('repro', run_name='__main__', alter_sys=True)\n"
+        "    except SystemExit as stop:\n"
+        "        assert not stop.code, stop.code\n"
+    )
+    assert loaded_after(script) == []
+
+
+def test_the_probe_sees_numpy_when_it_is_loaded():
+    # Positive control: the fleet samples traffic with numpy, so a probe
+    # that reports nothing here could not catch a regression either.
+    assert loaded_after("import repro.fleet") == ["numpy", "repro.fleet"]
+
+
+@pytest.mark.parametrize(
+    "package", [repro.accel, repro.faults, repro.kernels, repro.scenario],
+    ids=lambda package: package.__name__,
+)
+def test_every_public_name_resolves(package):
+    for name in package.__all__:
+        assert getattr(package, name) is not None, name
+    with pytest.raises(AttributeError):
+        getattr(package, "no_such_name")
