@@ -7,8 +7,11 @@ Measures, on this machine:
   session chain on the fleet loop, SLO admission on every arrival),
   reporting sessions/sec and the wall clock normalized to 10^5 sessions
   — the scale the serving CLI is specified to sustain — plus
-  ``rss_growth_mb``, the peak-RSS growth over the arm: memory a departed
-  session leaves behind shows up here in proportion to sessions served;
+  ``rss_growth_mb``, the peak-RSS growth over the arm: what the run
+  retains (memory a departed session leaves behind shows up here in
+  proportion to sessions served) plus the arm's largest transient, which
+  since the trace digest is streamed is the results, not a copy of the
+  trace;
 * serial vs sharded gateway wall clock at CI size, asserting the
   result dictionaries are identical while timing (byte-identity in
   depth is the determinism suite's job);
@@ -174,7 +177,9 @@ def main() -> None:
             "gateway with SLO admission on a serial fleet (the serving loop "
             "is serial by design, so sessions/sec is CPU-count-independent); "
             "rss_growth_mb is peak RSS (ru_maxrss) after minus before that "
-            "arm; "
+            "arm, so it counts what the run retains plus its largest "
+            "transient (the trace digest is streamed, so no copy of the "
+            "trace); "
             "the sharded row needs real CPUs to win and is recorded honestly "
             "either way; results are asserted identical serial-vs-sharded "
             "and cold-vs-warm while timing."

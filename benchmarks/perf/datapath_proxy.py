@@ -1,7 +1,7 @@
-"""Deterministic host-cost proxies for the DMA datapath.
+"""Deterministic host-cost proxies for the DMA datapath and the serving loop.
 
 Wall clock is noise on a 1-2 core CI host; these counts are exact run to
-run.  Two cells, each reporting over its measured stretch
+run.  Four cells, each reporting over its measured stretch
 
 * **events scheduled** — the ``Engine._sequence`` delta: the event schedule
   is part of the timing contract (tests/test_event_schedule_pin.py), so
@@ -18,7 +18,11 @@ reader of ``bench_simulator.py`` streams 1 MB on the pass-through platform
 — the burst fast path, where ``committed_bursts`` and ``planned_bursts``
 (memo misses: each one runs the burst's lines through the real per-line
 chain on the fast path's sandbox, a fixed cost that does not grow with the
-stream) are pinned too.
+stream) are pinned too.  ``fleet_admission`` and ``gateway_sessions``: the
+stackbench fleet traces at smoke size (300 requests through best-fit
+admission on 8 nodes at load 1.5; 500 gateway sessions with SLO shedding
+on 4 nodes), counted per request and per session over ``serve()`` and
+``Gateway.run()`` — the serving loop's per-event and per-placement work.
 
 Usage::
 
@@ -49,9 +53,14 @@ WARMUP_US = 20
 WINDOW_US = 12
 STREAM_MB = 1
 
-#: Compared with ``<=``, and the ratios derived from them; every other
-#: field of a cell must equal the recording.
-NOT_EXACT = ("python_calls", "events_per_line", "calls_per_line")
+FLEET_REQUESTS = 300
+GATEWAY_SESSIONS = 500
+
+
+def _exact(field: str) -> bool:
+    """``python_calls`` is compared with ``<=`` and the per-unit ratios are
+    derived; every other field of a cell must equal the recording."""
+    return field != "python_calls" and "_per_" not in field
 
 
 def _counted(engine, run):
@@ -77,9 +86,10 @@ def _counted(engine, run):
     }
 
 
-def _per_line(counts: dict) -> dict:
-    counts["events_per_line"] = round(counts["events_scheduled"] / counts["lines"], 4)
-    counts["calls_per_line"] = round(counts["python_calls"] / counts["lines"], 4)
+def _per_unit(counts: dict, unit: str = "line") -> dict:
+    work = counts[f"{unit}s"]
+    counts[f"events_per_{unit}"] = round(counts["events_scheduled"] / work, 4)
+    counts[f"calls_per_{unit}"] = round(counts["python_calls"] / work, 4)
     return counts
 
 
@@ -97,7 +107,7 @@ def measure_membench() -> dict:
     dispatched, counts = _counted(
         engine, lambda: engine.run(until_ps=engine.now + us(WINDOW_US))
     )
-    return _per_line({
+    return _per_unit({
         "lines": job.progress() - lines_before,
         "events_scheduled": counts["events_scheduled"],
         "events_dispatched": dispatched,
@@ -110,7 +120,7 @@ def measure_stream_burst() -> dict:
     engine = platform.engine
     _, counts = _counted(engine, lambda: engine.run_until(done, limit_ps=ms(500)))
     fastpath = platform.sockets[0].dma.fastpath
-    return _per_line({
+    return _per_unit({
         "lines": fastpath.committed_lines,
         "committed_bursts": fastpath.committed_bursts,
         "planned_bursts": fastpath.planned_bursts,
@@ -118,10 +128,72 @@ def measure_stream_burst() -> dict:
     })
 
 
+def measure_fleet_admission() -> dict:
+    from repro.fleet import (
+        AdmissionConfig,
+        FleetCluster,
+        FleetService,
+        TrafficGenerator,
+        TrafficProfile,
+        make_policy,
+    )
+
+    cluster = FleetCluster.build(8, max_oversub=2)
+    service = FleetService(
+        cluster, make_policy("best-fit"), admission=AdmissionConfig(queue_limit=16)
+    )
+    requests = TrafficGenerator(
+        TrafficProfile(load=1.5), fleet_slots=cluster.total_slots, seed=6
+    ).generate(FLEET_REQUESTS)
+    result, counts = _counted(service.engine, lambda: service.serve(requests))
+    summary = result.summary()
+    return _per_unit({
+        "requests": len(requests),
+        "placements": summary["placements"],
+        "retries": summary["retries"],
+        "rejections": summary["rejections"],
+        **counts,
+    }, "request")
+
+
+def measure_gateway_sessions() -> dict:
+    from repro.fleet import FleetCluster, FleetService, make_policy
+    from repro.serve import Gateway, ServeProfile, SloBudgetPolicy, synthesize
+
+    cluster = FleetCluster.build(4)
+    trace = synthesize(
+        ServeProfile(load=1.5, followup_prob=0.3),
+        sessions=GATEWAY_SESSIONS,
+        fleet_slots=cluster.total_slots,
+        seed=7,
+    )
+    service = FleetService(
+        cluster, make_policy("best-fit"), admission_policy=SloBudgetPolicy()
+    )
+    result, counts = _counted(service.engine, Gateway(service, trace).run)
+    outcomes = result.session_outcomes()
+    return _per_unit({
+        "sessions": result.sessions,
+        "completed": outcomes.get("completed", 0),
+        "shed": outcomes.get("rejected_slo_shed", 0),
+        **counts,
+    }, "session")
+
+
 CELLS = {
     f"membench_hit_1job_64mb_warmup{WARMUP_US}us_window{WINDOW_US}us_seed7": measure_membench,
     f"stream_burst_passthrough_{STREAM_MB}mb_compute_bound_reader": measure_stream_burst,
+    f"fleet_admission_8nodes_{FLEET_REQUESTS}requests_best_fit_load1.5_seed6": (
+        measure_fleet_admission
+    ),
+    f"gateway_sessions_4nodes_{GATEWAY_SESSIONS}sessions_slo_budget_seed7": (
+        measure_gateway_sessions
+    ),
 }
+
+
+def _unit(counts: dict) -> str:
+    return next(field[len("calls_per_"):] for field in counts if field.startswith("calls_per_"))
 
 
 def main() -> int:
@@ -143,9 +215,12 @@ def main() -> int:
                 "memo's; the stream cell's python_calls include its three "
                 "memo misses, each a burst's lines run through the real "
                 "per-line chain on the fast path's sandbox, a fixed cost "
-                "per run that does not grow with the stream). Re-record with "
-                "--record only after a deliberate change to the per-line "
-                "chain or the burst path, and say so in the PR."
+                "per run that does not grow with the stream). The fleet_admission "
+                "and gateway_sessions cells count the serving loop per request "
+                "and per session; their events and outcome counts are exact. "
+                "Re-record with --record only after a deliberate change to the "
+                "per-line chain, the burst path or the serving loop, and say so "
+                "in the PR."
             ),
             **measured,
         }
@@ -158,22 +233,24 @@ def main() -> int:
             problems += [
                 f"{cell}: {field}: measured {counts[field]} != recorded {baseline[field]}"
                 for field in counts
-                if field not in NOT_EXACT and counts[field] != baseline[field]
+                if _exact(field) and counts[field] != baseline[field]
             ]
             if counts["python_calls"] > baseline["python_calls"]:
+                per = f"calls_per_{_unit(counts)}"
                 problems.append(
                     f"{cell}: python_calls: measured {counts['python_calls']} > recorded "
-                    f"{baseline['python_calls']} ({counts['calls_per_line']} vs "
-                    f"{baseline['calls_per_line']} per line)"
+                    f"{baseline['python_calls']} ({counts[per]} vs "
+                    f"{baseline[per]} per {_unit(counts)})"
                 )
         if problems:
             print("datapath proxy gate FAILED:\n  " + "\n  ".join(problems), file=sys.stderr)
             return 1
         for cell, counts in measured.items():
+            unit = _unit(counts)
             print(
-                f"datapath proxy gate ok: {cell}: {counts['events_per_line']} events/line "
-                f"(exact), {counts['calls_per_line']} <= "
-                f"{baselines[cell]['calls_per_line']} calls/line"
+                f"datapath proxy gate ok: {cell}: {counts[f'events_per_{unit}']} "
+                f"events/{unit} (exact), {counts[f'calls_per_{unit}']} <= "
+                f"{baselines[cell][f'calls_per_{unit}']} calls/{unit}"
             )
     return 0
 

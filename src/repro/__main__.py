@@ -260,7 +260,7 @@ def _serve_command(args: argparse.Namespace) -> int:
         emit_envelope(
             "serve",
             {
-                "trace": trace.digest(),
+                "trace": result.trace_digest,
                 "sessions": sessions,
                 "seed": args.seed,
                 "load": args.load,

@@ -10,7 +10,8 @@ configuration) plus live per-slot occupancy and per-type
 ``occupancy``/``free_slots`` counters maintained by :meth:`add`,
 :meth:`remove` and :meth:`move`, so every read is O(1) and :meth:`pick`
 scans only the slots of one type.  :meth:`report_to` has them mirror
-every change into the owning cluster's fleet-wide per-type totals too.
+every change into the owning cluster's :class:`OccupancyIndex` too, the
+fleet-wide per-type totals and their occupancy-time integral.
 
 :class:`~repro.cloud.provider.CloudProvider` (and the
 :class:`~repro.fleet.node.FleetNode` wrapping it) and the sharded
@@ -28,10 +29,37 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.cloud.library import FpgaConfiguration
 
 
+class OccupancyIndex:
+    """Per-type occupancy summed over many ledgers, integrated over time.
+
+    ``occupancy[t]`` is the tenants on ``t`` slots over every ledger that
+    reports here (:meth:`SlotLedger.report_to`), and ``now`` is the clock
+    their changes are stamped with (a cluster sets it as its serving clock
+    moves).  Each change of ``delta`` tenants also adds ``delta * now`` to
+    ``stamped[t]``, so for any ``until_ps`` at or after the last change the
+    occupancy-time integral from 0 is ``occupancy * until_ps - stamped`` —
+    exact integer ps x tenants, O(1) per change and per read.
+    """
+
+    __slots__ = ("occupancy", "stamped", "now")
+
+    def __init__(self) -> None:
+        self.occupancy: Dict[str, int] = {}
+        self.stamped: Dict[str, int] = {}
+        self.now = 0
+
+    def integral(self, accel_type: str, until_ps: int) -> int:
+        """Tenants x ps on ``accel_type`` slots from 0 to ``until_ps``."""
+        return (
+            self.occupancy.get(accel_type, 0) * until_ps
+            - self.stamped.get(accel_type, 0)
+        )
+
+
 class SlotLedger:
     """Per-slot and per-type occupancy of one :class:`FpgaConfiguration`."""
 
-    __slots__ = ("_index", "_types", "per_slot", "_occupancy", "_free", "_totals")
+    __slots__ = ("_index", "_types", "per_slot", "_occupancy", "_free", "_fleet")
 
     def __init__(self, configuration: FpgaConfiguration) -> None:
         self._index: Dict[str, Tuple[int, ...]] = configuration.slot_index
@@ -42,8 +70,8 @@ class SlotLedger:
         self._free: Dict[str, int] = {
             accel_type: len(slots) for accel_type, slots in self._index.items()
         }
-        #: The owning cluster's fleet-wide occupancy per type, once attached.
-        self._totals: Optional[Dict[str, int]] = None
+        #: The owning cluster's fleet-wide index, once attached.
+        self._fleet: Optional[OccupancyIndex] = None
 
     # -- O(1) reads -----------------------------------------------------------------
 
@@ -62,7 +90,8 @@ class SlotLedger:
     def headroom(self, accel_type: str, max_oversub: int) -> int:
         """Placements still admissible with at most ``max_oversub`` tenants
         per slot (spatial and temporal together)."""
-        return max_oversub * self.capacity(accel_type) - self.occupancy(accel_type)
+        slots = len(self._index.get(accel_type, ()))
+        return max_oversub * slots - self._occupancy.get(accel_type, 0)
 
     def can_place(
         self, accel_type: str, max_oversub: int, *, oversubscribe: bool = True
@@ -103,8 +132,10 @@ class SlotLedger:
             self._free[accel_type] -= 1
         self.per_slot[slot] += 1
         self._occupancy[accel_type] += 1
-        if self._totals is not None:
-            self._totals[accel_type] += 1
+        fleet = self._fleet
+        if fleet is not None:
+            fleet.occupancy[accel_type] += 1
+            fleet.stamped[accel_type] += fleet.now
 
     def remove(self, slot: int) -> None:
         """One tenant fewer on ``slot``."""
@@ -113,8 +144,10 @@ class SlotLedger:
         accel_type = self._types[slot]
         self.per_slot[slot] -= 1
         self._occupancy[accel_type] -= 1
-        if self._totals is not None:
-            self._totals[accel_type] -= 1
+        fleet = self._fleet
+        if fleet is not None:
+            fleet.occupancy[accel_type] -= 1
+            fleet.stamped[accel_type] -= fleet.now
         if not self.per_slot[slot]:
             self._free[accel_type] += 1
 
@@ -123,14 +156,18 @@ class SlotLedger:
         self.remove(source)
         self.add(destination)
 
-    def report_to(self, totals: Dict[str, int]) -> None:
-        """Add what is resident now to ``totals`` (a cluster's per-type
-        occupancy over all its nodes), then mirror every change into it."""
-        if self._totals is not None:
+    def report_to(self, fleet: OccupancyIndex) -> None:
+        """Add what is resident now to ``fleet`` (a cluster's index over all
+        its nodes, as if it arrived at ``fleet.now``), then mirror every
+        change into it."""
+        if self._fleet is not None:
             raise ValueError("this ledger already reports to a cluster")
         for accel_type, count in self._occupancy.items():
-            totals[accel_type] = totals.get(accel_type, 0) + count
-        self._totals = totals
+            fleet.occupancy[accel_type] = fleet.occupancy.get(accel_type, 0) + count
+            fleet.stamped[accel_type] = (
+                fleet.stamped.get(accel_type, 0) + count * fleet.now
+            )
+        self._fleet = fleet
 
     # -- verification ---------------------------------------------------------------
 

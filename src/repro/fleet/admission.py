@@ -501,6 +501,7 @@ class FleetService:
                 self.observer.on_drained(self.now)
         # Sharded: barrier on the workers, raising if any diverged.
         self.cluster.end_serve()
+        self.metrics.settle_utilization()
         return ServeResult(
             metrics=self.metrics,
             requests=self._arrivals,

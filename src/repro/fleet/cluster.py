@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.cloud.slots import OccupancyIndex
 from repro.errors import ConfigurationError, UnknownTenantError
 from repro.hv.checkpoint import GuestCheckpoint
 from repro.fleet.node import (
@@ -60,10 +61,11 @@ class ClusterState:
         self.tenant_nodes: Dict[str, NodeState] = {}
         # The node set, slot mixes and oversubscription caps are fixed, so
         # capacity and the admissible ceiling are static sums; occupancy
-        # over *all* nodes is kept by the nodes' ledgers from here on.
+        # over *all* nodes, and its integral over the serving clock, is
+        # kept by the nodes' ledgers from here on.
         self._capacity: Dict[str, int] = {}
         self._ceiling: Dict[str, int] = {}
-        self._occupancy: Dict[str, int] = {}
+        self.occupancy_index = OccupancyIndex()
         for node in self.nodes:
             for accel_type, slots in node.configuration.slot_index.items():
                 self._capacity[accel_type] = (
@@ -72,7 +74,7 @@ class ClusterState:
                 self._ceiling[accel_type] = (
                     self._ceiling.get(accel_type, 0) + node.max_oversub * len(slots)
                 )
-            node.slots.report_to(self._occupancy)
+            node.slots.report_to(self.occupancy_index)
 
     # -- fleet-wide capacity ----------------------------------------------------------
 
@@ -88,7 +90,7 @@ class ClusterState:
 
     def occupancy(self, accel_type: str) -> int:
         """Tenants on ``accel_type`` slots over all nodes (an index read)."""
-        return self._occupancy.get(accel_type, 0)
+        return self.occupancy_index.occupancy.get(accel_type, 0)
 
     @property
     def resident(self) -> int:
@@ -104,9 +106,10 @@ class ClusterState:
         capped = all(
             max(node.slots.per_slot, default=0) <= node.max_oversub for node in self.nodes
         )
-        if scanned != self._occupancy or not capped:
+        index = self.occupancy_index.occupancy
+        if scanned != index or not capped:
             raise RuntimeError(
-                f"fleet slot index drifted: {self._occupancy} vs {scanned} "
+                f"fleet slot index drifted: {index} vs {scanned} "
                 f"over the nodes (per-slot cap held: {capped})"
             )
 
@@ -131,7 +134,8 @@ class ClusterState:
         """
         if tenant_name in self.tenant_nodes:
             raise ConfigurationError(f"tenant {tenant_name!r} already placed")
-        if self._occupancy.get(accel_type, 0) >= self._ceiling.get(accel_type, 0):
+        occupancy = self.occupancy_index.occupancy.get(accel_type, 0)
+        if occupancy >= self._ceiling.get(accel_type, 0):
             return None
         alive = [
             n
@@ -222,11 +226,13 @@ class ClusterState:
         """
         return ""
 
-    # -- execution contract: no-ops on real nodes, the op stream when sharded ---------
+    # -- execution contract: the op stream when sharded --------------------------------
 
     def advance_epoch(self, now: int, service) -> None:
         """The serving clock reached ``now``, about to dispatch an event
-        of ``service`` (whose engine a sharded speculation scan reads)."""
+        of ``service`` (whose engine a sharded speculation scan reads):
+        occupancy changes from here on are stamped with ``now``."""
+        self.occupancy_index.now = now
 
     def end_serve(self) -> None:
         """``serve()`` drained its engine: the sharded coordinator barriers

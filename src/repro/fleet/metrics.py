@@ -9,7 +9,9 @@ time) — and adds two fleet-only figures:
 * **time-weighted per-type utilization**, integrated over the serving run
   (occupancy x time over capacity x time, so 1.0 means every physical
   slot of the type held exactly one tenant the whole run; values above
-  1.0 mean temporal oversubscription);
+  1.0 mean temporal oversubscription) — the integral is the cluster
+  index's (:class:`~repro.cloud.slots.OccupancyIndex`, exact integer
+  ps x tenants kept per occupancy change), so a sample costs O(1);
 * a **placement trace**: one line per admission decision, identical
   across runs with the same seed and policy, with a digest for quick
   reproducibility checks.
@@ -24,6 +26,7 @@ from repro.sim.stats import Counters, LatencyRecorder
 from repro.telemetry import MetricRegistry, current_tracer
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.cloud.slots import OccupancyIndex
     from repro.fleet.cluster import ClusterState
 
 
@@ -46,10 +49,15 @@ class FleetMetrics:
         )
         self.placed_by_type: Dict[str, int] = {}
         self.trace: List[str] = []
-        self._util_integral_ps: Dict[str, float] = {}
         self._capacity: Dict[str, int] = {}
         self._last_sample_ps = 0
         self._span_ps = 0
+        #: The cluster index integrated while a ``serve()`` runs, and its
+        #: per-type integral when this run attached to it.
+        self._index: Optional["OccupancyIndex"] = None
+        self._base: Dict[str, int] = {}
+        #: Per-type integral (ps x tenants) of the finished ``serve()`` calls.
+        self._settled: Dict[str, int] = {}
         # Fleet admission/placement events live in their own trace scope;
         # the serving loop is deterministic control plane, so these are
         # identical across simulator modes by construction.
@@ -259,26 +267,51 @@ class FleetMetrics:
     # -- utilization integration --------------------------------------------------------
 
     def sample_utilization(self, now_ps: int, cluster: "ClusterState") -> None:
-        """Integrate occupancy up to ``now_ps``; call *before* state changes."""
-        if not self._capacity:
-            self._capacity = {t: cluster.capacity(t) for t in cluster.offered_types()}
+        """Extend the run to ``now_ps``; call *before* state changes.
+
+        O(1): the occupancy integral is kept by the cluster's index, whose
+        clock the serving loop stamps before this (``advance_epoch``).  The
+        first sample of a ``serve()`` attaches to it, so occupancy already
+        resident counts from the previous sample (from 0 on the first).
+        """
+        if self._index is None:
+            if not self._capacity:
+                self._capacity = {
+                    t: cluster.capacity(t) for t in cluster.offered_types()
+                }
+            index = cluster.occupancy_index
+            self._base = {
+                t: index.integral(t, self._last_sample_ps) for t in self._capacity
+            }
+            self._index = index
         elapsed = now_ps - self._last_sample_ps
         if elapsed > 0:
-            for accel_type in self._capacity:
-                self._util_integral_ps[accel_type] = (
-                    self._util_integral_ps.get(accel_type, 0.0)
-                    + cluster.occupancy(accel_type) * elapsed
-                )
             self._span_ps += elapsed
         self._last_sample_ps = now_ps
+
+    def settle_utilization(self) -> None:
+        """``serve()`` returned: fold the integral into this run's totals and
+        detach, so the figures stop following a cluster that serves on."""
+        if self._index is not None:
+            self._settled = {t: self._integral(t) for t in self._capacity}
+            self._index = None
+
+    def _integral(self, accel_type: str) -> int:
+        """Tenants x ps on ``accel_type`` slots over the sampled span."""
+        total = self._settled.get(accel_type, 0)
+        if self._index is not None:
+            total += (
+                self._index.integral(accel_type, self._last_sample_ps)
+                - self._base[accel_type]
+            )
+        return total
 
     def utilization_by_type(self) -> Dict[str, float]:
         """Time-weighted tenants-per-slot per type over the whole run."""
         if not self._span_ps:
             return {t: 0.0 for t in self._capacity}
         return {
-            accel_type: self._util_integral_ps.get(accel_type, 0.0)
-            / (self._span_ps * capacity)
+            accel_type: self._integral(accel_type) / (self._span_ps * capacity)
             for accel_type, capacity in sorted(self._capacity.items())
             if capacity
         }
@@ -299,9 +332,14 @@ class FleetMetrics:
         return self.counters.get("rejections") / total
 
     def trace_digest(self) -> str:
-        """A stable fingerprint of the placement trace (reproducibility)."""
-        payload = "\n".join(self.trace).encode()
-        return hashlib.sha256(payload).hexdigest()[:16]
+        """A stable fingerprint of the placement trace (reproducibility):
+        sha256 of its lines joined by newlines, fed one line at a time."""
+        digest = hashlib.sha256()
+        separator = b""
+        for line in self.trace:
+            digest.update(separator + line.encode())
+            separator = b"\n"
+        return digest.hexdigest()[:16]
 
     def summary(self) -> Dict[str, object]:
         latency: Optional[Dict[str, float]] = self.placement_latency.summary()

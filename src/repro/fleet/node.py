@@ -99,6 +99,12 @@ class NodeState:
         self.configuration = configuration
         self.slots = slots
         self.max_oversub = max_oversub
+        self._n_slots = configuration.n_slots
+        # Static per configuration: each offered type's share of the slots.
+        self._affinity: Dict[str, float] = {
+            accel_type: len(indices) / self._n_slots
+            for accel_type, indices in configuration.slot_index.items()
+        }
         self.tenants: Dict[str, object] = {}
         self.health = NodeHealth.HEALTHY
         #: Cordoned nodes take no *new* placements (admission skips them)
@@ -116,7 +122,7 @@ class NodeState:
 
     @property
     def total_slots(self) -> int:
-        return self.configuration.n_slots
+        return self._n_slots
 
     def capacity(self, accel_type: str) -> int:
         """Physical slots of ``accel_type`` this node carries."""
@@ -141,15 +147,11 @@ class NodeState:
     @property
     def load(self) -> float:
         """Mean tenants per slot — the policies' least-loaded figure."""
-        if not self.total_slots:
-            return 0.0
-        return self.resident / self.total_slots
+        return len(self.tenants) / self._n_slots if self._n_slots else 0.0
 
     def affinity(self, accel_type: str) -> float:
         """How specialized this node is for ``accel_type`` (slot share)."""
-        if not self.total_slots:
-            return 0.0
-        return self.capacity(accel_type) / self.total_slots
+        return self._affinity.get(accel_type, 0.0)
 
     def can_place(self, accel_type: str, *, oversubscribe: bool = True) -> bool:
         if self.health is NodeHealth.DEAD:

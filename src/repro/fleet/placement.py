@@ -11,31 +11,38 @@ order so placement is deterministic.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Type
 
 from repro.errors import ConfigurationError
-from repro.fleet.node import FleetNode
+from repro.fleet.node import NodeState
+
+_load = attrgetter("load")
 
 
 class PlacementPolicy:
-    """Chooses the node for one request; ``None`` means fleet-saturated."""
+    """Chooses the node for one request; ``None`` means fleet-saturated.
+
+    :meth:`choose` is shared: the spatial tier (nodes with an empty slot of
+    the type) and, only when that is empty, the temporal tier (nodes with
+    headroom under their oversubscription cap).  Each tier is one pass over
+    the nodes with one O(1) ledger read per node; a policy only says which
+    candidate of a non-empty tier wins (:meth:`pick`), the first of equals.
+    """
 
     name = "base"
 
-    def choose(self, nodes: Sequence[FleetNode], accel_type: str) -> Optional[FleetNode]:
+    def choose(self, nodes: Sequence[NodeState], accel_type: str) -> Optional[NodeState]:
+        spatial = [n for n in nodes if n.slots.free_slots(accel_type)]
+        if spatial:
+            return self.pick(spatial, accel_type)
+        temporal = [
+            n for n in nodes if n.slots.headroom(accel_type, n.max_oversub) > 0
+        ]
+        return self.pick(temporal, accel_type) if temporal else None
+
+    def pick(self, candidates: List[NodeState], accel_type: str) -> NodeState:
         raise NotImplementedError
-
-    # -- shared candidate filters ----------------------------------------------------
-
-    @staticmethod
-    def spatial(nodes: Sequence[FleetNode], accel_type: str) -> List[FleetNode]:
-        """Nodes with an empty physical slot of the type."""
-        return [n for n in nodes if n.free_slots(accel_type) > 0]
-
-    @staticmethod
-    def temporal(nodes: Sequence[FleetNode], accel_type: str) -> List[FleetNode]:
-        """Nodes that can still oversubscribe a slot of the type."""
-        return [n for n in nodes if n.can_place(accel_type, oversubscribe=True)]
 
 
 class FirstFit(PlacementPolicy):
@@ -43,12 +50,8 @@ class FirstFit(PlacementPolicy):
 
     name = "first-fit"
 
-    def choose(self, nodes: Sequence[FleetNode], accel_type: str) -> Optional[FleetNode]:
-        spatial = self.spatial(nodes, accel_type)
-        if spatial:
-            return spatial[0]
-        temporal = self.temporal(nodes, accel_type)
-        return temporal[0] if temporal else None
+    def pick(self, candidates: List[NodeState], accel_type: str) -> NodeState:
+        return candidates[0]
 
 
 class BestFit(PlacementPolicy):
@@ -56,14 +59,8 @@ class BestFit(PlacementPolicy):
 
     name = "best-fit"
 
-    def choose(self, nodes: Sequence[FleetNode], accel_type: str) -> Optional[FleetNode]:
-        spatial = self.spatial(nodes, accel_type)
-        if spatial:
-            return min(spatial, key=lambda n: n.load)
-        temporal = self.temporal(nodes, accel_type)
-        if temporal:
-            return min(temporal, key=lambda n: n.load)
-        return None
+    def pick(self, candidates: List[NodeState], accel_type: str) -> NodeState:
+        return min(candidates, key=_load)
 
 
 class ConfigAffinity(PlacementPolicy):
@@ -81,14 +78,8 @@ class ConfigAffinity(PlacementPolicy):
 
     name = "affinity"
 
-    def choose(self, nodes: Sequence[FleetNode], accel_type: str) -> Optional[FleetNode]:
-        spatial = self.spatial(nodes, accel_type)
-        if spatial:
-            return max(spatial, key=lambda n: (n.affinity(accel_type), -n.load))
-        temporal = self.temporal(nodes, accel_type)
-        if temporal:
-            return max(temporal, key=lambda n: (n.affinity(accel_type), -n.load))
-        return None
+    def pick(self, candidates: List[NodeState], accel_type: str) -> NodeState:
+        return max(candidates, key=lambda n: (n.affinity(accel_type), -n.load))
 
 
 POLICIES: Dict[str, Type[PlacementPolicy]] = {

@@ -31,8 +31,9 @@ to a serial run by construction, at any ``(shards, lookahead)``.
 The serving loop is the one :class:`~repro.fleet.admission.FleetService`:
 it calls :meth:`ShardedFleetCluster.advance_epoch` (with itself, for
 speculation-window scans) as its clock moves and :meth:`end_serve` — a
-verification barrier + trace merge — when its engine drains; both are
-no-ops on a cluster of real nodes.  Build through
+verification barrier + trace merge — when its engine drains.  On a
+cluster of real nodes the first only stamps the occupancy index's clock
+and the second does nothing.  Build through
 :func:`repro.fleet.open_fleet`.
 """
 
@@ -294,6 +295,7 @@ class ShardedFleetCluster(ShadowCluster):
         ``service`` (the serving loop itself) is what the speculation
         grant scan reads the pending events through.
         """
+        super().advance_epoch(epoch_ps, service)
         self._service = service
         if epoch_ps == self._epoch_ps:
             return

@@ -101,6 +101,11 @@ class SessionRecord:
 _FIELDS = tuple(spec.name for spec in fields(SessionRecord))
 _TEXT_FIELDS = ("tenant", "tenant_class", "accel_type")
 
+#: The encoder of :func:`repro.envelope.canonical_json`, and how many
+#: records :meth:`ArrivalTrace.digest` hands it at a time.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_DIGEST_BATCH = 1024
+
 
 def _int(cell: object, where: str, name: str) -> int:
     try:
@@ -212,11 +217,25 @@ class ArrivalTrace:
         }
 
     def digest(self) -> str:
-        # Single-sourced canonical form (same bytes as the historical
-        # inline dumps call — digests are stable across releases).
-        from repro.envelope import canonical_json
-
-        return hashlib.sha256(canonical_json(self.to_dict()).encode()).hexdigest()[:16]
+        """sha256 of the canonical JSON of :meth:`to_dict` (sorted keys, no
+        whitespace), streamed: the records go through the C encoder
+        ``_DIGEST_BATCH`` at a time, so the bytes are the same and memory
+        stays O(batch) instead of a copy of the whole trace."""
+        encode = _CANONICAL.encode
+        sha = hashlib.sha256()
+        sha.update(
+            f'{{"format":{encode(FORMAT)},"name":{encode(self.name)},'
+            '"records":['.encode()
+        )
+        records = self.records
+        for start in range(0, len(records), _DIGEST_BATCH):
+            # A record's ``__dict__`` is exactly its fields; the encoder sorts them.
+            batch = encode(list(map(vars, records[start:start + _DIGEST_BATCH])))
+            if start:
+                sha.update(b",")
+            sha.update(batch[1:-1].encode())
+        sha.update(f'],"seed":{encode(self.seed)}}}'.encode())
+        return sha.hexdigest()[:16]
 
     def write_json(self, path) -> Path:
         path = Path(path)

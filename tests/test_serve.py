@@ -124,6 +124,77 @@ class TestArrivalTrace:
             ArrivalTrace.from_dict({"format": "something-else", "records": []})
 
 
+def canonical_digest(trace):
+    """The digest as it was first defined: the canonical JSON of the whole
+    ``to_dict()``, built in memory and hashed at once."""
+    return hashlib.sha256(canonical_json(trace.to_dict()).encode()).hexdigest()[:16]
+
+
+_TEXT = st.text(max_size=6)  # any code point: escapes, quotes, non-ASCII
+
+
+@st.composite
+def traces(draw):
+    count = draw(st.integers(1, 12))
+    records = [
+        SessionRecord(
+            session_id=index,
+            tenant=draw(_TEXT),
+            tenant_class=draw(_TEXT),
+            accel_type=draw(_TEXT),
+            arrival_ps=draw(st.integers(0, 2**63)),
+            session_ps=draw(st.integers(1, 2**63)),
+            working_set=draw(st.integers(0, 2**40)),
+            after=draw(st.none() | st.integers(0, index - 1)) if index else None,
+        )
+        for index in range(count)
+    ]
+    seed = draw(st.none() | st.integers(0, 2**32 - 1))
+    return ArrivalTrace(records, name=draw(_TEXT), seed=seed)
+
+
+class TestTraceDigestOracle:
+    """The streamed digest hashes the same bytes as the in-memory form."""
+
+    @pytest.mark.parametrize("sessions", [1, 1023, 1024, 1025, 2500])
+    def test_synthetic_traces_around_the_batch_size(self, sessions):
+        trace = make_trace(sessions=sessions)
+        assert trace.digest() == canonical_digest(trace)
+
+    def test_non_ascii_quotes_and_no_seed(self):
+        trace = ArrivalTrace(
+            [SessionRecord(0, 'té"n\\ant☃', "göld", "A\tES", 0, 1)],
+            name='na"me é\U0001f600',
+            seed=None,
+        )
+        assert trace.digest() == canonical_digest(trace)
+        assert '\\u00e9' in canonical_json(trace.to_dict())  # ensure_ascii holds
+
+    def test_one_record_trace(self):
+        trace = ArrivalTrace([SessionRecord(0, "t0", "gold", "AES", 10, 100)], seed=3)
+        assert trace.digest() == canonical_digest(trace)
+
+    def test_json_and_csv_round_trips(self, tmp_path):
+        trace = make_trace(sessions=1100, followup_prob=0.5)
+        for path in (
+            trace.write_json(tmp_path / "t.json"),
+            trace.write_csv(tmp_path / "t.csv"),
+        ):
+            loaded = ArrivalTrace.load(path)
+            assert loaded.digest() == canonical_digest(loaded)
+        assert ArrivalTrace.load(tmp_path / "t.json").digest() == trace.digest()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(trace=traces(), batch=st.integers(1, 5))
+    def test_any_records_at_any_batch_size(self, trace, batch):
+        from unittest import mock
+
+        import repro.serve.trace
+
+        with mock.patch.object(repro.serve.trace, "_DIGEST_BATCH", batch):
+            assert trace.digest() == canonical_digest(trace)
+
+
 _GOOD_RECORD = {
     "session_id": 0, "tenant": "t0", "tenant_class": "gold", "accel_type": "AES",
     "arrival_ps": 10, "session_ps": 100, "working_set": 0, "after": None,

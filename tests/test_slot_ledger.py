@@ -11,12 +11,14 @@
   :class:`FleetCluster` and its :class:`ShadowCluster` twin under the
   fleet's verbs, checking after every step that the cluster's per-type
   index equals the sum over the node ledgers, that real and shadow agree,
-  and that ``place`` refuses exactly when the scanning formulation does;
+  that ``place`` refuses exactly when the scanning formulation does, and
+  that every policy chooses the node its listcomp + ``min``/``max``
+  formulation chose;
 * spies pinning the deterministic proxies behind the speed-ups: serving
   builds no slot list per call (the index is built once per
   :class:`FpgaConfiguration`), a refused placement calls no policy, the
-  utilization sample reads no node ledger, and neither grows with the
-  fleet.
+  utilization sample reads no node ledger, a successful choice reads each
+  node's ledger once per tier, and only that grows with the fleet.
 """
 
 import pytest
@@ -256,12 +258,14 @@ class RealAndShadowNode(RuleBasedStateMachine):
                 else None
             )
             assert node.slots.pick(accel_type) == expected_pick
+            assert node.affinity(accel_type) == len(candidates) / len(SLOTS)
             for other in (node, self.shadow):
                 assert other.can_place(accel_type) == (
                     node.health is not NodeHealth.DEAD
                     and bool(candidates)
                     and (0 in counts or 2 * len(candidates) > sum(counts))
                 )
+        assert node.load == len(node.tenants) / len(SLOTS)
 
 
 RealAndShadowNode.TestCase.settings = settings(
@@ -287,6 +291,26 @@ def usable(cluster):
     return [
         n for n in cluster.nodes if n.health is not NodeHealth.DEAD and not n.cordoned
     ]
+
+
+def scanned_choice(policy, nodes, accel_type):
+    """The node ``policy`` chose before placement read each ledger once per
+    tier: both candidate lists built up front, then ``min``/``max`` over the
+    first non-empty one, with load and affinity recomputed per candidate."""
+    spatial = [n for n in nodes if n.free_slots(accel_type) > 0]
+    temporal = [n for n in nodes if n.can_place(accel_type, oversubscribe=True)]
+    tier = spatial or temporal
+    if not tier:
+        return None
+
+    def load(n):
+        return n.resident / n.total_slots if n.total_slots else 0.0
+
+    if policy == "first-fit":
+        return tier[0]
+    if policy == "best-fit":
+        return min(tier, key=load)
+    return max(tier, key=lambda n: (n.capacity(accel_type) / n.total_slots, -load(n)))
 
 
 class Refuse(PlacementPolicy):
@@ -376,7 +400,7 @@ class RealAndShadowCluster(RuleBasedStateMachine):
             name = self.fresh_name()
             landed = []
             for cluster in self.clusters:
-                expected = make_policy(policy).choose(usable(cluster), accel_type)
+                expected = scanned_choice(policy, usable(cluster), accel_type)
                 placed = cluster.place(name, accel_type, make_policy(policy))
                 assert (placed is None) == (expected is None)
                 if placed is not None:
@@ -498,6 +522,16 @@ class RealAndShadowCluster(RuleBasedStateMachine):
         }
 
     @invariant()
+    def every_policy_chooses_what_the_scans_chose(self):
+        for cluster in self.clusters:
+            nodes = usable(cluster)
+            for accel_type in FLEET_TYPES:
+                for name in POLICIES:
+                    assert make_policy(name).choose(nodes, accel_type) is (
+                        scanned_choice(name, nodes, accel_type)
+                    )
+
+    @invariant()
     def the_index_refuses_only_what_the_scan_refuses(self):
         for cluster in self.clusters:
             nodes = usable(cluster)
@@ -612,8 +646,8 @@ def serve_counting_ledger_reads(monkeypatch, n_nodes):
 
     service.policy.choose = counting_choose
     service.cluster.place = counting_place
-    service.serve(requests)
-    served = dict(counts)
+    result = service.serve(requests)
+    served = dict(counts, temporal=result.summary()["placements_temporal"])
     service.cluster.check_index()  # the oracle scans; the serving loop did not
     return served
 
@@ -632,13 +666,16 @@ def test_ledger_reads_grow_with_the_fleet_only_inside_a_successful_choose(monkey
     """The same trace shape on 8 and on 32 nodes: outside ``policy.choose``
     each placement costs one read (the chosen node's admission check) and
     nothing else reads a ledger; what scales with the fleet is the successful
-    choose alone, one or two passes over the nodes."""
+    choose alone: one read per node for the spatial tier, and one more per
+    node for the temporal tier when the spatial one is empty — exactly the
+    temporal placements.  Reads are counted by ``SlotLedger`` method name."""
     for n_nodes in (8, 32):
         with monkeypatch.context() as patch:
             counts = serve_counting_ledger_reads(patch, n_nodes)
-        assert counts["refused"] > 0
+        assert counts["refused"] > 0 and counts["temporal"] > 0
         assert counts["choose"] == counts["placed"]
         assert counts["in_sample"] == 0
         assert counts["elsewhere"] == counts["placed"]
+        assert counts["in_choose"] == n_nodes * (counts["placed"] + counts["temporal"])
         passes = counts["in_choose"] / (counts["placed"] * n_nodes)
         assert 1 <= passes <= 2
