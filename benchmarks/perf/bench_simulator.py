@@ -110,7 +110,7 @@ def _fig5_grid(quick: bool) -> dict:
 
 def _run_fig5(jobs: int, quick: bool):
     start = time.perf_counter()
-    tables = fig5_latency.run(page_size=PAGE_SIZE_2M, jobs=jobs, **_fig5_grid(quick))
+    tables = fig5_latency.sweep(page_size=PAGE_SIZE_2M, jobs=jobs, **_fig5_grid(quick))
     elapsed = time.perf_counter() - start
     rows = {label: table.rows for label, table in tables.items()}
     return elapsed, rows
@@ -205,7 +205,7 @@ def bench_fig6_cell() -> dict:
     engine/hot-path work of the per-line datapath.
     """
     start = time.perf_counter()
-    table = fig6_throughput.run(
+    table = fig6_throughput.sweep(
         page_size=PAGE_SIZE_2M, working_sets=["64M"], job_counts=[1]
     )
     wall_s = time.perf_counter() - start

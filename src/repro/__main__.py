@@ -84,45 +84,55 @@ EXPERIMENTS = {
 }
 
 
-def _run_one(key: str, jobs: int = 1, *, entry: str = "main"):
+def _run_one(key: str, jobs: int = 1, *, quick: bool = False):
     """Run one experiment; returns ``(ok, result)`` instead of raising.
 
+    Calls the module's ``run()`` on its default (or ``QUICK``) grid, then
+    shows every table in the result and one line per claim; a missed
+    claim is reported, never an error.
+
     When a result cache is installed (``--cache-dir``), the whole
-    experiment is keyed on (registry key, entry point, source-tree
-    digest) — ``--jobs`` is deliberately *not* part of the key, since
-    fan-out never changes results.
+    experiment is keyed on (registry key, grid, source-tree digest) —
+    ``--jobs`` is deliberately *not* part of the key, since fan-out never
+    changes results.
     """
     import importlib
     import inspect
 
     from repro.experiments.cache import current_cache
+    from repro.experiments.harness import ResultTable
 
     module_name, _description = EXPERIMENTS[key]
     cache = current_cache()
     cache_key = None
-    if cache is not None:
-        cache_key = cache.key(f"cli.{key}", {"entry": entry})
-        hit, result = cache.load(cache_key)
-        if hit:
-            print(f"### {key}: {module_name} [cached] " + "#" * 11)
-            return True, result
+    hit = False
     started = time.time()
-    print(f"### {key}: {module_name} " + "#" * 20)
     try:
         module = importlib.import_module(module_name)
-        # Fall back to main() for experiments without a quick() variant.
-        runner = getattr(module, entry, None) or module.main
-        if jobs > 1 and "jobs" in inspect.signature(runner).parameters:
-            result = runner(jobs=jobs)
+        if cache is not None:
+            cache_key = cache.key(f"cli.{key}", {"quick": quick})
+            hit, result = cache.load(cache_key)
+        if hit:
+            print(f"### {key}: {module_name} [cached] " + "#" * 11)
         else:
-            result = runner()
+            print(f"### {key}: {module_name} " + "#" * 20)
+            grid = dict(module.QUICK) if quick else {}
+            if jobs > 1 and "jobs" in inspect.signature(module.run).parameters:
+                grid["jobs"] = jobs
+            result = module.run(**grid)
+            print(f"[{key} done in {time.time() - started:.1f}s wall]")
+            if cache_key is not None:
+                cache.store(cache_key, result)
+        for table in result.values() if isinstance(result, dict) else [result]:
+            if isinstance(table, ResultTable):
+                table.show()
+        for claim in module.CLAIMS:
+            if claim.quick or not quick:
+                print(claim.report(result))
     except Exception:
         traceback.print_exc()
         print(f"[{key} FAILED after {time.time() - started:.1f}s wall]")
         return False, None
-    print(f"[{key} done in {time.time() - started:.1f}s wall]")
-    if cache is not None and cache_key is not None:
-        cache.store(cache_key, result)
     return True, result
 
 
@@ -565,9 +575,8 @@ def _trace_command(args: argparse.Namespace) -> int:
     try:
         # Serial on purpose: parallel_map workers are separate processes
         # whose events would never reach this tracer.
-        entry = "quick" if args.quick else "main"
         with contextlib.redirect_stdout(sys.stderr):
-            ok, _result = _run_one(args.experiment, entry=entry)
+            ok, _result = _run_one(args.experiment, quick=args.quick)
         if not ok:
             return 1
         path = tracer.write(output)
@@ -663,7 +672,9 @@ def _run_command(args: argparse.Namespace) -> int:
             import pstats
 
             profiler.disable()
-            stats = pstats.Stats(profiler)
+            # Under --json stdout carries the envelope and nothing else.
+            stream = sys.stderr if args.json else sys.stdout
+            stats = pstats.Stats(profiler, stream=stream)
             stats.sort_stats("cumulative").print_stats(25)
 
 

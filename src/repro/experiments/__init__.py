@@ -1,11 +1,11 @@
 """One module per paper table/figure, plus the shared harness.
 
-Each module exposes ``run(...) -> ResultTable`` (or a dict of tables) and
-a ``main()`` that prints paper-style output.  The one terminal entry
-point is ``python -m repro run <key>`` (keys from ``python -m repro
-list``): it calls that ``main()`` and adds the result cache, ``--jobs``,
-``--json`` and timing.  The pytest-benchmark targets under ``benchmarks/`` call the same ``run``
-functions with trimmed parameters.
+Each module declares ``run(**grid)``, returning a ``ResultTable`` (or a
+dict of them) with the grid ``python -m repro run <key>`` records as its
+defaults; ``QUICK``, a dict of ``run`` overrides for a seconds-scale grid;
+and ``CLAIMS``, the paper's results as :class:`~repro.experiments.harness.Claim`
+bands on what ``run`` returns.  ``python -m repro run <key>`` adds the
+result cache, ``--jobs``, ``--json``, timing and one line per claim.
 """
 
 from repro.experiments.harness import (

@@ -15,14 +15,15 @@ Three studies the paper motivates but scatters through §5 and §7.2:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import math
+from typing import Dict, List, Sequence
 
 from repro.errors import SynthesisError
-from repro.experiments.harness import OptimusStack, ResultTable
-from repro.fpga.synthesis import MuxArrangement, flat_mux_fmax_mhz, plan_mux_tree
-from repro.mem import MB, PAGE_SIZE_2M, parse_size
+from repro.experiments.harness import Claim, OptimusStack, ResultTable, measure_progress
+from repro.fpga.synthesis import flat_mux_fmax_mhz, plan_mux_tree
+from repro.mem import MB, parse_size
 from repro.platform import PlatformParams
-from repro.sim.clock import ms
+from repro.sim.clock import ms, us
 
 
 def mux_tree_study(*, n_accelerators: int = 8, target_mhz: float = 400.0) -> ResultTable:
@@ -39,8 +40,6 @@ def mux_tree_study(*, n_accelerators: int = 8, target_mhz: float = 400.0) -> Res
             levels = arrangement.levels
         except SynthesisError:
             closes = "no"
-            import math
-
             levels = max(1, math.ceil(math.log(n_accelerators, radix)))
         table.add(radix, levels, fmax, closes, levels * 33.0)
     table.note("paper: only the 3-level binary tree closes timing at 400 MHz")
@@ -52,6 +51,7 @@ def conflict_mitigation_study(
     n_jobs: int = 8,
     per_job_working_set: str = "96M",
     hops_per_job: int = 1000,
+    mitigation: Sequence[bool] = (True, False),
 ) -> ResultTable:
     """8-job LinkedList latency: mitigated vs contiguous slice layouts.
 
@@ -65,7 +65,7 @@ def conflict_mitigation_study(
         ["layout", "mean_latency_ns", "iotlb_miss_ratio"],
     )
     working_set = parse_size(per_job_working_set)
-    for mitigated in (True, False):
+    for mitigated in mitigation:
         params = PlatformParams(conflict_mitigation=mitigated)
         stack = OptimusStack(params, n_accelerators=8)
         jobs = []
@@ -105,9 +105,6 @@ def weighted_bandwidth_study(*, window_us: int = 200) -> ResultTable:
     accelerator 0 hangs directly off the root and receives half the
     bandwidth; accelerators 1 and 2 share the other half.
     """
-    from repro.experiments.harness import measure_progress
-    from repro.sim.clock import us as us_
-
     table = ResultTable(
         "Ablation — asymmetric mux tree [0, [1, 2]]: per-accelerator share",
         ["accelerator", "gbps", "share_%", "expected_%"],
@@ -122,7 +119,7 @@ def weighted_bandwidth_study(*, window_us: int = 200) -> ResultTable:
         )
         for i in range(3)
     ]
-    rates = measure_progress(stack, jobs, warmup_ps=us_(400), window_ps=us_(window_us))
+    rates = measure_progress(stack, jobs, warmup_ps=us(400), window_ps=us(window_us))
     total = sum(rates) or 1.0
     expected = [50.0, 25.0, 25.0]
     for index, rate in enumerate(rates):
@@ -131,12 +128,52 @@ def weighted_bandwidth_study(*, window_us: int = 200) -> ResultTable:
     return table
 
 
-def main():
-    results = {
+def run(
+    *, mitigation: Sequence[bool] = (True, False), window_us: int = 200
+) -> Dict[str, ResultTable]:
+    return {
         "mux_tree": mux_tree_study(),
-        "conflict_mitigation": conflict_mitigation_study(),
-        "weighted_bandwidth": weighted_bandwidth_study(),
+        "conflict_mitigation": conflict_mitigation_study(mitigation=mitigation),
+        "weighted_bandwidth": weighted_bandwidth_study(window_us=window_us),
     }
-    for table in results.values():
-        table.show()
-    return results
+
+
+QUICK = {"mitigation": [], "window_us": 60}
+
+
+def _mux(column: str, radix: int):
+    return lambda r: r["mux_tree"].series(column)[radix]
+
+
+def _fmax(results: Dict[str, ResultTable]) -> List[float]:
+    return results["mux_tree"].column("fmax_mhz")
+
+
+def _layout(column: str, layout: str):
+    return lambda r: r["conflict_mitigation"].series(column)[layout]
+
+
+CLAIMS = (
+    # Only the binary tree closes timing at 400 MHz; the flat 8:1 mux
+    # cannot (AmorphOS's flat mux runs at a lower shell frequency).
+    Claim("binary tree closes 400 MHz (1 = yes)", "yes",
+          lambda r: _mux("closes_400MHz", 2)(r) == "yes", low=1.0, quick=True),
+    Claim("flat 8:1 mux closes 400 MHz (1 = yes)", "no",
+          lambda r: _mux("closes_400MHz", 8)(r) == "yes", high=0.0, quick=True),
+    Claim("binary tree latency adder, ns", "3 levels x 33",
+          _mux("latency_ns", 2), low=99.0, high=99.0, quick=True),
+    Claim("fmax falls with every fan-in step (1 = yes)", "yes",
+          lambda r: all(a > b for a, b in zip(_fmax(r), _fmax(r)[1:])), low=1.0, quick=True),
+    # 96 MB per job fits the 128 MB conflict-free reach: the mitigated
+    # layout keeps misses rare, contiguous slices alias and thrash.
+    Claim("IOTLB miss ratio, mitigated layout", "near zero",
+          _layout("iotlb_miss_ratio", "mitigated"), high=0.10),
+    Claim("IOTLB miss ratio, contiguous layout", "thrashing",
+          _layout("iotlb_miss_ratio", "contiguous"), low=0.5),
+    Claim("contiguous over mitigated latency", "aliasing costs latency",
+          lambda r: _layout("mean_latency_ns", "contiguous")(r)
+          / _layout("mean_latency_ns", "mitigated")(r), low=1.25),
+    Claim("root-level accelerator's share above a leaf's (1 = yes)", "50% / 25%",
+          lambda r: r["weighted_bandwidth"].column("share_%")[0]
+          > r["weighted_bandwidth"].column("share_%")[1], low=1.0, quick=True),
+)

@@ -20,10 +20,10 @@ was asked for, nor a result fitted from different calibration artifacts
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.analytic import CapacityConfig, default_store, run_capacity
-from repro.experiments.harness import ResultTable, parallel_map
+from repro.experiments.harness import Claim, ResultTable, parallel_map
 from repro.sim.clock import ms
 
 #: (mode, tenants, nodes, load, mean_session_ms, horizon_s) scenarios.
@@ -85,12 +85,11 @@ def cells_for(
 
 def run(
     *,
-    scenarios: Optional[Sequence[Tuple[str, int, int, float, int, int]]] = None,
+    scenarios: Sequence[Tuple[str, int, int, float, int, int]] = MAIN_SCENARIOS,
     bootstrap: int = 200,
     seed: int = 7,
     jobs: int = 1,
 ) -> ResultTable:
-    scenarios = list(scenarios if scenarios is not None else MAIN_SCENARIOS)
     table = ResultTable(
         "Capacity planning — analytic fast-forward vs fleet DES",
         [
@@ -131,13 +130,27 @@ def run(
     return table
 
 
-def main(jobs: int = 1):
-    table = run(jobs=jobs)
-    table.show()
-    return table
+QUICK = {"scenarios": QUICK_SCENARIOS, "bootstrap": 50}
 
 
-def quick(jobs: int = 1):
-    table = run(scenarios=QUICK_SCENARIOS, bootstrap=50, jobs=jobs)
-    table.show()
-    return table
+def _worst_gap(table: ResultTable, column: str) -> float:
+    """Largest relative analytic-vs-DES gap in ``column`` over the
+    scenarios both backends ran."""
+    index = table.columns.index(column)
+    des = {tuple(row[2:7]): row[index] for row in table.rows if row[0] == "optimus"}
+    return max(
+        abs(row[index] / des[tuple(row[2:7])] - 1.0)
+        for row in table.rows
+        if row[0] == "analytic" and tuple(row[2:7]) in des
+    )
+
+
+# The cross-validation bands of tests/test_analytic_validation.py.
+CLAIMS = (
+    Claim("placements, analytic vs DES, worst relative gap",
+          "beyond the paper: within 5%", lambda t: _worst_gap(t, "placed"),
+          high=0.05, quick=True),
+    Claim("mean latency, analytic vs DES, worst relative gap",
+          "beyond the paper: within 10%", lambda t: _worst_gap(t, "mean_ms"),
+          high=0.10, quick=True),
+)

@@ -20,9 +20,9 @@ byte-for-byte.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Sequence
 
-from repro.experiments.harness import ResultTable
+from repro.experiments.harness import Claim, ResultTable
 from repro.faults import build_crash_plan
 from repro.fleet import (
     AdmissionConfig,
@@ -35,40 +35,6 @@ from repro.fleet import (
 from repro.sim.clock import ms
 
 
-def _serve_cell(
-    *,
-    n_crashes: int,
-    n_nodes: int,
-    requests: int,
-    load: float,
-    traffic_seed: int,
-    plan_seed: int,
-    window_ps: int,
-    outage_ps: int,
-    policy: str,
-):
-    cluster = FleetCluster.build(n_nodes)
-    generator = TrafficGenerator(
-        TrafficProfile(load=load),
-        fleet_slots=cluster.total_slots,
-        seed=traffic_seed,
-    )
-    service = FleetService(
-        cluster, make_policy(policy), admission=AdmissionConfig()
-    )
-    if n_crashes:
-        service.install_faults(
-            build_crash_plan(
-                n_crashes=n_crashes,
-                n_nodes=n_nodes,
-                window_ps=window_ps,
-                outage_ps=outage_ps,
-                seed=plan_seed,
-            )
-        )
-    return service.serve(generator.generate(requests))
-
-
 def run(
     *,
     n_nodes: int = 4,
@@ -76,37 +42,33 @@ def run(
     load: float = 0.85,
     traffic_seed: int = 1,
     plan_seed: int = 3,
-    crash_counts: Optional[List[int]] = None,
+    crash_counts: Sequence[int] = (0, 1, 2, 4, 8),
     window_ps: int = ms(40),
     outage_ps: int = ms(10),
     policy: str = "best-fit",
 ) -> ResultTable:
-    crash_counts = crash_counts if crash_counts is not None else [0, 1, 2, 4, 8]
     table = ResultTable(
         f"Chaos recovery — {n_nodes} nodes, {requests} requests, load {load}",
-        [
-            "crashes",
-            "availability",
-            "completed",
-            "replaced",
-            "failed",
-            "rejected",
-            "p99_wait_us",
-            "p99_replace_us",
-        ],
+        ["crashes", "availability", "completed", "replaced", "failed", "rejected",
+         "p99_wait_us", "p99_replace_us"],
     )
     for n_crashes in crash_counts:
-        result = _serve_cell(
-            n_crashes=n_crashes,
-            n_nodes=n_nodes,
-            requests=requests,
-            load=load,
-            traffic_seed=traffic_seed,
-            plan_seed=plan_seed,
-            window_ps=window_ps,
-            outage_ps=outage_ps,
-            policy=policy,
+        cluster = FleetCluster.build(n_nodes)
+        generator = TrafficGenerator(
+            TrafficProfile(load=load), fleet_slots=cluster.total_slots, seed=traffic_seed
         )
+        service = FleetService(cluster, make_policy(policy), admission=AdmissionConfig())
+        if n_crashes:
+            service.install_faults(
+                build_crash_plan(
+                    n_crashes=n_crashes,
+                    n_nodes=n_nodes,
+                    window_ps=window_ps,
+                    outage_ps=outage_ps,
+                    seed=plan_seed,
+                )
+            )
+        result = service.serve(generator.generate(requests))
         counts = result.outcome_counts()
         rejected = sum(
             count for outcome, count in counts.items()
@@ -130,12 +92,17 @@ def run(
     return table
 
 
-def quick() -> ResultTable:
-    """Trimmed grid for smoke runs and tracing."""
-    return run(requests=60, crash_counts=[0, 1, 3])
+QUICK = {"requests": 60, "crash_counts": [0, 1, 3]}
 
-
-def main():
-    table = run()
-    table.show()
-    return table
+CLAIMS = (
+    Claim("availability without crashes", "beyond the paper: 1",
+          lambda t: t.column("availability")[0], low=1.0, high=1.0, quick=True),
+    Claim("largest availability change from one crash count to the next",
+          "beyond the paper: <= 0",
+          lambda t: max(
+              b - a for a, b in zip(t.column("availability"), t.column("availability")[1:])
+          ), high=0.0, quick=True),
+    # Failover re-places displaced sessions on surviving nodes.
+    Claim("sessions re-placed at the most crashes", "beyond the paper: > 0",
+          lambda t: t.column("replaced")[-1], low=1.0, quick=True),
+)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.experiments.harness import (
-    ENDLESS,
+    Claim,
     ResultTable,
     make_stack,
     measure_progress,
@@ -97,8 +97,38 @@ def run(*, hops: int = 1500, window_us: int = 100, graph_vertices: int = 30_000,
     return {"latency": latency, "throughput": throughput}
 
 
-def main():
-    results = run()
-    for table in results.values():
-        table.show()
-    return results
+QUICK = {"hops": 300, "window_us": 40, "graph_vertices": 2_000, "graph_edges": 8_000}
+
+
+def _latency(channel: str, result: Dict[str, ResultTable]) -> float:
+    return result["latency"].series("normalized_%")[channel]
+
+
+def _throughput_claim(name: str, **band) -> Claim:
+    return Claim(
+        f"Fig. 4b {name} throughput, % of pass-through",
+        PAPER_THROUGHPUT[name],
+        lambda r: r["throughput"].series("normalized_%")[name],
+        **band,
+    )
+
+
+CLAIMS = (
+    Claim("Fig. 4a UPI latency, % of pass-through", PAPER_LATENCY["UPI"],
+          lambda r: _latency("UPI", r), low=110.0, high=135.0, quick=True),
+    Claim("Fig. 4a PCIe latency, % of pass-through", PAPER_LATENCY["PCIe"],
+          lambda r: _latency("PCIe", r), low=105.0, high=120.0, quick=True),
+    # The same ~100 ns mux-tree adder on a smaller base.
+    Claim("Fig. 4a UPI overhead above PCIe's (1 = yes)",
+          f"{PAPER_LATENCY['UPI']} > {PAPER_LATENCY['PCIe']}",
+          lambda r: _latency("UPI", r) > _latency("PCIe", r), low=1.0, quick=True),
+    Claim("Fig. 4b measures every paper benchmark (1 = yes)", f"all {len(PAPER_THROUGHPUT)}",
+          lambda r: set(r["throughput"].series("normalized_%")) == set(PAPER_THROUGHPUT),
+          low=1.0, quick=True),
+    # MemBench is the worst case (the every-other-cycle issue limit).
+    _throughput_claim("MB", low=85.0, high=96.0, quick=True),
+    *(_throughput_claim(name, low=97.0) for name in ("MD5", "SHA", "SW", "BTC")),
+    *(_throughput_claim(name, low=88.0, high=98.0) for name in ("GAU", "GRS", "SBL")),
+    Claim("Fig. 4b lowest throughput, % of pass-through", min(PAPER_THROUGHPUT.values()),
+          lambda r: min(r["throughput"].series("normalized_%").values()), low=85.0),
+)

@@ -14,18 +14,21 @@ Both UPI-only and PCIe-only channels are measured, as in the paper.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import math
+from typing import Dict, List, Sequence
 
-from repro.experiments.harness import OptimusStack, ResultTable, parallel_map
+from repro.experiments.harness import Claim, OptimusStack, ResultTable, parallel_map
 from repro.interconnect import VirtualChannel
-from repro.mem import GB, MB, PAGE_SIZE_2M, PAGE_SIZE_4K, format_size, parse_size
+from repro.mem import PAGE_SIZE_2M, PAGE_SIZE_4K, parse_size
 from repro.platform import PlatformParams
 from repro.sim.clock import ms
 
-#: The paper's x-axes.
-WORKING_SETS_2M = ["16M", "32M", "64M", "128M", "256M", "512M", "1G", "2G", "4G", "8G"]
-WORKING_SETS_4K = ["32K", "64K", "128K", "256K", "512K", "1M", "2M", "4M", "8M", "16M"]
-JOB_COUNTS = [1, 2, 4, 8]
+JOB_COUNTS = (1, 2, 4, 8)
+
+#: The x-axes ``run`` sweeps by default: a trim of the paper's 16M-8G
+#: (2 MB pages) and 32K-16M (4 KB pages) in power-of-two steps.
+TRIMMED_2M = ("64M", "512M", "1G", "2G", "4G")
+TRIMMED_4K = ("128K", "1M", "2M", "4M", "16M")
 
 
 def _mean_latency_ns(
@@ -79,22 +82,20 @@ def _sweep_cell(cell) -> float:
     )
 
 
-def run(
+def sweep(
     *,
-    page_size: int = PAGE_SIZE_2M,
-    working_sets: Optional[List[str]] = None,
-    job_counts: Optional[List[int]] = None,
+    page_size: int,
+    working_sets: Sequence[str],
+    job_counts: Sequence[int] = JOB_COUNTS,
     hops_per_job: int = 1200,
     jobs: int = 1,
 ) -> Dict[str, ResultTable]:
-    """One table per channel (UPI, PCIe), rows = working sets x job counts.
+    """One page size: a table per channel (UPI, PCIe), rows = working sets
+    x job counts.
 
     ``jobs`` fans the independent grid cells across processes; the merge
     is order-preserving, so results are identical to a serial run.
     """
-    if working_sets is None:
-        working_sets = WORKING_SETS_2M if page_size == PAGE_SIZE_2M else WORKING_SETS_4K
-    job_counts = job_counts or JOB_COUNTS
     page_label = "2M" if page_size == PAGE_SIZE_2M else "4K"
     channels = ((VirtualChannel.VL0, "UPI"), (VirtualChannel.VH0, "PCIe"))
     cells = []
@@ -124,34 +125,70 @@ def run(
     return results
 
 
-def quick(jobs: int = 1) -> Dict[str, ResultTable]:
-    """A seconds-scale cell of the sweep (CI smoke and ``trace fig5``)."""
-    results = run(
-        page_size=PAGE_SIZE_2M,
-        working_sets=["64M", "128M"],
-        job_counts=[1, 2],
-        hops_per_job=200,
-        jobs=jobs,
-    )
-    for table in results.values():
-        table.show()
-    return results
-
-
-def main(jobs: int = 1) -> Dict[str, ResultTable]:
-    # A trimmed default grid keeps the module runnable in about a minute;
-    # pass the full paper grids for the complete figure.
+def run(
+    *,
+    working_sets_2m: Sequence[str] = TRIMMED_2M,
+    working_sets_4k: Sequence[str] = TRIMMED_4K,
+    job_counts: Sequence[int] = JOB_COUNTS,
+    hops_per_job: int = 1200,
+    jobs: int = 1,
+) -> Dict[str, ResultTable]:
+    """Both panels: tables keyed ``"<page>.<channel>"`` (``"2M.UPI"``, ...)."""
     results: Dict[str, ResultTable] = {}
-    for page_size in (PAGE_SIZE_2M, PAGE_SIZE_4K):
-        sets = (
-            ["64M", "512M", "1G", "2G", "4G"]
-            if page_size == PAGE_SIZE_2M
-            else ["128K", "1M", "2M", "4M", "16M"]
-        )
-        page_label = "2M" if page_size == PAGE_SIZE_2M else "4K"
-        for label, table in run(
-            page_size=page_size, working_sets=sets, jobs=jobs
+    for page_size, page_label, sets in (
+        (PAGE_SIZE_2M, "2M", working_sets_2m),
+        (PAGE_SIZE_4K, "4K", working_sets_4k),
+    ):
+        for label, table in sweep(
+            page_size=page_size,
+            working_sets=sets,
+            job_counts=job_counts,
+            hops_per_job=hops_per_job,
+            jobs=jobs,
         ).items():
-            table.show()
             results[f"{page_label}.{label}"] = table
     return results
+
+
+QUICK = {
+    "working_sets_2m": ["64M", "128M"],
+    "working_sets_4k": [],
+    "job_counts": [1, 2],
+    "hops_per_job": 200,
+}
+
+
+def _ratio(key: str, over: str, under: str, over_column: str = "1_jobs"):
+    """Latency in table ``key`` at ``over`` (``over_column``) / at ``under`` (1 job)."""
+    return lambda r: r[key].series(over_column)[over] / r[key].series("1_jobs")[under]
+
+
+def _pcie_above_upi(results: Dict[str, ResultTable]) -> bool:
+    return all(
+        pcie > upi
+        for page in ("2M", "4K")
+        for pcie, upi in zip(
+            results[f"{page}.PCIe"].column("1_jobs"), results[f"{page}.UPI"].column("1_jobs")
+        )
+        if not math.isnan(upi)
+    )
+
+
+CLAIMS = (
+    Claim("2M pages: 512M over 64M latency, 1 job", "flat to the 1 GB reach",
+          _ratio("2M.UPI", "512M", "64M"), high=1.10),
+    Claim("2M pages: 4G over 512M latency, 1 job", "steep past 2 GB",
+          _ratio("2M.UPI", "4G", "512M"), low=1.3),
+    Claim("2M pages: 4G latency above 2G's, 1 job (1 = yes)", "rising",
+          lambda r: _ratio("2M.UPI", "4G", "2G")(r) > 1, low=1.0),
+    Claim("2M pages: 8-job over 1-job latency at 512M", "little queuing",
+          _ratio("2M.UPI", "512M", "512M", over_column="8_jobs"), high=1.15),
+    Claim("PCIe latency above UPI's, every 1-job point (1 = yes)", "yes",
+          _pcie_above_upi, low=1.0, quick=True),
+    Claim("4K pages: 1M over 128K latency, 1 job", "flat to the 2 MB reach",
+          _ratio("4K.UPI", "1M", "128K"), high=1.15),
+    Claim("4K pages: 4M over 1M latency, 1 job", "steep past 2 MB",
+          _ratio("4K.UPI", "4M", "1M"), low=1.3),
+    Claim("4K pages: 16M over 4M latency, 1 job", "rising",
+          _ratio("4K.UPI", "16M", "4M"), low=0.95),
+)

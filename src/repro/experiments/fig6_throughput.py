@@ -15,10 +15,11 @@ IOTLB's reach.  Expected shapes, from the paper:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Sequence
 
 from repro.accel.membench import MODE_READ, MODE_WRITE
 from repro.experiments.harness import (
+    Claim,
     ResultTable,
     make_stack,
     measure_progress,
@@ -28,9 +29,12 @@ from repro.mem import PAGE_SIZE_2M, PAGE_SIZE_4K, parse_size
 from repro.platform import PlatformParams
 from repro.sim.clock import us
 
-WORKING_SETS_2M = ["16M", "32M", "64M", "128M", "256M", "512M", "1G", "2G", "4G", "8G"]
-WORKING_SETS_4K = ["32K", "64K", "128K", "256K", "512K", "1M", "2M", "4M", "8M", "16M"]
-JOB_COUNTS = [1, 2, 4, 8]
+JOB_COUNTS = (1, 2, 4, 8)
+
+#: The x-axes ``run`` sweeps by default: a trim of the paper's 16M-8G
+#: (2 MB pages) and 32K-16M (4 KB pages) in power-of-two steps.
+TRIMMED_2M = ("64M", "512M", "1G", "2G", "8G")
+TRIMMED_4K = ("128K", "1M", "2M", "4M", "16M")
 
 
 def aggregate_throughput(
@@ -70,17 +74,15 @@ def _sweep_cell(cell) -> float:
     )
 
 
-def run(
+def sweep(
     *,
-    page_size: int = PAGE_SIZE_2M,
-    working_sets: Optional[List[str]] = None,
-    job_counts: Optional[List[int]] = None,
+    page_size: int,
+    working_sets: Sequence[str],
+    job_counts: Sequence[int] = JOB_COUNTS,
     mode: int = MODE_READ,
     jobs: int = 1,
 ) -> ResultTable:
-    if working_sets is None:
-        working_sets = WORKING_SETS_2M if page_size == PAGE_SIZE_2M else WORKING_SETS_4K
-    job_counts = job_counts or JOB_COUNTS
+    """One page size and access mode."""
     page_label = "2M" if page_size == PAGE_SIZE_2M else "4K"
     mode_label = "random read" if mode == MODE_READ else "random write"
     table = ResultTable(
@@ -131,29 +133,69 @@ def read_anomaly(*, page_size: int = PAGE_SIZE_4K) -> Dict[str, float]:
     }
 
 
-def main(jobs: int = 1):
-    from repro.experiments.plotting import show_chart
-
-    trimmed_2m = ["64M", "512M", "1G", "2G", "8G"]
-    trimmed_4k = ["128K", "1M", "2M", "4M", "16M"]
-    table_2m = run(
-        page_size=PAGE_SIZE_2M, working_sets=trimmed_2m, mode=MODE_READ, jobs=jobs
-    )
-    table_2m.show()
-    show_chart(table_2m, y_label="GB/s")
-    write_2m = run(
-        page_size=PAGE_SIZE_2M, working_sets=trimmed_2m, mode=MODE_WRITE, jobs=jobs
-    )
-    write_2m.show()
-    read_4k = run(
-        page_size=PAGE_SIZE_4K, working_sets=trimmed_4k, mode=MODE_READ, jobs=jobs
-    )
-    read_4k.show()
-    anomaly = read_anomaly()
-    print("read anomaly (1 job, <=2M region):", anomaly)
+def run(
+    *,
+    read_2m: Sequence[str] = TRIMMED_2M,
+    write_2m: Sequence[str] = TRIMMED_2M,
+    read_4k: Sequence[str] = TRIMMED_4K,
+    job_counts: Sequence[int] = JOB_COUNTS,
+    anomaly: bool = True,
+    jobs: int = 1,
+) -> Dict[str, object]:
+    """Fig. 6a (reads and writes), Fig. 6b (reads), and §6.5's anomaly."""
     return {
-        "read_2m": table_2m,
-        "write_2m": write_2m,
-        "read_4k": read_4k,
-        "read_anomaly": anomaly,
+        "read_2m": sweep(page_size=PAGE_SIZE_2M, working_sets=read_2m,
+                         job_counts=job_counts, mode=MODE_READ, jobs=jobs),
+        "write_2m": sweep(page_size=PAGE_SIZE_2M, working_sets=write_2m,
+                          job_counts=job_counts, mode=MODE_WRITE, jobs=jobs),
+        "read_4k": sweep(page_size=PAGE_SIZE_4K, working_sets=read_4k,
+                         job_counts=job_counts, mode=MODE_READ, jobs=jobs),
+        "read_anomaly": read_anomaly() if anomaly else {},
     }
+
+
+QUICK = {
+    "read_2m": ["64M", "8G"],
+    "write_2m": [],
+    "read_4k": [],
+    "job_counts": [1],
+    "anomaly": False,
+}
+
+
+def _gbps(key: str, column: str, working_set: str):
+    return lambda r: r[key].series(column)[working_set]
+
+
+def _ratio(key: str, over: str, under: str, column: str, under_column: str = ""):
+    """GB/s in table ``key`` at ``over`` / at ``under`` (same column unless given)."""
+    return lambda r: _gbps(key, column, over)(r) / _gbps(key, under_column or column, under)(r)
+
+
+def _anomaly_over(reference: str):
+    return lambda r: r["read_anomaly"]["anomaly_gbps"] / r["read_anomaly"][reference]
+
+
+CLAIMS = (
+    Claim("2M read: 512M over 64M, 1 job", "flat to the 1 GB reach",
+          _ratio("read_2m", "512M", "64M", "1_jobs"), low=0.9),
+    Claim("2M read: 8G below 64M, 1 job (1 = yes)", "collapse past the reach",
+          lambda r: _ratio("read_2m", "8G", "64M", "1_jobs")(r) < 1, low=1.0, quick=True),
+    Claim("2M read: 8G over 1G, 8 jobs", "steep drop",
+          _ratio("read_2m", "8G", "1G", "8_jobs"), high=0.55),
+    # Adding jobs does not diminish aggregate throughput (§6.4).
+    Claim("2M read: 8 jobs over 1 job at 512M", "not diminished",
+          _ratio("read_2m", "512M", "512M", "8_jobs", "1_jobs"), low=0.9),
+    Claim("2M read plateau, 8 jobs at 512M, GB/s", "~12.6 cap",
+          _gbps("read_2m", "8_jobs", "512M"), low=10.0, high=14.5),
+    Claim("2M write plateau, 8 jobs at 512M, GB/s", "near the read plateau",
+          _gbps("write_2m", "8_jobs", "512M"), low=8.0),
+    Claim("2M write: 8G over 512M, 8 jobs", "steep drop",
+          _ratio("write_2m", "8G", "512M", "8_jobs"), high=0.6),
+    Claim("4K read: 4M over 2M, 1 job", "drop past the 2 MB reach",
+          _ratio("read_4k", "4M", "2M", "1_jobs"), high=0.75),
+    Claim("§6.5 anomaly over the same run without speculation", "present, then gone",
+          _anomaly_over("anomaly_disabled_gbps"), low=1.05),
+    Claim("§6.5 anomaly over a 64M working set", "above the plateau",
+          _anomaly_over("large_ws_gbps"), low=1.05),
+)

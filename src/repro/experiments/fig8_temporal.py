@@ -19,14 +19,14 @@ unchanged, so throughput is the same (see accel docstrings).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.harness import ENDLESS, OptimusStack, ResultTable
+from repro.experiments.harness import ENDLESS, Claim, OptimusStack, ResultTable
 from repro.mem import MB
 from repro.platform import PlatformParams
-from repro.sim.clock import ms, us
+from repro.sim.clock import ms
 
-JOB_COUNTS = [1, 2, 4, 8, 16]
+JOB_COUNTS = (1, 2, 4, 8, 16)
 
 #: Worst-case state: all of MD5's BRAM footprint (23% of the Arria 10's
 #: ~8.2 MB) must be saved on a context switch (§6.6's estimation).
@@ -41,8 +41,6 @@ def _launch_one(stack: OptimusStack, name: str, index: int, *, state_bytes: Opti
         job_kwargs.update(seed=0xAB1_0000 + index * 6151, lines_per_request=64)
     if name == "LL":
         job_kwargs.update(seed=0xCD2_0000 + index * 7879, target_hops=1 << 40)
-    if name == "MD5":
-        job_kwargs.update()
     launched = stack.launch(
         name,
         physical_index=0,
@@ -78,13 +76,13 @@ def aggregate_progress_rate(
 
 def run(
     *,
-    benchmarks: Optional[List[str]] = None,
-    job_counts: Optional[List[int]] = None,
+    benchmarks: Sequence[str] = tuple(PAPER_OVERHEAD),
+    job_counts: Sequence[int] = JOB_COUNTS,
     time_slice_ms: float = 10.0,
     run_ms: float = 45.0,
-) -> ResultTable:
-    benchmarks = benchmarks or ["LL", "MB", "MD5-worst"]
-    job_counts = job_counts or JOB_COUNTS
+    slices_ms: Sequence[float] = (1.0, 2.0, 5.0, 10.0),
+) -> Dict[str, ResultTable]:
+    """Fig. 8 (``"temporal"``) and the §6.6 time-slice sweep (``"slice_sweep"``)."""
     table = ResultTable(
         f"Fig. 8 — temporal multiplexing ({time_slice_ms:g} ms slices), "
         "aggregate throughput normalized to 1 job",
@@ -106,32 +104,58 @@ def run(
         row.append(PAPER_OVERHEAD[label])
         table.add(*row)
     table.note("overhead = 1 - normalized throughput; flat beyond 2 jobs")
-    return table
-
-
-def slice_length_sweep(
-    *,
-    name: str = "MB",
-    slices_ms: Optional[List[float]] = None,
-    n_jobs: int = 2,
-) -> ResultTable:
-    """Ablation (§6.6): longer slices amortize context-switch cost."""
-    slices_ms = slices_ms or [1.0, 2.0, 5.0, 10.0]
-    single = aggregate_progress_rate(name, 1, time_slice_ms=10.0, run_ms=25.0)
-    table = ResultTable(
-        f"Time-slice sweep — {name}, {n_jobs} jobs, normalized throughput",
-        ["slice_ms", "normalized"],
+    # Ablation (§6.6): longer slices amortize the context-switch cost.
+    sweep = ResultTable(
+        "Time-slice sweep — MB, 2 jobs, normalized throughput", ["slice_ms", "normalized"]
     )
+    single = 0.0
+    if slices_ms:
+        single = aggregate_progress_rate("MB", 1, time_slice_ms=10.0, run_ms=25.0)
     for slice_ms in slices_ms:
         rate = aggregate_progress_rate(
-            name, n_jobs, time_slice_ms=slice_ms, run_ms=max(25.0, 5 * slice_ms)
+            "MB", 2, time_slice_ms=slice_ms, run_ms=max(25.0, 5 * slice_ms)
         )
-        table.add(slice_ms, rate / single if single else 0.0)
-    return table
+        sweep.add(slice_ms, rate / single if single else 0.0)
+    return {"temporal": table, "slice_sweep": sweep}
 
 
-def main():
-    results = {"temporal": run(), "slice_sweep": slice_length_sweep()}
-    for table in results.values():
-        table.show()
-    return results
+QUICK = {
+    "benchmarks": ["MB"],
+    "job_counts": [1, 2],
+    "time_slice_ms": 2.0,
+    "run_ms": 8.0,
+    "slices_ms": [],
+}
+
+
+def _overhead(name: str):
+    """1 - normalized throughput of ``name`` at 2 jobs."""
+    return lambda r: 1.0 - r["temporal"].series("2_jobs")[name]
+
+
+def _overhead_drift(results: Dict[str, ResultTable]) -> float:
+    """Largest change in overhead from 2 to 16 jobs, over benchmarks."""
+    table = results["temporal"]
+    two, sixteen = table.series("2_jobs"), table.series("16_jobs")
+    return max(abs(two[name] - sixteen[name]) for name in two)
+
+
+CLAIMS = (
+    # Preemption costs something the moment a competitor exists...
+    Claim("every 2-job normalized throughput below 1 (1 = yes)", "yes",
+          lambda r: all(v < 1.0 for v in r["temporal"].series("2_jobs").values()),
+          low=1.0, quick=True),
+    # ...but stays flat as oversubscription grows (fixed interval, §6.6).
+    Claim("largest overhead change from 2 to 16 jobs", "flat",
+          _overhead_drift, high=0.05),
+    Claim("LinkedList overhead at 2 jobs", f"{PAPER_OVERHEAD['LL']}%",
+          _overhead("LL"), high=0.03),
+    Claim("MemBench overhead at 2 jobs", f"{PAPER_OVERHEAD['MB']}%",
+          _overhead("MB"), high=0.03, quick=True),
+    # The MD5 full-footprint worst case is an order of magnitude dearer.
+    Claim("MD5 worst-case overhead at 2 jobs", f"{PAPER_OVERHEAD['MD5-worst']}%",
+          _overhead("MD5-worst"), low=0.04, high=0.15),
+    Claim("longest slice above shortest, normalized throughput (1 = yes)", "yes",
+          lambda r: r["slice_sweep"].rows[-1][1] > r["slice_sweep"].rows[0][1],
+          low=1.0),
+)

@@ -16,9 +16,10 @@ story: spatial capacity first, graceful temporal sharing at the margin.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.harness import ResultTable, parallel_map
+from repro.experiments.harness import Claim, ResultTable, parallel_map
 from repro.fleet import (
     AdmissionConfig,
     FleetService,
@@ -29,8 +30,8 @@ from repro.fleet import (
 )
 from repro.sim.clock import to_seconds
 
-NODE_COUNTS = [1, 2, 4]
-LOADS = [0.6, 1.5]
+NODE_COUNTS = (1, 2, 4)
+LOADS = (0.6, 1.5)
 SLOTS_PER_NODE = 6  # every default template carries six slots
 
 
@@ -98,16 +99,14 @@ def _sweep_cell(cell) -> Dict[str, object]:
 
 def run(
     *,
-    node_counts: Optional[Sequence[int]] = None,
-    loads: Optional[Sequence[float]] = None,
+    node_counts: Sequence[int] = NODE_COUNTS,
+    loads: Sequence[float] = LOADS,
     requests: int = 240,
     seed: int = 7,
     policy: str = "best-fit",
     jobs: int = 1,
     shards: int = 1,
 ) -> ResultTable:
-    node_counts = list(node_counts or NODE_COUNTS)
-    loads = list(loads or LOADS)
     table = ResultTable(
         "Fleet scaling — placed throughput and rejections vs nodes x load",
         ["nodes", "load", "placed", "rejected", "reject_rate", "p95_us", "placed_per_s"],
@@ -136,20 +135,34 @@ def run(
     return table
 
 
-def throughput_by_nodes(table: ResultTable, load: float) -> List[float]:
-    """Placed throughput across node counts, for one offered load."""
-    return [
-        float(row[table.columns.index("placed_per_s")])
-        for row in table.rows
-        if float(row[1]) == load
-    ]
+QUICK = {}
 
 
-def main(jobs: int = 1):
-    table = run(jobs=jobs)
-    table.show()
-    for load in sorted({float(row[1]) for row in table.rows}):
-        series = throughput_by_nodes(table, load)
-        print(f"load {load}: placed/s by node count = "
-              + ", ".join(f"{v:.0f}" for v in series))
-    return table
+def _by_load(table: ResultTable, column: str) -> List[List[float]]:
+    """``column`` across node counts, one list per offered load (ascending)."""
+    index = table.columns.index(column)
+    return [[float(row[index]) for row in table.rows if float(row[1]) == load] for load in LOADS]
+
+
+CLAIMS = (
+    # A fixed absolute offered rate: more nodes place more tenants...
+    Claim("placed/s rises with every node added, every load (1 = yes)", "yes",
+          lambda t: all(
+              len(s) == len(NODE_COUNTS) and all(b > a for a, b in zip(s, s[1:]))
+              for s in _by_load(t, "placed_per_s")
+          ), low=1.0, quick=True),
+    # ...and never reject more.
+    Claim("rejection rate never rises with nodes, every load (1 = yes)", "yes",
+          lambda t: all(
+              all(b <= a for a, b in zip(s, s[1:])) for s in _by_load(t, "reject_rate")
+          ), low=1.0, quick=True),
+    # Admission control bounds overload: the lone node sheds a meaningful
+    # share, the full fleet absorbs nearly everything.  A rate is a ratio
+    # of counts and can tie an edge, so both edges stay strict.
+    Claim("rejection rate, 1 node at the overload", "> 0.3",
+          lambda t: _by_load(t, "reject_rate")[-1][0],
+          low=math.nextafter(0.3, 1.0), quick=True),
+    Claim("rejection rate, full fleet at the overload", "< 0.1",
+          lambda t: _by_load(t, "reject_rate")[-1][-1],
+          high=math.nextafter(0.1, 0.0), quick=True),
+)

@@ -494,3 +494,49 @@ class ResultTable:
     def column(self, name: str) -> List[object]:
         index = self.columns.index(name)
         return [row[index] for row in self.rows]
+
+    def series(self, name: str) -> Dict[object, object]:
+        """One column keyed by each row's first cell (its x-axis label)."""
+        index = self.columns.index(name)
+        return {row[0]: row[index] for row in self.rows}
+
+
+# -- paper claims ------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One paper claim an experiment's result must reproduce.
+
+    ``measure`` maps the value the module's ``run()`` returns to one
+    number; the claim holds when that number lies in the closed band
+    ``[low, high]`` (``None`` leaves a side open).  ``paper`` is the
+    paper's value or shape, for the report line.  Every claim holds on the
+    full grid; ``quick`` claims also hold on the module's ``QUICK`` grid.
+    A strict comparison the value could tie (an ordering of two
+    measurements, a sign) is measured as a yes/no, ``1`` in ``[1, inf]``.
+    """
+
+    what: str
+    paper: object
+    measure: Callable[[object], float]
+    low: Optional[float] = None
+    high: Optional[float] = None
+    quick: bool = False
+
+    def check(self, result: object) -> tuple[float, bool]:
+        value = float(self.measure(result))
+        holds = (self.low is None or value >= self.low) and (
+            self.high is None or value <= self.high
+        )
+        return value, holds
+
+    def report(self, result: object) -> str:
+        """``claim ok|MISS <what>: <measured> in [<low>, <high>] (paper ...)``."""
+        value, holds = self.check(result)
+        low = "-inf" if self.low is None else f"{self.low:g}"
+        high = "inf" if self.high is None else f"{self.high:g}"
+        return (
+            f"claim {'ok  ' if holds else 'MISS'} {self.what}: {value:.4g} "
+            f"in [{low}, {high}] (paper {self.paper})"
+        )

@@ -28,9 +28,9 @@ fully determine the outcome).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.experiments.harness import ResultTable
+from repro.experiments.harness import Claim, ResultTable
 from repro.faults import build_degrade_crash_plan
 from repro.fleet import (
     AdmissionConfig,
@@ -42,62 +42,6 @@ from repro.fleet import (
     make_policy,
 )
 from repro.sim.clock import ms, us
-
-
-def _serve_cell(
-    *,
-    proactive: bool,
-    n_nodes: int,
-    n_standby: int,
-    requests: int,
-    load: float,
-    traffic_seed: int,
-    plan_seed: int,
-    n_faults: int,
-    window_ps: int,
-    warning_ps: int,
-    outage_ps: int,
-    max_oversub: int,
-    policy: str,
-):
-    total_nodes = n_nodes + n_standby
-    cluster = FleetCluster.build(total_nodes, max_oversub=max_oversub)
-    generator = TrafficGenerator(
-        TrafficProfile(load=load),
-        fleet_slots=cluster.total_slots,
-        seed=traffic_seed,
-    )
-    service = FleetService(
-        cluster, make_policy(policy), admission=AdmissionConfig()
-    )
-    # Faults target only the first n_nodes, so standbys are never the
-    # victim in either run.
-    service.install_faults(
-        build_degrade_crash_plan(
-            n_faults=n_faults,
-            n_nodes=n_nodes,
-            window_ps=window_ps,
-            warning_ps=warning_ps,
-            outage_ps=outage_ps,
-            seed=plan_seed,
-        )
-    )
-    standby = tuple(f"node{i}" for i in range(n_nodes, total_nodes))
-    # Elastic scale-up is neutralized (unreachable watermark/queue
-    # thresholds) so the parked capacity is spent on evacuation only and
-    # the two rows differ in exactly one mechanism.
-    service.install_autoscaler(
-        AutoscaleConfig(
-            interval_ps=us(100),
-            high_watermark=1.0,
-            queue_high=10**6,
-            min_active_nodes=n_nodes,
-            standby_nodes=standby,
-            proactive_evacuation=proactive,
-        )
-    )
-    result = service.serve(generator.generate(requests))
-    return result, service
 
 
 def run(
@@ -118,35 +62,44 @@ def run(
     table = ResultTable(
         f"Migration recovery — {n_nodes}+{n_standby} nodes, "
         f"{n_faults} degrade->crash faults, load {load}",
-        [
-            "mode",
-            "availability",
-            "completed",
-            "replaced",
-            "migrated",
-            "failed",
-            "rejected",
-            "evacuations",
-            "live_migrations",
-        ],
+        ["mode", "availability", "completed", "replaced", "migrated", "failed",
+         "rejected", "evacuations", "live_migrations"],
     )
+    total_nodes = n_nodes + n_standby
+    standby = tuple(f"node{i}" for i in range(n_nodes, total_nodes))
     failures: Dict[str, int] = {}
     for proactive in (False, True):
-        result, service = _serve_cell(
-            proactive=proactive,
-            n_nodes=n_nodes,
-            n_standby=n_standby,
-            requests=requests,
-            load=load,
-            traffic_seed=traffic_seed,
-            plan_seed=plan_seed,
-            n_faults=n_faults,
-            window_ps=window_ps,
-            warning_ps=warning_ps,
-            outage_ps=outage_ps,
-            max_oversub=max_oversub,
-            policy=policy,
+        cluster = FleetCluster.build(total_nodes, max_oversub=max_oversub)
+        generator = TrafficGenerator(
+            TrafficProfile(load=load), fleet_slots=cluster.total_slots, seed=traffic_seed
         )
+        service = FleetService(cluster, make_policy(policy), admission=AdmissionConfig())
+        # Faults target only the first n_nodes, so standbys are never the
+        # victim in either run.
+        service.install_faults(
+            build_degrade_crash_plan(
+                n_faults=n_faults,
+                n_nodes=n_nodes,
+                window_ps=window_ps,
+                warning_ps=warning_ps,
+                outage_ps=outage_ps,
+                seed=plan_seed,
+            )
+        )
+        # Elastic scale-up is neutralized (unreachable watermark/queue
+        # thresholds) so the parked capacity is spent on evacuation only and
+        # the two rows differ in exactly one mechanism.
+        service.install_autoscaler(
+            AutoscaleConfig(
+                interval_ps=us(100),
+                high_watermark=1.0,
+                queue_high=10**6,
+                min_active_nodes=n_nodes,
+                standby_nodes=standby,
+                proactive_evacuation=proactive,
+            )
+        )
+        result = service.serve(generator.generate(requests))
         counts = result.outcome_counts()
         rejected = sum(
             count for outcome, count in counts.items()
@@ -154,10 +107,7 @@ def run(
         )
         mode = "proactive" if proactive else "reactive"
         failures[mode] = counts.get("failed_by_fault", 0)
-        autoscaler = service.autoscaler
-        by_action = (
-            autoscaler.summary()["by_action"] if autoscaler is not None else {}
-        )
+        by_action = service.autoscaler.summary()["by_action"]
         table.add(
             mode,
             result.availability(),
@@ -178,12 +128,14 @@ def run(
     return table
 
 
-def quick() -> ResultTable:
-    """Trimmed cell for smoke runs and tracing."""
-    return run(requests=80, n_faults=2, window_ps=ms(15))
+QUICK = {"requests": 80, "n_faults": 2, "window_ps": ms(15)}
 
 
-def main():
-    table = run()
-    table.show()
-    return table
+CLAIMS = (
+    # The acceptance claim: strictly fewer lost sessions on the same plan.
+    Claim("failed sessions, reactive minus proactive", "beyond the paper: > 0",
+          lambda t: t.series("failed")["reactive"] - t.series("failed")["proactive"],
+          low=1.0, quick=True),
+    Claim("sessions live-migrated by the proactive run", "beyond the paper: > 0",
+          lambda t: t.series("migrated")["proactive"], low=1.0, quick=True),
+)

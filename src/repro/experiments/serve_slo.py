@@ -22,26 +22,13 @@ instead of silent tail inflation.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
-from repro.experiments.harness import ResultTable, parallel_map
+from repro.experiments.harness import Claim, ResultTable, parallel_map
 from repro.fleet import FleetCluster, FleetService, make_policy
-from repro.serve import (
-    Gateway,
-    ServeProfile,
-    SloBudgetPolicy,
-    SloClass,
-    synthesize,
-)
+from repro.serve import Gateway, ServeProfile, SloBudgetPolicy, synthesize
 from repro.serve.slo import AttainmentMonitor, capacity_classes
 from repro.sim.clock import ms
-
-
-def study_classes() -> Dict[str, SloClass]:
-    """The study's class contract — shared with capacity planning so the
-    serve-SLO figures and ``python -m repro capacity`` report attainment
-    against the same budgets (see :func:`repro.serve.slo.capacity_classes`)."""
-    return capacity_classes()
 
 
 def serve_arm(
@@ -61,10 +48,12 @@ def serve_arm(
         fleet_slots=cluster.total_slots,
         seed=seed,
     )
+    # The capacity planner's classes, so this study and ``python -m repro
+    # capacity`` report attainment against the same budgets.
     if admission == "slo-budget":
-        admission_policy = SloBudgetPolicy(study_classes())
+        admission_policy = SloBudgetPolicy(capacity_classes())
     else:
-        admission_policy = AttainmentMonitor(study_classes())
+        admission_policy = AttainmentMonitor(capacity_classes())
     service = FleetService(
         cluster, make_policy(policy), admission_policy=admission_policy
     )
@@ -84,22 +73,13 @@ def run(
     load: float = 2.0,
     nodes: int = 3,
     seed: int = 7,
-    arms: Optional[Sequence[str]] = None,
+    arms: Sequence[str] = ("queue-depth", "slo-budget"),
     jobs: int = 1,
 ) -> ResultTable:
-    arms = list(arms or ("queue-depth", "slo-budget"))
     table = ResultTable(
         "Serving SLOs — in-budget p99 attainment, budget shedding vs queue depth",
-        [
-            "admission",
-            "class",
-            "budget_ms",
-            "admitted",
-            "shed",
-            "attainment",
-            "p99_ms",
-            "in_budget",
-        ],
+        ["admission", "class", "budget_ms", "admitted", "shed", "attainment",
+         "p99_ms", "in_budget"],
     )
     cells = [(arm, sessions, load, nodes, seed) for arm in arms]
     for arm, result in zip(arms, parallel_map(_arm_cell, cells, jobs=jobs)):
@@ -125,7 +105,7 @@ def run(
 
 
 def attainment_by_arm(table: ResultTable) -> Dict[str, Dict[str, float]]:
-    """``{admission: {class: attainment}}`` for downstream assertions."""
+    """``{admission: {class: attainment}}``."""
     out: Dict[str, Dict[str, float]] = {}
     arm_col = table.columns.index("admission")
     cls_col = table.columns.index("class")
@@ -137,19 +117,22 @@ def attainment_by_arm(table: ResultTable) -> Dict[str, Dict[str, float]]:
     return out
 
 
-def quick(jobs: int = 1) -> ResultTable:
-    return run(sessions=1200, jobs=jobs)
+QUICK = {"sessions": 1200}
 
 
-def main(jobs: int = 1):
-    table = run(jobs=jobs)
-    table.show()
-    attainment = attainment_by_arm(table)
-    for name in sorted(attainment.get("slo-budget", {})):
-        baseline = attainment["queue-depth"][name]
-        budgeted = attainment["slo-budget"][name]
-        print(
-            f"{name}: attainment {baseline:.4f} -> {budgeted:.4f} "
-            f"({'+' if budgeted >= baseline else ''}{budgeted - baseline:.4f})"
-        )
-    return table
+def _in_budget(table: ResultTable, arm: str) -> int:
+    return sum(bool(row[7]) for row in table.rows if row[0] == arm)
+
+
+CLAIMS = (
+    Claim("SLO shedding attains more in every class (1 = yes)",
+          "beyond the paper: strictly higher",
+          lambda t: all(
+              attained > attainment_by_arm(t)["queue-depth"][name]
+              for name, attained in attainment_by_arm(t)["slo-budget"].items()
+          ), low=1.0, quick=True),
+    Claim("classes with p99 in budget, SLO shedding minus queue depth",
+          "beyond the paper: > 0",
+          lambda t: _in_budget(t, "slo-budget") - _in_budget(t, "queue-depth"),
+          low=1.0),
+)

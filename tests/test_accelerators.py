@@ -395,8 +395,13 @@ class TestRegistry:
         by_app = {row["app"]: row for row in rows}
         assert by_app["AES"]["loc"] == 1965
         assert by_app["RSD"]["loc"] == 5324
-        assert by_app["LL"]["freq_mhz"] == 400.0
-        assert by_app["MD5"]["freq_mhz"] == 100.0
+        assert sum(row["loc"] for row in rows) > 25_000
+        # The microbenchmarks run at the full 400 MHz shell clock; complex
+        # circuits synthesize at 100-200 MHz (Table 1).
+        for app in ("MB", "LL"):
+            assert by_app[app]["freq_mhz"] == 400.0
+        for app in ("MD5", "SW", "BTC"):
+            assert by_app[app]["freq_mhz"] == 100.0
 
     def test_make_job_instantiates_each_benchmark(self):
         for name in ("AES", "MD5", "SHA", "FIR", "GRN", "RSD", "SW", "GAU",

@@ -34,10 +34,10 @@ class TestRunExitCodes:
     def boom_experiment(self, monkeypatch):
         module = types.ModuleType("tests._boom_experiment")
 
-        def main():
+        def run():
             raise RuntimeError("deliberate experiment failure")
 
-        module.main = main
+        module.run, module.QUICK, module.CLAIMS = run, {}, ()
         monkeypatch.setitem(sys.modules, "tests._boom_experiment", module)
         monkeypatch.setitem(
             cli.EXPERIMENTS, "boom", ("tests._boom_experiment", "always fails")
@@ -99,19 +99,24 @@ def isolated_cache_dir(tmp_path, monkeypatch):
 
 @pytest.fixture
 def stub_experiment(monkeypatch):
-    """A fast fake experiment returning a ResultTable (with one NaN cell)."""
-    from repro.experiments.harness import ResultTable
+    """A fast fake experiment returning a ResultTable (with one NaN cell)
+    and declaring one claim it meets and one it misses."""
+    from repro.experiments.harness import Claim, ResultTable
 
     module = types.ModuleType("tests._stub_experiment")
 
-    def main():
+    def run():
         table = ResultTable("stub table", ["x", "y"])
         table.add("a", 1.5)
         table.add("b", float("nan"))
         print("human narration")
         return table
 
-    module.main = main
+    module.run, module.QUICK = run, {}
+    module.CLAIMS = (
+        Claim("y at a", 1.5, lambda t: t.series("y")["a"], low=1.0, quick=True),
+        Claim("rows", 3, lambda t: len(t.rows), low=3.0),
+    )
     monkeypatch.setitem(sys.modules, "tests._stub_experiment", module)
     monkeypatch.setitem(cli.EXPERIMENTS, "stub", ("tests._stub_experiment", "stub"))
 
@@ -131,6 +136,25 @@ class TestRunJson:
         # Narration must not pollute the machine-readable stream.
         assert "human narration" not in captured.out
         assert "human narration" in captured.err
+
+    def test_claims_are_reported_on_stderr_without_changing_the_exit_code(
+        self, capsys, stub_experiment
+    ):
+        code = cli.main(["run", "stub", "--no-cache", "--json"])
+        captured = capsys.readouterr()
+        assert code == 0  # a missed claim is reported, not an error
+        assert "claim ok   y at a: 1.5 in [1, inf] (paper 1.5)" in captured.err
+        assert "claim MISS rows: 2 in [3, inf] (paper 3)" in captured.err
+        assert "claim" not in captured.out
+
+    def test_profile_table_stays_off_the_json_stream(self, capsys, stub_experiment):
+        # Regression: the cProfile table was printed to stdout after the
+        # envelope, so ``--json --profile`` output was not JSON.
+        code = cli.main(["run", "stub", "--no-cache", "--json", "--profile"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert json.loads(captured.out)["experiment"] == "stub"
+        assert "cumulative" in captured.err
 
 
 class TestNoProcessWideMode:
@@ -189,10 +213,10 @@ class TestTraceCommand:
     def test_trace_failure_exits_one(self, capsys, monkeypatch, tmp_path):
         module = types.ModuleType("tests._boom_trace")
 
-        def main():
+        def run():
             raise RuntimeError("deliberate failure under trace")
 
-        module.main = main
+        module.run, module.QUICK, module.CLAIMS = run, {}, ()
         monkeypatch.setitem(sys.modules, "tests._boom_trace", module)
         monkeypatch.setitem(cli.EXPERIMENTS, "boomtrace", ("tests._boom_trace", "x"))
         code = cli.main(

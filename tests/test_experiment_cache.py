@@ -347,13 +347,13 @@ def stub_experiment(monkeypatch):
 
     module = types.ModuleType("tests._stub_cache_experiment")
 
-    def main():
+    def run():
         table = ResultTable("stub table", ["x", "y"])
         table.add("a", 1.5)
         print("stub ran")
         return table
 
-    module.main = main
+    module.run, module.QUICK, module.CLAIMS = run, {}, ()
     monkeypatch.setitem(sys.modules, "tests._stub_cache_experiment", module)
     monkeypatch.setitem(
         cli.EXPERIMENTS, "stub", ("tests._stub_cache_experiment", "stub")
