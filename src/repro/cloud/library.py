@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.accel.registry import CATALOG, make_job, profile_of
+from repro.accel.registry import CATALOG, profile_of
 from repro.errors import ConfigurationError, SynthesisError
 from repro.fpga.synthesis import SynthesisReport, synthesize
 
@@ -42,11 +42,13 @@ class AcceleratorLibrary:
         unknown = [n for n in names if n not in CATALOG]
         if unknown:
             raise ConfigurationError(f"unknown accelerators: {unknown}")
-        self._names = names
+        #: Job class per offered name, in offer order: what
+        #: :meth:`make_job` instantiates.
+        self._factories = {name: CATALOG[name][1] for name in names}
 
     def entries(self) -> List[LibraryEntry]:
         result = []
-        for name in self._names:
+        for name in self._factories:
             profile = profile_of(name)
             result.append(
                 LibraryEntry(
@@ -60,12 +62,13 @@ class AcceleratorLibrary:
         return result
 
     def offers(self, name: str) -> bool:
-        return name in self._names
+        return name in self._factories
 
     def make_job(self, name: str, **kwargs):
-        if not self.offers(name):
+        factory = self._factories.get(name)
+        if factory is None:
             raise ConfigurationError(f"library does not offer {name!r}")
-        return make_job(name, **kwargs)
+        return factory(**kwargs)
 
 
 @dataclass

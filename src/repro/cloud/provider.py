@@ -42,7 +42,7 @@ class Tenant:
 
     @property
     def oversubscribed(self) -> bool:
-        manager = self.handle.hypervisor.physical[self.physical_index]
+        manager = self.handle.hypervisor.physical[self.vaccel.physical_index]
         return len(manager.vaccels) > 1
 
 
@@ -86,7 +86,7 @@ class CloudProvider:
         if position is None:
             position = len(self.tenants)
         self.tenants.insert(position, tenant)
-        self.slots.add(tenant.physical_index)
+        self.slots.add(tenant.vaccel.physical_index)
 
     def recount(self) -> List[int]:
         """Tenants per physical slot, counted from the hypervisor."""
@@ -184,13 +184,16 @@ class CloudProvider:
     def _forget(self, tenant: Tenant) -> None:
         if tenant in self.tenants:
             self.tenants.remove(tenant)
-            self.slots.remove(tenant.physical_index)
+            self.slots.remove(tenant.vaccel.physical_index)
 
     def evict(self, tenant: Tenant) -> None:
         """Remove a tenant, releasing its slot share and IOVA slice."""
         if tenant not in self.tenants:
             raise ConfigurationError(f"unknown tenant {tenant.name}")
         tenant.handle.disconnect()  # the disconnect hook forgets the tenant
+        # ...unless it has none: a tenant reinstated by a speculative
+        # rollback (repro.parallel.speculate) lost its hook with the first
+        # disconnect, so this call is what keeps the slot ledger honest.
         self._forget(tenant)
 
     def rebalance(self) -> int:

@@ -19,7 +19,7 @@ working set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
 from repro.errors import ConfigurationError
 from repro.mem.address import IOVA_SPACE_SIZE, MB
@@ -62,12 +62,18 @@ class SliceLayout:
         self.slice_bytes = slice_bytes
         self.gap_bytes = gap_bytes
         self.page_size = page_size
+        #: One immutable :class:`Slice` per index handed out so far: a
+        #: recycled slice is the same object, not a rebuilt one.
+        self._slices: Dict[int, Slice] = {}
 
     @property
     def stride(self) -> int:
         return self.slice_bytes + self.gap_bytes
 
     def slice_for(self, index: int) -> Slice:
+        slice_ = self._slices.get(index)
+        if slice_ is not None:
+            return slice_
         if index < 0:
             raise ConfigurationError("slice index must be non-negative")
         base = index * self.stride
@@ -75,7 +81,10 @@ class SliceLayout:
             raise ConfigurationError(
                 f"slice {index} exceeds the 48-bit IO virtual address space"
             )
-        return Slice(index=index, iova_base=base, size=self.slice_bytes)
+        slice_ = self._slices[index] = Slice(
+            index=index, iova_base=base, size=self.slice_bytes
+        )
+        return slice_
 
     def slices(self, count: int) -> List[Slice]:
         return [self.slice_for(i) for i in range(count)]

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.accel.base import CMD_START, CTRL_CMD, CTRL_STATUS
-from repro.errors import GuestError
+from repro.errors import ConfigurationError, GuestError
 from repro.guest.driver import GuestFpgaDriver
 from repro.hv.mdev import VirtualAccelerator
 from repro.mem.address import MB, PAGE_SIZE_4K, align_up
@@ -41,6 +41,21 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.hv.hypervisor import OptimusHypervisor
     from repro.hv.passthrough import PassthroughHypervisor
     from repro.hv.vm import VirtualMachine
+
+
+def _buffer_stagger(vm: "VirtualMachine", vaccel: VirtualAccelerator) -> int:
+    """Where a tenant's buffers start inside its window.
+
+    Buffer placement inside the window varies per tenant (allocator
+    history, ASLR): model it with a per-vaccel page stagger.  The slicing
+    offset maps window offsets 1:1 into the IOVA slice, so this is what
+    spreads different tenants' pages across IOTLB sets when 4 KB pages are
+    in use: 64 pages (256 KB) per tenant, the same set-skew idea as the
+    2 MB-mode slice gaps, applied at 4 KB granularity.
+    """
+    if vm.page_size != PAGE_SIZE_4K:
+        return 0
+    return (vaccel.vaccel_id % 8) * 64 * PAGE_SIZE_4K
 
 
 class GuestAccelerator:
@@ -59,17 +74,11 @@ class GuestAccelerator:
         self.vaccel = vaccel
         self.driver = GuestFpgaDriver(hypervisor, vm, vaccel)
         base = self.driver.probe(window_bytes)
-        # Buffer placement inside the window varies per tenant (allocator
-        # history, ASLR): model it with a per-vaccel page stagger.  The
-        # slicing offset maps window offsets 1:1 into the IOVA slice, so
-        # this is what spreads different tenants' pages across IOTLB sets
-        # when 4 KB pages are in use.
-        stagger = 0
-        if vm.page_size == PAGE_SIZE_4K:
-            # 64 pages (256 KB) per tenant: the same set-skew idea as the
-            # 2 MB-mode slice gaps, applied at 4 KB granularity.
-            stagger = (vaccel.vaccel_id % 8) * 64 * PAGE_SIZE_4K
-        self._buffers = RegionAllocator(base + stagger, window_bytes - stagger, granule=64)
+        stagger = _buffer_stagger(vm, vaccel)
+        if window_bytes <= stagger:
+            raise ConfigurationError("allocator size must be positive")
+        self._buffer_span = (base + stagger, window_bytes - stagger)
+        self._buffers: Optional[RegionAllocator] = None
         self.connected = True
         #: Called once after a successful disconnect (the cloud provider
         #: uses this to drop its tenant bookkeeping when a guest releases
@@ -98,12 +107,9 @@ class GuestAccelerator:
         handle.vaccel = vaccel
         handle.driver = GuestFpgaDriver(hypervisor, vm, vaccel)
         base = vaccel.window_base_gva or 0
-        stagger = 0
-        if vm.page_size == PAGE_SIZE_4K:
-            stagger = (vaccel.vaccel_id % 8) * 64 * PAGE_SIZE_4K
-        handle._buffers = RegionAllocator(
-            base + stagger, max(vaccel.window_size - stagger, 64), granule=64
-        )
+        stagger = _buffer_stagger(vm, vaccel)
+        handle._buffer_span = (base + stagger, max(vaccel.window_size - stagger, 64))
+        handle._buffers = None
         handle.connected = True
         handle._on_disconnect = None
         return handle
@@ -135,6 +141,14 @@ class GuestAccelerator:
 
     # -- DMA memory management -----------------------------------------------------
 
+    def buffer_allocator(self) -> RegionAllocator:
+        """The window's buffer allocator, built on first use: a tenant that
+        never allocates a buffer never pays for one."""
+        if self._buffers is None:
+            base, size = self._buffer_span
+            self._buffers = RegionAllocator(base, size, granule=64)
+        return self._buffers
+
     def alloc_buffer(self, size: int) -> int:
         """Allocate an FPGA-accessible buffer; returns its GVA.
 
@@ -144,13 +158,13 @@ class GuestAccelerator:
         """
         self._check()
         page = self.vm.page_size
-        gva = self._buffers.alloc(align_up(size, page), alignment=page)
+        gva = self.buffer_allocator().alloc(align_up(size, page), alignment=page)
         self.driver.make_region_accessible(gva, size)
         return gva
 
     def free_buffer(self, gva: int) -> None:
         self._check()
-        self._buffers.free(gva)
+        self.buffer_allocator().free(gva)
 
     def write_buffer(self, gva: int, data: bytes) -> None:
         """CPU store into shared memory (visible to the accelerator)."""

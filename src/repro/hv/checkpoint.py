@@ -193,7 +193,7 @@ def checkpoint_guest(
         pages=tuple(pages),
         reg_cache=tuple(sorted(vaccel.reg_cache.items())),
         saved_state=vaccel.saved_state,
-        started=bool(hypervisor._started.get(vaccel.vaccel_id, vaccel.started)),
+        started=vaccel.started,
         done=vaccel.job.done,
         quarantined=vaccel.quarantined,
         watchdog_armed=(
@@ -232,9 +232,8 @@ def restore_guest(
         vm, job, physical_index=physical_index
     )
     vaccel.window_base_gva = checkpoint.window_base_gva
-    vaccel.window_size = checkpoint.window_size
     if checkpoint.window_base_gva is not None and checkpoint.window_size:
-        hypervisor.shadow.install_window(vaccel)
+        hypervisor.shadow.install_window(vaccel, checkpoint.window_size)
     for gva in checkpoint.mapped_gvas:
         hypervisor.shadow.map_page(vaccel, gva, vm.mmu.gva_to_gpa(gva))
     vaccel.reg_cache.update(dict(checkpoint.reg_cache))
@@ -250,7 +249,6 @@ def restore_guest(
         # _switch_in replays registers, programs the new slice's offset
         # table, and restores the saved state (§4.2 — migration is one
         # preemption plus one switch-in elsewhere).
-        hypervisor._started[vaccel.vaccel_id] = True
         vaccel.started = True
         hypervisor.physical[physical_index].start()
     return vm, vaccel
@@ -281,7 +279,7 @@ class IncrementalCheckpointer:
         return (
             vaccel.vaccel_id,
             vaccel.state,
-            bool(hypervisor._started.get(vaccel.vaccel_id, vaccel.started)),
+            vaccel.started,
             vaccel.saved_state is None,
             len(vaccel.mapped_gvas),
             vaccel.window_base_gva,

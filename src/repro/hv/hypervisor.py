@@ -25,7 +25,7 @@ Responsibilities, mapped to the paper:
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.accel.base import (
     CMD_PREEMPT,
@@ -92,10 +92,9 @@ class OptimusHypervisor:
             PhysicalAccelerator(self, i) for i in range(platform.n_sockets)
         ]
         self._dummy_frame: Optional[int] = None
-        self._started: Dict[int, bool] = {}
         #: Monotonic vaccel ids (never reused: watchdog bookkeeping and
         #: scheduler tie-breaks key on them) and the IOVA slice free list
-        #: teardown recycles into (DESIGN.md §10, "Tenant teardown").
+        #: teardown recycles into (DESIGN.md §10, "Tenant lifecycle").
         self._next_vaccel_id = 0
         self._next_slice = 0
         self._free_slices: List[int] = []
@@ -157,7 +156,6 @@ class OptimusHypervisor:
         self._next_vaccel_id += 1
         self.vaccels.append(vaccel)
         self.physical[physical_index].attach(vaccel)
-        self._started[vaccel.vaccel_id] = False
         if self.watchdog is not None:
             self.watchdog.watch(vaccel)
         return vaccel
@@ -220,11 +218,12 @@ class OptimusHypervisor:
             manager.vaccels.remove(vaccel)
         vaccel.state = VAccelState.DETACHED
         # Reclaim everything keyed on the torn-down device: its IOVA slice
-        # (reused lowest-base-first), its started flag, our reference.
+        # (reused lowest-base-first), our reference, the watchdog's.
         if vaccel in self.vaccels:
             self.vaccels.remove(vaccel)
             heapq.heappush(self._free_slices, vaccel.slice.index)
-        self._started.pop(vaccel.vaccel_id, None)
+        if self.watchdog is not None:
+            self.watchdog.unwatch(vaccel)
 
     # -- guest control plane: BAR0 (trap-and-emulate, §4.2) ----------------------------------
 
@@ -271,7 +270,7 @@ class OptimusHypervisor:
         # virtual accelerator still reads RUNNING for its own job (§4.2).
         if vaccel.job.done:
             return STATUS_DONE
-        if self._started.get(vaccel.vaccel_id):
+        if vaccel.started:
             return STATUS_RUNNING
         return STATUS_IDLE
 
@@ -283,8 +282,7 @@ class OptimusHypervisor:
         if offset == BAR2_SLICE_BASE:
             vaccel.window_base_gva = value
         elif offset == BAR2_WINDOW_SIZE:
-            vaccel.window_size = value
-            self.shadow.install_window(vaccel)
+            self.shadow.install_window(vaccel, value)
         elif offset == BAR2_MAP_GVA:
             vaccel._staged_map_gva = value
         elif offset == BAR2_MAP_GPA:
@@ -304,7 +302,6 @@ class OptimusHypervisor:
         """Mark the job runnable and kick the physical scheduler."""
         if vaccel.window_base_gva is None:
             raise GuestError(f"{vaccel.name}: register a DMA window before starting")
-        self._started[vaccel.vaccel_id] = True
         vaccel.started = True
         manager = self.physical[vaccel.physical_index]
         manager.start()

@@ -56,6 +56,7 @@ class VirtualAccelerator:
     ) -> None:
         self.vaccel_id = vaccel_id
         self.vm = vm
+        self.name = f"{vm.name}/va{vaccel_id}"
         self.job = job
         self.slice = slice_
         self.physical_index = physical_index
@@ -65,6 +66,10 @@ class VirtualAccelerator:
         # Guest-programmed via BAR2.
         self.window_base_gva: Optional[int] = None
         self.window_size: int = 0
+        #: Bytes from the slice base of the largest window ever installed:
+        #: every IOPT entry this vaccel owns lies below it, so teardown
+        #: unmaps only this much of the slice (0: nothing to unmap).
+        self.window_extent: int = 0
         self.state_buffer_gva: Optional[int] = None
         self._staged_map_gva: Optional[int] = None
         # GVAs the guest registered through the shadow-paging hypercall.
@@ -91,10 +96,6 @@ class VirtualAccelerator:
         self.quarantined = False
 
     # -- identity -----------------------------------------------------------------
-
-    @property
-    def name(self) -> str:
-        return f"{self.vm.name}/va{self.vaccel_id}"
 
     @property
     def scheduled(self) -> bool:

@@ -87,7 +87,7 @@ class NestedHypervisor:
         self.sub_guests: List[SubGuest] = []
         self._registered: Dict[int, int] = {}
         # Carve sub-slices from the parent window via the L1 allocator.
-        self._carver = handle._buffers
+        self._carver = handle.buffer_allocator()
 
     def create_sub_guest(self) -> SubGuest:
         base = self._carver.alloc(self.sub_slice_bytes, alignment=self.page_size)

@@ -44,6 +44,9 @@ class ShadowPager:
     def __init__(self, hypervisor: "OptimusHypervisor", iommu: Iommu) -> None:
         self.hypervisor = hypervisor
         self.iommu = iommu
+        #: The IO page table itself: windows are installed and torn down
+        #: as ranges, straight on the table.
+        self.iopt = iommu.page_table
         self.page_size = iommu.page_size
         self.pages_mapped = 0
         self.pages_pinned = 0
@@ -55,33 +58,40 @@ class ShadowPager:
 
     # -- window lifecycle -----------------------------------------------------------
 
-    def install_window(self, vaccel: VirtualAccelerator) -> None:
-        """Back a freshly registered DMA window with the dummy page."""
-        if vaccel.window_base_gva is None or vaccel.window_size == 0:
+    def install_window(self, vaccel: VirtualAccelerator, size: int) -> None:
+        """Register a ``size``-byte DMA window and back it with the dummy page.
+
+        A rejected window changes nothing: the guest's window stays what it
+        was, so no later hypercall can map outside the slice.
+        """
+        if vaccel.window_base_gva is None or size <= 0:
             raise GuestError(f"{vaccel.name}: DMA window not registered")
         if vaccel.window_base_gva % self.page_size:
             raise GuestError(f"{vaccel.name}: window base must be page-aligned")
-        if vaccel.window_size > vaccel.slice.size:
+        slice_ = vaccel.slice
+        if size > slice_.size:
             raise GuestError(
-                f"{vaccel.name}: window exceeds the {vaccel.slice.size:#x}-byte slice"
+                f"{vaccel.name}: window exceeds the {slice_.size:#x}-byte slice"
             )
-        n_pages = (vaccel.window_size + self.page_size - 1) // self.page_size
+        vaccel.window_size = size
+        n_pages = (size + self.page_size - 1) // self.page_size
+        extent = n_pages * self.page_size
+        if extent > vaccel.window_extent:
+            vaccel.window_extent = extent
         if self._trace is not None:
             self._trace.instant("hv.slice.window", self.iommu.engine.now,
                                 tid=self._trace_tid, cat="hv",
                                 args={"vaccel": vaccel.name,
-                                      "iova_base": vaccel.slice.iova_base,
+                                      "iova_base": slice_.iova_base,
                                       "pages": n_pages})
         if n_pages > DUMMY_BACKING_PAGE_LIMIT:
             return  # huge reservation: leave unregistered pages unmapped
-        dummy_hpa = self.hypervisor.dummy_frame()
-        for index in range(n_pages):
-            iova = vaccel.slice.iova_base + index * self.page_size
-            self.iommu.map(iova, dummy_hpa, writable=True)
+        self.iopt.fill_range(slice_.iova_base, size, self.hypervisor.dummy_frame())
 
     def teardown_window(self, vaccel: VirtualAccelerator) -> int:
-        """Remove every IOPT entry of a departing virtual accelerator."""
-        return self.iommu.unmap_range(vaccel.slice.iova_base, vaccel.slice.size)
+        """Remove every IOPT entry of a departing virtual accelerator: all
+        of them lie inside the largest window it ever installed."""
+        return self.iopt.unmap_range(vaccel.slice.iova_base, vaccel.window_extent)
 
     # -- the hypercall (§5 "Shadow Paging") ---------------------------------------------
 

@@ -40,9 +40,11 @@ class VirtualMachine:
         self.hypervisor = hypervisor
         self.mem_bytes = mem_bytes
         self.page_size = page_size
-        self.mmu = GuestMmu(name, page_size)
-        # Guest-physical space: a simple bump region starting at 0.
-        self._gpa_alloc = RegionAllocator(0, mem_bytes, granule=page_size)
+        # The page tables and the guest-physical allocator (a simple bump
+        # region starting at 0) are built when the first page is backed:
+        # a tenant that only reserves its DMA window never needs them.
+        self._mmu: Optional[GuestMmu] = None
+        self._gpa_alloc: Optional[RegionAllocator] = None
         # Guest-virtual space for the accelerator-using process.  Start well
         # above zero so GVAs and GPAs are visibly distinct in traces, and
         # stagger each VM's base by a few 4 KB pages (ASLR-style): with
@@ -53,7 +55,20 @@ class VirtualMachine:
             (1 << 40) + gva_stagger, 1 << 44, granule=page_size
         )
 
+    @property
+    def mmu(self) -> GuestMmu:
+        """The guest page table and EPT (built on first use)."""
+        mmu = self._mmu
+        if mmu is None:
+            mmu = self._mmu = GuestMmu(self.name, self.page_size)
+        return mmu
+
     # -- guest OS memory management -----------------------------------------------
+
+    def _alloc_gpa(self, size: int) -> int:
+        if self._gpa_alloc is None:
+            self._gpa_alloc = RegionAllocator(0, self.mem_bytes, granule=self.page_size)
+        return self._gpa_alloc.alloc(size, alignment=self.page_size)
 
     def alloc_pages(self, size: int) -> int:
         """Allocate guest-virtual memory backed by guest-physical pages.
@@ -64,11 +79,12 @@ class VirtualMachine:
         """
         size = align_up(size, self.page_size)
         gva = self._gva_alloc.alloc(size, alignment=self.page_size)
-        gpa = self._gpa_alloc.alloc(size, alignment=self.page_size)
+        gpa = self._alloc_gpa(size)
+        mmu = self.mmu
         for offset in range(0, size, self.page_size):
-            self.mmu.map_guest(gva + offset, gpa + offset)
+            mmu.map_guest(gva + offset, gpa + offset)
             hpa = self.hypervisor.back_guest_page(self)
-            self.mmu.map_host(gpa + offset, hpa)
+            mmu.map_host(gpa + offset, hpa)
         return gva
 
     def reserve_va(self, size: int, *, alignment: Optional[int] = None) -> int:
@@ -84,12 +100,13 @@ class VirtualMachine:
         """Materialize one page inside a reserved region (first touch)."""
         if gva % self.page_size:
             raise GuestError("page address must be aligned")
-        if self.mmu.guest_table.is_mapped(gva):
+        mmu = self.mmu
+        if mmu.guest_table.is_mapped(gva):
             return
-        gpa = self._gpa_alloc.alloc(self.page_size, alignment=self.page_size)
-        self.mmu.map_guest(gva, gpa)
+        gpa = self._alloc_gpa(self.page_size)
+        mmu.map_guest(gva, gpa)
         hpa = self.hypervisor.back_guest_page(self)
-        self.mmu.map_host(gpa, hpa)
+        mmu.map_host(gpa, hpa)
 
     # -- functional memory access (guest software reads/writes) ----------------------
 

@@ -57,13 +57,17 @@ class GuestWatchdog:
         self._watched.add(vaccel.vaccel_id)
         self.engine.spawn(self._watch(vaccel), name=f"watchdog.{vaccel.name}")
 
+    def unwatch(self, vaccel: VirtualAccelerator) -> None:
+        """Forget a torn-down vaccel; its process exits at its next poll."""
+        self._watched.discard(vaccel.vaccel_id)
+
     def _watch(self, vaccel: VirtualAccelerator) -> Generator:
         job = vaccel.job
         while not job.done and not vaccel.quarantined:
             progress = job.progress_units()
             busy = self._busy_ps(vaccel)
             yield self.deadline_ps
-            if job.done or vaccel.quarantined:
+            if job.done or vaccel.quarantined or vaccel.state is VAccelState.DETACHED:
                 return
             consumed = self._busy_ps(vaccel) - busy
             # Stall = the guest held the fabric during the window yet its

@@ -302,9 +302,6 @@ class Iommu:
         """Insert an IOVA -> HPA mapping (shadow paging does this)."""
         self.page_table.map(iova, hpa, writable=writable, pinned=True, overwrite=True)
 
-    def unmap_range(self, iova: int, size: int) -> int:
-        return self.page_table.unmap_range(iova, size)
-
     def reset_stats(self) -> None:
         self.iotlb.stats.reset()
         self.faults = {"translation": 0, "protection": 0}

@@ -16,7 +16,7 @@ number of memory touches per walk.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, ProtectionFault, TranslationFault
 from repro.mem.address import (
@@ -103,31 +103,54 @@ class PageTable:
         self.version += 1
         return entry
 
-    def unmap_range(self, virt: int, size: int) -> int:
-        """Remove every mapping whose page falls inside the range.
+    def fill_range(self, virt: int, size: int, phys: int) -> int:
+        """Map every page of ``[virt, virt + size)`` to the one frame at
+        ``phys``, pinned and writable, replacing what is there; returns
+        the pages mapped.
+
+        This is the dummy-page backing of a DMA window (§5): each page
+        gets its own entry (accessed/dirty bits stay per page), but the
+        range is checked once and the table's version moves once.
+        """
+        if size <= 0:
+            return 0
+        if virt & (self.page_size - 1):
+            raise ConfigurationError(f"{self.name}: virt {virt:#x} not page-aligned")
+        if phys & (self.page_size - 1):
+            raise ConfigurationError(f"{self.name}: phys {phys:#x} not page-aligned")
+        first, last = self.vpn(virt), self.vpn(virt + size - 1)
+        frame = phys >> self.page_shift
+        entries = self._entries
+        for vpn in range(first, last + 1):
+            entries[vpn] = PageTableEntry(frame, True, True, True)
+        self.version += 1
+        return last - first + 1
+
+    def resident_in(self, virt: int, size: int) -> List[int]:
+        """Page numbers mapped inside ``[virt, virt + size)``, ascending.
 
         The table is sparse, so the scan runs over whichever side is
-        smaller: the page range or the resident entries.  Tearing down a
-        multi-GB IOVA slice that holds a few hundred mappings (every
-        tenant eviction does) is O(entries), not O(range) — the fleet
-        serving loop's hottest path before this bound existed.
+        smaller: the page range or the resident entries.  An empty range
+        holds nothing.
         """
-        first = self.vpn(virt)
-        last = self.vpn(virt + max(size - 1, 0))
-        removed = 0
+        if size <= 0:
+            return []
+        first, last = self.vpn(virt), self.vpn(virt + size - 1)
         entries = self._entries
         if last - first + 1 > len(entries):
-            doomed = [vpn for vpn in entries if first <= vpn <= last]
-            for vpn in doomed:
-                del entries[vpn]
-            removed = len(doomed)
-        else:
-            for vpn in range(first, last + 1):
-                if entries.pop(vpn, None) is not None:
-                    removed += 1
-        if removed:
+            return sorted(vpn for vpn in entries if first <= vpn <= last)
+        return [vpn for vpn in range(first, last + 1) if vpn in entries]
+
+    def unmap_range(self, virt: int, size: int) -> int:
+        """Remove every mapping whose page falls inside the range; returns
+        how many were removed (zero for an empty range)."""
+        doomed = self.resident_in(virt, size)
+        entries = self._entries
+        for vpn in doomed:
+            del entries[vpn]
+        if doomed:
             self.version += 1
-        return removed
+        return len(doomed)
 
     def clear(self) -> None:
         self._entries.clear()

@@ -84,46 +84,43 @@ def _unzigzag(value: int) -> int:
     return (value >> 1) ^ -(value & 1)
 
 
+def _put_varint(out: bytearray, value: int) -> None:
+    """Append ``value`` (non-negative) as a little-endian base-128 varint."""
+    while value > 0x7F:
+        out.append((value & 0x7F) | 0x80)
+        value >>= 7
+    out.append(value)
+
+
 class FrameEncoder:
     """Stateful encoder for one coordinator->worker op stream."""
 
-    __slots__ = ("_epoch", "_names", "parts")
+    __slots__ = ("_epoch", "_names")
 
     def __init__(self) -> None:
         self._epoch = 0
         self._names: Dict[str, int] = {}
-        self.parts: List[bytes] = []
 
     # -- primitives ----------------------------------------------------------
 
-    def _varint(self, value: int) -> None:
-        while True:
-            byte = value & 0x7F
-            value >>= 7
-            if value:
-                self.parts.append(bytes((byte | 0x80,)))
-            else:
-                self.parts.append(bytes((byte,)))
-                return
-
-    def _string(self, text: str) -> None:
+    def _string(self, out: bytearray, text: str) -> None:
         """Interned: tag 0 + bytes on first use, ``index + 1`` after."""
         index = self._names.get(text)
         if index is None:
-            self._varint(0)
             raw = text.encode("utf-8")
-            self._varint(len(raw))
-            self.parts.append(raw)
+            out.append(0)
+            _put_varint(out, len(raw))
+            out += raw
             self._names[text] = len(self._names)
         else:
-            self._varint(index + 1)
+            _put_varint(out, index + 1)
 
     # -- frames --------------------------------------------------------------
 
     def encode(self, ops: List[BufferedOp]) -> bytes:
         """Pack one op batch into a binary frame."""
-        self.parts = []
-        self._varint(len(ops))
+        out = bytearray()
+        _put_varint(out, len(ops))
         for node_index, epoch_ps, op, payload in ops:
             if op == "place":
                 code = OP_PLACE_OVERSUB if payload[3] else OP_PLACE
@@ -139,39 +136,37 @@ class FrameEncoder:
                 code = OP_BUMP_AUDITOR
             else:
                 code = _NULLARY_BY_NAME.get(op, OP_PICKLE)
-            self.parts.append(bytes((code,)))
-            self._varint(node_index)
-            self._varint(_zigzag(epoch_ps - self._epoch))
+            out.append(code)
+            _put_varint(out, node_index)
+            _put_varint(out, _zigzag(epoch_ps - self._epoch))
             self._epoch = epoch_ps
-            if code in (OP_PLACE, OP_PLACE_OVERSUB):
+            if code == OP_PLACE or code == OP_PLACE_OVERSUB:
                 tenant_name, accel_type, physical_index, _oversub = payload
-                self._string(tenant_name)
-                self._string(accel_type)
-                self._varint(physical_index)
-            elif code in (OP_EVICT, OP_SPEC_EVICT):
-                self._string(payload[0])
+                self._string(out, tenant_name)
+                self._string(out, accel_type)
+                _put_varint(out, physical_index)
+            elif code == OP_EVICT or code == OP_SPEC_EVICT:
+                self._string(out, payload[0])
             elif code == OP_SPEC_ROLLBACK:
                 tenants = payload[0]
-                self._varint(len(tenants))
+                _put_varint(out, len(tenants))
                 for tenant_name in tenants:
-                    self._string(tenant_name)
+                    self._string(out, tenant_name)
             elif code == OP_DEGRADE:
-                self.parts.append(_F64.pack(payload[0]))
+                out += _F64.pack(payload[0])
             elif code == OP_BUMP_AUDITOR:
                 physical_index, key, count = payload
-                self._varint(physical_index)
-                self._string(key)
-                self._varint(count)
+                _put_varint(out, physical_index)
+                self._string(out, key)
+                _put_varint(out, count)
             elif code == OP_PICKLE:  # cold tail: restore_tenant, future ops
                 blob = pickle.dumps(
                     (op, payload), protocol=pickle.HIGHEST_PROTOCOL
                 )
-                self._varint(len(blob))
-                self.parts.append(blob)
+                _put_varint(out, len(blob))
+                out += blob
             # nullary codes carry nothing beyond the op head
-        frame = b"".join(self.parts)
-        self.parts = []
-        return frame
+        return bytes(out)
 
 
 class FrameDecoder:

@@ -18,7 +18,7 @@ on schedule — commits by **suppression**: the coordinator simply does
 not re-send the eviction the worker already performed.
 
 **Worker** — :func:`capture_eviction_undo` snapshots the exact state a
-never-started guest's eviction destroys (IOPT slice entries, list/dict
+never-started guest's eviction destroys (IOPT window entries, list/dict
 positions, slice free-list membership, handle/vaccel flags) plus a
 checkpoint digest via
 :class:`~repro.hv.checkpoint.IncrementalCheckpointer`;
@@ -154,11 +154,11 @@ class EvictionUndo:
 
     Captured against a guest that holds its slot alone and has never
     been scheduled mid-eviction (the grant conditions), whose eviction
-    therefore touches exactly: the IOPT entries of its IOVA slice, four
+    therefore touches exactly: the IOPT entries of its window extent, four
     container positions (node tenant dict, provider tenant list,
     hypervisor vaccel list, manager vaccel list), the provider's slot
-    ledger, the slice free-list, the started flag, the vaccel state, and
-    the handle's connected flag.
+    ledger, the slice free-list, the vaccel state, the handle's
+    connected flag, and the guest watchdog's watch on it.
     The original :class:`~repro.mem.page_table.PageTableEntry` *objects*
     are kept and reinstated so accessed/dirty/pinned bits survive.
     """
@@ -169,7 +169,7 @@ class EvictionUndo:
         "tenant",
         "vaccel",
         "vaccel_state",
-        "started",
+        "watchdog_armed",
         "node_tenants_pos",
         "provider_pos",
         "hv_pos",
@@ -210,18 +210,16 @@ def capture_eviction_undo(
     undo.tenant = tenant
     undo.vaccel = vaccel
     undo.vaccel_state = vaccel.state
-    undo.started = hypervisor._started.get(vaccel.vaccel_id, False)
+    watchdog = hypervisor.watchdog
+    undo.watchdog_armed = watchdog is not None and vaccel.vaccel_id in watchdog._watched
     undo.node_tenants_pos = list(node.tenants).index(tenant_name)
     undo.provider_pos = node.provider.tenants.index(tenant)
     undo.hv_pos = hypervisor.vaccels.index(vaccel)
     undo.manager_pos = manager.vaccels.index(vaccel)
     page_table = hypervisor.shadow.iommu.page_table
-    first = page_table.vpn(vaccel.slice.iova_base)
-    last = page_table.vpn(vaccel.slice.iova_base + vaccel.slice.size - 1)
     undo.iopt_entries = [
         (vpn, page_table._entries[vpn])
-        for vpn in sorted(page_table._entries)
-        if first <= vpn <= last
+        for vpn in page_table.resident_in(vaccel.slice.iova_base, vaccel.window_extent)
     ]
     undo.digest = checkpointer.checkpoint(
         hypervisor, vaccel, accel_type=tenant.accel_type
@@ -251,7 +249,12 @@ def reinstate_eviction(node, undo: EvictionUndo) -> None:
     hypervisor.vaccels.insert(undo.hv_pos, vaccel)
     hypervisor._free_slices.remove(vaccel.slice.index)
     heapq.heapify(hypervisor._free_slices)
-    hypervisor._started[vaccel.vaccel_id] = undo.started
+    if undo.watchdog_armed:
+        # Teardown unwatched it.  No simulated time passed on the node
+        # since, so its poller has not polled the detached vaccel and
+        # exited: re-arming the id is all it takes, a second poller
+        # would double-watch.
+        hypervisor.watchdog._watched.add(vaccel.vaccel_id)
     tenant.handle.connected = True
     # Through the provider, so the slot ledger regains the tenant too.
     node.provider._remember(tenant, undo.provider_pos)

@@ -21,6 +21,7 @@ from repro.core import (
 from collections import deque
 
 from repro.core.mux_tree import WRITE_ROOT_WEIGHT, MuxNode, MuxTree
+from repro.errors import ConfigurationError
 from repro.mem import GB, MB, PAGE_SIZE_2M
 from repro.mem.iommu import IOTLB_ENTRIES
 from repro.platform import PlatformMode, PlatformParams, build_platform
@@ -67,6 +68,16 @@ class TestSliceLayout:
         gva_base = 0x7F0000000000 & ~(PAGE_SIZE_2M - 1)
         offset = s.offset_for(gva_base)
         assert gva_base + offset == s.iova_base
+
+    def test_a_slice_is_built_once_per_index(self):
+        layout = default_layout(PAGE_SIZE_2M)
+        s = layout.slice_for(3)
+        assert layout.slice_for(3) is s
+        assert (s.index, s.iova_base, s.size) == (3, 3 * layout.stride, 64 * GB)
+        with pytest.raises(ConfigurationError):
+            layout.slice_for(layout.max_slices)
+        with pytest.raises(ConfigurationError):
+            layout.slice_for(-1)
 
     @given(index=st.integers(min_value=0, max_value=500))
     @settings(max_examples=50, deadline=None)
@@ -132,8 +143,6 @@ class TestMuxTree:
         assert abs(counts[0] - counts[1]) <= 2
 
     def test_invalid_leaf_rejected(self):
-        from repro.errors import ConfigurationError
-
         _engine, tree, _ = self.make_tree(4)
         with pytest.raises(ConfigurationError):
             tree.leaf_ingress(4)

@@ -15,6 +15,7 @@ from repro.hv import (
     RoundRobinScheduler,
     WeightedScheduler,
 )
+from repro.hv.mdev import BAR2_WINDOW_SIZE
 from repro.mem import MB
 from repro.platform import PlatformMode, PlatformParams, build_platform
 from repro.sim.clock import ms, us
@@ -321,6 +322,72 @@ class TestTenantTeardown:
         assert hv.guest_bar2_write(vaccel, BAR2_STATE_BUF, gva) is None
         assert (engine._sequence, engine.pending_events) == (0, 0)
         assert hv.mmio_traps == traps + 1  # still counted as a trap
+
+    def test_watched_guest_leaves_nothing_on_the_engine(self):
+        # With the watchdog on, a torn-down vaccel's poller exits at its
+        # next wake-up: an unbounded run returns, nothing stays pending,
+        # and the vaccel dies by refcount.
+        platform, hv = make_stack()
+        watchdog = hv.enable_watchdog(us(5))
+        vm = hv.create_vm("t")
+        vaccel = hv.create_virtual_accelerator(vm, CopyJob(), physical_index=0)
+        handle = GuestAccelerator(hv, vm, vaccel, window_bytes=16 * MB)
+        platform.engine.run(until_ps=us(20))  # several polls while alive
+        handle.disconnect()
+        assert vaccel.vaccel_id not in watchdog._watched
+        platform.engine.run()
+        assert platform.engine.pending_events == 0
+        gone = weakref.ref(vaccel)
+        del vaccel, handle
+        assert gone() is None
+
+    def test_teardown_touches_only_the_window_extent(self):
+        # The departing vaccel's entries all lie inside the largest window
+        # it installed (a shrink leaves the old tail mapped until then);
+        # the neighbouring slice's entries are untouched.
+        platform, hv = make_stack()
+        vm = hv.create_vm("t")
+        first = hv.create_virtual_accelerator(vm, CopyJob(), physical_index=0)
+        second = hv.create_virtual_accelerator(vm, CopyJob(), physical_index=1)
+        GuestAccelerator(hv, vm, first, window_bytes=16 * MB)
+        GuestAccelerator(hv, vm, second, window_bytes=8 * MB)
+        hv.guest_bar2_write(first, BAR2_WINDOW_SIZE, 4 * MB)  # shrink
+        assert (first.window_size, first.window_extent) == (4 * MB, 16 * MB)
+        iopt = platform.iommu.page_table
+
+        def pages_of(va):
+            return iopt.resident_in(va.slice.iova_base, va.slice.size)
+
+        assert len(pages_of(first)) == 16 * MB // hv.page_size
+        hv.destroy_virtual_accelerator(first)
+        assert pages_of(first) == []
+        assert len(pages_of(second)) == 8 * MB // hv.page_size
+
+    def test_a_rejected_window_changes_nothing(self):
+        # An oversized BAR2 window is refused before it is recorded, so no
+        # later hypercall can map a page past the end of the slice.
+        platform, hv = make_stack()
+        vm = hv.create_vm("t")
+        vaccel = hv.create_virtual_accelerator(vm, CopyJob(), physical_index=0)
+        handle = GuestAccelerator(hv, vm, vaccel, window_bytes=4 * MB)
+        with pytest.raises(GuestError, match="exceeds"):
+            hv.guest_bar2_write(vaccel, BAR2_WINDOW_SIZE, 2 * vaccel.slice.size)
+        assert (vaccel.window_size, vaccel.window_extent) == (4 * MB, 4 * MB)
+        beyond = handle.driver.window_base + vaccel.slice.size
+        with pytest.raises(GuestError, match="outside the registered DMA window"):
+            hv.shadow.map_page(vaccel, beyond, 0)
+
+    def test_guest_state_is_built_on_first_use(self):
+        # A tenant that only reserves its window owns no page tables, GPA
+        # allocator or buffer allocator; the first buffer builds them.
+        _platform, hv = make_stack()
+        vm = hv.create_vm("t")
+        vaccel = hv.create_virtual_accelerator(vm, CopyJob(), physical_index=0)
+        handle = GuestAccelerator(hv, vm, vaccel, window_bytes=16 * MB)
+        assert (vm._mmu, vm._gpa_alloc, handle._buffers) == (None, None, None)
+        gva = handle.alloc_buffer(64)
+        assert None not in (vm._mmu, vm._gpa_alloc, handle._buffers)
+        assert vm.mmu.gva_to_gpa(gva) == 0
 
     def test_gva_stagger_counts_every_vm_ever_booted(self):
         # 4 KB pages so the 37-page stagger is not rounded away.  A

@@ -118,6 +118,51 @@ class TestPageTable:
         assert table.is_mapped(0)
         assert not table.is_mapped(3 * PAGE_SIZE_4K)
 
+    def test_zero_length_unmap_removes_nothing(self):
+        # Regression: the last page of an empty range used to be computed
+        # as the first page, so a 0-byte unmap removed the page at virt.
+        table = PageTable(PAGE_SIZE_4K)
+        table.map(PAGE_SIZE_4K, 0)
+        version = table.version
+        assert table.unmap_range(PAGE_SIZE_4K, 0) == 0
+        assert table.is_mapped(PAGE_SIZE_4K)
+        assert table.version == version
+        assert table.resident_in(PAGE_SIZE_4K, 0) == []
+
+    def test_fill_range_maps_every_page_to_one_frame(self):
+        table = PageTable(PAGE_SIZE_4K)
+        table.map(PAGE_SIZE_4K, 7 * PAGE_SIZE_4K)
+        version = table.version
+        # 2.5 pages round up to 3, and an existing mapping is replaced.
+        assert table.fill_range(0, 5 * PAGE_SIZE_4K // 2, 9 * PAGE_SIZE_4K) == 3
+        assert table.version == version + 1
+        entries = [entry for _virt, entry in table.mappings()]
+        assert [e.frame for e in entries] == [9, 9, 9]
+        assert all(e.pinned and e.writable and e.readable for e in entries)
+        assert len({id(e) for e in entries}) == 3  # A/D bits stay per page
+        assert table.fill_range(0, 0, 0) == 0
+        with pytest.raises(ConfigurationError):
+            table.fill_range(100, PAGE_SIZE_4K, 0)
+
+    @given(
+        vpns=st.lists(st.integers(min_value=0, max_value=64), unique=True, max_size=30),
+        first=st.integers(min_value=0, max_value=64),
+        pages=st.integers(min_value=0, max_value=80),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_resident_in_and_unmap_range_match_a_scan(self, vpns, first, pages):
+        # Both sides of the smaller-side scan agree with the plain filter.
+        table = PageTable(PAGE_SIZE_4K)
+        for vpn in vpns:
+            table.map(vpn * PAGE_SIZE_4K, 0)
+        expected = sorted(v for v in vpns if first <= v < first + pages)
+        virt, size = first * PAGE_SIZE_4K, pages * PAGE_SIZE_4K
+        assert table.resident_in(virt, size) == expected
+        assert table.unmap_range(virt, size) == len(expected)
+        assert sorted(virt >> 12 for virt, _ in table.mappings()) == sorted(
+            set(vpns) - set(expected)
+        )
+
     @given(vpns=st.lists(st.integers(min_value=0, max_value=2**20), unique=True, max_size=30))
     @settings(max_examples=30, deadline=None)
     def test_mappings_iterate_sorted_and_complete(self, vpns):

@@ -52,6 +52,16 @@ class TestFrameCodec:
     def test_hot_batch_round_trips(self):
         assert decode_frame(encode_frame(HOT_BATCH)) == HOT_BATCH
 
+    def test_hot_batch_wire_bytes_are_pinned(self):
+        # The layout the module docstring describes, byte for byte: a
+        # faster encoder must write exactly these bytes.
+        assert encode_frame(HOT_BATCH).hex() == (
+            "0c010080897a00067430303030310003616573020c000000067430303030320203"
+            "0201c08db701010300bf843d040000050180897a0601c0843d0800c0843d3fd000"
+            "00000000000700000900c0843d02000b6d6d696f5f777269746573070a01c0843d"
+            "030b01000103"
+        )
+
     def test_cold_tail_falls_back_to_pickle(self):
         batch = [(0, 1, "restore_tenant", ({"any": "payload"}, 4, False))]
         assert decode_frame(encode_frame(batch)) == batch
@@ -244,6 +254,33 @@ class TestEvictionRollback:
         node.evict("a")  # the real eviction, when its epoch arrives
         assert node.slots.per_slot == node.provider.recount() == [0, 1]
         node.check_ledger()
+
+    def test_rollback_re_arms_the_guest_watchdog(self):
+        # Teardown unwatches the vaccel; the rollback must watch it again
+        # (the checkpoint digest records the watch) without a second poller.
+        from repro.fleet.node import FleetNode, NodeSpec
+        from repro.hv.checkpoint import IncrementalCheckpointer
+        from repro.parallel.speculate import (
+            capture_eviction_undo,
+            reinstate_eviction,
+        )
+
+        node = FleetNode(NodeSpec.of("node0", ("AES", "AES")))
+        hypervisor = node.provider.hypervisor
+        watchdog = hypervisor.enable_watchdog(10**6)
+        node.place("a", "AES")
+        vaccel = node.tenants["a"].vaccel
+        engine = hypervisor.engine
+        pending = engine.pending_events
+        undo = capture_eviction_undo(node, "a", 5, IncrementalCheckpointer())
+        node.evict("a")
+        assert vaccel.vaccel_id not in watchdog._watched
+        reinstate_eviction(node, undo)  # raises on a digest mismatch
+        assert vaccel.vaccel_id in watchdog._watched
+        assert engine.pending_events == pending
+        node.evict("a")
+        engine.run()
+        assert engine.pending_events == 0
 
 
 # -- incremental checkpointer --------------------------------------------------
