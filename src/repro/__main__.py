@@ -1,31 +1,32 @@
-"""Command-line entry point: list, run, and trace the paper's experiments.
+"""Command-line entry point: the paper's experiments and the fleet surfaces.
 
 Usage::
 
     python -m repro list                 # what can be regenerated
-    python -m repro list --json          # same, machine-readable
     python -m repro run fig4             # one experiment
     python -m repro run all              # the whole evaluation section
     python -m repro run fig6 --jobs 8    # fan sweep cells across processes
     python -m repro run fig5 --profile   # print a cProfile summary after
     python -m repro run fig5 --json      # machine-readable result envelope
-    python -m repro trace fig5 --quick   # Perfetto-loadable trace capture
+    python -m repro run fig5 --quick --trace t.json  # Perfetto-loadable capture
     python -m repro fleet --nodes 4 --load 0.9 --seed 1   # fleet serving
+    python -m repro fleet --nodes 2 --load 3.0 --placements
     python -m repro chaos fleet --plan single-node-crash  # fault injection
     python -m repro chaos single --plan rogue-guest --json
     python -m repro serve --sessions 2000 --load 2.0      # serving gateway
-    python -m repro serve --trace sessions.json --shards 2 --json
+    python -m repro serve --arrivals sessions.json --shards 2 --json
     python -m repro capacity --tenants 1000000 --load 6.0 # analytic planner
     python -m repro capacity --mode optimus --tenants 5000 --json
     python -m repro fuzz --seed 7 --count 20              # differential fuzzing
     python -m repro fuzz --replay repro-seed7-idx3-abc.json
 
-``run`` exits non-zero if any experiment raises (and keeps going through
-the rest of ``all``, reporting every failure at the end).
-
-Every ``--json`` mode prints one envelope object to stdout —
-``{"experiment": ..., "params": ..., "results": ...}`` — with all human
-narration diverted to stderr.
+Each command is declared once, with :func:`command`: its flags and a
+``run`` that prints the human report and returns ``(params, results)``.
+Every command takes ``--json``: the report then goes to stderr and stdout
+carries one envelope, ``{"experiment": ..., "params": ..., "results":
+...}``, and nothing else.  ``run`` exits non-zero if any experiment raises
+(and keeps going through the rest of ``all``, reporting every failure at
+the end).
 """
 
 from __future__ import annotations
@@ -37,9 +38,15 @@ import os
 import sys
 import time
 import traceback
+from collections import ChainMap
+from dataclasses import dataclass
+from typing import Callable, Dict, Tuple
 
 from repro.envelope import emit_envelope, to_jsonable
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
+from repro.experiments.harness import STACK_MODES, ResultTable
+from repro.faults.plan import preset_names
+from repro.scenario import kind_names
 
 #: Exit codes shared by every subcommand (also shown in ``--help``).
 EXIT_CODES = """\
@@ -83,6 +90,152 @@ EXPERIMENTS = {
     ),
 }
 
+IF_SET = "if set"
+
+
+class Flag:
+    """One argument of a command: ``add_argument``'s arguments, plus how
+    its value reaches the envelope's ``params``: always (the default),
+    never (``param=False``: output paths, and execution details such as
+    ``--shards`` that never change results), or only when set
+    (``param=IF_SET``, so envelopes from before the flag keep their bytes).
+    """
+
+    def __init__(self, *names: str, param=True, **options) -> None:
+        self.names, self.param, self.options = names, param, options
+        self.dest = options.get("dest", names[0].lstrip("-").replace("-", "_"))
+
+
+@dataclass(frozen=True)
+class Command:
+    help: str
+    flags: Tuple[Flag, ...]
+    run: Callable[[argparse.Namespace, dict], Tuple[dict, object]]
+    ok: Callable[[argparse.Namespace, object], bool]
+
+    def params(self, args: argparse.Namespace) -> Dict[str, object]:
+        return {
+            flag.dest: getattr(args, flag.dest)
+            for flag in self.flags
+            if flag.param is True or (flag.param == IF_SET and getattr(args, flag.dest))
+        }
+
+
+COMMANDS: Dict[str, Command] = {}
+
+
+def command(name: str, help: str, *flags: Flag, ok=lambda args, results: True):
+    """Declare the decorated ``run(args, params)`` as command ``name``.
+
+    ``params`` arrives filled from ``flags``; ``run`` completes it and
+    returns ``(params, results)``.  ``ok(args, results)`` is false when
+    the command ran but failed (exit 1).
+    """
+
+    def declare(run):
+        COMMANDS[name] = Command(help, flags, run, ok)
+        return run
+
+    return declare
+
+
+class ExperimentFailed(Exception):
+    """``run <key>`` raised; its traceback is already on stderr (exit 1)."""
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """Report an unwritable output file as a usage error (exit 2)."""
+    try:
+        yield
+    except OSError as error:
+        raise ConfigurationError(
+            f"cannot write {path}: {error.strerror or error}"
+        ) from None
+
+
+PLACEMENT = (
+    Flag(
+        "--policy",
+        default="best-fit",
+        choices=["first-fit", "best-fit", "affinity"],
+        help="placement policy",
+    ),
+)
+QUEUE = (
+    Flag("--queue", type=int, default=32, help="admission queue limit"),
+    Flag("--retries", type=int, default=3, help="max placement retries"),
+)
+SHARDING = (
+    Flag(
+        "--shards",
+        param=False,
+        type=int,
+        default=1,
+        metavar="N",
+        help="shard fleet nodes across N worker processes (byte-identical results)",
+    ),
+    Flag(
+        "--lookahead",
+        param=False,
+        type=int,
+        default=0,
+        metavar="K",
+        help="let shard workers speculate K epochs ahead of the coordinator "
+        "(0 = no speculation; byte-identical results at any depth)",
+    ),
+    Flag(
+        "--opstream-stats",
+        param=False,
+        metavar="FILE",
+        default=None,
+        help="write the sharded op-stream/speculation ledger as JSON",
+    ),
+)
+
+
+@contextlib.contextmanager
+def _serving(args: argparse.Namespace, nodes: int, *, admission_policy=None, **fleet):
+    """The fleet service behind ``fleet``, ``serve`` and ``chaos fleet``.
+
+    Admission limits come from ``--queue``/``--retries`` where the command
+    has them.  After the body, ``--opstream-stats`` gets the op-stream
+    ledger: diagnostic output, never part of an envelope (a serial run
+    writes an empty object, so the file always exists).
+    """
+    from repro.fleet import AdmissionConfig, FleetService, make_policy, open_fleet
+
+    admission = None
+    if "queue" in args:
+        admission = AdmissionConfig(queue_limit=args.queue, max_retries=args.retries)
+    with open_fleet(
+        nodes, shards=args.shards, lookahead=args.lookahead, **fleet
+    ) as cluster:
+        yield FleetService(
+            cluster,
+            make_policy(args.policy),
+            admission=admission,
+            admission_policy=admission_policy,
+        )
+        if args.opstream_stats:
+            with _writing(args.opstream_stats), open(
+                args.opstream_stats, "w", encoding="utf-8"
+            ) as handle:
+                json.dump(cluster.opstream_stats(), handle, indent=2, sort_keys=True)
+                handle.write("\n")
+
+
+@command("list", "list available experiments")
+def _list(args: argparse.Namespace, params: dict):
+    width = max(len(k) for k in EXPERIMENTS)
+    for key, (_module, description) in EXPERIMENTS.items():
+        print(f"  {key.ljust(width)}  {description}")
+    print("\nrun with: python -m repro run <experiment|all>")
+    return params, {
+        key: {"module": module, "description": description}
+        for key, (module, description) in EXPERIMENTS.items()
+    }
+
 
 def _run_one(key: str, jobs: int = 1, *, quick: bool = False):
     """Run one experiment; returns ``(ok, result)`` instead of raising.
@@ -100,7 +253,6 @@ def _run_one(key: str, jobs: int = 1, *, quick: bool = False):
     import inspect
 
     from repro.experiments.cache import current_cache
-    from repro.experiments.harness import ResultTable
 
     module_name, _description = EXPERIMENTS[key]
     cache = current_cache()
@@ -136,87 +288,212 @@ def _run_one(key: str, jobs: int = 1, *, quick: bool = False):
     return True, result
 
 
-def _maybe_dump_opstream(args: argparse.Namespace, cluster) -> None:
-    """Write the op-stream ledger to ``--opstream-stats`` (side channel).
+@command(
+    "run",
+    "run one experiment (or 'all')",
+    # A live view, so experiments registered after import are choices too.
+    Flag("experiment", param=False, choices=ChainMap({"all": None}, EXPERIMENTS)),
+    Flag(
+        "--quick",
+        param=IF_SET,
+        action="store_true",
+        help="run the QUICK grid (seconds, not minutes) and check its quick claims",
+    ),
+    Flag(
+        "--jobs",
+        type=int,
+        default=1,
+        metavar="N",
+        help="fan independent sweep cells across N worker processes",
+    ),
+    Flag(
+        "--trace",
+        param=False,
+        metavar="FILE",
+        help="write a Perfetto-loadable trace of the run to FILE "
+        "(serial, and never served from the result cache)",
+    ),
+    Flag(
+        "--profile",
+        param=False,
+        action="store_true",
+        help="run under cProfile and print the top 25 cumulative entries",
+    ),
+    Flag(
+        "--cache-dir",
+        param=False,
+        metavar="DIR",
+        help="content-addressed result cache directory "
+        "(default: $REPRO_CACHE_DIR or .repro-cache)",
+    ),
+    Flag(
+        "--no-cache",
+        param=False,
+        action="store_true",
+        help="disable the result cache (always recompute)",
+    ),
+    ok=lambda args, results: args.experiment != "all" or not results["failed"],
+)
+def _run(args: argparse.Namespace, params: dict):
+    if args.jobs < 1:
+        raise ConfigurationError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.trace and args.jobs > 1:
+        # Worker processes' events would never reach this process's tracer.
+        raise ConfigurationError("--trace runs serially; drop --jobs")
+    keys = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    results = {}
+    with contextlib.ExitStack() as cleanup:
+        # A cache hit would skip the very events --trace exists to capture.
+        if not (args.trace or args.no_cache):
+            from repro.experiments.cache import install_cache, uninstall_cache
 
-    The stats file is diagnostic output, never part of a result envelope:
-    it records frame/lookahead/rollback accounting for the bench harness
-    and the CI proxy gate.  A serial run writes an empty object so
-    callers can treat the file's existence uniformly.
-    """
-    if not args.opstream_stats:
-        return
-    with open(args.opstream_stats, "w", encoding="utf-8") as handle:
-        json.dump(cluster.opstream_stats(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+            cache = install_cache(
+                args.cache_dir or os.environ.get("REPRO_CACHE_DIR", ".repro-cache")
+            )
+            cleanup.callback(uninstall_cache)
+            cleanup.callback(lambda: print(cache.render(), file=sys.stderr))
+        if args.profile:
+            import cProfile
+            import pstats
+
+            profiler = cProfile.Profile()
+            cleanup.callback(
+                lambda: pstats.Stats(profiler).sort_stats("cumulative").print_stats(25)
+            )
+            cleanup.enter_context(profiler)
+        if args.trace:
+            from repro.telemetry import install_tracer, uninstall_tracer
+
+            tracer = install_tracer()
+            cleanup.callback(uninstall_tracer)
+        for key in keys:
+            ok, result = _run_one(key, args.jobs, quick=args.quick)
+            if ok:
+                results[key] = result
+        failed = [key for key in keys if key not in results]
+        if failed and args.experiment != "all":
+            raise ExperimentFailed(args.experiment)
+        if args.trace:
+            with _writing(args.trace):
+                tracer.write(args.trace)
+            categories = ", ".join(sorted(tracer.span_categories())) or "none"
+            print(f"trace: wrote {args.trace} ({tracer.event_count} events; "
+                  f"span categories: {categories})")
+            print("trace: load it in https://ui.perfetto.dev or chrome://tracing")
+    if args.experiment != "all":
+        return params, results[args.experiment]
+    if failed:
+        print(f"FAILED experiments: {', '.join(failed)}")
+    return params, {"tables": results, "failed": failed}
 
 
-def _fleet_command(args: argparse.Namespace) -> int:
-    from repro.fleet import (
-        AdmissionConfig,
-        FleetService,
-        TrafficGenerator,
-        TrafficProfile,
-        make_policy,
-        open_fleet,
-    )
+@command(
+    "fleet",
+    "serve deterministic tenant traffic on a multi-FPGA fleet",
+    *PLACEMENT,
+    *QUEUE,
+    *SHARDING,
+    Flag("--nodes", type=int, default=4, help="fleet size"),
+    Flag("--load", type=float, default=0.9, help="offered load"),
+    Flag("--seed", type=int, default=1, help="traffic seed (default: %(default)s)"),
+    Flag("--requests", type=int, default=200, help="request count"),
+    Flag("--max-oversub", type=int, default=4, help="tenants per physical slot"),
+    Flag(
+        "--placements",
+        param=False,
+        action="store_true",
+        help="print the full placement trace",
+    ),
+)
+def _fleet(args: argparse.Namespace, params: dict):
+    from repro.fleet import TrafficGenerator, TrafficProfile
 
-    with open_fleet(
-        args.nodes,
-        shards=args.shards,
-        lookahead=args.lookahead,
-        max_oversub=args.max_oversub,
-    ) as cluster:
+    with _serving(args, args.nodes, max_oversub=args.max_oversub) as service:
+        cluster = service.cluster
         generator = TrafficGenerator(
             TrafficProfile(load=args.load),
             fleet_slots=cluster.total_slots,
             seed=args.seed,
         )
-        service = FleetService(
-            cluster,
-            make_policy(args.policy),
-            admission=AdmissionConfig(queue_limit=args.queue, max_retries=args.retries),
-        )
         result = service.serve(generator.generate(args.requests))
-        node_report = cluster.simulated_report()
-        _maybe_dump_opstream(args, cluster)
-    if args.json:
         results = to_jsonable(result.summary())
-        results["nodes"] = to_jsonable(node_report)
-        # ``--shards``/``--lookahead`` are execution details, not parameters:
-        # results are byte-identical at any shard count or speculation depth,
-        # so they stay out of the envelope.
-        emit_envelope(
-            "fleet",
-            {
-                "nodes": args.nodes,
-                "load": args.load,
-                "seed": args.seed,
-                "requests": args.requests,
-                "policy": args.policy,
-                "queue": args.queue,
-                "retries": args.retries,
-                "max_oversub": args.max_oversub,
-            },
-            results,
-        )
-    else:
-        print(
-            f"fleet: {args.nodes} nodes ({cluster.total_slots} slots), "
-            f"policy {args.policy}, load {args.load}, seed {args.seed}, "
-            f"{args.requests} requests"
-        )
-        print(result.metrics.render())
-    if args.trace:
+        results["nodes"] = to_jsonable(cluster.simulated_report())
+    print(
+        f"fleet: {args.nodes} nodes ({cluster.total_slots} slots), "
+        f"policy {args.policy}, load {args.load}, seed {args.seed}, "
+        f"{args.requests} requests"
+    )
+    print(result.metrics.render())
+    if args.placements:
         print("\nplacement trace:")
         for line in result.metrics.trace:
             print(f"  {line}")
-    return 0
+    return params, results
 
 
-def _serve_command(args: argparse.Namespace) -> int:
-    """Replay (or synthesize) a session trace through the serving gateway."""
-    from repro.fleet import AdmissionConfig, FleetService, make_policy, open_fleet
+@command(
+    "serve",
+    "replay a session trace through the SLO-aware gateway",
+    *PLACEMENT,
+    *QUEUE,
+    *SHARDING,
+    Flag(
+        "--arrivals",
+        param=False,
+        metavar="FILE",
+        help="replay a .json/.csv arrival trace instead of synthesizing one",
+    ),
+    Flag(
+        "--sessions",
+        type=int,
+        metavar="N",
+        help="synthetic trace size (default: 2000, or 800 with --quick)",
+    ),
+    Flag(
+        "--seed",
+        type=int,
+        default=1,
+        help="synthetic trace seed (default: %(default)s)",
+    ),
+    Flag("--load", type=float, default=1.5, help="offered load"),
+    Flag(
+        "--followup",
+        type=float,
+        default=0.3,
+        metavar="P",
+        help="closed-loop probability a tenant returns after a session",
+    ),
+    Flag(
+        "--diurnal",
+        type=float,
+        default=0.0,
+        metavar="A",
+        help="diurnal rate-modulation amplitude in [0, 1)",
+    ),
+    Flag(
+        "--burst",
+        type=float,
+        default=0.0,
+        metavar="P",
+        help="per-arrival probability of starting a burst episode",
+    ),
+    Flag("--nodes", type=int, help="fleet size (default: 3, or 2 with --quick)"),
+    Flag(
+        "--admission",
+        default="slo-budget",
+        choices=["queue-depth", "slo-budget"],
+        help="admission policy (queue-depth = legacy bounded queue only)",
+    ),
+    Flag("--quick", action="store_true", help="small fleet + short trace preset"),
+    Flag(
+        "--save-arrivals",
+        param=False,
+        metavar="FILE",
+        help="write the (synthesized) arrival trace as JSON for later replay",
+    ),
+)
+def _serve(args: argparse.Namespace, params: dict):
+    """Replay (or synthesize) an arrival trace through the serving gateway."""
     from repro.serve import (
         ArrivalTrace,
         Gateway,
@@ -225,13 +502,14 @@ def _serve_command(args: argparse.Namespace) -> int:
         synthesize,
     )
 
-    sessions = args.sessions if args.sessions is not None else (
-        800 if args.quick else 2000
-    )
-    nodes = args.nodes if args.nodes is not None else (2 if args.quick else 3)
-    with open_fleet(nodes, shards=args.shards, lookahead=args.lookahead) as cluster:
-        if args.trace_file:
-            trace = ArrivalTrace.load(args.trace_file)
+    if args.sessions is None:
+        params["sessions"] = 800 if args.quick else 2000
+    if args.nodes is None:
+        params["nodes"] = 2 if args.quick else 3
+    policy = SloBudgetPolicy() if args.admission == "slo-budget" else None
+    with _serving(args, params["nodes"], admission_policy=policy) as service:
+        if args.arrivals:
+            trace = ArrivalTrace.load(args.arrivals)
         else:
             trace = synthesize(
                 ServeProfile(
@@ -240,58 +518,24 @@ def _serve_command(args: argparse.Namespace) -> int:
                     diurnal_amplitude=args.diurnal,
                     burst_prob=args.burst,
                 ),
-                sessions=sessions,
-                fleet_slots=cluster.total_slots,
+                sessions=params["sessions"],
+                fleet_slots=service.cluster.total_slots,
                 seed=args.seed,
             )
-        if args.save_trace:
-            path = trace.write_json(args.save_trace)
-            print(f"serve: wrote trace {path}", file=sys.stderr)
-        admission_policy = (
-            SloBudgetPolicy() if args.admission == "slo-budget" else None
-        )
-        service = FleetService(
-            cluster,
-            make_policy(args.policy),
-            admission=AdmissionConfig(
-                queue_limit=args.queue, max_retries=args.retries
-            ),
-            admission_policy=admission_policy,
-        )
+        if args.save_arrivals:
+            with _writing(args.save_arrivals):
+                path = trace.write_json(args.save_arrivals)
+            print(f"serve: wrote arrivals {path}", file=sys.stderr)
         result = Gateway(service, trace).run()
-        _maybe_dump_opstream(args, cluster)
+    # The trace is identified by digest, not file path: synthesizing a
+    # trace and replaying its saved copy are the same experiment.
+    params["trace"] = result.trace_digest
     results = to_jsonable(result.to_dict())
-    if args.json:
-        # ``--shards``/``--lookahead`` are execution details: envelopes are
-        # byte-identical at any shard count or speculation depth, so they
-        # stay out of the params block.  The
-        # trace is identified by digest, not file path: synthesizing a
-        # trace and replaying its saved copy are the same experiment.
-        emit_envelope(
-            "serve",
-            {
-                "trace": result.trace_digest,
-                "sessions": sessions,
-                "seed": args.seed,
-                "load": args.load,
-                "followup": args.followup,
-                "diurnal": args.diurnal,
-                "burst": args.burst,
-                "nodes": nodes,
-                "policy": args.policy,
-                "admission": args.admission,
-                "queue": args.queue,
-                "retries": args.retries,
-                "quick": args.quick,
-            },
-            results,
-        )
-        return 0
     trace_info = results["trace"]
     print(
         f"serve: {trace_info['sessions']} sessions in {trace_info['chains']} "
         f"chains (trace {trace_info['name']}, digest {trace_info['digest']}), "
-        f"{nodes} nodes, admission {args.admission}"
+        f"{params['nodes']} nodes, admission {args.admission}"
     )
     session_info = results["sessions"]
     print(f"outcomes: {session_info['outcomes']}")
@@ -314,10 +558,53 @@ def _serve_command(args: argparse.Namespace) -> int:
                 f"(budget {stats['budget_ps'] / 1e9:.2f} ms, "
                 f"estimate {stats['estimate_ps'] / 1e9:.2f} ms)"
             )
-    return 0
+    return params, results
 
 
-def _capacity_command(args: argparse.Namespace) -> int:
+@command(
+    "capacity",
+    "fleet capacity planning (analytic fast-forward or DES)",
+    Flag(
+        "--mode",
+        default="analytic",
+        # Single-sourced from the stack registry: a new stack mode shows
+        # up here (and in error messages) without touching the CLI.
+        choices=list(STACK_MODES),
+        help="backend: analytic = calibrated planner, optimus = fleet DES",
+    ),
+    Flag("--tenants", type=int, default=100_000, help="tenant request count"),
+    Flag("--nodes", type=int, default=8, help="fleet size"),
+    Flag("--load", type=float, default=1.2, help="offered load"),
+    Flag("--seed", type=int, default=7, help="traffic seed (default: %(default)s)"),
+    Flag(
+        "--mean-session-ms",
+        type=int,
+        default=20,
+        metavar="MS",
+        help="mean tenant session length in milliseconds",
+    ),
+    Flag(
+        "--horizon-s",
+        type=float,
+        default=0.0,
+        metavar="S",
+        help="simulated-time horizon in seconds (0 = whole trace)",
+    ),
+    Flag(
+        "--bootstrap",
+        type=int,
+        default=200,
+        metavar="B",
+        help="bootstrap resamples for the 95%% confidence intervals",
+    ),
+    Flag(
+        "--no-goodput",
+        dest="goodput",
+        action="store_false",
+        help="skip calibrated per-type goodput (avoids calibration runs)",
+    ),
+)
+def _capacity(args: argparse.Namespace, params: dict):
     """One capacity-planning question, answered by the chosen backend."""
     from repro.analytic import CapacityConfig, default_store, run_capacity
     from repro.sim.clock import ms
@@ -331,24 +618,7 @@ def _capacity_command(args: argparse.Namespace) -> int:
         horizon_ps=int(args.horizon_s * 10**12),
         bootstrap=args.bootstrap,
     )
-    results = run_capacity(args.mode, config, goodput=not args.no_goodput)
-    if args.json:
-        emit_envelope(
-            "capacity",
-            {
-                "mode": args.mode,
-                "tenants": args.tenants,
-                "nodes": args.nodes,
-                "load": args.load,
-                "seed": args.seed,
-                "mean_session_ms": args.mean_session_ms,
-                "horizon_s": args.horizon_s,
-                "bootstrap": args.bootstrap,
-                "goodput": not args.no_goodput,
-            },
-            results,
-        )
-        return 0
+    results = run_capacity(args.mode, config, goodput=args.goodput)
     print(
         f"capacity[{args.mode}/{results['engine']}]: {args.tenants} tenants, "
         f"{args.nodes} nodes, load {args.load}, seed {args.seed}"
@@ -391,10 +661,66 @@ def _capacity_command(args: argparse.Namespace) -> int:
         f"calibration digest {results['calibration_digest']}  "
         f"cells {len(default_store())}"
     )
-    return 0
+    return params, results
 
 
-def _chaos_command(args: argparse.Namespace) -> int:
+@command(
+    "chaos",
+    "inject a deterministic fault plan and watch recovery",
+    *PLACEMENT,
+    *SHARDING,
+    Flag(
+        "mode",
+        choices=["fleet", "single"],
+        help="fleet = serving loop under faults; single = one hypervisor",
+    ),
+    Flag(
+        "--plan",
+        default="single-node-crash",
+        metavar="PRESET|FILE",
+        # Single-sourced from the fault-plan registry, like --mode above:
+        # registering a preset adds it here and to the fuzzer's draws.
+        help="fault-plan preset name or JSON plan file "
+        f"(presets: {', '.join(preset_names())})",
+    ),
+    Flag("--seed", type=int, help="override the plan's seed (default: the plan's own)"),
+    Flag("--nodes", type=int, default=3, help="fleet size"),
+    Flag("--requests", type=int, default=80, help="fleet request count"),
+    Flag("--load", type=float, default=0.85, help="offered load"),
+    Flag("--traffic-seed", type=int, default=1, help="tenant traffic seed"),
+    Flag(
+        "--window-ms",
+        type=int,
+        default=20,
+        metavar="MS",
+        help="single-platform run window in milliseconds",
+    ),
+    Flag(
+        "--autoscale",
+        param=IF_SET,
+        dest="autoscale_standby",
+        type=int,
+        default=0,
+        metavar="N",
+        help="install the elastic autoscaler with the last N fleet nodes "
+        "parked as standby capacity (proactive evacuation of DEGRADED nodes)",
+    ),
+    Flag(
+        "--drain-node",
+        param=IF_SET,
+        metavar="NAME",
+        help="schedule a typed drain (cordon + live-migrate residents) of NAME",
+    ),
+    Flag(
+        "--drain-at-ms",
+        param=False,  # stamped together with --drain-node
+        type=int,
+        default=5,
+        metavar="MS",
+        help="simulated time of the scheduled --drain-node, in milliseconds",
+    ),
+)
+def _chaos(args: argparse.Namespace, params: dict):
     """Replay a fault plan and report injected events vs recovery outcomes."""
     import dataclasses
 
@@ -404,39 +730,33 @@ def _chaos_command(args: argparse.Namespace) -> int:
     plan = resolve_plan(args.plan)
     if args.seed is not None:
         plan = dataclasses.replace(plan, seed=args.seed)
-    if args.experiment == "fleet":
-        from repro.fleet import (
-            FleetService,
-            TrafficGenerator,
-            TrafficProfile,
-            make_policy,
-            open_fleet,
-        )
+    params["seed"] = plan.seed
+    if args.drain_node:
+        params["drain_at_ms"] = args.drain_at_ms
+    if args.mode == "fleet":
+        from repro.fleet import AutoscaleConfig, TrafficGenerator, TrafficProfile
 
-        with open_fleet(
-            args.nodes, shards=args.shards, lookahead=args.lookahead
-        ) as cluster:
+        standby = args.autoscale_standby
+        if standby and standby >= args.nodes:
+            raise ReproError(
+                f"--autoscale {standby} must leave at least "
+                f"one active node (fleet has {args.nodes})"
+            )
+        with _serving(args, args.nodes) as service:
+            cluster = service.cluster
             generator = TrafficGenerator(
                 TrafficProfile(load=args.load),
                 fleet_slots=cluster.total_slots,
                 seed=args.traffic_seed,
             )
-            service = FleetService(cluster, make_policy(args.policy))
             service.install_faults(plan)
-            if args.autoscale:
-                from repro.fleet import AutoscaleConfig
-
-                if args.autoscale >= args.nodes:
-                    raise ReproError(
-                        f"--autoscale {args.autoscale} must leave at least "
-                        f"one active node (fleet has {args.nodes})"
-                    )
-                standby = tuple(
-                    f"node{i}"
-                    for i in range(args.nodes - args.autoscale, args.nodes)
-                )
+            if standby:
                 service.install_autoscaler(
-                    AutoscaleConfig(standby_nodes=standby)
+                    AutoscaleConfig(
+                        standby_nodes=tuple(
+                            f"node{i}" for i in range(args.nodes - standby, args.nodes)
+                        )
+                    )
                 )
             if args.drain_node:
                 service.schedule_op(
@@ -452,10 +772,7 @@ def _chaos_command(args: argparse.Namespace) -> int:
                 "nodes": to_jsonable(cluster.simulated_report()),
             }
             if service.autoscaler is not None:
-                results["autoscaler"] = to_jsonable(
-                    service.autoscaler.summary()
-                )
-            _maybe_dump_opstream(args, cluster)
+                results["autoscaler"] = to_jsonable(service.autoscaler.summary())
     else:  # single
         report = run_single_chaos(plan, window_ps=ms(args.window_ms))
         results = {
@@ -463,35 +780,14 @@ def _chaos_command(args: argparse.Namespace) -> int:
             "injected": to_jsonable(report["fault_log"]),
             "report": to_jsonable(report),
         }
-    if args.json:
-        params = {
-            "mode": args.experiment,
-            "plan": args.plan,
-            "seed": plan.seed,
-            "nodes": args.nodes,
-            "requests": args.requests,
-            "load": args.load,
-            "traffic_seed": args.traffic_seed,
-            "policy": args.policy,
-            "window_ms": args.window_ms,
-        }
-        # Only stamped when requested, so legacy envelopes stay
-        # byte-identical.
-        if args.autoscale:
-            params["autoscale_standby"] = args.autoscale
-        if args.drain_node:
-            params["drain_node"] = args.drain_node
-            params["drain_at_ms"] = args.drain_at_ms
-        emit_envelope("chaos", params, results)
-        return 0
-    print(f"chaos[{args.experiment}]: plan {plan.name} (seed {plan.seed}, "
+    print(f"chaos[{args.mode}]: plan {plan.name} (seed {plan.seed}, "
           f"digest {plan.digest()})")
     for event in results["injected"]["events"]:
         details = event.get("details", {})
         extra = f" {details}" if details else ""
         print(f"  {event['at_ps']:>15} ps  {event['kind']:<18} "
               f"{event['target']:<10} -> {event['outcome']}{extra}")
-    if args.experiment == "fleet":
+    if args.mode == "fleet":
         print(f"outcomes: {results['outcomes']}")
         print(f"availability: {results['availability']:.4f}")
         if "autoscaler" in results:
@@ -502,533 +798,137 @@ def _chaos_command(args: argparse.Namespace) -> int:
         print(f"violations: {report['violations']}")
         print(f"quarantined: {report['watchdog']['quarantined'] or 'none'}")
     print(f"recovery digest: {results['injected']['digest']}")
-    return 0
+    return params, results
 
 
-def _fuzz_command(args: argparse.Namespace) -> int:
+@command(
+    "fuzz",
+    "constrained-random differential fuzzing of the whole stack",
+    Flag(
+        "--seed",
+        type=int,
+        default=0,
+        help="campaign seed (default: %(default)s; scenario i is a pure "
+        "function of (seed, i))",
+    ),
+    Flag(
+        "--count",
+        type=int,
+        default=5,
+        metavar="N",
+        help="number of scenarios to draw and run",
+    ),
+    Flag(
+        "--kinds",
+        metavar="K1,K2",
+        help="comma-separated scenario kinds to draw from "
+        f"(default: all; kinds: {', '.join(kind_names())})",
+    ),
+    Flag(
+        "--no-shrink",
+        dest="shrink",
+        action="store_false",
+        help="report failures as drawn, without delta-debugging them down "
+        "to minimal reproducers",
+    ),
+    Flag(
+        "--save-failures",
+        param=False,
+        metavar="DIR",
+        help="write each (shrunk) failing scenario as a canonical-JSON "
+        "reproducer file under DIR",
+    ),
+    Flag(
+        "--replay",
+        param=False,
+        metavar="FILE",
+        help="re-run one saved reproducer through the oracle instead of "
+        "fuzzing",
+    ),
+    ok=lambda args, results: results["ok"] if args.replay else not results["failed"],
+)
+def _fuzz(args: argparse.Namespace, params: dict):
     """Constrained-random differential fuzzing over the whole stack."""
     from repro.scenario import FuzzConfig, replay, run_fuzz
 
     def narrate(line: str) -> None:
         print(line, file=sys.stderr)
 
-    try:
-        if args.replay:
-            result = replay(args.replay)
-            narrate(
-                f"fuzz: replayed {result.scenario.digest()} "
-                f"({result.scenario.kind}) -> "
-                f"{'ok' if result.ok else 'FAIL'}"
-            )
-            if args.json:
-                emit_envelope(
-                    "fuzz",
-                    {"replay": args.replay, "digest": result.scenario.digest()},
-                    result.to_dict(),
-                )
-            else:
-                for failure in result.failures:
-                    print(f"  {failure}")
-            return 0 if result.ok else 1
-        config = FuzzConfig(
-            seed=args.seed,
-            count=args.count,
-            kinds=args.kinds,
-            shrink_failures=not args.no_shrink,
-            save_failures=args.save_failures,
+    if args.replay:
+        result = replay(args.replay)
+        digest = result.scenario.digest()
+        narrate(
+            f"fuzz: replayed {digest} ({result.scenario.kind}) -> "
+            f"{'ok' if result.ok else 'FAIL'}"
         )
-        report = run_fuzz(config, narrate=narrate)
-    except (ReproError, OSError, ValueError) as error:
-        print(f"fuzz: error: {error}", file=sys.stderr)
-        return 2
+        for failure in result.failures:
+            print(f"  {failure}")
+        return {"replay": args.replay, "digest": digest}, result.to_dict()
+    config = FuzzConfig(
+        seed=args.seed,
+        count=args.count,
+        kinds=args.kinds,
+        shrink_failures=args.shrink,
+        save_failures=args.save_failures,
+    )
+    params["kinds"] = sorted(config.generator().kinds)
+    report = run_fuzz(config, narrate=narrate)
     results = report.to_dict()
-    if args.json:
-        emit_envelope(
-            "fuzz",
-            {
-                "seed": args.seed,
-                "count": args.count,
-                "kinds": sorted(config.generator().kinds),
-                "shrink": not args.no_shrink,
-            },
-            results,
-        )
-    else:
-        print(
-            f"fuzz: {results['scenarios']} scenarios (seed {args.seed}): "
-            f"{results['passed']} passed, {results['failed']} failed "
-            f"{results['by_kind']}"
-        )
-        for failure in results["failures"]:
-            print(f"  [{failure['index']}] {failure['kind']} "
-                  f"{failure['digest']}: {failure['failures']}")
-        for path in report.saved_paths:
-            print(f"  reproducer: {path}")
-    return 0 if report.ok else 1
-
-
-def _trace_command(args: argparse.Namespace) -> int:
-    from repro.telemetry import install_tracer, uninstall_tracer
-
-    output = args.output or f"trace-{args.experiment}.json"
-    tracer = install_tracer()
-    try:
-        # Serial on purpose: parallel_map workers are separate processes
-        # whose events would never reach this tracer.
-        with contextlib.redirect_stdout(sys.stderr):
-            ok, _result = _run_one(args.experiment, quick=args.quick)
-        if not ok:
-            return 1
-        path = tracer.write(output)
-    finally:
-        uninstall_tracer()
-    categories = sorted(tracer.span_categories())
-    if args.json:
-        emit_envelope(
-            args.experiment,
-            {"quick": args.quick, "output": str(path)},
-            {
-                "trace_file": str(path),
-                "events": tracer.event_count,
-                "span_categories": categories,
-            },
-        )
-    else:
-        print(
-            f"trace: wrote {path} ({tracer.event_count} events; "
-            f"span categories: {', '.join(categories) or 'none'})"
-        )
-        print("trace: load it in https://ui.perfetto.dev or chrome://tracing")
-    return 0
-
-
-def _list_command(args: argparse.Namespace) -> int:
-    if getattr(args, "json", False):
-        registry = {
-            key: {"module": module, "description": description}
-            for key, (module, description) in EXPERIMENTS.items()
-        }
-        print(json.dumps(registry, indent=2))
-        return 0
-    width = max(len(k) for k in EXPERIMENTS)
-    for key, (_module, description) in EXPERIMENTS.items():
-        print(f"  {key.ljust(width)}  {description}")
-    print("\nrun with: python -m repro run <experiment|all>")
-    return 0
-
-
-def _run_command(args: argparse.Namespace) -> int:
-    from repro.experiments.cache import install_cache, uninstall_cache
-
-    cache = None
-    if not args.no_cache:
-        cache = install_cache(args.cache_dir)
-    profiler = None
-    if args.profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-    try:
-        as_json = bool(args.json)
-        redirect = (
-            contextlib.redirect_stdout(sys.stderr)
-            if as_json
-            else contextlib.nullcontext()
-        )
-        params = {"jobs": args.jobs}
-        if args.experiment == "all":
-            results, failed = {}, []
-            with redirect:
-                for key in EXPERIMENTS:
-                    ok, result = _run_one(key, jobs=args.jobs)
-                    if ok:
-                        results[key] = result
-                    else:
-                        failed.append(key)
-            if as_json:
-                emit_envelope(
-                    "all", params, {"tables": results, "failed": failed}
-                )
-            if failed:
-                print(
-                    f"FAILED experiments: {', '.join(failed)}",
-                    file=sys.stderr if as_json else sys.stdout,
-                )
-                return 1
-            return 0
-        with redirect:
-            ok, result = _run_one(args.experiment, jobs=args.jobs)
-        if not ok:
-            return 1
-        if as_json:
-            emit_envelope(args.experiment, params, result)
-        return 0
-    finally:
-        if cache is not None:
-            print(cache.render(), file=sys.stderr)
-            uninstall_cache()
-        if profiler is not None:
-            import pstats
-
-            profiler.disable()
-            # Under --json stdout carries the envelope and nothing else.
-            stream = sys.stderr if args.json else sys.stdout
-            stats = pstats.Stats(profiler, stream=stream)
-            stats.sort_stats("cumulative").print_stats(25)
+    print(
+        f"fuzz: {results['scenarios']} scenarios (seed {args.seed}): "
+        f"{results['passed']} passed, {results['failed']} failed "
+        f"{results['by_kind']}"
+    )
+    for failure in results["failures"]:
+        print(f"  [{failure['index']}] {failure['kind']} "
+              f"{failure['digest']}: {failure['failures']}")
+    for path in report.saved_paths:
+        print(f"  reproducer: {path}")
+    return params, results
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    """The command table: one subparser per command, each bound to its
-    handler with ``set_defaults`` (no command at all means ``list``).
-
-    Every flag that several subcommands share is defined once, on a
-    parent parser, and inherited via ``parents=[...]``.
-    """
-    sharding, placement, queue, as_json = (
-        argparse.ArgumentParser(add_help=False) for _ in range(4)
-    )
-    sharding.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shard fleet nodes across N worker processes (byte-identical results)",
-    )
-    sharding.add_argument(
-        "--lookahead",
-        type=int,
-        default=0,
-        metavar="K",
-        help="let shard workers speculate K epochs ahead of the coordinator "
-        "(0 = no speculation; byte-identical results at any depth)",
-    )
-    sharding.add_argument(
-        "--opstream-stats",
-        metavar="FILE",
-        default=None,
-        help="write the sharded op-stream/speculation ledger as JSON",
-    )
-    placement.add_argument(
-        "--policy",
-        default="best-fit",
-        choices=["first-fit", "best-fit", "affinity"],
-        help="placement policy",
-    )
-    queue.add_argument("--queue", type=int, default=32, help="admission queue limit")
-    queue.add_argument("--retries", type=int, default=3, help="max placement retries")
-    as_json.add_argument(
-        "--json",
-        action="store_true",
-        help="print the result as a machine-readable JSON envelope on stdout",
-    )
-
+    """One subparser per :data:`COMMANDS` entry, each with ``--json``
+    (no command at all means ``list``)."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate the OPTIMUS paper's tables and figures.",
         epilog=EXIT_CODES,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.set_defaults(handler=_list_command)
     sub = parser.add_subparsers(dest="command")
-    lister = sub.add_parser(
-        "list", help="list available experiments", parents=[as_json]
-    )
-    lister.set_defaults(handler=_list_command)
-    runner = sub.add_parser(
-        "run", help="run one experiment (or 'all')", parents=[as_json]
-    )
-    runner.set_defaults(handler=_run_command)
-    runner.add_argument("experiment", choices=[*EXPERIMENTS, "all"])
-    runner.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan independent sweep cells across N worker processes",
-    )
-    runner.add_argument(
-        "--profile",
-        action="store_true",
-        help="run under cProfile and print the top 25 cumulative entries",
-    )
-    runner.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=os.environ.get("REPRO_CACHE_DIR", ".repro-cache"),
-        help="content-addressed result cache directory "
-        "(default: $REPRO_CACHE_DIR or .repro-cache)",
-    )
-    runner.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the result cache (always recompute)",
-    )
-
-    tracer_cmd = sub.add_parser(
-        "trace",
-        help="run one experiment under the telemetry tracer",
-        parents=[as_json],
-    )
-    tracer_cmd.set_defaults(handler=_trace_command)
-    tracer_cmd.add_argument("experiment", choices=list(EXPERIMENTS))
-    tracer_cmd.add_argument(
-        "--quick",
-        action="store_true",
-        help="use the experiment's quick() grid when it has one",
-    )
-    tracer_cmd.add_argument(
-        "--output",
-        metavar="FILE",
-        default=None,
-        help="trace file path (default: trace-<experiment>.json)",
-    )
-
-    fleet = sub.add_parser(
-        "fleet",
-        help="serve deterministic tenant traffic on a multi-FPGA fleet",
-        parents=[placement, queue, sharding, as_json],
-    )
-    fleet.set_defaults(handler=_fleet_command)
-    fleet.add_argument("--nodes", type=int, default=4, help="fleet size")
-    fleet.add_argument("--load", type=float, default=0.9, help="offered load")
-    fleet.add_argument("--seed", type=int, default=1, help="traffic seed")
-    fleet.add_argument("--requests", type=int, default=200, help="request count")
-    fleet.add_argument(
-        "--max-oversub", type=int, default=4, help="tenants per physical slot"
-    )
-    fleet.add_argument(
-        "--trace", action="store_true", help="print the full placement trace"
-    )
-
-    serve = sub.add_parser(
-        "serve",
-        help="replay a session trace through the SLO-aware gateway",
-        parents=[placement, queue, sharding, as_json],
-    )
-    serve.set_defaults(handler=_serve_command)
-    serve.add_argument(
-        "--trace",
-        dest="trace_file",
-        metavar="FILE",
-        default=None,
-        help="replay a .json/.csv arrival trace instead of synthesizing one",
-    )
-    serve.add_argument(
-        "--sessions",
-        type=int,
-        default=None,
-        metavar="N",
-        help="synthetic trace size (default: 2000, or 800 with --quick)",
-    )
-    serve.add_argument("--seed", type=int, default=1, help="synthetic trace seed")
-    serve.add_argument("--load", type=float, default=1.5, help="offered load")
-    serve.add_argument(
-        "--followup",
-        type=float,
-        default=0.3,
-        metavar="P",
-        help="closed-loop probability a tenant returns after a session",
-    )
-    serve.add_argument(
-        "--diurnal",
-        type=float,
-        default=0.0,
-        metavar="A",
-        help="diurnal rate-modulation amplitude in [0, 1)",
-    )
-    serve.add_argument(
-        "--burst",
-        type=float,
-        default=0.0,
-        metavar="P",
-        help="per-arrival probability of starting a burst episode",
-    )
-    serve.add_argument(
-        "--nodes",
-        type=int,
-        default=None,
-        help="fleet size (default: 3, or 2 with --quick)",
-    )
-    serve.add_argument(
-        "--admission",
-        default="slo-budget",
-        choices=["queue-depth", "slo-budget"],
-        help="admission policy (queue-depth = legacy bounded queue only)",
-    )
-    serve.add_argument(
-        "--quick", action="store_true", help="small fleet + short trace preset"
-    )
-    serve.add_argument(
-        "--save-trace",
-        metavar="FILE",
-        default=None,
-        help="write the (synthesized) trace as JSON for later replay",
-    )
-
-    from repro.experiments.harness import STACK_MODES
-
-    capacity = sub.add_parser(
-        "capacity",
-        help="fleet capacity planning (analytic fast-forward or DES)",
-        parents=[as_json],
-    )
-    capacity.set_defaults(handler=_capacity_command)
-    capacity.add_argument(
-        "--mode",
-        default="analytic",
-        # Single-sourced from the stack registry: a new stack mode shows
-        # up here (and in error messages) without touching the CLI.
-        choices=list(STACK_MODES),
-        help="backend: analytic = calibrated planner, optimus = fleet DES",
-    )
-    capacity.add_argument(
-        "--tenants", type=int, default=100_000, help="tenant request count"
-    )
-    capacity.add_argument("--nodes", type=int, default=8, help="fleet size")
-    capacity.add_argument("--load", type=float, default=1.2, help="offered load")
-    capacity.add_argument("--seed", type=int, default=7, help="traffic seed")
-    capacity.add_argument(
-        "--mean-session-ms",
-        type=int,
-        default=20,
-        metavar="MS",
-        help="mean tenant session length in milliseconds",
-    )
-    capacity.add_argument(
-        "--horizon-s",
-        type=float,
-        default=0.0,
-        metavar="S",
-        help="simulated-time horizon in seconds (0 = whole trace)",
-    )
-    capacity.add_argument(
-        "--bootstrap",
-        type=int,
-        default=200,
-        metavar="B",
-        help="bootstrap resamples for the 95%% confidence intervals",
-    )
-    capacity.add_argument(
-        "--no-goodput",
-        action="store_true",
-        help="skip calibrated per-type goodput (avoids calibration runs)",
-    )
-
-    chaos = sub.add_parser(
-        "chaos",
-        help="inject a deterministic fault plan and watch recovery",
-        parents=[placement, sharding, as_json],
-    )
-    chaos.set_defaults(handler=_chaos_command)
-    chaos.add_argument(
-        "experiment",
-        choices=["fleet", "single"],
-        help="fleet = serving loop under faults; single = one hypervisor",
-    )
-    from repro.faults.plan import preset_names
-
-    chaos.add_argument(
-        "--plan",
-        default="single-node-crash",
-        metavar="PRESET|FILE",
-        # Single-sourced from the fault-plan registry, like --mode above:
-        # registering a preset adds it here and to the fuzzer's draws.
-        help="fault-plan preset name or JSON plan file "
-        f"(presets: {', '.join(preset_names())})",
-    )
-    chaos.add_argument(
-        "--seed", type=int, default=None, help="override the plan's seed"
-    )
-    chaos.add_argument("--nodes", type=int, default=3, help="fleet size")
-    chaos.add_argument(
-        "--requests", type=int, default=80, help="fleet request count"
-    )
-    chaos.add_argument("--load", type=float, default=0.85, help="offered load")
-    chaos.add_argument(
-        "--traffic-seed", type=int, default=1, help="tenant traffic seed"
-    )
-    chaos.add_argument(
-        "--window-ms",
-        type=int,
-        default=20,
-        metavar="MS",
-        help="single-platform run window in milliseconds",
-    )
-    chaos.add_argument(
-        "--autoscale",
-        type=int,
-        default=0,
-        metavar="N",
-        help="install the elastic autoscaler with the last N fleet nodes "
-        "parked as standby capacity (proactive evacuation of DEGRADED nodes)",
-    )
-    chaos.add_argument(
-        "--drain-node",
-        default=None,
-        metavar="NAME",
-        help="schedule a typed drain (cordon + live-migrate residents) of NAME",
-    )
-    chaos.add_argument(
-        "--drain-at-ms",
-        type=int,
-        default=5,
-        metavar="MS",
-        help="simulated time of the scheduled --drain-node, in milliseconds",
-    )
-    from repro.scenario import kind_names
-
-    fuzz = sub.add_parser(
-        "fuzz",
-        help="constrained-random differential fuzzing of the whole stack",
-        parents=[as_json],
-    )
-    fuzz.set_defaults(handler=_fuzz_command)
-    fuzz.add_argument(
-        "--seed", type=int, default=0, help="campaign seed (scenario i is a "
-        "pure function of (seed, i))"
-    )
-    fuzz.add_argument(
-        "--count", type=int, default=5, metavar="N",
-        help="number of scenarios to draw and run"
-    )
-    fuzz.add_argument(
-        "--kinds",
-        default=None,
-        metavar="K1,K2",
-        help="comma-separated scenario kinds to draw from "
-        f"(default: all; kinds: {', '.join(kind_names())})",
-    )
-    fuzz.add_argument(
-        "--no-shrink",
-        action="store_true",
-        help="report failures as drawn, without delta-debugging them down "
-        "to minimal reproducers",
-    )
-    fuzz.add_argument(
-        "--save-failures",
-        metavar="DIR",
-        default=None,
-        help="write each (shrunk) failing scenario as a canonical-JSON "
-        "reproducer file under DIR",
-    )
-    fuzz.add_argument(
-        "--replay",
-        metavar="FILE",
-        default=None,
-        help="re-run one saved reproducer through the oracle instead of "
-        "fuzzing",
-    )
+    parser.set_defaults(command="list", json=False)
+    for name, declared in COMMANDS.items():
+        subparser = sub.add_parser(name, help=declared.help)
+        for flag in declared.flags:
+            subparser.add_argument(*flag.names, **flag.options)
+        subparser.add_argument(
+            "--json",
+            action="store_true",
+            help="print the result as a machine-readable JSON envelope on "
+            "stdout (the human report goes to stderr)",
+        )
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    declared = COMMANDS[args.command]
+    redirect = contextlib.redirect_stdout(sys.stderr)
     try:
-        return args.handler(args)
+        # Under --json, stdout carries the envelope and nothing else.
+        with redirect if args.json else contextlib.nullcontext():
+            params, results = declared.run(args, declared.params(args))
     except ReproError as error:  # exit code 2 for every command, see EXIT_CODES
         print(f"{args.command}: error: {error}", file=sys.stderr)
         return 2
+    except ExperimentFailed:
+        return 1
+    if args.json:
+        # ``run`` names its envelope after the experiment, the rest after
+        # the command itself.
+        emit_envelope(getattr(args, "experiment", args.command), params, results)
+    return 0 if declared.ok(args, results) else 1
 
 
 if __name__ == "__main__":

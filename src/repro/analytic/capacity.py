@@ -107,6 +107,8 @@ class CapacityConfig:
             raise ConfigurationError("tenants and nodes must be positive")
         if self.horizon_ps < 0:
             raise ConfigurationError("horizon must be >= 0")
+        if self.bootstrap < 0:
+            raise ConfigurationError("bootstrap resamples must be >= 0")
 
     def profile(self) -> TrafficProfile:
         return TrafficProfile(

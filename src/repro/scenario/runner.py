@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
+from repro.errors import ConfigurationError
 from repro.scenario.generator import ScenarioGenerator
 from repro.scenario.oracle import OracleResult, run_scenario
 from repro.scenario.shrink import shrink, write_reproducer
@@ -29,6 +30,11 @@ class FuzzConfig:
     kinds: Optional[str] = None       # comma list; None = all kinds
     shrink_failures: bool = True
     save_failures: Optional[str] = None  # directory for reproducer files
+
+    def __post_init__(self) -> None:
+        if self.count < 1:
+            # A campaign that draws nothing checks nothing, so it cannot pass.
+            raise ConfigurationError(f"count must be at least 1, got {self.count}")
 
     def generator(self) -> ScenarioGenerator:
         return ScenarioGenerator(self.seed, resolve_kinds(self.kinds))

@@ -106,15 +106,24 @@ def shrink(scenario: Scenario, probe: FailureProbe) -> ShrinkResult:
 def write_reproducer(payload: Dict[str, object], path) -> Path:
     """Canonical JSON on disk: stable bytes for CI artifacts and diffs."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+    except OSError as error:
+        raise ScenarioSpaceError(
+            f"cannot write {path}: {error.strerror or error}"
+        ) from None
     return path
 
 
 def load_reproducer(path) -> Scenario:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if "scenario" not in payload:
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as error:  # missing, unreadable, not JSON
+        reason = getattr(error, "strerror", None) or error
+        raise ScenarioSpaceError(f"cannot read reproducer {path}: {reason}") from None
+    if not isinstance(payload, dict) or "scenario" not in payload:
         raise ScenarioSpaceError(f"{path}: not a reproducer (no 'scenario')")
     return Scenario.from_dict(payload["scenario"])

@@ -14,7 +14,7 @@ Two halves:
   ``name`` / ``reset()`` / ``summary()`` protocol with hierarchical
   names and a single ``snapshot()``.
 
-Capture a trace from the CLI with ``python -m repro trace <experiment>``;
+Capture a trace from the CLI with ``python -m repro run <experiment> --trace FILE``;
 see DESIGN.md §7 for the event taxonomy and the overhead contract.
 
 This package imports nothing from :mod:`repro.sim` — the dependency runs

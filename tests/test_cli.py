@@ -20,10 +20,15 @@ class TestList:
         assert code == 0
         assert "fig4" in out and "fleet_scaling" in out
 
+    def test_no_command_means_list(self, capsys):
+        assert run_cli(capsys) == run_cli(capsys, "list")
+
     def test_json_list_is_machine_readable(self, capsys):
         code, out = run_cli(capsys, "list", "--json")
         assert code == 0
-        registry = json.loads(out)
+        envelope = json.loads(out)
+        assert envelope["experiment"] == "list" and envelope["params"] == {}
+        registry = envelope["results"]
         assert set(registry) == set(cli.EXPERIMENTS)
         assert registry["fig4"]["module"] == "repro.experiments.fig4_overhead"
         assert registry["fig4"]["description"]
@@ -137,6 +142,14 @@ class TestRunJson:
         assert "human narration" not in captured.out
         assert "human narration" in captured.err
 
+    def test_quick_is_stamped_only_when_set(self, capsys, stub_experiment):
+        # Envelopes from before ``run --quick`` existed keep their bytes.
+        code = cli.main(["run", "stub", "--quick", "--no-cache", "--json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["params"] == {
+            "jobs": 1, "quick": True,
+        }
+
     def test_claims_are_reported_on_stderr_without_changing_the_exit_code(
         self, capsys, stub_experiment
     ):
@@ -177,7 +190,9 @@ class TestNoProcessWideMode:
 
 class TestShardingFlagsAreAlwaysValidated:
     """Regression: ``--shards``/``--lookahead`` were checked only when the
-    run happened to shard (more than one node *and* more than one shard)."""
+    run happened to shard (more than one node *and* more than one shard);
+    an empty fuzz campaign, a negative ``--jobs`` and a negative
+    ``--bootstrap`` passed silently."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -188,6 +203,10 @@ class TestShardingFlagsAreAlwaysValidated:
             ("serve", "--quick", "--nodes", "1", "--lookahead", "-1"),
             ("chaos", "fleet", "--shards", "0"),
             ("chaos", "fleet", "--nodes", "1", "--shards", "3", "--lookahead", "-2"),
+            ("fuzz", "--count", "0"),
+            ("fuzz", "--count", "-1"),
+            ("run", "table2", "--jobs", "-3"),
+            ("capacity", "--bootstrap", "-1"),
         ],
     )
     def test_bad_value_is_a_usage_error(self, capsys, argv):
@@ -195,20 +214,38 @@ class TestShardingFlagsAreAlwaysValidated:
         assert f"{argv[0]}: error:" in capsys.readouterr().err
 
 
-class TestTraceCommand:
-    def test_trace_writes_valid_chrome_json(self, capsys, stub_experiment, tmp_path):
+@pytest.fixture
+def traced_stub(monkeypatch):
+    """A fast fake experiment that emits one span into the installed tracer."""
+    from repro.experiments.harness import ResultTable
+    from repro.telemetry import current_tracer
+
+    module = types.ModuleType("tests._traced_stub")
+
+    def run():
+        tracer = current_tracer()
+        if tracer is not None:
+            tracer.scope("stub").complete("work", 0, 1000, cat="stub")
+        return ResultTable("traced", ["x"])
+
+    module.run, module.QUICK, module.CLAIMS = run, {}, ()
+    monkeypatch.setitem(sys.modules, "tests._traced_stub", module)
+    monkeypatch.setitem(cli.EXPERIMENTS, "traced", ("tests._traced_stub", "x"))
+
+
+class TestRunTrace:
+    def test_trace_writes_valid_chrome_json(self, capsys, traced_stub, tmp_path):
         target = tmp_path / "stub-trace.json"
-        code = cli.main(["trace", "stub", "--json", "--output", str(target)])
+        code = cli.main(["run", "traced", "--json", "--trace", str(target)])
         captured = capsys.readouterr()
         assert code == 0
         envelope = json.loads(captured.out)
-        assert envelope["experiment"] == "stub"
-        assert envelope["results"]["trace_file"] == str(target)
+        assert envelope["experiment"] == "traced"
+        assert envelope["params"] == {"jobs": 1}
+        assert f"trace: wrote {target} (" in captured.err
+        assert "span categories: stub)" in captured.err
         document = json.loads(target.read_text())
         assert isinstance(document["traceEvents"], list)
-        assert sorted(envelope["results"]["span_categories"]) == (
-            envelope["results"]["span_categories"]
-        )
 
     def test_trace_failure_exits_one(self, capsys, monkeypatch, tmp_path):
         module = types.ModuleType("tests._boom_trace")
@@ -220,10 +257,65 @@ class TestTraceCommand:
         monkeypatch.setitem(sys.modules, "tests._boom_trace", module)
         monkeypatch.setitem(cli.EXPERIMENTS, "boomtrace", ("tests._boom_trace", "x"))
         code = cli.main(
-            ["trace", "boomtrace", "--output", str(tmp_path / "t.json")]
+            ["run", "boomtrace", "--trace", str(tmp_path / "t.json")]
         )
         capsys.readouterr()
         assert code == 1
+
+    def test_warm_cache_still_traces_the_run(self, capsys, traced_stub, tmp_path):
+        cache = str(tmp_path / "cache")
+        assert cli.main(["run", "traced", "--cache-dir", cache]) == 0
+        warm, cold = tmp_path / "warm.json", tmp_path / "cold.json"
+        assert cli.main(
+            ["run", "traced", "--cache-dir", cache, "--trace", str(warm)]
+        ) == 0
+        assert cli.main(["run", "traced", "--no-cache", "--trace", str(cold)]) == 0
+        capsys.readouterr()
+        events = json.loads(warm.read_text())["traceEvents"]
+        assert [e["name"] for e in events if e["ph"] == "X"] == ["work"]
+        assert events == json.loads(cold.read_text())["traceEvents"]
+
+    def test_trace_with_jobs_is_a_usage_error(self, capsys, traced_stub, tmp_path):
+        code = cli.main(
+            ["run", "traced", "--jobs", "2", "--trace", str(tmp_path / "t.json")]
+        )
+        assert code == 2
+        assert "run: error: --trace runs serially" in capsys.readouterr().err
+        assert not (tmp_path / "t.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("serve", "--trace", "t.json"), ("fleet", "--trace"), ("trace", "fig5")],
+        ids=["serve", "fleet", "trace"],
+    )
+    def test_removed_spellings_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as stop:
+            cli.main(list(argv))
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --trace" in err or "'trace'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("serve", "--quick", "--sessions", "20", "--save-arrivals"),
+        ("fleet", "--nodes", "2", "--requests", "10", "--shards", "2",
+         "--opstream-stats"),
+        ("run", "stub", "--trace"),
+    ],
+    ids=["save-arrivals", "opstream-stats", "run-trace"],
+)
+def test_unwritable_output_path_is_a_usage_error(
+    capsys, stub_experiment, tmp_path, argv
+):
+    # Regression: a missing directory escaped as a raw FileNotFoundError
+    # with exit 1, the code reserved for a failed experiment.
+    target = tmp_path / "missing" / "out.json"
+    assert cli.main([*argv, str(target)]) == 2
+    err = capsys.readouterr().err
+    assert f"{argv[0]}: error: cannot write {target}" in err
+    assert "Traceback" not in err
 
 
 class TestChaosCommand:
@@ -321,10 +413,18 @@ class TestEnvelopeShape:
          "--no-goodput", "--json"),
         ("fuzz", "--kinds", "capacity,fleet", "--seed", "1", "--count", "2",
          "--json"),
+        ("fleet", "--nodes", "1", "--requests", "20", "--seed", "5",
+         "--placements", "--json"),
+        ("serve", "--quick", "--json"),
+        ("chaos", "single", "--plan", "rogue-guest", "--window-ms", "1", "--json"),
+        ("run", "stub", "--json"),
     )
 
-    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
-    def test_envelope_is_canonical_bytes(self, capsys, argv):
+    IDS = ("fleet", "chaos", "capacity", "fuzz", "fleet-placements", "serve",
+           "chaos-single", "run")
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=IDS)
+    def test_envelope_is_canonical_bytes(self, capsys, stub_experiment, argv):
         from repro.envelope import render_envelope
 
         code, out = run_cli(capsys, *argv)

@@ -21,14 +21,14 @@ MODULES = {
 
 
 @pytest.mark.parametrize("key", MODULES)
-def test_module_declares_run_quick_and_claims(key, monkeypatch, tmp_path, capsys):
+def test_module_declares_run_quick_and_claims(key, monkeypatch, capsys):
     module = MODULES[key]
     assert not hasattr(module, "main") and not hasattr(module, "quick")
     assert isinstance(module.QUICK, dict)
     assert set(module.QUICK) <= set(inspect.signature(module.run).parameters)
     assert module.CLAIMS and all(isinstance(c, Claim) for c in module.CLAIMS)
     assert any(claim.quick for claim in module.CLAIMS)
-    # ``trace <key> --quick`` runs exactly the QUICK grid.
+    # ``run <key> --quick`` runs exactly the QUICK grid.
     grids = []
 
     def recording_run(**grid):
@@ -37,7 +37,7 @@ def test_module_declares_run_quick_and_claims(key, monkeypatch, tmp_path, capsys
 
     monkeypatch.setattr(module, "run", recording_run)
     monkeypatch.setattr(module, "CLAIMS", ())
-    code = cli.main(["trace", key, "--quick", "--output", str(tmp_path / "t.json")])
+    code = cli.main(["run", key, "--quick", "--no-cache"])
     capsys.readouterr()
     assert code == 0
     assert grids == [module.QUICK]

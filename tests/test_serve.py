@@ -206,7 +206,7 @@ def _json_trace(records):
 
 
 #: file name -> (text, what the typed error must name).  Each of these
-#: used to escape ``serve --trace`` as a raw traceback.
+#: used to escape ``serve --arrivals`` as a raw traceback.
 MALFORMED_TRACES = {
     "top_level_list.json": ("[]", "not a serve trace"),
     "no_records.json": ('{"format": "repro-serve-trace/v1"}', "records"),
@@ -260,7 +260,7 @@ class TestMalformedTraces:
     def test_cli_exits_2_without_a_traceback(self, name, tmp_path, capsys):
         path = tmp_path / name
         path.write_text(MALFORMED_TRACES[name][0])
-        code = cli.main(["serve", "--trace", str(path)])
+        code = cli.main(["serve", "--arrivals", str(path)])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("serve: error: ")
@@ -477,11 +477,11 @@ class TestServeCliDeterminism:
     def test_saved_trace_replays_to_the_same_results(self, capsys, tmp_path):
         path = tmp_path / "trace.json"
         code, synthesized = run_cli(
-            capsys, *SERVE_ARGS, "--save-trace", str(path)
+            capsys, *SERVE_ARGS, "--save-arrivals", str(path)
         )
         assert code == 0
         code, replayed = run_cli(
-            capsys, "serve", "--quick", "--json", "--trace", str(path)
+            capsys, "serve", "--quick", "--json", "--arrivals", str(path)
         )
         assert code == 0
         assert (
