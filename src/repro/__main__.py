@@ -42,9 +42,10 @@ from collections import ChainMap
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
+from repro.analytic import CAPACITY_MODES
 from repro.envelope import emit_envelope, to_jsonable
 from repro.errors import ConfigurationError, ReproError
-from repro.experiments.harness import STACK_MODES, ResultTable
+from repro.experiments.harness import ResultTable
 from repro.faults.plan import preset_names
 from repro.scenario import kind_names
 
@@ -567,10 +568,8 @@ def _serve(args: argparse.Namespace, params: dict):
     Flag(
         "--mode",
         default="analytic",
-        # Single-sourced from the stack registry: a new stack mode shows
-        # up here (and in error messages) without touching the CLI.
-        choices=list(STACK_MODES),
-        help="backend: analytic = calibrated planner, optimus = fleet DES",
+        choices=list(CAPACITY_MODES),
+        help="backend: analytic = closed-form/fluid planner, optimus = fleet DES",
     ),
     Flag("--tenants", type=int, default=100_000, help="tenant request count"),
     Flag("--nodes", type=int, default=8, help="fleet size"),

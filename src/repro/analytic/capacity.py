@@ -38,15 +38,15 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.analytic import CAPACITY_MODES
 from repro.analytic.calibration import (
     CalibrationStore,
     CellSpec,
     SUPPORTED_BENCHMARKS,
-    LATENCY_BENCHMARKS,
     default_store,
 )
 from repro.errors import ConfigurationError
@@ -60,19 +60,9 @@ from repro.fleet.cluster import DEFAULT_TEMPLATES, FleetCluster
 from repro.fleet.node import DEFAULT_MAX_OVERSUB
 from repro.fleet.placement import make_policy
 from repro.fleet.traffic import DEFAULT_MIX, TrafficGenerator, TrafficProfile
-from repro.mem import MB
 from repro.serve.slo import capacity_classes
 from repro.serve.trace import DEFAULT_CLASS_MIX
 from repro.sim.clock import ms, us
-
-#: Stack modes the capacity planner can serve (derived from the stack
-#: registry, minus pass-through: a single unvirtualized accelerator has
-#: no fleet to plan).
-def capacity_modes() -> Tuple[str, ...]:
-    from repro.experiments.harness import STACK_MODES
-
-    return tuple(mode for mode in STACK_MODES if mode != "passthrough")
-
 
 #: Fluid-model resolution limits: bucket count is capped so week-long
 #: horizons widen the bucket instead of exhausting memory/time.
@@ -274,10 +264,7 @@ def _exact_peaks(
 
 
 def plan_capacity(
-    config: CapacityConfig,
-    *,
-    calibration: Optional[CalibrationStore] = None,
-    goodput: bool = False,
+    config: CapacityConfig, *, goodput: bool = False
 ) -> Dict[str, object]:
     """The analytic capacity plan: exact where provable, fluid elsewhere."""
     caps = slot_capacity(config.nodes)
@@ -353,7 +340,7 @@ def plan_capacity(
         for t in sorted(caps)
     }
 
-    store = calibration if calibration is not None else default_store()
+    store = default_store()
     goodput_by_type: Dict[str, float] = {}
     if goodput:
         goodput_by_type = _calibrated_goodput(store, caps, utilization)
@@ -555,24 +542,13 @@ def _calibrated_goodput(
     A time-multiplexed slot delivers roughly one job's calibrated rate
     regardless of oversubscription depth (the hypervisor slices time,
     not bandwidth), so goodput = busy-slot fraction x slots x GB/s.
-    Latency-kind benchmarks (LL) have no byte rate and are omitted.
+    Types without a byte rate (LL) are omitted.
     """
     out: Dict[str, float] = {}
     for accel_type, slots in sorted(caps.items()):
-        if (
-            accel_type not in SUPPORTED_BENCHMARKS
-            or accel_type in LATENCY_BENCHMARKS
-        ):
+        if accel_type not in SUPPORTED_BENCHMARKS:
             continue
-        stats = store.get_or_calibrate(
-            CellSpec(
-                benchmark=accel_type,
-                working_set=16 * MB,
-                contention=1,
-                warmup_us=60,
-                window_us=100,
-            )
-        )
+        stats = store.get_or_calibrate(CellSpec(benchmark=accel_type))
         busy = min(1.0, utilization.get(accel_type, 0.0))
         out[accel_type] = busy * slots * stats.gbps_per_job
     return out
@@ -595,10 +571,7 @@ class _PlacementLatencies(FleetObserver):
 
 
 def capacity_des(
-    config: CapacityConfig,
-    *,
-    calibration: Optional[CalibrationStore] = None,
-    goodput: bool = False,
+    config: CapacityConfig, *, goodput: bool = False
 ) -> Dict[str, object]:
     """The reference answer: the real fleet DES on the identical traffic."""
     cluster = FleetCluster.build(config.nodes, max_oversub=config.max_oversub)
@@ -646,7 +619,7 @@ def capacity_des(
         }
 
     caps = slot_capacity(config.nodes)
-    store = calibration if calibration is not None else default_store()
+    store = default_store()
     # FleetMetrics already reports tenant-time per physical slot-time,
     # the same normalization the analytic envelope uses.
     utilization = dict(summary["utilization_by_type"])
@@ -677,18 +650,13 @@ def capacity_des(
 
 
 def run_capacity(
-    mode: str,
-    config: CapacityConfig,
-    *,
-    calibration: Optional[CalibrationStore] = None,
-    goodput: bool = False,
+    mode: str, config: CapacityConfig, *, goodput: bool = False
 ) -> Dict[str, object]:
-    """Mode dispatch for the CLI and experiments (single-sourced modes)."""
-    modes = capacity_modes()
+    """Backend dispatch for the CLI and experiments (:data:`CAPACITY_MODES`)."""
     if mode == "analytic":
-        return plan_capacity(config, calibration=calibration, goodput=goodput)
+        return plan_capacity(config, goodput=goodput)
     if mode == "optimus":
-        return capacity_des(config, calibration=calibration, goodput=goodput)
+        return capacity_des(config, goodput=goodput)
     raise ConfigurationError(
-        f"capacity planning supports modes {modes}, got {mode!r}"
+        f"capacity planning supports modes {CAPACITY_MODES}, got {mode!r}"
     )

@@ -284,22 +284,13 @@ class PassthroughStack:
         self.platform.run_for(duration_ps)
 
 
-def _make_analytic_stack(params, **kwargs):
-    # Imported lazily: repro.analytic imports experiment modules that in
-    # turn import this harness, so a top-level import would be circular.
-    from repro.analytic.stack import AnalyticStack
-
-    return AnalyticStack(params, **kwargs)
-
-
 #: Mode name -> stack factory.  This registry is the single source of
-#: truth for the mode list: :data:`STACK_MODES`, CLI ``--mode`` choices,
-#: and the unknown-mode error message all derive from it, so adding a
-#: backend here is the whole job.
+#: truth for the stack-mode list: :data:`STACK_MODES` and the unknown-mode
+#: error message derive from it.  (Capacity planning has its own backend
+#: list, :data:`repro.analytic.CAPACITY_MODES`.)
 _STACK_FACTORIES: Dict[str, Callable[..., "Stack"]] = {
     "optimus": lambda params, **kwargs: OptimusStack(params, **kwargs),
     "passthrough": lambda params, **kwargs: PassthroughStack(params, **kwargs),
-    "analytic": _make_analytic_stack,
 }
 
 #: Stack modes understood by :func:`make_stack`, in registry order.
@@ -316,9 +307,8 @@ def make_stack(
     ``mode`` is one of :data:`STACK_MODES` (a
     :class:`~repro.platform.PlatformMode` is also accepted).  Keyword
     arguments are forwarded to the stack constructor: ``n_accelerators``
-    and ``mux_topology`` for OPTIMUS, ``virtualized`` for pass-through,
-    ``calibration`` for the analytic fast-forward backend.  Experiments
-    built on this (fig4, fig6, chaos, ...) stay mode-agnostic.
+    and ``mux_topology`` for OPTIMUS, ``virtualized`` for pass-through.
+    Experiments built on this (fig4, fig6, chaos, ...) stay mode-agnostic.
     """
     if isinstance(mode, PlatformMode):
         mode = mode.value

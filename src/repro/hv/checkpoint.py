@@ -64,7 +64,8 @@ class GuestCheckpoint:
     window_base_gva: Optional[int]
     window_size: int
     state_buffer_gva: Optional[int]
-    #: GVAs registered through the shadow-paging hypercall, sorted.
+    #: GVAs registered through the shadow-paging hypercall that lie
+    #: inside the DMA window, sorted.
     mapped_gvas: Tuple[int, ...]
     #: Every backed guest page: ``(gva, page bytes)``, sorted by GVA.
     pages: Tuple[Tuple[int, bytes], ...]
@@ -181,15 +182,20 @@ def checkpoint_guest(
         for gva, _entry in vm.mmu.guest_table.mappings()
     ]
     watchdog = hypervisor.watchdog
+    base, size = vaccel.window_base_gva, vaccel.window_size
     return GuestCheckpoint(
         vm_name=vm.name,
         mem_bytes=vm.mem_bytes,
         page_size=vm.page_size,
         accel_type=accel_type or vaccel.job.profile.name,
-        window_base_gva=vaccel.window_base_gva,
-        window_size=vaccel.window_size,
+        window_base_gva=base,
+        window_size=size,
         state_buffer_gva=vaccel.state_buffer_gva,
-        mapped_gvas=tuple(sorted(vaccel.mapped_gvas)),
+        # A GVA a shrunk window stranded is unreachable (the auditor drops
+        # DMA outside the window), so the checkpoint leaves it behind.
+        mapped_gvas=tuple(sorted(
+            gva for gva in vaccel.mapped_gvas if base <= gva < base + size
+        )),
         pages=tuple(pages),
         reg_cache=tuple(sorted(vaccel.reg_cache.items())),
         saved_state=vaccel.saved_state,

@@ -301,9 +301,8 @@ class OnlineQuantile:
         same rule as :meth:`LatencyRecorder.quantile_ps`, so the online
         and exact estimators agree on degenerate sample counts.  (Reading
         ``_heights[2]`` at exactly five samples would report the *median*
-        for any ``q`` — a discontinuity the analytic replay path tripped
-        over: the p99 of five samples is their max.)  From the sixth
-        sample on, marker 2 is the P² quantile marker proper.
+        for any ``q``, but the p99 of five samples is their max.)  From
+        the sixth sample on, marker 2 is the P² quantile marker proper.
         """
         if self.count == 0:
             return 0.0

@@ -7,7 +7,7 @@ equality; in the *contended* regime the fluid model is validated against
 the DES separately (``tests/test_analytic_validation.py``).  Alongside:
 the traffic-array fast path must reproduce ``generate()`` row for row,
 enabling SLO classes must not perturb the legacy RNG streams, and the
-CLI mode surface must be single-sourced from the stack registry.
+CLI ``--mode`` choices must be exactly the two capacity backends.
 """
 
 import hashlib
@@ -18,9 +18,9 @@ import pytest
 
 from repro import __main__ as cli
 from repro.analytic import (
+    CAPACITY_MODES,
     CapacityConfig,
     capacity_des,
-    capacity_modes,
     plan_capacity,
     run_capacity,
     slot_capacity,
@@ -162,10 +162,17 @@ class TestExactRegime:
 
 
 class TestModeSingleSourcing:
-    def test_capacity_modes_derive_from_the_stack_registry(self):
-        assert set(capacity_modes()) == set(STACK_MODES) - {"passthrough"}
+    def test_capacity_modes_are_the_two_backends_and_the_cli_choices(self, capsys):
+        # Capacity backends are their own list, not the stack registry:
+        # pass-through has no fleet to plan.
+        assert CAPACITY_MODES == ("analytic", "optimus")
+        with pytest.raises(SystemExit, match="0"):
+            cli.main(["capacity", "--help"])
+        assert "--mode {analytic,optimus}" in capsys.readouterr().out
 
     def test_make_stack_error_names_every_registered_mode(self):
+        # The planner ("analytic") is a capacity backend, never a stack.
+        assert STACK_MODES == ("optimus", "passthrough")
         with pytest.raises(ConfigurationError) as error:
             make_stack("warp-drive")
         for mode in STACK_MODES:
@@ -174,8 +181,8 @@ class TestModeSingleSourcing:
     def test_run_capacity_rejects_passthrough_with_derived_modes(self):
         with pytest.raises(ConfigurationError) as error:
             run_capacity("passthrough", CapacityConfig(tenants=10, nodes=1))
-        assert "optimus" in str(error.value)
-        assert "analytic" in str(error.value)
+        for mode in CAPACITY_MODES:
+            assert mode in str(error.value)
 
 
 class TestCapacityCli:
@@ -263,18 +270,18 @@ class TestCapacityCli:
         )
 
     def test_passthrough_mode_is_a_usage_error(self, capsys):
-        code, captured = self.run_cli(
-            capsys, "capacity", "--mode", "passthrough", "--tenants", "10"
-        )
-        assert code == 2
-        assert "optimus" in captured.err and "analytic" in captured.err
+        # A stack mode, not a capacity backend: argparse refuses it.
+        with pytest.raises(SystemExit) as error:
+            cli.main(["capacity", "--mode", "passthrough", "--tenants", "10"])
+        assert error.value.code == 2
+        assert "invalid choice: 'passthrough'" in capsys.readouterr().err
 
     def test_unknown_mode_is_rejected_by_argparse_choices(self, capsys):
-        # --mode choices come from STACK_MODES: the usage error argparse
-        # prints must name every registered mode, nothing hand-listed.
+        # --mode choices come from CAPACITY_MODES: the usage error argparse
+        # prints must name both backends, nothing hand-listed.
         with pytest.raises(SystemExit) as error:
             cli.main(["capacity", "--mode", "warp-drive"])
         assert error.value.code == 2
         captured = capsys.readouterr()
-        for mode in STACK_MODES:
+        for mode in CAPACITY_MODES:
             assert mode in captured.err

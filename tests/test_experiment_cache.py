@@ -247,9 +247,8 @@ class TestAnalyticKeyCoverage:
 class TestCalibrationArtifacts:
     def _spec(self):
         from repro.analytic import CellSpec
-        from repro.mem import MB
 
-        return CellSpec(benchmark="LL", working_set=1 * MB, hops=256)
+        return CellSpec(benchmark="MB")  # goodput's cell: 16 MB, one job
 
     def test_artifact_round_trips_and_skips_recalibration(self, cache):
         from repro.analytic import CalibrationStore

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import repro.accel
+import repro.analytic
 import repro.faults
 import repro.kernels
 import repro.scenario
@@ -86,7 +87,7 @@ def test_the_probe_sees_numpy_when_it_is_loaded():
 
 
 @pytest.mark.parametrize(
-    "package", [repro.accel, repro.faults, repro.kernels, repro.scenario],
+    "package", [repro.accel, repro.analytic, repro.faults, repro.kernels, repro.scenario],
     ids=lambda package: package.__name__,
 )
 def test_every_public_name_resolves(package):

@@ -9,7 +9,9 @@ again (growing or shrinking it), and a window too large for dummy backing.
 
 A model records what each live tenant registered: its window pages (the
 dummy frame) and the GVAs it mapped (the frame its guest page table
-resolves to).  After every step:
+resolves to).  A checkpoint carries exactly the registered GVAs inside
+the window, so a page a shrunk window stranded is left behind.  After
+every step:
 
 * the IOPT entries inside each live tenant's slice are exactly its model,
   and every one lies below the largest window it installed (the extent
@@ -19,7 +21,7 @@ resolves to).  After every step:
 * the slot ledger equals a recount of the hypervisor.
 """
 
-from hypothesis import assume, settings
+from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
@@ -36,7 +38,8 @@ PAGE = PAGE_SIZE_4K
 HUGE = (DUMMY_BACKING_PAGE_LIMIT + 1) * PAGE
 #: Above the largest per-tenant buffer stagger (7 x 256 KB at 4 KB pages).
 WINDOWS = (2 * MB, 3 * MB, HUGE)
-RESIZES = (1 * MB, 2 * MB, 3 * MB, HUGE)
+#: One page strands every registered page but a first buffer at offset 0.
+RESIZES = (PAGE, 1 * MB, 2 * MB, 3 * MB, HUGE)
 DUMMY = None  # model value of a window page backed by the dummy frame
 
 
@@ -56,6 +59,8 @@ class TenantLifecycle(RuleBasedStateMachine):
         self.iopt = self.hv.platform.iommu.page_table
         #: tenant -> {page offset in its slice: DUMMY or the mapped GVA}
         self.model = {}
+        #: tenant -> every GVA it registered through the hypercall
+        self.registered = {}
         self.serial = 0
 
     def pick(self, data):
@@ -75,6 +80,7 @@ class TenantLifecycle(RuleBasedStateMachine):
             raise AssertionError("a full node admitted a tenant")
         self.node.place(name, accel_type, window_bytes=window)
         self.model[name] = window_model(window)
+        self.registered[name] = set()
 
     @precondition(lambda self: self.node.tenants)
     @rule(data=st.data())
@@ -82,6 +88,7 @@ class TenantLifecycle(RuleBasedStateMachine):
         name = self.pick(data)
         self.node.evict(name)
         del self.model[name]
+        del self.registered[name]
 
     @precondition(lambda self: self.node.tenants)
     @rule(data=st.data(), size=st.sampled_from((64, 3 * PAGE, 9 * PAGE)))
@@ -100,16 +107,15 @@ class TenantLifecycle(RuleBasedStateMachine):
             offset = (gva - vaccel.window_base_gva) // PAGE
             assert offset * PAGE < vaccel.window_size
             self.model[name][offset] = gva
+            self.registered[name].add(gva)
 
     @precondition(lambda self: self.node.tenants)
     @rule(data=st.data(), size=st.sampled_from(RESIZES))
     def rewrite_window(self, data, size):
         name = self.pick(data)
         vaccel = self.node.tenants[name].vaccel
-        # Never strand a registered page outside the window: a restore
-        # replays every registered GVA and would refuse it.
-        top = max((gva - vaccel.window_base_gva for gva in vaccel.mapped_gvas), default=-1)
-        assume(top < size)
+        # A shrink may strand registered pages past the new window: their
+        # entries stay in the IOPT, unreachable through the auditor.
         self.hv.guest_bar2_write(vaccel, BAR2_WINDOW_SIZE, size)
         self.model[name].update(window_model(size))
 
@@ -117,13 +123,20 @@ class TenantLifecycle(RuleBasedStateMachine):
     @rule(data=st.data())
     def checkpoint_and_restore(self, data):
         name = self.pick(data)
+        base = self.node.tenants[name].vaccel.window_base_gva
         checkpoint = self.node.checkpoint_tenant(name)
+        reachable = {
+            gva for gva in self.registered[name]
+            if gva - base < checkpoint.window_size
+        }
+        assert set(checkpoint.mapped_gvas) == reachable
         self.node.evict(name)
         tenant = self.node.restore_tenant(checkpoint)
         model = window_model(checkpoint.window_size)
-        for gva in checkpoint.mapped_gvas:
+        for gva in reachable:
             model[(gva - tenant.vaccel.window_base_gva) // PAGE] = gva
         self.model[name] = model
+        self.registered[name] = reachable
 
     @precondition(lambda self: self.node.tenants)
     @rule()
@@ -170,3 +183,16 @@ TenantLifecycle.TestCase.settings = settings(
     max_examples=40, stateful_step_count=25, deadline=None
 )
 TestTenantLifecycle = TenantLifecycle.TestCase
+
+
+def test_a_page_a_shrink_stranded_is_left_behind_by_checkpoint_and_restore():
+    node = FleetNode(NodeSpec.of("n0", SLOTS), params=PlatformParams(page_size=PAGE))
+    vaccel = node.place("t0", "AES", window_bytes=2 * MB).vaccel
+    node.tenants["t0"].handle.alloc_buffer(3 * PAGE)
+    base = vaccel.window_base_gva  # the first tenant's buffers start here
+    assert vaccel.mapped_gvas == {base, base + PAGE, base + 2 * PAGE}
+    node.provider.hypervisor.guest_bar2_write(vaccel, BAR2_WINDOW_SIZE, PAGE)
+    checkpoint = node.checkpoint_tenant("t0")
+    node.evict("t0")
+    assert checkpoint.mapped_gvas == (base,)
+    assert node.restore_tenant(checkpoint).vaccel.mapped_gvas == {base}
