@@ -33,15 +33,19 @@ class FirJob(StreamingJob):
     tile_lines = 64
 
     def __init__(self, *, functional: bool = True) -> None:
-        import numpy as np
-
         super().__init__(functional=functional)
-        self.taps = lowpass_taps(16)
-        self._history = np.zeros(len(self.taps) - 1, dtype=np.int16)
+        # The numpy taps and history are built by the first ``transform``,
+        # so a job that never filters (timing-only runs, the fleet) never
+        # imports numpy.
+        self.taps = None
+        self._history = None
 
     def transform(self, data: bytes, offset: int) -> bytes:
         import numpy as np
 
+        if self._history is None:
+            self.taps = lowpass_taps(16)
+            self._history = np.zeros(len(self.taps) - 1, dtype=np.int16)
         samples = np.frombuffer(data, dtype=np.int16)
         padded = np.concatenate([self._history, samples])
         filtered = fir_filter(padded, self.taps)[len(self._history):]

@@ -16,8 +16,8 @@ watchdog, rogue DMA fenced by the auditors.  ``python -m repro chaos``
 exposes the whole loop from the command line.
 
 The injector and the single-platform replay import the fleet stack and
-numpy, so they load on first use of one of their names (PEP 562): the
-CLI reads the preset names without paying for either.
+the OPTIMUS stack, so they load on first use of one of their names (PEP
+562): the CLI reads the preset names without paying for either.
 """
 
 import importlib

@@ -4,8 +4,9 @@ The injector never runs on a wall clock or its own thread: plan events
 are scheduled on the :class:`~repro.fleet.admission.FleetService` engine and
 applied inside the serving loop's simulated time, so a (plan, traffic)
 pair replays byte-identically.  Target resolution for ``"auto"`` events
-draws from one ``numpy.random.RandomState(plan.seed)`` in event order —
-the only randomness in the whole chaos layer.
+draws in event order from one
+:class:`~repro.sim.rng.LegacyRandomState` ``(plan.seed)`` (numpy's legacy
+``RandomState`` stream) — the only randomness in the whole chaos layer.
 
 Every injected event produces one :class:`FaultRecord` pairing the event
 with its **resolution**: what the fleet actually did about it (sessions
@@ -21,11 +22,10 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-import numpy as np
-
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.fleet.node import NodeHealth
 from repro.sim.clock import ms
+from repro.sim.rng import LegacyRandomState
 from repro.telemetry import current_tracer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -87,7 +87,7 @@ class FleetFaultInjector:
         self.service = service
         self.plan = plan
         self.log = FaultLog(plan)
-        self.rng = np.random.RandomState(plan.seed)
+        self.rng = LegacyRandomState(plan.seed)
         self._tracer = current_tracer()
         self._scope = (
             self._tracer.scope("faults") if self._tracer is not None else None
@@ -137,7 +137,7 @@ class FleetFaultInjector:
         """One seeded draw from a deterministic (sorted) pool."""
         if not pool:
             return None
-        return pool[int(self.rng.randint(len(pool)))]
+        return pool[self.rng.randint(len(pool))]
 
     def _resolve_node(self, event: FaultEvent, *, alive_only: bool) -> Optional[str]:
         cluster = self.service.cluster

@@ -4,8 +4,9 @@ A :class:`FaultPlan` is the whole chaos contract: a seed plus a list of
 timed :class:`FaultEvent` entries.  Replaying the same plan against the
 same stack (same traffic seed, same cluster shape) produces a
 byte-identical recovery trace — the injector draws every "auto" target
-from one ``numpy.random.RandomState(plan.seed)`` in event order and
-touches nothing else stochastic.
+from one :class:`~repro.sim.rng.LegacyRandomState` ``(plan.seed)``
+(numpy's legacy ``RandomState`` stream) in event order and touches
+nothing else stochastic.
 
 Plans come from three places, all normalized here:
 
@@ -35,6 +36,7 @@ from typing import Callable, Dict, List, Mapping, Tuple
 
 from repro.errors import FaultPlanError
 from repro.sim.clock import ms
+from repro.sim.rng import LegacyRandomState
 
 
 class FaultKind(enum.Enum):
@@ -133,7 +135,7 @@ class FaultPlan:
     name: str = "custom"
 
     def __post_init__(self) -> None:
-        # The injector seeds a numpy RandomState, which takes 32 bits.
+        # The injector seeds numpy's legacy generator, which takes 32 bits.
         if not 0 <= self.seed < 2**32:
             raise FaultPlanError(f"fault plan seed must be in [0, 2**32), got {self.seed}")
         for event in self.events:
@@ -353,13 +355,11 @@ def build_crash_plan(
     each recovering ``outage_ps`` later — the chaos_recovery sweep axis."""
     if n_crashes < 0 or n_nodes < 1 or window_ps <= 0 or outage_ps <= 0:
         raise FaultPlanError("invalid crash-plan parameters")
-    import numpy as np
-
-    rng = np.random.RandomState(seed)
+    rng = LegacyRandomState(seed)
     events: List[FaultEvent] = []
     for _ in range(n_crashes):
-        at = int(rng.randint(1, window_ps))
-        node = f"node{int(rng.randint(n_nodes))}"
+        at = rng.randint(1, window_ps)
+        node = f"node{rng.randint(n_nodes)}"
         events.append(FaultEvent(at_ps=at, kind=FaultKind.NODE_CRASH, target=node))
         events.append(
             FaultEvent(at_ps=at + outage_ps, kind=FaultKind.NODE_RECOVER, target=node)
@@ -390,13 +390,11 @@ def build_degrade_crash_plan(
         raise FaultPlanError("invalid degrade-crash-plan parameters")
     if warning_ps <= 0 or outage_ps <= 0:
         raise FaultPlanError("warning_ps and outage_ps must be positive")
-    import numpy as np
-
-    rng = np.random.RandomState(seed)
+    rng = LegacyRandomState(seed)
     events: List[FaultEvent] = []
     for _ in range(n_faults):
-        at = int(rng.randint(1, window_ps))
-        node = f"node{int(rng.randint(n_nodes))}"
+        at = rng.randint(1, window_ps)
+        node = f"node{rng.randint(n_nodes)}"
         events.append(
             FaultEvent(at_ps=at, kind=FaultKind.LINK_DEGRADE, target=node,
                        params={"factor": 4.0})

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.experiments.harness import make_stack
 from repro.faults.guests import REG_TARGET, HangJob, RunawayDmaJob
 from repro.faults.injector import FaultLog, FaultRecord
@@ -32,6 +30,7 @@ from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.mem import MB
 from repro.platform import PlatformParams
 from repro.sim.clock import ms
+from repro.sim.rng import LegacyRandomState
 
 
 class SinglePlatformChaos:
@@ -61,7 +60,7 @@ class SinglePlatformChaos:
             victim, physical_index=0, working_set=working_set
         )
         self.log = FaultLog(plan)
-        self.rng = np.random.RandomState(plan.seed)
+        self.rng = LegacyRandomState(plan.seed)
         self.rogues: List[Tuple[str, object, object]] = []
 
     # -- rogue tenants -----------------------------------------------------------
@@ -69,7 +68,7 @@ class SinglePlatformChaos:
     def _slot_for(self, event: FaultEvent) -> int:
         """``"auto"`` draws a seeded slot; ``"slotN"`` pins one."""
         if event.target == "auto":
-            return int(self.rng.randint(self.n_accelerators))
+            return self.rng.randint(self.n_accelerators)
         if event.target.startswith("slot"):
             return int(event.target[len("slot"):]) % self.n_accelerators
         return 0

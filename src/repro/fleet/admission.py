@@ -45,8 +45,6 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.fleet.cluster import ClusterState
 from repro.fleet.metrics import FleetMetrics
@@ -56,6 +54,7 @@ from repro.fleet.placement import PlacementPolicy
 from repro.fleet.traffic import TenantRequest
 from repro.sim.clock import ms, us
 from repro.sim.engine import untraced_engine
+from repro.sim.rng import LegacyRandomState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fleet.autoscale import AutoscaleConfig, Autoscaler
@@ -125,16 +124,16 @@ class AdmissionConfig:
 _JITTER_MIX = 0x9E3779B1
 
 
-def request_jitter_rng(jitter_seed: int, request_id: int) -> np.random.RandomState:
+def request_jitter_rng(jitter_seed: int, request_id: int) -> LegacyRandomState:
     """The seeded RNG stream owned by one request's retry jitter.
 
-    Each request gets an independent ``RandomState`` keyed on
-    ``(jitter_seed, request_id)``, so the sequence of factors a request
-    sees depends only on its own identity — adding or removing *other*
-    stochastic consumers (the serve gateway, chaos injection, more
-    requests) can never shift it.
+    Each request gets an independent ``LegacyRandomState`` (numpy's
+    legacy ``RandomState`` stream) keyed on ``(jitter_seed, request_id)``,
+    so the sequence of factors a request sees depends only on its own
+    identity — adding or removing *other* stochastic consumers (the serve
+    gateway, chaos injection, more requests) can never shift it.
     """
-    return np.random.RandomState((jitter_seed * _JITTER_MIX + request_id) & 0xFFFFFFFF)
+    return LegacyRandomState((jitter_seed * _JITTER_MIX + request_id) & 0xFFFFFFFF)
 
 
 @dataclass(frozen=True)
@@ -331,7 +330,7 @@ class FleetService:
         self._quarantined: set = set()
         self.outcomes: Dict[int, str] = {}
         self._injector = None
-        self._retry_rngs: Dict[int, np.random.RandomState] = {}
+        self._retry_rngs: Dict[int, LegacyRandomState] = {}
         self._arrivals = 0
         #: The popped-but-not-yet-handled ``(kind, payload)``, visible to
         #: the speculation-window scan (the engine no longer holds it).

@@ -9,21 +9,22 @@ offers 90% of that, ``load=2.0`` is a 2x overload that admission control
 must absorb.  Accelerator types are drawn from a weighted mix and session
 lifetimes from an exponential distribution.
 
-Everything is driven by one ``numpy.random.RandomState(seed)`` in a single
-pass (the same discipline as :mod:`repro.workloads.datagen`), so a seed
-fully determines the request stream — and therefore, policies being
-deterministic, the fleet's entire placement trace.
+Everything is driven by one :class:`~repro.sim.rng.LegacyRandomState`
+``(seed)`` — the draws of ``numpy.random.RandomState(seed)`` without
+importing numpy — in a single pass (the same discipline as
+:mod:`repro.workloads.datagen`), so a seed fully determines the request
+stream — and therefore, policies being deterministic, the fleet's entire
+placement trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.sim.clock import ms
+from repro.sim.rng import LegacyRandomState, choice_cdf
 
 #: Default accelerator mix: streaming crypto/DSP heavy, with a tail of
 #: microbenchmark tenants — all types the default node templates offer.
@@ -108,12 +109,23 @@ class TrafficGenerator:
         """``count`` requests, bit-for-bit stable for a given seed."""
         if count < 1:
             raise ConfigurationError("request count must be positive")
-        rng = np.random.RandomState(self.seed)
-        types, weights = self._normalized_mix()
-        gaps = rng.exponential(self.mean_interarrival_ps, size=count)
-        picks = rng.choice(len(types), size=count, p=weights)
-        sessions = rng.exponential(self.profile.mean_session_ps, size=count)
-        classes, class_picks = self._class_picks(rng, count)
+        rng = LegacyRandomState(self.seed)
+        types = sorted(self.profile.mix)
+        type_cdf = choice_cdf([self.profile.mix[t] for t in types])
+        gaps = [rng.exponential(self.mean_interarrival_ps) for _ in range(count)]
+        picks = [rng.pick(type_cdf) for _ in range(count)]
+        sessions = [
+            rng.exponential(self.profile.mean_session_ps) for _ in range(count)
+        ]
+        # Class picks come strictly *after* the legacy draws.
+        class_mix = self.profile.class_mix
+        if class_mix is None:
+            classes = ["default"]
+            class_picks = [0] * count
+        else:
+            classes = sorted(class_mix)
+            class_cdf = choice_cdf([class_mix[c] for c in classes])
+            class_picks = [rng.pick(class_cdf) for _ in range(count)]
 
         requests: List[TenantRequest] = []
         now = 0
@@ -124,14 +136,10 @@ class TrafficGenerator:
                 TenantRequest(
                     request_id=index,
                     tenant=f"t{index:05d}",
-                    accel_type=types[int(picks[index])],
+                    accel_type=types[picks[index]],
                     arrival_ps=now,
                     session_ps=session,
-                    tenant_class=(
-                        classes[int(class_picks[index])]
-                        if class_picks is not None
-                        else "default"
-                    ),
+                    tenant_class=classes[class_picks[index]],
                 )
             )
         return requests
@@ -153,42 +161,35 @@ class TrafficGenerator:
         """
         if count < 1:
             raise ConfigurationError("request count must be positive")
+        import numpy as np
+
         rng = np.random.RandomState(self.seed)
-        types, weights = self._normalized_mix()
+        types = sorted(self.profile.mix)
+        weights = np.array([self.profile.mix[t] for t in types], dtype=float)
         gaps = rng.exponential(self.mean_interarrival_ps, size=count)
-        picks = rng.choice(len(types), size=count, p=weights)
+        picks = rng.choice(len(types), size=count, p=weights / weights.sum())
         sessions = rng.exponential(self.profile.mean_session_ps, size=count)
-        classes, class_picks = self._class_picks(rng, count)
+        class_mix = self.profile.class_mix
+        if class_mix is None:
+            classes = ["default"]
+            class_picks = np.zeros(count, dtype=np.int64)
+        else:
+            classes = sorted(class_mix)
+            weights = np.array([class_mix[c] for c in classes], dtype=float)
+            class_picks = rng.choice(
+                len(classes), size=count, p=weights / weights.sum()
+            )
         arrival = np.cumsum(
             np.maximum(1, np.rint(gaps).astype(np.int64)), dtype=np.int64
         )
         session = np.maximum(
             self.profile.min_session_ps, np.rint(sessions).astype(np.int64)
         )
-        if class_picks is None:
-            classes = ["default"]
-            class_picks = np.zeros(count, dtype=np.int64)
         return {
             "arrival_ps": arrival,
             "type_index": picks.astype(np.int64),
             "session_ps": session,
             "class_index": class_picks.astype(np.int64),
-            "types": list(types),
-            "classes": list(classes),
+            "types": types,
+            "classes": classes,
         }
-
-    def _class_picks(
-        self, rng: np.random.RandomState, count: int
-    ) -> Tuple[Optional[List[str]], Optional[np.ndarray]]:
-        """Class assignment draws, strictly *after* the legacy draws."""
-        if self.profile.class_mix is None:
-            return None, None
-        names = sorted(self.profile.class_mix)
-        weights = np.array([self.profile.class_mix[c] for c in names], dtype=float)
-        picks = rng.choice(len(names), size=count, p=weights / weights.sum())
-        return names, picks
-
-    def _normalized_mix(self) -> Tuple[List[str], np.ndarray]:
-        types = sorted(self.profile.mix)
-        weights = np.array([self.profile.mix[t] for t in types], dtype=float)
-        return types, weights / weights.sum()

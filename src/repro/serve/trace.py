@@ -28,9 +28,10 @@ identity without comparing files byte-by-byte.
 
 Synthesis layers diurnal and burst modulation on the same seeded
 open-loop process as :mod:`repro.fleet.traffic`: one
-``numpy.random.RandomState(seed)``, one pass, draw order fixed per
-record — a seed fully determines the trace, and the trace fully
-determines the serving run.
+:class:`~repro.sim.rng.LegacyRandomState` ``(seed)`` (numpy's legacy
+``RandomState`` stream), one pass, draw order fixed per record — a seed
+fully determines the trace, and the trace fully determines the serving
+run.
 """
 
 from __future__ import annotations
@@ -44,11 +45,10 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.fleet.traffic import DEFAULT_MIX, TenantRequest
 from repro.sim.clock import ms
+from repro.sim.rng import LegacyRandomState, choice_cdf
 
 FORMAT = "repro-serve-trace/v1"
 
@@ -378,15 +378,11 @@ def synthesize(
         raise ConfigurationError("session count must be positive")
     if fleet_slots < 1:
         raise ConfigurationError("fleet must have at least one slot")
-    rng = np.random.RandomState(seed)
+    rng = LegacyRandomState(seed)
     accel_types = sorted(profile.mix)
-    accel_weights = np.array([profile.mix[t] for t in accel_types], dtype=float)
-    accel_weights /= accel_weights.sum()
+    accel_cdf = choice_cdf([profile.mix[t] for t in accel_types])
     class_names = sorted(profile.class_mix)
-    class_weights = np.array(
-        [profile.class_mix[c] for c in class_names], dtype=float
-    )
-    class_weights /= class_weights.sum()
+    class_cdf = choice_cdf([profile.class_mix[c] for c in class_names])
 
     sustainable_rate = fleet_slots / profile.mean_session_ps
     mean_gap = 1.0 / (sustainable_rate * profile.load)
@@ -411,12 +407,8 @@ def synthesize(
         if profile.burst_prob and rng.random_sample() < profile.burst_prob:
             burst_remaining = profile.burst_length
         now += max(1.0, gap / rate)
-        tenant_class = class_names[
-            int(rng.choice(len(class_names), p=class_weights))
-        ]
-        accel_type = accel_types[
-            int(rng.choice(len(accel_types), p=accel_weights))
-        ]
+        tenant_class = class_names[rng.pick(class_cdf)]
+        accel_type = accel_types[rng.pick(accel_cdf)]
         tenant = f"{tenant_class[0]}{root_index:06d}"
         root_index += 1
         parent: Optional[int] = None

@@ -137,6 +137,22 @@ class TestFir:
         expected = fir_filter(samples, lowpass_taps(16))
         assert np.array_equal(out, expected)
 
+    def test_filter_state_is_built_by_the_first_tile(self):
+        job = FirJob(functional=True)
+        # Unrun, the job holds no numpy state and checkpoints as before.
+        assert job.taps is None and job.save_state() == bytes(8)
+        samples = np.random.RandomState(9).randint(
+            -20000, 20000, size=5000, dtype=np.int64
+        ).astype(np.int16)
+        data = samples.tobytes()
+        tile = FirJob.tile_lines * 64
+        assert len(data) > 2 * tile
+        out = b"".join(
+            job.transform(data[start:start + tile], start)
+            for start in range(0, len(data), tile)
+        )
+        assert out == fir_filter(samples, lowpass_taps(16)).tobytes()
+
 
 class TestGrn:
     def test_generates_deterministic_gaussians(self):

@@ -2,9 +2,11 @@
 
 The MemBench/LinkedList datapath behind Figs. 4-6 and Tables 3-4 is pure
 Python, and the CLI's parser needs only names.  Neither may load numpy,
-the fleet stack, the sharded executor or the fuzzing oracle (DESIGN.md
-§6, "Import graph").  Each probe runs in a fresh interpreter, because
-pytest and the other test modules have long since imported everything.
+the fleet stack, the sharded executor or the fuzzing oracle.  The fleet,
+serve and chaos commands run the fleet stack but still no numpy
+(DESIGN.md §6, "Import graph").  Each probe runs in a fresh interpreter,
+because pytest and the other test modules have long since imported
+everything.
 """
 
 import json
@@ -61,13 +63,9 @@ def test_the_datapath_never_loads_numpy():
     assert "numpy" not in loaded_after(script)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["--help"], ["list"], ["run", "table2", "--no-cache", "--json"]],
-    ids=["help", "list", "run-table2"],
-)
-def test_the_cli_loads_only_what_the_command_runs(argv):
-    script = (
+def run_cli(argv: list) -> str:
+    """A probe script that runs ``python -m repro *argv`` in-process."""
+    return (
         "import contextlib, io, runpy, sys\n"
         f"sys.argv = ['repro', *{argv!r}]\n"
         "with contextlib.redirect_stdout(io.StringIO()), "
@@ -77,13 +75,57 @@ def test_the_cli_loads_only_what_the_command_runs(argv):
         "    except SystemExit as stop:\n"
         "        assert not stop.code, stop.code\n"
     )
-    assert loaded_after(script) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["list"], ["run", "table2", "--no-cache", "--json"]],
+    ids=["help", "list", "run-table2"],
+)
+def test_the_cli_loads_only_what_the_command_runs(argv):
+    assert loaded_after(run_cli(argv)) == []
+
+
+#: Commands that serve tenants: they run the fleet stack, never numpy.
+FLEET_COMMANDS = {
+    "fleet": ["fleet", "--nodes", "4", "--requests", "120", "--json"],
+    "fleet-sharded": [
+        "fleet", "--nodes", "4", "--requests", "120", "--json", "--shards", "2",
+    ],
+    "serve": ["serve", "--quick", "--json"],
+    "chaos-fleet": [
+        "chaos", "fleet", "--plan", "crash-quick", "--nodes", "2",
+        "--requests", "60", "--json",
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", FLEET_COMMANDS.values(), ids=FLEET_COMMANDS.keys())
+def test_serving_commands_never_load_numpy(argv):
+    assert "numpy" not in loaded_after(run_cli(argv))
+
+
+def test_the_serving_packages_import_without_numpy():
+    script = "import repro.fleet, repro.serve, repro.parallel"
+    assert loaded_after(script) == ["repro.fleet", "repro.parallel"]
+
+
+def test_building_every_fleet_accelerator_never_loads_numpy():
+    script = (
+        "from repro.cloud.library import AcceleratorLibrary\n"
+        "from repro.fleet.cluster import DEFAULT_TEMPLATES\n"
+        "library = AcceleratorLibrary()\n"
+        "for name in sorted({t for template in DEFAULT_TEMPLATES for t in template}):\n"
+        "    library.make_job(name)\n"
+    )
+    assert "numpy" not in loaded_after(script)
 
 
 def test_the_probe_sees_numpy_when_it_is_loaded():
-    # Positive control: the fleet samples traffic with numpy, so a probe
-    # that reports nothing here could not catch a regression either.
-    assert loaded_after("import repro.fleet") == ["numpy", "repro.fleet"]
+    # Positive control: the vectorised capacity planner computes with
+    # numpy, so a probe that reports nothing here could not catch a
+    # regression either.
+    assert loaded_after("import repro.analytic.capacity") == ["numpy", "repro.fleet"]
 
 
 @pytest.mark.parametrize(
