@@ -5,7 +5,6 @@ from __future__ import annotations
 from repro.accel.base import AcceleratorProfile
 from repro.accel.streaming import REG_PARAM0, StreamingJob
 from repro.fpga.resources import ResourceFootprint, SynthesisCharacter
-from repro.kernels.aes128 import encrypt_ecb
 
 AES_PROFILE = AcceleratorProfile(
     name="AES",
@@ -42,4 +41,6 @@ class AesJob(StreamingJob):
             self.key = bytes((seed >> (8 * (i % 8)) ^ i) & 0xFF for i in range(16))
 
     def transform(self, data: bytes, offset: int) -> bytes:
+        from repro.kernels.aes128 import encrypt_ecb
+
         return encrypt_ecb(self.key, data)

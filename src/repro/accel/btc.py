@@ -15,7 +15,6 @@ from typing import Generator
 from repro.accel.base import AcceleratorJob, AcceleratorProfile, ExecutionContext
 from repro.accel.streaming import REG_DST, REG_PARAM0, REG_PARAM1, REG_SRC
 from repro.fpga.resources import ResourceFootprint, SynthesisCharacter
-from repro.kernels.bitcoin import HEADER_BYTES, NONCE_OFFSET, meets_target
 
 BTC_PROFILE = AcceleratorProfile(
     name="BTC",
@@ -55,6 +54,8 @@ class BtcJob(AcceleratorJob):
         self._header: bytes = b""
 
     def body(self, ctx: ExecutionContext) -> Generator:
+        from repro.kernels.bitcoin import HEADER_BYTES, NONCE_OFFSET, meets_target
+
         src = self.reg(REG_SRC)
         dst = self.reg(REG_DST)
         zero_bits = self.reg(REG_PARAM0, 16)

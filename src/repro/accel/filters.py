@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING
 from repro.accel.base import AcceleratorProfile
 from repro.accel.streaming import REG_PARAM0, StreamingJob
 from repro.fpga.resources import ResourceFootprint, SynthesisCharacter
-from repro.kernels.image import gaussian_blur, grayscale, sobel
 
 if TYPE_CHECKING:
     import numpy as np
@@ -108,6 +107,8 @@ class GauJob(_StencilJob):
     tile_lines = 64
 
     def _stencil(self, image: np.ndarray) -> np.ndarray:
+        from repro.kernels.image import gaussian_blur
+
         return gaussian_blur(image)
 
 
@@ -120,6 +121,8 @@ class SblJob(_StencilJob):
     tile_lines = 64
 
     def _stencil(self, image: np.ndarray) -> np.ndarray:
+        from repro.kernels.image import sobel
+
         return sobel(image)
 
 
@@ -133,6 +136,8 @@ class GrsJob(StreamingJob):
 
     def transform(self, data: bytes, offset: int) -> bytes:
         import numpy as np
+
+        from repro.kernels.image import grayscale
 
         pixels = np.frombuffer(data, dtype=np.uint8).reshape(-1, 4)
         rgba = pixels.reshape(1, -1, 4)

@@ -5,7 +5,6 @@ from __future__ import annotations
 from repro.accel.base import AcceleratorProfile
 from repro.accel.streaming import StreamingJob
 from repro.fpga.resources import ResourceFootprint, SynthesisCharacter
-from repro.kernels.dsp import fir_filter, lowpass_taps
 
 FIR_PROFILE = AcceleratorProfile(
     name="FIR",
@@ -42,6 +41,8 @@ class FirJob(StreamingJob):
 
     def transform(self, data: bytes, offset: int) -> bytes:
         import numpy as np
+
+        from repro.kernels.dsp import fir_filter, lowpass_taps
 
         if self._history is None:
             self.taps = lowpass_taps(16)

@@ -14,7 +14,6 @@ from typing import Generator
 from repro.accel.base import AcceleratorProfile, ExecutionContext
 from repro.accel.streaming import REG_DST, StreamingJob
 from repro.fpga.resources import ResourceFootprint, SynthesisCharacter
-from repro.kernels.md5 import md5_bytes
 from repro.sim.packet import CACHE_LINE_BYTES
 
 MD5_PROFILE = AcceleratorProfile(
@@ -47,6 +46,8 @@ class Md5Job(StreamingJob):
         self._chunk = b""
 
     def transform(self, data: bytes, offset: int) -> bytes:
+        from repro.kernels.md5 import md5_bytes
+
         self._chunk += data
         while len(self._chunk) >= CHUNK_BYTES:
             self.digests.append(md5_bytes(self._chunk[:CHUNK_BYTES]))
@@ -55,6 +56,8 @@ class Md5Job(StreamingJob):
 
     def finalize(self, ctx: ExecutionContext) -> Generator:
         if self.functional and self._chunk:
+            from repro.kernels.md5 import md5_bytes
+
             self.digests.append(md5_bytes(self._chunk))
             self._chunk = b""
         dst = self.reg(REG_DST)

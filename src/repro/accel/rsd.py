@@ -5,7 +5,6 @@ from __future__ import annotations
 from repro.accel.base import AcceleratorProfile
 from repro.accel.streaming import StreamingJob
 from repro.fpga.resources import ResourceFootprint, SynthesisCharacter
-from repro.kernels.reed_solomon import DecodeError, ReedSolomon
 
 RSD_PROFILE = AcceleratorProfile(
     name="RSD",
@@ -34,11 +33,15 @@ class RsdJob(StreamingJob):
 
     def __init__(self, *, functional: bool = True) -> None:
         super().__init__(functional=functional)
-        self.codec = ReedSolomon(255, 223)
+        self.codec = None  # built by the first ``transform``
         self.blocks_corrected = 0
         self.blocks_failed = 0
 
     def transform(self, data: bytes, offset: int) -> bytes:
+        from repro.kernels.reed_solomon import DecodeError, ReedSolomon
+
+        if self.codec is None:
+            self.codec = ReedSolomon(255, 223)
         out = bytearray(len(data))
         for start in range(0, len(data), RECORD_BYTES):
             record = data[start : start + RECORD_BYTES]

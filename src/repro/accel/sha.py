@@ -7,7 +7,6 @@ from typing import Generator
 from repro.accel.base import AcceleratorProfile, ExecutionContext
 from repro.accel.streaming import REG_DST, StreamingJob
 from repro.fpga.resources import ResourceFootprint, SynthesisCharacter
-from repro.kernels.sha2 import Sha512
 
 SHA_PROFILE = AcceleratorProfile(
     name="SHA",
@@ -31,17 +30,24 @@ class Sha512Job(StreamingJob):
 
     def __init__(self, *, functional: bool = True) -> None:
         super().__init__(functional=functional)
-        self._hasher = Sha512()
+        self._hasher = None  # built by the first ``transform``
         self.digest: bytes = b""
 
+    def _sha512(self):
+        if self._hasher is None:
+            from repro.kernels.sha2 import Sha512
+
+            self._hasher = Sha512()
+        return self._hasher
+
     def transform(self, data: bytes, offset: int) -> bytes:
-        self._hasher.update(data)
+        self._sha512().update(data)
         return data
 
     def finalize(self, ctx: ExecutionContext) -> Generator:
         dst = self.reg(REG_DST)
         if self.functional:
-            self.digest = self._hasher.digest()
+            self.digest = self._sha512().digest()
             if dst:
                 yield ctx.write(dst, self.digest + bytes(64 - len(self.digest)))
         elif dst:

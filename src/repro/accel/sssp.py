@@ -29,12 +29,13 @@ from typing import TYPE_CHECKING, Generator, List, Optional
 from repro.accel.base import AcceleratorJob, AcceleratorProfile, ExecutionContext
 from repro.accel.streaming import REG_DST, REG_PARAM0, REG_PARAM1, REG_SRC
 from repro.fpga.resources import ResourceFootprint, SynthesisCharacter
-from repro.kernels.graph import EDGE_BYTES, INFINITY, OFFSET_BYTES, CsrGraph
 from repro.mem.address import align_down
 from repro.sim.packet import CACHE_LINE_BYTES
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from repro.kernels.graph import CsrGraph
 
 SSSP_PROFILE = AcceleratorProfile(
     name="SSSP",
@@ -100,6 +101,8 @@ class SsspJob(AcceleratorJob):
 
     def body(self, ctx: ExecutionContext) -> Generator:
         import numpy as np
+
+        from repro.kernels.graph import EDGE_BYTES, INFINITY, OFFSET_BYTES
 
         base = self.reg(REG_SRC)
         dist_base = self.reg(REG_DST)

@@ -14,7 +14,6 @@ import struct
 from repro.accel.base import AcceleratorProfile
 from repro.accel.streaming import StreamingJob
 from repro.fpga.resources import ResourceFootprint, SynthesisCharacter
-from repro.kernels.smith_waterman import best_score
 
 SW_PROFILE = AcceleratorProfile(
     name="SW",
@@ -51,6 +50,8 @@ class SwJob(StreamingJob):
         self.scores: list = []
 
     def transform(self, data: bytes, offset: int) -> bytes:
+        from repro.kernels.smith_waterman import best_score
+
         out = bytearray()
         for start in range(0, len(data), 64):
             target = decode_sequence(data[start : start + TARGET_BYTES])

@@ -1,24 +1,36 @@
-"""OPTIMUS's core contribution: the hardware monitor and page table slicing."""
+"""OPTIMUS's core contribution: the hardware monitor and page table slicing.
 
-from repro.core.auditor import Auditor
-from repro.core.monitor import HardwareMonitor
-from repro.core.mux_tree import AsymmetricMuxTree, MuxNode, MuxTree
-from repro.core.slicing import Slice, SliceLayout, default_layout
-from repro.core.vcu import (
-    ACCEL_PAGE_BYTES,
-    MGMT_PAGE_BYTES,
-    REG_ACCEL_SELECT,
-    REG_DISABLE,
-    REG_MAGIC,
-    REG_NUM_ACCELS,
-    REG_RESET,
-    REG_SLICE_BASE,
-    REG_WINDOW_BASE,
-    REG_WINDOW_SIZE,
-    VCU_MAGIC,
-    VirtualizationControlUnit,
-    accel_mmio_base,
-)
+Every public name loads its submodule on first use (PEP 562): the
+pass-through baseline has no hardware monitor, so its processes never
+load the auditors, the multiplexer tree or the VCU.
+"""
+
+import importlib
+
+#: Public name -> the submodule that defines it, imported on first access.
+_LAZY = {
+    "Auditor": "repro.core.auditor",
+    "HardwareMonitor": "repro.core.monitor",
+    "AsymmetricMuxTree": "repro.core.mux_tree",
+    "MuxNode": "repro.core.mux_tree",
+    "MuxTree": "repro.core.mux_tree",
+    "Slice": "repro.core.slicing",
+    "SliceLayout": "repro.core.slicing",
+    "default_layout": "repro.core.slicing",
+    "ACCEL_PAGE_BYTES": "repro.core.vcu",
+    "MGMT_PAGE_BYTES": "repro.core.vcu",
+    "REG_ACCEL_SELECT": "repro.core.vcu",
+    "REG_DISABLE": "repro.core.vcu",
+    "REG_MAGIC": "repro.core.vcu",
+    "REG_NUM_ACCELS": "repro.core.vcu",
+    "REG_RESET": "repro.core.vcu",
+    "REG_SLICE_BASE": "repro.core.vcu",
+    "REG_WINDOW_BASE": "repro.core.vcu",
+    "REG_WINDOW_SIZE": "repro.core.vcu",
+    "VCU_MAGIC": "repro.core.vcu",
+    "VirtualizationControlUnit": "repro.core.vcu",
+    "accel_mmio_base": "repro.core.vcu",
+}
 
 __all__ = [
     "ACCEL_PAGE_BYTES",
@@ -43,3 +55,11 @@ __all__ = [
     "accel_mmio_base",
     "default_layout",
 ]
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value

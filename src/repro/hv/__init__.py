@@ -1,33 +1,37 @@
-"""The OPTIMUS hypervisor and its baselines."""
+"""The OPTIMUS hypervisor and its baselines.
 
-from repro.hv.checkpoint import (
-    GuestCheckpoint,
-    checkpoint_guest,
-    guest_memory_digest,
-    quiesce_guest,
-    restore_guest,
-)
-from repro.hv.hypervisor import OptimusHypervisor
-from repro.hv.mdev import (
-    BAR2_MAP_GPA,
-    BAR2_MAP_GVA,
-    BAR2_SLICE_BASE,
-    BAR2_STATE_BUF,
-    BAR2_WINDOW_SIZE,
-    VAccelState,
-    VirtualAccelerator,
-)
-from repro.hv.migration import migrate
-from repro.hv.passthrough import PassthroughHypervisor
-from repro.hv.preemption import PhysicalAccelerator
-from repro.hv.scheduler import (
-    PriorityScheduler,
-    RoundRobinScheduler,
-    SchedulingPolicy,
-    WeightedScheduler,
-)
-from repro.hv.shadow import ShadowPager
-from repro.hv.vm import VirtualMachine
+Every public name loads its submodule on first use (PEP 562): a
+pass-through process loads neither the OPTIMUS hypervisor nor its
+scheduling, shadow paging, preemption, checkpoint or migration layers.
+"""
+
+import importlib
+
+#: Public name -> the submodule that defines it, imported on first access.
+_LAZY = {
+    "GuestCheckpoint": "repro.hv.checkpoint",
+    "checkpoint_guest": "repro.hv.checkpoint",
+    "guest_memory_digest": "repro.hv.checkpoint",
+    "quiesce_guest": "repro.hv.checkpoint",
+    "restore_guest": "repro.hv.checkpoint",
+    "OptimusHypervisor": "repro.hv.hypervisor",
+    "BAR2_MAP_GPA": "repro.hv.mdev",
+    "BAR2_MAP_GVA": "repro.hv.mdev",
+    "BAR2_SLICE_BASE": "repro.hv.mdev",
+    "BAR2_STATE_BUF": "repro.hv.mdev",
+    "BAR2_WINDOW_SIZE": "repro.hv.mdev",
+    "VAccelState": "repro.hv.mdev",
+    "VirtualAccelerator": "repro.hv.mdev",
+    "migrate": "repro.hv.migration",
+    "PassthroughHypervisor": "repro.hv.passthrough",
+    "PhysicalAccelerator": "repro.hv.preemption",
+    "PriorityScheduler": "repro.hv.scheduler",
+    "RoundRobinScheduler": "repro.hv.scheduler",
+    "SchedulingPolicy": "repro.hv.scheduler",
+    "WeightedScheduler": "repro.hv.scheduler",
+    "ShadowPager": "repro.hv.shadow",
+    "VirtualMachine": "repro.hv.vm",
+}
 
 __all__ = [
     "BAR2_MAP_GPA",
@@ -53,3 +57,11 @@ __all__ = [
     "VirtualMachine",
     "WeightedScheduler",
 ]
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value

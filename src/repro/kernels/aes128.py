@@ -1,10 +1,19 @@
 """AES-128 (ECB) implemented from scratch.
 
 This is the functional kernel behind the AES benchmark accelerator
-(Table 1: "AES128 Encryption Algorithm", 1,965 lines of Verilog).  The
-implementation is a straightforward table-free FIPS-197 AES: S-box
-substitution, ShiftRows, MixColumns over GF(2^8), and the key schedule.
-Correctness is asserted in tests against the FIPS-197 appendix vectors.
+(Table 1: "AES128 Encryption Algorithm", 1,965 lines of Verilog): FIPS-197
+AES with S-box substitution, ShiftRows, MixColumns over GF(2^8), and the
+key schedule.
+
+Every round runs once over the whole buffer rather than once per block.
+The state is kept as 16 byte strings, one per state byte position, each
+holding that byte of every block (``data[p::16]``).  SubBytes,
+AddRoundKey and MixColumns' multiply-by-x are ``bytes.translate`` through
+256-byte lookup tables, MixColumns' XORs are XORs of ``int.from_bytes``
+values, and ShiftRows is a permutation of the 16 strings.  The tables are
+built on first use, so importing the kernel costs nothing.  Correctness is
+asserted in tests against the FIPS-197 appendix vectors and a per-block
+textbook implementation.
 """
 
 from __future__ import annotations
@@ -55,7 +64,6 @@ def _build_sbox() -> bytes:
     return bytes(sbox)
 
 
-SBOX = _build_sbox()
 RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
 
 
@@ -67,17 +75,31 @@ def _xtime(value: int) -> int:
     return value & 0xFF
 
 
+@lru_cache(maxsize=None)
+def tables() -> tuple:
+    """``(sbox, xtime, xor)``: the translate tables, built on first use.
+
+    ``sbox`` is the S-box, ``xtime`` maps a byte to its product with x, and
+    ``xor[k]`` maps a byte to itself XOR ``k``.
+    """
+    identity = int.from_bytes(bytes(range(256)), "little")
+    ones = int.from_bytes(bytes([1]) * 256, "little")
+    xor = tuple((identity ^ k * ones).to_bytes(256, "little") for k in range(256))
+    return _build_sbox(), bytes(_xtime(value) for value in range(256)), xor
+
+
 @lru_cache(maxsize=16)
 def expand_key(key: bytes) -> tuple:
     """FIPS-197 key schedule: 11 round keys of 16 bytes each."""
     if len(key) != KEY_BYTES:
         raise ConfigurationError("AES-128 needs a 16-byte key")
+    sbox = tables()[0]
     words: List[List[int]] = [list(key[i : i + 4]) for i in range(0, 16, 4)]
     for i in range(4, 4 * (ROUNDS + 1)):
         word = list(words[i - 1])
         if i % 4 == 0:
             word = word[1:] + word[:1]  # RotWord
-            word = [SBOX[b] for b in word]  # SubWord
+            word = [sbox[b] for b in word]  # SubWord
             word[0] ^= RCON[i // 4 - 1]
         words.append([a ^ b for a, b in zip(words[i - 4], word)])
     round_keys = []
@@ -86,58 +108,50 @@ def expand_key(key: bytes) -> tuple:
     return tuple(round_keys)
 
 
-def _sub_bytes(state: bytearray) -> None:
-    for i, b in enumerate(state):
-        state[i] = SBOX[b]
+#: ShiftRows as a permutation of state positions.  The state is
+#: column-major, byte (row, col) at ``col * 4 + row``, and row ``r`` rotates
+#: left by ``r``: position ``p`` takes the byte at ``_SHIFT_ROWS[p]``.
+_SHIFT_ROWS = tuple(((p // 4 + p % 4) % 4) * 4 + p % 4 for p in range(16))
 
 
-def _shift_rows(state: bytearray) -> None:
-    # State is column-major: byte (row, col) lives at col*4 + row.
-    for row in range(1, 4):
-        old = [state[col * 4 + row] for col in range(4)]
-        for col in range(4):
-            state[col * 4 + row] = old[(col + row) % 4]
-
-
-def _mix_columns(state: bytearray) -> None:
-    for col in range(4):
-        a = state[col * 4 : col * 4 + 4]
+def _mix_columns(state: List[bytes], n_blocks: int, xtime: bytes) -> List[bytes]:
+    out = []
+    for col in range(0, 16, 4):
+        a = [int.from_bytes(lane, "little") for lane in state[col : col + 4]]
         t = a[0] ^ a[1] ^ a[2] ^ a[3]
-        u = a[0]
-        state[col * 4 + 0] = a[0] ^ t ^ _xtime(a[0] ^ a[1])
-        state[col * 4 + 1] = a[1] ^ t ^ _xtime(a[1] ^ a[2])
-        state[col * 4 + 2] = a[2] ^ t ^ _xtime(a[2] ^ a[3])
-        state[col * 4 + 3] = a[3] ^ t ^ _xtime(a[3] ^ u)
-
-
-def _add_round_key(state: bytearray, round_key: bytes) -> None:
-    for i in range(16):
-        state[i] ^= round_key[i]
-
-
-def encrypt_block(key: bytes, block: bytes) -> bytes:
-    """Encrypt one 16-byte block with AES-128."""
-    if len(block) != BLOCK_BYTES:
-        raise ConfigurationError("AES block must be 16 bytes")
-    round_keys = expand_key(key)
-    state = bytearray(block)
-    _add_round_key(state, round_keys[0])
-    for r in range(1, ROUNDS):
-        _sub_bytes(state)
-        _shift_rows(state)
-        _mix_columns(state)
-        _add_round_key(state, round_keys[r])
-    _sub_bytes(state)
-    _shift_rows(state)
-    _add_round_key(state, round_keys[ROUNDS])
-    return bytes(state)
+        for row in range(4):
+            pair = (a[row] ^ a[(row + 1) % 4]).to_bytes(n_blocks, "little")
+            doubled = int.from_bytes(pair.translate(xtime), "little")
+            out.append((a[row] ^ t ^ doubled).to_bytes(n_blocks, "little"))
+    return out
 
 
 def encrypt_ecb(key: bytes, data: bytes) -> bytes:
     """ECB-encrypt a multiple-of-16-bytes buffer (the accelerator's mode)."""
     if len(data) % BLOCK_BYTES:
         raise ConfigurationError("data length must be a multiple of 16")
+    n_blocks = len(data) // BLOCK_BYTES
+    if not n_blocks:
+        return b""
+    round_keys = expand_key(key)
+    sbox, xtime, xor = tables()
+    key0 = round_keys[0]
+    state = [data[p::16].translate(xor[key0[p]]) for p in range(16)]
+    for r in range(1, ROUNDS + 1):
+        # SubBytes is bytewise, so it commutes with the ShiftRows permutation.
+        state = [state[source].translate(sbox) for source in _SHIFT_ROWS]
+        if r < ROUNDS:
+            state = _mix_columns(state, n_blocks, xtime)
+        round_key = round_keys[r]
+        state = [lane.translate(xor[round_key[p]]) for p, lane in enumerate(state)]
     out = bytearray(len(data))
-    for i in range(0, len(data), BLOCK_BYTES):
-        out[i : i + BLOCK_BYTES] = encrypt_block(key, data[i : i + BLOCK_BYTES])
+    for p, lane in enumerate(state):
+        out[p::16] = lane
     return bytes(out)
+
+
+def encrypt_block(key: bytes, block: bytes) -> bytes:
+    """Encrypt one 16-byte block with AES-128."""
+    if len(block) != BLOCK_BYTES:
+        raise ConfigurationError("AES block must be 16 bytes")
+    return encrypt_ecb(key, block)

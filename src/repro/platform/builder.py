@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import enum
 from functools import partial
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.core.monitor import HardwareMonitor
 from repro.errors import ConfigurationError
 from repro.fpga.afu import AfuSocket
 from repro.fpga.shell import Shell
@@ -31,6 +30,9 @@ from repro.platform.params import PlatformParams
 from repro.sim.clock import Clock, gbps_to_bytes_per_ps
 from repro.sim.engine import Engine
 from repro.telemetry import MetricRegistry, current_tracer
+
+if TYPE_CHECKING:
+    from repro.core.monitor import HardwareMonitor
 
 
 class PlatformMode(enum.Enum):
@@ -184,6 +186,10 @@ def build_platform(
 
     monitor: Optional[HardwareMonitor] = None
     if mode is PlatformMode.OPTIMUS:
+        # The pass-through baseline has no hardware monitor, so only an
+        # OPTIMUS platform loads it (and the auditors, mux tree and VCU).
+        from repro.core.monitor import HardwareMonitor
+
         monitor = HardwareMonitor(
             engine,
             shell,

@@ -39,7 +39,6 @@ imports *us*).
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Set
 
@@ -226,6 +225,8 @@ class Tracer:
         of the *set* of emitted events — equal simulations serialize to
         byte-identical files even if hook ordering differs incidentally.
         """
+        import json  # only a process that writes a trace pays for it
+
         def key(event: Dict[str, Any]):
             return (
                 event["pid"],
@@ -241,6 +242,8 @@ class Tracer:
         }
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_chrome(), sort_keys=True, separators=(",", ":"))
 
     def write(self, path) -> Path:

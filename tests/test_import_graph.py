@@ -3,14 +3,16 @@
 The MemBench/LinkedList datapath behind Figs. 4-6 and Tables 3-4 is pure
 Python, and the CLI's parser needs only names.  Neither may load numpy,
 the fleet stack, the sharded executor or the fuzzing oracle.  The fleet,
-serve and chaos commands run the fleet stack but still no numpy
-(DESIGN.md §6, "Import graph").  Each probe runs in a fresh interpreter,
-because pytest and the other test modules have long since imported
-everything.
+serve and chaos commands run the fleet stack but still no numpy and no
+kernel but ``dsp``, and the pass-through baseline loads neither a kernel
+nor an OPTIMUS-only layer (DESIGN.md §6, "Import graph").  Each probe runs
+in a fresh interpreter, because pytest and the other test modules have
+long since imported everything.
 """
 
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +21,10 @@ import pytest
 
 import repro.accel
 import repro.analytic
+import repro.core
 import repro.faults
+import repro.guest
+import repro.hv
 import repro.kernels
 import repro.scenario
 
@@ -28,13 +33,37 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: Modules the datapath and the CLI parser must never load.
 HEAVY = ("numpy", "repro.fleet", "repro.parallel", "repro.scenario.oracle")
 
+#: Every kernel but ``dsp``, whose ``Xorshift64Star`` draws MemBench's and
+#: LinkedList's addresses: a job imports its kernel when it first computes.
+KERNELS_BUT_DSP = tuple(
+    f"repro.kernels.{module.name}"
+    for module in pkgutil.iter_modules(repro.kernels.__path__)
+    if module.name != "dsp"
+)
 
-def loaded_after(script: str) -> list:
-    """Which :data:`HEAVY` modules a fresh interpreter holds after ``script``."""
+#: What the pass-through baseline never loads: it has no hardware monitor,
+#: no shadow paging and no preemption, and a timing-only job no kernel.
+OPTIMUS_ONLY = (
+    "repro.kernels",
+    "repro.core.auditor",
+    "repro.core.monitor",
+    "repro.core.mux_tree",
+    "repro.core.vcu",
+    "repro.hv.checkpoint",
+    "repro.hv.hypervisor",
+    "repro.hv.migration",
+    "repro.hv.preemption",
+    "repro.hv.scheduler",
+    "repro.hv.shadow",
+)
+
+
+def loaded_after(script: str, watched: tuple = HEAVY) -> list:
+    """Which ``watched`` modules a fresh interpreter holds after ``script``."""
     probe = (
         f"{script}\n"
         "import json, sys\n"
-        f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))\n"
+        f"print(json.dumps([m for m in {watched!r} if m in sys.modules]))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run(
@@ -61,6 +90,39 @@ def test_the_datapath_never_loads_numpy():
         "assert job.progress_bytes() > 0\n"
     )
     assert "numpy" not in loaded_after(script)
+
+
+def passthrough_stream(functional: bool) -> str:
+    """An AES job streaming for 20 us on the pass-through stack."""
+    return (
+        "from repro.accel import AesJob\n"
+        "from repro.accel.streaming import REG_DST, REG_LEN, REG_SRC\n"
+        "from repro.guest import NativeAccelerator\n"
+        "from repro.hv import PassthroughHypervisor\n"
+        "from repro.mem import MB\n"
+        "from repro.platform import PlatformMode, build_platform\n"
+        "from repro.sim.clock import us\n"
+        "platform = build_platform(mode=PlatformMode.PASSTHROUGH)\n"
+        "hypervisor = PassthroughHypervisor(platform)\n"
+        "handle = NativeAccelerator(hypervisor, window_bytes=64 * MB)\n"
+        f"job = AesJob(functional={functional})\n"
+        "job.regs.update({REG_SRC: handle.alloc_buffer(MB),\n"
+        "                 REG_DST: handle.alloc_buffer(MB), REG_LEN: MB})\n"
+        "hypervisor.start_job(job)\n"
+        "platform.run_for(us(20))\n"
+        "assert job.progress_units() > 0\n"
+    )
+
+
+def test_the_passthrough_stack_loads_no_kernel_and_no_optimus_layer():
+    watched = HEAVY + OPTIMUS_ONLY
+    assert loaded_after(passthrough_stream(functional=False), watched) == []
+
+
+def test_the_probe_sees_the_kernel_a_functional_job_runs():
+    # Positive control: encrypting a tile loads the AES kernel, and only it.
+    loaded = loaded_after(passthrough_stream(functional=True), KERNELS_BUT_DSP)
+    assert loaded == ["repro.kernels.aes128"]
 
 
 def run_cli(argv: list) -> str:
@@ -102,7 +164,8 @@ FLEET_COMMANDS = {
 
 @pytest.mark.parametrize("argv", FLEET_COMMANDS.values(), ids=FLEET_COMMANDS.keys())
 def test_serving_commands_never_load_numpy(argv):
-    assert "numpy" not in loaded_after(run_cli(argv))
+    # Nor a kernel: placing a tenant builds its job, and no job computes.
+    assert loaded_after(run_cli(argv), ("numpy", *KERNELS_BUT_DSP)) == []
 
 
 def test_the_serving_packages_import_without_numpy():
@@ -129,7 +192,11 @@ def test_the_probe_sees_numpy_when_it_is_loaded():
 
 
 @pytest.mark.parametrize(
-    "package", [repro.accel, repro.analytic, repro.faults, repro.kernels, repro.scenario],
+    "package",
+    [
+        repro.accel, repro.analytic, repro.core, repro.faults, repro.guest, repro.hv,
+        repro.kernels, repro.scenario,
+    ],
     ids=lambda package: package.__name__,
 )
 def test_every_public_name_resolves(package):

@@ -36,6 +36,55 @@ from repro.kernels import (
     sssp_bellman_ford,
     sssp_dijkstra,
 )
+from repro.kernels.aes128 import ROUNDS, expand_key, tables
+
+
+def textbook_encrypt_block(key, block):
+    """FIPS-197 one block at a time, round function by round function.
+
+    The oracle for the kernel, which runs each round over every block of
+    the buffer at once.  It shares only the S-box, the multiply-by-x table
+    and the key schedule, which the FIPS-197 vectors check.
+    """
+    sbox, xtime, _xor = tables()
+    round_keys = expand_key(key)
+    state = bytearray(block)
+
+    def sub_bytes():
+        for i, b in enumerate(state):
+            state[i] = sbox[b]
+
+    def shift_rows():
+        # State is column-major: byte (row, col) lives at col*4 + row.
+        for row in range(1, 4):
+            old = [state[col * 4 + row] for col in range(4)]
+            for col in range(4):
+                state[col * 4 + row] = old[(col + row) % 4]
+
+    def mix_columns():
+        for col in range(4):
+            a = state[col * 4 : col * 4 + 4]
+            t = a[0] ^ a[1] ^ a[2] ^ a[3]
+            u = a[0]
+            state[col * 4 + 0] = a[0] ^ t ^ xtime[a[0] ^ a[1]]
+            state[col * 4 + 1] = a[1] ^ t ^ xtime[a[1] ^ a[2]]
+            state[col * 4 + 2] = a[2] ^ t ^ xtime[a[2] ^ a[3]]
+            state[col * 4 + 3] = a[3] ^ t ^ xtime[a[3] ^ u]
+
+    def add_round_key(round_key):
+        for i in range(16):
+            state[i] ^= round_key[i]
+
+    add_round_key(round_keys[0])
+    for r in range(1, ROUNDS):
+        sub_bytes()
+        shift_rows()
+        mix_columns()
+        add_round_key(round_keys[r])
+    sub_bytes()
+    shift_rows()
+    add_round_key(round_keys[ROUNDS])
+    return bytes(state)
 
 
 class TestAes:
@@ -63,6 +112,25 @@ class TestAes:
         key = b"kkkkkkkkkkkkkkkk"
         out = encrypt_ecb(key, b"A" * 32)
         assert out[:16] == out[16:]  # the classic ECB weakness, by design
+
+    def test_the_oracle_meets_fips197_appendix_c(self):
+        key = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
+        plaintext = bytes.fromhex("00112233445566778899aabbccddeeff")
+        expected = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
+        assert textbook_encrypt_block(key, plaintext) == expected
+
+    @given(
+        key=st.binary(min_size=16, max_size=16),
+        data=st.integers(0, 300).flatmap(
+            lambda blocks: st.binary(min_size=16 * blocks, max_size=16 * blocks)
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_whole_buffer_rounds_match_the_per_block_oracle(self, key, data):
+        expected = b"".join(
+            textbook_encrypt_block(key, data[i : i + 16]) for i in range(0, len(data), 16)
+        )
+        assert encrypt_ecb(key, data) == expected
 
 
 class TestHashes:
