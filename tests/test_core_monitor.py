@@ -80,7 +80,7 @@ class TestSliceLayout:
             layout.slice_for(-1)
 
     @given(index=st.integers(min_value=0, max_value=500))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_any_slice_fits_48_bits(self, index):
         layout = default_layout(PAGE_SIZE_2M)
         if index < layout.max_slices:
@@ -212,7 +212,7 @@ class TestMuxNodeAgainstOracle:
             max_size=40,
         ),
     )
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_grant_forward_rearm_matches_straightforward_arbiter(
         self, radix, scale, latency_ps, schedule
     ):

@@ -366,7 +366,7 @@ class TestPlanIsTimeTranslationInvariant:
         restale=st.lists(st.integers(min_value=-2_000_000, max_value=0), min_size=8, max_size=8),
         laps=st.integers(min_value=0, max_value=5),
     )
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_plan_shifts_rigidly_and_cannot_see_how_stale_a_past_instant_is(
         self, state, now, shift, restale, laps
     ):

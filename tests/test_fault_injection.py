@@ -414,7 +414,7 @@ _PLAN = st.fixed_dictionaries({}, optional={
 
 
 class TestFaultPlanLoading:
-    @settings(max_examples=400, deadline=None, derandomize=True)
+    @settings(max_examples=400)
     @given(payload=_PLAN | _JSON)
     def test_any_json_loads_as_a_plan_or_raises_fault_plan_error(self, payload):
         try:

@@ -13,12 +13,13 @@ The load-bearing guarantees:
   seeded degrade->crash plan (the ISSUE 8 acceptance criterion).
 """
 
+import hashlib
 import json
 
 import pytest
 
 from repro import __main__ as cli
-from repro.accel import AesJob
+from repro.accel import AesJob, Sha512Job
 from repro.accel.streaming import REG_DST, REG_LEN, REG_SRC
 from repro.fleet import (
     FleetCluster,
@@ -51,9 +52,9 @@ def make_hv():
     return platform, OptimusHypervisor(platform)
 
 
-def launch_aes(hv, name):
+def launch_guest(hv, name, job_type=AesJob):
     vm = hv.create_vm(name)
-    job = AesJob(functional=True)
+    job = job_type(functional=True)
     vaccel = hv.create_virtual_accelerator(vm, job, physical_index=0)
     handle = GuestAccelerator(hv, vm, vaccel, window_bytes=8 * MB)
     src = handle.alloc_buffer(BUF)
@@ -78,7 +79,7 @@ class TestCheckpointRestore:
     def test_migrated_digest_matches_never_migrated_run(self):
         # Source hypervisor: run the guest partway, then quiesce + snapshot.
         platform_a, hv_a = make_hv()
-        _vm_a, job_a, vaccel_a, _h, src, dst = launch_aes(hv_a, "mover")
+        _vm_a, job_a, vaccel_a, _h, src, dst = launch_guest(hv_a, "mover")
         platform_a.run_for(us(40))
         assert 0 < job_a.cursor < BUF  # genuinely mid-flight
         quiesce_guest(hv_a, vaccel_a)
@@ -97,7 +98,7 @@ class TestCheckpointRestore:
 
         # Baseline: the same guest, never migrated.
         platform_c, hv_c = make_hv()
-        vm_c, job_c, _va, _h2, src_c, dst_c = launch_aes(hv_c, "mover")
+        vm_c, job_c, _va, _h2, src_c, dst_c = launch_guest(hv_c, "mover")
         assert (src_c, dst_c) == (src, dst)  # deterministic allocator
         run_until_done(platform_c, job_c)
 
@@ -111,7 +112,7 @@ class TestCheckpointRestore:
         from repro.mem import PAGE_SIZE_4K
 
         platform_a, hv_a = make_hv()
-        _vm, _job, vaccel, _h, _src, _dst = launch_aes(hv_a, "mover")
+        _vm, _job, vaccel, _h, _src, _dst = launch_guest(hv_a, "mover")
         platform_a.run_for(us(40))
         quiesce_guest(hv_a, vaccel)
         checkpoint = checkpoint_guest(hv_a, vaccel)
@@ -123,6 +124,27 @@ class TestCheckpointRestore:
         hv_b = OptimusHypervisor(platform_b)
         with pytest.raises(ConfigurationError):
             restore_guest(hv_b, checkpoint, AesJob(functional=True))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: StreamingJob.save_state carries only the cursor",
+    )
+    def test_restored_hash_resumes_its_running_state(self):
+        # A hash is live state the cursor does not capture: the restored
+        # job must finish with the digest of the whole payload, not of
+        # the bytes it streamed after the restore.
+        platform_a, hv_a = make_hv()
+        _vm, job_a, vaccel_a, *_ = launch_guest(hv_a, "hasher", Sha512Job)
+        platform_a.run_for(us(40))
+        assert 0 < job_a.cursor < BUF
+        quiesce_guest(hv_a, vaccel_a)
+        checkpoint = checkpoint_guest(hv_a, vaccel_a)
+
+        platform_b, hv_b = make_hv()
+        job_b = Sha512Job(functional=True)
+        restore_guest(hv_b, checkpoint, job_b)
+        run_until_done(platform_b, job_b)
+        assert job_b.digest == hashlib.sha512(PAYLOAD).digest()
 
 
 def make_fleet(n_nodes=3, *, load=0.7, seed=5):

@@ -125,7 +125,7 @@ class TestAes:
             lambda blocks: st.binary(min_size=16 * blocks, max_size=16 * blocks)
         ),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_whole_buffer_rounds_match_the_per_block_oracle(self, key, data):
         expected = b"".join(
             textbook_encrypt_block(key, data[i : i + 16]) for i in range(0, len(data), 16)
@@ -135,17 +135,17 @@ class TestAes:
 
 class TestHashes:
     @given(data=st.binary(max_size=300))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_md5_matches_hashlib(self, data):
         assert md5_bytes(data) == hashlib.md5(data).digest()
 
     @given(data=st.binary(max_size=300))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_sha256_matches_hashlib(self, data):
         assert sha256_bytes(data) == hashlib.sha256(data).digest()
 
     @given(data=st.binary(max_size=500))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_sha512_matches_hashlib(self, data):
         assert sha512_bytes(data) == hashlib.sha512(data).digest()
 
@@ -200,7 +200,7 @@ class TestReedSolomon:
         seed=st.integers(min_value=0, max_value=2**31),
         n_errors=st.integers(min_value=0, max_value=16),
     )
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     def test_random_errors_always_corrected(self, seed, n_errors):
         rng = np.random.RandomState(seed)
         rs = ReedSolomon(255, 223)
@@ -230,7 +230,7 @@ class TestSmithWaterman:
         assert best_score("GGGGACGTGGGG", "TTTTACGTTTTT") >= 8
 
     @given(seq=st.text(alphabet="ACGT", min_size=1, max_size=12))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_self_alignment_is_maximal(self, seq):
         score = best_score(seq, seq)
         assert score == 2 * len(seq)

@@ -58,7 +58,7 @@ class TestSparseMemory:
         offset=st.integers(min_value=0, max_value=65536 - 128),
         data=st.binary(min_size=1, max_size=128),
     )
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_write_then_read_any_offset(self, offset, data):
         mem = SparseMemory(65536)
         mem.write(offset, data)
@@ -149,7 +149,7 @@ class TestPageTable:
         first=st.integers(min_value=0, max_value=64),
         pages=st.integers(min_value=0, max_value=80),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_resident_in_and_unmap_range_match_a_scan(self, vpns, first, pages):
         # Both sides of the smaller-side scan agree with the plain filter.
         table = PageTable(PAGE_SIZE_4K)
@@ -164,7 +164,7 @@ class TestPageTable:
         )
 
     @given(vpns=st.lists(st.integers(min_value=0, max_value=2**20), unique=True, max_size=30))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_mappings_iterate_sorted_and_complete(self, vpns):
         table = PageTable(PAGE_SIZE_4K)
         for vpn in vpns:
@@ -237,7 +237,7 @@ class TestAllocators:
     @given(
         sizes=st.lists(st.integers(min_value=1, max_value=512), min_size=1, max_size=40)
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_allocations_never_overlap(self, sizes):
         alloc = RegionAllocator(0, 1 * MB, granule=64)
         regions = []

@@ -53,7 +53,7 @@ class TestRoundRobin:
             RoundRobinScheduler(0)
 
     @given(n=st.integers(min_value=1, max_value=16), rounds=st.integers(min_value=1, max_value=5))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_rotation_is_fair_over_whole_rounds(self, n, rounds):
         policy = RoundRobinScheduler(ms(1))
         vas = vaccels(n)
@@ -114,7 +114,7 @@ class TestPriority:
     @given(
         priorities=st.lists(st.integers(min_value=0, max_value=5), min_size=2, max_size=8)
     )
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_pick_always_a_top_priority_vaccel(self, priorities):
         mapping = {i: p for i, p in enumerate(priorities)}
         policy = PriorityScheduler(mapping, ms(1))

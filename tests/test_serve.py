@@ -184,7 +184,7 @@ class TestTraceDigestOracle:
             assert loaded.digest() == canonical_digest(loaded)
         assert ArrivalTrace.load(tmp_path / "t.json").digest() == trace.digest()
 
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @settings(max_examples=150)
     @given(trace=traces(), batch=st.integers(1, 5))
     def test_any_records_at_any_batch_size(self, trace, batch):
         from unittest import mock
@@ -279,7 +279,7 @@ class TestMalformedTraces:
         st.dictionaries(st.text(max_size=2), st.none(), max_size=1),
     )
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     @given(
         index=st.integers(0, 5),
         field=st.sampled_from(sorted(_GOOD_RECORD) + ["__record__"]),

@@ -397,7 +397,7 @@ def _engine_run(phases):
 
 
 @given(phases=_PHASES)
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_any_program_dispatches_in_time_then_schedule_order(phases):
     phases = phases + [(None, [])]  # drain whatever the horizons left
     fired, pauses = _engine_run(phases)

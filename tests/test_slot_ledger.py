@@ -269,7 +269,7 @@ class RealAndShadowNode(RuleBasedStateMachine):
 
 
 RealAndShadowNode.TestCase.settings = settings(
-    max_examples=60, stateful_step_count=40, deadline=None
+    max_examples=60, stateful_step_count=40
 )
 TestRealAndShadowNode = RealAndShadowNode.TestCase
 
@@ -550,7 +550,7 @@ class RealAndShadowCluster(RuleBasedStateMachine):
 
 
 RealAndShadowCluster.TestCase.settings = settings(
-    max_examples=30, stateful_step_count=30, deadline=None, derandomize=True
+    max_examples=30, stateful_step_count=30
 )
 TestRealAndShadowCluster = RealAndShadowCluster.TestCase
 

@@ -180,7 +180,7 @@ class TenantLifecycle(RuleBasedStateMachine):
 
 
 TenantLifecycle.TestCase.settings = settings(
-    max_examples=40, stateful_step_count=25, deadline=None
+    max_examples=40, stateful_step_count=25
 )
 TestTenantLifecycle = TenantLifecycle.TestCase
 
