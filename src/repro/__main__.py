@@ -182,7 +182,8 @@ SHARDING = (
         type=int,
         default=0,
         metavar="K",
-        help="let shard workers speculate K epochs ahead of the coordinator "
+        help="grant shard workers evictions up to K epochs ahead of the "
+        "coordinator; workers apply them when they commit "
         "(0 = no speculation; byte-identical results at any depth)",
     ),
     Flag(

@@ -80,12 +80,9 @@ class CloudProvider:
             )
         return physical_index
 
-    def _remember(self, tenant: Tenant, position: Optional[int] = None) -> None:
-        """Record a resident tenant (at ``position`` of the tenant list when
-        a speculative eviction is being rolled back, else at the end)."""
-        if position is None:
-            position = len(self.tenants)
-        self.tenants.insert(position, tenant)
+    def _remember(self, tenant: Tenant) -> None:
+        """Record a resident tenant."""
+        self.tenants.append(tenant)
         self.slots.add(tenant.vaccel.physical_index)
 
     def recount(self) -> List[int]:
@@ -191,10 +188,6 @@ class CloudProvider:
         if tenant not in self.tenants:
             raise ConfigurationError(f"unknown tenant {tenant.name}")
         tenant.handle.disconnect()  # the disconnect hook forgets the tenant
-        # ...unless it has none: a tenant reinstated by a speculative
-        # rollback (repro.parallel.speculate) lost its hook with the first
-        # disconnect, so this call is what keeps the slot ledger honest.
-        self._forget(tenant)
 
     def rebalance(self) -> int:
         """Spread oversubscribed slots onto empty same-type slots (§7.1).

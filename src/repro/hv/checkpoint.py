@@ -260,69 +260,6 @@ def restore_guest(
     return vm, vaccel
 
 
-class IncrementalCheckpointer:
-    """Cheap per-guest checkpoint reuse for the speculation path.
-
-    A full :func:`checkpoint_guest` reads every backed page; a fleet
-    guest that has not changed since the last snapshot produces the
-    identical checkpoint.  This cache keys each guest's checkpoint on a
-    cheap *validity token* — every structural input to the checkpoint
-    that can change without a page read — and recomputes only when the
-    token moves.
-
-    Scope: the sharded executor's **worker speculation path only**.  The
-    serial/migration path keeps calling :func:`checkpoint_guest`
-    directly, so envelope-visible digests can never come out of a cache.
-    The token deliberately includes ``vaccel_id`` (never reused) rather
-    than ``vm_name`` (reused across migrations of the same tenant).
-    """
-
-    def __init__(self) -> None:
-        self._cache: dict = {}
-
-    @staticmethod
-    def _token(hypervisor: "OptimusHypervisor", vaccel: VirtualAccelerator):
-        return (
-            vaccel.vaccel_id,
-            vaccel.state,
-            vaccel.started,
-            vaccel.saved_state is None,
-            len(vaccel.mapped_gvas),
-            vaccel.window_base_gva,
-            vaccel.window_size,
-            vaccel.state_buffer_gva,
-            len(vaccel.reg_cache),
-            vaccel.job.done,
-            vaccel.vm.mmu.guest_table.version,
-        )
-
-    def checkpoint(
-        self,
-        hypervisor: "OptimusHypervisor",
-        vaccel: VirtualAccelerator,
-        *,
-        accel_type: Optional[str] = None,
-        fresh: bool = False,
-    ) -> GuestCheckpoint:
-        """A checkpoint of ``vaccel``, reused while its token holds.
-
-        ``fresh=True`` bypasses and refreshes the cache — rollback
-        verification uses it so a stale entry can never mask real
-        divergence.
-        """
-        token = self._token(hypervisor, vaccel)
-        if not fresh:
-            hit = self._cache.get(vaccel.vaccel_id)
-            if hit is not None and hit[0] == token:
-                return hit[1]
-        checkpoint = checkpoint_guest(hypervisor, vaccel, accel_type=accel_type)
-        self._cache[vaccel.vaccel_id] = (token, checkpoint)
-        return checkpoint
-
-    def forget(self, vaccel_id: int) -> None:
-        self._cache.pop(vaccel_id, None)
-
-
 def guest_memory_digest(
     vm: VirtualMachine,
     regions: Optional[Sequence[Tuple[int, int]]] = None,

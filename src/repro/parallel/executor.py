@@ -13,11 +13,12 @@ stacks live in shard worker processes:
   stamped with the epoch it belongs to.  With ``lookahead == 0`` a
   flush happens at every epoch boundary (the conservative protocol);
   with ``lookahead = K`` flushes coalesce up to K epochs per frame
-  *and* the coordinator grants shard workers permission to run granted
-  evictions up to K epochs ahead of the serving clock
-  (:mod:`repro.parallel.speculate`) — committed by suppression when the
-  speculated departure arrives on schedule, unwound by a typed rollback
-  op travelling ahead of any conflicting truth in the same FIFO stream;
+  *and* the coordinator grants shard workers evictions up to K epochs
+  ahead of the serving clock (:mod:`repro.parallel.speculate`).
+  Workers receive granted evictions early and apply them when they
+  commit — by suppression, when the speculated departure arrives on
+  schedule; a typed rollback op travelling ahead of any conflicting
+  truth in the same FIFO stream drops them instead;
 * observation points (:meth:`gather`, :meth:`merge_traces`,
   :meth:`close`) are the only barriers; :meth:`gather` is memoized on
   the op stream (three summary surfaces cost one round trip).
@@ -229,8 +230,8 @@ class ShardedFleetCluster(ShadowCluster):
             if verdict is not None:
                 what, tenants = verdict
                 if what == "commit":
-                    # The worker already applied this eviction at grant
-                    # time; arriving on schedule, it commits by omission.
+                    # The worker already holds this eviction from its
+                    # grant; arriving on schedule, it commits by omission.
                     self._stats.commits += 1
                     return
                 self._issue_rollback(
@@ -248,7 +249,7 @@ class ShardedFleetCluster(ShadowCluster):
         tenants: Tuple[str, ...],
         reason: str,
     ) -> None:
-        """Unwind ``tenants``' speculative evictions on one node.
+        """Drop ``tenants``' speculative evictions on one node.
 
         Grants whose ``spec_evict`` is still sitting in the unflushed
         buffer are scrubbed in place (the worker never saw them); the
@@ -362,7 +363,7 @@ class ShardedFleetCluster(ShadowCluster):
 
         A synchronous round-trip to a *single* shard (the one owning the
         tenant's node).  Outstanding grants on that node are rolled back
-        first (the worker may have speculatively evicted the very guest
+        first (the worker may hold a granted eviction of the very guest
         being checkpointed), pending ops flushed, and SimpleQueue
         preserves order, so the worker applies every earlier mutation
         before serializing.

@@ -8,9 +8,8 @@ coordinator's shadow bookkeeping emitted:
 
 ``place / evict / restore_tenant / cordon / uncordon / crash / recover /
 degrade / restore / bump_auditor`` — plus the speculation pair
-``spec_evict`` (apply a granted eviction early, after snapshotting the
-undo state) and ``spec_rollback`` (reinstate named speculative evictions,
-newest first, verifying the rebuilt guests digest identically).
+``spec_evict`` (record a granted eviction) and ``spec_rollback`` (drop
+named recorded evictions).
 
 Op batches arrive as binary frames (:mod:`repro.parallel.opstream`);
 each op is stamped with the epoch (simulated fleet time) it belongs to
@@ -23,11 +22,14 @@ provider agrees and that its ledger equals a recount of the hypervisor,
 and reports any divergence at the next barrier, so a bookkeeping bug
 fails the run loudly instead of silently skewing results.
 
-A regular op at epoch t retires undo entries granted at epochs <= t
-(their departures have committed coordinator-side by suppression); an
-undo entry still live *past* a regular op is a protocol violation and
-fails the run — the coordinator's rollback is guaranteed to travel ahead
-of any conflicting op in the same FIFO stream.
+Workers receive granted evictions early and apply them when they
+commit: a node's recorded evictions are applied, in grant order, just
+before the next regular op, ``checkpoint``, ``sync``, ``gather`` or
+``trace`` that reaches that node.  By then every grant on the node has
+been resolved coordinator-side (committed by suppression, or dropped by a
+``spec_rollback`` travelling ahead in the same FIFO stream), so a
+speculative rollback has nothing to undo.  A regular op at epoch t that
+finds a grant later than t is a protocol violation and fails the run.
 
 Tracing: a forked worker inherits the coordinator's installed tracer
 *object*, which must not be written to (its events would be lost and the
@@ -40,10 +42,9 @@ into the pid block it reserved (see ``Tracer.reserve_pids``/``ingest``).
 from __future__ import annotations
 
 import traceback
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.parallel.opstream import FrameDecoder
-from repro.parallel.speculate import capture_eviction_undo, reinstate_eviction
 
 
 def shard_worker_main(
@@ -78,16 +79,15 @@ def shard_worker_main(
     can raise with the worker's traceback attached.
     """
     from repro.fleet.node import FleetNode, NodeSpec
-    from repro.hv.checkpoint import IncrementalCheckpointer
     from repro.telemetry.tracer import install_tracer, uninstall_tracer
 
     local_tracer = None
     errors: List[str] = []
     nodes: Dict[int, object] = {}
     pid_by_node: Dict[int, int] = {}
-    #: Per-node speculative-eviction undo log, in application order.
-    undo_logs: Dict[int, List[object]] = {}
-    checkpointer = IncrementalCheckpointer()
+    #: Per-node granted evictions not yet applied: ``[(tenant, grant
+    #: epoch), ...]`` in grant order.
+    granted: Dict[int, List[Tuple[str, int]]] = {}
     #: Stateful binary codec for this stream, mirroring the
     #: coordinator-side encoder frame for frame.
     decoder = FrameDecoder()
@@ -118,36 +118,36 @@ def shard_worker_main(
         ack_queue.put(("built", worker_index, {}, traceback.format_exc()))
         return
 
-    def retire_committed(global_index: int, epoch_ps: int) -> None:
-        """Drop undo entries whose grants have committed (epoch <= now).
+    def commit_grants(global_index: int, epoch_ps: Optional[int] = None) -> None:
+        """Apply one node's recorded evictions, in grant order.
 
-        Any entry still live after that proves the coordinator let a
-        regular op overtake an unresolved grant — a protocol bug.
+        Called with the epoch of the regular op about to run: a grant
+        later than it proves the coordinator let that op overtake an
+        unresolved grant — a protocol bug.
         """
-        log = undo_logs.get(global_index)
-        if not log:
+        grants = granted.pop(global_index, None)
+        if not grants:
             return
-        live = []
-        for undo in log:
-            if undo.grant_epoch <= epoch_ps:
-                checkpointer.forget(undo.vaccel.vaccel_id)
-            else:
-                live.append(undo)
-        log[:] = live
-        if log:
+        if epoch_ps is not None and any(e > epoch_ps for _t, e in grants):
             raise RuntimeError(
                 f"speculation protocol violation on node {global_index}: "
                 f"regular op at epoch {epoch_ps} with unresolved grants at "
-                f"epochs {[u.grant_epoch for u in log]}"
+                f"epochs {[e for _t, e in grants]}"
             )
+        for tenant_name, _epoch in grants:
+            nodes[global_index].evict(tenant_name)
 
-    def drain_undo_logs() -> None:
-        """A barrier/gather means every outstanding grant was resolved
-        coordinator-side; surviving entries are committed leftovers."""
-        for log in undo_logs.values():
-            for undo in log:
-                checkpointer.forget(undo.vaccel.vaccel_id)
-            log.clear()
+    def commit_all() -> None:
+        """An observation point: the coordinator resolved every grant
+        before posting it, so every recorded eviction has committed."""
+        for global_index in list(granted):
+            try:
+                commit_grants(global_index)
+            except Exception:
+                errors.append(
+                    f"node {global_index} granted evictions:\n"
+                    f"{traceback.format_exc()}"
+                )
 
     while True:
         message = op_queue.get()
@@ -158,24 +158,13 @@ def shard_worker_main(
             for global_index, epoch_ps, op, payload in decoder.decode(message[1]):
                 try:
                     if op == "spec_evict":
-                        tenant_name = payload[0]
-                        undo = capture_eviction_undo(
-                            nodes[global_index],
-                            tenant_name,
-                            epoch_ps,
-                            checkpointer,
+                        granted.setdefault(global_index, []).append(
+                            (payload[0], epoch_ps)
                         )
-                        nodes[global_index].evict(tenant_name)
-                        undo_logs.setdefault(global_index, []).append(undo)
                     elif op == "spec_rollback":
-                        _rollback(
-                            nodes[global_index],
-                            undo_logs.get(global_index, []),
-                            payload[0],
-                            checkpointer,
-                        )
+                        _rollback(granted, global_index, payload[0])
                     else:
-                        retire_committed(global_index, epoch_ps)
+                        commit_grants(global_index, epoch_ps)
                         _apply(nodes[global_index], op, payload)
                 except BaseException:
                     errors.append(
@@ -186,6 +175,7 @@ def shard_worker_main(
             _kind, token, global_index, tenant_name = message
             checkpoint = None
             try:
+                commit_grants(global_index)
                 checkpoint = nodes[global_index].checkpoint_tenant(tenant_name)
             except BaseException:
                 errors.append(
@@ -196,10 +186,10 @@ def shard_worker_main(
                 ("checkpoint", worker_index, token, checkpoint, list(errors))
             )
         elif kind == "sync":
-            drain_undo_logs()
+            commit_all()
             ack_queue.put(("sync", worker_index, message[1], list(errors)))
         elif kind == "gather":
-            drain_undo_logs()
+            commit_all()
             reports = {}
             try:
                 for global_index, node in nodes.items():
@@ -213,24 +203,22 @@ def shard_worker_main(
                 errors.append(traceback.format_exc())
             ack_queue.put(("gather", worker_index, message[1], reports, list(errors)))
         elif kind == "trace":
+            commit_all()
             events = local_tracer.export_events() if local_tracer is not None else []
             ack_queue.put(("trace", worker_index, message[1], events, list(errors)))
 
 
-def _rollback(node, log: List[object], tenant_names, checkpointer) -> None:
-    """Reinstate the named speculative evictions, newest first."""
+def _rollback(granted, global_index: int, tenant_names) -> None:
+    """Drop the named recorded evictions: they never happened."""
+    grants = granted.get(global_index, [])
     names = set(tenant_names)
-    doomed = [u for u in log if u.tenant_name in names]
-    if len(doomed) != len(names):
-        missing = names - {u.tenant_name for u in doomed}
+    missing = names - {tenant for tenant, _epoch in grants}
+    if missing:
         raise RuntimeError(
-            f"rollback of unknown speculative evictions on {node.name}: "
-            f"{sorted(missing)}"
+            f"rollback of unknown speculative evictions on node "
+            f"{global_index}: {sorted(missing)}"
         )
-    log[:] = [u for u in log if u.tenant_name not in names]
-    for undo in reversed(doomed):
-        reinstate_eviction(node, undo)
-        checkpointer.forget(undo.vaccel.vaccel_id)
+    granted[global_index] = [g for g in grants if g[0] not in names]
 
 
 def _verify_placement(node, tenant, predicted_index, predicted_oversub) -> None:

@@ -5,26 +5,22 @@ The optimistic half of the sharded executor (DESIGN.md §9).  Two sides:
 **Coordinator** — :class:`SpeculationController` is the conflict
 detector.  At flush time it scans the serving loop's pending events
 (:meth:`~repro.fleet.admission.FleetService.speculation_window`, which
-reads the service's :class:`~repro.sim.Engine`) for the
-run of departures that are *certain* to dispatch exactly as scheduled,
-and grants the owning workers permission to apply those evictions up to
-``lookahead`` epochs early.  Every later op emission is interception
-ground: the op that proves a speculated epoch wrong (a placement, a
-migration eviction, an autoscaler cordon — anything touching a node
-with outstanding grants) triggers a typed rollback *ahead of itself* in
-the FIFO op stream, so the worker unwinds speculation before applying
-the conflicting truth.  The common case — the granted departure arrives
-on schedule — commits by **suppression**: the coordinator simply does
-not re-send the eviction the worker already performed.
+reads the service's :class:`~repro.sim.Engine`) for the run of
+departures that are *certain* to dispatch exactly as scheduled, and
+grants them to the owning workers up to ``lookahead`` epochs early.
+Every later op emission is interception ground: the op that proves a
+speculated epoch wrong (a placement, a migration eviction, an autoscaler
+cordon — anything touching a node with outstanding grants) triggers a
+typed rollback *ahead of itself* in the FIFO op stream, so the worker drops the speculated evictions before
+applying the conflicting truth.  The common case — the granted departure
+arrives on schedule — commits by **suppression**: the coordinator simply
+does not re-send the eviction the worker already holds.
 
-**Worker** — :func:`capture_eviction_undo` snapshots the exact state a
-never-started guest's eviction destroys (IOPT window entries, list/dict
-positions, slice free-list membership, handle/vaccel flags) plus a
-checkpoint digest via
-:class:`~repro.hv.checkpoint.IncrementalCheckpointer`;
-:func:`reinstate_eviction` puts every piece back and verifies a fresh
-checkpoint digests identically — a rollback that does not reproduce the
-pre-eviction guest bit-for-bit fails the run loudly.
+**Worker** — the shard worker (:mod:`repro.parallel.shard`) receives
+granted evictions early and applies them when they commit: it records
+each ``spec_evict`` and applies a node's recorded evictions, in grant
+order, just before the next op that reaches that node.  A rollback
+only drops records, so there is nothing to undo.
 
 Grant safety argument (why the uncontended case never rolls back): a
 departure is granted only when every earlier pending event is itself a
@@ -39,10 +35,7 @@ caught by emission-time interception instead.
 
 from __future__ import annotations
 
-import heapq
 from typing import Dict, List, Optional, Tuple
-
-from repro.hv.checkpoint import IncrementalCheckpointer, checkpoint_guest
 
 #: Conflict classes, keyed from the event-dispatch context the cluster's
 #: ``note_event`` hook records (DESIGN.md §9).
@@ -92,8 +85,8 @@ class SpeculationController:
         manager's run list — is a scan **barrier**, not a skip: granting
         anything past it would guarantee a conflict the moment its
         regular eviction is emitted.  Departures already granted are
-        passed over (their outcome is known: the worker has applied
-        them) and the scan continues.
+        passed over (the worker already holds them) and the scan
+        continues.
         """
         if self.lookahead <= 0:
             return []
@@ -122,7 +115,7 @@ class SpeculationController:
         Returns ``None`` (no grants on the node: emit as usual),
         ``("commit", (tenant,))`` (the op IS a granted eviction arriving
         exactly on schedule: suppress it), or ``("rollback", tenants)``
-        (the op conflicts: unwind ``tenants`` — every grant on the node,
+        (the op conflicts: drop ``tenants`` — every grant on the node,
         in application order — before emitting it).
         """
         grants = self._outstanding.get(node_index)
@@ -144,131 +137,3 @@ class SpeculationController:
         """Drop every grant on a node (observation-point pre-rollback)."""
         grants = self._outstanding.pop(node_index, {})
         return tuple(grants)
-
-
-# -- worker side --------------------------------------------------------------------
-
-
-class EvictionUndo:
-    """Everything one speculative eviction destroyed, ready to reinstate.
-
-    Captured against a guest that holds its slot alone and has never
-    been scheduled mid-eviction (the grant conditions), whose eviction
-    therefore touches exactly: the IOPT entries of its window extent, four
-    container positions (node tenant dict, provider tenant list,
-    hypervisor vaccel list, manager vaccel list), the provider's slot
-    ledger, the slice free-list, the vaccel state, the handle's
-    connected flag, and the guest watchdog's watch on it.
-    The original :class:`~repro.mem.page_table.PageTableEntry` *objects*
-    are kept and reinstated so accessed/dirty/pinned bits survive.
-    """
-
-    __slots__ = (
-        "tenant_name",
-        "grant_epoch",
-        "tenant",
-        "vaccel",
-        "vaccel_state",
-        "watchdog_armed",
-        "node_tenants_pos",
-        "provider_pos",
-        "hv_pos",
-        "manager_pos",
-        "iopt_entries",
-        "digest",
-    )
-
-    def __init__(self, tenant_name: str, grant_epoch: int) -> None:
-        self.tenant_name = tenant_name
-        self.grant_epoch = grant_epoch
-
-
-def capture_eviction_undo(
-    node,
-    tenant_name: str,
-    grant_epoch: int,
-    checkpointer: IncrementalCheckpointer,
-) -> EvictionUndo:
-    """Snapshot ``tenant_name`` on ``node`` just before its speculative
-    eviction.  Raises if the grant conditions do not hold worker-side."""
-    tenant = node.tenants.get(tenant_name)
-    if tenant is None:
-        raise RuntimeError(
-            f"speculative eviction of unknown tenant {tenant_name!r} "
-            f"on {node.name}"
-        )
-    hypervisor = node.provider.hypervisor
-    vaccel = tenant.vaccel
-    manager = hypervisor.physical[tenant.physical_index]
-    if len(manager.vaccels) != 1:
-        raise RuntimeError(
-            f"speculative eviction of {tenant_name!r} on a time-shared "
-            f"slot ({len(manager.vaccels)} residents) — the conflict "
-            "detector must never grant this"
-        )
-    undo = EvictionUndo(tenant_name, grant_epoch)
-    undo.tenant = tenant
-    undo.vaccel = vaccel
-    undo.vaccel_state = vaccel.state
-    watchdog = hypervisor.watchdog
-    undo.watchdog_armed = watchdog is not None and vaccel.vaccel_id in watchdog._watched
-    undo.node_tenants_pos = list(node.tenants).index(tenant_name)
-    undo.provider_pos = node.provider.tenants.index(tenant)
-    undo.hv_pos = hypervisor.vaccels.index(vaccel)
-    undo.manager_pos = manager.vaccels.index(vaccel)
-    page_table = hypervisor.shadow.iommu.page_table
-    undo.iopt_entries = [
-        (vpn, page_table._entries[vpn])
-        for vpn in page_table.resident_in(vaccel.slice.iova_base, vaccel.window_extent)
-    ]
-    undo.digest = checkpointer.checkpoint(
-        hypervisor, vaccel, accel_type=tenant.accel_type
-    ).digest()
-    return undo
-
-
-def reinstate_eviction(node, undo: EvictionUndo) -> None:
-    """Put back everything :func:`capture_eviction_undo` recorded.
-
-    Only valid while no other op has touched the node since the
-    speculative eviction — which the FIFO protocol guarantees (the
-    rollback op travels ahead of the conflicting op in the same stream).
-    Verifies the rebuilt guest checkpoints to the captured digest.
-    """
-    hypervisor = node.provider.hypervisor
-    tenant = undo.tenant
-    vaccel = undo.vaccel
-    page_table = hypervisor.shadow.iommu.page_table
-    for vpn, entry in undo.iopt_entries:
-        page_table._entries[vpn] = entry
-    if undo.iopt_entries:
-        page_table.version += 1
-    manager = hypervisor.physical[tenant.physical_index]
-    manager.vaccels.insert(undo.manager_pos, vaccel)
-    vaccel.state = undo.vaccel_state
-    hypervisor.vaccels.insert(undo.hv_pos, vaccel)
-    hypervisor._free_slices.remove(vaccel.slice.index)
-    heapq.heapify(hypervisor._free_slices)
-    if undo.watchdog_armed:
-        # Teardown unwatched it.  No simulated time passed on the node
-        # since, so its poller has not polled the detached vaccel and
-        # exited: re-arming the id is all it takes, a second poller
-        # would double-watch.
-        hypervisor.watchdog._watched.add(vaccel.vaccel_id)
-    tenant.handle.connected = True
-    # Through the provider, so the slot ledger regains the tenant too.
-    node.provider._remember(tenant, undo.provider_pos)
-    items = list(node.tenants.items())
-    items.insert(undo.node_tenants_pos, (undo.tenant_name, tenant))
-    node.tenants.clear()
-    node.tenants.update(items)
-    fresh = checkpoint_guest(
-        hypervisor, vaccel, accel_type=tenant.accel_type
-    ).digest()
-    if fresh != undo.digest:
-        raise RuntimeError(
-            f"rollback of {undo.tenant_name!r} on {node.name} did not "
-            f"reproduce the pre-eviction guest: checkpoint digest "
-            f"{fresh} != {undo.digest}"
-        )
-    node.check_ledger()

@@ -77,6 +77,20 @@ class FuzzReport:
         }
 
 
+def _judge(
+    oracle: Callable[[Scenario], OracleResult], scenario: Scenario
+) -> OracleResult:
+    """The oracle's verdict on ``scenario``.  An oracle that raises (say,
+    the sharded arm's divergence check) fails the scenario, so the
+    campaign records it, shrinks it and writes its reproducer."""
+    try:
+        return oracle(scenario)
+    except Exception as error:
+        return OracleResult(
+            scenario, [f"oracle raised {type(error).__name__}: {error}"]
+        )
+
+
 def run_fuzz(
     config: FuzzConfig,
     *,
@@ -89,7 +103,7 @@ def run_fuzz(
     generator = config.generator()
     for index in range(config.count):
         scenario = generator.draw(index)
-        result = oracle(scenario)
+        result = _judge(oracle, scenario)
         report.results.append(result)
         status = "ok" if result.ok else f"FAIL ({len(result.failures)})"
         narrate(
@@ -100,7 +114,7 @@ def run_fuzz(
         reproducer: Dict[str, object]
         if config.shrink_failures:
             shrunk = shrink(
-                scenario, lambda candidate: oracle(candidate).failures
+                scenario, lambda candidate: _judge(oracle, candidate).failures
             )
             narrate(
                 f"fuzz[{index}] shrunk {scenario.digest()} -> "
@@ -133,4 +147,4 @@ def replay(path, *, oracle: Callable[[Scenario], OracleResult] = run_scenario
     """Run one saved reproducer back through the oracle."""
     from repro.scenario.shrink import load_reproducer
 
-    return oracle(load_reproducer(path))
+    return _judge(oracle, load_reproducer(path))

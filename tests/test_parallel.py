@@ -462,6 +462,56 @@ class TestShardedClusterSurface:
             cluster.close()
 
 
+class TestWorkerGrantContract:
+    """The shard worker's side of speculation, driven in-process by
+    appending ops to a shard buffer: a ``spec_evict`` is only recorded,
+    and applied when it commits (the next regular op, checkpoint or
+    observation that reaches its node); ``spec_rollback`` drops it."""
+
+    @pytest.fixture
+    def cluster(self):
+        from repro.parallel import ShardedFleetCluster
+
+        cluster = ShardedFleetCluster.build(1, shards=1)
+        accel = cluster.nodes[0].configuration.slots[0]
+        for tenant in ("tenant0", "tenant1"):
+            cluster.place(tenant, accel, _FirstSlotPolicy())
+        try:
+            yield cluster
+        finally:
+            cluster.close()
+
+    @staticmethod
+    def _send(cluster, *ops):
+        cluster._shards[0].buffer.extend((0, *op) for op in ops)
+
+    @staticmethod
+    def _residents(cluster):
+        slots = cluster.occupancy_report()["node0"].values()
+        return sorted(name for slot in slots for name in slot["tenants"])
+
+    def test_a_regular_op_overtaking_a_later_grant_is_a_violation(self, cluster):
+        self._send(
+            cluster, (5_000, "spec_evict", ("tenant0",)), (1_000, "cordon", ())
+        )
+        with pytest.raises(RuntimeError, match="speculation protocol violation"):
+            cluster.barrier()
+
+    def test_rolling_back_an_ungranted_tenant_is_an_error(self, cluster):
+        self._send(cluster, (1_000, "spec_rollback", (("tenant0",),)))
+        with pytest.raises(RuntimeError, match="unknown speculative evictions"):
+            cluster.barrier()
+
+    def test_only_grants_never_rolled_back_are_applied(self, cluster):
+        self._send(
+            cluster,
+            (5_000, "spec_evict", ("tenant0",)),
+            (5_000, "spec_evict", ("tenant1",)),
+            (1_000, "spec_rollback", (("tenant0",),)),
+        )
+        assert self._residents(cluster) == ["tenant0/va0"]
+
+
 class _FirstSlotPolicy:
     def choose(self, nodes, accel_type):
         return nodes[0]

@@ -189,6 +189,33 @@ class TestKnownGoodSeedCorpus:
         assert summary["scenario_digests"] == again
 
 
+class TestRaisingOracle:
+    def test_a_raise_is_a_failure_that_is_shrunk_and_saved(self, tmp_path):
+        # An oracle that raises on every fleet draw with more than two
+        # nodes: the campaign must record, shrink and save it, not abort.
+        from repro.scenario import OracleResult
+
+        def oracle(scenario):
+            if scenario.fields["nodes"] > 2:
+                raise RuntimeError("sharded fleet execution diverged")
+            return OracleResult(scenario)
+
+        config = FuzzConfig(
+            seed=0, count=4, kinds="fleet", save_failures=str(tmp_path)
+        )
+        report = run_fuzz(config, oracle=oracle)
+        failed = [r for r in report.results if not r.ok]
+        assert failed and len(report.reproducers) == len(failed)
+        assert failed[0].failures == [
+            "oracle raised RuntimeError: sharded fleet execution diverged"
+        ]
+        minimal = report.reproducers[0]["scenario"]["fields"]
+        assert minimal["nodes"] == 3  # the simplest value that still raises
+        # The saved reproducer replays to the same recorded failure.
+        replayed = replay(report.saved_paths[0], oracle=oracle)
+        assert replayed.failures == report.reproducers[0]["failures"]
+
+
 def _skewed_plan():
     """A deliberately broken burst governor: every committed burst's
     per-line completion times slide 1 us late, so fast-path timing

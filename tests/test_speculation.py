@@ -201,10 +201,10 @@ class TestLookaheadDeterminism:
         assert stats["commits"] == stats["grants"]
 
     def test_conflict_heavy_scenario_rolls_back_and_still_matches(self):
-        # Every worker-side rollback asserts ledger == hypervisor recount
-        # (reinstate_eviction raises otherwise, and serve()'s end barrier
-        # re-raises it here); the run itself ends with the shadow ledgers
-        # checked against the workers' recount.
+        # A rolled-back grant is dropped worker-side and never applied;
+        # the run ends with the shadow ledgers checked against the
+        # workers' recount (serve()'s end barrier re-raises any
+        # divergence here).
         serial, _ = _chaos_autoscale_run(shards=1)
         sharded, stats = _chaos_autoscale_run(shards=2, lookahead=4)
         assert stats["rollbacks"] >= 1, (
@@ -222,125 +222,3 @@ def _chaos_autoscale_run(*, shards, lookahead=0):
     return serve_surfaces(
         shards, lookahead, plan="degrade-crash", standby=("node2",), requests=60
     )
-
-
-# -- worker-side rollback --------------------------------------------------------
-
-
-class TestEvictionRollback:
-    def test_rollback_puts_the_tenant_back_in_the_slot_ledger(self):
-        # Regression: reinstate_eviction re-inserted the vaccel and tenant
-        # by hand after FleetNode.evict had already run, bypassing the
-        # node's bookkeeping — one tenant short after the rollback, and
-        # negative once the real eviction arrived.
-        from repro.fleet.node import FleetNode, NodeSpec
-        from repro.hv.checkpoint import IncrementalCheckpointer
-        from repro.parallel.speculate import (
-            capture_eviction_undo,
-            reinstate_eviction,
-        )
-
-        node = FleetNode(NodeSpec.of("node0", ("AES", "AES")))
-        node.place("a", "AES")
-        node.place("b", "AES")
-        before = (list(node.tenants), list(node.provider.tenants))
-        undo = capture_eviction_undo(node, "a", 5, IncrementalCheckpointer())
-        node.evict("a")
-        assert node.slots.per_slot == node.provider.recount() == [0, 1]
-        reinstate_eviction(node, undo)
-        assert (list(node.tenants), list(node.provider.tenants)) == before
-        assert node.slots.per_slot == node.provider.recount() == [1, 1]
-        assert node.occupancy("AES") == 2 and node.free_slots("AES") == 0
-        node.evict("a")  # the real eviction, when its epoch arrives
-        assert node.slots.per_slot == node.provider.recount() == [0, 1]
-        node.check_ledger()
-
-    def test_rollback_re_arms_the_guest_watchdog(self):
-        # Teardown unwatches the vaccel; the rollback must watch it again
-        # (the checkpoint digest records the watch) without a second poller.
-        from repro.fleet.node import FleetNode, NodeSpec
-        from repro.hv.checkpoint import IncrementalCheckpointer
-        from repro.parallel.speculate import (
-            capture_eviction_undo,
-            reinstate_eviction,
-        )
-
-        node = FleetNode(NodeSpec.of("node0", ("AES", "AES")))
-        hypervisor = node.provider.hypervisor
-        watchdog = hypervisor.enable_watchdog(10**6)
-        node.place("a", "AES")
-        vaccel = node.tenants["a"].vaccel
-        engine = hypervisor.engine
-        pending = engine.pending_events
-        undo = capture_eviction_undo(node, "a", 5, IncrementalCheckpointer())
-        node.evict("a")
-        assert vaccel.vaccel_id not in watchdog._watched
-        reinstate_eviction(node, undo)  # raises on a digest mismatch
-        assert vaccel.vaccel_id in watchdog._watched
-        assert engine.pending_events == pending
-        node.evict("a")
-        engine.run()
-        assert engine.pending_events == 0
-
-
-# -- incremental checkpointer --------------------------------------------------
-
-
-class TestIncrementalCheckpointer:
-    def _node_with_tenant(self):
-        from repro.fleet.node import FleetNode, NodeSpec
-
-        node = FleetNode(NodeSpec.of("node0", ("AES",)))
-        tenant = node.place("t00001", "AES")
-        return node, tenant
-
-    def test_unchanged_guest_reuses_the_cached_checkpoint(self):
-        from repro.hv.checkpoint import IncrementalCheckpointer
-
-        node, tenant = self._node_with_tenant()
-        checkpointer = IncrementalCheckpointer()
-        hypervisor = node.provider.hypervisor
-        first = checkpointer.checkpoint(
-            hypervisor, tenant.vaccel, accel_type=tenant.accel_type
-        )
-        second = checkpointer.checkpoint(
-            hypervisor, tenant.vaccel, accel_type=tenant.accel_type
-        )
-        assert second is first  # token held: no page reads, same object
-
-    def test_fresh_bypasses_but_refreshes_the_cache(self):
-        from repro.hv.checkpoint import IncrementalCheckpointer
-
-        node, tenant = self._node_with_tenant()
-        checkpointer = IncrementalCheckpointer()
-        hypervisor = node.provider.hypervisor
-        first = checkpointer.checkpoint(
-            hypervisor, tenant.vaccel, accel_type=tenant.accel_type
-        )
-        fresh = checkpointer.checkpoint(
-            hypervisor, tenant.vaccel, accel_type=tenant.accel_type, fresh=True
-        )
-        assert fresh is not first
-        assert fresh.digest() == first.digest()
-        assert (
-            checkpointer.checkpoint(
-                hypervisor, tenant.vaccel, accel_type=tenant.accel_type
-            )
-            is fresh
-        )
-
-    def test_forget_drops_the_entry(self):
-        from repro.hv.checkpoint import IncrementalCheckpointer
-
-        node, tenant = self._node_with_tenant()
-        checkpointer = IncrementalCheckpointer()
-        hypervisor = node.provider.hypervisor
-        first = checkpointer.checkpoint(
-            hypervisor, tenant.vaccel, accel_type=tenant.accel_type
-        )
-        checkpointer.forget(tenant.vaccel.vaccel_id)
-        again = checkpointer.checkpoint(
-            hypervisor, tenant.vaccel, accel_type=tenant.accel_type
-        )
-        assert again is not first
-        assert again.digest() == first.digest()
