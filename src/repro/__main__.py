@@ -54,7 +54,8 @@ EXIT_CODES = """\
 exit codes:
   0  success
   1  an experiment failed (raised; see the traceback on stderr)
-  2  usage or configuration error (bad flags, invalid fleet setup)
+  2  usage or configuration error (bad flags, invalid fleet setup), or a
+     fleet shard worker died (WorkerDiedError)
 """
 
 EXPERIMENTS = {

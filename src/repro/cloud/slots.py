@@ -176,11 +176,18 @@ class SlotLedger:
         physical slot (``len(hypervisor.physical[i].vaccels)``): the
         per-slot counts, and the per-type counters re-derived from them."""
         counts = list(recount)
-        return counts == self.per_slot and all(
-            self._occupancy[accel_type] == sum(counts[i] for i in slots)
-            and self._free[accel_type] == sum(1 for i in slots if not counts[i])
-            for accel_type, slots in self._index.items()
-        )
+        if counts != self.per_slot:
+            return False
+        for accel_type, slots in self._index.items():
+            occupied = free = 0
+            for i in slots:
+                count = counts[i]
+                occupied += count
+                if not count:
+                    free += 1
+            if self._occupancy[accel_type] != occupied or self._free[accel_type] != free:
+                return False
+        return True
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SlotLedger):

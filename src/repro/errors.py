@@ -83,4 +83,5 @@ class FaultPlanError(ConfigurationError):
 
 
 class WorkerDiedError(ReproError):
-    """A ``--jobs`` pool worker process died before its sweep finished."""
+    """A worker process (a ``--jobs`` pool worker or a fleet shard worker)
+    died before its work finished."""

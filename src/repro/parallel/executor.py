@@ -21,7 +21,10 @@ stacks live in shard worker processes:
   truth in the same FIFO stream drops them instead;
 * observation points (:meth:`gather`, :meth:`merge_traces`,
   :meth:`close`) are the only barriers; :meth:`gather` is memoized on
-  the op stream (three summary surfaces cost one round trip).
+  the op stream (three summary surfaces cost one round trip);
+* a worker that dies ends the next send to it (a broken op pipe) or the
+  next wait for its ack with :class:`~repro.errors.WorkerDiedError`,
+  never a hang, and :meth:`close` still reaps every worker.
 
 Because all admission/placement/fault *decisions* are taken against the
 shadow — which replicates the provider's slot selection and the node
@@ -40,11 +43,12 @@ and the second does nothing.  Build through
 
 from __future__ import annotations
 
+import pickle
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cloud.library import FpgaConfiguration
-from repro.errors import ConfigurationError, UnknownTenantError
+from repro.errors import ConfigurationError, UnknownTenantError, WorkerDiedError
 from repro.fleet.cluster import DEFAULT_TEMPLATES
 from repro.fleet.node import DEFAULT_MAX_OVERSUB
 from repro.parallel.opstream import FrameEncoder, OpStreamStats
@@ -55,28 +59,49 @@ from repro.parallel.speculate import SpeculationController, conflict_class
 from repro.telemetry.tracer import current_tracer
 
 
+#: How often a coordinator blocked on an ack checks that the worker lives.
+ACK_POLL_S = 0.05
+
+
 class _Shard:
     """Coordinator-side handle of one worker process."""
 
     __slots__ = (
         "index",
         "process",
-        "op_queue",
+        "op_writer",
         "ack_queue",
         "buffer",
         "encoder",
+        "acked_ps",
     )
 
-    def __init__(self, index: int, process, op_queue, ack_queue) -> None:
+    def __init__(self, index: int, process, op_writer, ack_queue) -> None:
         self.index = index
         self.process = process
-        self.op_queue = op_queue
+        #: Write end of this worker's op pipe: raw frames and ``b"\x00"`` +
+        #: pickled control messages (:meth:`ShardedFleetCluster._send`).
+        self.op_writer = op_writer
         self.ack_queue = ack_queue
         #: Ops accumulated since the last flush: (node, epoch, op, payload).
         self.buffer: List[Tuple[int, int, str, tuple]] = []
         #: Stateful binary codec for this stream (epoch delta chain +
         #: string intern table persist across frames).
         self.encoder = FrameEncoder()
+        #: The coordinator's epoch when the last acknowledged message was
+        #: posted (``None`` until the first ack after the build).
+        self.acked_ps: Optional[int] = None
+
+    def died(self) -> WorkerDiedError:
+        """The error for this worker found dead."""
+        last = (
+            "before acknowledging any epoch"
+            if self.acked_ps is None
+            else f"after acknowledging epoch {self.acked_ps} ps"
+        )
+        return WorkerDiedError(
+            f"shard worker {self.index} (pid {self.process.pid}) died {last}"
+        )
 
 
 class ShardedFleetCluster(ShadowCluster):
@@ -125,7 +150,7 @@ class ShardedFleetCluster(ShadowCluster):
         for index, (name, slots) in enumerate(specs):
             assignments[index % self.shards].append((index, name, tuple(slots)))
         for shard_index, descs in enumerate(assignments):
-            op_queue = context.SimpleQueue()
+            op_reader, op_writer = context.Pipe(duplex=False)
             ack_queue = context.SimpleQueue()
             process = context.Process(
                 target=shard_worker_main,
@@ -136,14 +161,18 @@ class ShardedFleetCluster(ShadowCluster):
                     max_oversub,
                     self._tracer is not None,
                     self._first_pid,
-                    op_queue,
+                    op_reader,
                     ack_queue,
                 ),
                 daemon=True,
                 name=f"repro-shard-{shard_index}",
             )
             process.start()
-            self._shards.append(_Shard(shard_index, process, op_queue, ack_queue))
+            # The worker now holds the only read end (later forks inherit
+            # none), so a send to a dead worker fails with BrokenPipeError
+            # instead of filling a pipe nobody drains.
+            op_reader.close()
+            self._shards.append(_Shard(shard_index, process, op_writer, ack_queue))
 
         # Workers build their nodes concurrently; collect pid maps.
         self._owner: Dict[int, _Shard] = {}
@@ -152,7 +181,11 @@ class ShardedFleetCluster(ShadowCluster):
             for index, _name, _slots in descs:
                 self._owner[index] = shard
         for shard in self._shards:
-            kind, worker_index, pid_by_node, error = shard.ack_queue.get()
+            try:
+                kind, worker_index, pid_by_node, error = self._recv(shard)
+            except WorkerDiedError:
+                self.close()
+                raise
             assert kind == "built"
             if error is not None:
                 self.close()
@@ -337,23 +370,45 @@ class ShardedFleetCluster(ShadowCluster):
             self._stats.grants += 1
             self._gather_cache = None
 
+    def _send(self, shard: _Shard, data: bytes) -> None:
+        """One message down the op pipe.  An op frame goes as is: its first
+        byte is its op count, never 0.  A control message goes as
+        ``b"\x00"`` + its pickle (:meth:`_post`)."""
+        try:
+            shard.op_writer.send_bytes(data)
+        except BrokenPipeError:
+            raise shard.died() from None
+        self._stats.messages += 1
+
     def _ship(self, shard: _Shard) -> None:
         batch = shard.buffer
         shard.buffer = []
         payload = shard.encoder.encode(batch)
         self._stats.frame_bytes += len(payload)
-        shard.op_queue.put(("ops", payload))
-        self._stats.messages += 1
+        self._send(shard, payload)
         self._stats.frames += 1
         self._stats.ops += len(batch)
 
     def _post(self, shard: _Shard, message: tuple) -> None:
-        shard.op_queue.put(message)
-        self._stats.messages += 1
+        self._send(
+            shard, b"\x00" + pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+        )
+
+    @staticmethod
+    def _recv(shard: _Shard):
+        """The worker's next ack; :class:`WorkerDiedError` once it is dead
+        with nothing left to read, instead of blocking forever."""
+        reader = shard.ack_queue._reader  # SimpleQueue has no timed get
+        while not reader.poll(ACK_POLL_S):
+            if not shard.process.is_alive() and not reader.poll():
+                raise shard.died()
+        return shard.ack_queue.get()
 
     def _await_ack(self, shard: _Shard):
         start = time.perf_counter()
-        ack = shard.ack_queue.get()
+        posted_ps = self._epoch_ps
+        ack = self._recv(shard)
+        shard.acked_ps = posted_ps
         self._stats.barrier_stall_s += time.perf_counter() - start
         self._stats.stall_waits += 1
         return ack
@@ -364,7 +419,7 @@ class ShardedFleetCluster(ShadowCluster):
         A synchronous round-trip to a *single* shard (the one owning the
         tenant's node).  Outstanding grants on that node are rolled back
         first (the worker may hold a granted eviction of the very guest
-        being checkpointed), pending ops flushed, and SimpleQueue
+        being checkpointed), pending ops flushed, and the op pipe
         preserves order, so the worker applies every earlier mutation
         before serializing.
         """
@@ -490,17 +545,25 @@ class ShardedFleetCluster(ShadowCluster):
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        """Stop every worker; idempotent.  Pending ops are flushed first."""
+        """Stop and reap every worker; idempotent.  Pending ops are flushed
+        first to each worker still alive."""
         if self._closed:
             return
         self._closed = True
-        if getattr(self, "_shards", None):
+        shards = getattr(self, "_shards", [])
+        if shards:
             self._rollback_outstanding("observation")
-        for shard in getattr(self, "_shards", []):
-            if shard.buffer:
-                self._ship(shard)
-            self._post(shard, ("exit",))
-        for shard in getattr(self, "_shards", []):
+        for shard in shards:
+            try:
+                if shard.buffer:
+                    self._ship(shard)
+                self._post(shard, ("exit",))
+            except WorkerDiedError:
+                pass  # nothing to stop; reaped below
+        for shard in shards:
             shard.process.join(timeout=10)
             if shard.process.is_alive():  # pragma: no cover - defensive
                 shard.process.terminate()
+                shard.process.join()
+            shard.op_writer.close()
+            shard.ack_queue.close()

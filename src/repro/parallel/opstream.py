@@ -30,10 +30,16 @@ packs a batch into one compact binary frame:
 Because the codec is stateful per stream, each coordinator-side shard
 handle owns a :class:`FrameEncoder` and each worker owns the matching
 :class:`FrameDecoder`; frames must be decoded in ship order, which the
-SimpleQueue FIFO already guarantees.  The layout is an IPC detail
-between one coordinator and the workers it forked; it is never
-persisted, so there is no versioning story beyond "both ends run the
-same build".
+shard's one-way op pipe (one writer, one reader) guarantees.  A frame
+goes down that pipe as is, with no second pickle: its first byte is its
+op count, never 0, which is what tells it from a control message
+(``b"\x00"`` + pickle; see :func:`repro.parallel.shard.shard_worker_main`).
+Both ends take a one-byte fast path for varints below 0x80, and the
+encoder keeps each interned string's reference bytes, so a repeat costs
+one ``bytearray`` extend.  A malformed frame raises :class:`FrameError`,
+whatever is wrong with it.  The layout is an IPC detail between one
+coordinator and the workers it forked; it is never persisted, so there
+is no versioning story beyond "both ends run the same build".
 
 :class:`OpStreamStats` is the coordinator-side ledger the new bench
 columns and the CI proxy gate read: messages/frames/bytes shipped,
@@ -74,10 +80,17 @@ _NULLARY_BY_NAME = {
     "restore": OP_RESTORE,
 }
 _NULLARY_BY_CODE = {code: name for name, code in _NULLARY_BY_NAME.items()}
-
-
-def _zigzag(value: int) -> int:
-    return -(value << 1) - 1 if value < 0 else value << 1
+#: Op name -> code; ``place`` becomes ``OP_PLACE_OVERSUB`` by its flag, and
+#: any name missing here ships under ``OP_PICKLE``.
+_CODE_BY_NAME = {
+    "place": OP_PLACE,
+    "evict": OP_EVICT,
+    "spec_evict": OP_SPEC_EVICT,
+    "spec_rollback": OP_SPEC_ROLLBACK,
+    "degrade": OP_DEGRADE,
+    "bump_auditor": OP_BUMP_AUDITOR,
+    **_NULLARY_BY_NAME,
+}
 
 
 def _unzigzag(value: int) -> int:
@@ -92,6 +105,12 @@ def _put_varint(out: bytearray, value: int) -> None:
     out.append(value)
 
 
+def _varint_bytes(value: int) -> bytes:
+    out = bytearray()
+    _put_varint(out, value)
+    return bytes(out)
+
+
 class FrameEncoder:
     """Stateful encoder for one coordinator->worker op stream."""
 
@@ -99,21 +118,22 @@ class FrameEncoder:
 
     def __init__(self) -> None:
         self._epoch = 0
-        self._names: Dict[str, int] = {}
+        #: Interned string -> its reference bytes (varint ``index + 1``).
+        self._names: Dict[str, bytes] = {}
 
     # -- primitives ----------------------------------------------------------
 
     def _string(self, out: bytearray, text: str) -> None:
         """Interned: tag 0 + bytes on first use, ``index + 1`` after."""
-        index = self._names.get(text)
-        if index is None:
+        ref = self._names.get(text)
+        if ref is None:
             raw = text.encode("utf-8")
             out.append(0)
             _put_varint(out, len(raw))
             out += raw
-            self._names[text] = len(self._names)
+            self._names[text] = _varint_bytes(len(self._names) + 1)
         else:
-            _put_varint(out, index + 1)
+            out += ref
 
     # -- frames --------------------------------------------------------------
 
@@ -121,25 +141,24 @@ class FrameEncoder:
         """Pack one op batch into a binary frame."""
         out = bytearray()
         _put_varint(out, len(ops))
+        epoch = self._epoch
         for node_index, epoch_ps, op, payload in ops:
-            if op == "place":
-                code = OP_PLACE_OVERSUB if payload[3] else OP_PLACE
-            elif op == "evict":
-                code = OP_EVICT
-            elif op == "spec_evict":
-                code = OP_SPEC_EVICT
-            elif op == "spec_rollback":
-                code = OP_SPEC_ROLLBACK
-            elif op == "degrade":
-                code = OP_DEGRADE
-            elif op == "bump_auditor":
-                code = OP_BUMP_AUDITOR
-            else:
-                code = _NULLARY_BY_NAME.get(op, OP_PICKLE)
+            code = _CODE_BY_NAME.get(op, OP_PICKLE)
+            if code == OP_PLACE and payload[3]:
+                code = OP_PLACE_OVERSUB
             out.append(code)
-            _put_varint(out, node_index)
-            _put_varint(out, _zigzag(epoch_ps - self._epoch))
-            self._epoch = epoch_ps
+            # The op head, varints inlined: most values fit one byte.
+            while node_index > 0x7F:
+                out.append((node_index & 0x7F) | 0x80)
+                node_index >>= 7
+            out.append(node_index)
+            delta = epoch_ps - epoch
+            delta = -(delta << 1) - 1 if delta < 0 else delta << 1
+            while delta > 0x7F:
+                out.append((delta & 0x7F) | 0x80)
+                delta >>= 7
+            out.append(delta)
+            epoch = epoch_ps
             if code == OP_PLACE or code == OP_PLACE_OVERSUB:
                 tenant_name, accel_type, physical_index, _oversub = payload
                 self._string(out, tenant_name)
@@ -166,11 +185,21 @@ class FrameEncoder:
                 _put_varint(out, len(blob))
                 out += blob
             # nullary codes carry nothing beyond the op head
+        self._epoch = epoch
         return bytes(out)
 
 
+class FrameError(ValueError):
+    """A frame that is not what a :class:`FrameEncoder` wrote: truncated,
+    with trailing bytes, an unknown op code, an unknown string reference,
+    bad UTF-8 or a bad ``OP_PICKLE`` tail."""
+
+
 class FrameDecoder:
-    """Stateful decoder mirroring :class:`FrameEncoder`, frame-ordered."""
+    """Stateful decoder mirroring :class:`FrameEncoder`, frame-ordered.
+
+    Any malformed frame raises :class:`FrameError`, and nothing else.
+    """
 
     __slots__ = ("_epoch", "_names", "_data", "_offset")
 
@@ -183,30 +212,44 @@ class FrameDecoder:
     # -- primitives ----------------------------------------------------------
 
     def _varint(self) -> int:
-        value = 0
-        shift = 0
+        data = self._data
+        offset = self._offset
+        byte = data[offset]
+        if byte < 0x80:
+            self._offset = offset + 1
+            return byte
+        value = byte & 0x7F
+        shift = 7
         while True:
-            byte = self._data[self._offset]
-            self._offset += 1
+            offset += 1
+            byte = data[offset]
             value |= (byte & 0x7F) << shift
             if not byte & 0x80:
+                self._offset = offset + 1
                 return value
             shift += 7
 
+    def _bytes(self, length: int) -> bytes:
+        start = self._offset
+        end = start + length
+        if end > len(self._data):
+            raise FrameError(
+                f"frame truncated: {length} bytes at offset {start}, "
+                f"{len(self._data) - start} left"
+            )
+        self._offset = end
+        return self._data[start:end]
+
     def _string(self) -> str:
         tag = self._varint()
-        if tag == 0:
-            length = self._varint()
-            raw = self._data[self._offset : self._offset + length]
-            self._offset += length
-            text = raw.decode("utf-8")
-            self._names.append(text)
-            return text
-        return self._names[tag - 1]
+        if tag:
+            return self._names[tag - 1]
+        text = self._bytes(self._varint()).decode("utf-8")
+        self._names.append(text)
+        return text
 
     def _f64(self) -> float:
-        (value,) = _F64.unpack_from(self._data, self._offset)
-        self._offset += _F64.size
+        (value,) = _F64.unpack(self._bytes(_F64.size))
         return value
 
     # -- frames --------------------------------------------------------------
@@ -215,7 +258,25 @@ class FrameDecoder:
         """Unpack one binary frame back into the op-batch list."""
         self._data = data
         self._offset = 0
-        count = self._varint()
+        try:
+            ops = self._ops(self._varint())
+            if self._offset != len(data):
+                raise FrameError(
+                    f"{len(data) - self._offset} trailing bytes after the "
+                    f"frame's last op"
+                )
+        except IndexError:  # a varint, op code or string ref past the end
+            raise FrameError(
+                "frame truncated or refers to a string never interned"
+            ) from None
+        except UnicodeDecodeError as error:
+            raise FrameError(f"interned string is not UTF-8: {error}") from None
+        finally:
+            self._data = b""
+        return ops
+
+    def _ops(self, count: int) -> List[BufferedOp]:
+        data = self._data
         ops: List[BufferedOp] = []
         for _ in range(count):
             code = data[self._offset]
@@ -223,7 +284,7 @@ class FrameDecoder:
             node_index = self._varint()
             epoch_ps = self._epoch + _unzigzag(self._varint())
             self._epoch = epoch_ps
-            if code in (OP_PLACE, OP_PLACE_OVERSUB):
+            if code == OP_PLACE or code == OP_PLACE_OVERSUB:
                 tenant_name = self._string()
                 accel_type = self._string()
                 physical_index = self._varint()
@@ -242,7 +303,7 @@ class FrameDecoder:
                 op = "spec_evict"
             elif code == OP_SPEC_ROLLBACK:
                 n_tenants = self._varint()
-                payload = (tuple(self._string() for _ in range(n_tenants)),)
+                payload = (tuple([self._string() for _ in range(n_tenants)]),)
                 op = "spec_rollback"
             elif code == OP_DEGRADE:
                 payload = (self._f64(),)
@@ -257,15 +318,24 @@ class FrameDecoder:
                 payload = ()
                 op = _NULLARY_BY_CODE[code]
             elif code == OP_PICKLE:
-                length = self._varint()
-                raw = self._data[self._offset : self._offset + length]
-                self._offset += length
-                op, payload = pickle.loads(raw)
-            else:  # pragma: no cover - protocol bug
-                raise ValueError(f"unknown op code {code}")
+                op, payload = _unpickle_op(self._bytes(self._varint()))
+            else:
+                raise FrameError(f"unknown op code {code}")
             ops.append((node_index, epoch_ps, op, payload))
-        self._data = b""
         return ops
+
+
+def _unpickle_op(blob: bytes) -> Tuple[str, tuple]:
+    """An ``OP_PICKLE`` tail back to its ``(op, payload)`` pair."""
+    try:
+        op, payload = pickle.loads(blob)
+    except Exception as error:  # pickle raises a dozen types on bad bytes
+        raise FrameError(
+            f"bad OP_PICKLE tail: {type(error).__name__}: {error}"
+        ) from None
+    if not isinstance(op, str) or not isinstance(payload, tuple):
+        raise FrameError(f"OP_PICKLE tail is not an (op, payload) pair: {op!r}")
+    return op, payload
 
 
 def encode_frame(ops: List[BufferedOp]) -> bytes:
@@ -288,7 +358,7 @@ class OpStreamStats:
 
     def __init__(self) -> None:
         self.lookahead = 0
-        #: Every queue put (op frames + control messages).
+        #: Every message down an op pipe (op frames + control messages).
         self.messages = 0
         #: "ops" messages only.
         self.frames = 0

@@ -41,6 +41,7 @@ into the pid block it reserved (see ``Tracer.reserve_pids``/``ingest``).
 
 from __future__ import annotations
 
+import pickle
 import traceback
 from typing import Dict, List, Optional, Tuple
 
@@ -54,25 +55,31 @@ def shard_worker_main(
     max_oversub: int,
     tracing: bool,
     first_pid: int,
-    op_queue,
+    op_reader,
     ack_queue,
 ) -> None:  # pragma: no cover - runs in a forked subprocess
     """Entry point of one shard worker process.
 
     ``node_descs`` is ``[(global_index, name, slots), ...]`` in global
-    node order.  Messages on ``op_queue``:
+    node order.  Each message on ``op_reader`` (the read end of a
+    one-way pipe, written with ``send_bytes``) is, by its first byte:
 
-    * ``("ops", frame_bytes)`` — apply a batch of
-      ``(global_index, epoch_ps, op, payload)`` ops, decoded by this
-      stream's :class:`~repro.parallel.opstream.FrameDecoder`
-    * ``("checkpoint", token, global_index, tenant_name)`` — quiesce and
-      serialize one resident guest; ack ``("checkpoint", worker_index,
-      token, checkpoint_or_None, errors)``
-    * ``("sync", token)`` — barrier ack: ``("sync", token, errors)``
-    * ``("gather", token)`` — per-node reports (simulated time, metric
-      snapshot, occupancy)
-    * ``("trace", token)`` — export the local tracer's events, once
-    * ``("exit",)`` — leave the loop
+    * non-zero — an op frame as is (the byte is its op count): apply a
+      batch of ``(global_index, epoch_ps, op, payload)`` ops, decoded by
+      this stream's :class:`~repro.parallel.opstream.FrameDecoder`;
+    * ``0`` — a pickled control message follows:
+
+      * ``("checkpoint", token, global_index, tenant_name)`` — quiesce
+        and serialize one resident guest; ack ``("checkpoint",
+        worker_index, token, checkpoint_or_None, errors)``
+      * ``("sync", token)`` — barrier ack: ``("sync", worker_index,
+        token, errors)``
+      * ``("gather", token)`` — per-node reports (simulated time, metric
+        snapshot, occupancy)
+      * ``("trace", token)`` — export the local tracer's events, once
+      * ``("exit",)`` — leave the loop
+
+    Acks go back on ``ack_queue`` (a ``SimpleQueue``).
 
     The worker never raises out of the loop: failures are captured and
     surfaced through the next ``sync``/``gather`` ack so the coordinator
@@ -150,12 +157,9 @@ def shard_worker_main(
                 )
 
     while True:
-        message = op_queue.get()
-        kind = message[0]
-        if kind == "exit":
-            return
-        if kind == "ops":
-            for global_index, epoch_ps, op, payload in decoder.decode(message[1]):
+        data = op_reader.recv_bytes()
+        if data[0]:
+            for global_index, epoch_ps, op, payload in decoder.decode(data):
                 try:
                     if op == "spec_evict":
                         granted.setdefault(global_index, []).append(
@@ -171,7 +175,12 @@ def shard_worker_main(
                         f"node {global_index} op {op}{payload!r} at epoch "
                         f"{epoch_ps}:\n{traceback.format_exc()}"
                     )
-        elif kind == "checkpoint":
+            continue
+        message = pickle.loads(data[1:])
+        kind = message[0]
+        if kind == "exit":
+            return
+        if kind == "checkpoint":
             _kind, token, global_index, tenant_name = message
             checkpoint = None
             try:

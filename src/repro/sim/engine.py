@@ -374,8 +374,34 @@ class Engine:
 
     def peek_prefix(self, limit: int) -> List[Tuple[int, int, Callable[..., None], tuple]]:
         """The next ``limit`` pending ``(time, seq, fn, args)`` events in
-        dispatch order; pops nothing."""
-        return heapq.nsmallest(limit, self._queue)
+        dispatch order; pops nothing.
+
+        Walks the heap array from the root: the k-th smallest entry is a
+        child of one of the k - 1 smaller ones, so a frontier heap of
+        ``(event, index)`` pairs reads O(limit · log limit) entries however
+        many are pending.  The list equals ``heapq.nsmallest(limit,
+        queue)`` (entries are unique by ``seq``, so ``index`` never breaks
+        a tie).
+        """
+        queue = self._queue
+        size = len(queue)
+        if limit <= 0 or not size:
+            return []
+        push, pop = heapq.heappush, heapq.heappop
+        prefix = []
+        frontier = [(queue[0], 0)]
+        while frontier:
+            event, index = pop(frontier)
+            prefix.append(event)
+            if len(prefix) == limit:
+                break
+            child = 2 * index + 1
+            if child < size:
+                push(frontier, (queue[child], child))
+                child += 1
+                if child < size:
+                    push(frontier, (queue[child], child))
+        return prefix
 
 
 def untraced_engine() -> Engine:

@@ -462,6 +462,64 @@ class TestShardedClusterSurface:
             cluster.close()
 
 
+class TestShardWorkerDeath:
+    """A shard worker killed mid-run ends the next round trip with
+    ``WorkerDiedError`` naming the shard and its last acknowledged epoch,
+    within seconds, and ``close()`` still reaps every worker."""
+
+    @pytest.fixture
+    def cluster(self):
+        import multiprocessing
+
+        from repro.parallel import ShardedFleetCluster
+
+        cluster = ShardedFleetCluster.build(2, shards=2)
+        workers = {shard.process for shard in cluster._shards}
+        try:
+            yield cluster
+        finally:
+            cluster.close()
+        assert not workers & set(multiprocessing.active_children())
+        assert all(worker.exitcode is not None for worker in workers)
+
+    @staticmethod
+    def _kill(shard):
+        import os
+        import signal
+
+        os.kill(shard.process.pid, signal.SIGKILL)
+        shard.process.join(timeout=10)
+        assert shard.process.exitcode == -signal.SIGKILL
+
+    def test_a_barrier_after_a_kill_raises(self, cluster):
+        import time
+
+        from repro.errors import WorkerDiedError
+
+        cluster.advance_epoch(5_000, None)
+        cluster.barrier()
+        self._kill(cluster._shards[1])
+        start = time.monotonic()
+        with pytest.raises(
+            WorkerDiedError,
+            match=r"shard worker 1 .* after acknowledging epoch 5000 ps",
+        ):
+            cluster.barrier()
+        assert time.monotonic() - start < 5
+
+    def test_waiting_on_a_dead_workers_ack_raises(self, cluster):
+        import time
+
+        from repro.errors import WorkerDiedError
+
+        shard = cluster._shards[0]
+        self._kill(shard)
+        start = time.monotonic()
+        with pytest.raises(WorkerDiedError, match="before acknowledging any epoch"):
+            cluster._await_ack(shard)
+        assert time.monotonic() - start < 5
+
+
 class TestWorkerGrantContract:
     """The shard worker's side of speculation, driven in-process by
     appending ops to a shard buffer: a ``spec_evict`` is only recorded,

@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event engine, futures, and processes."""
 
+import heapq
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -313,6 +315,55 @@ def test_peek_prefix_is_the_dispatch_order_over_both_lanes():
     assert all(args == (seq,) for _time, seq, _fn, args in everything)
     assert first_two == everything[:2]
     assert engine.peek_prefix(3) == []
+
+
+# peek_prefix walks the heap array instead of scanning it; heapq.nsmallest
+# over the same array is its oracle.  A schedule is a list of delays (many
+# zero or equal, so same-instant events abound); every other event schedules
+# a zero-delay follow-up when it fires, and a horizon runs the engine part
+# way first, so the heap is what dispatching left behind.
+@given(
+    delays=st.lists(st.sampled_from([0, 0, 1, 3, 3, 50, 10**6]), max_size=120),
+    horizon=st.sampled_from([None, 0, 1, 3, 50]),
+    limits=st.lists(st.integers(-1, 130), min_size=1, max_size=6),
+)
+@settings(max_examples=300)
+def test_peek_prefix_equals_nsmallest(delays, horizon, limits):
+    engine = Engine()
+
+    def fire(follow_up):
+        if follow_up:
+            engine.call_after(0, fire, False)
+
+    for index, delay in enumerate(delays):
+        engine.call_after(delay, fire, index % 2 == 0)
+    if horizon is not None:
+        engine.run(until_ps=horizon)
+    pending = engine.pending_events
+    for limit in limits + [0, pending, pending + 1]:
+        assert engine.peek_prefix(limit) == heapq.nsmallest(limit, engine._queue)
+
+
+def test_peek_prefix_reads_only_the_front_of_a_deep_queue():
+    # Fails if peek_prefix scans every pending event, as nsmallest does:
+    # the speculation scan calls it once per flush with the whole fleet
+    # trace pending.
+    engine = Engine()
+    for index in range(200_000):
+        engine.call_at((index * 7919) % 1_000_003, int)
+
+    def best_of(repeats, fn):
+        times = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            result = fn()
+            times.append(time.perf_counter() - start)
+        return min(times), result
+
+    peek_s, peeked = best_of(20, lambda: engine.peek_prefix(40))
+    scan_s, scanned = best_of(3, lambda: heapq.nsmallest(40, engine._queue))
+    assert peeked == scanned
+    assert scan_s >= 20 * peek_s, (scan_s, peek_s)
 
 
 # A random program against a reference that sorts.  An event spec is

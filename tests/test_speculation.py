@@ -4,7 +4,8 @@ Three layers:
 
 * the binary codec (:mod:`repro.parallel.opstream`) — round trips,
   persistent intern/epoch state across frames, the pickle cold tail,
-  and the compactness claim the bench rests on;
+  the compactness claim the bench rests on, and ``FrameError`` as the
+  one outcome of a malformed frame;
 * the conflict detector (:mod:`repro.parallel.speculate`) — grant,
   commit-by-suppression, rollback, observation-point cancellation;
 * the whole protocol — an uncontended grid must speculate without a
@@ -18,10 +19,13 @@ import json
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.parallel.opstream import (
     FrameDecoder,
     FrameEncoder,
+    FrameError,
     OpStreamStats,
     decode_frame,
     encode_frame,
@@ -46,6 +50,11 @@ HOT_BATCH = [
     (1, 5_000_000, "spec_evict", ("t00002",)),
     (1, 5_000_000, "spec_rollback", (("t00002",),)),
 ]
+
+
+def _pickle_tail_frame(blob: bytes) -> bytes:
+    """One ``OP_PICKLE`` op (node 0, epoch 0) whose tail is ``blob``."""
+    return bytes([1, 0xFF, 0, 0, len(blob)]) + blob
 
 
 class TestFrameCodec:
@@ -99,8 +108,93 @@ class TestFrameCodec:
         encoder = FrameEncoder()
         encoder.encode([(0, 1, "place", ("t00001", "aes", 0, False))])
         frame_b = encoder.encode([(0, 2, "evict", ("t00001",))])
-        with pytest.raises((IndexError, ValueError)):
+        with pytest.raises(FrameError):
             FrameDecoder().decode(frame_b)
+
+    def test_every_cut_of_a_frame_is_a_frame_error(self):
+        frame = encode_frame(HOT_BATCH[:3])
+        for cut in range(len(frame)):
+            with pytest.raises(FrameError):
+                decode_frame(frame[:cut])
+
+    @pytest.mark.parametrize(
+        "frame, reason",
+        [
+            (encode_frame(HOT_BATCH[:1]) + b"\x00", "trailing bytes"),
+            (b"\x01\x63\x00\x00", "unknown op code 99"),
+            (b"\x01\x02\x00\x00\x00\x02\xff\xfe", "not UTF-8"),
+            (b"\x01\x02\x00\x00\x05", "never interned"),
+            (_pickle_tail_frame(b"abc"), "bad OP_PICKLE tail"),
+            (
+                _pickle_tail_frame(pickle.dumps(("op", [1]))),
+                r"not an \(op, payload\) pair",
+            ),
+        ],
+    )
+    def test_malformed_frames_raise_frame_error(self, frame, reason):
+        with pytest.raises(FrameError, match=reason):
+            decode_frame(frame)
+
+
+# Random op batches for the codec properties: every hot op kind, the pickle
+# tail (plain data only: a flipped byte in a pickle of a class would import
+# whatever name it now spells), non-ASCII names, nodes and slots past one
+# varint byte, and epochs that move both ways.
+_NAMES = st.text(min_size=1, max_size=8)
+_SLOT = st.integers(0, 300)
+_OPS = st.one_of(
+    st.tuples(st.just("place"), st.tuples(_NAMES, _NAMES, _SLOT, st.booleans())),
+    st.tuples(st.sampled_from(["evict", "spec_evict"]), st.tuples(_NAMES)),
+    st.tuples(
+        st.just("spec_rollback"),
+        st.lists(_NAMES, max_size=3).map(lambda names: (tuple(names),)),
+    ),
+    st.tuples(
+        st.just("degrade"),
+        st.floats(allow_nan=False).map(lambda factor: (factor,)),
+    ),
+    st.tuples(
+        st.just("bump_auditor"), st.tuples(_SLOT, _NAMES, st.integers(0, 10**6))
+    ),
+    st.tuples(
+        st.sampled_from(["cordon", "uncordon", "crash", "recover", "restore"]),
+        st.just(()),
+    ),
+    st.tuples(
+        st.just("restore_tenant"), st.tuples(st.binary(max_size=8), _SLOT)
+    ),
+)
+_BATCH = st.lists(
+    st.tuples(st.integers(0, 300), st.integers(0, 2**48), _OPS).map(
+        lambda op: (op[0], op[1], *op[2])
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestFrameCodecProperties:
+    @given(batches=st.lists(_BATCH, min_size=1, max_size=4))
+    @settings(max_examples=200)
+    def test_a_stream_of_frames_round_trips(self, batches):
+        encoder, decoder = FrameEncoder(), FrameDecoder()
+        for batch in batches:
+            assert decoder.decode(encoder.encode(batch)) == batch
+
+    @given(batch=_BATCH, data=st.data())
+    @settings(max_examples=300)
+    def test_cut_or_flipped_frames_decode_or_raise_frame_error(self, batch, data):
+        frame = encode_frame(batch)
+        cut = data.draw(st.integers(0, len(frame) - 1), label="cut")
+        at = data.draw(st.integers(0, len(frame) - 1), label="flip at")
+        mask = data.draw(st.integers(1, 255), label="flip mask")
+        flipped = bytearray(frame)
+        flipped[at] ^= mask
+        for damaged in (frame[:cut], bytes(flipped)):
+            try:
+                decode_frame(damaged)
+            except FrameError:
+                pass
 
 
 class TestOpStreamStats:
