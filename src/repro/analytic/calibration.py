@@ -9,7 +9,7 @@ window).  Calibrating a cell runs that DES once and keeps its per-job
 GB/s.
 
 Artifacts are *canonical JSON* (sorted keys, tight separators — the same
-:func:`repro.experiments.cache.canonical_json` every envelope uses),
+:func:`repro.envelope.canonical_json` every digest uses),
 seeded, and stored through the content-addressed experiment cache when
 one is installed: a warm run loads the artifact and skips the DES;
 editing any simulator source invalidates every cell via the cache's
@@ -25,8 +25,9 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Dict, Optional
 
+from repro.envelope import canonical_json
 from repro.errors import ConfigurationError
-from repro.experiments.cache import canonical_json, current_cache
+from repro.experiments.cache import current_cache
 from repro.mem import MB
 from repro.sim.clock import us
 

@@ -11,9 +11,9 @@ import importlib
 _LAZY = {
     "Auditor": "repro.core.auditor",
     "HardwareMonitor": "repro.core.monitor",
-    "AsymmetricMuxTree": "repro.core.mux_tree",
     "MuxNode": "repro.core.mux_tree",
     "MuxTree": "repro.core.mux_tree",
+    "balanced_topology": "repro.core.mux_tree",
     "Slice": "repro.core.slicing",
     "SliceLayout": "repro.core.slicing",
     "default_layout": "repro.core.slicing",
@@ -34,7 +34,6 @@ _LAZY = {
 
 __all__ = [
     "ACCEL_PAGE_BYTES",
-    "AsymmetricMuxTree",
     "Auditor",
     "HardwareMonitor",
     "MGMT_PAGE_BYTES",
@@ -53,6 +52,7 @@ __all__ = [
     "VCU_MAGIC",
     "VirtualizationControlUnit",
     "accel_mmio_base",
+    "balanced_topology",
     "default_layout",
 ]
 

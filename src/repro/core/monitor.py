@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.auditor import Auditor
-from repro.core.mux_tree import AsymmetricMuxTree, MuxTree
+from repro.core.mux_tree import MuxTree, balanced_topology
 from repro.core.vcu import VirtualizationControlUnit, accel_mmio_base
 from repro.errors import ConfigurationError
 from repro.fpga.afu import AfuSocket
@@ -56,27 +56,19 @@ class HardwareMonitor:
             auditor.socket = socket
             self.auditors.append(auditor)
 
-        if mux_topology is not None:
-            # Asymmetric arrangement (§4.1): fewer accelerators on a
-            # favoured path receive a larger share of root bandwidth.
-            self.tree = AsymmetricMuxTree(
-                engine,
-                mux_topology,
-                clock=interconnect_clock,
-                level_latency_ps=mux_level_latency_ps,
-                root_egress=shell.dma_to_memory,
-                root_cost_per_line_cycles=root_cost_per_line_cycles,
-            )
-        else:
-            self.tree = MuxTree(
-                engine,
-                n_leaves=len(sockets),
-                radix=mux_radix,
-                clock=interconnect_clock,
-                level_latency_ps=mux_level_latency_ps,
-                root_egress=shell.dma_to_memory,
-                root_cost_per_line_cycles=root_cost_per_line_cycles,
-            )
+        # The tree's shape is configuration (§4.1): an explicit topology
+        # gives a favoured path fewer accelerators, and so more of the
+        # root bandwidth; the default is the balanced radix tree.
+        if mux_topology is None:
+            mux_topology = balanced_topology(len(sockets), mux_radix)
+        self.tree = MuxTree(
+            engine,
+            mux_topology,
+            clock=interconnect_clock,
+            level_latency_ps=mux_level_latency_ps,
+            root_egress=shell.dma_to_memory,
+            root_cost_per_line_cycles=root_cost_per_line_cycles,
+        )
 
         for index, (auditor, socket) in enumerate(zip(self.auditors, sockets)):
             auditor.tree_ingress = self.tree.leaf_ingress(index)

@@ -13,19 +13,18 @@ Design properties taken from the paper:
   throttle, this is why an OPTIMUS accelerator "can only transmit a memory
   request packet every two cycles" (§6.3).
 
-Asymmetric trees are supported: "if cloud providers seek to provide
-greater bandwidth to some accelerator A, the multiplexer tree can be
-configured to place fewer accelerators under the multiplexers on A's
-path" (§4.1) — build with an explicit topology list to do that.
+The tree's shape is configuration: :class:`MuxTree` wires the default
+balanced radix tree and the asymmetric trees of §4.1 alike, from a
+topology spec (:data:`TopologySpec`).
 """
 
 from __future__ import annotations
 
-import math
 from functools import partial
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.errors import ConfigurationError
+from repro.fpga.synthesis import mux_levels
 from repro.interconnect.channel_selector import VirtualChannel
 from repro.sim.clock import Clock
 from repro.sim.engine import Engine
@@ -118,86 +117,41 @@ class MuxNode:
         return partial(self.arbiter.push, input_index)
 
 
-class MuxTree:
-    """A complete multiplexer hierarchy with N leaf ports."""
-
-    def __init__(
-        self,
-        engine: Engine,
-        n_leaves: int,
-        *,
-        radix: int,
-        clock: Clock,
-        level_latency_ps: int,
-        root_egress: RootEgress,
-        root_cost_per_line_cycles: float = 1.0,
-    ) -> None:
-        if n_leaves < 1:
-            raise ConfigurationError("mux tree needs at least one leaf")
-        if radix < 2:
-            raise ConfigurationError("mux radix must be >= 2")
-        self.engine = engine
-        self.n_leaves = n_leaves
-        self.radix = radix
-        self.levels = max(1, math.ceil(math.log(max(n_leaves, 2), radix)))
-        self.root_egress = root_egress
-
-        # Build top-down, so every node is born bound to its parent's
-        # input: the single root feeds the egress, each lower level
-        # multiplexes into the one above, level 0 takes the leaves
-        # (radix**levels slots, including unused ones).
-        self._levels: List[List[MuxNode]] = []
-        above: List[MuxNode] = []
-        for level in range(self.levels - 1, -1, -1):
-            above = [
-                MuxNode(
-                    engine,
-                    f"mux.L{level}.{index}",
-                    radix,
-                    clock=clock,
-                    level_latency_ps=level_latency_ps,
-                    forward=(
-                        above[index // radix].input(index % radix) if above else root_egress
-                    ),
-                    cost_per_line_cycles=1.0 if above else root_cost_per_line_cycles,
-                )
-                for index in range(radix ** (self.levels - 1 - level))
-            ]
-            self._levels.insert(0, above)
-
-    # -- leaf-side API -----------------------------------------------------------
-
-    def leaf_ingress(self, leaf_index: int) -> Callable[..., None]:
-        """The ingress function for one leaf (wired to an auditor)."""
-        if not 0 <= leaf_index < self.n_leaves:
-            raise ConfigurationError(f"leaf {leaf_index} out of range")
-        return self._levels[0][leaf_index // self.radix].input(leaf_index % self.radix)
-
-    @property
-    def node_count(self) -> int:
-        return sum(len(nodes) for nodes in self._levels)
-
-    @property
-    def request_path_latency_ps(self) -> int:
-        """Pure pipeline latency from a leaf to the root (no queueing)."""
-        return self.levels * self._levels[0][0].level_latency_ps
-
-
-#: An asymmetric-topology spec: a (nested) list whose items are either leaf
-#: indices (ints) or sub-lists (subtrees).  ``[0, [1, 2]]`` hangs leaf 0
+#: A topology spec: a (nested) list, one multiplexer node per list with one
+#: input per item.  An item is a leaf index (int), a sub-list (a child
+#: node) or ``None`` (an unconnected input).  ``[0, [1, 2]]`` hangs leaf 0
 #: directly off the root while leaves 1 and 2 share a child multiplexer —
 #: leaf 0 then receives half the root bandwidth, 1 and 2 a quarter each.
 TopologySpec = list
 
 
-class AsymmetricMuxTree:
-    """A multiplexer hierarchy with an explicit, possibly uneven topology.
+def balanced_topology(n_leaves: int, radix: int) -> TopologySpec:
+    """The full radix-``radix`` tree of :func:`~repro.fpga.synthesis.mux_levels` levels.
 
-    §4.1: "if cloud providers seek to provide greater bandwidth to some
-    accelerator A, the multiplexer tree can be configured to place fewer
-    accelerators under the multiplexers on A's path."  Each node still
-    arbitrates round-robin among its direct children, so a leaf's share
-    of root bandwidth is the product of 1/fan-in along its path.
+    Leaf ``i`` sits on input ``i % radix`` of leaf-level node
+    ``i // radix``; every port past the last leaf is ``None``, so the
+    node count is :class:`~repro.fpga.synthesis.MuxArrangement`'s.
+    """
+    levels = mux_levels(n_leaves, radix)
+
+    def subtree(level: int, index: int) -> TopologySpec:
+        first = index * radix
+        if level == 0:
+            return [leaf if leaf < n_leaves else None for leaf in range(first, first + radix)]
+        return [subtree(level - 1, first + offset) for offset in range(radix)]
+
+    return subtree(levels - 1, 0)
+
+
+class MuxTree:
+    """A multiplexer hierarchy built from a topology spec.
+
+    :func:`balanced_topology` gives the default radix tree.  §4.1: "if
+    cloud providers seek to provide greater bandwidth to some accelerator
+    A, the multiplexer tree can be configured to place fewer accelerators
+    under the multiplexers on A's path" — an uneven spec does that.  Each
+    node arbitrates round-robin among its inputs, so a leaf's share of
+    root bandwidth is the product of 1/fan-in along its path.
     """
 
     def __init__(
@@ -214,40 +168,42 @@ class AsymmetricMuxTree:
             raise ConfigurationError("topology must be a non-empty list")
         self.engine = engine
         self.root_egress = root_egress
-        self._clock = clock
-        self._level_latency_ps = level_latency_ps
-        self._root_cost = root_cost_per_line_cycles
-        self._ingress: dict = {}
-        self._node_count = 0
+        self.level_latency_ps = level_latency_ps
         self.nodes: List[MuxNode] = []
+        self._ingress: Dict[int, Callable[..., None]] = {}
+        #: Levels between each leaf and the root.
+        self.depth: Dict[int, int] = {}
 
-        self._build_node(topology, root_egress, depth=1)
+        # Build top-down, so every node is born bound to its parent's
+        # input: the root feeds the egress and is the one paced node.
+        def build(spec: TopologySpec, forward: Callable[..., None], depth: int) -> None:
+            node = MuxNode(
+                engine,
+                f"mux.d{depth}.{len(self.nodes)}",
+                len(spec),
+                clock=clock,
+                level_latency_ps=level_latency_ps,
+                forward=forward,
+                cost_per_line_cycles=root_cost_per_line_cycles if depth == 1 else 1.0,
+            )
+            self.nodes.append(node)
+            for input_index, child in enumerate(spec):
+                if isinstance(child, list):
+                    build(child, node.input(input_index), depth + 1)
+                elif child is not None:
+                    leaf = int(child)
+                    if leaf in self._ingress:
+                        raise ConfigurationError(f"leaf {leaf} appears twice")
+                    self._ingress[leaf] = node.input(input_index)
+                    self.depth[leaf] = depth
+
+        build(topology, root_egress, 1)
         self.n_leaves = len(self._ingress)
         if self.n_leaves == 0:
             raise ConfigurationError("topology has no leaves")
 
-    def _build_node(self, spec: TopologySpec, forward, depth: int) -> MuxNode:
-        node = MuxNode(
-            self.engine,
-            f"amux.d{depth}.{self._node_count}",
-            radix=len(spec),
-            clock=self._clock,
-            level_latency_ps=self._level_latency_ps,
-            forward=forward,
-            cost_per_line_cycles=self._root_cost if depth == 1 else 1.0,
-        )
-        self.nodes.append(node)
-        self._node_count += 1
-        for input_index, child in enumerate(spec):
-            if isinstance(child, list):
-                self._build_node(child, node.input(input_index), depth + 1)
-            else:
-                if child in self._ingress:
-                    raise ConfigurationError(f"leaf {child} appears twice")
-                self._ingress[int(child)] = node.input(input_index)
-        return node
-
     def leaf_ingress(self, leaf_index: int) -> Callable[..., None]:
+        """The ingress function for one leaf (wired to an auditor)."""
         try:
             return self._ingress[leaf_index]
         except KeyError:
@@ -255,22 +211,8 @@ class AsymmetricMuxTree:
 
     @property
     def node_count(self) -> int:
-        return self._node_count
+        return len(self.nodes)
 
-    def depth_of(self, leaf_index: int, topology: TopologySpec) -> int:
-        """Levels between a leaf and the root (for latency accounting)."""
-
-        def search(spec: TopologySpec, depth: int) -> Optional[int]:
-            for child in spec:
-                if isinstance(child, list):
-                    found = search(child, depth + 1)
-                    if found is not None:
-                        return found
-                elif child == leaf_index:
-                    return depth
-            return None
-
-        found = search(topology, 1)
-        if found is None:
-            raise ConfigurationError(f"leaf {leaf_index} not in topology")
-        return found
+    def request_path_latency_ps(self, leaf_index: int) -> int:
+        """Pure pipeline latency from a leaf to the root (no queueing)."""
+        return self.depth[leaf_index] * self.level_latency_ps

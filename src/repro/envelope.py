@@ -67,5 +67,10 @@ def emit_envelope(
 
 def canonical_json(value: object) -> str:
     """Compact canonical JSON (sorted keys, no whitespace drift) — the
-    form digests and differential comparisons are computed over."""
-    return json.dumps(to_jsonable(value), sort_keys=True, separators=(",", ":"))
+    form digests, cache keys and differential comparisons are computed
+    over.  Non-finite floats become ``null`` (:func:`to_jsonable`); a
+    value JSON has no spelling for (a plain ``Enum`` in a sweep cell)
+    is written as its ``repr``."""
+    return json.dumps(
+        to_jsonable(value), sort_keys=True, separators=(",", ":"), default=repr
+    )

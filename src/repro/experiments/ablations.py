@@ -15,12 +15,11 @@ Three studies the paper motivates but scatters through §5 and §7.2:
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Sequence
 
 from repro.errors import SynthesisError
 from repro.experiments.harness import Claim, OptimusStack, ResultTable, measure_progress
-from repro.fpga.synthesis import flat_mux_fmax_mhz, plan_mux_tree
+from repro.fpga.synthesis import flat_mux_fmax_mhz, mux_levels, plan_mux_tree
 from repro.mem import MB, parse_size
 from repro.platform import PlatformParams
 from repro.sim.clock import ms, us
@@ -40,7 +39,7 @@ def mux_tree_study(*, n_accelerators: int = 8, target_mhz: float = 400.0) -> Res
             levels = arrangement.levels
         except SynthesisError:
             closes = "no"
-            levels = max(1, math.ceil(math.log(n_accelerators, radix)))
+            levels = mux_levels(n_accelerators, radix)
         table.add(radix, levels, fmax, closes, levels * 33.0)
     table.note("paper: only the 3-level binary tree closes timing at 400 MHz")
     return table

@@ -26,26 +26,18 @@ around a run, :func:`repro.experiments.harness.parallel_map` consults
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import pickle
 import tempfile
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
+from repro.envelope import canonical_json
+
 #: Cache format version; bump to invalidate every existing entry.
 _FORMAT = 1
 
 _REPRO_ROOT = Path(__file__).resolve().parent.parent
-
-
-def canonical_json(value: Any) -> str:
-    """The one JSON form used for hashing and envelopes: sorted keys,
-    tight separators, non-finite floats forbidden (they would not
-    round-trip through strict JSON)."""
-    return json.dumps(
-        value, sort_keys=True, separators=(",", ":"), allow_nan=False, default=repr
-    )
 
 
 _TREE_DIGEST: Dict[Path, str] = {}

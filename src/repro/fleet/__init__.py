@@ -40,7 +40,6 @@ from repro.fleet.admission import (
     FleetObserver,
     FleetService,
     ServeResult,
-    request_jitter_rng,
 )
 from repro.fleet.autoscale import AutoscaleConfig, Autoscaler
 from repro.fleet.cluster import DEFAULT_TEMPLATES, FleetCluster, open_fleet
@@ -107,5 +106,4 @@ __all__ = [
     "make_policy",
     "open_fleet",
     "rejected",
-    "request_jitter_rng",
 ]

@@ -48,13 +48,11 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError
 from repro.fleet.cluster import ClusterState
 from repro.fleet.metrics import FleetMetrics
-from repro.fleet.node import NodeHealth
 from repro.fleet.outcomes import ACCEPTED_OUTCOMES, Outcome, SERVED_OUTCOMES, rejected
 from repro.fleet.placement import PlacementPolicy
 from repro.fleet.traffic import TenantRequest
 from repro.sim.clock import ms, us
 from repro.sim.engine import untraced_engine
-from repro.sim.rng import LegacyRandomState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fleet.autoscale import AutoscaleConfig, Autoscaler
@@ -68,7 +66,7 @@ DEFAULT_PLACEMENT_COST_PS = us(50)
 #: Failover re-placement costs more than a fresh placement: the fleet must
 #: notice the crash, tear down bookkeeping, and re-drive the full placement
 #: protocol on the destination node.
-DEFAULT_REPLACEMENT_COST_PS = us(100)
+REPLACEMENT_COST_PS = us(100)
 
 
 @dataclass(frozen=True)
@@ -80,26 +78,9 @@ class AdmissionConfig:
     backoff_ps: int = ms(2)
     backoff_factor: float = 2.0
     placement_cost_ps: int = DEFAULT_PLACEMENT_COST_PS
-    replacement_cost_ps: int = DEFAULT_REPLACEMENT_COST_PS
     #: Fleet watchdog: a hung guest is quarantined this long after the hang
     #: is injected (mirrors the hv-level GuestWatchdog deadline).
     watchdog_deadline_ps: int = ms(5)
-    #: Sessions placed on a DEGRADED node run this much longer (1.0 = the
-    #: default, keeps fault-free traces byte-identical to older versions).
-    degraded_slowdown: float = 1.0
-    #: Retry backoff jitter: each retry delay is scaled by a factor drawn
-    #: uniformly from ``[1 - retry_jitter, 1 + retry_jitter]``.  ``0.0``
-    #: (the default) draws nothing at all, keeping legacy traces
-    #: byte-identical.  Draws come from a *per-request* RNG stream keyed
-    #: on ``(jitter_seed, request_id)`` — never from a shared generator —
-    #: so layering the serving gateway (or any other consumer of
-    #: randomness) on top cannot perturb another request's delays.
-    retry_jitter: float = 0.0
-    jitter_seed: int = 0
-    #: Blackout window of one live migration: quiesce at a slice boundary,
-    #: checkpoint transfer, restore + shadow-table re-patch on the
-    #: destination.  Charged to the migrated session's departure schedule.
-    migration_cost_ps: int = us(150)
 
     def __post_init__(self) -> None:
         if self.queue_limit < 0 or self.max_retries < 0:
@@ -108,32 +89,10 @@ class AdmissionConfig:
             raise ConfigurationError("invalid backoff parameters")
         if self.watchdog_deadline_ps <= 0:
             raise ConfigurationError("watchdog deadline must be positive")
-        if self.degraded_slowdown < 1.0:
-            raise ConfigurationError("degraded slowdown must be >= 1")
-        if not 0.0 <= self.retry_jitter < 1.0:
-            raise ConfigurationError("retry jitter must be in [0, 1)")
-        if self.migration_cost_ps < 0:
-            raise ConfigurationError("migration cost must be >= 0")
 
     def backoff_for(self, attempt: int) -> int:
-        """Delay before retry ``attempt`` (1-based), before jitter."""
+        """Delay before retry ``attempt`` (1-based)."""
         return int(self.backoff_ps * self.backoff_factor ** (attempt - 1))
-
-
-#: Mixing constant for per-request jitter streams (golden-ratio hash).
-_JITTER_MIX = 0x9E3779B1
-
-
-def request_jitter_rng(jitter_seed: int, request_id: int) -> LegacyRandomState:
-    """The seeded RNG stream owned by one request's retry jitter.
-
-    Each request gets an independent ``LegacyRandomState`` (numpy's
-    legacy ``RandomState`` stream) keyed on ``(jitter_seed, request_id)``,
-    so the sequence of factors a request sees depends only on its own
-    identity — adding or removing *other* stochastic consumers (the serve
-    gateway, chaos injection, more requests) can never shift it.
-    """
-    return LegacyRandomState((jitter_seed * _JITTER_MIX + request_id) & 0xFFFFFFFF)
 
 
 @dataclass(frozen=True)
@@ -330,7 +289,6 @@ class FleetService:
         self._quarantined: set = set()
         self.outcomes: Dict[int, str] = {}
         self._injector = None
-        self._retry_rngs: Dict[int, LegacyRandomState] = {}
         self._arrivals = 0
         #: The popped-but-not-yet-handled ``(kind, payload)``, visible to
         #: the speculation-window scan (the engine no longer holds it).
@@ -581,7 +539,7 @@ class FleetService:
     def _schedule_retry(self, request: TenantRequest, attempt: int, now: int) -> None:
         """Queue retry ``attempt`` and tell the admission policy the
         latency the request is now certain to pay at least."""
-        delay = self._retry_delay(request, attempt)
+        delay = self.admission.backoff_for(attempt)
         if self.admission_policy is not None:
             self.admission_policy.observe_queued(
                 request,
@@ -591,23 +549,6 @@ class FleetService:
                 now,
             )
         self._push(now + delay, "retry", request.request_id)
-
-    def _retry_delay(self, request: TenantRequest, attempt: int) -> int:
-        """Backoff before retry ``attempt``, jittered from the request's
-        own seeded stream (``retry_jitter == 0`` draws nothing at all)."""
-        delay = self.admission.backoff_for(attempt)
-        jitter = self.admission.retry_jitter
-        if jitter:
-            rng = self._retry_rngs.get(request.request_id)
-            if rng is None:
-                rng = request_jitter_rng(
-                    self.admission.jitter_seed, request.request_id
-                )
-                self._retry_rngs[request.request_id] = rng
-            delay = max(
-                1, int(delay * (1.0 + jitter * (2.0 * rng.random_sample() - 1.0)))
-            )
-        return delay
 
     def _on_departure(self, payload, now: int) -> None:
         tenant_name, epoch = payload
@@ -658,7 +599,6 @@ class FleetService:
     def _finish(self, request: TenantRequest, outcome: str, now: int) -> None:
         """Every request terminates exactly once, through here."""
         self.outcomes[request.request_id] = outcome
-        self._retry_rngs.pop(request.request_id, None)
         if self.observer is not None:
             self.observer.on_outcome(request, outcome, now)
 
@@ -707,15 +647,9 @@ class FleetService:
         if placed is None:
             return False
         node, tenant = placed
-        cost = (
-            self.admission.replacement_cost_ps
-            if replaced
-            else self.admission.placement_cost_ps
-        )
+        cost = REPLACEMENT_COST_PS if replaced else self.admission.placement_cost_ps
         done = now + cost
         session_ps = request.session_ps if remaining_ps is None else remaining_ps
-        if node.health is NodeHealth.DEGRADED:
-            session_ps = int(session_ps * self.admission.degraded_slowdown)
         self._epoch += 1
         self._sessions[request.tenant] = _Session(
             request=request,

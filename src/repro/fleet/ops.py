@@ -7,7 +7,7 @@ goes through :class:`FleetOps` and returns a typed result
 The verbs route through the owning :class:`~repro.fleet.admission
 .FleetService` so in-flight *sessions* survive the operation: a migrated
 session keeps its identity and its departure schedule (shifted by the
-bounded blackout window, ``AdmissionConfig.migration_cost_ps``), and every
+bounded blackout window, :data:`MIGRATION_COST_PS`), and every
 move is traced and counted through :class:`~repro.fleet.metrics
 .FleetMetrics`.
 
@@ -37,9 +37,15 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 from repro.errors import UnknownTenantError
 from repro.fleet.node import FleetNode, NodeHealth
 from repro.fleet.outcomes import Outcome, Resolution
+from repro.sim.clock import us
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fleet.admission import FleetService
+
+#: Blackout window of one live migration: quiesce at a slice boundary,
+#: checkpoint transfer, restore + shadow-table re-patch on the destination.
+#: Charged to the migrated session's departure schedule.
+MIGRATION_COST_PS = us(150)
 
 
 @dataclass(frozen=True)
@@ -231,7 +237,7 @@ class FleetOps:
         checkpoint = cluster.checkpoint_tenant(tenant_name)
         cluster.evict(tenant_name)
         tenant = cluster.restore_tenant(dest.name, checkpoint)
-        blackout_ps = service.admission.migration_cost_ps
+        blackout_ps = MIGRATION_COST_PS
         digest = checkpoint.digest()
 
         session = service._sessions.get(tenant_name)

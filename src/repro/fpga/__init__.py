@@ -15,6 +15,7 @@ from repro.fpga.synthesis import (
     MuxArrangement,
     SynthesisReport,
     flat_mux_fmax_mhz,
+    mux_levels,
     plan_mux_tree,
     replicated_footprint,
     synthesize,
@@ -37,6 +38,7 @@ __all__ = [
     "VCU_FOOTPRINT",
     "flat_mux_fmax_mhz",
     "monitor_footprint",
+    "mux_levels",
     "plan_mux_tree",
     "replicated_footprint",
     "synthesize",

@@ -75,6 +75,20 @@ def replicated_footprint(
     return ResourceFootprint(alm_pct=linear.alm_pct - credit, bram_pct=linear.bram_pct)
 
 
+def mux_levels(n_leaves: int, radix: int) -> int:
+    """Levels of the shallowest radix-``radix`` tree with ``n_leaves``
+    leaf ports (at least one level)."""
+    if n_leaves < 1:
+        raise SynthesisError("need at least one accelerator")
+    if radix < 2:
+        raise SynthesisError("a multiplexer needs at least two inputs")
+    # Integer arithmetic: ceil(log(n, r)) in floats reads 4 for 125 = 5**3.
+    levels = 1
+    while radix**levels < n_leaves:
+        levels += 1
+    return levels
+
+
 @dataclass(frozen=True)
 class MuxArrangement:
     """A multiplexer hierarchy: ``levels`` layers of radix-``radix`` nodes."""
@@ -98,10 +112,7 @@ def plan_mux_tree(n_accelerators: int, radix: int, target_mhz: float) -> MuxArra
     Raises :class:`SynthesisError` if no arrangement of this radix closes
     timing — e.g. a flat (single-level) radix-8 mux at 400 MHz.
     """
-    if n_accelerators < 1:
-        raise SynthesisError("need at least one accelerator")
-    levels = max(1, math.ceil(math.log(max(n_accelerators, 2), radix)))
-    arrangement = MuxArrangement(radix=radix, levels=levels)
+    arrangement = MuxArrangement(radix=radix, levels=mux_levels(n_accelerators, radix))
     if arrangement.fmax_mhz() < target_mhz:
         raise SynthesisError(
             f"radix-{radix} multiplexer cannot close timing at {target_mhz:.0f} MHz "

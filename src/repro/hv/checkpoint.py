@@ -64,8 +64,8 @@ class GuestCheckpoint:
     window_base_gva: Optional[int]
     window_size: int
     state_buffer_gva: Optional[int]
-    #: GVAs registered through the shadow-paging hypercall that lie
-    #: inside the DMA window, sorted.
+    #: GVAs registered through the shadow-paging hypercall since the
+    #: window was last written (all inside it), sorted.
     mapped_gvas: Tuple[int, ...]
     #: Every backed guest page: ``(gva, page bytes)``, sorted by GVA.
     pages: Tuple[Tuple[int, bytes], ...]
@@ -148,8 +148,7 @@ def quiesce_guest(
             done = engine.future()
 
             def _poll() -> Generator:
-                while vaccel.state is VAccelState.SCHEDULED:
-                    yield 50_000_000  # poll every 50 us for the switch-out
+                yield from vaccel.switched_out()
                 done.set_result(True)
 
             engine.spawn(_poll(), name=f"quiesce.{vaccel.name}")
@@ -182,20 +181,15 @@ def checkpoint_guest(
         for gva, _entry in vm.mmu.guest_table.mappings()
     ]
     watchdog = hypervisor.watchdog
-    base, size = vaccel.window_base_gva, vaccel.window_size
     return GuestCheckpoint(
         vm_name=vm.name,
         mem_bytes=vm.mem_bytes,
         page_size=vm.page_size,
         accel_type=accel_type or vaccel.job.profile.name,
-        window_base_gva=base,
-        window_size=size,
+        window_base_gva=vaccel.window_base_gva,
+        window_size=vaccel.window_size,
         state_buffer_gva=vaccel.state_buffer_gva,
-        # A GVA a shrunk window stranded is unreachable (the auditor drops
-        # DMA outside the window), so the checkpoint leaves it behind.
-        mapped_gvas=tuple(sorted(
-            gva for gva in vaccel.mapped_gvas if base <= gva < base + size
-        )),
+        mapped_gvas=tuple(sorted(vaccel.mapped_gvas)),
         pages=tuple(pages),
         reg_cache=tuple(sorted(vaccel.reg_cache.items())),
         saved_state=vaccel.saved_state,

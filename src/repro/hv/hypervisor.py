@@ -277,12 +277,19 @@ class OptimusHypervisor:
     # -- guest control plane: BAR2 (hypervisor page) ----------------------------------------------
 
     def guest_bar2_write(self, vaccel: VirtualAccelerator, offset: int, value: int) -> None:
-        """A posted guest store to BAR2: takes effect now, schedules nothing."""
+        """A posted guest store to BAR2: takes effect now, schedules nothing.
+
+        Writing either window register unregisters every registered page
+        (DESIGN.md §12): the guest registers them again, as it must anyway,
+        since installing the window backs its pages with the dummy frame.
+        """
         self.mmio_traps += 1
         if offset == BAR2_SLICE_BASE:
             vaccel.window_base_gva = value
+            vaccel.mapped_gvas.clear()
         elif offset == BAR2_WINDOW_SIZE:
             self.shadow.install_window(vaccel, value)
+            vaccel.mapped_gvas.clear()
         elif offset == BAR2_MAP_GVA:
             vaccel._staged_map_gva = value
         elif offset == BAR2_MAP_GPA:

@@ -19,7 +19,7 @@ state buffer for preemption, and runtime accounting.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Generator, Optional
 
 from repro.accel.base import AcceleratorJob
 from repro.core.slicing import Slice
@@ -34,6 +34,9 @@ BAR2_MAP_GVA = 0x08  # shadow-paging hypercall: stage the GVA
 BAR2_MAP_GPA = 0x10  # shadow-paging hypercall: write GPA -> commit mapping
 BAR2_STATE_BUF = 0x18  # guest writes its preemption state buffer GVA
 BAR2_WINDOW_SIZE = 0x20  # guest writes its DMA window size
+
+#: How often a vaccel taken off its run list is checked for its switch-out.
+SWITCH_OUT_POLL_PS = 50_000_000  # 50 us
 
 
 class VAccelState(enum.Enum):
@@ -100,6 +103,14 @@ class VirtualAccelerator:
     @property
     def scheduled(self) -> bool:
         return self.state is VAccelState.SCHEDULED
+
+    def switched_out(self) -> Generator[int, None, None]:
+        """Wait (in a process) until this vaccel no longer holds its
+        physical accelerator.  The caller has taken it off the run list;
+        the scheduling loop, which owns the socket, switches it out through
+        the ordinary preemption protocol at the next slice boundary."""
+        while self.state is VAccelState.SCHEDULED:
+            yield SWITCH_OUT_POLL_PS
 
     # -- guest-side register window ---------------------------------------------------
 

@@ -84,8 +84,7 @@ def _migration_body(
     #    the socket; migrating around it would race the state machine).
     if vaccel in source.vaccels:
         source.vaccels.remove(vaccel)
-    while vaccel.state is VAccelState.SCHEDULED:
-        yield 50_000_000  # poll every 50 us for the switch-out
+    yield from vaccel.switched_out()
 
     # 2. Reattach at the destination.  The slice, the IOPT entries, the
     #    cached registers, and the saved state all travel with the vaccel

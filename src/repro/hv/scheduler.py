@@ -7,8 +7,11 @@ OPTIMUS ships three software schedulers:
 * **priority** — at every slice boundary, the runnable job with the
   greatest priority runs (ties broken round-robin).
 
-A policy is a pure decision function: given the runnable virtual
-accelerators it returns who runs next and for how long.  The hypervisor's
+All three are one policy (:class:`SchedulingPolicy`): a rotation by
+vaccel id through the runnable jobs of the top priority, with a slice of
+the base length times the job's weight.  A policy is a pure decision
+function: given the runnable virtual accelerators it returns who runs
+next and for how long.  The hypervisor's
 per-physical-accelerator scheduling loop (:mod:`repro.hv.preemption`)
 executes the decision, performs the context switch, and accounts actual
 runtime, which §6.8 compares against each policy's expectation.
@@ -24,23 +27,67 @@ from repro.sim.clock import ms
 
 
 class SchedulingPolicy:
-    """Base class: pick the next virtual accelerator and its slice length."""
+    """The one temporal-multiplexing policy: rotate through the top
+    priority, each vaccel for ``round(base_slice_ps x weight)``.
+
+    Among the runnable vaccels with the greatest priority (default 0),
+    :meth:`pick` takes the next vaccel id after the last pick, wrapping
+    around; a vaccel's weight defaults to 1.  The three named schedulers
+    below are this policy with weights, priorities or neither.
+    """
 
     name = "base"
+
+    def __init__(
+        self,
+        base_slice_ps: int = ms(10),
+        *,
+        weights: Optional[Dict[int, float]] = None,
+        priorities: Optional[Dict[int, int]] = None,
+    ) -> None:
+        if base_slice_ps <= 0:
+            raise SchedulerError("time slice must be positive")
+        if weights and any(w <= 0 for w in weights.values()):
+            raise SchedulerError("weights must be positive")
+        self.base_slice_ps = base_slice_ps
+        self.weights = dict(weights or {})
+        self.priorities = dict(priorities or {})
+        self._last_id: Optional[int] = None
+
+    def weight_of(self, vaccel: VirtualAccelerator) -> float:
+        return self.weights.get(vaccel.vaccel_id, 1.0)
+
+    def priority_of(self, vaccel: VirtualAccelerator) -> int:
+        return self.priorities.get(vaccel.vaccel_id, 0)
+
+    def _top(self, vaccels: Sequence[VirtualAccelerator]) -> List[VirtualAccelerator]:
+        top = max(self.priority_of(va) for va in vaccels)
+        return [va for va in vaccels if self.priority_of(va) == top]
 
     def pick(
         self, runnable: Sequence[VirtualAccelerator]
     ) -> Tuple[VirtualAccelerator, int]:
-        raise NotImplementedError
+        """Who runs next, and for how long."""
+        if not runnable:
+            raise SchedulerError("nothing runnable")
+        candidates = sorted(self._top(runnable), key=lambda va: va.vaccel_id)
+        last = self._last_id
+        later = [va for va in candidates if last is not None and va.vaccel_id > last]
+        choice = (later or candidates)[0]
+        self._last_id = choice.vaccel_id
+        return choice, round(self.base_slice_ps * self.weight_of(choice))
 
     def expected_shares(
         self, vaccels: Sequence[VirtualAccelerator]
     ) -> Dict[int, float]:
-        """Fraction of physical-accelerator time each vaccel should get.
-
-        Used by the §6.8 experiment to compute expected execution times.
-        """
-        raise NotImplementedError
+        """Fraction of physical-accelerator time each vaccel should get:
+        its weight's share of the top-priority set (§6.8's expectation)."""
+        winners = self._top(vaccels)
+        total = sum(self.weight_of(va) for va in winners)
+        shares = {va.vaccel_id: 0.0 for va in vaccels}
+        for va in winners:
+            shares[va.vaccel_id] = self.weight_of(va) / total
+        return shares
 
 
 class RoundRobinScheduler(SchedulingPolicy):
@@ -49,26 +96,7 @@ class RoundRobinScheduler(SchedulingPolicy):
     name = "round-robin"
 
     def __init__(self, time_slice_ps: int = ms(10)) -> None:
-        if time_slice_ps <= 0:
-            raise SchedulerError("time slice must be positive")
-        self.time_slice_ps = time_slice_ps
-        self._last_id: Optional[int] = None
-
-    def pick(self, runnable: Sequence[VirtualAccelerator]) -> Tuple[VirtualAccelerator, int]:
-        if not runnable:
-            raise SchedulerError("nothing runnable")
-        ordered = sorted(runnable, key=lambda va: va.vaccel_id)
-        if self._last_id is None:
-            choice = ordered[0]
-        else:
-            later = [va for va in ordered if va.vaccel_id > self._last_id]
-            choice = later[0] if later else ordered[0]
-        self._last_id = choice.vaccel_id
-        return choice, self.time_slice_ps
-
-    def expected_shares(self, vaccels: Sequence[VirtualAccelerator]) -> Dict[int, float]:
-        share = 1.0 / len(vaccels)
-        return {va.vaccel_id: share for va in vaccels}
+        super().__init__(time_slice_ps)
 
 
 class WeightedScheduler(SchedulingPolicy):
@@ -77,32 +105,7 @@ class WeightedScheduler(SchedulingPolicy):
     name = "weighted"
 
     def __init__(self, weights: Dict[int, float], base_slice_ps: int = ms(10)) -> None:
-        if base_slice_ps <= 0:
-            raise SchedulerError("base slice must be positive")
-        if any(w <= 0 for w in weights.values()):
-            raise SchedulerError("weights must be positive")
-        self.weights = dict(weights)
-        self.base_slice_ps = base_slice_ps
-        self._last_id: Optional[int] = None
-
-    def weight_of(self, vaccel: VirtualAccelerator) -> float:
-        return self.weights.get(vaccel.vaccel_id, 1.0)
-
-    def pick(self, runnable: Sequence[VirtualAccelerator]) -> Tuple[VirtualAccelerator, int]:
-        if not runnable:
-            raise SchedulerError("nothing runnable")
-        ordered = sorted(runnable, key=lambda va: va.vaccel_id)
-        if self._last_id is None:
-            choice = ordered[0]
-        else:
-            later = [va for va in ordered if va.vaccel_id > self._last_id]
-            choice = later[0] if later else ordered[0]
-        self._last_id = choice.vaccel_id
-        return choice, round(self.base_slice_ps * self.weight_of(choice))
-
-    def expected_shares(self, vaccels: Sequence[VirtualAccelerator]) -> Dict[int, float]:
-        total = sum(self.weight_of(va) for va in vaccels)
-        return {va.vaccel_id: self.weight_of(va) / total for va in vaccels}
+        super().__init__(base_slice_ps, weights=weights)
 
 
 class PriorityScheduler(SchedulingPolicy):
@@ -116,37 +119,4 @@ class PriorityScheduler(SchedulingPolicy):
     name = "priority"
 
     def __init__(self, priorities: Dict[int, int], time_slice_ps: int = ms(10)) -> None:
-        if time_slice_ps <= 0:
-            raise SchedulerError("time slice must be positive")
-        self.priorities = dict(priorities)
-        self.time_slice_ps = time_slice_ps
-        self._last_id: Optional[int] = None
-
-    def priority_of(self, vaccel: VirtualAccelerator) -> int:
-        return self.priorities.get(vaccel.vaccel_id, 0)
-
-    def pick(self, runnable: Sequence[VirtualAccelerator]) -> Tuple[VirtualAccelerator, int]:
-        if not runnable:
-            raise SchedulerError("nothing runnable")
-        top = max(self.priority_of(va) for va in runnable)
-        candidates = sorted(
-            (va for va in runnable if self.priority_of(va) == top),
-            key=lambda va: va.vaccel_id,
-        )
-        if self._last_id is not None:
-            later = [va for va in candidates if va.vaccel_id > self._last_id]
-            choice = later[0] if later else candidates[0]
-        else:
-            choice = candidates[0]
-        self._last_id = choice.vaccel_id
-        return choice, self.time_slice_ps
-
-    def expected_shares(self, vaccels: Sequence[VirtualAccelerator]) -> Dict[int, float]:
-        top = max(self.priority_of(va) for va in vaccels)
-        winners: List[VirtualAccelerator] = [
-            va for va in vaccels if self.priority_of(va) == top
-        ]
-        shares = {va.vaccel_id: 0.0 for va in vaccels}
-        for va in winners:
-            shares[va.vaccel_id] = 1.0 / len(winners)
-        return shares
+        super().__init__(time_slice_ps, priorities=priorities)

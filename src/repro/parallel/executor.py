@@ -152,6 +152,10 @@ class ShardedFleetCluster(ShadowCluster):
         for shard_index, descs in enumerate(assignments):
             op_reader, op_writer = context.Pipe(duplex=False)
             ack_queue = context.SimpleQueue()
+            # The fork copies every op pipe write end open now, its own
+            # included; the worker closes them, so its reads see EOF once
+            # the coordinator is gone, however it died.
+            op_writers = [shard.op_writer for shard in self._shards] + [op_writer]
             process = context.Process(
                 target=shard_worker_main,
                 args=(
@@ -162,6 +166,7 @@ class ShardedFleetCluster(ShadowCluster):
                     self._tracer is not None,
                     self._first_pid,
                     op_reader,
+                    op_writers,
                     ack_queue,
                 ),
                 daemon=True,

@@ -56,6 +56,7 @@ def shard_worker_main(
     tracing: bool,
     first_pid: int,
     op_reader,
+    op_writers,
     ack_queue,
 ) -> None:  # pragma: no cover - runs in a forked subprocess
     """Entry point of one shard worker process.
@@ -79,12 +80,17 @@ def shard_worker_main(
       * ``("trace", token)`` — export the local tracer's events, once
       * ``("exit",)`` — leave the loop
 
-    Acks go back on ``ack_queue`` (a ``SimpleQueue``).
+    Acks go back on ``ack_queue`` (a ``SimpleQueue``).  ``op_writers``
+    are the op pipe write ends the fork copied; the worker closes them
+    first, so the coordinator's exit, even by SIGKILL, ends its read with
+    ``EOFError``, and the worker returns.
 
     The worker never raises out of the loop: failures are captured and
     surfaced through the next ``sync``/``gather`` ack so the coordinator
     can raise with the worker's traceback attached.
     """
+    for writer in op_writers:
+        writer.close()
     from repro.fleet.node import FleetNode, NodeSpec
     from repro.telemetry.tracer import install_tracer, uninstall_tracer
 
@@ -157,7 +163,10 @@ def shard_worker_main(
                 )
 
     while True:
-        data = op_reader.recv_bytes()
+        try:
+            data = op_reader.recv_bytes()
+        except EOFError:
+            return  # the coordinator is gone
         if data[0]:
             for global_index, epoch_ps, op, payload in decoder.decode(data):
                 try:

@@ -1,6 +1,6 @@
 """numpy's legacy ``RandomState`` draws, bit for bit, without numpy.
 
-Fleet traffic, serving traces, retry jitter and chaos targets are all
+Fleet traffic, serving traces and chaos targets are all
 defined as draws from ``numpy.random.RandomState(seed)``: every shipped
 digest, envelope and trace pins that stream.  Those processes need only
 scalars from it, and importing numpy for them costs more start-up time

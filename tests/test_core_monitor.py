@@ -20,8 +20,9 @@ from repro.core import (
 )
 from collections import deque
 
-from repro.core.mux_tree import WRITE_ROOT_WEIGHT, MuxNode, MuxTree
+from repro.core.mux_tree import WRITE_ROOT_WEIGHT, MuxNode, MuxTree, balanced_topology
 from repro.errors import ConfigurationError
+from repro.fpga.synthesis import plan_mux_tree
 from repro.mem import GB, MB, PAGE_SIZE_2M
 from repro.mem.iommu import IOTLB_ENTRIES
 from repro.platform import PlatformMode, PlatformParams, build_platform
@@ -98,16 +99,32 @@ class TestMuxTree:
             on_response(packet.make_response(data=bytes(packet.size)))
 
         tree = MuxTree(
-            engine, n_leaves, radix=radix, clock=Clock(400.0),
+            engine, balanced_topology(n_leaves, radix), clock=Clock(400.0),
             level_latency_ps=33_000, root_egress=egress,
         )
         return engine, tree, arrivals
 
     def test_eight_leaves_binary_gives_three_levels(self):
         _engine, tree, _arrivals = self.make_tree(8)
-        assert tree.levels == 3
+        assert tree.depth == dict.fromkeys(range(8), 3)
         assert tree.node_count == 7
-        assert tree.request_path_latency_ps == 99_000
+        assert all(tree.request_path_latency_ps(leaf) == 99_000 for leaf in range(8))
+
+    @pytest.mark.parametrize("radix", [2, 3, 4])
+    def test_balanced_topology_is_the_planned_radix_tree(self, radix):
+        for n_leaves in range(1, 17):
+            topology = balanced_topology(n_leaves, radix)
+            plan = plan_mux_tree(n_leaves, radix, target_mhz=0.0)
+            _engine, tree, _arrivals = self.make_tree(n_leaves, radix)
+            assert tree.node_count == plan.node_count
+            assert tree.depth == dict.fromkeys(range(n_leaves), plan.levels)
+            # Leaf i sits on input i mod r of leaf-level node i // r: walk
+            # the digits of i // r down from the root, then take i mod r.
+            for leaf in range(n_leaves):
+                node = topology
+                for level in range(plan.levels - 1, 0, -1):
+                    node = node[(leaf // radix**level) % radix]
+                assert node[leaf % radix] == leaf
 
     def test_packet_reaches_root_with_level_latency(self):
         engine, tree, arrivals = self.make_tree(8)

@@ -14,9 +14,9 @@ import pickle
 import pytest
 
 from repro import __main__ as cli
+from repro.envelope import canonical_json
 from repro.experiments.cache import (
     ExperimentCache,
-    canonical_json,
     current_cache,
     install_cache,
     source_tree_digest,
@@ -49,9 +49,21 @@ class TestCanonicalJson:
         right = canonical_json({"outer": {"a": 2, "z": 1}})
         assert left == right
 
-    def test_non_finite_floats_are_rejected(self):
-        with pytest.raises(ValueError):
-            canonical_json({"x": float("nan")})
+    def test_non_finite_floats_become_null(self):
+        assert canonical_json({"x": float("nan"), "y": float("inf")}) == '{"x":null,"y":null}'
+
+    def test_a_calibration_cell_and_a_fig5_cell_have_pinned_forms(self):
+        # The calibration digest and every cache key hash these bytes.
+        from repro.analytic.calibration import CellSpec
+        from repro.interconnect import VirtualChannel
+
+        assert canonical_json(CellSpec("MB").payload()) == (
+            '{"benchmark":"MB","warmup_us":60,"window_us":100,"working_set":16777216}'
+        )
+        # fig5's sweep cells carry the plain Enum VirtualChannel: its repr.
+        assert canonical_json((VirtualChannel.VL0, 2097152, 4, 2, 1000)) == (
+            '["<VirtualChannel.VL0: \'vl0\'>",2097152,4,2,1000]'
+        )
 
 
 class TestCacheKey:

@@ -253,27 +253,6 @@ class TestChaosFleet:
         assert summary["faults"]["quarantines"] == 1
         assert result.fault_log.records[0].outcome == "hang_armed"
 
-    def test_degraded_node_slows_sessions(self):
-        degrade = FaultPlan.of(
-            [FaultEvent(at_ps=us(1), kind=FaultKind.LINK_DEGRADE,
-                        target="node0", params={"factor": 8.0})],
-            seed=0, name="degrade-only",
-        )
-        request = [TenantRequest(request_id=0, tenant="t", accel_type="AES",
-                                 arrival_ps=us(10), session_ps=ms(10))]
-        def span(admission, plan):
-            cluster = FleetCluster.build(1)
-            service = FleetService(cluster, make_policy("best-fit"),
-                                   admission=admission)
-            if plan is not None:
-                service.install_faults(plan)
-            return service.serve(list(request)).span_ps
-        slow = span(AdmissionConfig(degraded_slowdown=3.0), degrade)
-        clean = span(AdmissionConfig(degraded_slowdown=3.0), None)
-        assert slow > clean
-        # Default config keeps degraded nodes timing-neutral (back-compat).
-        assert span(AdmissionConfig(), degrade) == clean
-
     def test_same_plan_and_seed_byte_identical(self):
         plan = resolve_plan("mixed")
         _s1, first = chaos_serve(plan)

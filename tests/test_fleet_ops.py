@@ -31,6 +31,7 @@ from repro.fleet import (
 )
 from repro.guest import GuestAccelerator
 from repro.hv import (
+    BAR2_WINDOW_SIZE,
     OptimusHypervisor,
     checkpoint_guest,
     guest_memory_digest,
@@ -124,6 +125,30 @@ class TestCheckpointRestore:
         hv_b = OptimusHypervisor(platform_b)
         with pytest.raises(ConfigurationError):
             restore_guest(hv_b, checkpoint, AesJob(functional=True))
+
+    def test_a_window_rewrite_leaves_its_pages_on_the_dummy_frame_after_restore(self):
+        # Writing the window re-backs its pages with the dummy frame and
+        # unregisters them (DESIGN.md §12): the restore must not map the
+        # page to its real frame again on the destination.
+        _platform_a, hv_a = make_hv()
+        vm = hv_a.create_vm("rewriter")
+        vaccel_a = hv_a.create_virtual_accelerator(
+            vm, AesJob(functional=False), physical_index=0
+        )
+        handle = GuestAccelerator(hv_a, vm, vaccel_a, window_bytes=8 * MB)
+        gva = handle.alloc_buffer(64)
+        assert vaccel_a.mapped_gvas == {gva}
+        hv_a.guest_bar2_write(vaccel_a, BAR2_WINDOW_SIZE, 8 * MB)
+        checkpoint = checkpoint_guest(hv_a, vaccel_a)
+        _platform_b, hv_b = make_hv()
+        _vm_b, vaccel_b = restore_guest(hv_b, checkpoint, AesJob(functional=False))
+
+        def frame_of(hv, vaccel):
+            iova = vaccel.slice.iova_base + (gva - vaccel.window_base_gva)
+            return hv.platform.iommu.page_table.translate(iova)
+
+        assert frame_of(hv_a, vaccel_a) == hv_a.dummy_frame()
+        assert frame_of(hv_b, vaccel_b) == hv_b.dummy_frame()
 
     @pytest.mark.xfail(
         strict=True,

@@ -11,6 +11,7 @@ from repro.fpga import (
     SynthesisCharacter,
     flat_mux_fmax_mhz,
     monitor_footprint,
+    mux_levels,
     plan_mux_tree,
     replicated_footprint,
     synthesize,
@@ -191,6 +192,12 @@ class TestSynthesis:
         arrangement = plan_mux_tree(8, radix=2, target_mhz=400.0)
         assert arrangement.levels == 3
         assert arrangement.node_count == 7
+
+    def test_level_count_is_exact_at_powers_of_the_radix(self):
+        # Float logarithms read one level too many at 5**3 and 6**3.
+        for n, radix, levels in ((1, 2, 1), (2, 2, 1), (3, 2, 2), (125, 5, 3),
+                                 (126, 5, 4), (216, 6, 3), (217, 6, 4)):
+            assert mux_levels(n, radix) == levels
 
     def test_synthesize_rejects_ninth_accelerator(self):
         base = ResourceFootprint(1.0, 1.0)

@@ -1,6 +1,6 @@
 """``LegacyRandomState`` against ``numpy.random.RandomState``, bit for bit.
 
-Fleet traffic, serving traces, retry jitter and chaos targets draw from
+Fleet traffic, serving traces and chaos targets draw from
 :class:`repro.sim.rng.LegacyRandomState` so those processes never load
 numpy, while every shipped digest pins numpy's legacy stream.  numpy is
 the oracle here: each draw must equal numpy's exactly, not approximately.

@@ -108,32 +108,30 @@ class TestMigration:
 
 class TestAsymmetricTree:
     def test_topology_validation(self):
-        from repro.core import AsymmetricMuxTree
+        from repro.core import MuxTree
         from repro.sim import Clock, Engine
 
         engine = Engine()
         sink = lambda p, c, r: None
-        with pytest.raises(ConfigurationError):
-            AsymmetricMuxTree(engine, [], clock=Clock(400.0),
-                              level_latency_ps=0, root_egress=sink)
-        with pytest.raises(ConfigurationError):
-            AsymmetricMuxTree(engine, [0, [1, 0]], clock=Clock(400.0),
-                              level_latency_ps=0, root_egress=sink)
+        for topology in ([], [0, [1, 0]], [None, [None]]):
+            with pytest.raises(ConfigurationError):
+                MuxTree(engine, topology, clock=Clock(400.0),
+                        level_latency_ps=0, root_egress=sink)
 
     def test_depth_accounting(self):
-        from repro.core import AsymmetricMuxTree
+        from repro.core import MuxTree
         from repro.sim import Clock, Engine
 
         engine = Engine()
-        topology = [0, [1, [2, 3]]]
-        tree = AsymmetricMuxTree(
-            engine, topology, clock=Clock(400.0), level_latency_ps=33_000,
+        tree = MuxTree(
+            engine, [0, [1, [2, 3]]], clock=Clock(400.0), level_latency_ps=33_000,
             root_egress=lambda p, c, r: None,
         )
-        assert tree.depth_of(0, topology) == 1
-        assert tree.depth_of(1, topology) == 2
-        assert tree.depth_of(3, topology) == 3
+        assert tree.depth == {0: 1, 1: 2, 2: 3, 3: 3}
+        assert tree.request_path_latency_ps(0) == 33_000
+        assert tree.request_path_latency_ps(3) == 99_000
         assert tree.node_count == 3
+        assert tree.n_leaves == 4
 
     def test_favoured_leaf_gets_double_share(self):
         from repro.experiments.ablations import weighted_bandwidth_study

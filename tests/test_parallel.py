@@ -9,6 +9,7 @@ heuristic, shadow verification plumbing).
 """
 
 import json
+import sys
 
 import pytest
 
@@ -518,6 +519,64 @@ class TestShardWorkerDeath:
         with pytest.raises(WorkerDiedError, match="before acknowledging any epoch"):
             cluster._await_ack(shard)
         assert time.monotonic() - start < 5
+
+
+def _running(pid):
+    """Whether ``pid`` runs: a zombie left for a non-reaping init is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_shard_workers_exit_when_their_coordinator_is_sigkilled():
+    # Without closing the op pipe write ends a fork copies, a worker's read
+    # never sees EOF and it outlives the coordinator forever.
+    import os
+    import select
+    import signal
+    import subprocess
+    import time
+    from pathlib import Path
+
+    script = (
+        "import sys, time\n"
+        "from repro.parallel import ShardedFleetCluster\n"
+        "cluster = ShardedFleetCluster.build(4, shards=2, lookahead=8)\n"
+        "print(*(shard.process.pid for shard in cluster._shards), flush=True)\n"
+        "time.sleep(60)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    coordinator = subprocess.Popen(
+        [sys.executable, "-c", script],
+        stdout=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        text=True,
+    )
+    survivors = []
+    try:
+        ready, _, _ = select.select([coordinator.stdout], [], [], 60)
+        assert ready, "the coordinator never reported its workers"
+        survivors = [int(pid) for pid in coordinator.stdout.readline().split()]
+        assert len(survivors) == 2
+        coordinator.kill()
+        coordinator.wait(timeout=10)
+        deadline = time.monotonic() + 5
+        while survivors and time.monotonic() < deadline:
+            time.sleep(0.05)
+            survivors = [pid for pid in survivors if _running(pid)]
+        assert survivors == []
+    finally:
+        coordinator.kill()
+        coordinator.wait(timeout=10)
+        coordinator.stdout.close()
+        for pid in survivors:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
 
 class TestWorkerGrantContract:

@@ -76,15 +76,10 @@ def test_the_grep_actually_catches_offenders(tmp_path):
     assert not NUMPY_GLOBAL.search("np.random.default_rng(0)")
 
 
-# -- per-request jitter streams ------------------------------------------------
-#
-# Retry jitter is the one stochastic knob inside the serving loop itself,
-# so its discipline is stricter than "seeded": every request owns an
-# independent stream keyed on (jitter_seed, request_id), and the default
-# jitter of 0.0 must draw nothing at all.
+# -- the admission policy hook draws nothing ---------------------------------
 
 
-def _overloaded_serve(admission=None, admission_policy=None):
+def _overloaded_serve(admission_policy=None):
     from repro.fleet import (
         FleetCluster,
         FleetService,
@@ -98,75 +93,22 @@ def _overloaded_serve(admission=None, admission_policy=None):
         TrafficProfile(load=3.0), fleet_slots=cluster.total_slots, seed=5
     ).generate(120)
     service = FleetService(
-        cluster,
-        make_policy("best-fit"),
-        admission=admission,
-        admission_policy=admission_policy,
+        cluster, make_policy("best-fit"), admission_policy=admission_policy
     )
     return service.serve(requests)
 
 
-class TestPerRequestJitterStreams:
-    def test_stream_depends_only_on_seed_and_request_id(self):
-        from repro.fleet import request_jitter_rng
+def test_an_admission_policy_leaves_the_trace_unchanged():
+    """Attaching a policy that admits everything must not perturb the
+    overloaded trace (retries, rejections and all)."""
+    from repro.fleet import ADMIT, AdmissionPolicy
 
-        def four_draws(jitter_seed, request_id):
-            rng = request_jitter_rng(jitter_seed, request_id)
-            return [rng.random_sample() for _ in range(4)]
+    legacy = _overloaded_serve()
 
-        first = four_draws(7, 42)
-        again = four_draws(7, 42)
-        assert first == again
-        assert four_draws(7, 43) != first
-        assert four_draws(8, 42) != first
+    class AdmitEverything(AdmissionPolicy):
+        def decide(self, request, now, service):
+            return ADMIT
 
-    def test_draws_on_one_stream_never_shift_another(self):
-        from repro.fleet import request_jitter_rng
-
-        reference = request_jitter_rng(3, 11)
-        expected = [reference.random_sample() for _ in range(4)]
-        # Interleave heavy draws on other requests' streams between the
-        # target's draws: the target's sequence must not move.
-        target = request_jitter_rng(3, 11)
-        observed = []
-        for other in (10, 12, 99):
-            heavy = request_jitter_rng(3, other)
-            for _ in range(256):
-                heavy.random_sample()
-            observed.append(float(target.random_sample()))
-        observed.append(float(target.random_sample()))
-        assert observed == expected
-
-    def test_jittered_serving_is_deterministic(self):
-        from repro.fleet import AdmissionConfig
-
-        config = AdmissionConfig(retry_jitter=0.3, jitter_seed=21)
-        first = _overloaded_serve(admission=config)
-        second = _overloaded_serve(admission=config)
-        assert first.outcomes == second.outcomes
-        assert first.summary() == second.summary()
-        # ...and the seed matters: a different stream reshapes the run.
-        other = _overloaded_serve(
-            admission=AdmissionConfig(retry_jitter=0.3, jitter_seed=22)
-        )
-        assert other.outcomes != first.outcomes
-
-    def test_zero_jitter_is_draw_free_and_byte_stable(self):
-        """``retry_jitter=0.0`` must reproduce the legacy trace exactly —
-        and attaching an admission policy must not perturb it either."""
-        from repro.fleet import ADMIT, AdmissionConfig, AdmissionPolicy
-
-        legacy = _overloaded_serve()
-        explicit_zero = _overloaded_serve(
-            admission=AdmissionConfig(retry_jitter=0.0)
-        )
-        assert explicit_zero.outcomes == legacy.outcomes
-        assert explicit_zero.summary() == legacy.summary()
-
-        class AdmitEverything(AdmissionPolicy):
-            def decide(self, request, now, service):
-                return ADMIT
-
-        with_policy = _overloaded_serve(admission_policy=AdmitEverything())
-        assert with_policy.outcomes == legacy.outcomes
-        assert with_policy.summary() == legacy.summary()
+    with_policy = _overloaded_serve(admission_policy=AdmitEverything())
+    assert with_policy.outcomes == legacy.outcomes
+    assert with_policy.summary() == legacy.summary()

@@ -123,3 +123,47 @@ class TestPriority:
         for _ in range(len(priorities)):
             choice, _ = policy.pick(vas)
             assert mapping[choice.vaccel_id] == top
+
+
+class TestOnePolicy:
+    """The three schedulers are one policy: rotate by vaccel id through the
+    runnable vaccels of the top priority, each for ``round(base x weight)``."""
+
+    @given(
+        weights=st.lists(
+            st.floats(min_value=0.25, max_value=4.0), min_size=1, max_size=6
+        ),
+        priorities=st.lists(st.integers(min_value=0, max_value=2), min_size=6, max_size=6),
+        runnable_sets=st.lists(
+            st.sets(st.integers(min_value=0, max_value=5), min_size=1),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=60)
+    def test_pick_rotates_the_top_priority_by_id(self, weights, priorities, runnable_sets):
+        from repro.hv.scheduler import SchedulingPolicy
+
+        n = len(weights)
+        vas = vaccels(n)
+        policy = SchedulingPolicy(
+            ms(10),
+            weights=dict(enumerate(weights)),
+            priorities=dict(enumerate(priorities[:n])),
+        )
+        last = None
+        for ids in runnable_sets:
+            runnable = [vas[i] for i in sorted(ids) if i < n] or vas
+            top = max(priorities[va.vaccel_id] for va in runnable)
+            candidates = [va.vaccel_id for va in runnable if priorities[va.vaccel_id] == top]
+            later = [i for i in candidates if last is not None and i > last]
+            choice, slice_ps = policy.pick(runnable)
+            assert choice.vaccel_id == (later or candidates)[0]
+            assert slice_ps == round(ms(10) * weights[choice.vaccel_id])
+            last = choice.vaccel_id
+        shares = policy.expected_shares(vas)
+        assert sum(shares.values()) == pytest.approx(1.0)
+        top = max(priorities[:n])
+        assert all(
+            (shares[i] > 0) == (priorities[i] == top) for i in range(n)
+        )

@@ -9,9 +9,9 @@ again (growing or shrinking it), and a window too large for dummy backing.
 
 A model records what each live tenant registered: its window pages (the
 dummy frame) and the GVAs it mapped (the frame its guest page table
-resolves to).  A checkpoint carries exactly the registered GVAs inside
-the window, so a page a shrunk window stranded is left behind.  After
-every step:
+resolves to).  A window write unregisters every page (DESIGN.md §12), so
+a checkpoint carries exactly the GVAs registered since the last one, and
+a page a shrunk window stranded is left behind.  After every step:
 
 * the IOPT entries inside each live tenant's slice are exactly its model,
   and every one lies below the largest window it installed (the extent
@@ -114,29 +114,26 @@ class TenantLifecycle(RuleBasedStateMachine):
     def rewrite_window(self, data, size):
         name = self.pick(data)
         vaccel = self.node.tenants[name].vaccel
-        # A shrink may strand registered pages past the new window: their
+        # The write unregisters every page; those inside the new window
+        # read the dummy again, and a shrink strands the ones past it: their
         # entries stay in the IOPT, unreachable through the auditor.
         self.hv.guest_bar2_write(vaccel, BAR2_WINDOW_SIZE, size)
+        assert vaccel.mapped_gvas == set()
         self.model[name].update(window_model(size))
+        self.registered[name] = set()
 
     @precondition(lambda self: self.node.tenants)
     @rule(data=st.data())
     def checkpoint_and_restore(self, data):
         name = self.pick(data)
-        base = self.node.tenants[name].vaccel.window_base_gva
         checkpoint = self.node.checkpoint_tenant(name)
-        reachable = {
-            gva for gva in self.registered[name]
-            if gva - base < checkpoint.window_size
-        }
-        assert set(checkpoint.mapped_gvas) == reachable
+        assert set(checkpoint.mapped_gvas) == self.registered[name]
         self.node.evict(name)
         tenant = self.node.restore_tenant(checkpoint)
         model = window_model(checkpoint.window_size)
-        for gva in reachable:
+        for gva in checkpoint.mapped_gvas:
             model[(gva - tenant.vaccel.window_base_gva) // PAGE] = gva
         self.model[name] = model
-        self.registered[name] = reachable
 
     @precondition(lambda self: self.node.tenants)
     @rule()
@@ -191,8 +188,10 @@ def test_a_page_a_shrink_stranded_is_left_behind_by_checkpoint_and_restore():
     node.tenants["t0"].handle.alloc_buffer(3 * PAGE)
     base = vaccel.window_base_gva  # the first tenant's buffers start here
     assert vaccel.mapped_gvas == {base, base + PAGE, base + 2 * PAGE}
+    # The shrink unregisters every page, the one still inside the window
+    # too: the guest registers again what it still wants mapped.
     node.provider.hypervisor.guest_bar2_write(vaccel, BAR2_WINDOW_SIZE, PAGE)
     checkpoint = node.checkpoint_tenant("t0")
     node.evict("t0")
-    assert checkpoint.mapped_gvas == (base,)
-    assert node.restore_tenant(checkpoint).vaccel.mapped_gvas == {base}
+    assert checkpoint.mapped_gvas == ()
+    assert node.restore_tenant(checkpoint).vaccel.mapped_gvas == set()
