@@ -10,7 +10,8 @@ scratch — the complete recipe:
 * an :class:`AcceleratorProfile` (frequency, resources, state size),
 * a job body that reads operands via DMA, computes, writes results, and
   calls ``ctx.preempt_point()`` between work units,
-* ``save_state`` / ``restore_state`` for the single cursor it needs.
+* a ``state_fields`` declaration of the single cursor it needs (the
+  base class saves and restores it).
 
 Two instances then share one physical accelerator under 1 ms time slices,
 getting preempted dozens of times — and still producing exact results.
@@ -50,10 +51,11 @@ class TriadJob(AcceleratorJob):
     """A minimal, fully preemptible custom accelerator."""
 
     profile = TRIAD_PROFILE
+    state_fields = (("cursor", "Q"),)  # lines processed: the whole state
 
     def __init__(self):
         super().__init__()
-        self.cursor = 0  # lines processed: the whole architected state
+        self.cursor = 0
 
     def body(self, ctx):
         a, b, c = self.reg(REG_A), self.reg(REG_B), self.reg(REG_C)
@@ -71,12 +73,6 @@ class TriadJob(AcceleratorJob):
             if (yield from ctx.preempt_point()):
                 return  # state already saved; we'll be resumed later
         self.done = True
-
-    def save_state(self):
-        return self.cursor.to_bytes(8, "little")
-
-    def restore_state(self, data):
-        self.cursor = int.from_bytes(data[:8], "little")
 
 
 def main() -> None:

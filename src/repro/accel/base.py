@@ -10,17 +10,21 @@ The preemption interface (§4.2) is implemented cooperatively, exactly as
 the paper prescribes for accelerator designers: a job calls
 ``yield from ctx.preempt_point()`` between units of work; when the
 hypervisor has requested preemption the context drains in-flight DMAs,
-serializes the job's *minimal architected state* (``save_state``) into the
-guest-provided state buffer, signals completion, and the job body returns.
-On resume the hypervisor restores the state and starts the body again —
-the body must therefore be written re-entrantly, resuming from its saved
-cursor (e.g. LinkedList saves just the next node address).
+the body returns, and the hypervisor packs the job's *minimal architected
+state* into the guest-provided state buffer.  Each job class declares that
+state once (:attr:`AcceleratorJob.state_fields`); the base class's
+``save_state``/``restore_state`` are the only code that packs it.  On
+resume the hypervisor restores the declared fields and starts the body
+again — the body must therefore be written re-entrantly, resuming from its
+saved cursor (e.g. LinkedList saves just the next node address).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Generator, Optional
+import struct
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Generator, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.fpga.afu import AfuSocket
@@ -139,13 +143,27 @@ class ExecutionContext:
 class AcceleratorJob:
     """Base class for one virtual accelerator's workload instance.
 
-    Subclasses implement :meth:`body` (re-entrant generator),
-    :meth:`save_state` / :meth:`restore_state`, and set ``self.done`` when
-    the job finishes.  Everything a job needs from the guest arrives via
-    application registers, mirrored into ``self.regs`` by the hypervisor.
+    Subclasses implement :meth:`body` (a re-entrant generator), declare
+    their architected state in :attr:`state_fields`, and set ``self.done``
+    when the job finishes.  Application registers (mirrored into
+    ``self.regs`` by the hypervisor), constructor arguments (recorded in
+    ``job_kwargs``) and the declared fields are the only ways state
+    reaches a job: a fresh job given all three resumes where a preempted
+    one stopped.
     """
 
     profile: AcceleratorProfile
+
+    #: The minimal architected state a preemption saves (§4.2): ordered
+    #: ``(attribute path, struct code)`` pairs, packed little-endian.  A
+    #: dotted path reaches into a member (``"rng.state"``); a tuple value
+    #: packs as a sequence (``"8Q"``).
+    state_fields: Tuple[Tuple[str, str], ...] = ()
+
+    def __new__(cls, *args, **kwargs):
+        job = super().__new__(cls)
+        job.job_kwargs = dict(kwargs)  # a checkpoint carries them
+        return job
 
     def __init__(self, profile: Optional[AcceleratorProfile] = None) -> None:
         if profile is not None:
@@ -174,15 +192,26 @@ class AcceleratorJob:
     # -- preemption state (§4.2: designers choose the minimal state) -----------------
 
     def state_size(self) -> int:
-        """How much buffer memory the job needs for its saved state."""
+        """The guest state buffer the job needs, and what a save transfers."""
         return self.profile.state_bytes
 
     def save_state(self) -> bytes:
-        """Serialize the minimal architected state (cursors, partial sums)."""
-        return b""
+        """Pack the declared :attr:`state_fields`."""
+        packed = b""
+        for path, code in self.state_fields:
+            value = attrgetter(path)(self)
+            packed += struct.pack("<" + code, *(value if isinstance(value, tuple) else [value]))
+        return packed
 
     def restore_state(self, data: bytes) -> None:
-        """Reload state saved by :meth:`save_state`."""
+        """Unpack bytes from :meth:`save_state` into the declared fields."""
+        offset = 0
+        for path, code in self.state_fields:
+            values = struct.unpack_from("<" + code, data, offset)
+            offset += struct.calcsize("<" + code)
+            owner, _, name = path.rpartition(".")
+            setattr(attrgetter(owner)(self) if owner else self, name,
+                    values if len(values) > 1 else values[0])
 
     # -- bookkeeping ---------------------------------------------------------------
 

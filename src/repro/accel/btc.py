@@ -44,6 +44,7 @@ class BtcJob(AcceleratorJob):
     """
 
     profile = BTC_PROFILE
+    state_fields = (("nonce", "Q"), ("attempts", "Q"), ("found_nonce", "q"))
 
     def __init__(self, *, functional: bool = True) -> None:
         super().__init__()
@@ -94,12 +95,6 @@ class BtcJob(AcceleratorJob):
                 result = struct.pack("<q", self.found_nonce) + bytes(56)
             yield ctx.write(dst, result)
         self.done = True
-
-    def save_state(self) -> bytes:
-        return struct.pack("<QQq", self.nonce, self.attempts, self.found_nonce)
-
-    def restore_state(self, data: bytes) -> None:
-        self.nonce, self.attempts, self.found_nonce = struct.unpack_from("<QQq", data)
 
     def progress_units(self) -> int:
         return self.attempts

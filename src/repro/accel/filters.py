@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING
 
 from repro.accel.base import AcceleratorProfile
 from repro.accel.streaming import REG_PARAM0, StreamingJob
+from repro.errors import ConfigurationError
 from repro.fpga.resources import ResourceFootprint, SynthesisCharacter
 
 if TYPE_CHECKING:
@@ -59,26 +60,25 @@ SBL_PROFILE = AcceleratorProfile(
 #: via REG_PARAM0.
 DEFAULT_ROW_PIXELS = 1024
 
+#: Widest row the two line buffers hold.
+MAX_ROW_PIXELS = 2048
+
 
 class _StencilJob(StreamingJob):
     """Shared machinery for the 3x3 stencil filters (GAU, SBL)."""
 
     row_pixels = DEFAULT_ROW_PIXELS
+    #: The line buffers: the last two input rows; the cursor says how many are live.
+    state_fields = StreamingJob.state_fields + (("_tail", f"{2 * MAX_ROW_PIXELS}s"),)
 
     def __init__(self, *, functional: bool = True) -> None:
         super().__init__(functional=functional)
-        self._tail = self._empty_tail()
-
-    def _empty_tail(self) -> np.ndarray:
-        import numpy as np
-
-        return np.zeros((0, self.row_pixels), dtype=np.uint8)
+        self._tail = b""
 
     def configure(self, registers) -> None:
         super().configure(registers)
         if registers.get(REG_PARAM0):
             self.row_pixels = int(registers[REG_PARAM0])
-            self._tail = self._empty_tail()
 
     def _stencil(self, image: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -87,14 +87,17 @@ class _StencilJob(StreamingJob):
         import numpy as np
 
         width = self.row_pixels
+        if width > MAX_ROW_PIXELS:
+            raise ConfigurationError(f"{width}-pixel rows overflow the line buffers")
         if len(data) % width:
             return data  # partial rows: pass through (test images align)
         rows = np.frombuffer(data, dtype=np.uint8).reshape(-1, width)
-        stacked = np.vstack([self._tail, rows])
-        filtered = self._stencil(stacked)
+        history = min(2, offset // width)
+        tail = np.frombuffer(self._tail, dtype=np.uint8, count=history * width)
+        stacked = np.vstack([tail.reshape(history, width), rows])
         # Emit the rows corresponding to this tile; keep 2 rows of history.
-        out = filtered[len(self._tail):][: len(rows)]
-        self._tail = stacked[-2:].copy() if len(stacked) >= 2 else stacked.copy()
+        out = self._stencil(stacked)[history:]
+        self._tail = stacked[-2:].tobytes()
         return out.tobytes()
 
 

@@ -17,6 +17,9 @@ FIR_PROFILE = AcceleratorProfile(
     state_bytes=64,
 )
 
+#: Filter length: the filter carries ``N_TAPS - 1`` samples of history.
+N_TAPS = 16
+
 
 class FirJob(StreamingJob):
     """Filters an int16 sample stream with a 16-tap low-pass filter.
@@ -30,25 +33,24 @@ class FirJob(StreamingJob):
     bytes_per_cycle = 11.5  # ~2.3 GB/s demand at 200 MHz
     output_ratio = 1.0
     tile_lines = 64
+    state_fields = StreamingJob.state_fields + (("history", f"{N_TAPS - 1}h"),)
 
     def __init__(self, *, functional: bool = True) -> None:
         super().__init__(functional=functional)
-        # The numpy taps and history are built by the first ``transform``,
-        # so a job that never filters (timing-only runs, the fleet) never
-        # imports numpy.
+        # The numpy taps are built by the first ``transform``: a job that
+        # never filters (timing-only runs, the fleet) never imports numpy.
         self.taps = None
-        self._history = None
+        self.history = (0,) * (N_TAPS - 1)
 
     def transform(self, data: bytes, offset: int) -> bytes:
         import numpy as np
 
         from repro.kernels.dsp import fir_filter, lowpass_taps
 
-        if self._history is None:
-            self.taps = lowpass_taps(16)
-            self._history = np.zeros(len(self.taps) - 1, dtype=np.int16)
+        if self.taps is None:
+            self.taps = lowpass_taps(N_TAPS)
         samples = np.frombuffer(data, dtype=np.int16)
-        padded = np.concatenate([self._history, samples])
-        filtered = fir_filter(padded, self.taps)[len(self._history):]
-        self._history = padded[-(len(self.taps) - 1):].copy()
+        padded = np.concatenate([np.array(self.history, dtype=np.int16), samples])
+        filtered = fir_filter(padded, self.taps)[N_TAPS - 1:]
+        self.history = tuple(padded[-(N_TAPS - 1):].tolist())
         return filtered.tobytes()

@@ -34,6 +34,8 @@ class GrnJob(AcceleratorJob):
     profile = GRN_PROFILE
     bytes_per_cycle = 2.0  # ~0.4 GB/s write demand at 200 MHz
     tile_lines = 32
+    #: A tile draws whole Box-Muller pairs, so no spare sample is live.
+    state_fields = (("cursor", "Q"), ("_generator._uniform.state", "Q"))
 
     def __init__(self, *, functional: bool = True) -> None:
         super().__init__()
@@ -66,14 +68,6 @@ class GrnJob(AcceleratorJob):
             if preempted:
                 return
         self.done = True
-
-    def save_state(self) -> bytes:
-        state = self._generator._uniform.state
-        return self.cursor.to_bytes(8, "little") + state.to_bytes(8, "little")
-
-    def restore_state(self, data: bytes) -> None:
-        self.cursor = int.from_bytes(data[:8], "little")
-        self._generator._uniform.state = int.from_bytes(data[8:16], "little")
 
     def progress_units(self) -> int:
         return self.bytes_out

@@ -89,6 +89,7 @@ class LinkedListJob(AcceleratorJob):
     """
 
     profile = LL_PROFILE
+    state_fields = (("next_offset", "Q"), ("hops_done", "Q"), ("rng.state", "Q"))
 
     def __init__(
         self,
@@ -130,18 +131,6 @@ class LinkedListJob(AcceleratorJob):
                 if preempted:
                     return
         self.done = True
-
-    def save_state(self) -> bytes:
-        return (
-            self.next_offset.to_bytes(8, "little")
-            + self.hops_done.to_bytes(8, "little")
-            + self.rng.state.to_bytes(8, "little")
-        )
-
-    def restore_state(self, data: bytes) -> None:
-        self.next_offset = int.from_bytes(data[:8], "little")
-        self.hops_done = int.from_bytes(data[8:16], "little")
-        self.rng.state = int.from_bytes(data[16:24], "little")
 
     def progress_units(self) -> int:
         return self.hops_done

@@ -9,7 +9,7 @@ digest per 4 KB chunk (many-stream behavior), matching both facts.
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Generator, Optional
 
 from repro.accel.base import AcceleratorProfile, ExecutionContext
 from repro.accel.streaming import REG_DST, StreamingJob
@@ -40,8 +40,10 @@ class Md5Job(StreamingJob):
     tile_lines = 64
     prefetch_tiles = 8  # short per-tile occupancy: fetch deep to hide latency
 
-    def __init__(self, *, functional: bool = True) -> None:
-        super().__init__(functional=functional)
+    def __init__(
+        self, profile: Optional[AcceleratorProfile] = None, *, functional: bool = True
+    ) -> None:
+        super().__init__(profile, functional=functional)
         self.digests: list = []
         self._chunk = b""
 

@@ -55,6 +55,8 @@ class MemBenchJob(AcceleratorJob):
     """
 
     profile = MB_PROFILE
+    #: §4.2: the minimal state is tiny.
+    state_fields = (("ops_done", "Q"), ("rng.state", "Q"))
 
     def __init__(
         self,
@@ -128,15 +130,6 @@ class MemBenchJob(AcceleratorJob):
                 self.ops_done += 1
                 self.bytes_done += self.lines_per_request * CACHE_LINE_BYTES
         self.done = True
-
-    # -- preemption state (§4.2: the minimal state is tiny) ----------------------------
-
-    def save_state(self) -> bytes:
-        return self.ops_done.to_bytes(8, "little") + self.rng.state.to_bytes(8, "little")
-
-    def restore_state(self, data: bytes) -> None:
-        self.ops_done = int.from_bytes(data[:8], "little")
-        self.rng.state = int.from_bytes(data[8:16], "little")
 
     def progress_units(self) -> int:
         return self.ops_done

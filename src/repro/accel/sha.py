@@ -27,13 +27,17 @@ class Sha512Job(StreamingJob):
     bytes_per_cycle = 13.0  # ~2.6 GB/s demand at 200 MHz
     output_ratio = 0.0
     tile_lines = 64
+    #: Tiles are whole 128 B blocks: between tiles the hash is its words and length.
+    state_fields = StreamingJob.state_fields + (("hasher.state", "8Q"), ("hasher.length", "Q"))
 
     def __init__(self, *, functional: bool = True) -> None:
         super().__init__(functional=functional)
-        self._hasher = None  # built by the first ``transform``
+        self._hasher = None  # built on first use
         self.digest: bytes = b""
 
-    def _sha512(self):
+    @property
+    def hasher(self):
+        """The SHA-512 engine; imports the kernel on first use."""
         if self._hasher is None:
             from repro.kernels.sha2 import Sha512
 
@@ -41,13 +45,13 @@ class Sha512Job(StreamingJob):
         return self._hasher
 
     def transform(self, data: bytes, offset: int) -> bytes:
-        self._sha512().update(data)
+        self.hasher.update(data)
         return data
 
     def finalize(self, ctx: ExecutionContext) -> Generator:
         dst = self.reg(REG_DST)
         if self.functional:
-            self.digest = self._sha512().digest()
+            self.digest = self.hasher.digest()
             if dst:
                 yield ctx.write(dst, self.digest + bytes(64 - len(self.digest)))
         elif dst:

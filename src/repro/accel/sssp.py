@@ -61,6 +61,9 @@ class SsspJob(AcceleratorJob):
     edges_per_cycle = 4.0
     #: Frontier vertices kept in flight by the vertex pipeline.
     pipeline_depth = 8
+    #: Only the round counter: the output-sized frontier and distances stay
+    #: in the job object, so a fresh job restored from this starts over.
+    state_fields = (("rounds", "Q"),)
 
     def __init__(
         self,
@@ -78,7 +81,6 @@ class SsspJob(AcceleratorJob):
         self.edges_relaxed = 0
         self.rounds = 0
         self.frontier: List[int] = []
-        self.resumed_mid_round = False
 
     # -- DMA helpers --------------------------------------------------------------
 
@@ -215,24 +217,6 @@ class SsspJob(AcceleratorJob):
                 writes.append(ctx.write(dist_base + i, chunk))
             yield writes
         self.done = True
-
-    # -- preemption state -----------------------------------------------------------------
-
-    def state_size(self) -> int:
-        # Frontier + distances summary; bounded by the profile's buffer.
-        return self.profile.state_bytes
-
-    def save_state(self) -> bytes:
-        header = struct.pack("<QQ", self.rounds, len(self.frontier))
-        body = struct.pack(f"<{len(self.frontier)}I", *self.frontier[:500])
-        return (header + body)[: self.profile.state_bytes]
-
-    def restore_state(self, data: bytes) -> None:
-        # distances/frontier live in the job object across preemptions in
-        # this model; the serialized form exists for size accounting and
-        # is validated by tests for round-trip of the frontier head.
-        if len(data) >= 16:
-            self.rounds = struct.unpack_from("<Q", data, 0)[0]
 
     def progress_units(self) -> int:
         return self.edges_relaxed

@@ -40,6 +40,9 @@ REG_PARAM1 = 0x20
 class StreamingJob(AcceleratorJob):
     """Tile-at-a-time streaming accelerator."""
 
+    #: The input cursor; a kernel that carries state across tiles adds it.
+    state_fields = (("cursor", "Q"),)
+
     #: Input bytes consumed per accelerator-clock cycle (demand knob).
     bytes_per_cycle: float = 8.0
     #: Output bytes produced per input byte (0 = sink, 1 = transform, ...).
@@ -65,7 +68,7 @@ class StreamingJob(AcceleratorJob):
     ) -> None:
         super().__init__(profile)
         self.functional = functional
-        self.cursor = 0  # bytes of input consumed (the preemption state)
+        self.cursor = 0  # bytes of input consumed
         self.bytes_in = 0
         self.bytes_out = 0
 
@@ -154,7 +157,8 @@ class StreamingJob(AcceleratorJob):
 
             self.cursor = cursor + chunk
             self.bytes_in += chunk
-            if ctx.preempt_requested:
+            # After the last tile it finishes instead: no partial block is live.
+            if ctx.preempt_requested and self.cursor < total:
                 while pending_writes:
                     yield pending_writes.popleft()
                 preempted = yield from ctx.preempt_point()
@@ -164,14 +168,6 @@ class StreamingJob(AcceleratorJob):
             yield pending_writes.popleft()
         yield from self.finalize(ctx)
         self.done = True
-
-    # -- preemption state --------------------------------------------------------------
-
-    def save_state(self) -> bytes:
-        return self.cursor.to_bytes(8, "little")
-
-    def restore_state(self, data: bytes) -> None:
-        self.cursor = int.from_bytes(data[:8], "little")
 
     def progress_units(self) -> int:
         return self.bytes_in

@@ -153,8 +153,9 @@ class CloudProvider:
         The placement rule matches :meth:`place` (least-occupied slot of
         the checkpoint's accelerator type), but the guest is rebuilt with
         :func:`repro.hv.checkpoint.restore_guest` instead of probed fresh:
-        its pages land at the original GVAs and the shadow-paging
-        hypercalls are replayed against the new IOVA slice.
+        its job is built from the checkpoint's type and constructor
+        arguments, its pages land at the original GVAs and the
+        shadow-paging hypercalls are replayed against the new IOVA slice.
         """
         same_type = self.configuration.slot_index.get(checkpoint.accel_type, ())
         if physical_index is None:
@@ -163,7 +164,7 @@ class CloudProvider:
             raise ConfigurationError(
                 f"slot {physical_index} is not a {checkpoint.accel_type!r} slot"
             )
-        job = self.library.make_job(checkpoint.accel_type)
+        job = self.library.make_job(checkpoint.accel_type, **dict(checkpoint.job_kwargs))
         vm, vaccel = restore_guest(
             self.hypervisor, checkpoint, job, physical_index=physical_index
         )

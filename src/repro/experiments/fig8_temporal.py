@@ -19,8 +19,11 @@ unchanged, so throughput is the same (see accel docstrings).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
+from repro.accel.base import AcceleratorProfile
+from repro.accel.md5 import MD5_PROFILE
 from repro.experiments.harness import ENDLESS, Claim, OptimusStack, ResultTable
 from repro.mem import MB
 from repro.platform import PlatformParams
@@ -32,11 +35,16 @@ JOB_COUNTS = (1, 2, 4, 8, 16)
 #: ~8.2 MB) must be saved on a context switch (§6.6's estimation).
 MD5_WORST_CASE_STATE_BYTES = int(0.2301 * 8.2 * 1024 * 1024)
 
+#: MD5 declaring that worst-case state: each switch saves and transfers it.
+MD5_WORST_CASE = replace(MD5_PROFILE, state_bytes=MD5_WORST_CASE_STATE_BYTES)
+
 PAPER_OVERHEAD = {"LL": 0.5, "MB": 0.7, "MD5-worst": 9.0}
 
 
-def _launch_one(stack: OptimusStack, name: str, index: int, *, state_bytes: Optional[int]):
+def _launch_one(stack: OptimusStack, name: str, index: int, *, profile: Optional[AcceleratorProfile]):
     job_kwargs: Dict[str, object] = {"functional": False}
+    if profile is not None:
+        job_kwargs["profile"] = profile
     if name == "MB":
         job_kwargs.update(seed=0xAB1_0000 + index * 6151, lines_per_request=64)
     if name == "LL":
@@ -50,9 +58,6 @@ def _launch_one(stack: OptimusStack, name: str, index: int, *, state_bytes: Opti
     )
     if name == "MD5":
         launched.job.lines_per_request = 64
-    if state_bytes is not None:
-        # Override the architected state size (the MD5 worst-case study).
-        launched.job.state_size = lambda: state_bytes  # type: ignore[assignment]
     return launched
 
 
@@ -62,11 +67,11 @@ def aggregate_progress_rate(
     *,
     time_slice_ms: float = 10.0,
     run_ms: float = 45.0,
-    state_bytes: Optional[int] = None,
+    profile: Optional[AcceleratorProfile] = None,
 ) -> float:
     params = PlatformParams(time_slice_ps=ms(time_slice_ms))
     stack = OptimusStack(params, n_accelerators=1)
-    jobs = [_launch_one(stack, name, i, state_bytes=state_bytes) for i in range(n_jobs)]
+    jobs = [_launch_one(stack, name, i, profile=profile) for i in range(n_jobs)]
     warm = ms(2)
     stack.run_for(warm)
     base = sum(j.progress() for j in jobs)
@@ -90,15 +95,15 @@ def run(
     )
     for label in benchmarks:
         name = "MD5" if label == "MD5-worst" else label
-        state = MD5_WORST_CASE_STATE_BYTES if label == "MD5-worst" else None
+        profile = MD5_WORST_CASE if label == "MD5-worst" else None
         single = aggregate_progress_rate(
-            name, 1, time_slice_ms=time_slice_ms, run_ms=run_ms, state_bytes=state
+            name, 1, time_slice_ms=time_slice_ms, run_ms=run_ms, profile=profile
         )
         row: List[object] = [label, 1.0]
         for n_jobs in job_counts[1:]:
             rate = aggregate_progress_rate(
                 name, n_jobs, time_slice_ms=time_slice_ms, run_ms=run_ms,
-                state_bytes=state,
+                profile=profile,
             )
             row.append(rate / single if single else 0.0)
         row.append(PAPER_OVERHEAD[label])

@@ -22,7 +22,6 @@ forcible-reset path behave exactly as with honest guests.
 
 from __future__ import annotations
 
-import struct
 from typing import Generator
 
 from repro.accel.base import AcceleratorJob, AcceleratorProfile, ExecutionContext
@@ -57,6 +56,7 @@ class HangJob(AcceleratorJob):
     """Reads a few lines, then spins without forward progress."""
 
     profile = HANG_PROFILE
+    state_fields = (("_progress", "q"),)
 
     def __init__(self, *, warmup_reads: int = 4, spin_cycles: int = 256) -> None:
         super().__init__()
@@ -81,18 +81,13 @@ class HangJob(AcceleratorJob):
     def progress_units(self) -> int:
         return self._progress
 
-    def save_state(self) -> bytes:
-        return struct.pack("<q", self._progress)
-
-    def restore_state(self, data: bytes) -> None:
-        if data:
-            (self._progress,) = struct.unpack_from("<q", data)
 
 
 class RunawayDmaJob(AcceleratorJob):
     """Endless out-of-window probe: every DMA is fenced by the auditor."""
 
     profile = RUNAWAY_PROFILE
+    state_fields = (("issued", "q"), ("fenced", "q"))
 
     #: How far beyond the window the probe aims (well past any slice).
     OVERSHOOT = 64 << 20
@@ -117,10 +112,3 @@ class RunawayDmaJob(AcceleratorJob):
         # Issuing counts as progress: the circuit is busy (and fenced),
         # not hung — the watchdog must NOT quarantine it.
         return self.issued
-
-    def save_state(self) -> bytes:
-        return struct.pack("<qq", self.issued, self.fenced)
-
-    def restore_state(self, data: bytes) -> None:
-        if data:
-            self.issued, self.fenced = struct.unpack_from("<qq", data)

@@ -37,7 +37,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError, SchedulerError
+from repro.errors import ConfigurationError, SchedulerError, SimulationError
 from repro.hv.mdev import VAccelState, VirtualAccelerator
 from repro.hv.vm import VirtualMachine
 
@@ -57,9 +57,11 @@ class GuestCheckpoint:
     vm_name: str
     mem_bytes: int
     page_size: int
-    #: The accelerator-library catalog key (``Tenant.accel_type``); the
-    #: restoring provider uses it to instantiate the destination job.
+    #: The accelerator-library catalog key (``Tenant.accel_type``) and the
+    #: keyword arguments the job was built with, sorted by name; the
+    #: restoring provider builds the destination job from the two.
     accel_type: str
+    job_kwargs: Tuple[Tuple[str, object], ...]
     #: DMA window geometry (BAR2-programmed, slice-relative on restore).
     window_base_gva: Optional[int]
     window_size: int
@@ -90,6 +92,8 @@ class GuestCheckpoint:
 
         put("vm", self.vm_name.encode())
         put("type", self.accel_type.encode())
+        if self.job_kwargs:
+            put("kwargs", repr(self.job_kwargs).encode())
         for label, value in (
             ("mem", self.mem_bytes),
             ("psz", self.page_size),
@@ -151,12 +155,14 @@ def quiesce_guest(
                 yield from vaccel.switched_out()
                 done.set_result(True)
 
-            engine.spawn(_poll(), name=f"quiesce.{vaccel.name}")
-            engine.run_until(done, limit_ps=limit_ps)
-            if vaccel.state is VAccelState.SCHEDULED:
+            poll = engine.spawn(_poll(), name=f"quiesce.{vaccel.name}")
+            try:
+                engine.run_until(done, limit_ps=limit_ps)
+            except SimulationError as exc:
+                poll.interrupt()
                 raise SchedulerError(
                     f"{vaccel.name}: did not cede the fabric by {limit_ps} ps"
-                )
+                ) from exc
     finally:
         if removed and vaccel not in manager.vaccels:
             manager.vaccels.append(vaccel)
@@ -186,6 +192,7 @@ def checkpoint_guest(
         mem_bytes=vm.mem_bytes,
         page_size=vm.page_size,
         accel_type=accel_type or vaccel.job.profile.name,
+        job_kwargs=tuple(sorted(vaccel.job.job_kwargs.items())),
         window_base_gva=vaccel.window_base_gva,
         window_size=vaccel.window_size,
         state_buffer_gva=vaccel.state_buffer_gva,

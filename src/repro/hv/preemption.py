@@ -179,6 +179,8 @@ class PhysicalAccelerator:
         if vaccel.utilization is not None:
             vaccel.utilization.end()
         vaccel.state = VAccelState.DONE if vaccel.job.done else VAccelState.QUEUED
+        if vaccel.job.done:  # it finished instead of saving (its last tile)
+            self._signal_done(vaccel)
         self.current = None
         self.current_process = None
         self.current_ctx = None
@@ -273,13 +275,18 @@ class PhysicalAccelerator:
         if vaccel.utilization is not None:
             vaccel.utilization.end()
         vaccel.state = VAccelState.DONE
-        if vaccel.job.completion is not None and not vaccel.job.completion.done():
-            vaccel.job.completion.set_result(True)
+        self._signal_done(vaccel)
         self.current = None
         self.current_process = None
         self.current_ctx = None
         return
         yield  # pragma: no cover - marks this as a generator
+
+    @staticmethod
+    def _signal_done(vaccel: VirtualAccelerator) -> None:
+        completion = vaccel.job.completion
+        if completion is not None and not completion.done():
+            completion.set_result(True)
 
     # -- VCU access --------------------------------------------------------------------------------
 

@@ -108,10 +108,10 @@ class _Sha2:
     def __init__(self) -> None:
         self.state: Tuple[int, ...] = tuple(self.init)
         self._pending = b""
-        self._length = 0
+        self.length = 0  # bytes hashed so far
 
     def update(self, data: bytes) -> "_Sha2":
-        self._length += len(data)
+        self.length += len(data)
         buffer = self._pending + data
         offset = 0
         while offset + self.block_bytes <= len(buffer):
@@ -128,7 +128,7 @@ class _Sha2:
 
     def digest(self) -> bytes:
         length_bytes = self.block_bytes // 8  # 8 for SHA-256, 16 for SHA-512
-        bit_length = self._length * 8
+        bit_length = self.length * 8
         tail = self._pending + b"\x80"
         pad = (self.block_bytes - length_bytes - len(tail)) % self.block_bytes
         tail += b"\x00" * pad + bit_length.to_bytes(length_bytes, "big")

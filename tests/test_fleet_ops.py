@@ -15,6 +15,7 @@ The load-bearing guarantees:
 
 import hashlib
 import json
+import struct
 
 import pytest
 
@@ -29,6 +30,7 @@ from repro.fleet import (
     TrafficProfile,
     make_policy,
 )
+from repro.errors import SchedulerError
 from repro.guest import GuestAccelerator
 from repro.hv import (
     BAR2_WINDOW_SIZE,
@@ -38,6 +40,7 @@ from repro.hv import (
     quiesce_guest,
     restore_guest,
 )
+from repro.hv.mdev import VAccelState
 from repro.mem import MB
 from repro.platform import PlatformParams, build_platform
 from repro.sim.clock import ms, us
@@ -150,10 +153,6 @@ class TestCheckpointRestore:
         assert frame_of(hv_a, vaccel_a) == hv_a.dummy_frame()
         assert frame_of(hv_b, vaccel_b) == hv_b.dummy_frame()
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 1: StreamingJob.save_state carries only the cursor",
-    )
     def test_restored_hash_resumes_its_running_state(self):
         # A hash is live state the cursor does not capture: the restored
         # job must finish with the digest of the whole payload, not of
@@ -170,6 +169,57 @@ class TestCheckpointRestore:
         restore_guest(hv_b, checkpoint, job_b)
         run_until_done(platform_b, job_b)
         assert job_b.digest == hashlib.sha512(PAYLOAD).digest()
+
+    def test_a_fresh_provider_rebuilds_the_job_from_the_checkpoint_alone(self):
+        # SW's query is a constructor argument no register carries: the
+        # checkpoint must bring it, or the restored job scores against the
+        # default query.
+        from repro.accel.sw import decode_sequence
+        from repro.cloud import CloudProvider, FpgaConfiguration
+        from repro.kernels import best_score
+
+        query = "TTGACCATTGAC"
+        records = b"".join(
+            bytes((i * 7 + j * 3) % 251 + 1 for j in range(60)) + bytes(4)
+            for i in range(256)
+        )
+        configuration = FpgaConfiguration.synthesize(["SW"])
+        params = PlatformParams(time_slice_ps=us(2))
+        source = CloudProvider(configuration, params=params)
+        tenant = source.place("aligner", "SW", job_kwargs={"query": query})
+        handle = tenant.handle
+        src = handle.alloc_buffer(len(records))
+        dst = handle.alloc_buffer(4 * 256)
+        handle.write_buffer(src, records)
+        for reg, value in {REG_SRC: src, REG_DST: dst, REG_LEN: len(records)}.items():
+            handle.mmio_write(reg, value)
+        handle.start()
+        while tenant.vaccel.state is not VAccelState.SCHEDULED:
+            source.platform.run_for(us(1))
+        source.platform.run_for(us(2))
+        checkpoint = checkpoint_guest(source.hypervisor, tenant.vaccel)
+        assert not checkpoint.done and checkpoint.job_kwargs == (("query", query),)
+
+        destination = CloudProvider(configuration, params=params)
+        restored = destination.restore(checkpoint)
+        run_until_done(destination.platform, restored.vaccel.job)
+        expected = [best_score(query, decode_sequence(records[i : i + 60]))
+                    for i in range(0, len(records), 64)]
+        scores = restored.handle.read_buffer(dst, 4 * 256)
+        assert list(struct.unpack("<256I", scores)) == expected
+
+    def test_a_guest_that_never_cedes_the_fabric_raises_scheduler_error(self):
+        # No scheduling loop runs, so nothing will switch the guest out:
+        # the quiesce deadline passes and the documented error surfaces.
+        _platform, hv = make_hv()
+        vm = hv.create_vm("stuck")
+        vaccel = hv.create_virtual_accelerator(
+            vm, AesJob(functional=False), physical_index=0
+        )
+        vaccel.state = VAccelState.SCHEDULED
+        with pytest.raises(SchedulerError):
+            quiesce_guest(hv, vaccel, limit_ps=us(500))
+        assert vaccel in hv.physical[0].vaccels
 
 
 def make_fleet(n_nodes=3, *, load=0.7, seed=5):

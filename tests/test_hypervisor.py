@@ -41,6 +41,8 @@ def copy_profile(preemptible=True, state_bytes=64):
 class CopyJob(AcceleratorJob):
     """Reads lines from src, writes them to dst; preemptible via a cursor."""
 
+    state_fields = (("cursor", "Q"),)
+
     def __init__(self, preemptible=True):
         super().__init__(copy_profile(preemptible))
         self.cursor = 0
@@ -58,12 +60,6 @@ class CopyJob(AcceleratorJob):
             if preempted:
                 return
         self.done = True
-
-    def save_state(self):
-        return self.cursor.to_bytes(8, "little")
-
-    def restore_state(self, data):
-        self.cursor = int.from_bytes(data[:8], "little")
 
     def progress_units(self):
         return self.cursor
