@@ -19,6 +19,14 @@ class SimulationError(ReproError):
     """The simulation itself was misused (scheduling in the past, etc.)."""
 
 
+class QueueDrained(SimulationError):
+    """``Engine.run_until`` ran out of events before its future completed."""
+
+
+class DeadlineExceeded(SimulationError):
+    """``Engine.run_until`` reached its ``limit_ps`` before its future completed."""
+
+
 class ConfigurationError(ReproError):
     """A component was built or wired with invalid parameters."""
 

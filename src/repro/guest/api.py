@@ -207,9 +207,7 @@ class GuestAccelerator:
         if self.vaccel.job.profile.preemptible and self.vaccel.state_buffer_gva is None:
             self.setup_preemption()
         self.mmio_write(CTRL_CMD, CMD_START)
-        completion = self.vaccel.job.completion
-        assert completion is not None
-        return completion
+        return self.vaccel.job.completion
 
     def status(self) -> Future:
         return self.mmio_read(CTRL_STATUS)

@@ -35,10 +35,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError, SchedulerError, SimulationError
-from repro.hv.mdev import VAccelState, VirtualAccelerator
+from repro.errors import ConfigurationError, DeadlineExceeded, SchedulerError
+from repro.hv.mdev import VirtualAccelerator
 from repro.hv.vm import VirtualMachine
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -135,31 +135,24 @@ def quiesce_guest(
 
     Raises :class:`~repro.errors.SchedulerError` if the guest fails to
     cede the fabric within ``limit_ps`` (default: four slice+timeout
-    rounds), mirroring the forcible-reset deadline of §4.2.
+    rounds), mirroring the forcible-reset deadline of §4.2.  If the
+    scheduling loop dies meanwhile, its exception propagates instead.
     """
     manager = hypervisor.physical[vaccel.physical_index]
     removed = vaccel in manager.vaccels
     if removed:
         manager.vaccels.remove(vaccel)
     try:
-        if vaccel.state is VAccelState.SCHEDULED:
+        if vaccel.scheduled:
             engine = hypervisor.engine
             params = hypervisor.platform.params
             if limit_ps is None:
                 limit_ps = engine.now + 4 * (
                     params.time_slice_ps + params.preemption_timeout_ps
                 )
-            done = engine.future()
-
-            def _poll() -> Generator:
-                yield from vaccel.switched_out()
-                done.set_result(True)
-
-            poll = engine.spawn(_poll(), name=f"quiesce.{vaccel.name}")
             try:
-                engine.run_until(done, limit_ps=limit_ps)
-            except SimulationError as exc:
-                poll.interrupt()
+                engine.run_until(vaccel.switched_out(), limit_ps=limit_ps)
+            except DeadlineExceeded as exc:
                 raise SchedulerError(
                     f"{vaccel.name}: did not cede the fabric by {limit_ps} ps"
                 ) from exc
@@ -249,8 +242,8 @@ def restore_guest(
     vaccel.saved_state = checkpoint.saved_state
     vaccel.quarantined = checkpoint.quarantined
     if checkpoint.done:
-        job.done = True
-        vaccel.state = VAccelState.DONE
+        # A quarantined guest ended False, as the watchdog ends it.
+        vaccel.finish(not checkpoint.quarantined)
     elif checkpoint.started and not checkpoint.quarantined:
         # Resume: mark runnable and kick the destination scheduler; its
         # _switch_in replays registers, programs the new slice's offset

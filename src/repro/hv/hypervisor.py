@@ -319,6 +319,5 @@ class OptimusHypervisor:
         targets = vaccels if vaccels is not None else self.vaccels
         for vaccel in targets:
             future = vaccel.job.completion
-            assert future is not None, "job was never attached"
             if not future.done():
                 self.engine.run_until(future, limit_ps=limit_ps)

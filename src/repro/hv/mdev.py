@@ -13,13 +13,15 @@ a small PCIe function with two BARs (§5, "Guest-MMIO Layout"):
 :class:`VirtualAccelerator` carries everything the hypervisor needs to
 schedule the guest's job onto a physical accelerator: the IOVA slice, the
 registered DMA window, the cached application registers while queued, the
-state buffer for preemption, and runtime accounting.
+state buffer for preemption, and runtime accounting.  It also owns its
+lifecycle: ``vacate``, ``finish`` (the one place a job ends) and the
+``switched_out`` future (DESIGN.md §4, "The vaccel lifecycle").
 """
 
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Dict, Generator, Optional
+from typing import TYPE_CHECKING, Dict, Optional, Union
 
 from repro.accel.base import AcceleratorJob
 from repro.core.slicing import Slice
@@ -27,6 +29,7 @@ from repro.sim.stats import UtilizationTracker
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hv.vm import VirtualMachine
+    from repro.sim.engine import Future
 
 # BAR2 (hypervisor page) register offsets.
 BAR2_SLICE_BASE = 0x00  # guest writes its reserved DMA window base GVA
@@ -34,9 +37,6 @@ BAR2_MAP_GVA = 0x08  # shadow-paging hypercall: stage the GVA
 BAR2_MAP_GPA = 0x10  # shadow-paging hypercall: write GPA -> commit mapping
 BAR2_STATE_BUF = 0x18  # guest writes its preemption state buffer GVA
 BAR2_WINDOW_SIZE = 0x20  # guest writes its DMA window size
-
-#: How often a vaccel taken off its run list is checked for its switch-out.
-SWITCH_OUT_POLL_PS = 50_000_000  # 50 us
 
 
 class VAccelState(enum.Enum):
@@ -59,8 +59,10 @@ class VirtualAccelerator:
     ) -> None:
         self.vaccel_id = vaccel_id
         self.vm = vm
+        self.engine = vm.hypervisor.engine
         self.name = f"{vm.name}/va{vaccel_id}"
         self.job = job
+        job.completion = self.engine.future()  # resolved only by finish()
         self.slice = slice_
         self.physical_index = physical_index
         self.state = VAccelState.DETACHED
@@ -89,10 +91,13 @@ class VirtualAccelerator:
         self.saved_state: Optional[bytes] = None
 
         # Accounting for the fairness experiments (§6.8).
-        self.utilization: Optional[UtilizationTracker] = None
+        self.utilization = UtilizationTracker(self.engine, self.name)
         self.schedule_count = 0
         self.preempt_count = 0
         self.forced_resets = 0
+        self.crashes = 0  # the job's circuit ended without finishing
+        self.migrations = 0
+        self._switch_out: Optional["Future"] = None  # see switched_out()
 
         # Set by the guest watchdog when the job stops making forward
         # progress: a quarantined vaccel never re-enters the runnable set.
@@ -104,13 +109,45 @@ class VirtualAccelerator:
     def scheduled(self) -> bool:
         return self.state is VAccelState.SCHEDULED
 
-    def switched_out(self) -> Generator[int, None, None]:
-        """Wait (in a process) until this vaccel no longer holds its
-        physical accelerator.  The caller has taken it off the run list;
-        the scheduling loop, which owns the socket, switches it out through
-        the ordinary preemption protocol at the next slice boundary."""
-        while self.state is VAccelState.SCHEDULED:
-            yield SWITCH_OUT_POLL_PS
+    # -- lifecycle (the only code that ends a job) ------------------------------------
+
+    def switched_out(self) -> "Future":
+        """Resolves when this vaccel leaves SCHEDULED (already done if it is
+        not): the scheduling loop, which owns the socket, switches a vaccel
+        withdrawn from its run list out at the next slice boundary."""
+        if self.state is not VAccelState.SCHEDULED:
+            return self.engine.completed_future(True)
+        if self._switch_out is None:
+            self._switch_out = self.engine.future()
+        return self._switch_out
+
+    def vacate(self) -> None:
+        """End a turn on the fabric: SCHEDULED -> QUEUED, or -> DONE through
+        :meth:`finish` if the job's work is over."""
+        if self.job.done:
+            return self.finish(True)
+        self.utilization.end()
+        self.state = VAccelState.QUEUED
+        self._settle(True)
+
+    def finish(self, outcome: Union[bool, BaseException]) -> None:
+        """End the job for good: DONE, with ``job.completion`` and any
+        switch-out waiter resolved with ``outcome`` (a result, or an
+        exception to raise)."""
+        self.utilization.end()
+        self.job.done = True
+        self.state = VAccelState.DONE
+        self._settle(outcome, self.job.completion)
+
+    def _settle(self, outcome: Union[bool, BaseException], *futures: "Future") -> None:
+        waiter, self._switch_out = self._switch_out, None
+        for future in (*futures, waiter):
+            if future is None or future.done():
+                continue
+            if isinstance(outcome, BaseException):
+                future.set_exception(outcome)
+            else:
+                future.set_result(outcome)
 
     # -- guest-side register window ---------------------------------------------------
 
@@ -119,3 +156,4 @@ class VirtualAccelerator:
 
     def cached_registers(self) -> Dict[int, int]:
         return dict(self.reg_cache)
+

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator
 
 from repro.errors import ConfigurationError, SchedulerError
-from repro.hv.mdev import VAccelState, VirtualAccelerator
+from repro.hv.mdev import VirtualAccelerator
 from repro.sim.engine import Future
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -62,38 +62,29 @@ def migrate(
                 f"({resident.job.profile.name} != {vaccel.job.profile.name})"
             )
 
-    done = hypervisor.engine.future()
-    process = hypervisor.engine.spawn(
-        _migration_body(hypervisor, vaccel, source, destination, done),
-        name=f"migrate.{vaccel.name}",
-    )
-    del process
-    return done
+    return hypervisor.engine.spawn(
+        _migration_body(vaccel, source, destination), name=f"migrate.{vaccel.name}"
+    ).completion
 
 
-def _migration_body(
-    hypervisor: "OptimusHypervisor",
-    vaccel: VirtualAccelerator,
-    source,
-    destination,
-    done: Future,
-) -> Generator:
+def _migration_body(vaccel: VirtualAccelerator, source, destination) -> Generator:
     # 1. Withdraw the vaccel from the source's run queue.  If it is
     #    currently scheduled, the source's scheduling loop preempts it via
     #    the standard protocol at the next slice boundary (the loop owns
     #    the socket; migrating around it would race the state machine).
+    #    An unscheduled vaccel waits for nothing, not even a zero-delay
+    #    event.
     if vaccel in source.vaccels:
         source.vaccels.remove(vaccel)
-    yield from vaccel.switched_out()
+    if vaccel.scheduled:
+        yield vaccel.switched_out()
 
     # 2. Reattach at the destination.  The slice, the IOPT entries, the
     #    cached registers, and the saved state all travel with the vaccel
     #    object — nothing else moves.
     vaccel.physical_index = destination.socket_index
-    was_started = vaccel.started
     destination.vaccels.append(vaccel)
-    vaccel.state = VAccelState.QUEUED if not vaccel.job.done else VAccelState.DONE
-    vaccel.migrations = getattr(vaccel, "migrations", 0) + 1
-    if was_started and not vaccel.job.done:
+    vaccel.migrations += 1
+    if vaccel.started and not vaccel.job.done:
         destination.start()
-    done.set_result(True)
+    return True

@@ -39,8 +39,7 @@ from repro.hv.mdev import VAccelState, VirtualAccelerator
 from repro.hv.scheduler import RoundRobinScheduler, SchedulingPolicy
 from repro.interconnect.channel_selector import VirtualChannel
 from repro.sim.clock import gbps_to_bytes_per_ps
-from repro.sim.engine import Process, any_of
-from repro.sim.stats import UtilizationTracker
+from repro.sim.engine import Future, Process, any_of
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hv.hypervisor import OptimusHypervisor
@@ -78,8 +77,6 @@ class PhysicalAccelerator:
             raise SchedulerError("vaccel bound to a different physical accelerator")
         self.vaccels.append(vaccel)
         vaccel.state = VAccelState.QUEUED
-        vaccel.utilization = UtilizationTracker(self.engine, vaccel.name)
-        vaccel.job.completion = self.engine.future()
 
     def start(self) -> None:
         """Begin (or resume) the scheduling loop."""
@@ -87,6 +84,19 @@ class PhysicalAccelerator:
             self._loop = self.engine.spawn(
                 self._schedule_loop(), name=f"sched.pa{self.socket_index}"
             )
+            self._loop.completion.add_done_callback(self._loop_ended)
+
+    def _loop_ended(self, loop: Future) -> None:
+        """If the loop raised, the occupant (withdrawn or not) and every
+        attached vaccel that has not ended finish with its exception."""
+        exc = loop.exception()
+        if exc is None:
+            return
+        if self.current_process is not None:
+            self.current_process.interrupt()
+        for vaccel in dict.fromkeys([self._release(), *self.vaccels]):
+            if vaccel is not None and vaccel.state is not VAccelState.DONE:
+                vaccel.finish(exc)
 
     # -- cost model ------------------------------------------------------------------
 
@@ -126,13 +136,13 @@ class PhysicalAccelerator:
             timer = self.engine.timer(slice_ps)
             yield any_of(self.engine, [timer, self.current_process.completion])
             if self.current.job.done:
-                yield from self._retire()
+                self._release().vacate()
                 continue
             if self.current_process.completion.done():
                 # The job's process ended without finishing its work: the
                 # modeled circuit crashed (e.g. a malformed register made
                 # it raise).  Reset the slot and fail the job visibly.
-                yield from self._fail_current()
+                self._fail_current()
                 continue
             if len(self._runnable()) == 1:
                 # Sole occupant: no temporal multiplexing, no preemption.
@@ -176,14 +186,8 @@ class PhysicalAccelerator:
         vaccel.reg_cache.update(self.socket.registers.snapshot())
         # Reset the physical accelerator to clear state for isolation (§4.1).
         self._vcu_write(REG_RESET, self.socket_index)
-        if vaccel.utilization is not None:
-            vaccel.utilization.end()
-        vaccel.state = VAccelState.DONE if vaccel.job.done else VAccelState.QUEUED
-        if vaccel.job.done:  # it finished instead of saving (its last tile)
-            self._signal_done(vaccel)
-        self.current = None
-        self.current_process = None
-        self.current_ctx = None
+        # DONE if it finished instead of saving (its last tile).
+        self._release().vacate()
         self.context_switches += 1
         if self._trace is not None:
             self._trace.complete("hv.ctxsw.save", save_start_ps, self.engine.now,
@@ -235,58 +239,28 @@ class PhysicalAccelerator:
         )
         vaccel.state = VAccelState.SCHEDULED
         vaccel.schedule_count += 1
-        if vaccel.utilization is not None:
-            vaccel.utilization.begin()
+        vaccel.utilization.begin()
         if self._trace is not None:
             self._trace.complete("hv.ctxsw.restore", restore_start_ps,
                                  self.engine.now, tid=self._trace_tid, cat="hv",
                                  args={"vaccel": vaccel.name,
                                        "restored_state": vaccel.saved_state is not None})
 
-    def _fail_current(self) -> Generator:
-        vaccel = self.current
-        process = self.current_process
-        assert vaccel is not None and process is not None
+    def _fail_current(self) -> None:
+        exc = self.current_process.completion.exception()
+        vaccel = self._release()
         if not vaccel.quarantined:
             # Quarantines are counted by the watchdog (auditor violation
             # counters), not as spontaneous circuit crashes.
-            vaccel.crashes = getattr(vaccel, "crashes", 0) + 1
-        vaccel.job.done = True  # dead: never scheduled again
+            vaccel.crashes += 1
         self.socket.reset()
-        if vaccel.utilization is not None:
-            vaccel.utilization.end()
-        vaccel.state = VAccelState.DONE
-        completion = vaccel.job.completion
-        if completion is not None and not completion.done():
-            exc = process.completion.exception()
-            if exc is not None:
-                completion.set_exception(exc)
-            else:
-                completion.set_result(False)
-        self.current = None
-        self.current_process = None
-        self.current_ctx = None
-        return
-        yield  # pragma: no cover - marks this as a generator
+        vaccel.finish(exc if exc is not None else False)
 
-    def _retire(self) -> Generator:
-        vaccel = self.current
-        assert vaccel is not None
-        if vaccel.utilization is not None:
-            vaccel.utilization.end()
-        vaccel.state = VAccelState.DONE
-        self._signal_done(vaccel)
-        self.current = None
-        self.current_process = None
-        self.current_ctx = None
-        return
-        yield  # pragma: no cover - marks this as a generator
-
-    @staticmethod
-    def _signal_done(vaccel: VirtualAccelerator) -> None:
-        completion = vaccel.job.completion
-        if completion is not None and not completion.done():
-            completion.set_result(True)
+    def _release(self) -> Optional[VirtualAccelerator]:
+        """Free the socket; returns its occupant, whose turn the caller ends."""
+        vaccel, self.current = self.current, None
+        self.current_process = self.current_ctx = None
+        return vaccel
 
     # -- VCU access --------------------------------------------------------------------------------
 

@@ -65,21 +65,17 @@ class GuestWatchdog:
         job = vaccel.job
         while not job.done and not vaccel.quarantined:
             progress = job.progress_units()
-            busy = self._busy_ps(vaccel)
+            busy = vaccel.utilization.current_busy_ps()
             yield self.deadline_ps
             if job.done or vaccel.quarantined or vaccel.state is VAccelState.DETACHED:
                 return
-            consumed = self._busy_ps(vaccel) - busy
+            consumed = vaccel.utilization.current_busy_ps() - busy
             # Stall = the guest held the fabric during the window yet its
             # progress counter never moved.  A merely *queued* guest (zero
             # fabric time) is starved, not hung — never quarantined.
             if vaccel.started and consumed > 0 and job.progress_units() <= progress:
                 self.quarantine(vaccel)
                 return
-
-    def _busy_ps(self, vaccel: VirtualAccelerator) -> int:
-        tracker = vaccel.utilization
-        return tracker.current_busy_ps() if tracker is not None else 0
 
     # -- quarantine ---------------------------------------------------------------
 
@@ -103,15 +99,11 @@ class GuestWatchdog:
         if manager.current is vaccel and manager.current_process is not None:
             # Scheduled: pull the reset line.  The process completes (with
             # None) at its next resume; the scheduling loop then routes
-            # through ``_fail_current`` which finalizes job + completion.
+            # through ``_fail_current``, which finishes the job False.
             manager.current_process.interrupt()
         elif not vaccel.job.done:
-            # Queued: no circuit to reset — finalize administratively.
-            vaccel.job.done = True
-            vaccel.state = VAccelState.DONE
-            completion = vaccel.job.completion
-            if completion is not None and not completion.done():
-                completion.set_result(False)
+            # Queued: no circuit to reset — end the job now.
+            vaccel.finish(False)
 
     def _bump_violation(self, vaccel: VirtualAccelerator) -> None:
         monitor = getattr(self.hypervisor.platform, "monitor", None)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
-from repro.errors import SimulationError
+from repro.errors import DeadlineExceeded, QueueDrained, SimulationError
 from repro.telemetry.tracer import current_tracer, install_tracer, uninstall_tracer
 
 #: Type of a simulation process body.
@@ -343,8 +343,10 @@ class Engine:
     def run_until(self, future: Future, limit_ps: Optional[int] = None) -> Any:
         """Run until ``future`` completes; return its result.
 
-        Raises :class:`SimulationError` if the queue drains or the time limit
-        is reached first; completion is checked after each callback.
+        Raises :class:`DeadlineExceeded` if ``limit_ps`` passes first, and
+        :class:`QueueDrained` if, with no limit, the queue empties first (both
+        are :class:`SimulationError`); completion is checked after each
+        callback.
         """
         if self.trace is None:
             return self._drain_until(future, limit_ps)
@@ -359,10 +361,11 @@ class Engine:
         queue = self._queue
         pop = heapq.heappop
         while not future._done:
+            if limit_ps is not None and (not queue or queue[0][0] > limit_ps):
+                drained = "" if queue else f" (event queue drained at {self.now} ps)"
+                raise DeadlineExceeded(f"future not completed by {limit_ps} ps{drained}")
             if not queue:
-                raise SimulationError("event queue drained before future completed")
-            if limit_ps is not None and queue[0][0] > limit_ps:
-                raise SimulationError(f"future not completed by {limit_ps} ps")
+                raise QueueDrained("event queue drained before future completed")
             event = pop(queue)
             self.now = event[0]
             event[2](*event[3])

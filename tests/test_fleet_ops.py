@@ -111,6 +111,19 @@ class TestCheckpointRestore:
             vm_c, regions
         )
 
+    def test_a_guest_checkpointed_after_it_finished_restores_finished(self):
+        platform_a, hv_a = make_hv()
+        _vm, job_a, vaccel_a, *_ = launch_guest(hv_a, "finisher")
+        run_until_done(platform_a, job_a)
+        checkpoint = checkpoint_guest(hv_a, vaccel_a)
+        assert checkpoint.done
+
+        platform_b, hv_b = make_hv()
+        job_b = AesJob(functional=True)
+        _vm_b, vaccel_b = restore_guest(hv_b, checkpoint, job_b)
+        assert vaccel_b.state is VAccelState.DONE
+        assert platform_b.engine.run_until(job_b.completion) is True
+
     def test_restore_rejects_page_size_mismatch(self):
         from repro.errors import ConfigurationError
         from repro.mem import PAGE_SIZE_4K

@@ -6,7 +6,7 @@ from repro.accel import MemBenchJob
 from repro.accel.streaming import REG_LEN, REG_PARAM0, REG_PARAM1, REG_SRC
 from repro.errors import ConfigurationError, SchedulerError
 from repro.guest import GuestAccelerator
-from repro.hv import OptimusHypervisor, migrate
+from repro.hv import OptimusHypervisor, migrate, quiesce_guest
 from repro.hv.mdev import VAccelState
 from repro.mem import MB
 from repro.platform import PlatformParams, build_platform
@@ -104,6 +104,26 @@ class TestMigration:
         with pytest.raises(SchedulerError):
             migrate(hv, mb_vaccel, 1)  # MB cannot land on the LL circuit
         del ll
+
+
+class TestSwitchOutWait:
+    @pytest.mark.parametrize("wait", ["migrate", "quiesce"])
+    def test_the_wait_ends_the_instant_the_vaccel_leaves_the_fabric(self, wait):
+        platform, hv = TestMigration().make()
+        engine = platform.engine
+        _vm, _job, vaccel, _h = launch_mb(hv, "mover", 0, 0xB1)
+        platform.run_for(ms(2))
+        assert vaccel.state is VAccelState.SCHEDULED
+        # The sole occupant has held the slot since its one switch-in, so
+        # its busy time dates the switch-out.
+        switched_in_ps = engine.now - vaccel.utilization.current_busy_ps()
+        if wait == "migrate":
+            done = hv.migrate_virtual_accelerator(vaccel, 1)
+            engine.run_until(done, limit_ps=engine.now + ms(50))
+        else:
+            quiesce_guest(hv, vaccel)
+        assert vaccel.state is VAccelState.QUEUED
+        assert engine.now == switched_in_ps + vaccel.utilization.busy_ps
 
 
 class TestAsymmetricTree:

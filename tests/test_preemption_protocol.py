@@ -12,7 +12,7 @@ from repro.platform import PlatformParams, build_platform
 from repro.sim.clock import ms, us
 
 
-def two_tenant_stack(slice_us=500, **params):
+def two_tenant_stack(slice_us=500, job_type=MemBenchJob, **params):
     platform = build_platform(
         PlatformParams(time_slice_ps=us(slice_us), **params), n_accelerators=1
     )
@@ -20,7 +20,7 @@ def two_tenant_stack(slice_us=500, **params):
     tenants = []
     for i in range(2):
         vm = hv.create_vm(f"vm{i}")
-        job = MemBenchJob(functional=False, seed=0x1111 + i, lines_per_request=16)
+        job = job_type(functional=False, seed=0x1111 + i, lines_per_request=16)
         vaccel = hv.create_virtual_accelerator(vm, job, physical_index=0)
         handle = GuestAccelerator(hv, vm, vaccel, window_bytes=24 * MB)
         ws = handle.alloc_buffer(8 * MB)
@@ -137,7 +137,7 @@ class TestCrashedJobs:
         assert done.done()
         with pytest.raises(RuntimeError):
             done.result()
-        assert getattr(vaccel, "crashes", 0) == 1
+        assert vaccel.crashes == 1
 
         # The slot is free again: a healthy tenant runs normally after.
         vm2 = hv.create_vm("healthy")
@@ -171,5 +171,28 @@ class TestCrashedJobs:
         h0.start()
         h1.start()
         platform.run_for(ms(4))
-        assert getattr(va0, "crashes", 0) == 1
+        assert va0.crashes == 1
         assert good.ops_done > 1000  # the co-tenant owns the slot now
+
+
+class UnsaveableJob(MemBenchJob):
+    """Its state cannot be packed: the scheduling loop raises mid-switch."""
+
+    def save_state(self):
+        raise ValueError("state does not fit the buffer")
+
+
+class TestSchedulingLoopFailure:
+    def test_a_raising_save_state_fails_every_job_on_the_slot(self):
+        # The first preemption raises inside the scheduling loop.  Both
+        # tenants' completions raise that error; none waits for a deadline.
+        platform, _hv, tenants = two_tenant_stack(job_type=UnsaveableJob)
+        for _vm, _job, _va, handle in tenants:
+            handle.start()
+        job = tenants[0][1]
+        with pytest.raises(ValueError, match="does not fit"):
+            platform.engine.run_until(job.completion, limit_ps=ms(20))
+        for _vm, other, vaccel, _handle in tenants:
+            assert vaccel.state is VAccelState.DONE
+            with pytest.raises(ValueError):
+                other.completion.result()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SimulationError
+from repro.errors import DeadlineExceeded, QueueDrained, SimulationError
 from repro.sim import Engine
 from repro.sim.engine import untraced_engine
 from repro.telemetry.tracer import current_tracer, install_tracer, uninstall_tracer
@@ -510,6 +510,26 @@ def test_run_until_time_limit_raises():
     future = engine.timer(500)
     with pytest.raises(SimulationError):
         engine.run_until(future, limit_ps=300)
+
+
+def test_run_until_past_its_limit_raises_deadline_exceeded():
+    engine = Engine()
+    with pytest.raises(DeadlineExceeded, match="not completed by 300 ps"):
+        engine.run_until(engine.timer(500), limit_ps=300)
+    assert engine.now == 0
+    # Nothing left to run before the limit is a passed deadline too.
+    with pytest.raises(DeadlineExceeded, match="drained"):
+        engine.run_until(engine.future(), limit_ps=10_000)
+    assert issubclass(DeadlineExceeded, SimulationError)
+
+
+def test_run_until_on_an_empty_queue_raises_queue_drained():
+    engine = Engine()
+    engine.call_after(7, lambda: None)
+    with pytest.raises(QueueDrained):
+        engine.run_until(engine.future())
+    assert engine.now == 7
+    assert issubclass(QueueDrained, SimulationError)
 
 
 def test_run_until_drained_queue_raises():
