@@ -196,3 +196,14 @@ class TestSchedulingLoopFailure:
             assert vaccel.state is VAccelState.DONE
             with pytest.raises(ValueError):
                 other.completion.result()
+
+    def test_quiesce_reports_a_dead_loop_as_its_own_error(self):
+        from repro.hv import quiesce_guest
+
+        platform, hv, tenants = two_tenant_stack(job_type=UnsaveableJob)
+        for _vm, _job, _va, handle in tenants:
+            handle.start()
+        platform.run_for(us(300))
+        vaccel = hv.physical[0].current
+        with pytest.raises(ValueError, match="does not fit"):
+            quiesce_guest(hv, vaccel)
