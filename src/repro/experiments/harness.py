@@ -38,6 +38,7 @@ from repro.interconnect import VirtualChannel
 from repro.mem import GB, MB
 from repro.platform import Platform, PlatformMode, PlatformParams, build_platform
 from repro.sim.clock import us
+from repro.sim.packet import CACHE_LINE_BYTES
 
 if TYPE_CHECKING:
     from repro.kernels.graph import CsrGraph
@@ -54,7 +55,6 @@ class LaunchedJob:
     job: AcceleratorJob
     handle: object  # GuestAccelerator or NativeAccelerator
     vaccel: Optional[VirtualAccelerator] = None
-    cache_line: int = 64  # progress granularity, from PlatformParams.cache_line
 
     def progress(self) -> int:
         return self.job.progress_units()
@@ -68,7 +68,7 @@ class LaunchedJob:
             return job.bytes_in
         if hasattr(job, "bytes_out"):
             return job.bytes_out
-        return job.progress_units() * self.cache_line
+        return job.progress_units() * CACHE_LINE_BYTES
 
 
 def _configure_benchmark(
@@ -211,13 +211,7 @@ class OptimusStack:
         )
         for reg, value in registers.items():
             handle.mmio_write(reg, value)
-        launched = LaunchedJob(
-            name=name,
-            job=job,
-            handle=handle,
-            vaccel=vaccel,
-            cache_line=self.params.cache_line,
-        )
+        launched = LaunchedJob(name=name, job=job, handle=handle, vaccel=vaccel)
         self.jobs.append(launched)
         if start:
             handle.start()
@@ -274,9 +268,7 @@ class PassthroughStack:
         job.configure(registers)
         if start:
             self.hypervisor.start_job(job, channel=channel)
-        launched = LaunchedJob(
-            name=name, job=job, handle=handle, cache_line=self.params.cache_line
-        )
+        launched = LaunchedJob(name=name, job=job, handle=handle)
         self.jobs.append(launched)
         return launched
 

@@ -33,7 +33,7 @@ sharded runs produce byte-identical envelopes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, ClassVar, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.fleet.node import NodeHealth
@@ -52,13 +52,9 @@ class AutoscaleConfig:
     #: Scale up at/above this fleet utilization (resident over maximum
     #: oversubscribed capacity of the active nodes).
     high_watermark: float = 0.75
-    #: Scale down at/below this fleet utilization.
-    low_watermark: float = 0.25
     #: Scale up when the admission queue reaches this depth, regardless
     #: of utilization (queue pressure is the earlier signal).
     queue_high: int = 1
-    #: Minimum simulated time between two scaling actions (hysteresis).
-    cooldown_ps: int = ms(2)
     #: Never scale below this many active (non-cordoned, alive) nodes.
     min_active_nodes: int = 1
     #: Drain DEGRADED nodes ahead of a possible crash.
@@ -66,13 +62,15 @@ class AutoscaleConfig:
     #: Nodes parked (cordoned) at install time and commissioned on
     #: scale-up.  Names must exist in the cluster.
     standby_nodes: Tuple[str, ...] = ()
-    #: Tags the configuration in envelopes.  The control loop itself is
-    #: deterministic by construction and draws no randomness.
-    seed: int = 0
+
+    #: Scale down at/below this fleet utilization.
+    low_watermark: ClassVar[float] = 0.25
+    #: Minimum simulated time between two scaling actions (hysteresis).
+    cooldown_ps: ClassVar[int] = ms(2)
 
     def __post_init__(self) -> None:
-        if self.interval_ps <= 0 or self.cooldown_ps < 0:
-            raise ConfigurationError("autoscale interval/cooldown invalid")
+        if self.interval_ps <= 0:
+            raise ConfigurationError("autoscale interval must be positive")
         if not 0.0 <= self.low_watermark < self.high_watermark <= 1.0:
             raise ConfigurationError(
                 "watermarks must satisfy 0 <= low < high <= 1"

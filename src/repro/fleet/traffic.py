@@ -20,7 +20,7 @@ placement trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import ClassVar, Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.sim.clock import ms
@@ -61,7 +61,6 @@ class TrafficProfile:
     load: float = 0.9  # fraction of the fleet's sustainable placement rate
     mix: Dict[str, float] = field(default_factory=lambda: dict(DEFAULT_MIX))
     mean_session_ps: int = ms(20)
-    min_session_ps: int = ms(1)
     #: Optional SLO-class mix (e.g. ``{"gold": .2, "silver": .3,
     #: "bronze": .5}``).  ``None`` keeps every request in the classless
     #: ``"default"`` class AND keeps the RNG stream byte-identical to
@@ -70,12 +69,14 @@ class TrafficProfile:
     #: arrival times, accelerator types, or session lengths.
     class_mix: Optional[Dict[str, float]] = None
 
+    min_session_ps: ClassVar[int] = ms(1)
+
     def __post_init__(self) -> None:
         if self.load <= 0:
             raise ConfigurationError("offered load must be positive")
         if not self.mix or any(w <= 0 for w in self.mix.values()):
             raise ConfigurationError("traffic mix needs positive weights")
-        if self.min_session_ps <= 0 or self.mean_session_ps < self.min_session_ps:
+        if self.mean_session_ps < self.min_session_ps:
             raise ConfigurationError("invalid session lifetime parameters")
         if self.class_mix is not None and (
             not self.class_mix or any(w <= 0 for w in self.class_mix.values())

@@ -37,7 +37,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError, DeadlineExceeded, SchedulerError
+from repro.errors import ConfigurationError, DeadlineExceeded, GuestError, SchedulerError
 from repro.hv.mdev import VirtualAccelerator
 from repro.hv.vm import VirtualMachine
 
@@ -80,6 +80,9 @@ class GuestCheckpoint:
     done: bool
     quarantined: bool
     watchdog_armed: bool
+    #: How a job that ended by raising failed (``"Type: message"``), or
+    #: None: the exception itself may not pickle, its text does.
+    failure: Optional[str] = None
 
     def digest(self) -> str:
         """Deterministic fingerprint of the full checkpoint contents."""
@@ -111,6 +114,8 @@ class GuestCheckpoint:
         put("state", self.saved_state if self.saved_state is not None else b"\xff")
         flags = (self.started, self.done, self.quarantined, self.watchdog_armed)
         put("flags", "".join("1" if f else "0" for f in flags).encode())
+        if self.failure is not None:
+            put("failure", self.failure.encode())
         return h.hexdigest()[:16]
 
     @property
@@ -180,6 +185,8 @@ def checkpoint_guest(
         for gva, _entry in vm.mmu.guest_table.mappings()
     ]
     watchdog = hypervisor.watchdog
+    completion = vaccel.job.completion
+    error = completion.exception() if completion.done() else None
     return GuestCheckpoint(
         vm_name=vm.name,
         mem_bytes=vm.mem_bytes,
@@ -199,6 +206,7 @@ def checkpoint_guest(
         watchdog_armed=(
             watchdog is not None and vaccel.vaccel_id in watchdog._watched
         ),
+        failure=None if error is None else f"{type(error).__name__}: {error}",
     )
 
 
@@ -217,7 +225,9 @@ def restore_guest(
     hypercall for every registered GVA — re-patching the sliced IO page
     table for the new slice.  If the guest was running, the destination
     scheduler resumes it through the ordinary context-switch-in path
-    (cached registers + saved state travel on the vaccel).
+    (cached registers + saved state travel on the vaccel).  A guest whose
+    job raised at the source ends with a :class:`GuestError` naming that
+    failure.
     """
     if checkpoint.page_size != hypervisor.page_size:
         raise ConfigurationError(
@@ -241,7 +251,9 @@ def restore_guest(
     vaccel.state_buffer_gva = checkpoint.state_buffer_gva
     vaccel.saved_state = checkpoint.saved_state
     vaccel.quarantined = checkpoint.quarantined
-    if checkpoint.done:
+    if checkpoint.failure is not None:
+        vaccel.finish(GuestError(f"{vm.name}: job failed at the source: {checkpoint.failure}"))
+    elif checkpoint.done:
         # A quarantined guest ended False, as the watchdog ends it.
         vaccel.finish(not checkpoint.quarantined)
     elif checkpoint.started and not checkpoint.quarantined:

@@ -12,18 +12,22 @@ HARP platform lives here, with its provenance:
   headline measurements (pass-through MemBench ~14 GB/s, OPTIMUS MemBench
   ~90% of that) land where the paper's Figs. 4b and 6 put them.
 
-Experiments construct a :class:`PlatformParams`, tweak fields (page size,
-channel policy, conflict mitigation), and hand it to
-:func:`repro.platform.builder.build_platform`.
+Experiments construct a :class:`PlatformParams` with the knobs they vary
+(page size, the §6.5 speculation, conflict mitigation, the time slice)
+and hand it to :func:`repro.platform.builder.build_platform`.  The
+calibrated testbed values are class constants: read like fields, but not
+constructor arguments.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.errors import ConfigurationError
 from repro.mem.address import (
+    CACHE_LINE_BYTES,
     DEFAULT_SLICE_BYTES,
     DEFAULT_SLICE_GAP_BYTES,
     GB,
@@ -35,16 +39,28 @@ from repro.sim.clock import ms, ns, us
 
 @dataclass
 class PlatformParams:
-    """All tunables of the simulated platform, with HARP-calibrated defaults."""
+    """The knobs an experiment turns, over HARP-calibrated class constants."""
+
+    # ---- knobs ---------------------------------------------------------------
+    page_size: int = PAGE_SIZE_2M  # 2 MB huge pages are the default (§5)
+    speculative_region_opt: bool = True  # §6.5's same-region pipeline effect
+    conflict_mitigation: bool = True  # slice_gap_bytes between slices (§5)
+    time_slice_ps: int = ms(10)  # default 10 ms slice (§5)
+    preemption_timeout_ps: int = ms(100)  # forcible reset after this (§4.2)
+    # Timing-preserving burst coalescing for streaming DMA (see DESIGN.md
+    # "Performance architecture").  Read only by the pass-through builder;
+    # timing-equivalent by construction and verified by
+    # tests/test_fastpath_equivalence.py.  ``False`` selects the per-line
+    # reference path — the oracle it is checked against.
+    fast_path: bool = True
 
     # ---- clocks ------------------------------------------------------------
-    interconnect_mhz: float = 400.0  # Arria 10 shell clock (§6.1)
-    cpu_ghz: float = 2.8  # Xeon (§6.1)
+    interconnect_mhz: ClassVar[float] = 400.0  # Arria 10 shell clock (§6.1)
 
     # ---- system memory -------------------------------------------------------
-    dram_bytes: int = 188 * GB  # testbed DRAM (§6.1)
-    dram_latency_ps: int = ns(60)
-    dram_bandwidth_gbps: float = 64.0
+    dram_bytes: ClassVar[int] = 188 * GB  # testbed DRAM (§6.1)
+    dram_latency_ps: ClassVar[int] = ns(60)
+    dram_bandwidth_gbps: ClassVar[float] = 64.0
 
     # ---- links ------------------------------------------------------------------
     # One UPI + two PCIe 3.0 links (§6.1).  Latencies are back-solved from
@@ -54,78 +70,59 @@ class PlatformParams:
     # read goodput ~(64/80) of these, i.e. ~13.9 GB/s aggregate — where a
     # pass-through MemBench lands (its OPTIMUS counterpart is then capped
     # at 12.8 GB/s by the one-request-per-two-cycles issue limit, ~90%).
-    upi_bandwidth_gbps: float = 8.6
-    upi_latency_ps: int = ns(160)
-    pcie_bandwidth_gbps: float = 4.4
-    pcie_latency_ps: int = ns(405)
-    pcie_link_count: int = 2
+    upi_bandwidth_gbps: ClassVar[float] = 8.6
+    upi_latency_ps: ClassVar[int] = ns(160)
+    pcie_bandwidth_gbps: ClassVar[float] = 4.4
+    pcie_latency_ps: ClassVar[int] = ns(405)
+    pcie_link_count: ClassVar[int] = 2
 
     # ---- IOMMU ------------------------------------------------------------------
-    page_size: int = PAGE_SIZE_2M  # 2 MB huge pages are the default (§5)
-    iotlb_hit_ps: int = ns(2.5)  # one 400 MHz cycle
-    iotlb_speculative_ps: int = ns(1)
-    walker_occupancy_ps: int = ns(20)
-    speculative_region_opt: bool = True  # §6.5's same-region pipeline effect
+    iotlb_hit_ps: ClassVar[int] = ns(2.5)  # one 400 MHz cycle
+    iotlb_speculative_ps: ClassVar[int] = ns(1)
+    walker_occupancy_ps: ClassVar[int] = ns(20)
 
     # ---- hardware monitor ----------------------------------------------------------
-    mux_tree_radix: int = 2  # three-level binary tree (§5)
-    mux_level_latency_ps: int = ns(33)  # "each added layer ... ~33 ns" (§6.3)
+    mux_tree_radix: ClassVar[int] = 2  # three-level binary tree (§5)
+    mux_level_latency_ps: ClassVar[int] = ns(33)  # "each added layer ... ~33 ns" (§6.3)
     # "the accelerator can only transmit a memory request packet every two
     # cycles" under OPTIMUS (§6.3); pass-through issues every cycle.
-    optimus_issue_interval_cycles: int = 2
-    passthrough_issue_interval_cycles: int = 1
-    auditor_latency_ps: int = ns(2.5)  # single-cycle GVA<->IOVA offset add (§4.1)
-    shell_latency_ps: int = ns(5)
+    optimus_issue_interval_cycles: ClassVar[int] = 2
+    passthrough_issue_interval_cycles: ClassVar[int] = 1
+    auditor_latency_ps: ClassVar[int] = ns(2.5)  # single-cycle GVA<->IOVA offset add (§4.1)
+    shell_latency_ps: ClassVar[int] = ns(5)
     # The shell accepts requests from the tree's root only as fast as the
     # interconnect can carry them; this makes the root's round-robin the
     # operative bandwidth allocator (§6.7's fairness guarantees).
-    shell_accept_gbps: float = 13.5
+    shell_accept_gbps: ClassVar[float] = 13.5
 
     # ---- page table slicing -----------------------------------------------------------
-    slice_bytes: int = DEFAULT_SLICE_BYTES  # 64 GB per virtual accelerator (§5)
-    slice_gap_bytes: int = DEFAULT_SLICE_GAP_BYTES  # 128 MB IOTLB mitigation (§5)
-    conflict_mitigation: bool = True
+    slice_bytes: ClassVar[int] = DEFAULT_SLICE_BYTES  # 64 GB per virtual accelerator (§5)
+    slice_gap_bytes: ClassVar[int] = DEFAULT_SLICE_GAP_BYTES  # 128 MB IOTLB mitigation (§5)
 
     # ---- MMIO / control plane -----------------------------------------------------------
     # Host-initiated MMIO: an uncached PCIe access takes ~0.3 us natively;
     # trap-and-emulate through the hypervisor costs ~1.2 us more (§2.1's
     # "control plane operations become more expensive due to hypervisor
     # trap-and-emulate" — this ratio produces Fig. 1's virtualized gap).
-    mmio_native_ps: int = ns(300)
-    mmio_trap_ps: int = ns(1200)
+    mmio_native_ps: ClassVar[int] = ns(300)
+    mmio_trap_ps: ClassVar[int] = ns(1200)
 
     # ---- temporal multiplexing -------------------------------------------------------------
-    time_slice_ps: int = ms(10)  # default 10 ms slice (§5)
-    preemption_timeout_ps: int = ms(100)  # forcible reset after this (§4.2)
-    preempt_protocol_ps: int = us(30)  # drain + control-register handshake
-    resume_protocol_ps: int = us(12)  # resume command + status poll
-    state_save_bandwidth_gbps: float = 4.5  # accelerator state (de)serialization
+    preempt_protocol_ps: ClassVar[int] = us(30)  # drain + control-register handshake
+    resume_protocol_ps: ClassVar[int] = us(12)  # resume command + status poll
+    state_save_bandwidth_gbps: ClassVar[float] = 4.5  # accelerator state (de)serialization
 
     # ---- spatial multiplexing ---------------------------------------------------------------
-    max_physical_accelerators: int = 8  # synthesis limit at 400 MHz (§5)
+    max_physical_accelerators: ClassVar[int] = 8  # synthesis limit at 400 MHz (§5)
 
-    # ---- simulator fast path ----------------------------------------------------------------
-    # Request granularity of every accelerator; the CCI-P interface moves
-    # whole cache lines, so all byte math derives from this one knob.
-    cache_line: int = 64
-    # Timing-preserving burst coalescing for streaming DMA (see DESIGN.md
-    # "Performance architecture").  Read only by the pass-through builder;
-    # timing-equivalent by construction and verified by
-    # tests/test_fastpath_equivalence.py.  ``False`` selects the per-line
-    # reference path — the oracle it is checked against.
-    fast_path: bool = True
+    # ---- request granularity ----------------------------------------------------------------
+    # The CCI-P interface moves whole cache lines, so all byte math
+    # derives from this one constant.
+    cache_line: ClassVar[int] = CACHE_LINE_BYTES
 
     def __post_init__(self) -> None:
         if self.page_size not in (PAGE_SIZE_4K, PAGE_SIZE_2M):
             raise ConfigurationError("page_size must be 4 KB or 2 MB")
-        if self.pcie_link_count < 1:
-            raise ConfigurationError("need at least one PCIe link")
-        if self.mux_tree_radix < 2:
-            raise ConfigurationError("mux tree radix must be >= 2")
-        if self.slice_bytes <= 0 or self.slice_gap_bytes < 0:
-            raise ConfigurationError("invalid slice geometry")
-        if self.cache_line <= 0 or self.cache_line & (self.cache_line - 1):
-            raise ConfigurationError("cache_line must be a positive power of two")
 
     # -- convenience ------------------------------------------------------------
 

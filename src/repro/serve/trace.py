@@ -41,9 +41,9 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.fleet.traffic import DEFAULT_MIX, TenantRequest
@@ -312,49 +312,43 @@ class ServeProfile:
     shape with the three things a *service* sees and a batch sweep does
     not: tenant classes, time-of-day rate modulation, and closed-loop
     session chains (a user comes back after their session finishes).
+    The four fields are what the ``serve`` command and the fuzzer vary;
+    the rest of the shape is class constants.
     """
 
+    #: Offered load, as a fraction of the fleet's sustainable placement rate.
     load: float = 0.9
-    mix: Dict[str, float] = field(default_factory=lambda: dict(DEFAULT_MIX))
-    class_mix: Dict[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_CLASS_MIX)
-    )
-    mean_session_ps: int = ms(20)
-    min_session_ps: int = ms(1)
-    mean_working_set: int = 1 << 20
+    #: Closed loop: after a session, the same tenant returns with this
+    #: probability (geometric chain length, at most ``max_chain``), after
+    #: an exponential think time of mean ``mean_think_ps``.
+    followup_prob: float = 0.0
     #: Diurnal cycle: offered rate swings by ``±diurnal_amplitude`` over
     #: one ``diurnal_period_ps`` (0.0 disables the modulation).
     diurnal_amplitude: float = 0.0
-    diurnal_period_ps: int = ms(400)
     #: Bursts: each arrival starts a burst with probability ``burst_prob``;
     #: for the next ``burst_length`` arrivals the rate is multiplied by
     #: ``burst_factor`` (compressed inter-arrival gaps).
     burst_prob: float = 0.0
-    burst_factor: float = 4.0
-    burst_length: int = 32
-    #: Closed loop: after a session, the same tenant returns with this
-    #: probability (geometric chain length), after an exponential think
-    #: time of mean ``mean_think_ps``.
-    followup_prob: float = 0.0
-    mean_think_ps: int = ms(5)
-    max_chain: int = 8
+
+    mix: ClassVar[Dict[str, float]] = DEFAULT_MIX
+    class_mix: ClassVar[Dict[str, float]] = DEFAULT_CLASS_MIX
+    mean_session_ps: ClassVar[int] = ms(20)
+    min_session_ps: ClassVar[int] = ms(1)
+    mean_working_set: ClassVar[int] = 1 << 20
+    diurnal_period_ps: ClassVar[int] = ms(400)
+    burst_factor: ClassVar[float] = 4.0
+    burst_length: ClassVar[int] = 32
+    mean_think_ps: ClassVar[int] = ms(5)
+    max_chain: ClassVar[int] = 8
 
     def __post_init__(self) -> None:
         if self.load <= 0:
             raise ConfigurationError("offered load must be positive")
-        if not self.mix or any(w <= 0 for w in self.mix.values()):
-            raise ConfigurationError("traffic mix needs positive weights")
-        if not self.class_mix or any(w <= 0 for w in self.class_mix.values()):
-            raise ConfigurationError("class mix needs positive weights")
-        if self.min_session_ps <= 0 or self.mean_session_ps < self.min_session_ps:
-            raise ConfigurationError("invalid session lifetime parameters")
         if not 0.0 <= self.diurnal_amplitude < 1.0:
             raise ConfigurationError("diurnal amplitude must be in [0, 1)")
-        if self.diurnal_period_ps <= 0:
-            raise ConfigurationError("diurnal period must be positive")
-        if not 0.0 <= self.burst_prob < 1.0 or self.burst_factor < 1.0:
+        if not 0.0 <= self.burst_prob < 1.0:
             raise ConfigurationError("invalid burst parameters")
-        if not 0.0 <= self.followup_prob < 1.0 or self.max_chain < 1:
+        if not 0.0 <= self.followup_prob < 1.0:
             raise ConfigurationError("invalid closed-loop parameters")
 
 

@@ -13,8 +13,10 @@ The load-bearing guarantees:
   seeded degrade->crash plan (the ISSUE 8 acceptance criterion).
 """
 
+import dataclasses
 import hashlib
 import json
+import pickle
 import struct
 
 import pytest
@@ -30,7 +32,7 @@ from repro.fleet import (
     TrafficProfile,
     make_policy,
 )
-from repro.errors import SchedulerError
+from repro.errors import GuestError, SchedulerError
 from repro.guest import GuestAccelerator
 from repro.hv import (
     BAR2_WINDOW_SIZE,
@@ -69,6 +71,14 @@ def launch_guest(hv, name, job_type=AesJob):
     handle.mmio_write(REG_LEN, BUF)
     handle.start()
     return vm, job, vaccel, handle, src, dst
+
+
+class WedgedAesJob(AesJob):
+    """Raises mid-flight: a circuit wedged by a bad register value."""
+
+    def body(self, ctx):
+        yield ctx.cycles(100)
+        raise RuntimeError("datapath wedged")
 
 
 def run_until_done(platform, job, *, step_ms=1, limit_steps=100):
@@ -123,6 +133,23 @@ class TestCheckpointRestore:
         _vm_b, vaccel_b = restore_guest(hv_b, checkpoint, job_b)
         assert vaccel_b.state is VAccelState.DONE
         assert platform_b.engine.run_until(job_b.completion) is True
+
+    def test_a_guest_whose_job_crashed_restores_failed_with_that_crash(self):
+        platform_a, hv_a = make_hv()
+        _vm, job_a, vaccel_a, *_ = launch_guest(hv_a, "crasher", WedgedAesJob)
+        platform_a.run_for(us(40))
+        assert isinstance(job_a.completion.exception(), RuntimeError)
+        checkpoint = pickle.loads(pickle.dumps(checkpoint_guest(hv_a, vaccel_a)))
+        assert checkpoint.failure == "RuntimeError: datapath wedged"
+        healthy = dataclasses.replace(checkpoint, failure=None)
+        assert checkpoint.digest() != healthy.digest()
+
+        platform_b, hv_b = make_hv()
+        job_b = AesJob(functional=True)
+        _vm_b, vaccel_b = restore_guest(hv_b, checkpoint, job_b)
+        assert vaccel_b.state is VAccelState.DONE
+        with pytest.raises(GuestError, match="RuntimeError: datapath wedged"):
+            platform_b.engine.run_until(job_b.completion)
 
     def test_restore_rejects_page_size_mismatch(self):
         from repro.errors import ConfigurationError
