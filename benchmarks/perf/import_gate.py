@@ -15,6 +15,10 @@ fresh interpreter (DESIGN.md §6, "Import graph") and
 * prints its module counts and its ten largest cumulative imports either
   way, so a start-up regression shows in the log before it trips anything.
 
+The must-not-load sets and probe scripts here are the one table:
+``tests/test_import_graph.py`` loads this file and runs the same probes
+under pytest.
+
 Usage::
 
     python benchmarks/perf/import_gate.py                    # print the counts
@@ -47,8 +51,7 @@ KERNELS_BUT_DSP = tuple(
 
 #: What the pass-through baseline never loads: it has no hardware monitor,
 #: no shadow paging and no preemption, and a timing-only job no kernel.
-PASSTHROUGH = (
-    *DATAPATH,
+OPTIMUS_ONLY = (
     "repro.kernels",
     "repro.core.auditor",
     "repro.core.monitor",
@@ -62,8 +65,26 @@ PASSTHROUGH = (
     "repro.hv.shadow",
 )
 
-#: A non-functional AES job streaming for 20 us on the pass-through stack.
-PASSTHROUGH_STREAM = """\
+#: What the serving commands never load: they build jobs but never compute.
+SERVING = ("numpy", *KERNELS_BUT_DSP)
+
+#: Commands that serve tenants: they run the fleet stack, never ``SERVING``.
+FLEET_COMMANDS = {
+    "fleet": ["fleet", "--nodes", "4", "--requests", "120", "--json"],
+    "fleet-sharded": [
+        "fleet", "--nodes", "4", "--requests", "120", "--json", "--shards", "2",
+    ],
+    "serve": ["serve", "--quick", "--json"],
+    "chaos-fleet": [
+        "chaos", "fleet", "--plan", "crash-quick", "--nodes", "2",
+        "--requests", "60", "--json",
+    ],
+}
+
+
+def passthrough_stream(functional: bool) -> str:
+    """An AES job streaming for 20 us on the pass-through stack."""
+    return f"""\
 from repro.accel import AesJob
 from repro.accel.streaming import REG_DST, REG_LEN, REG_SRC
 from repro.guest import NativeAccelerator
@@ -74,8 +95,8 @@ from repro.sim.clock import us
 platform = build_platform(mode=PlatformMode.PASSTHROUGH)
 hypervisor = PassthroughHypervisor(platform)
 handle = NativeAccelerator(hypervisor, window_bytes=64 * MB)
-job = AesJob(functional=False)
-job.regs.update({REG_SRC: handle.alloc_buffer(MB), REG_DST: handle.alloc_buffer(MB), REG_LEN: MB})
+job = AesJob(functional={functional})
+job.regs.update({{REG_SRC: handle.alloc_buffer(MB), REG_DST: handle.alloc_buffer(MB), REG_LEN: MB}})
 hypervisor.start_job(job)
 platform.run_for(us(20))
 assert job.progress_units() > 0
@@ -92,14 +113,10 @@ def probes() -> dict:
     for command in ("run", "fleet", "serve", "capacity", "chaos", "fuzz"):
         table[f"python -m repro {command} --help"] = (
             ["-m", "repro", command, "--help"], DATAPATH)
-    for args in ("fleet --nodes 4 --requests 120 --json",
-                 "fleet --nodes 4 --requests 120 --json --shards 2",
-                 "serve --quick --json",
-                 "chaos fleet --plan crash-quick --nodes 2 --requests 60 --json"):
-        table[f"python -m repro {args}"] = (
-            ["-m", "repro", *args.split()], ("numpy", *KERNELS_BUT_DSP))
+    for argv in FLEET_COMMANDS.values():
+        table[f"python -m repro {' '.join(argv)}"] = (["-m", "repro", *argv], SERVING)
     table["pass-through AES stream (non-functional)"] = (
-        ["-c", PASSTHROUGH_STREAM], PASSTHROUGH)
+        ["-c", passthrough_stream(functional=False)], (*DATAPATH, *OPTIMUS_ONLY))
     return table
 
 

@@ -22,30 +22,50 @@ See ``examples/quickstart.py`` for a complete runnable walk-through, and
 ``DESIGN.md`` / ``EXPERIMENTS.md`` for the reproduction methodology.
 """
 
+import importlib
+
+
+def lazy_exports(namespace: dict, lazy: dict):
+    """A package's PEP 562 ``__getattr__`` over its ``_LAZY`` table.
+
+    ``lazy`` maps each public name to the submodule that defines it.  The
+    first access imports that submodule and caches the value in
+    ``namespace`` (the package's ``globals()``), so the hook never runs
+    twice for a name; any other name raises ``AttributeError``.  Defined
+    here, ahead of this file's imports, because every process loads this
+    file first and subpackages import the helper while it is still
+    initialising.
+    """
+    package = namespace["__name__"]
+
+    def __getattr__(name):
+        module = lazy.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(importlib.import_module(module), name)
+        return value
+
+    return __getattr__
+
+
 from repro.platform.builder import Platform, PlatformMode, build_platform
-from repro.platform.params import DEFAULT_PARAMS, PlatformParams
+from repro.platform.params import PlatformParams
 
 __version__ = "1.0.0"
 
+#: Public name -> the submodule that defines it, imported on first access.
+_LAZY = {
+    "OptimusHypervisor": "repro.hv.hypervisor",
+    "PassthroughHypervisor": "repro.hv.passthrough",
+}
+
 __all__ = [
-    "DEFAULT_PARAMS",
-    "OptimusHypervisor",
-    "PassthroughHypervisor",
     "Platform",
     "PlatformMode",
     "PlatformParams",
     "build_platform",
     "__version__",
+    *_LAZY,
 ]
 
-
-def __getattr__(name):  # lazy re-exports to avoid import cycles at startup
-    if name == "OptimusHypervisor":
-        from repro.hv.hypervisor import OptimusHypervisor
-
-        return OptimusHypervisor
-    if name == "PassthroughHypervisor":
-        from repro.hv.passthrough import PassthroughHypervisor
-
-        return PassthroughHypervisor
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+__getattr__ = lazy_exports(globals(), _LAZY)

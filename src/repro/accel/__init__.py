@@ -6,7 +6,7 @@ SSSP runner, and each job imports its functional kernel on its first
 ``transform``.
 """
 
-import importlib
+from repro import lazy_exports
 
 #: Public name -> the submodule that defines it, imported on first access.
 _LAZY = {
@@ -72,73 +72,6 @@ _LAZY = {
     "SwJob": "repro.accel.sw",
 }
 
-__all__ = [
-    "AES_PROFILE",
-    "AcceleratorJob",
-    "AcceleratorProfile",
-    "AesJob",
-    "BTC_PROFILE",
-    "BtcJob",
-    "CATALOG",
-    "CMD_PREEMPT",
-    "CMD_RESUME",
-    "CMD_START",
-    "CTRL_CMD",
-    "CTRL_STATE_ADDR",
-    "CTRL_STATE_SIZE",
-    "CTRL_STATUS",
-    "ExecutionContext",
-    "FIR_PROFILE",
-    "FirJob",
-    "GAU_PROFILE",
-    "GRN_PROFILE",
-    "GRS_PROFILE",
-    "GauJob",
-    "GrnJob",
-    "GrsJob",
-    "HostCentricResult",
-    "HostCentricSsspRunner",
-    "LL_PROFILE",
-    "LinkedListJob",
-    "MB_PROFILE",
-    "MD5_PROFILE",
-    "MODE_MIXED",
-    "MODE_READ",
-    "MODE_WRITE",
-    "Md5Job",
-    "MemBenchJob",
-    "REAL_WORLD",
-    "REG_DST",
-    "REG_LEN",
-    "REG_PARAM0",
-    "REG_PARAM1",
-    "REG_SRC",
-    "RSD_PROFILE",
-    "RsdJob",
-    "SBL_PROFILE",
-    "SHA_PROFILE",
-    "SSSP_PROFILE",
-    "STATUS_DONE",
-    "STATUS_IDLE",
-    "STATUS_RUNNING",
-    "STATUS_SAVED",
-    "STREAMING",
-    "SW_PROFILE",
-    "SblJob",
-    "Sha512Job",
-    "SsspJob",
-    "StreamingJob",
-    "SwJob",
-    "build_list_image",
-    "make_job",
-    "profile_of",
-    "table1_rows",
-]
+__all__ = list(_LAZY)
 
-
-def __getattr__(name):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(module), name)
-    return value
+__getattr__ = lazy_exports(globals(), _LAZY)

@@ -16,7 +16,7 @@ so they load on first use of one of their names (PEP 562): the CLI reads
 :data:`CAPACITY_MODES` without paying for either.
 """
 
-import importlib
+from repro import lazy_exports
 
 #: ``capacity`` backends: the analytic planner and the fleet DES.
 CAPACITY_MODES = ("analytic", "optimus")
@@ -37,22 +37,7 @@ _LAZY = {
 
 __all__ = [
     "CAPACITY_MODES",
-    "CalibrationStore",
-    "CapacityConfig",
-    "CellSpec",
-    "CellStats",
-    "SUPPORTED_BENCHMARKS",
-    "capacity_des",
-    "default_store",
-    "plan_capacity",
-    "run_capacity",
-    "slot_capacity",
+    *_LAZY,
 ]
 
-
-def __getattr__(name):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(module), name)
-    return value
+__getattr__ = lazy_exports(globals(), _LAZY)

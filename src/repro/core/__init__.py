@@ -5,7 +5,7 @@ pass-through baseline has no hardware monitor, so its processes never
 load the auditors, the multiplexer tree or the VCU.
 """
 
-import importlib
+from repro import lazy_exports
 
 #: Public name -> the submodule that defines it, imported on first access.
 _LAZY = {
@@ -32,34 +32,6 @@ _LAZY = {
     "accel_mmio_base": "repro.core.vcu",
 }
 
-__all__ = [
-    "ACCEL_PAGE_BYTES",
-    "Auditor",
-    "HardwareMonitor",
-    "MGMT_PAGE_BYTES",
-    "MuxNode",
-    "MuxTree",
-    "REG_ACCEL_SELECT",
-    "REG_DISABLE",
-    "REG_MAGIC",
-    "REG_NUM_ACCELS",
-    "REG_RESET",
-    "REG_SLICE_BASE",
-    "REG_WINDOW_BASE",
-    "REG_WINDOW_SIZE",
-    "Slice",
-    "SliceLayout",
-    "VCU_MAGIC",
-    "VirtualizationControlUnit",
-    "accel_mmio_base",
-    "balanced_topology",
-    "default_layout",
-]
+__all__ = list(_LAZY)
 
-
-def __getattr__(name):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(module), name)
-    return value
+__getattr__ = lazy_exports(globals(), _LAZY)

@@ -79,7 +79,6 @@ def _configure_benchmark(
     working_set: int,
     stream_len: int,
     graph: Optional[CsrGraph],
-    seedling: int,
 ) -> Dict[int, int]:
     """Allocate buffers and produce the register file for one benchmark."""
     if name == "MB":
@@ -207,7 +206,7 @@ class OptimusStack:
         registers = _configure_benchmark(
             name, job, handle.alloc_buffer,
             working_set=working_set, stream_len=stream_len,
-            graph=graph, seedling=len(self.jobs),
+            graph=graph,
         )
         for reg, value in registers.items():
             handle.mmio_write(reg, value)
@@ -263,7 +262,7 @@ class PassthroughStack:
         registers = _configure_benchmark(
             name, job, handle.alloc_buffer,
             working_set=working_set, stream_len=stream_len,
-            graph=graph, seedling=0,
+            graph=graph,
         )
         job.configure(registers)
         if start:

@@ -20,8 +20,7 @@ the OPTIMUS stack, so they load on first use of one of their names (PEP
 562): the CLI reads the preset names without paying for either.
 """
 
-import importlib
-
+from repro import lazy_exports
 from repro.faults.guests import (
     HANG_PROFILE,
     RUNAWAY_PROFILE,
@@ -54,28 +53,18 @@ __all__ = [
     "FAULT_PLAN_PRESETS",
     "FaultEvent",
     "FaultKind",
-    "FaultLog",
     "FaultPlan",
-    "FaultRecord",
-    "FleetFaultInjector",
     "HANG_PROFILE",
     "HangJob",
     "PlanPreset",
     "RUNAWAY_PROFILE",
     "RunawayDmaJob",
-    "SinglePlatformChaos",
     "build_crash_plan",
     "build_degrade_crash_plan",
     "preset_names",
     "register_preset",
     "resolve_plan",
-    "run_single_chaos",
+    *_LAZY,
 ]
 
-
-def __getattr__(name):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(module), name)
-    return value
+__getattr__ = lazy_exports(globals(), _LAZY)

@@ -12,9 +12,9 @@ Plans come from three places, all normalized here:
 
 * **presets** (:data:`FAULT_PLAN_PRESETS`) — a typed registry of named
   scenarios used by tests, CI, the scenario fuzzer, and
-  ``python -m repro chaos --plan <preset>``; fixed shapes and
-  parameterized builders (:func:`build_crash_plan`,
-  :func:`build_degrade_crash_plan`) register through the same
+  ``python -m repro chaos --plan <preset>``; fixed shapes and the
+  builders (:func:`build_crash_plan`, :func:`build_degrade_crash_plan`)
+  with their arguments bound register through the same
   :func:`register_preset` door, so the CLI choices and the fuzzer's
   enumeration derive from one table (mirroring ``STACK_MODES``);
 * **JSON files** (:meth:`FaultPlan.from_file`) — the CLI accepts a path
@@ -27,6 +27,7 @@ Plans come from three places, all normalized here:
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import json
 import math
@@ -273,29 +274,19 @@ def _mixed() -> FaultPlan:
 class PlanPreset:
     """One registered fault-plan preset.
 
-    ``build()`` returns the plan; parameterized presets (registered
-    builders) accept keyword overrides on top of their defaults, fixed
-    presets accept none.  ``scopes`` says where the plan is meaningful —
-    ``"fleet"`` (node crashes need a cluster) and/or ``"single"`` (guest
-    and link faults against one hypervisor) — which is what the scenario
-    fuzzer enumerates when drawing a plan for a given scenario kind.
+    ``build()`` returns the plan.  ``scopes`` says where the plan is
+    meaningful — ``"fleet"`` (node crashes need a cluster) and/or
+    ``"single"`` (guest and link faults against one hypervisor) — which is
+    what the scenario fuzzer enumerates when drawing a plan for a given
+    scenario kind.
     """
 
     name: str
-    factory: Callable[..., FaultPlan]
+    factory: Callable[[], FaultPlan]
     description: str
     scopes: Tuple[str, ...] = ("fleet", "single")
-    defaults: Mapping[str, object] = field(default_factory=dict)
 
-    def build(self, **overrides: object) -> FaultPlan:
-        if overrides and not self.defaults:
-            raise FaultPlanError(
-                f"preset {self.name!r} is a fixed plan and takes no "
-                f"parameters (got {sorted(overrides)})"
-            )
-        if self.defaults:
-            kwargs = {**self.defaults, **overrides}
-            return self.factory(**kwargs)
+    def build(self) -> FaultPlan:
         return self.factory()
 
 
@@ -322,16 +313,11 @@ def preset_names(scope: str = "") -> List[str]:
     ]
 
 
-def resolve_plan(spec: str, **overrides: object) -> FaultPlan:
-    """A preset name (with optional builder overrides), or a path to a
-    JSON plan file."""
+def resolve_plan(spec: str) -> FaultPlan:
+    """A preset name, or a path to a JSON plan file."""
     preset = FAULT_PLAN_PRESETS.get(spec)
     if preset is not None:
-        return preset.build(**overrides)
-    if overrides:
-        raise FaultPlanError(
-            f"plan files take no parameter overrides (got {sorted(overrides)})"
-        )
+        return preset.build()
     if os.path.exists(spec):
         return FaultPlan.from_file(spec)
     raise FaultPlanError(
@@ -412,7 +398,7 @@ def build_degrade_crash_plan(
 
 # -- registration ----------------------------------------------------------------
 #
-# Fixed shapes and parameterized builders go through the same door; the
+# Fixed shapes and builders with bound arguments go through the same door; the
 # chaos CLI and the scenario fuzzer enumerate this table, never a
 # hand-maintained list.
 
@@ -445,29 +431,21 @@ register_preset(PlanPreset(
 ))
 register_preset(PlanPreset(
     name="crash-sweep",
-    factory=build_crash_plan,
+    factory=functools.partial(
+        build_crash_plan,
+        n_crashes=2, n_nodes=3, window_ps=ms(20), outage_ps=ms(8), seed=0,
+    ),
     description="seeded node crashes inside a window (build_crash_plan)",
     scopes=("fleet",),
-    defaults={
-        "n_crashes": 2,
-        "n_nodes": 3,
-        "window_ps": ms(20),
-        "outage_ps": ms(8),
-        "seed": 0,
-    },
 ))
 register_preset(PlanPreset(
     name="degrade-crash",
-    factory=build_degrade_crash_plan,
+    factory=functools.partial(
+        build_degrade_crash_plan,
+        n_faults=1, n_nodes=3, window_ps=ms(10), warning_ps=ms(4),
+        outage_ps=ms(8), seed=0,
+    ),
     description="degrade-then-crash failures that announce themselves "
     "(build_degrade_crash_plan)",
     scopes=("fleet",),
-    defaults={
-        "n_faults": 1,
-        "n_nodes": 3,
-        "window_ps": ms(10),
-        "warning_ps": ms(4),
-        "outage_ps": ms(8),
-        "seed": 0,
-    },
 ))

@@ -3,7 +3,7 @@
 Every public name loads its submodule on first use (PEP 562).
 """
 
-import importlib
+from repro import lazy_exports
 
 #: Public name -> the submodule that defines it, imported on first access.
 _LAZY = {
@@ -12,12 +12,6 @@ _LAZY = {
     "GuestFpgaDriver": "repro.guest.driver",
 }
 
-__all__ = ["GuestAccelerator", "GuestFpgaDriver", "NativeAccelerator"]
+__all__ = list(_LAZY)
 
-
-def __getattr__(name):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(module), name)
-    return value
+__getattr__ = lazy_exports(globals(), _LAZY)

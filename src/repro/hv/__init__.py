@@ -5,7 +5,7 @@ pass-through process loads neither the OPTIMUS hypervisor nor its
 scheduling, shadow paging, preemption, checkpoint or migration layers.
 """
 
-import importlib
+from repro import lazy_exports
 
 #: Public name -> the submodule that defines it, imported on first access.
 _LAZY = {
@@ -33,35 +33,6 @@ _LAZY = {
     "VirtualMachine": "repro.hv.vm",
 }
 
-__all__ = [
-    "BAR2_MAP_GPA",
-    "BAR2_MAP_GVA",
-    "BAR2_SLICE_BASE",
-    "BAR2_STATE_BUF",
-    "BAR2_WINDOW_SIZE",
-    "GuestCheckpoint",
-    "OptimusHypervisor",
-    "PassthroughHypervisor",
-    "checkpoint_guest",
-    "guest_memory_digest",
-    "migrate",
-    "quiesce_guest",
-    "restore_guest",
-    "PhysicalAccelerator",
-    "PriorityScheduler",
-    "RoundRobinScheduler",
-    "SchedulingPolicy",
-    "ShadowPager",
-    "VAccelState",
-    "VirtualAccelerator",
-    "VirtualMachine",
-    "WeightedScheduler",
-]
+__all__ = list(_LAZY)
 
-
-def __getattr__(name):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(module), name)
-    return value
+__getattr__ = lazy_exports(globals(), _LAZY)

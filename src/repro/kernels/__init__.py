@@ -2,14 +2,18 @@
 
 Everything here is hardware-independent and synchronous — implemented from
 scratch so the accelerator models in :mod:`repro.accel` compute *real*
-results that tests can verify against reference implementations.
+results that tests can verify against reference implementations.  The
+exceptions are MD5 and the Bitcoin miner's SHA-256, which are
+:mod:`hashlib`'s: their jobs hash a whole 4 KB chunk or 80-byte header in
+one call, so no hash state outlives a call for a preempted job to save.
+SHA-512 stays here because a preempted SHA job saves its chaining words.
 
 Every public name loads its submodule on first use (PEP 562): an
 accelerator job imports its kernel when it first computes, so a
 timing-only run loads none of them.
 """
 
-import importlib
+from repro import lazy_exports
 
 #: Public name -> the submodule that defines it, imported on first access.
 _LAZY = {
@@ -32,14 +36,9 @@ _LAZY = {
     "gaussian_blur": "repro.kernels.image",
     "grayscale": "repro.kernels.image",
     "sobel": "repro.kernels.image",
-    "Md5": "repro.kernels.md5",
-    "md5_bytes": "repro.kernels.md5",
     "DecodeError": "repro.kernels.reed_solomon",
     "ReedSolomon": "repro.kernels.reed_solomon",
-    "Sha256": "repro.kernels.sha2",
     "Sha512": "repro.kernels.sha2",
-    "double_sha256": "repro.kernels.sha2",
-    "sha256_bytes": "repro.kernels.sha2",
     "sha512_bytes": "repro.kernels.sha2",
     "Alignment": "repro.kernels.smith_waterman",
     "ScoringScheme": "repro.kernels.smith_waterman",
@@ -48,46 +47,6 @@ _LAZY = {
     "score_matrix": "repro.kernels.smith_waterman",
 }
 
-__all__ = [
-    "Alignment",
-    "BlockHeader",
-    "CsrGraph",
-    "DecodeError",
-    "GaussianGenerator",
-    "Md5",
-    "ReedSolomon",
-    "ScoringScheme",
-    "Sha256",
-    "Sha512",
-    "Xorshift64Star",
-    "align",
-    "best_score",
-    "double_sha256",
-    "easy_target",
-    "encrypt_block",
-    "encrypt_ecb",
-    "expand_key",
-    "fir_filter",
-    "gaussian_blur",
-    "grayscale",
-    "hash_value",
-    "lowpass_taps",
-    "md5_bytes",
-    "meets_target",
-    "mine",
-    "random_graph",
-    "score_matrix",
-    "sha256_bytes",
-    "sha512_bytes",
-    "sobel",
-    "sssp_bellman_ford",
-    "sssp_dijkstra",
-]
+__all__ = list(_LAZY)
 
-
-def __getattr__(name):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(module), name)
-    return value
+__getattr__ = lazy_exports(globals(), _LAZY)

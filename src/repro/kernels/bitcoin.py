@@ -3,19 +3,21 @@
 Functional substrate behind the BTC benchmark accelerator (Table 1:
 "Bitcoin Miner", ported from the Open-Source-FPGA-Bitcoin-Miner project).
 Implements real Bitcoin-style mining over an 80-byte block header: grind
-the 4-byte nonce until ``double_sha256(header)`` interpreted little-endian
-falls below the target.  Tests use an easy target so solutions are found
-in a few hundred attempts.
+the 4-byte nonce until SHA-256 applied twice to the header, interpreted
+little-endian, falls below the target.  The hash is :mod:`hashlib`'s: a
+nonce attempt hashes one 80-byte header in one call, so no hash state
+outlives it for a preempted job to save.  Tests use an easy target so
+solutions are found in a few hundred attempts.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigurationError
-from repro.kernels.sha2 import double_sha256
 
 HEADER_BYTES = 80
 NONCE_OFFSET = 76
@@ -49,7 +51,8 @@ def hash_value(header_bytes: bytes) -> int:
     """The PoW hash as an integer (little-endian, per Bitcoin convention)."""
     if len(header_bytes) != HEADER_BYTES:
         raise ConfigurationError("header must be 80 bytes")
-    return int.from_bytes(double_sha256(header_bytes), "little")
+    digest = hashlib.sha256(hashlib.sha256(header_bytes).digest()).digest()
+    return int.from_bytes(digest, "little")
 
 
 def meets_target(header_bytes: bytes, target: int) -> bool:

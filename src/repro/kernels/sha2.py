@@ -1,41 +1,18 @@
-"""SHA-256 and SHA-512 implemented from scratch (FIPS 180-4).
+"""SHA-512 implemented from scratch (FIPS 180-4).
 
-SHA-512 is the functional kernel of the SHA benchmark accelerator
-(Table 1: "SHA512 Hashing Algorithm", 2,218 lines of Verilog); SHA-256 is
-the hash inside the Bitcoin miner's double-SHA256 proof of work.  Both are
-verified against :mod:`hashlib` in the test suite.
+The functional kernel of the SHA benchmark accelerator (Table 1: "SHA512
+Hashing Algorithm", 2,218 lines of Verilog).  It is written out rather than
+taken from :mod:`hashlib` because a preempted SHA job saves the hash's
+eight chaining words and its length (``Sha512Job.state_fields``), which
+``hashlib`` does not expose.  The test suite holds it to ``hashlib``.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
-
-def _primes(count: int) -> List[int]:
-    found: List[int] = []
-    candidate = 2
-    while len(found) < count:
-        if all(candidate % p for p in found if p * p <= candidate):
-            found.append(candidate)
-        candidate += 1
-    return found
-
-
-def _frac_root_bits(prime: int, root: float, bits: int) -> int:
-    """First ``bits`` bits of the fractional part of prime**root."""
-    value = prime ** root
-    frac = value - int(value)
-    return int(frac * (1 << bits)) & ((1 << bits) - 1)
-
-
-_P64 = _primes(80)
-# SHA-256 constants: 32 fractional bits of cube roots of the first 64 primes.
-_K256 = tuple(_frac_root_bits(p, 1.0 / 3.0, 32) for p in _P64[:64])
-_H256 = tuple(_frac_root_bits(p, 1.0 / 2.0, 32) for p in _P64[:8])
-
-# SHA-512 constants live in tables because float precision cannot produce
-# 64 fractional bits; these are the FIPS 180-4 values.
+# The FIPS 180-4 round constants and initial hash value.
 _K512 = (
     0x428A2F98D728AE22, 0x7137449123EF65CD, 0xB5C0FBCFEC4D3B2F, 0xE9B5DBA58189DBBC,
     0x3956C25BF348B538, 0x59F111F1B605D019, 0x923F82A4AF194F9B, 0xAB1C5ED5DA6D8118,
@@ -64,114 +41,60 @@ _H512 = (
 )
 
 
-def _rotr(value: int, amount: int, bits: int) -> int:
-    mask = (1 << bits) - 1
-    value &= mask
-    return ((value >> amount) | (value << (bits - amount))) & mask
+_MASK = (1 << 64) - 1
+_BLOCK_BYTES = 128
 
 
-def _compress(
-    state: Sequence[int], block: bytes, *, bits: int, k: Sequence[int], rounds: int
-) -> Tuple[int, ...]:
-    mask = (1 << bits) - 1
-    fmt = ">16I" if bits == 32 else ">16Q"
-    w = list(struct.unpack(fmt, block))
-    if bits == 32:
-        s0_r, s1_r = (7, 18, 3), (17, 19, 10)
-        e_r, a_r = (6, 11, 25), (2, 13, 22)
-    else:
-        s0_r, s1_r = (1, 8, 7), (19, 61, 6)
-        e_r, a_r = (14, 18, 41), (28, 34, 39)
-    for i in range(16, rounds):
-        s0 = _rotr(w[i - 15], s0_r[0], bits) ^ _rotr(w[i - 15], s0_r[1], bits) ^ (w[i - 15] >> s0_r[2])
-        s1 = _rotr(w[i - 2], s1_r[0], bits) ^ _rotr(w[i - 2], s1_r[1], bits) ^ (w[i - 2] >> s1_r[2])
-        w.append((w[i - 16] + s0 + w[i - 7] + s1) & mask)
+def _rotr(value: int, amount: int) -> int:
+    return ((value >> amount) | (value << (64 - amount))) & _MASK
+
+
+def _compress(state: Sequence[int], block: bytes) -> Tuple[int, ...]:
+    w = list(struct.unpack(">16Q", block))
+    for i in range(16, 80):
+        w15, w2 = w[i - 15], w[i - 2]
+        s0 = _rotr(w15, 1) ^ _rotr(w15, 8) ^ (w15 >> 7)
+        s1 = _rotr(w2, 19) ^ _rotr(w2, 61) ^ (w2 >> 6)
+        w.append((w[i - 16] + s0 + w[i - 7] + s1) & _MASK)
     a, b, c, d, e, f, g, h = state
-    for i in range(rounds):
-        s1 = _rotr(e, e_r[0], bits) ^ _rotr(e, e_r[1], bits) ^ _rotr(e, e_r[2], bits)
+    for i in range(80):
+        s1 = _rotr(e, 14) ^ _rotr(e, 18) ^ _rotr(e, 41)
         ch = (e & f) ^ (~e & g)
-        temp1 = (h + s1 + ch + k[i] + w[i]) & mask
-        s0 = _rotr(a, a_r[0], bits) ^ _rotr(a, a_r[1], bits) ^ _rotr(a, a_r[2], bits)
+        temp1 = (h + s1 + ch + _K512[i] + w[i]) & _MASK
+        s0 = _rotr(a, 28) ^ _rotr(a, 34) ^ _rotr(a, 39)
         maj = (a & b) ^ (a & c) ^ (b & c)
-        temp2 = (s0 + maj) & mask
-        h, g, f, e, d, c, b, a = g, f, e, (d + temp1) & mask, c, b, a, (temp1 + temp2) & mask
-    return tuple((s + v) & mask for s, v in zip(state, (a, b, c, d, e, f, g, h)))
+        temp2 = (s0 + maj) & _MASK
+        h, g, f, e, d, c, b, a = g, f, e, (d + temp1) & _MASK, c, b, a, (temp1 + temp2) & _MASK
+    return tuple((s + v) & _MASK for s, v in zip(state, (a, b, c, d, e, f, g, h)))
 
 
-class _Sha2:
-    bits: int
-    block_bytes: int
-    rounds: int
-    k: Sequence[int]
-    init: Sequence[int]
+class Sha512:
+    """Incremental SHA-512: between ``update`` calls the hash is ``state``,
+    ``length`` and the bytes of a partial block."""
 
     def __init__(self) -> None:
-        self.state: Tuple[int, ...] = tuple(self.init)
+        self.state: Tuple[int, ...] = _H512
         self._pending = b""
         self.length = 0  # bytes hashed so far
 
-    def update(self, data: bytes) -> "_Sha2":
+    def update(self, data: bytes) -> "Sha512":
         self.length += len(data)
         buffer = self._pending + data
-        offset = 0
-        while offset + self.block_bytes <= len(buffer):
-            self.state = _compress(
-                self.state,
-                buffer[offset : offset + self.block_bytes],
-                bits=self.bits,
-                k=self.k,
-                rounds=self.rounds,
-            )
-            offset += self.block_bytes
-        self._pending = buffer[offset:]
+        whole = len(buffer) - len(buffer) % _BLOCK_BYTES
+        for offset in range(0, whole, _BLOCK_BYTES):
+            self.state = _compress(self.state, buffer[offset : offset + _BLOCK_BYTES])
+        self._pending = buffer[whole:]
         return self
 
     def digest(self) -> bytes:
-        length_bytes = self.block_bytes // 8  # 8 for SHA-256, 16 for SHA-512
-        bit_length = self.length * 8
         tail = self._pending + b"\x80"
-        pad = (self.block_bytes - length_bytes - len(tail)) % self.block_bytes
-        tail += b"\x00" * pad + bit_length.to_bytes(length_bytes, "big")
+        tail += bytes((_BLOCK_BYTES - 16 - len(tail)) % _BLOCK_BYTES)
+        tail += (self.length * 8).to_bytes(16, "big")
         state = self.state
-        for offset in range(0, len(tail), self.block_bytes):
-            state = _compress(
-                state,
-                tail[offset : offset + self.block_bytes],
-                bits=self.bits,
-                k=self.k,
-                rounds=self.rounds,
-            )
-        word_bytes = self.bits // 8
-        return b"".join(word.to_bytes(word_bytes, "big") for word in state)
-
-    def hexdigest(self) -> str:
-        return self.digest().hex()
-
-
-class Sha256(_Sha2):
-    bits = 32
-    block_bytes = 64
-    rounds = 64
-    k = _K256
-    init = _H256
-
-
-class Sha512(_Sha2):
-    bits = 64
-    block_bytes = 128
-    rounds = 80
-    k = _K512
-    init = _H512
-
-
-def sha256_bytes(data: bytes) -> bytes:
-    return Sha256().update(data).digest()
+        for offset in range(0, len(tail), _BLOCK_BYTES):
+            state = _compress(state, tail[offset : offset + _BLOCK_BYTES])
+        return b"".join(word.to_bytes(8, "big") for word in state)
 
 
 def sha512_bytes(data: bytes) -> bytes:
     return Sha512().update(data).digest()
-
-
-def double_sha256(data: bytes) -> bytes:
-    """Bitcoin's proof-of-work hash: SHA-256 applied twice."""
-    return sha256_bytes(sha256_bytes(data))

@@ -1,13 +1,15 @@
 """Address-space constants and helpers.
 
 The platform follows the paper's layout: a 48-bit IO virtual address space,
-4 KB base pages, 2 MB huge pages, and 64 B cache lines.  Helpers here are
-pure functions shared by the MMU, IOMMU, page-table, and slicing code.
+4 KB base pages, 2 MB huge pages, and 64 B cache lines (CCI-P's, defined
+in :mod:`repro.sim.packet`).  Helpers here are pure functions shared by the
+MMU, IOMMU, page-table, and slicing code.
 """
 
 from __future__ import annotations
 
 from repro.errors import ConfigurationError
+from repro.sim.packet import CACHE_LINE_BYTES
 
 KB = 1024
 MB = 1024 * KB
@@ -31,9 +33,6 @@ DEFAULT_SLICE_BYTES = 64 * GB
 
 #: Extra gap between slices for IOTLB conflict mitigation: 128 MB (§5).
 DEFAULT_SLICE_GAP_BYTES = 128 * MB
-
-CACHE_LINE_SHIFT = 6
-CACHE_LINE_BYTES = 1 << CACHE_LINE_SHIFT
 
 
 def page_shift_for(page_size: int) -> int:

@@ -1,10 +1,9 @@
 """Platform parameters and assembly."""
 
 from repro.platform.builder import Platform, PlatformMode, build_platform
-from repro.platform.params import DEFAULT_PARAMS, PlatformParams
+from repro.platform.params import PlatformParams
 
 __all__ = [
-    "DEFAULT_PARAMS",
     "Platform",
     "PlatformMode",
     "PlatformParams",

@@ -129,7 +129,3 @@ class PlatformParams:
     def copy(self, **overrides: object) -> "PlatformParams":
         """A modified copy — experiments never mutate shared params."""
         return dataclasses.replace(self, **overrides)  # type: ignore[arg-type]
-
-
-#: Immutable default instance for casual use; experiments call ``.copy()``.
-DEFAULT_PARAMS = PlatformParams()

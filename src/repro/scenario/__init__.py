@@ -18,8 +18,7 @@ they load on first use of one of their names (PEP 562): the CLI reads
 the kind names without paying for either.
 """
 
-import importlib
-
+from repro import lazy_exports
 from repro.scenario.shrink import (
     ShrinkResult,
     load_reproducer,
@@ -53,33 +52,19 @@ _LAZY = {
 
 __all__ = [
     "Choice",
-    "FuzzConfig",
-    "FuzzReport",
-    "ORACLES",
-    "OracleResult",
     "SCENARIO_KINDS",
     "Scenario",
-    "ScenarioGenerator",
     "ScenarioKind",
     "ScenarioSpaceError",
     "ShrinkResult",
     "Subset",
-    "generate",
     "kind_names",
     "load_reproducer",
     "register_kind",
-    "replay",
     "resolve_kinds",
-    "run_fuzz",
-    "run_scenario",
     "shrink",
     "write_reproducer",
+    *_LAZY,
 ]
 
-
-def __getattr__(name):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(module), name)
-    return value
+__getattr__ = lazy_exports(globals(), _LAZY)

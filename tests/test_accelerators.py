@@ -45,7 +45,6 @@ from repro.kernels import (
     fir_filter,
     gaussian_blur,
     lowpass_taps,
-    md5_bytes,
     mine,
     random_graph,
     sssp_dijkstra,
@@ -88,8 +87,8 @@ class TestMd5:
             {"src": data, "dst": 4096},
             lambda b: {REG_SRC: b["src"], REG_DST: b["dst"], REG_LEN: len(data)},
         )
-        assert job.digests[0] == md5_bytes(data[:4096])
-        assert job.digests[1] == md5_bytes(data[4096:])
+        assert job.digests[0] == hashlib.md5(data[:4096]).digest()
+        assert job.digests[1] == hashlib.md5(data[4096:]).digest()
         record = handle.read_buffer(bufs["dst"], 16)
         assert record == hashlib.md5(data[:4096]).digest()
 

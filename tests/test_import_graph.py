@@ -7,18 +7,22 @@ serve and chaos commands run the fleet stack but still no numpy and no
 kernel but ``dsp``, and the pass-through baseline loads neither a kernel
 nor an OPTIMUS-only layer (DESIGN.md §6, "Import graph").  Each probe runs
 in a fresh interpreter, because pytest and the other test modules have
-long since imported everything.
+long since imported everything.  The must-not-load sets, the pass-through
+probe script and the serving commands are CI's import-gate table
+(``benchmarks/perf/import_gate.py``), read from that file.
 """
 
+import importlib.util
 import json
 import os
-import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
+import repro
 import repro.accel
 import repro.analytic
 import repro.core
@@ -28,34 +32,19 @@ import repro.hv
 import repro.kernels
 import repro.scenario
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+#: The probe table CI's import gate runs: its must-not-load sets, probe
+#: scripts and serving commands are the ones this module checks.
+_spec = importlib.util.spec_from_file_location(
+    "import_gate", ROOT / "benchmarks" / "perf" / "import_gate.py"
+)
+gate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gate)
 
 #: Modules the datapath and the CLI parser must never load.
 HEAVY = ("numpy", "repro.fleet", "repro.parallel", "repro.scenario.oracle")
-
-#: Every kernel but ``dsp``, whose ``Xorshift64Star`` draws MemBench's and
-#: LinkedList's addresses: a job imports its kernel when it first computes.
-KERNELS_BUT_DSP = tuple(
-    f"repro.kernels.{module.name}"
-    for module in pkgutil.iter_modules(repro.kernels.__path__)
-    if module.name != "dsp"
-)
-
-#: What the pass-through baseline never loads: it has no hardware monitor,
-#: no shadow paging and no preemption, and a timing-only job no kernel.
-OPTIMUS_ONLY = (
-    "repro.kernels",
-    "repro.core.auditor",
-    "repro.core.monitor",
-    "repro.core.mux_tree",
-    "repro.core.vcu",
-    "repro.hv.checkpoint",
-    "repro.hv.hypervisor",
-    "repro.hv.migration",
-    "repro.hv.preemption",
-    "repro.hv.scheduler",
-    "repro.hv.shadow",
-)
 
 
 def loaded_after(script: str, watched: tuple = HEAVY) -> list:
@@ -92,36 +81,14 @@ def test_the_datapath_never_loads_numpy():
     assert "numpy" not in loaded_after(script)
 
 
-def passthrough_stream(functional: bool) -> str:
-    """An AES job streaming for 20 us on the pass-through stack."""
-    return (
-        "from repro.accel import AesJob\n"
-        "from repro.accel.streaming import REG_DST, REG_LEN, REG_SRC\n"
-        "from repro.guest import NativeAccelerator\n"
-        "from repro.hv import PassthroughHypervisor\n"
-        "from repro.mem import MB\n"
-        "from repro.platform import PlatformMode, build_platform\n"
-        "from repro.sim.clock import us\n"
-        "platform = build_platform(mode=PlatformMode.PASSTHROUGH)\n"
-        "hypervisor = PassthroughHypervisor(platform)\n"
-        "handle = NativeAccelerator(hypervisor, window_bytes=64 * MB)\n"
-        f"job = AesJob(functional={functional})\n"
-        "job.regs.update({REG_SRC: handle.alloc_buffer(MB),\n"
-        "                 REG_DST: handle.alloc_buffer(MB), REG_LEN: MB})\n"
-        "hypervisor.start_job(job)\n"
-        "platform.run_for(us(20))\n"
-        "assert job.progress_units() > 0\n"
-    )
-
-
 def test_the_passthrough_stack_loads_no_kernel_and_no_optimus_layer():
-    watched = HEAVY + OPTIMUS_ONLY
-    assert loaded_after(passthrough_stream(functional=False), watched) == []
+    watched = HEAVY + gate.OPTIMUS_ONLY
+    assert loaded_after(gate.passthrough_stream(functional=False), watched) == []
 
 
 def test_the_probe_sees_the_kernel_a_functional_job_runs():
     # Positive control: encrypting a tile loads the AES kernel, and only it.
-    loaded = loaded_after(passthrough_stream(functional=True), KERNELS_BUT_DSP)
+    loaded = loaded_after(gate.passthrough_stream(functional=True), gate.KERNELS_BUT_DSP)
     assert loaded == ["repro.kernels.aes128"]
 
 
@@ -148,24 +115,12 @@ def test_the_cli_loads_only_what_the_command_runs(argv):
     assert loaded_after(run_cli(argv)) == []
 
 
-#: Commands that serve tenants: they run the fleet stack, never numpy.
-FLEET_COMMANDS = {
-    "fleet": ["fleet", "--nodes", "4", "--requests", "120", "--json"],
-    "fleet-sharded": [
-        "fleet", "--nodes", "4", "--requests", "120", "--json", "--shards", "2",
-    ],
-    "serve": ["serve", "--quick", "--json"],
-    "chaos-fleet": [
-        "chaos", "fleet", "--plan", "crash-quick", "--nodes", "2",
-        "--requests", "60", "--json",
-    ],
-}
-
-
-@pytest.mark.parametrize("argv", FLEET_COMMANDS.values(), ids=FLEET_COMMANDS.keys())
+@pytest.mark.parametrize(
+    "argv", gate.FLEET_COMMANDS.values(), ids=gate.FLEET_COMMANDS.keys()
+)
 def test_serving_commands_never_load_numpy(argv):
     # Nor a kernel: placing a tenant builds its job, and no job computes.
-    assert loaded_after(run_cli(argv), ("numpy", *KERNELS_BUT_DSP)) == []
+    assert loaded_after(run_cli(argv), gate.SERVING) == []
 
 
 def test_the_serving_packages_import_without_numpy():
@@ -191,16 +146,64 @@ def test_the_probe_sees_numpy_when_it_is_loaded():
     assert loaded_after("import repro.analytic.capacity") == ["numpy", "repro.fleet"]
 
 
-@pytest.mark.parametrize(
-    "package",
-    [
-        repro.accel, repro.analytic, repro.core, repro.faults, repro.guest, repro.hv,
-        repro.kernels, repro.scenario,
-    ],
-    ids=lambda package: package.__name__,
-)
+#: Every package whose public names load on first access (``_LAZY``).
+LAZY_PACKAGES = [
+    repro, repro.accel, repro.analytic, repro.core, repro.faults, repro.guest,
+    repro.hv, repro.kernels, repro.scenario,
+]
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES, ids=lambda package: package.__name__)
 def test_every_public_name_resolves(package):
     for name in package.__all__:
         assert getattr(package, name) is not None, name
-    with pytest.raises(AttributeError):
+        # Cached in the package, so its ``__getattr__`` never runs again.
+        assert name in vars(package), name
+    with pytest.raises(AttributeError, match=f"module '{package.__name__}' has no"):
         getattr(package, "no_such_name")
+
+
+def test_a_lazy_name_is_imported_on_first_access_only():
+    module = types.ModuleType("lazy_probe")
+    hook = repro.lazy_exports(vars(module), {"dumps": "json"})
+    calls = []
+
+    def counting_hook(name):
+        calls.append(name)
+        return hook(name)
+
+    module.__getattr__ = counting_hook
+    assert "dumps" not in vars(module)
+    assert module.dumps is json.dumps
+    assert module.dumps is json.dumps
+    assert calls == ["dumps"]
+    assert vars(module)["dumps"] is json.dumps
+    with pytest.raises(AttributeError, match="module 'lazy_probe' has no attribute 'loads'"):
+        module.loads
+    assert calls == ["dumps", "loads"]
+
+
+@pytest.fixture(scope="module")
+def eager_names() -> dict:
+    """Package -> the public names a fresh import binds before any access."""
+    script = (
+        "import importlib, json, types\n"
+        f"packages = {[package.__name__ for package in LAZY_PACKAGES]!r}\n"
+        "print(json.dumps({name: sorted(\n"
+        "    key for key, value in vars(importlib.import_module(name)).items()\n"
+        "    if not key.startswith('_') and key != 'lazy_exports'\n"
+        "    and not isinstance(value, types.ModuleType)) for name in packages}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES, ids=lambda package: package.__name__)
+def test_all_is_the_eager_names_then_the_lazy_table(package, eager_names):
+    eager = [name for name in package.__all__ if name not in package._LAZY]
+    assert package.__all__ == [*eager, *package._LAZY]
+    assert set(eager) - {"__version__"} == set(eager_names[package.__name__])

@@ -63,7 +63,6 @@ from repro.kernels import (
     gaussian_blur,
     grayscale,
     lowpass_taps,
-    md5_bytes,
     mine,
     random_graph,
     sobel,
@@ -133,7 +132,7 @@ def _aes() -> Case:
 def _md5() -> Case:
     data = bytes((i * 13) & 0xFF for i in range(STREAM))
     records = b"".join(
-        md5_bytes(data[i : i + TILE]) + bytes(48) for i in range(0, STREAM, TILE)
+        hashlib.md5(data[i : i + TILE]).digest() + bytes(48) for i in range(0, STREAM, TILE)
     )
     return _stream(data, len(records), records)
 

@@ -12,12 +12,10 @@ from repro.kernels import (
     CsrGraph,
     DecodeError,
     GaussianGenerator,
-    Md5,
     ReedSolomon,
     Sha512,
     align,
     best_score,
-    double_sha256,
     easy_target,
     encrypt_block,
     encrypt_ecb,
@@ -26,11 +24,9 @@ from repro.kernels import (
     grayscale,
     hash_value,
     lowpass_taps,
-    md5_bytes,
     meets_target,
     mine,
     random_graph,
-    sha256_bytes,
     sha512_bytes,
     sobel,
     sssp_bellman_ford,
@@ -134,16 +130,6 @@ class TestAes:
 
 
 class TestHashes:
-    @given(data=st.binary(max_size=300))
-    @settings(max_examples=40)
-    def test_md5_matches_hashlib(self, data):
-        assert md5_bytes(data) == hashlib.md5(data).digest()
-
-    @given(data=st.binary(max_size=300))
-    @settings(max_examples=40)
-    def test_sha256_matches_hashlib(self, data):
-        assert sha256_bytes(data) == hashlib.sha256(data).digest()
-
     @given(data=st.binary(max_size=500))
     @settings(max_examples=40)
     def test_sha512_matches_hashlib(self, data):
@@ -151,18 +137,10 @@ class TestHashes:
 
     def test_incremental_equals_oneshot(self):
         data = bytes(range(256)) * 3
-        incremental = Md5()
-        for i in range(0, len(data), 37):
-            incremental.update(data[i : i + 37])
-        assert incremental.digest() == md5_bytes(data)
         sha = Sha512()
         for i in range(0, len(data), 53):
             sha.update(data[i : i + 53])
         assert sha.digest() == sha512_bytes(data)
-
-    def test_double_sha256(self):
-        data = b"bitcoin"
-        assert double_sha256(data) == hashlib.sha256(hashlib.sha256(data).digest()).digest()
 
 
 class TestReedSolomon:
