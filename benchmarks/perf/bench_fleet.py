@@ -42,6 +42,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import statistics
 import sys
 import tempfile
@@ -264,6 +265,11 @@ def main() -> None:
     results = {
         "quick": args.quick,
         "cpu_count": os.cpu_count(),
+        "host": {
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "usable_cpus": len(os.sched_getaffinity(0)),
+        },
         "methodology": (
             "median of 3 runs per cell; sharded speedup scales with real "
             "CPUs; on a 1-CPU host the shard workers time-slice one core "

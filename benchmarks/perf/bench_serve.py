@@ -39,6 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import resource
 import sys
 import tempfile
@@ -172,6 +173,11 @@ def main() -> None:
     results = {
         "quick": args.quick,
         "cpu_count": os.cpu_count(),
+        "host": {
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "usable_cpus": len(os.sched_getaffinity(0)),
+        },
         "methodology": (
             "throughput replays one closed-loop trace through the "
             "gateway with SLO admission on a serial fleet (the serving loop "

@@ -16,10 +16,10 @@ fleet-wide per-type totals and their occupancy-time integral.
 :class:`~repro.cloud.provider.CloudProvider` (and the
 :class:`~repro.fleet.node.FleetNode` wrapping it) and the sharded
 coordinator's :class:`~repro.parallel.shadow.ShadowNode` hold this same
-class, so shadow and real slot selection agree by construction.  The
-hypervisor's ``physical[i].vaccels`` lists stay the ground truth:
-:meth:`matches` recounts against them.  Pure bookkeeping — no simulation
-imports.
+class, so shadow and real slot selection agree by construction.
+:meth:`matches` checks it against a recount: of the provider's tenant
+records after every placement, of the hypervisor's ``physical[i].vaccels``
+lists at the end of a run.  Pure bookkeeping — no simulation imports.
 """
 
 from __future__ import annotations
@@ -173,8 +173,8 @@ class SlotLedger:
 
     def matches(self, recount: Sequence[int]) -> bool:
         """Whether the ledger equals a from-scratch recount of tenants per
-        physical slot (``len(hypervisor.physical[i].vaccels)``): the
-        per-slot counts, and the per-type counters re-derived from them."""
+        physical slot: the per-slot counts, and the per-type counters
+        re-derived from them."""
         counts = list(recount)
         if counts != self.per_slot:
             return False

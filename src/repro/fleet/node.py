@@ -2,11 +2,13 @@
 
 A node owns a complete OPTIMUS stack — an :class:`FpgaConfiguration`, the
 platform built for it, and the hypervisor — exactly as the single-node
-paper reproduction does.  What the fleet layer adds here is *bookkeeping*
-(:class:`NodeState`): per-type capacity and spatial/temporal occupancy
-read from the provider's :class:`~repro.cloud.slots.SlotLedger`, an
-oversubscription cap, the health machine, and a load figure the placement
-policies can compare across nodes.
+paper reproduction does; a tenant's guest on it is built only when
+something reads below the ledger (:mod:`repro.cloud.provider`).  What the
+fleet layer adds here is *bookkeeping* (:class:`NodeState`): per-type
+capacity and spatial/temporal occupancy read from the provider's
+:class:`~repro.cloud.slots.SlotLedger`, an oversubscription cap, the
+health machine, and a load figure the placement policies can compare
+across nodes.
 """
 
 from __future__ import annotations
@@ -319,10 +321,13 @@ class FleetNode(NodeState):
 
     def check_ledger(self) -> None:
         """The oracle: raise unless the ledger equals a from-scratch
-        recount of the hypervisor's per-slot vaccel lists."""
+        recount of the provider's tenant records.  Builds no guest, so the
+        shard worker can afford it after every placement; the hypervisor's
+        per-slot lists are compared at the end of a run instead
+        (:func:`repro.scenario.properties.check_ledgers`)."""
         recount = self.provider.recount()
         if not self.slots.matches(recount):
             raise RuntimeError(
                 f"slot ledger of {self.name} drifted: {self.slots} vs "
-                f"hypervisor recount {recount}"
+                f"tenant recount {recount}"
             )

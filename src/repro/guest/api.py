@@ -43,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.hv.vm import VirtualMachine
 
 
-def _buffer_stagger(vm: "VirtualMachine", vaccel: VirtualAccelerator) -> int:
+def buffer_stagger(page_size: int, vaccel_id: int) -> int:
     """Where a tenant's buffers start inside its window.
 
     Buffer placement inside the window varies per tenant (allocator
@@ -53,9 +53,9 @@ def _buffer_stagger(vm: "VirtualMachine", vaccel: VirtualAccelerator) -> int:
     in use: 64 pages (256 KB) per tenant, the same set-skew idea as the
     2 MB-mode slice gaps, applied at 4 KB granularity.
     """
-    if vm.page_size != PAGE_SIZE_4K:
+    if page_size != PAGE_SIZE_4K:
         return 0
-    return (vaccel.vaccel_id % 8) * 64 * PAGE_SIZE_4K
+    return (vaccel_id % 8) * 64 * PAGE_SIZE_4K
 
 
 class GuestAccelerator:
@@ -74,7 +74,7 @@ class GuestAccelerator:
         self.vaccel = vaccel
         self.driver = GuestFpgaDriver(hypervisor, vm, vaccel)
         base = self.driver.probe(window_bytes)
-        stagger = _buffer_stagger(vm, vaccel)
+        stagger = buffer_stagger(vm.page_size, vaccel.vaccel_id)
         if window_bytes <= stagger:
             raise ConfigurationError("allocator size must be positive")
         self._buffer_span = (base + stagger, window_bytes - stagger)
@@ -107,7 +107,7 @@ class GuestAccelerator:
         handle.vaccel = vaccel
         handle.driver = GuestFpgaDriver(hypervisor, vm, vaccel)
         base = vaccel.window_base_gva or 0
-        stagger = _buffer_stagger(vm, vaccel)
+        stagger = buffer_stagger(vm.page_size, vaccel.vaccel_id)
         handle._buffer_span = (base + stagger, max(vaccel.window_size - stagger, 64))
         handle._buffers = None
         handle.connected = True

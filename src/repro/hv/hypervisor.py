@@ -25,7 +25,8 @@ Responsibilities, mapped to the paper:
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional
+from itertools import count
+from typing import List, NamedTuple, Optional
 
 from repro.accel.base import (
     CMD_PREEMPT,
@@ -51,7 +52,7 @@ from repro.hv.mdev import (
     VirtualAccelerator,
 )
 from repro.hv.preemption import PhysicalAccelerator
-from repro.hv.shadow import ShadowPager
+from repro.hv.shadow import DUMMY_BACKING_PAGE_LIMIT, ShadowPager
 from repro.hv.vm import VirtualMachine
 from repro.mem.address import GB, MB, align_up
 from repro.mem.allocator import FrameAllocator
@@ -60,6 +61,15 @@ from repro.sim.engine import Future
 
 #: Host physical memory below this is considered host-reserved.
 HOST_RESERVED_BYTES = 4 * GB
+
+
+class Reservation(NamedTuple):
+    """What booting one guest takes from a hypervisor's shared counters,
+    claimed ahead of the boot (:meth:`OptimusHypervisor.reserve`)."""
+
+    vm_index: int  # drives the VM's GVA stagger
+    vaccel_id: int  # names the vaccel and drives its buffer stagger
+    slice_index: int  # the IOVA slice
 
 
 class OptimusHypervisor:
@@ -86,7 +96,8 @@ class OptimusHypervisor:
             self.page_size,
         )
         self.shadow = ShadowPager(self, platform.iommu)
-        self._vms_created = 0  # for the GVA stagger; no guest is referenced here
+        # VMs ever booted, for the GVA stagger; no guest is referenced here.
+        self._vm_indices = count()
         self.vaccels: List[VirtualAccelerator] = []
         self.physical: List[PhysicalAccelerator] = [
             PhysicalAccelerator(self, i) for i in range(platform.n_sockets)
@@ -95,7 +106,7 @@ class OptimusHypervisor:
         #: Monotonic vaccel ids (never reused: watchdog bookkeeping and
         #: scheduler tie-breaks key on them) and the IOVA slice free list
         #: teardown recycles into (DESIGN.md §10, "Tenant lifecycle").
-        self._next_vaccel_id = 0
+        self._vaccel_ids = count()
         self._next_slice = 0
         self._free_slices: List[int] = []
         self.mmio_traps = 0
@@ -115,19 +126,55 @@ class OptimusHypervisor:
             self._dummy_frame = self.frames.alloc_frame()
         return self._dummy_frame
 
+    # -- IOVA slices and reservations ---------------------------------------------------
+
+    def _claim_slice(self) -> int:
+        """An IOVA slice: the lowest-based freed one, else a new one."""
+        if self._free_slices:
+            return heapq.heappop(self._free_slices)
+        slice_index = self._next_slice
+        if slice_index >= self.layout.max_slices:
+            raise ConfigurationError("IO virtual address space exhausted")
+        self._next_slice += 1
+        return slice_index
+
+    def release_slice(self, slice_index: int) -> None:
+        """Return an IOVA slice to the free list."""
+        heapq.heappush(self._free_slices, slice_index)
+
+    def reserve(self, window_bytes: int) -> Reservation:
+        """Claim now what booting a guest with a ``window_bytes`` DMA window
+        takes later: its VM index, vaccel id and IOVA slice, and the dummy
+        frame if this is the first window it backs (DESIGN.md §10).
+
+        Passing the reservation's ids to :meth:`create_vm` and
+        :meth:`create_virtual_accelerator` builds the guest this call would
+        have built, whatever happened in between; a guest never built hands
+        its slice back with :meth:`release_slice`.
+        """
+        window = align_up(window_bytes, self.page_size)
+        if not 0 < window <= self.layout.slice_bytes:
+            raise GuestError("window size must be within the 64 GB slice")
+        slice_index = self._claim_slice()
+        if window // self.page_size <= DUMMY_BACKING_PAGE_LIMIT:
+            self.dummy_frame()
+        return Reservation(next(self._vm_indices), next(self._vaccel_ids), slice_index)
+
     # -- lifecycle ----------------------------------------------------------------------
 
-    def create_vm(self, name: str, mem_bytes: int = 10 * GB) -> VirtualMachine:
+    def create_vm(
+        self, name: str, mem_bytes: int = 10 * GB, *, index: Optional[int] = None
+    ) -> VirtualMachine:
         """Boot a guest; the paper allocates 10 GB per guest (§6.1)."""
-        vm = VirtualMachine(
+        if index is None:
+            index = next(self._vm_indices)
+        return VirtualMachine(
             name,
             self,
             mem_bytes=mem_bytes,
             page_size=self.page_size,
-            gva_stagger=self._vms_created * 37 * 4096,  # ASLR-style spread
+            gva_stagger=index * 37 * 4096,  # ASLR-style spread
         )
-        self._vms_created += 1
-        return vm
 
     def create_virtual_accelerator(
         self,
@@ -135,25 +182,24 @@ class OptimusHypervisor:
         job: AcceleratorJob,
         *,
         physical_index: int = 0,
+        vaccel_id: Optional[int] = None,
+        slice_index: Optional[int] = None,
     ) -> VirtualAccelerator:
-        """Create a mediated device for ``vm`` on one physical accelerator."""
+        """Create a mediated device for ``vm`` on one physical accelerator
+        (with a :class:`Reservation`'s id and slice when given)."""
         if not 0 <= physical_index < len(self.physical):
             raise ConfigurationError(f"no physical accelerator {physical_index}")
-        if self._free_slices:
-            slice_index = heapq.heappop(self._free_slices)
-        else:
-            slice_index = self._next_slice
-            if slice_index >= self.layout.max_slices:
-                raise ConfigurationError("IO virtual address space exhausted")
-            self._next_slice += 1
+        if slice_index is None:
+            slice_index = self._claim_slice()
+        if vaccel_id is None:
+            vaccel_id = next(self._vaccel_ids)
         vaccel = VirtualAccelerator(
-            vaccel_id=self._next_vaccel_id,
+            vaccel_id=vaccel_id,
             vm=vm,
             job=job,
             slice_=self.layout.slice_for(slice_index),
             physical_index=physical_index,
         )
-        self._next_vaccel_id += 1
         self.vaccels.append(vaccel)
         self.physical[physical_index].attach(vaccel)
         if self.watchdog is not None:
@@ -221,7 +267,7 @@ class OptimusHypervisor:
         # (reused lowest-base-first), our reference, the watchdog's.
         if vaccel in self.vaccels:
             self.vaccels.remove(vaccel)
-            heapq.heappush(self._free_slices, vaccel.slice.index)
+            self.release_slice(vaccel.slice.index)
         if self.watchdog is not None:
             self.watchdog.unwatch(vaccel)
 

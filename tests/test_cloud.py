@@ -7,8 +7,9 @@ import pytest
 
 from repro.accel.streaming import REG_LEN, REG_PARAM0, REG_PARAM1, REG_SRC
 from repro.cloud import AcceleratorLibrary, CloudProvider, FpgaConfiguration
-from repro.errors import ConfigurationError, SchedulerError, SynthesisError
-from repro.mem import MB
+from repro.errors import ConfigurationError, GuestError, SchedulerError, SynthesisError
+from repro.hv.shadow import DUMMY_BACKING_PAGE_LIMIT
+from repro.mem import MB, PAGE_SIZE_4K
 from repro.platform import PlatformParams
 from repro.sim.clock import ms, us
 
@@ -175,7 +176,7 @@ class TestPlacement:
         second = provider.place("t1", "MB", window_bytes=16 * MB)
         assert first != second and first == first
         provider.evict(first)
-        assert provider.tenants == [second]
+        assert provider.tenants == {"t1": second}
 
     def test_oversubscription_spill_least_loaded(self):
         # Free slots exhausted -> the temporal spill picks the
@@ -211,3 +212,114 @@ class TestPlacement:
 
 def self_occupancies(provider):
     return [len(m.vaccels) for m in provider.hypervisor.physical[:2]]
+
+
+class TestReservation:
+    """Placement reserves a guest; the first read below the ledger builds it.
+
+    The literals were recorded when every placement still built its guest
+    at once, so a reserved guest built later must come out the same.
+    """
+
+    def node(self):
+        from repro.fleet.node import FleetNode, NodeSpec
+
+        return FleetNode(
+            NodeSpec.of("n0", ("AES", "AES", "SHA")),
+            params=PlatformParams(page_size=PAGE_SIZE_4K),
+        )
+
+    def test_a_place_evict_cycle_builds_nothing(self):
+        node = self.node()
+        hypervisor = node.provider._hypervisor  # the property would build
+        iopt = node.provider.platform.iommu.page_table
+        for name in ("a", "b", "c"):
+            node.place(name, "AES")
+        node.check_ledger()
+        for name in ("b", "a", "c"):
+            node.evict(name)
+        assert hypervisor.vaccels == []
+        assert all(manager.vaccels == [] for manager in hypervisor.physical)
+        assert (iopt.version, len(iopt._entries)) == (0, 0)
+        assert node.provider.tenants == {} and node.slots.per_slot == [0, 0, 0]
+        # Every reserved slice came back: the next guest takes the lowest.
+        assert node.place("d", "SHA").vaccel.slice.index == 0
+
+    def test_a_guest_built_after_a_departure_matches_the_one_built_at_once(self):
+        node = self.node()
+        node.place("a", "AES")
+        node.place("b", "AES")
+        node.evict("a")
+        checkpoint = node.checkpoint_tenant("b")
+        vaccel = node.tenants["b"].vaccel
+        assert (vaccel.name, vaccel.slice.index, vaccel.window_base_gva) == (
+            "b/va1", 1, 0x10000025000
+        )
+        assert checkpoint.digest() == "09b618b5d1190c03"
+        # The vaccel id drives the buffer stagger inside the window.
+        assert node.tenants["b"].handle.alloc_buffer(PAGE_SIZE_4K) == 0x10000065000
+
+    def test_the_first_dummy_backed_placement_takes_the_dummy_frame(self):
+        # A handle held across a placement backs pages without building the
+        # newcomer; its frames must still come after the dummy frame.
+        node = self.node()
+        huge = (DUMMY_BACKING_PAGE_LIMIT + 1) * PAGE_SIZE_4K
+        handle = node.place("big", "AES", window_bytes=huge).handle
+        node.place("small", "AES")
+        gva = handle.alloc_buffer(PAGE_SIZE_4K)
+        assert handle.vm.mmu.gva_to_hpa(gva) == 0x100001000
+        assert node.provider.hypervisor._dummy_frame == 0x100000000
+
+    def test_reading_the_hypervisor_builds_pending_tenants_in_placement_order(self):
+        provider = CloudProvider(FpgaConfiguration.synthesize(["MB", "LL"]))
+        for name, accel_type in (("x", "MB"), ("y", "LL"), ("z", "MB")):
+            provider.place(name, accel_type, window_bytes=16 * MB)
+        assert not any(tenant.built for tenant in provider.tenants.values())
+        hypervisor = provider.hypervisor
+        assert all(tenant.built for tenant in provider.tenants.values())
+        assert [va.name for va in hypervisor.vaccels] == ["x/va0", "y/va1", "z/va2"]
+        assert [va.name for va in hypervisor.physical[0].vaccels] == ["x/va0", "z/va2"]
+        assert [va.slice.index for va in hypervisor.vaccels] == [0, 1, 2]
+
+    def test_a_tenant_that_left_unbuilt_has_no_guest(self):
+        provider = CloudProvider(FpgaConfiguration.synthesize(["MB"]))
+        tenant = provider.place("a", "MB", window_bytes=16 * MB)
+        provider.evict(tenant)
+        with pytest.raises(ConfigurationError, match="left before its guest was built"):
+            tenant.handle
+        with pytest.raises(ConfigurationError):
+            provider.evict(tenant)
+
+    def test_a_build_that_raises_leaves_the_tenant_pending_and_evictable(self):
+        provider = CloudProvider(FpgaConfiguration.synthesize(["MB"]))
+        tenant = provider.place("a", "MB", window_bytes=16 * MB, job_kwargs={"bogus": 1})
+        with pytest.raises(TypeError):
+            tenant.handle
+        provider.evict(tenant)
+        assert provider.tenants == {} and provider.slots.per_slot == [0]
+        assert provider.hypervisor.vaccels == []
+
+    def test_a_window_the_slice_cannot_hold_is_refused_at_placement(self):
+        provider = CloudProvider(FpgaConfiguration.synthesize(["MB"]))
+        with pytest.raises(GuestError):
+            provider.place("a", "MB", window_bytes=provider.params.slice_bytes + 1)
+        assert provider.tenants == {} and provider.slots.per_slot == [0]
+
+    def test_a_window_no_larger_than_its_buffer_stagger_is_refused_at_placement(self):
+        provider = CloudProvider(
+            FpgaConfiguration.synthesize(["MB"]), params=PlatformParams(page_size=PAGE_SIZE_4K)
+        )
+        provider.place("a", "MB", window_bytes=1 * MB)
+        # vaccel id 1 starts its buffers 64 pages into the window.
+        with pytest.raises(ConfigurationError, match="no room for buffers"):
+            provider.place("b", "MB", window_bytes=64 * PAGE_SIZE_4K)
+        assert provider.slots.per_slot == [1]
+        assert [va.name for va in provider.hypervisor.vaccels] == ["a/va0"]
+        assert provider.place("c", "MB", window_bytes=1 * MB).vaccel.slice.index == 1
+
+    def test_a_name_already_placed_is_refused(self):
+        provider = CloudProvider(FpgaConfiguration.synthesize(["MB", "MB"]))
+        provider.place("a", "MB", window_bytes=16 * MB)
+        with pytest.raises(ConfigurationError):
+            provider.place("a", "MB", window_bytes=16 * MB)
+        assert provider.slots.per_slot == [1, 0]

@@ -94,7 +94,7 @@ class TestNode:
         with provider.connect("a", "MB") as handle:
             assert provider.slots.occupancy("MB") == 1
         assert forgotten == ["a"]
-        assert provider.tenants == [] and provider.slots.occupancy("MB") == 0
+        assert provider.tenants == {} and provider.slots.occupancy("MB") == 0
         handle.disconnect()  # idempotent: the hook is spent
         assert forgotten == ["a"]
 

@@ -391,8 +391,8 @@ class TestGuestLifecycle:
         provider = CloudProvider(FpgaConfiguration.synthesize(["AES", "MB"]))
         with provider.connect("tenant0", "AES") as accel:
             assert len(provider.tenants) == 1
-            assert provider.tenants[0].handle is accel
-        assert provider.tenants == []
+            assert provider.tenants["tenant0"].handle is accel
+        assert provider.tenants == {}
 
     def test_provider_evict_still_works(self):
         from repro.cloud.library import FpgaConfiguration
@@ -400,8 +400,9 @@ class TestGuestLifecycle:
 
         provider = CloudProvider(FpgaConfiguration.synthesize(["AES", "MB"]))
         tenant = provider.place("tenant0", "AES")
+        handle = tenant.handle
         provider.evict(tenant)
-        assert provider.tenants == []
-        assert not tenant.handle.connected
+        assert provider.tenants == {}
+        assert not handle.connected
         with pytest.raises(ConfigurationError):
             provider.evict(tenant)

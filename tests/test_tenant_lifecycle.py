@@ -2,10 +2,12 @@
 
 A Hypothesis state machine drives one node's :class:`CloudProvider`
 (through :class:`FleetNode`, whose ``check_ledger`` is the slot oracle)
-with every lifecycle verb a tenant meets: placement, eviction,
-checkpoint -> evict -> restore, rebalancing migration, guest page
-registration through the shadow-paging hypercall, a BAR2 window written
-again (growing or shrinking it), and a window too large for dummy backing.
+with every lifecycle verb a tenant meets: placement (which only reserves
+the guest), the first read of a tenant's vaccel (which builds every
+pending guest), eviction, checkpoint -> evict -> restore, rebalancing
+migration, guest page registration through the shadow-paging hypercall,
+a BAR2 window written again (growing or shrinking it), and a window too
+large for dummy backing.
 
 A model records what each live tenant registered: its window pages (the
 dummy frame) and the GVAs it mapped (the frame its guest page table
@@ -13,12 +15,17 @@ resolves to).  A window write unregisters every page (DESIGN.md §12), so
 a checkpoint carries exactly the GVAs registered since the last one, and
 a page a shrunk window stranded is left behind.  After every step:
 
-* the IOPT entries inside each live tenant's slice are exactly its model,
-  and every one lies below the largest window it installed (the extent
-  teardown unmaps);
-* a slice with no live tenant holds no entries, and the IOPT holds nothing
-  outside the live slices;
-* the slot ledger equals a recount of the hypervisor.
+* the IOPT entries inside each built tenant's slice are exactly its
+  model, and every one lies below the largest window it installed (the
+  extent teardown unmaps);
+* the slice reserved for an unbuilt tenant holds nothing, no two tenants
+  share a slice, a slice with no live tenant holds no entries, and the
+  IOPT holds nothing outside the built tenants' slices;
+* the slot ledger equals a recount of the tenant records, and each
+  slot's vaccel list holds exactly its built tenants.
+
+The oracle reads the hypervisor object directly, so checking builds
+nothing.
 """
 
 from hypothesis import settings
@@ -55,7 +62,7 @@ class TenantLifecycle(RuleBasedStateMachine):
         self.node = FleetNode(
             NodeSpec.of("n0", SLOTS), params=PlatformParams(page_size=PAGE), max_oversub=3
         )
-        self.hv = self.node.provider.hypervisor
+        self.hv = self.node.provider._hypervisor  # read without building guests
         self.iopt = self.hv.platform.iommu.page_table
         #: tenant -> {page offset in its slice: DUMMY or the mapped GVA}
         self.model = {}
@@ -81,6 +88,12 @@ class TenantLifecycle(RuleBasedStateMachine):
         self.node.place(name, accel_type, window_bytes=window)
         self.model[name] = window_model(window)
         self.registered[name] = set()
+
+    @precondition(lambda self: self.node.tenants)
+    @rule(data=st.data())
+    def build(self, data):
+        self.node.tenants[self.pick(data)].vaccel  # noqa: B018 - the read builds
+        assert all(tenant.built for tenant in self.node.tenants.values())
 
     @precondition(lambda self: self.node.tenants)
     @rule(data=st.data())
@@ -142,38 +155,50 @@ class TenantLifecycle(RuleBasedStateMachine):
 
     # -- the oracle -------------------------------------------------------------
 
-    def expected_frames(self, name):
-        vm = self.node.tenants[name].vaccel.vm
+    def expected_frames(self, tenant):
+        vm = tenant._vaccel.vm
         shift = self.iopt.page_shift
         return {
             offset: (self.hv._dummy_frame if gva is DUMMY else vm.mmu.gva_to_hpa(gva)) >> shift
-            for offset, gva in self.model[name].items()
+            for offset, gva in self.model[tenant.name].items()
         }
 
     @invariant()
     def each_slice_holds_exactly_what_its_tenant_registered(self):
         entries = self.iopt._entries
-        live = set()
-        for name, tenant in self.node.tenants.items():
-            vaccel = tenant.vaccel
+        slices = {}  # slice index -> the tenant it is built or reserved for
+        for tenant in self.node.tenants.values():
+            vaccel = tenant._vaccel  # reading .vaccel would build
+            if vaccel is None:
+                slices[tenant._reservation.slice_index] = tenant
+                continue
             slice_ = vaccel.slice
-            live.add(slice_.index)
+            slices[slice_.index] = tenant
             first = slice_.iova_base // PAGE
             held = {
                 vpn - first: entries[vpn].frame
                 for vpn in self.iopt.resident_in(slice_.iova_base, slice_.size)
             }
-            assert held == self.expected_frames(name), name
+            assert held == self.expected_frames(tenant), tenant.name
             assert all(offset * PAGE < vaccel.window_extent for offset in held)
+        assert len(slices) == len(self.node.tenants)
         for index in range(self.hv._next_slice):
-            if index not in live:
+            tenant = slices.get(index)
+            if tenant is None or not tenant.built:
                 free = self.hv.layout.slice_for(index)
                 assert self.iopt.resident_in(free.iova_base, free.size) == []
-        assert len(entries) == sum(len(model) for model in self.model.values())
+        assert len(entries) == sum(
+            len(self.model[tenant.name]) for tenant in slices.values() if tenant.built
+        )
 
     @invariant()
-    def ledger_matches_the_hypervisor(self):
+    def ledger_matches_the_tenants_and_the_hypervisor_holds_the_built_ones(self):
         self.node.check_ledger()
+        built = [0] * len(SLOTS)
+        for tenant in self.node.tenants.values():
+            if tenant.built:
+                built[tenant.physical_index] += 1
+        assert [len(manager.vaccels) for manager in self.hv.physical] == built
 
 
 TenantLifecycle.TestCase.settings = settings(
