@@ -42,7 +42,6 @@ TRIAD_PROFILE = AcceleratorProfile(
     footprint=ResourceFootprint(alm_pct=1.1, bram_pct=0.9),
     character=SynthesisCharacter.NORMAL,
     max_outstanding=32,
-    preemptible=True,
     state_bytes=64,
 )
 

@@ -32,7 +32,7 @@ def main() -> None:
     print("accelerator library:")
     for entry in library.entries()[:6]:
         print(f"  {entry.name:5} {entry.description:34} "
-              f"ALM {entry.alm_pct:4.2f}%  preemptible={entry.preemptible}")
+              f"ALM {entry.alm_pct:4.2f}%")
     print("  ... (14 products total)\n")
 
     config = FpgaConfiguration.synthesize(["MB", "MB", "AES", "SHA"])

@@ -62,7 +62,6 @@ class AcceleratorProfile:
     footprint: ResourceFootprint  # single-instance (PT column of Table 2)
     character: SynthesisCharacter = SynthesisCharacter.NORMAL
     max_outstanding: int = 64  # DMA window (closed-loop issue depth)
-    preemptible: bool = False  # implements the §4.2 interface natively
     state_bytes: int = 64  # architected state saved on preemption
 
     @property

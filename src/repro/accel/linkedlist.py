@@ -40,7 +40,6 @@ LL_PROFILE = AcceleratorProfile(
     footprint=ResourceFootprint(alm_pct=0.15, bram_pct=0.0),
     character=SynthesisCharacter.TRIVIAL,
     max_outstanding=1,  # strictly serial: the latency bottleneck by design
-    preemptible=True,
     state_bytes=64,
 )
 

@@ -32,7 +32,6 @@ MB_PROFILE = AcceleratorProfile(
     footprint=ResourceFootprint(alm_pct=0.83, bram_pct=0.0),
     character=SynthesisCharacter.SIMPLE,
     max_outstanding=384,
-    preemptible=True,
     state_bytes=64,
 )
 

@@ -10,8 +10,9 @@ the first DMA returns, i.e. genuine pointer chasing (§2.1, Fig. 1).
 Modes:
 
 * **functional** — the graph's serialized bytes live in simulated DRAM;
-  every offset and edge is read through real DMAs and distances are
-  written back, verifiable against Dijkstra;
+  every offset and edge is read through real DMAs, and the distance array
+  at ``REG_DST`` (written out before the first round, then by every
+  improved-distance write) is verifiable against Dijkstra;
 * **pattern** — for the paper-scale graphs (800 K vertices, up to 51 M
   edges) the CSR arrays stay in host-Python memory and the job issues the
   *same sequence of DMA addresses* without materializing gigabytes.
@@ -61,8 +62,9 @@ class SsspJob(AcceleratorJob):
     edges_per_cycle = 4.0
     #: Frontier vertices kept in flight by the vertex pipeline.
     pipeline_depth = 8
-    #: Only the round counter: the output-sized frontier and distances stay
-    #: in the job object, so a fresh job restored from this starts over.
+    #: Only the round counter: a functional job restored with ``rounds >
+    #: 0`` reloads its distances from REG_DST and takes every reached
+    #: vertex as its frontier (pattern mode has none there: it starts over).
     state_fields = (("rounds", "Q"),)
 
     def __init__(
@@ -111,11 +113,20 @@ class SsspJob(AcceleratorJob):
         n_vertices = self.reg(REG_PARAM0)
         source = self.reg(REG_PARAM1)
         offsets_bytes = (n_vertices + 1) * OFFSET_BYTES
+        lines = range(0, 4 * n_vertices, CACHE_LINE_BYTES)  # the distance array
 
-        if self.distances is None:
+        if self.distances is None and self.rounds and self.functional and dist_base:
+            reads, _first = self._read_lines(ctx, dist_base, 0, 4 * n_vertices)
+            yield reads
+            raw = b"".join(f.result() for f in reads)[: 4 * n_vertices]
+            self.distances = np.frombuffer(raw, dtype="<u4").astype(np.uint64)
+            self.frontier = np.flatnonzero(self.distances < INFINITY).tolist()
+        elif self.distances is None:
             self.distances = np.full(n_vertices, INFINITY, dtype=np.uint64)
             self.distances[source] = 0
             self.frontier = [source]
+            if self.functional and dist_base:
+                yield [ctx.write(dist_base + i, self._line(i)) for i in lines]
         posted_writes: List = []
 
         while self.frontier:
@@ -191,7 +202,8 @@ class SsspJob(AcceleratorJob):
                                 seen.add(t)
                                 next_frontier.append(t)
                             line = align_down(t * 4, CACHE_LINE_BYTES)
-                            writes.append(ctx.write(dist_base + line))
+                            data = self._line(line) if self.functional else None
+                            writes.append(ctx.write(dist_base + line, data))
                     self.edges_relaxed += degree
                 # Distance updates are posted; stall only on deep backlog.
                 while len(writes) > 256:
@@ -207,16 +219,19 @@ class SsspJob(AcceleratorJob):
         while posted_writes:
             yield posted_writes.pop(0)
 
-        # Final distance array write-back (functional mode keeps it exact).
+        # Final write-back: posted line writes may land out of order.
         if self.functional and dist_base:
-            packed = np.minimum(self.distances, INFINITY).astype("<u4").tobytes()
-            writes = []
-            for i in range(0, len(packed), CACHE_LINE_BYTES):
-                chunk = packed[i : i + CACHE_LINE_BYTES]
-                chunk += bytes(CACHE_LINE_BYTES - len(chunk))
-                writes.append(ctx.write(dist_base + i, chunk))
-            yield writes
+            yield [ctx.write(dist_base + i, self._line(i)) for i in lines]
         self.done = True
+
+    def _line(self, start: int) -> bytes:
+        """The distance-array line at byte ``start``, as the circuit writes it."""
+        import numpy as np
+
+        from repro.kernels.graph import INFINITY
+
+        values = self.distances[start // 4 : (start + CACHE_LINE_BYTES) // 4]
+        return np.minimum(values, INFINITY).astype("<u4").tobytes().ljust(CACHE_LINE_BYTES, b"\0")
 
     def progress_units(self) -> int:
         return self.edges_relaxed

@@ -29,7 +29,6 @@ class LibraryEntry:
 
     name: str
     description: str
-    preemptible: bool
     alm_pct: float
     bram_pct: float
 
@@ -54,7 +53,6 @@ class AcceleratorLibrary:
                 LibraryEntry(
                     name=name,
                     description=profile.description,
-                    preemptible=profile.preemptible,
                     alm_pct=profile.footprint.alm_pct,
                     bram_pct=profile.footprint.bram_pct,
                 )

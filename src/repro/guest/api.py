@@ -97,9 +97,9 @@ class GuestAccelerator:
         Used after :func:`repro.hv.checkpoint.restore_guest`: the window is
         registered and the shadow mappings are replayed, so probing again
         (which reserves a new window and reprograms BAR2) would be wrong.
-        Buffer-allocator history does not survive migration — pages the
-        source guest registered stay mapped, but the destination handle
-        starts with an empty allocation book.
+        Buffer-allocator history does not survive migration: pages the
+        source guest registered stay mapped, so the destination handle
+        allocates only above the highest of them.
         """
         handle = cls.__new__(cls)
         handle.hypervisor = hypervisor
@@ -107,8 +107,10 @@ class GuestAccelerator:
         handle.vaccel = vaccel
         handle.driver = GuestFpgaDriver(hypervisor, vm, vaccel)
         base = vaccel.window_base_gva or 0
-        stagger = buffer_stagger(vm.page_size, vaccel.vaccel_id)
-        handle._buffer_span = (base + stagger, max(vaccel.window_size - stagger, 64))
+        start = base + buffer_stagger(vm.page_size, vaccel.vaccel_id)
+        if vaccel.mapped_gvas:
+            start = max(start, max(vaccel.mapped_gvas) + vm.page_size)
+        handle._buffer_span = (start, max(base + vaccel.window_size - start, 64))
         handle._buffers = None
         handle.connected = True
         handle._on_disconnect = None
@@ -194,7 +196,7 @@ class GuestAccelerator:
     # -- job control -----------------------------------------------------------------------
 
     def setup_preemption(self) -> int:
-        """Allocate and register the state buffer for a preemptible job."""
+        """Allocate and register the job's state buffer, its only state copy (§4.2)."""
         self._check()
         size = max(self.vm.page_size, self.vaccel.job.state_size())
         buffer_gva = self.alloc_buffer(size)
@@ -204,7 +206,7 @@ class GuestAccelerator:
     def start(self) -> Future:
         """Issue CMD_START; returns the job's completion future."""
         self._check()
-        if self.vaccel.job.profile.preemptible and self.vaccel.state_buffer_gva is None:
+        if self.vaccel.state_buffer_gva is None:
             self.setup_preemption()
         self.mmio_write(CTRL_CMD, CMD_START)
         return self.vaccel.job.completion

@@ -1,34 +1,20 @@
-"""Guest checkpoint/restore: the hv half of live migration (ISSUE 8).
+"""Guest checkpoint/restore: the hv half of live migration.
 
-OPTIMUS's own mechanisms already contain everything a migration protocol
-needs (ROADMAP, §4/§5 of the paper):
+OPTIMUS's own mechanisms already contain a migration protocol (§4, §5):
+*quiesce* is one preemption (the job's minimal state lands in the guest's
+own state buffer, §4.2); *snapshot* is a page-table walk (every backed
+page, the state buffer among them) plus the vaccel's register cache,
+window geometry and ``state_saved``; *restore* materializes the pages at
+fixed GVAs on a fresh VM and replays the shadow-paging hypercall against
+the new IOVA slice (§4.1, §5); *resume* is the destination's ordinary
+``_switch_in``, which reads the state back from the rematerialized buffer.
 
-* **quiesce** — preemptive temporal multiplexing stops a guest at a slice
-  boundary and serializes its minimal architected state into the guest's
-  own DRAM state buffer (§4.2);
-* **snapshot** — the guest's address space is a plain page table walk
-  (every backed page is readable through host DRAM), and the vaccel
-  carries the register cache, the DMA window geometry, and the saved
-  state blob;
-* **restore** — ``back_reserved_page`` materializes pages at *fixed* GVAs
-  on a fresh VM, so the destination guest sees the identical address
-  space, and replaying the shadow-paging hypercall re-patches the sliced
-  IO page table against the destination's IOVA slice (§4.1, §5);
-* **resume** — the destination scheduler's ordinary ``_switch_in`` path
-  replays cached registers, programs the auditor's offset table for the
-  *new* slice, and restores the saved state — restore is literally one
-  context-switch-in on another hypervisor.
-
-:func:`checkpoint_guest` produces a :class:`GuestCheckpoint`: a frozen,
-picklable, deterministically digestible value object — the unit the fleet
-ships between nodes (and, in sharded execution, between worker
-processes).  :func:`restore_guest` rebuilds the guest on any hypervisor
-with the same page size.
-
-The state buffer page is hypervisor scratch: a migrated run spills the
-preemption state into it while a never-preempted run leaves it zeroed, so
-application-level digest comparisons (:func:`guest_memory_digest`) accept
-explicit regions to scope the comparison to application buffers.
+:func:`checkpoint_guest` produces a frozen, picklable, digestible
+:class:`GuestCheckpoint`, the unit the fleet ships between nodes and shard
+workers; :func:`restore_guest` rebuilds it on any hypervisor with the same
+page size.  The state buffer is hypervisor scratch (a preempted run fills
+it, a never-preempted one leaves it zeroed), so :func:`guest_memory_digest`
+takes explicit regions to compare application buffers only.
 """
 
 from __future__ import annotations
@@ -73,9 +59,9 @@ class GuestCheckpoint:
     pages: Tuple[Tuple[int, bytes], ...]
     #: Application registers cached at quiesce time, sorted by offset.
     reg_cache: Tuple[Tuple[int, int], ...]
-    #: The job's minimal architected state (§4.2), or None if never saved.
-    saved_state: Optional[bytes]
-    #: Runtime flags.
+    #: Runtime flags (``state_saved``: the state buffer among ``pages``
+    #: holds the job's minimal architected state, §4.2).
+    state_saved: bool
     started: bool
     done: bool
     quarantined: bool
@@ -111,8 +97,8 @@ class GuestCheckpoint:
             put(f"page{gva}", data)
         for offset, value in self.reg_cache:
             put(f"reg{offset}", str(value).encode())
-        put("state", self.saved_state if self.saved_state is not None else b"\xff")
-        flags = (self.started, self.done, self.quarantined, self.watchdog_armed)
+        flags = (self.state_saved, self.started, self.done, self.quarantined,
+                 self.watchdog_armed)
         put("flags", "".join("1" if f else "0" for f in flags).encode())
         if self.failure is not None:
             put("failure", self.failure.encode())
@@ -199,7 +185,7 @@ def checkpoint_guest(
         mapped_gvas=tuple(sorted(vaccel.mapped_gvas)),
         pages=tuple(pages),
         reg_cache=tuple(sorted(vaccel.reg_cache.items())),
-        saved_state=vaccel.saved_state,
+        state_saved=vaccel.state_saved,
         started=vaccel.started,
         done=vaccel.job.done,
         quarantined=vaccel.quarantined,
@@ -223,11 +209,10 @@ def restore_guest(
     original GVA, creates a mediated device on ``physical_index`` (which
     allocates a *new* IOVA slice), and replays the shadow-paging
     hypercall for every registered GVA — re-patching the sliced IO page
-    table for the new slice.  If the guest was running, the destination
-    scheduler resumes it through the ordinary context-switch-in path
-    (cached registers + saved state travel on the vaccel).  A guest whose
-    job raised at the source ends with a :class:`GuestError` naming that
-    failure.
+    table for the new slice.  A running guest resumes through the
+    destination's ordinary switch-in, its state read from its own pages.
+    A guest whose job raised at the source ends with a :class:`GuestError`
+    naming that failure.
     """
     if checkpoint.page_size != hypervisor.page_size:
         raise ConfigurationError(
@@ -249,7 +234,7 @@ def restore_guest(
     vaccel.reg_cache.update(dict(checkpoint.reg_cache))
     job.configure(vaccel.cached_registers())
     vaccel.state_buffer_gva = checkpoint.state_buffer_gva
-    vaccel.saved_state = checkpoint.saved_state
+    vaccel.state_saved = checkpoint.state_saved
     vaccel.quarantined = checkpoint.quarantined
     if checkpoint.failure is not None:
         vaccel.finish(GuestError(f"{vm.name}: job failed at the source: {checkpoint.failure}"))
@@ -257,10 +242,7 @@ def restore_guest(
         # A quarantined guest ended False, as the watchdog ends it.
         vaccel.finish(not checkpoint.quarantined)
     elif checkpoint.started and not checkpoint.quarantined:
-        # Resume: mark runnable and kick the destination scheduler; its
-        # _switch_in replays registers, programs the new slice's offset
-        # table, and restores the saved state (§4.2 — migration is one
-        # preemption plus one switch-in elsewhere).
+        # Resume: migration is one preemption plus one switch-in elsewhere.
         vaccel.started = True
         hypervisor.physical[physical_index].start()
     return vm, vaccel

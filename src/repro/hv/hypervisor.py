@@ -225,7 +225,11 @@ class OptimusHypervisor:
         vaccel = self.create_virtual_accelerator(
             vm, job, physical_index=physical_index
         )
-        return GuestAccelerator(self, vm, vaccel, window_bytes=window_bytes)
+        try:
+            return GuestAccelerator(self, vm, vaccel, window_bytes=window_bytes)
+        except Exception:
+            self.destroy_virtual_accelerator(vaccel)  # a refused guest leaves nothing
+            raise
 
     def enable_watchdog(self, deadline_ps: int):
         """Turn on the per-guest forward-progress watchdog.
@@ -308,8 +312,6 @@ class OptimusHypervisor:
             self.start_job(vaccel)
         elif offset == CTRL_CMD and value == CMD_PREEMPT:
             raise GuestError("guests may not drive the preemption interface")
-        elif offset == CTRL_STATE_ADDR:
-            vaccel.state_buffer_gva = value
 
     def _emulated_status(self, vaccel: VirtualAccelerator) -> int:
         # The hypervisor hides the *physical* accelerator's status: a queued
@@ -355,6 +357,8 @@ class OptimusHypervisor:
         """Mark the job runnable and kick the physical scheduler."""
         if vaccel.window_base_gva is None:
             raise GuestError(f"{vaccel.name}: register a DMA window before starting")
+        if vaccel.state_buffer_gva is None:
+            raise GuestError(f"{vaccel.name}: register a state buffer before starting")
         vaccel.started = True
         manager = self.physical[vaccel.physical_index]
         manager.start()

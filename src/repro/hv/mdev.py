@@ -87,8 +87,8 @@ class VirtualAccelerator:
         # replayed when the virtual accelerator is scheduled (§4.2).
         self.reg_cache: Dict[int, int] = {}
 
-        # Last successfully saved architected state (None = never saved).
-        self.saved_state: Optional[bytes] = None
+        # Whether the state buffer holds a saved state, its only copy.
+        self.state_saved = False
 
         # Accounting for the fairness experiments (§6.8).
         self.utilization = UtilizationTracker(self.engine, self.name)

@@ -79,9 +79,9 @@ def _migration_body(vaccel: VirtualAccelerator, source, destination) -> Generato
     if vaccel.scheduled:
         yield vaccel.switched_out()
 
-    # 2. Reattach at the destination.  The slice, the IOPT entries, the
-    #    cached registers, and the saved state all travel with the vaccel
-    #    object — nothing else moves.
+    # 2. Reattach at the destination.  The slice, the IOPT entries and the
+    #    cached registers travel with the vaccel object, the saved state
+    #    stays in the guest's buffer — nothing else moves.
     vaccel.physical_index = destination.socket_index
     destination.vaccels.append(vaccel)
     vaccel.migrations += 1

@@ -12,7 +12,8 @@ runs the scheduling loop that the paper describes:
 * **context switch in**: replay cached application registers, program the
   auditor's offset-table entry for the incoming guest (page table
   slicing's only per-switch cost — the IO page table itself is *not*
-  switched), restore saved state, and restart the job;
+  switched), read the state back from the guest's buffer (its only
+  copy), and restart the job;
 * run for one time slice (or to completion).
 
 A physical accelerator with exactly one virtual accelerator never
@@ -43,6 +44,11 @@ from repro.sim.engine import Future, Process, any_of
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hv.hypervisor import OptimusHypervisor
+
+
+def state_transfer_ps(params, nbytes: int) -> int:
+    """What moving ``nbytes`` of job state to or from its buffer costs."""
+    return math.ceil(nbytes / gbps_to_bytes_per_ps(params.state_save_bandwidth_gbps))
 
 
 class PhysicalAccelerator:
@@ -97,12 +103,6 @@ class PhysicalAccelerator:
         for vaccel in dict.fromkeys([self._release(), *self.vaccels]):
             if vaccel is not None and vaccel.state is not VAccelState.DONE:
                 vaccel.finish(exc)
-
-    # -- cost model ------------------------------------------------------------------
-
-    def _state_transfer_ps(self, nbytes: int) -> int:
-        rate = gbps_to_bytes_per_ps(self.platform.params.state_save_bandwidth_gbps)
-        return math.ceil(nbytes / rate)
 
     # -- the scheduling loop ------------------------------------------------------------
 
@@ -164,7 +164,7 @@ class PhysicalAccelerator:
         forced = False
 
         if not process.completion.done():
-            save_cost = self._state_transfer_ps(vaccel.job.state_size())
+            save_cost = state_transfer_ps(params, vaccel.job.state_size())
             saved = ctx.arm_preemption(save_cost)
             timeout = self.engine.timer(params.preemption_timeout_ps)
             winner = yield any_of(self.engine, [saved, process.completion, timeout])
@@ -178,8 +178,8 @@ class PhysicalAccelerator:
             else:
                 yield params.preempt_protocol_ps  # drain/handshake MMIO traps
                 if not vaccel.job.done:
-                    vaccel.saved_state = vaccel.job.save_state()
-                    self._spill_state(vaccel)
+                    vaccel.vm.write_memory(vaccel.state_buffer_gva, vaccel.job.save_state())
+                    vaccel.state_saved = True
                     vaccel.preempt_count += 1
 
         # Cache application registers so queued MMIO reads can be served.
@@ -194,12 +194,6 @@ class PhysicalAccelerator:
                                  tid=self._trace_tid, cat="hv",
                                  args={"vaccel": vaccel.name, "forced": forced,
                                        "done": vaccel.job.done})
-
-    def _spill_state(self, vaccel: VirtualAccelerator) -> None:
-        """Functionally place the saved state in the guest's DRAM buffer."""
-        if vaccel.state_buffer_gva is None or vaccel.saved_state is None:
-            return
-        vaccel.vm.write_memory(vaccel.state_buffer_gva, vaccel.saved_state)
 
     # -- context switch: in ---------------------------------------------------------------------
 
@@ -221,9 +215,10 @@ class PhysicalAccelerator:
         self.socket.registers.restore(vaccel.cached_registers())
         self.socket.dma.max_outstanding = vaccel.job.profile.max_outstanding
 
-        if vaccel.saved_state is not None:
-            yield self._state_transfer_ps(len(vaccel.saved_state))
-            vaccel.job.restore_state(vaccel.saved_state)
+        if vaccel.state_saved:
+            size = vaccel.job.state_size()
+            yield state_transfer_ps(params, size)
+            vaccel.job.restore_state(vaccel.vm.read_memory(vaccel.state_buffer_gva, size))
 
         ctx = ExecutionContext(
             self.engine,
@@ -244,7 +239,7 @@ class PhysicalAccelerator:
             self._trace.complete("hv.ctxsw.restore", restore_start_ps,
                                  self.engine.now, tid=self._trace_tid, cat="hv",
                                  args={"vaccel": vaccel.name,
-                                       "restored_state": vaccel.saved_state is not None})
+                                       "restored_state": vaccel.state_saved})
 
     def _fail_current(self) -> None:
         exc = self.current_process.completion.exception()

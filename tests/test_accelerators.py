@@ -87,10 +87,11 @@ class TestMd5:
             {"src": data, "dst": 4096},
             lambda b: {REG_SRC: b["src"], REG_DST: b["dst"], REG_LEN: len(data)},
         )
-        assert job.digests[0] == hashlib.md5(data[:4096]).digest()
-        assert job.digests[1] == hashlib.md5(data[4096:]).digest()
-        record = handle.read_buffer(bufs["dst"], 16)
-        assert record == hashlib.md5(data[:4096]).digest()
+        # One 64-byte record per chunk: the digest, zero-padded to a line.
+        records = handle.read_buffer(bufs["dst"], 128)
+        assert records[:16] == hashlib.md5(data[:4096]).digest()
+        assert records[64:80] == hashlib.md5(data[4096:]).digest()
+        assert records[16:64] == records[80:] == bytes(48)
 
 
 class TestFir:

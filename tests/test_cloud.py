@@ -255,7 +255,7 @@ class TestReservation:
         assert (vaccel.name, vaccel.slice.index, vaccel.window_base_gva) == (
             "b/va1", 1, 0x10000025000
         )
-        assert checkpoint.digest() == "09b618b5d1190c03"
+        assert checkpoint.digest() == "2a7d5b320a4c6cb1"
         # The vaccel id drives the buffer stagger inside the window.
         assert node.tenants["b"].handle.alloc_buffer(PAGE_SIZE_4K) == 0x10000065000
 

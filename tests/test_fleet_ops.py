@@ -106,8 +106,11 @@ class TestCheckpointRestore:
         platform_b, hv_b = make_hv()
         job_b = AesJob(functional=True)
         vm_b, vaccel_b = restore_guest(hv_b, checkpoint, job_b)
-        # Progress travels as saved state and is replayed at switch-in.
-        assert vaccel_b.saved_state == checkpoint.saved_state
+        # Progress travels in the state buffer, one of the guest's pages,
+        # and is replayed from there at switch-in.
+        assert checkpoint.state_saved and vaccel_b.state_saved
+        cursor = int.from_bytes(vm_b.read_memory(vaccel_b.state_buffer_gva, 8), "little")
+        assert cursor == job_a.cursor
         run_until_done(platform_b, job_b)
 
         # Baseline: the same guest, never migrated.
@@ -247,6 +250,26 @@ class TestCheckpointRestore:
                     for i in range(0, len(records), 64)]
         scores = restored.handle.read_buffer(dst, 4 * 256)
         assert list(struct.unpack("<256I", scores)) == expected
+
+    def test_a_restored_handle_allocates_no_page_the_source_registered(self):
+        # Checkpointed before start: the restored guest's first allocation
+        # is the state buffer that start registers, and the first
+        # preemption writes job state into it, so it must miss the data.
+        from repro.cloud import CloudProvider, FpgaConfiguration
+
+        configuration = FpgaConfiguration.synthesize(["AES"])
+        source = CloudProvider(configuration)
+        handle = source.place("t", "AES").handle
+        src, dst = handle.alloc_buffer(BUF), handle.alloc_buffer(BUF)
+        checkpoint = checkpoint_guest(source.hypervisor, source.tenants["t"].vaccel)
+        assert not checkpoint.started and checkpoint.mapped_gvas
+
+        restored = CloudProvider(configuration).restore(checkpoint).handle
+        page = restored.vm.page_size
+        state = restored.setup_preemption()
+        assert state > max(checkpoint.mapped_gvas)
+        assert not set(range(state, state + page, page)) & set(checkpoint.mapped_gvas)
+        assert restored.alloc_buffer(page) > state > max(src, dst)
 
     def test_a_guest_that_never_cedes_the_fabric_raises_scheduler_error(self):
         # No scheduling loop runs, so nothing will switch the guest out:

@@ -5,7 +5,7 @@ import weakref
 import pytest
 
 from repro.accel.base import AcceleratorJob, AcceleratorProfile
-from repro.errors import GuestError
+from repro.errors import ConfigurationError, GuestError
 from repro.fpga.resources import ResourceFootprint
 from repro.guest import GuestAccelerator, NativeAccelerator
 from repro.hv import (
@@ -16,7 +16,7 @@ from repro.hv import (
     WeightedScheduler,
 )
 from repro.hv.mdev import BAR2_WINDOW_SIZE
-from repro.mem import MB
+from repro.mem import KB, MB, PAGE_SIZE_4K
 from repro.platform import PlatformMode, PlatformParams, build_platform
 from repro.sim.clock import ms, us
 
@@ -26,14 +26,13 @@ REG_DST = 0x08
 REG_LINES = 0x10
 
 
-def copy_profile(preemptible=True, state_bytes=64):
+def copy_profile(state_bytes=64):
     return AcceleratorProfile(
         name="copy",
         description="test copy engine",
         loc_verilog=100,
         freq_mhz=400.0,
         footprint=ResourceFootprint(1.0, 1.0),
-        preemptible=preemptible,
         state_bytes=state_bytes,
     )
 
@@ -43,8 +42,8 @@ class CopyJob(AcceleratorJob):
 
     state_fields = (("cursor", "Q"),)
 
-    def __init__(self, preemptible=True):
-        super().__init__(copy_profile(preemptible))
+    def __init__(self):
+        super().__init__(copy_profile())
         self.cursor = 0
 
     def body(self, ctx):
@@ -85,8 +84,8 @@ def make_stack(n_accels=2, **param_overrides):
     return platform, hv
 
 
-def launch_copy(hv, vm, physical_index, lines=64, preemptible=True, window_mb=16):
-    job = CopyJob(preemptible)
+def launch_copy(hv, vm, physical_index, lines=64, window_mb=16):
+    job = CopyJob()
     vaccel = hv.create_virtual_accelerator(vm, job, physical_index=physical_index)
     handle = GuestAccelerator(hv, vm, vaccel, window_bytes=window_mb * MB)
     src = handle.alloc_buffer(lines * 64)
@@ -132,6 +131,17 @@ class TestEndToEnd:
         vaccel = hv.create_virtual_accelerator(vm, job, physical_index=0)
         with pytest.raises(GuestError):
             hv.start_job(vaccel)
+
+    def test_start_without_state_buffer_rejected(self):
+        # The buffer is the only copy of a preempted job's state: a guest
+        # with nowhere to save it may not start.
+        platform, hv = make_stack()
+        vm = hv.create_vm("t")
+        vaccel = hv.create_virtual_accelerator(vm, CopyJob(), physical_index=0)
+        GuestAccelerator(hv, vm, vaccel, window_bytes=16 * MB)
+        with pytest.raises(GuestError, match="state buffer"):
+            hv.start_job(vaccel)
+        assert not vaccel.started
 
     def test_lying_guest_hypercall_rejected(self):
         platform, hv = make_stack()
@@ -278,26 +288,39 @@ class TestSliceRecycling:
         platform, hv = make_stack()
         vm = hv.create_vm("vm0")
         vaccels = [
-            hv.create_virtual_accelerator(vm, CopyJob(True)) for _ in range(3)
+            hv.create_virtual_accelerator(vm, CopyJob()) for _ in range(3)
         ]
         assert [va.slice.index for va in vaccels] == [0, 1, 2]
         hv.destroy_virtual_accelerator(vaccels[0])
         hv.destroy_virtual_accelerator(vaccels[2])
         assert len(hv.vaccels) == 1
-        fresh = hv.create_virtual_accelerator(vm, CopyJob(True))
+        fresh = hv.create_virtual_accelerator(vm, CopyJob())
         # Lowest freed slice base is reused first; ids stay monotonic so
         # watchdog bookkeeping and scheduler tie-breaks never alias.
         assert fresh.slice.index == 0
         assert fresh.vaccel_id == 3
 
+    def test_refused_connect_leaves_the_hypervisor_untouched(self):
+        # 4 KB pages: the second vaccel's buffer stagger (256 KB) does not
+        # fit a 200 KB window, which the handle finds only after probing.
+        platform, hv = make_stack(page_size=PAGE_SIZE_4K)
+        hv.connect(hv.create_vm("a"), CopyJob(), window_bytes=1 * MB)
+        iopt = platform.iommu.page_table
+        before = (list(hv.vaccels), list(hv.physical[0].vaccels), len(iopt._entries))
+        with pytest.raises(ConfigurationError):
+            hv.connect(hv.create_vm("b"), CopyJob(), window_bytes=200 * KB)
+        assert (list(hv.vaccels), list(hv.physical[0].vaccels), len(iopt._entries)) == before
+        # The refused guest's slice is free again: the next guest gets it.
+        assert hv.create_virtual_accelerator(hv.create_vm("c"), CopyJob()).slice.index == 1
+
     def test_churn_beyond_max_slices_does_not_exhaust_iova_space(self):
         platform, hv = make_stack()
         vm = hv.create_vm("vm0")
         for _ in range(hv.layout.max_slices + 5):
-            vaccel = hv.create_virtual_accelerator(vm, CopyJob(True))
+            vaccel = hv.create_virtual_accelerator(vm, CopyJob())
             hv.destroy_virtual_accelerator(vaccel)
         assert len(hv.vaccels) == 0
-        survivor = hv.create_virtual_accelerator(vm, CopyJob(True))
+        survivor = hv.create_virtual_accelerator(vm, CopyJob())
         assert survivor.slice.index == 0
 
 

@@ -407,24 +407,10 @@ ENVIRONMENTS = {
 #: Where in the job's solo run the checkpoint lands, per mille.
 PERMILLE = st.integers(min_value=0, max_value=999)
 
-#: Output the model keeps in the job object, not in declared state: a job
-#: restored into a fresh object cannot finish it.  SSSP keeps its distances
-#: there too, but a fresh SSSP job recomputes them from the source vertex.
-KEPT_IN_THE_JOB_OBJECT = {
-    "MD5": "the digests of finished 4 KB chunks are a list in the job object",
-}
-
-
-def _cells():
-    for name in REAL_WORLD:
-        for env in ENVIRONMENTS:
-            marks = ()
-            if name in KEPT_IN_THE_JOB_OBJECT and env.endswith("restore"):
-                marks = pytest.mark.xfail(strict=True, reason=KEPT_IN_THE_JOB_OBJECT[name])
-            yield pytest.param(name, env, marks=marks, id=f"{name}-{env}")
-
-
-@pytest.mark.parametrize("name, env", _cells())
+@pytest.mark.parametrize(
+    "name, env",
+    [pytest.param(name, env, id=f"{name}-{env}") for name in REAL_WORLD for env in ENVIRONMENTS],
+)
 @settings(max_examples=5)
 @given(data=st.data())
 def test_job_output_matches_the_kernel_reference(name, env, data):
@@ -526,3 +512,24 @@ def test_sssp_preempted_with_a_wide_frontier_matches_a_solo_run():
     shared, frontiers = run(shared=True)
     assert not solo_frontiers and max(frontiers) > 500
     assert shared == solo == sssp_dijkstra(graph, 0).astype("<u4").tobytes()
+
+
+def test_sssp_restored_mid_run_resumes_from_its_distance_array():
+    platform, hv = _optimus(time_slice_ps=SLICE_PS)
+    job, vaccel, handle, bufs = _launch(hv, "SSSP")
+    handle.start()
+    _run_until_scheduled(platform, vaccel)
+    platform.run_for(solo_span_ps("SSSP") // 2)
+    checkpoint = checkpoint_guest(hv, vaccel)
+    assert checkpoint.state_saved and not checkpoint.done and job.rounds > 0
+    _platform_b, hv_b = _optimus()
+    restored = make_job(checkpoint.accel_type, **dict(checkpoint.job_kwargs))
+    vm_b, _vaccel_b = restore_guest(hv_b, checkpoint, restored)
+    _finish(_platform_b.engine, restored)
+    # A from-source run, for the count of edges it relaxes.
+    platform_c, hv_c = _optimus()
+    from_source, _vaccel_c, handle_c, _bufs_c = _launch(hv_c, "SSSP")
+    handle_c.start()
+    _finish(platform_c.engine, from_source)
+    assert 0 < restored.edges_relaxed < from_source.edges_relaxed
+    assert case_of("SSSP").observe(vm_b.read_memory, bufs, restored) == case_of("SSSP").expected

@@ -56,7 +56,7 @@ class TestMigration:
         done = hv.migrate_virtual_accelerator(vaccel, 1)
         platform.engine.run_until(done, limit_ps=platform.engine.now + ms(50))
         assert vaccel.preempt_count == preempts_before + 1
-        assert vaccel.saved_state is not None
+        assert vaccel.state_saved
 
     def test_iopt_entries_do_not_move(self):
         platform, hv = self.make()

@@ -46,6 +46,15 @@ class TestPreemptionProtocol:
         ops = int.from_bytes(stored[:8], "little")
         assert ops > 0
         assert ops <= job0.ops_done
+        # The buffer is the only copy: what the guest's memory holds at
+        # switch-in is where the job resumes.
+        while va0.state is not VAccelState.QUEUED:
+            platform.run_for(us(10))
+        planted = job0.ops_done + 10**9
+        vm0.write_memory(va0.state_buffer_gva, planted.to_bytes(8, "little"))
+        while va0.state is not VAccelState.SCHEDULED:
+            platform.run_for(us(10))
+        assert job0.ops_done >= planted
 
     def test_reset_pulsed_on_every_context_switch(self):
         platform, hv, tenants = two_tenant_stack()
